@@ -1,0 +1,167 @@
+"""Golden corpus: sha256 digests of command-line outputs.
+
+Every command runs in-process from a scratch working directory with
+relative paths, so the input and output paths recorded inside the
+reports are the same on every machine.  A digest that stops matching
+means the bytes a user gets from the same command and seed have changed;
+such a change must be deliberate and named in CHANGES.md, and the digest
+is never re-frozen to absorb an accident.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from tamelab import cli
+from tamelab.core import DiscreteSequence, sln
+
+
+def _random_sl2(rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    a = z[0] + 0.2 * z[0] / abs(z[0])
+    return np.array([[a, z[2]], [z[1], (1.0 + z[2] * z[1]) / a]])
+
+
+def _pair_doc(points) -> dict:
+    """A sequence document written with the standard json module, so the
+    seeded inputs do not depend on the serializer under test."""
+    return {
+        "ambient": "sln",
+        "n": 2,
+        "points": [
+            [[[z.real, z.imag] for z in row] for row in p] for p in points
+        ],
+    }
+
+
+def _write_inputs() -> None:
+    cs = [np.diag([float(k), 1.0 / k]).astype(complex) for k in range(1, 16)]
+    ds = [c @ np.array([[1.0, float(k)], [0.0, 1.0]]) for k, c in enumerate(cs, 1)]
+    for path, pts in (("ceq.json", cs), ("deq.json", ds)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(cli.canonical_json(DiscreteSequence(sln(2), tuple(pts)).to_json()))
+    rng = np.random.default_rng(20170)
+    for path, count in (("rand40.json", 40), ("rand12.json", 12)):
+        doc = _pair_doc([_random_sl2(rng) for _ in range(count)])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+
+
+# (name, argv); each command writes <name>.out, later commands read it.
+_COMMANDS = (
+    ("wp", ["gen", "wellplaced2", "--k", "16"]),
+    ("wp1", ["gen", "wellplaced2", "--k", "16", "--p", "1"]),
+    ("dt", ["gen", "diagtorus", "--k", "6"]),
+    ("sg", ["gen", "sl2-gauss", "--field", "qi", "--height", "1"]),
+    ("cnp", ["gen", "cn-powers", "--n", "2", "--alpha", "1", "--k", "2000"]),
+    ("dpb", ["gen", "discplane-base", "--mode", "boundary", "--k", "30"]),
+    ("pa", ["gen", "punctured-accumulate", "--k", "40"]),
+    # the sixteen shapes of the command-line determinism acceptance test
+    ("overshear-det", ["transform", "overshear", "sg.out", "--lambda", "1+0.5*a"]),
+    ("overshear-law", ["transform", "overshear", "sg.out", "--lambda", "1-0.25*a"]),
+    ("overshear-grid", ["transform", "overshear", "sg.out", "--shift", "0.05,0;0,0.02"]),
+    ("series", ["check", "rr-series", "cnp.out"]),
+    ("torus", ["transform", "torus-embed", "dt.out"]),
+    ("union", ["transform", "union-decompose", "wp.out"]),
+    ("rescale", ["transform", "lambda-rescale", "wp.out", "--factor", "2"]),
+    ("align", ["transform", "align", "wp.out", "--seq2", "wp1.out"]),
+    ("equivalence", ["transform", "equivalence", "ceq.json", "--seq2", "deq.json",
+                     "--seed", "0"]),
+    ("classify", ["check", "dp-classify", "dpb.out"]),
+    ("punctured", ["check", "punctured", "pa.out"]),
+    ("omega", ["mc", "omega", "--seq", "dt.out", "--samples", "300", "--seed", "5"]),
+    ("measure", ["mc", "measure", "--R", "10,100,1000", "--r", "1",
+                 "--samples", "2000", "--seed", "3"]),
+    ("threshold", ["mc", "threshold", "--levels", "3", "--samples", "2000",
+                   "--seed", "0"]),
+    ("pipeline", ["transform", "sl2-pipeline", "sg.out", "--seed", "3",
+                  "--max-fiber", "16"]),
+    ("report", ["report", "wp.out"]),
+    # a long flat prefix through gen, report and the series check
+    ("powers", ["gen", "cn-powers", "--n", "2", "--k", "20000", "--alpha", "1.15"]),
+    ("powers-report", ["report", "powers.out"]),
+    ("powers-series", ["check", "rr-series", "powers.out"]),
+    # seeded SL(2) inputs through the matrix-group moves
+    ("gauss-pi", ["check", "pi-tame", "sg.out", "--max-fiber", "64"]),
+    ("rand-pi", ["check", "pi-tame", "rand40.json"]),
+    ("rand-overshears", ["transform", "overshears", "rand40.json", "--lambda", "1+0.1*a"]),
+    ("rand-overshears-report", ["report", "rand-overshears.out"]),
+    ("rand-union", ["transform", "union-decompose", "rand40.json"]),
+    ("rand-push", ["transform", "bundle-push", "rand40.json", "--height", "25",
+                   "--seed", "7"]),
+    ("rand12-push", ["transform", "bundle-push", "rand12.json", "--height", "1e6",
+                     "--seed", "0"]),
+)
+
+# name -> (exit code, sha256 of the --out file)
+GOLDEN = {
+    'wp': (0, 'c14bf851429c3a9e09a8b9a4a3367b8d6f40aac1b7189663effe98c55167b2c4'),
+    'wp1': (0, 'c14b3d335c6f7ff60abe5635978f9886d45ba38b76c0b7a5f32fa100f5d00cea'),
+    'dt': (0, '0bfd0d54c66ec9dc798e4f6d8bdbf931b119c0f0979065fc04d14d5eb1a25259'),
+    'sg': (0, 'bdac9782485a4567ff9f089fb39fb6391e106a16c913f0c9f17d57adccdecb2b'),
+    'cnp': (0, '94931de76ec505b197810a8dfd385120678396f9d73eb51b30cfe7bd776e23cf'),
+    'dpb': (0, 'fba584ec11da63b2718f4b1e743bab1819bc9c232c5be670773c18b993881f8b'),
+    'pa': (0, 'e75170b27a50b2bc06fdcfbf0bbe5bdaf401e3fa09ce0e6287d4608d58c39ff1'),
+    'overshear-det': (0, 'fd1b8ac5ebb50a4609642c991ff3bbef9756efe661cb5ad392dd800a1067cfe9'),
+    'overshear-law': (0, 'd842da2fd974dc98843e7ffb0c96ffc5877be10149cc9a8e40757062d9473166'),
+    'overshear-grid': (0, '1652ba0259e1df8355db42280d2a1bc65bfaeb65836a65fa390dd445afd1bdde'),
+    'series': (0, '21cb1cc7102746bcaff7625971d8c84e4497aab15c44ebd7ffd98efd03995909'),
+    'torus': (0, 'd92b11e480110a55cfee4e585b9f848fc2b4beaf29b0712c819ed80384ed86d9'),
+    'union': (0, 'abbbceba3fdf62f18113a508172d821a4606e7308aee7bd7c9b7feda57ded04d'),
+    'rescale': (0, '82a2aa975a347eaa5f0c68441e87b5bdd2787337d20ec074c9bba08e1c34f0c3'),
+    'align': (0, '5ea47b79d3636d7c130ef8fd3e47d3b6c4eee00102c0483c02e510f15ebc35b2'),
+    'equivalence': (0, 'e6901f8fcb0f7f5aec09528f3cc7a6549ff0ffb38f0b54ddc1c61b7fa8ec2f1d'),
+    'classify': (0, 'bed7db0f21aebcb4a7eb8b4e0f295fdc15901a396ccb256b24064be291931783'),
+    'punctured': (2, 'e7bfa1bfa042f0d0fb6194ada82501f179f3597ce765ce01d8137c5ee8da70c9'),
+    'omega': (0, '1cfbb49606a1f63e312f43fc4fc5f98f908502f1ef2996d7a112aeaaaac29a29'),
+    'measure': (0, 'cc46083b29ea84e73128834150f0e89843a721a1ba3f6126a29f5388d6b05ba0'),
+    'threshold': (0, '195fc9309f20fe0038e269e868444e4a047f620d628bde262ca1c62d801f2a6b'),
+    'pipeline': (0, 'f58f361a82e56c1e2975863a19f53d04e4b0d81c8ff7f7d238dd396541a4dc3a'),
+    'report': (0, 'c14bf851429c3a9e09a8b9a4a3367b8d6f40aac1b7189663effe98c55167b2c4'),
+    'powers': (0, 'f5cda6d589cbd40e097416bc82feb35a2d1986c6531f03f3a1705536972542bc'),
+    'powers-report': (0, 'f5cda6d589cbd40e097416bc82feb35a2d1986c6531f03f3a1705536972542bc'),
+    'powers-series': (0, '461500f5ab8ef63e08982c4788febd63ccae9f23cdebb73e9de27f768e524e4a'),
+    'gauss-pi': (0, 'c1e2551ebd4f0db380f7f5045c0a46b997762d11d0ab6733002695c69b155d46'),
+    'rand-pi': (0, 'aa42adc4d7502ad8e101ccfa4171ee12fbb9b8af2eeb2e1722ca009a51e924d5'),
+    'rand-overshears': (0, '534fc6dbeb3aab75725fd1e33bbba38cb9fef5ff1b291ab31d117284e4b44536'),
+    'rand-overshears-report': (0, '534fc6dbeb3aab75725fd1e33bbba38cb9fef5ff1b291ab31d117284e4b44536'),
+    'rand-union': (0, '8ba3a79a04a32b2e2ecab7d0b99011e5b0a656eec577b3e1fc7e6a874bd1f7fd'),
+    'rand-push': (0, 'b11caffdd44cfe1235ca2fb90bf8ac2e3fa31729f165ca022e46c11f429ffbd1'),
+    'rand12-push': (0, '55ff9351acc2bf37e988f2770ed1b8878e973da0403fb35aa4b9560c97477b72'),
+    'ceq.json': (0, '4ec5b890faddd241b165f3b36e65b7d18e0b21362d00a3c1060463b10900fc0d'),
+    'deq.json': (0, '96ceaf208e66f7abdd0c8a1060679da4013e9da53822007bf4e8cda297a5e5dd'),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory) -> dict:
+    """Runs every command once and digests what it wrote."""
+    home = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("golden"))
+    try:
+        _write_inputs()
+        got = {}
+        for name, argv in _COMMANDS:
+            code = cli.main([*argv, "--out", f"{name}.out"])
+            with open(f"{name}.out", "rb") as fh:
+                got[name] = (code, hashlib.sha256(fh.read()).hexdigest())
+        for path in ("ceq.json", "deq.json"):
+            with open(path, "rb") as fh:
+                got[path] = (0, hashlib.sha256(fh.read()).hexdigest())
+        return got
+    finally:
+        os.chdir(home)
+
+
+def test_corpus_covers_every_command():
+    assert set(GOLDEN) == {name for name, _ in _COMMANDS} | {"ceq.json", "deq.json"}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_are_frozen(corpus, name):
+    assert corpus[name] == GOLDEN[name]
