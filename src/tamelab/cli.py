@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -181,51 +182,148 @@ def _float_text(value: float) -> str:
     return format(value, ".17g")
 
 
-def _emit_value(value, buf: io.StringIO, indent: int) -> None:
-    pad = "  " * indent
+def _scalar_text(value) -> str:
     if value is None:
-        buf.write("null")
-    elif isinstance(value, bool) or isinstance(value, np.bool_):
-        buf.write("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        buf.write(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        buf.write(_float_text(float(value)))
-    elif isinstance(value, str):
-        buf.write(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
+        return "null"
+    if isinstance(value, bool) or isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _float_text(float(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
+
+
+_CONTAINERS = (list, tuple, dict)
+_NON_FINITE = ("nan", "inf", "-inf")
+_BATCH = 1 << 10  # list items formatted together
+_FLUSH = 1 << 12  # pending chunks per write into the buffer
+
+
+def _leaf_texts(leaves: list) -> list[str]:
+    """The texts of scalar leaves, one comprehension for plain floats and
+    ints; anything else, and any error, goes leaf by leaf in order."""
+    kinds = set(map(type, leaves))
+    try:
+        if kinds == {float}:
+            texts = [f"{v:.17g}" for v in leaves]
+        elif kinds <= {float, int}:
+            texts = [f"{v:.17g}" if type(v) is float else f"{v}" for v in leaves]
+        else:
+            texts = None
+    except ValueError:  # an int too long to print
+        texts = None
+    if texts is None or any(bad in texts for bad in _NON_FINITE):
+        return [_scalar_text(v) for v in leaves]
+    return texts
+
+
+def _block_text(items, indent: int) -> str | None:
+    """The items of a list, each at `indent`, joined as the emitter joins
+    them, when they form a regular block: scalars, or lists of one length
+    down to scalar leaves. None otherwise."""
+    dims = [len(items)]
+    level = items
+    while True:
+        kinds = set(map(type, level))
+        if kinds <= {list, tuple}:
+            sizes = set(map(len, level))
+            if len(sizes) != 1 or 0 in sizes:
+                return None
+            dims.append(sizes.pop())
+            level = list(chain.from_iterable(level))
+        elif any(issubclass(k, _CONTAINERS) for k in kinds):
+            return None
+        else:
+            break
+    texts = _leaf_texts(level)
+    depth = len(dims) - 1
+    pads = ["\n" + "  " * (indent + r) for r in range(depth + 1)]
+    # seps[c]: between two leaves that c enclosing lists separate
+    seps = [
+        "".join(pads[depth - 1 - r] + "]" for r in range(c))
+        + ","
+        + "".join(pads[depth - c + r] + "[" for r in range(c))
+        + pads[depth]
+        for c in range(depth + 1)
+    ]
+    between: list[str] = []
+    for closes, size in enumerate(reversed(dims)):
+        between = (between + [seps[closes]]) * size
+        between.pop()
+    parts = [""] * (2 * len(texts) - 1)
+    parts[::2] = texts
+    parts[1::2] = between
+    head = "".join("[" + pads[r + 1] for r in range(depth))
+    tail = "".join(pads[depth - 1 - r] + "]" for r in range(depth))
+    return head + "".join(parts) + tail
+
+
+class _Emitter:
+    """Writes a document as canonical JSON into a StringIO, flushing its
+    chunks in batches."""
+
+    def __init__(self):
+        self.buf = io.StringIO()
+        self.chunks: list[str] = []
+
+    def put(self, text: str) -> None:
+        self.chunks.append(text)
+        if len(self.chunks) >= _FLUSH:
+            self.flush()
+
+    def flush(self) -> None:
+        self.buf.write("".join(self.chunks))
+        self.chunks.clear()
+
+    def emit(self, value, indent: int) -> None:
+        if isinstance(value, (list, tuple)):
+            self.emit_list(value, indent)
+        elif isinstance(value, dict):
+            self.emit_dict(value, indent)
+        else:
+            self.put(_scalar_text(value))
+
+    def emit_list(self, value, indent: int) -> None:
         if not value:
-            buf.write("[]")
+            self.put("[]")
             return
-        buf.write("[")
-        for i, item in enumerate(value):
-            buf.write("\n" + pad + "  ")
-            _emit_value(item, buf, indent + 1)
-            if i + 1 < len(value):
-                buf.write(",")
-        buf.write("\n" + pad + "]")
-    elif isinstance(value, dict):
+        pad = "\n" + "  " * (indent + 1)
+        self.put("[")
+        for lo in range(0, len(value), _BATCH):
+            chunk = value[lo : lo + _BATCH]
+            if lo:
+                self.put(",")
+            block = _block_text(chunk, indent + 1)
+            if block is not None:
+                self.put(pad + block)
+                continue
+            for i, item in enumerate(chunk):
+                self.put("," + pad if i else pad)
+                self.emit(item, indent + 1)
+        self.put("\n" + "  " * indent + "]")
+
+    def emit_dict(self, value, indent: int) -> None:
         if not value:
-            buf.write("{}")
+            self.put("{}")
             return
-        buf.write("{")
-        items = list(value.items())
-        for i, (key, item) in enumerate(items):
-            buf.write("\n" + pad + "  " + json.dumps(str(key)) + ": ")
-            _emit_value(item, buf, indent + 1)
-            if i + 1 < len(items):
-                buf.write(",")
-        buf.write("\n" + pad + "}")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
+        pad = "\n" + "  " * (indent + 1)
+        self.put("{")
+        for i, (key, item) in enumerate(value.items()):
+            self.put(("," if i else "") + pad + json.dumps(str(key)) + ": ")
+            self.emit(item, indent + 1)
+        self.put("\n" + "  " * indent + "}")
 
 
 def canonical_json(doc) -> str:
     """Deterministic JSON: fixed indentation, 17 significant digits."""
-    buf = io.StringIO()
-    _emit_value(doc, buf, 0)
-    buf.write("\n")
-    return buf.getvalue()
+    out = _Emitter()
+    out.emit(doc, 0)
+    out.put("\n")
+    out.flush()
+    return out.buf.getvalue()
 
 
 def _measure_csv(rows: list[dict]) -> str:
@@ -692,13 +790,36 @@ def _cmd_mc(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _violated_inside(doc) -> bool:
-    if isinstance(doc, dict):
-        if doc.get("state") == "violated":
+    """Whether any dict in the document has state "violated". Walks one
+    nesting level at a time; a level of lists is flattened whole, and a
+    level without dicts or lists ends the walk unvisited."""
+    level = [doc]
+    while level:
+        kinds = set(map(type, level))
+        if kinds <= {list}:
+            level = list(chain.from_iterable(level))
+            continue
+        if not any(issubclass(k, (dict, list)) for k in kinds):
+            return False
+        dicts = [v for v in level if isinstance(v, dict)]
+        if any(v.get("state") == "violated" for v in dicts):
             return True
-        return any(_violated_inside(v) for v in doc.values())
-    if isinstance(doc, list):
-        return any(_violated_inside(v) for v in doc)
+        lists = [v for v in level if isinstance(v, list)]
+        level = [
+            *chain.from_iterable(v.values() for v in dicts),
+            *chain.from_iterable(lists),
+        ]
     return False
+
+
+# Where "-0" may stand as an integer token; a false hit only costs time.
+_NEG_ZERO = re.compile(r"-0(?![\d.eE])")
+
+
+def _parse_int(text: str):
+    """Integers as json parses them, except "-0", which stays the float
+    -0.0 that was written, so that `report` re-emits the bytes it read."""
+    return -0.0 if text == "-0" else int(text)
 
 
 def _summarize(doc: dict) -> list[str]:
@@ -734,7 +855,7 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int if _NEG_ZERO.search(text) else None)
     except json.JSONDecodeError:
         lines = text.splitlines()
         if not lines or lines[0].split(",") != list(MC_CSV_COLUMNS):
@@ -787,7 +908,14 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--max-fiber", type=int, default=MAX_FIBER)
     chk.add_argument("--subgroup", default="diagonal")
 
-    tra = sub.add_parser("transform", parents=[common], help="apply a constructive move")
+    tra = sub.add_parser(
+        "transform",
+        parents=[common],
+        help="apply a constructive move",
+        description="Apply a constructive move and re-verify its postcondition. "
+        "bundle-push needs pairwise distinct first columns: two points that "
+        "share a first column end in FiberCollision.",
+    )
     tra.add_argument("transform", choices=_TRANSFORMS + tuple(_TRANSFORM_ALIASES))
     tra.add_argument("seq_file")
     tra.add_argument("--seq2", help="second sequence for align and equivalence")

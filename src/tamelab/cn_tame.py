@@ -20,6 +20,7 @@ from .core import (
     LinearAut,
     Verdict,
     _pair,
+    _row_norms,
     first_close_pair,
 )
 from .errors import (
@@ -237,7 +238,7 @@ def rr_series_test(d: DiscreteSequence, tail_policy: str = PARTIAL_ONLY) -> Seri
         raise ValueError(f"unknown tail policy {tail_policy!r}")
     n = d.ambient.n
     exponent = 2 * n - 1
-    norms = np.array([np.linalg.norm(p) for p in d.points])
+    norms = _row_norms(d.array)
     if np.any(norms == 0.0):
         raise ZeroPoint("series criterion needs nonzero points")
     partial = float(np.sum(norms ** (-float(exponent))))

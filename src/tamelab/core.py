@@ -121,24 +121,91 @@ def _require_unit_det(det: complex, allowed: float) -> None:
         )
 
 
-def as_point(ambient: AmbientSpace, value, det_tol: float = DET_TOL) -> np.ndarray:
-    """Coerce and validate one point of the given ambient space."""
+def _check_rows(ambient: AmbientSpace, arr: np.ndarray, det_tol: float) -> None:
+    """The value checks of a point, over a stack of points of the right
+    shape. The first failing point in index order raises the error of its
+    own first failing check: non-finite entries, then the determinant,
+    the puncture or the disc."""
+    m = len(arr)
+    if m == 0:
+        return
+    finite = np.isfinite(arr.view(np.float64)).reshape(m, -1).all(axis=1)
+    stop = m if finite.all() else int(np.argmin(finite))
+    ok = arr[:stop]
     if ambient.is_matrix:
-        a = sl_matrix(value, det_tol)
+        dets = np.linalg.det(ok)
+        allowed = det_tolerance(ok, det_tol)
+        off = np.flatnonzero(np.abs(dets - 1.0) > allowed)
+        if off.size:
+            _require_unit_det(complex(dets[off[0]]), float(allowed[off[0]]))  # raises
+    elif ambient.kind == "punctured-cn":
+        if not np.all(np.any(ok != 0, axis=1)):
+            raise PointOutsideAmbient("the puncture (origin) is not a point of this space")
+    elif ambient.kind == "disc-plane":
+        radii = np.abs(ok[:, 0])
+        outside = np.flatnonzero(radii >= 1.0)
+        if outside.size:
+            raise PointOutsideAmbient(
+                f"|z| = {radii[outside[0]]:.6g} is not inside the unit disc"
+            )
+    if stop < m:
+        what = "matrix" if ambient.is_matrix else "point"
+        raise ValueError(f"{what} contains non-finite entries")
+
+
+def _coerce_point(ambient: AmbientSpace, value, det_tol: float) -> np.ndarray:
+    """One point, checked on its own: a wrong shape raises
+    `DimensionMismatch`, after a wrong-sized matrix has reported its own
+    finiteness and determinant."""
+    a = np.array(value, dtype=np.complex128)
+    if ambient.is_matrix:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] != ambient.n:
+            sl_matrix(a, det_tol)
             raise DimensionMismatch(
                 f"expected {ambient.n}x{ambient.n}, got {a.shape[0]}x{a.shape[1]}"
             )
-        return a
-    v = np.array(value, dtype=np.complex128)
-    if v.ndim != 1 or v.shape[0] != ambient.n:
+    elif a.ndim != 1 or a.shape[0] != ambient.n:
         raise DimensionMismatch(f"expected a vector of length {ambient.n}")
-    _require_finite(v, "point")
-    if ambient.kind == "punctured-cn" and not np.any(v != 0):
-        raise PointOutsideAmbient("the puncture (origin) is not a point of this space")
-    if ambient.kind == "disc-plane" and abs(v[0]) >= 1.0:
-        raise PointOutsideAmbient(f"|z| = {abs(v[0]):.6g} is not inside the unit disc")
-    return v
+    _check_rows(ambient, a[None], det_tol)
+    return a
+
+
+def validate_points(ambient: AmbientSpace, points, det_tol: float = DET_TOL) -> np.ndarray:
+    """Coerce and validate a prefix into one complex array of shape
+    (m, n) or (m, n, n).
+
+    Points that stack to the ambient's point shape are checked together;
+    otherwise they are taken one at a time, so the first bad point in
+    index order raises the same error either way.
+    """
+    shape = (ambient.n, ambient.n) if ambient.is_matrix else (ambient.n,)
+    if not isinstance(points, (tuple, list, np.ndarray)):
+        points = tuple(points)
+    try:
+        arr = np.array(points, dtype=np.complex128)
+    except (ValueError, TypeError):
+        arr = None
+    if arr is None or arr.shape[1:] != shape:
+        rows = [_coerce_point(ambient, p, det_tol) for p in points]
+        return np.stack(rows) if rows else np.zeros((0, *shape), dtype=np.complex128)
+    _check_rows(ambient, arr, det_tol)
+    return arr
+
+
+def as_point(ambient: AmbientSpace, value, det_tol: float = DET_TOL) -> np.ndarray:
+    """Coerce and validate one point of the given ambient space."""
+    return validate_points(ambient, (value,), det_tol)[0]
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the points of an (m, ...) complex array, each
+    rounded as np.linalg.norm rounds a single point: real and imaginary
+    dot products over the flattened entries."""
+    v = v.reshape(len(v), int(np.prod(v.shape[1:])))
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -201,26 +268,53 @@ def first_close_pair(rows: np.ndarray, tol: float) -> tuple[int, int] | None:
     return None
 
 
+def _first_duplicate(arr: np.ndarray) -> tuple[int, int] | None:
+    """The first point of a stack (in index order) equal to an earlier
+    one, as (earlier, later); None if the points are pairwise distinct.
+
+    Equality is exact, with -0 equal to 0. A stable sort puts equal points
+    next to each other, the earliest first.
+    """
+    m = len(arr)
+    if m < 2:
+        return None
+    keys = arr.reshape(m, -1).view(np.float64)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    same = np.all(ranked[1:] == ranked[:-1], axis=1)
+    if not same.any():
+        return None
+    starts = np.maximum.accumulate(np.where(np.r_[True, ~same], np.arange(m), 0))
+    dups = np.flatnonzero(same) + 1
+    k = int(np.argmin(order[dups]))
+    return int(order[starts[dups[k]]]), int(order[dups[k]])
+
+
 @dataclass(frozen=True)
 class DiscreteSequence:
-    """A finite prefix of points in a tagged ambient space."""
+    """A finite prefix of points in a tagged ambient space.
+
+    The points are validated once, on construction, into `array`: one
+    read-only complex array of shape (m, n), or (m, n, n) for matrix
+    points. `points` is the tuple of its rows.
+    """
 
     ambient: AmbientSpace
     points: tuple[np.ndarray, ...]
     generator: GeneratorInfo | None = None
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validated = tuple(as_point(self.ambient, p) for p in self.points)
-        object.__setattr__(self, "points", validated)
-        seen: dict[bytes, int] = {}
-        for i, p in enumerate(validated):
-            key = (_flat(p) + 0.0).tobytes()
-            if key in seen:
-                raise ValueError(
-                    f"points {seen[key]} and {i} coincide; prefixes must be "
-                    "pairwise distinct"
-                )
-            seen[key] = i
+        arr = validate_points(self.ambient, self.points)
+        hit = _first_duplicate(arr)
+        if hit is not None:
+            raise ValueError(
+                f"points {hit[0]} and {hit[1]} coincide; prefixes must be "
+                "pairwise distinct"
+            )
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "points", tuple(arr))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -229,13 +323,12 @@ class DiscreteSequence:
         return DiscreteSequence(self.ambient, tuple(points), generator)
 
     def to_json(self) -> dict:
-        pts = []
-        for p in self.points:
-            if self.ambient.is_matrix:
-                pts.append([[_pair(z) for z in row] for row in p])
-            else:
-                pts.append([_pair(z) for z in p])
-        obj = {"ambient": self.ambient.kind, "n": self.ambient.n, "points": pts}
+        pairs = self.array.view(np.float64).reshape(*self.array.shape, 2)
+        obj = {
+            "ambient": self.ambient.kind,
+            "n": self.ambient.n,
+            "points": pairs.tolist(),
+        }
         if self.generator is not None:
             obj["generator"] = self.generator.to_json()
         return obj
@@ -243,16 +336,11 @@ class DiscreteSequence:
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteSequence":
         ambient = AmbientSpace(obj["ambient"], int(obj["n"]))
-        pts = []
-        for entry in obj["points"]:
-            if ambient.is_matrix:
-                pts.append([[_unpair(z) for z in row] for row in entry])
-            else:
-                pts.append([_unpair(z) for z in entry])
+        points = _unpair_points(obj["points"])
         gen = obj.get("generator")
         return cls(
             ambient,
-            tuple(pts),
+            points,
             GeneratorInfo.from_json(gen) if gen is not None else None,
         )
 
@@ -262,8 +350,30 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _unpair(p) -> complex:
-    return complex(float(p[0]), float(p[1]))
+def _unpair_array(pairs: np.ndarray) -> np.ndarray:
+    """Complex entries from real [re, im] pairs along the last axis; any
+    entries past the second are ignored."""
+    if pairs.ndim == 0 or pairs.shape[-1] < 2:
+        raise ValueError("a complex entry is written as a pair [re, im]")
+    out = np.empty(pairs.shape[:-1], dtype=np.complex128)
+    out.real = pairs[..., 0]
+    out.imag = pairs[..., 1]
+    return out
+
+
+def _unpair_points(raw):
+    """The points of a sequence document as one complex array.
+
+    Points that do not stack (a ragged document) are read one at a time,
+    so that validation names the first point of the wrong shape.
+    """
+    try:
+        pairs = np.asarray(raw, dtype=np.float64)
+    except ValueError:
+        return tuple(_unpair_array(np.asarray(p, dtype=np.float64)) for p in raw)
+    if pairs.shape == (0,):
+        return ()
+    return _unpair_array(pairs)
 
 
 @dataclass(frozen=True)
@@ -390,7 +500,7 @@ def discreteness_check(d: DiscreteSequence, min_gap: float = MIN_GAP) -> Verdict
         raise ValueError("discreteness needs a nonempty prefix")
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
-    flats = np.stack([_flat(p) for p in d.points])
+    flats = d.array.reshape(len(d), -1)
     hit = _close_pair_scan(flats, float(min_gap))
     if hit is not None:
         i, j = hit

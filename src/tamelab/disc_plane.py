@@ -247,7 +247,7 @@ def dp_classify(
     """
     if d.ambient.kind != "disc-plane":
         raise AmbientMismatch(f"expected a disc-plane sequence, got {d.ambient.kind}")
-    zs = np.array([complex(p[0]) for p in d.points])
+    zs = d.array[:, 0]
     fibers = group_fibers([np.array([z]) for z in zs])
     for members in fibers.values():
         if len(members) > max_fiber:
@@ -311,8 +311,7 @@ def dp_nontame_bound(seq: DiscreteSequence, a: DiscPlaneAut) -> DpNontameReport:
     """
     if seq.ambient.kind != "disc-plane":
         raise AmbientMismatch(f"expected a disc-plane sequence, got {seq.ambient.kind}")
-    ps = np.array([complex(p[0]) for p in seq.points])
-    qs = np.array([complex(p[1]) for p in seq.points])
+    ps, qs = seq.array[:, 0], seq.array[:, 1]
     if np.any(qs == 0):
         raise ZeroPoint("fiber coordinates q_k must be nonzero")
     count = len(ps)

@@ -39,6 +39,9 @@ _FIELD_ALIASES = {
 
 _DISC_MODES = ("boundary", "constant", "interior")
 
+# Largest k with 1 - 2^-k < 1.0 in double precision (53-bit significand).
+_BOUNDARY_CAP = 53
+
 
 def _count(value, low: int, high: int, what: str) -> int:
     k = int(value)
@@ -97,11 +100,9 @@ def cn_powers(n: int = 2, alpha: float = 1.0, count: int = 100) -> DiscreteSeque
     if not np.isfinite(a) or a <= 0:
         raise BadParams(f"alpha must be positive, got {alpha!r}")
     k = _count(count, 1, 10**7, "count")
-    points = []
-    for j in range(1, k + 1):
-        v = np.zeros(dim, dtype=np.complex128)
-        v[0] = float(j) ** a
-        points.append(v)
+    points = np.zeros((k, dim), dtype=np.complex128)
+    # Python's float power, so every coordinate rounds as it always has
+    points[:, 0] = [float(j) ** a for j in range(1, k + 1)]
     info = GeneratorInfo.of(
         "cn-powers",
         alpha=a,
@@ -109,7 +110,7 @@ def cn_powers(n: int = 2, alpha: float = 1.0, count: int = 100) -> DiscreteSeque
         norm_growth_alpha=a,
         norm_growth_c=1.0,
     )
-    return DiscreteSequence(cn(dim), tuple(points), info)
+    return DiscreteSequence(cn(dim), points, info)
 
 
 def punctured_accumulate(n: int = 2, count: int = 40) -> DiscreteSequence:
@@ -129,12 +130,19 @@ def discplane_base(mode: str = "boundary", count: int = 40) -> DiscreteSequence:
     """Disc-plane families distinguished by where the base points head.
 
     boundary: |z_k| = 1 - 2^-k climbs monotonically to the circle and the
-    metadata declares the escape.  constant: every point shares one base.
+    metadata declares the escape; k stops at 53, past which the base
+    rounds onto the circle.  constant: every point shares one base.
     interior: the bases pile up at an interior point.
     """
     if mode not in _DISC_MODES:
         raise BadParams(f"mode must be one of {_DISC_MODES}, got {mode!r}")
     k = _count(count, 1, 1000, "count")
+    if mode == "boundary" and k > _BOUNDARY_CAP:
+        raise BadParams(
+            f"boundary mode supports at most {_BOUNDARY_CAP} points: from k = "
+            f"{_BOUNDARY_CAP + 1} on, 1 - 2^-k rounds to 1.0, which is not inside "
+            f"the unit disc; got {k}"
+        )
     points = []
     for j in range(1, k + 1):
         if mode == "boundary":

@@ -27,6 +27,7 @@ from .core import (
     _pair,
     _require_finite,
     _require_unit_det,
+    _row_norms,
     det_tolerance,
     first_close_pair,
     properness_check,
@@ -292,12 +293,15 @@ def fit_q_map(images, elements, seed: int = 0) -> QPolyMap:
     return _interpolate_blocks(u, ss, rs, logs)
 
 
-def _separate(ys: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _separate(
+    ys: np.ndarray, seed: int, why: str = ""
+) -> tuple[np.ndarray, np.ndarray]:
     """A seeded functional u that keeps the rows of ys (m, n) apart, and
-    the separators <u, y> of the rows."""
+    the separators <u, y> of the rows. `why` is appended to the
+    `FiberCollision` raised when two rows coincide."""
     hit = first_close_pair(ys, Q_COLUMN_TOL)
     if hit is not None:
-        raise FiberCollision(f"images {hit[0]} and {hit[1]} coincide")
+        raise FiberCollision(f"images {hit[0]} and {hit[1]} coincide{why}")
     rng = stream(seed, "q-map-separator")
     for _ in range(64):
         u = rng.standard_normal(ys.shape[1]) + 1j * rng.standard_normal(ys.shape[1])
@@ -342,13 +346,6 @@ class BundlePushAut(Automorphism):
 
     def to_json(self) -> dict:
         return self.fmap.to_json()
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (m, n) complex array, rounded as
-    np.linalg.norm rounds a single row: real and imaginary dot products."""
-    re, im = v.real[:, None, :], v.imag[:, None, :]
-    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
 
 
 def _shear_parameters(xs: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -410,6 +407,10 @@ def bundle_push(
     """Raises every prefix point at least to its demanded height by a push
     along the first-column fibers, leaving projections untouched.
 
+    The first columns must be pairwise distinct: points over one projected
+    point would need one common fiber element, which is not chosen here,
+    so such a prefix raises `FiberCollision` once a push is needed.
+
     The prefix points were validated when `d` was built, so the search,
     the push and its postcondition run over the whole prefix at once.
     """
@@ -423,7 +424,7 @@ def bundle_push(
     if len(zeta) != len(d):
         raise ValueError("need one height per prefix point")
     n = d.ambient.n
-    xs = np.array(d.points, dtype=np.complex128).reshape(len(d), n, n)
+    xs = d.array
     targets = np.array(zeta.values)
     ts = _shear_parameters(xs, targets)
     if not ts.any():
@@ -431,7 +432,12 @@ def bundle_push(
             n, np.zeros(n, dtype=np.complex128), _zero_fit(n - 1), _zero_fit((n - 1) ** 2)
         )
     else:
-        u, ss = _separate(xs[:, :, 0], seed)
+        u, ss = _separate(
+            xs[:, :, 0],
+            seed,
+            ": the two points share a first column, and the push needs "
+            "pairwise distinct first columns",
+        )
         rs = np.zeros((len(d), n - 1), dtype=np.complex128)
         rs[:, 0] = ts
         # every lower block is the identity, whose principal logarithm is 0

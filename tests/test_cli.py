@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamelab import cli
-from tamelab.core import DiscreteSequence, sln
+from tamelab.core import DiscreteSequence, cn, sln
 from tamelab.generic_projection import MC_CSV_COLUMNS, threshold_estimate
 
 
@@ -68,6 +71,163 @@ class TestCanonicalJson:
         doc = {"outer": [{"k": 1.7}, [0.1, 2], "text", None, True]}
         once = cli.canonical_json(doc)
         assert cli.canonical_json(json.loads(once)) == once
+
+
+def _emit_value_reference(value, buf: io.StringIO, indent: int) -> None:
+    """The value-at-a-time emitter the batched `canonical_json` replaced."""
+    pad = "  " * indent
+    if value is None:
+        buf.write("null")
+    elif isinstance(value, bool) or isinstance(value, np.bool_):
+        buf.write("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        buf.write(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        buf.write(cli._float_text(float(value)))
+    elif isinstance(value, str):
+        buf.write(json.dumps(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            buf.write("[]")
+            return
+        buf.write("[")
+        for i, item in enumerate(value):
+            buf.write("\n" + pad + "  ")
+            _emit_value_reference(item, buf, indent + 1)
+            if i + 1 < len(value):
+                buf.write(",")
+        buf.write("\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            buf.write("{}")
+            return
+        buf.write("{")
+        items = list(value.items())
+        for i, (key, item) in enumerate(items):
+            buf.write("\n" + pad + "  " + json.dumps(str(key)) + ": ")
+            _emit_value_reference(item, buf, indent + 1)
+            if i + 1 < len(items):
+                buf.write(",")
+        buf.write("\n" + pad + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
+
+
+def _canonical_reference(doc) -> str:
+    buf = io.StringIO()
+    _emit_value_reference(doc, buf, 0)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+def _outcome(fn, doc):
+    try:
+        return fn(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_edge_floats = st.sampled_from(
+    [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+     0.1 + 0.2, 1.2345678901234567e-5, 9007199254740993.0, 123456789012345678.0]
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    _finite,
+    _edge_floats,
+    st.text(max_size=4),
+    st.builds(np.float64, _finite),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.bool_, st.booleans()),
+)
+_number = st.one_of(_finite, _edge_floats, st.integers(-(10**18), 10**18))
+# rectangular nested lists of numbers, the shape of sequence points
+_blocks = st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda dims: st.lists(
+        st.lists(st.lists(_number, min_size=dims[2], max_size=dims[2]),
+                 min_size=dims[1], max_size=dims[1]),
+        min_size=1, max_size=dims[0],
+    )
+)
+_docs = st.recursive(
+    st.one_of(_scalars, _blocks),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestBatchedEmitter:
+    """`canonical_json` against the value-at-a-time reference emitter."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_docs)
+    def test_matches_reference(self, doc):
+        assert cli.canonical_json(doc) == _canonical_reference(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_docs, st.sampled_from([float("nan"), float("inf"), -float("inf"), object()]))
+    def test_errors_match_reference(self, doc, bad):
+        for placed in ([doc, bad], [[bad, doc]], {"a": doc, "b": [[1.5, bad]]}):
+            assert _outcome(cli.canonical_json, placed) == _outcome(
+                _canonical_reference, placed
+            )
+
+    def test_first_bad_value_in_document_order_decides(self):
+        nan, other = float("nan"), object()
+        for doc in ([[1.0, other], [nan, 2.0]], [[1.0, nan], [other, 2.0]],
+                    [[1, 2**70], [nan, 0]], [[np.float64(np.inf), 1.0]]):
+            expected = _outcome(_canonical_reference, doc)
+            assert expected[0] in (ValueError, TypeError)
+            assert _outcome(cli.canonical_json, doc) == expected
+
+    def test_long_lists_cross_batch_boundaries(self):
+        rng = np.random.default_rng(4)
+        vals = rng.standard_normal((2 * cli._BATCH + 37, 2, 2))
+        points = vals.tolist()
+        points[cli._BATCH] = [[0, -0.0], [1, 2]]  # ints inside one batch
+        points[5] = [[1.0, 2.0]]  # an irregular batch
+        doc = {"points": points, "flat": vals.reshape(-1).tolist(), "empty": [[], []]}
+        assert cli.canonical_json(doc) == _canonical_reference(doc)
+
+    def test_sequence_documents_match_reference(self):
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((3000, 3)) + 1j * rng.standard_normal((3000, 3))
+        doc = DiscreteSequence(cn(3), tuple(pts)).to_json()
+        assert cli.canonical_json(doc) == _canonical_reference(doc)
+
+
+def _violated_reference(doc) -> bool:
+    if isinstance(doc, dict):
+        if doc.get("state") == "violated":
+            return True
+        return any(_violated_reference(v) for v in doc.values())
+    if isinstance(doc, list):
+        return any(_violated_reference(v) for v in doc)
+    return False
+
+
+_json_docs = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _finite,
+              st.sampled_from(["violated", "consistent-up-to-prefix", "x"])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["state", "a", "b"]), inner, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_docs)
+def test_violated_scan_matches_reference(doc):
+    assert cli._violated_inside(doc) == _violated_reference(doc)
 
 
 class TestConfig:
@@ -278,6 +438,20 @@ class TestTransform:
         doc = load(out)
         assert all(h >= 3.0 for h in doc["achieved"])
 
+    def test_bundle_push_names_shared_first_columns(self, tmp_path, capsys):
+        path = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
+        capsys.readouterr()
+        code = run("transform", "bundle-push", path, "--height", "10", "--seed", "0")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "images 0 and 1 coincide" in err
+        assert "share a first column" in err
+
+    def test_transform_help_states_the_fiber_requirement(self):
+        text = " ".join(cli.build_parser()._subparsers._group_actions[0]
+                        .choices["transform"].format_help().split())
+        assert "bundle-push needs pairwise distinct first columns" in text
+
     def test_shears_raise_flat_points(self, tmp_path):
         path = gen(tmp_path, "cn-powers", "--n", "2", "--alpha", "1", "--k", "12")
         out = str(tmp_path / "sheared.json")
@@ -422,3 +596,39 @@ class TestExitCodeContract:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["family"] == "diagtorus"
+
+
+class TestReportKeepsNegativeZero:
+    def test_negative_zero_entries_come_back_byte_identical(self, tmp_path):
+        pts = (np.array([[1.0, -0.0], [-0.0, 1.0]], dtype=complex),
+               np.array([[1.0, 0.0], [2.0, 1.0]], dtype=complex))
+        pts[0][0, 1] = complex(-0.0, -0.0)
+        doc = {"sequence": DiscreteSequence(sln(2), pts).to_json(),
+               "extra": {"x": -0.0, "seed": 2**64 - 1, "n": -3, "big": 10**30}}
+        text = cli.canonical_json(doc)
+        assert text.count(" -0,") + text.count(" -0\n") == 4
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(text, encoding="utf-8")
+        assert run("report", str(src), "--out", str(out)) == 0
+        assert out.read_bytes() == src.read_bytes()
+
+    def test_other_integers_stay_integers(self):
+        assert cli._parse_int("-0") == 0.0 and str(cli._parse_int("-0")) == "-0.0"
+        assert cli._parse_int("-01") == -1 and isinstance(cli._parse_int("0"), int)
+        assert cli._NEG_ZERO.search('{"a": 1e-05, "b": -0.5}') is None
+        assert cli._NEG_ZERO.search('[1, -0]') is not None
+
+
+class TestDiscBoundaryCap:
+    def test_53_points_fit_inside_the_disc(self, tmp_path):
+        out = str(tmp_path / "b53.json")
+        assert run("gen", "discplane-base", "--mode", "boundary", "--k", "53",
+                   "--out", out) == 0
+        assert len(load(out)["sequence"]["points"]) == 53
+
+    def test_54_points_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "b54.json"
+        assert run("gen", "discplane-base", "--mode", "boundary", "--k", "54",
+                   "--out", str(out)) == 1
+        assert "at most 53 points" in capsys.readouterr().err
+        assert not out.exists()

@@ -3,6 +3,8 @@ height reduction, matrix validation, and serialization."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from tamelab import core
 from tamelab.errors import (
     DeterminantError,
+    DimensionMismatch,
     PointOutsideAmbient,
     UnsupportedPair,
 )
@@ -261,3 +264,244 @@ class TestAutomorphismPlumbing:
     def test_identity(self):
         p = np.array([1 + 2j, 3.0])
         assert np.array_equal(core.IdentityAut()(p), p)
+
+
+def _as_point_reference(ambient, value, det_tol=core.DET_TOL):
+    """The one-point validator that ran for every point before batching."""
+    if ambient.is_matrix:
+        a = core.sl_matrix(value, det_tol)
+        if a.shape[0] != ambient.n:
+            raise DimensionMismatch(
+                f"expected {ambient.n}x{ambient.n}, got {a.shape[0]}x{a.shape[1]}"
+            )
+        return a
+    v = np.array(value, dtype=np.complex128)
+    if v.ndim != 1 or v.shape[0] != ambient.n:
+        raise DimensionMismatch(f"expected a vector of length {ambient.n}")
+    core._require_finite(v, "point")
+    if ambient.kind == "punctured-cn" and not np.any(v != 0):
+        raise PointOutsideAmbient("the puncture (origin) is not a point of this space")
+    if ambient.kind == "disc-plane" and abs(v[0]) >= 1.0:
+        raise PointOutsideAmbient(f"|z| = {abs(v[0]):.6g} is not inside the unit disc")
+    return v
+
+
+def _sequence_reference(ambient, points):
+    """Point-by-point validation and duplicate scan, as sequences did it."""
+    validated = tuple(_as_point_reference(ambient, p) for p in points)
+    seen = {}
+    for i, p in enumerate(validated):
+        key = (p.reshape(-1) + 0.0).tobytes()
+        if key in seen:
+            raise ValueError(
+                f"points {seen[key]} and {i} coincide; prefixes must be "
+                "pairwise distinct"
+            )
+        seen[key] = i
+    return validated
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", np.stack(fn(*args)) if len(args[1]) else ())
+    except (ValueError, DimensionMismatch, DeterminantError, PointOutsideAmbient) as exc:
+        return type(exc), str(exc)
+
+
+def _unimodular(rng, n):
+    low = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+    up = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    return (np.eye(n) + low) @ (np.eye(n) + up)
+
+
+def _valid_point(rng, ambient):
+    n = ambient.n
+    if ambient.is_matrix:
+        return _unimodular(rng, n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if ambient.kind == "disc-plane":
+        v[0] *= 0.9 / abs(v[0]) * rng.uniform()
+    return v
+
+
+def _defective(rng, ambient, points, i, defect):
+    n = ambient.n
+    p = _valid_point(rng, ambient)
+    if defect == "shape":
+        choices = ([_unimodular(rng, n + 1), np.ones((n, n + 1)), np.ones(n)]
+                   if ambient.is_matrix else [np.ones(n + 1), np.ones((n, 1)), 1.0])
+        return choices[int(rng.integers(len(choices)))]
+    if defect == "non-finite":
+        p.reshape(-1)[int(rng.integers(p.size))] = rng.choice([np.nan, np.inf, -np.inf])
+        return p
+    if defect == "det":
+        return p * 1.01
+    if defect == "puncture":
+        return np.zeros(n, dtype=complex)
+    if defect == "disc":
+        p[0] = rng.choice([1.0, -1.0, 1.5j])
+        return p
+    if defect == "duplicate":
+        q = np.array(points[int(rng.integers(i))] if i else points[i])
+        q.reshape(-1)[q.reshape(-1) == 0] = -0.0
+        return q
+    raise AssertionError(defect)
+
+
+_DEFECTS = {
+    "cn": ("shape", "non-finite", "duplicate"),
+    "punctured-cn": ("shape", "non-finite", "puncture", "duplicate"),
+    "disc-plane": ("shape", "non-finite", "disc", "duplicate"),
+    "sln": ("shape", "non-finite", "det", "duplicate"),
+}
+
+
+class TestBatchedValidation:
+    """Sequence construction against point-by-point validation."""
+
+    @pytest.mark.parametrize(
+        "ambient",
+        [core.cn(1), core.cn(3), core.punctured_cn(2), core.disc_plane(),
+         core.sln(2), core.sln(3)],
+        ids=lambda a: f"{a.kind}{a.n}",
+    )
+    def test_same_first_error_as_point_by_point(self, ambient):
+        rng = stream(11, f"batched-{ambient.kind}-{ambient.n}")
+        kinds = _DEFECTS[ambient.kind]
+        seen = set()
+        for _ in range(150):
+            m = int(rng.integers(1, 9))
+            points = [_valid_point(rng, ambient) for _ in range(m)]
+            for _ in range(int(rng.integers(0, 3))):
+                i = int(rng.integers(m))
+                points[i] = _defective(rng, ambient, points, i, rng.choice(kinds))
+            expected = _outcome(_sequence_reference, ambient, points)
+            got = _outcome(lambda a, p: core.DiscreteSequence(a, tuple(p)).points,
+                           ambient, points)
+            seen.add(expected[0])
+            assert got[0] == expected[0]
+            if expected[0] == "ok":
+                assert np.array_equal(got[1], expected[1])
+            else:
+                assert got[1] == expected[1]
+        # every error class this ambient can raise, and clean prefixes
+        assert len(seen) == 3 + (ambient.kind != "cn")
+
+    def test_duplicates_name_the_earlier_and_later_point(self):
+        for pts, pair in (([[1, 0], [2, 0], [1, 0], [2, 0]], (0, 2)),
+                          ([[1, 0], [2, 0], [3, 0], [2, 0], [1, -0.0]], (1, 3)),
+                          ([[5, 0], [5, 0], [5, 0]], (0, 1))):
+            with pytest.raises(ValueError, match=f"points {pair[0]} and {pair[1]} coincide"):
+                seq_cn(pts)
+
+    def test_as_point_is_the_one_row_case(self):
+        rng = stream(12, "one-row")
+        for ambient in (core.cn(2), core.disc_plane(), core.sln(2)):
+            p = _valid_point(rng, ambient)
+            assert np.array_equal(core.as_point(ambient, p),
+                                  _as_point_reference(ambient, p))
+        with pytest.raises(DimensionMismatch, match="expected 2x2, got 3x3"):
+            core.as_point(core.sln(2), np.eye(3))
+        with pytest.raises(DeterminantError):
+            core.as_point(core.sln(2), 2 * np.eye(3))
+
+    def test_points_are_read_only_rows_of_one_array(self):
+        d = seq_cn([[1, 2j], [3, 4]])
+        assert d.array.shape == (2, 2) and d.array.dtype == np.complex128
+        assert all(np.shares_memory(p, d.array) for p in d.points)
+        with pytest.raises(ValueError):
+            d.points[0][0] = 5.0
+
+    def test_empty_prefix(self):
+        for amb, shape in ((core.cn(2), (0, 2)), (core.sln(3), (0, 3, 3))):
+            d = core.DiscreteSequence(amb, ())
+            assert len(d) == 0 and d.array.shape == shape
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_row_norms_match_single_point_norms(n):
+    rng = stream(n, "row-norms")
+    rows = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
+    rows *= 10.0 ** rng.uniform(-150, 150, (40, 1))
+    got = core._row_norms(rows)
+    assert [float(x) for x in got] == [float(np.linalg.norm(r)) for r in rows]
+
+
+def test_row_norms_of_matrices_match_frobenius_norms():
+    rng = stream(3, "matrix-norms")
+    mats = rng.standard_normal((30, 3, 3)) + 1j * rng.standard_normal((30, 3, 3))
+    assert [float(x) for x in core._row_norms(mats)] == [
+        float(np.linalg.norm(a)) for a in mats
+    ]
+
+
+def _to_json_reference(d):
+    pts = []
+    for p in d.points:
+        if d.ambient.is_matrix:
+            pts.append([[[complex(z).real, complex(z).imag] for z in row] for row in p])
+        else:
+            pts.append([[complex(z).real, complex(z).imag] for z in p])
+    return pts
+
+
+def _from_json_points_reference(obj):
+    ambient = core.AmbientSpace(obj["ambient"], int(obj["n"]))
+    pts = []
+    for entry in obj["points"]:
+        if ambient.is_matrix:
+            pts.append([[complex(float(z[0]), float(z[1])) for z in row] for row in entry])
+        else:
+            pts.append([complex(float(z[0]), float(z[1])) for z in entry])
+    return pts
+
+
+class TestSequenceDocuments:
+    def _bits(self, arr):
+        return np.asarray(arr, dtype=np.complex128).view(np.uint64)
+
+    def test_round_trip_matches_point_by_point_code(self):
+        rng = stream(13, "docs")
+        vec = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+        vec[3, 1] = complex(-0.0, 0.0)
+        vec[4, 0] = complex(0.0, -0.0)
+        for d in (core.DiscreteSequence(core.cn(3), tuple(vec)),
+                  core.DiscreteSequence(core.sln(3),
+                                        tuple(_unimodular(rng, 3) for _ in range(20)))):
+            obj = d.to_json()
+            assert obj["points"] == _to_json_reference(d)
+            assert [type(x) for x in np.ravel(np.array(obj["points"], dtype=object))] \
+                == [float] * (2 * d.array.size)
+            back = core.DiscreteSequence.from_json(json.loads(json.dumps(obj)))
+            ref = _from_json_points_reference(obj)
+            assert np.array_equal(self._bits(back.array), self._bits(ref))
+            assert np.array_equal(self._bits(back.array), self._bits(d.array))
+
+    def test_ragged_points_keep_their_error(self):
+        for obj, msg in (
+            ({"ambient": "cn", "n": 2, "points": [[[1, 0], [0, 0]], [[2, 0]]]},
+             "expected a vector of length 2"),
+            ({"ambient": "cn", "n": 2, "points": [[[1, 0]], [[2, 0], [0, 0]]]},
+             "expected a vector of length 2"),
+            ({"ambient": "sln", "n": 2,
+              "points": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]]]]},
+             r"expected a square matrix, got shape \(1, 2\)"),
+        ):
+            with pytest.raises(DimensionMismatch, match=msg):
+                core.DiscreteSequence.from_json(obj)
+
+    def test_ragged_points_report_earlier_bad_values_first(self):
+        obj = {"ambient": "cn", "n": 2,
+               "points": [[[float("nan"), 0], [0, 0]], [[2, 0]]]}
+        with pytest.raises(ValueError, match="point contains non-finite entries"):
+            core.DiscreteSequence.from_json(obj)
+
+    def test_three_entry_pairs_read_as_before(self):
+        obj = {"ambient": "cn", "n": 2, "points": [[[1, 2, 5], [0, 3, 1]], [[2, 0, 7], [0, 0, 1]]]}
+        d = core.DiscreteSequence.from_json(obj)
+        assert np.array_equal(d.array, np.array(_from_json_points_reference(obj)))
+
+    def test_empty_point_list_is_an_empty_prefix(self):
+        for amb, n in (("cn", 2), ("sln", 2)):
+            d = core.DiscreteSequence.from_json({"ambient": amb, "n": n, "points": []})
+            assert len(d) == 0 and d.points == ()

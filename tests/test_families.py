@@ -121,6 +121,13 @@ class TestDiscplaneBase:
             verdict = dp_classify(families.discplane_base(mode=mode, count=40))
             assert verdict.state.startswith(state), (mode, verdict.state)
 
+    def test_boundary_mode_stops_at_53_points(self):
+        d = families.discplane_base(mode="boundary", count=53)
+        assert abs(complex(d.points[-1][0])) == 1.0 - 2.0**-53
+        with pytest.raises(BadParams, match="at most 53 points"):
+            families.discplane_base(mode="boundary", count=54)
+        assert len(families.discplane_base(mode="interior", count=54)) == 54
+
     def test_boundary_mode_declares_escape(self):
         d = families.discplane_base(mode="boundary", count=5)
         assert d.generator.get("boundary_escape") is True

@@ -233,6 +233,14 @@ class TestFitQMap:
         with pytest.raises(FiberCollision):
             pi_tame.fit_q_map(images, els)
 
+    def test_push_names_points_sharing_a_first_column(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        b = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        d = DiscreteSequence(sln(2), (np.diag([2.0, 0.5]).astype(complex), a, b))
+        with pytest.raises(FiberCollision,
+                           match="images 1 and 2 coincide: the two points share a first column"):
+            pi_tame.bundle_push(d, HeightAssignment.constant(10.0, 3), seed=0)
+
     def test_collision_names_first_pair(self):
         a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         with pytest.raises(FiberCollision, match="images 0 and 1 coincide"):
