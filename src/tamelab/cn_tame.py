@@ -369,7 +369,7 @@ def push_prefix_cn(
         raise DimensionMismatch("height pushing needs dimension at least 2")
     if len(zeta) != len(d):
         raise ValueError("one height per point is required")
-    pts = np.stack(d.points) if len(d) else np.zeros((0, n), dtype=complex)
+    pts = d.array
     heights = np.linalg.norm(pts, axis=1) if len(d) else np.array([])
     targets = np.array(zeta.values)
     if len(d) == 0 or np.all(heights >= targets):

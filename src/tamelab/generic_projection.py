@@ -480,7 +480,7 @@ def omega_check(
         raise ValueError("the omega fraction needs a nonempty prefix")
     if k_samples < 1:
         raise ValueError("need at least one sampled twist")
-    points = np.stack(d.points)
+    points = d.array
     m = len(points)
     central = _central_ratio_table(points)
     ks = haar_su_batch(sampler, k_samples)

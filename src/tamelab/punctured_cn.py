@@ -21,6 +21,7 @@ from .core import (
     Automorphism,
     DiscreteSequence,
     Verdict,
+    _row_norms,
     discreteness_check,
     exhaust_eval,
 )
@@ -120,7 +121,7 @@ def punctured_tame_check(
     """
     if d.ambient.kind != "punctured-cn":
         raise AmbientMismatch(f"expected a punctured-cn sequence, got {d.ambient.kind}")
-    norms = np.array([np.linalg.norm(p) for p in d.points])
+    norms = _row_norms(d.array)
     near = np.nonzero(norms < float(min_gap))[0]
     if near.size:
         return Verdict.violated(

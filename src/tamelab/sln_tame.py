@@ -133,7 +133,7 @@ def well_placed_check(d: DiscreteSequence) -> tuple[Verdict, WellPlacedReport]:
     if m < 2:
         raise InconclusivePrefix("ratio monotonicity needs at least two steps")
     n = d.ambient.n
-    stack = np.stack(d.points)
+    stack = d.array
     zero_mask = np.abs(stack) < ZERO_ENTRY_TOL
     nonzero_ok = not bool(np.any(zero_mask))
 
