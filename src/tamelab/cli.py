@@ -18,8 +18,9 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +35,12 @@ from .core import (
     GeneratorInfo,
     HeightAssignment,
     Verdict,
+    _float_text,
+    apply_all,
+    canonical_json,
     cn,
+    drift_verdict,
+    heights_verdict,
 )
 from .disc_plane import dp_classify
 from .errors import AmbientMismatch, BadParams, TamelabError
@@ -50,53 +56,24 @@ from .generic_projection import (
 )
 from .pi_tame import bundle_push, first_column, pi_tame_check
 from .punctured_cn import punctured_tame_check
-from .sl2_special import BivariatePoly, OvershearAut, OvershearSpec, overshear_apply
-from .sl2_special import sl2_column_pipeline
+from .sl2_special import BivariatePoly, OvershearAut, OvershearSpec, sl2_column_pipeline
 from .sln_tame import (
     DiagonalGroup,
     RescaleTable,
     align_first_columns,
+    alignment_verdict,
     center_separate,
     equivalence_automorphism,
+    equivalence_verdict,
     lambda_rescale,
     one_param_check,
     torus_embed,
     union_decompose,
+    union_split_verdict,
     well_placed_check,
 )
 
 _CONFIG_KEYS = ("seed", "det_tol", "min_gap", "distinct_tol", "samples")
-
-_CHECK_ALIASES = {"well-placed": "wellplaced"}
-_CHECKS = ("rr-series", "punctured", "dp-classify", "wellplaced", "pi-tame", "one-param")
-
-_TRANSFORM_ALIASES = {
-    "shear": "shears",
-    "overshear": "overshears",
-    "union": "union-decompose",
-    "align-first-columns": "align",
-    "equivalence-automorphism": "equivalence",
-    "sl2-column-pipeline": "sl2-pipeline",
-}
-_TRANSFORMS = (
-    "shears",
-    "overshears",
-    "lambda-rescale",
-    "union-decompose",
-    "torus-embed",
-    "align",
-    "equivalence",
-    "sl2-pipeline",
-    "center-separate",
-    "bundle-push",
-)
-_STOCHASTIC_TRANSFORMS = (
-    "shears",
-    "equivalence",
-    "sl2-pipeline",
-    "center-separate",
-    "bundle-push",
-)
 
 
 @dataclass(frozen=True)
@@ -176,156 +153,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _float_text(value: float) -> str:
-    if not np.isfinite(value):
-        raise ValueError(f"non-finite value {value!r} in a report")
-    return format(value, ".17g")
-
-
-def _scalar_text(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _float_text(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
-
-
-_CONTAINERS = (list, tuple, dict)
-_NON_FINITE = ("nan", "inf", "-inf")
-_BATCH = 1 << 10  # list items formatted together
-_FLUSH = 1 << 12  # pending chunks per write into the buffer
-
-
-def _leaf_texts(leaves: list) -> list[str]:
-    """The texts of scalar leaves, one comprehension for plain floats and
-    ints; anything else, and any error, goes leaf by leaf in order."""
-    kinds = set(map(type, leaves))
-    try:
-        if kinds == {float}:
-            texts = [f"{v:.17g}" for v in leaves]
-        elif kinds <= {float, int}:
-            texts = [f"{v:.17g}" if type(v) is float else f"{v}" for v in leaves]
-        else:
-            texts = None
-    except ValueError:  # an int too long to print
-        texts = None
-    if texts is None or any(bad in texts for bad in _NON_FINITE):
-        return [_scalar_text(v) for v in leaves]
-    return texts
-
-
-def _block_text(items, indent: int) -> str | None:
-    """The items of a list, each at `indent`, joined as the emitter joins
-    them, when they form a regular block: scalars, or lists of one length
-    down to scalar leaves. None otherwise."""
-    dims = [len(items)]
-    level = items
-    while True:
-        kinds = set(map(type, level))
-        if kinds <= {list, tuple}:
-            sizes = set(map(len, level))
-            if len(sizes) != 1 or 0 in sizes:
-                return None
-            dims.append(sizes.pop())
-            level = list(chain.from_iterable(level))
-        elif any(issubclass(k, _CONTAINERS) for k in kinds):
-            return None
-        else:
-            break
-    texts = _leaf_texts(level)
-    depth = len(dims) - 1
-    pads = ["\n" + "  " * (indent + r) for r in range(depth + 1)]
-    # seps[c]: between two leaves that c enclosing lists separate
-    seps = [
-        "".join(pads[depth - 1 - r] + "]" for r in range(c))
-        + ","
-        + "".join(pads[depth - c + r] + "[" for r in range(c))
-        + pads[depth]
-        for c in range(depth + 1)
-    ]
-    between: list[str] = []
-    for closes, size in enumerate(reversed(dims)):
-        between = (between + [seps[closes]]) * size
-        between.pop()
-    parts = [""] * (2 * len(texts) - 1)
-    parts[::2] = texts
-    parts[1::2] = between
-    head = "".join("[" + pads[r + 1] for r in range(depth))
-    tail = "".join(pads[depth - 1 - r] + "]" for r in range(depth))
-    return head + "".join(parts) + tail
-
-
-class _Emitter:
-    """Writes a document as canonical JSON into a StringIO, flushing its
-    chunks in batches."""
-
-    def __init__(self):
-        self.buf = io.StringIO()
-        self.chunks: list[str] = []
-
-    def put(self, text: str) -> None:
-        self.chunks.append(text)
-        if len(self.chunks) >= _FLUSH:
-            self.flush()
-
-    def flush(self) -> None:
-        self.buf.write("".join(self.chunks))
-        self.chunks.clear()
-
-    def emit(self, value, indent: int) -> None:
-        if isinstance(value, (list, tuple)):
-            self.emit_list(value, indent)
-        elif isinstance(value, dict):
-            self.emit_dict(value, indent)
-        else:
-            self.put(_scalar_text(value))
-
-    def emit_list(self, value, indent: int) -> None:
-        if not value:
-            self.put("[]")
-            return
-        pad = "\n" + "  " * (indent + 1)
-        self.put("[")
-        for lo in range(0, len(value), _BATCH):
-            chunk = value[lo : lo + _BATCH]
-            if lo:
-                self.put(",")
-            block = _block_text(chunk, indent + 1)
-            if block is not None:
-                self.put(pad + block)
-                continue
-            for i, item in enumerate(chunk):
-                self.put("," + pad if i else pad)
-                self.emit(item, indent + 1)
-        self.put("\n" + "  " * indent + "]")
-
-    def emit_dict(self, value, indent: int) -> None:
-        if not value:
-            self.put("{}")
-            return
-        pad = "\n" + "  " * (indent + 1)
-        self.put("{")
-        for i, (key, item) in enumerate(value.items()):
-            self.put(("," if i else "") + pad + json.dumps(str(key)) + ": ")
-            self.emit(item, indent + 1)
-        self.put("\n" + "  " * indent + "}")
-
-
-def canonical_json(doc) -> str:
-    """Deterministic JSON: fixed indentation, 17 significant digits."""
-    out = _Emitter()
-    out.emit(doc, 0)
-    out.put("\n")
-    out.flush()
-    return out.buf.getvalue()
-
-
 def _measure_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -360,13 +187,9 @@ def _verdict_exit(v: Verdict) -> int:
     return 2 if v.is_violated else 0
 
 
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _load_sequence(path: str) -> DiscreteSequence:
-    obj = _load_json(path)
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
     if "ambient" not in obj and isinstance(obj.get("sequence"), dict):
         obj = obj["sequence"]
     return DiscreteSequence.from_json(obj)
@@ -432,38 +255,190 @@ def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _run_check(criterion: str, d: DiscreteSequence, args, cfg: RunConfig):
-    if criterion == "rr-series":
-        if d.ambient.kind not in ("cn", "punctured-cn"):
-            raise AmbientMismatch("the series criterion reads flat sequences")
-        rep = rr_series_test(d, tail_policy=args.tail_policy)
-        return rep.verdict, rep.to_json()
-    if criterion == "punctured":
-        return punctured_tame_check(d, min_gap=cfg.min_gap), None
-    if criterion == "dp-classify":
-        return dp_classify(d, min_gap_disc=cfg.min_gap, max_fiber=args.max_fiber), None
-    if criterion == "wellplaced":
-        verdict, rep = well_placed_check(d)
-        extra = {
-            "nonzero_ok": rep.nonzero_ok,
-            "monotone_ok": rep.monotone_ok,
-            "growth_declared": rep.growth_declared,
-        }
-        return verdict, extra
-    if criterion == "pi-tame":
-        bundle = first_column(d.ambient.n)
-        return pi_tame_check(d, bundle, min_gap=cfg.min_gap, max_fiber=args.max_fiber), None
-    if criterion == "one-param":
-        if args.subgroup != "diagonal":
-            raise BadParams(f"unsupported subgroup {args.subgroup!r}; use diagonal")
-        return one_param_check(d, DiagonalGroup(d.ambient.n), min_gap=cfg.min_gap), None
-    raise BadParams(f"unknown criterion {criterion!r}")
+@dataclass(frozen=True)
+class _Move:
+    """A check or a transform: the library call, which returns the verdict
+    and the fields it adds to the report, the name's other spellings, and
+    whether it needs --seed and --seq2."""
+
+    run: Callable[..., tuple[Verdict, dict | None]]
+    aliases: tuple[str, ...] = ()
+    seed: bool = False
+    seq2: bool = False
+
+
+def _choices(table: dict[str, _Move]) -> list[str]:
+    return [*table, *chain.from_iterable(move.aliases for move in table.values())]
+
+
+def _rr_series(args, cfg: RunConfig, d: DiscreteSequence):
+    if d.ambient.kind not in ("cn", "punctured-cn"):
+        raise AmbientMismatch("the series criterion reads flat sequences")
+    rep = rr_series_test(d, tail_policy=args.tail_policy)
+    return rep.verdict, rep.to_json()
+
+
+def _punctured(args, cfg: RunConfig, d: DiscreteSequence):
+    return punctured_tame_check(d, min_gap=cfg.min_gap), None
+
+
+def _dp_classify(args, cfg: RunConfig, d: DiscreteSequence):
+    return dp_classify(d, min_gap_disc=cfg.min_gap, max_fiber=args.max_fiber), None
+
+
+def _well_placed(args, cfg: RunConfig, d: DiscreteSequence):
+    verdict, rep = well_placed_check(d)
+    extra = {
+        "nonzero_ok": rep.nonzero_ok,
+        "monotone_ok": rep.monotone_ok,
+        "growth_declared": rep.growth_declared,
+    }
+    return verdict, extra
+
+
+def _pi_tame(args, cfg: RunConfig, d: DiscreteSequence):
+    bundle = first_column(d.ambient.n)
+    return pi_tame_check(d, bundle, min_gap=cfg.min_gap, max_fiber=args.max_fiber), None
+
+
+def _one_param(args, cfg: RunConfig, d: DiscreteSequence):
+    if args.subgroup != "diagonal":
+        raise BadParams(f"unsupported subgroup {args.subgroup!r}; use diagonal")
+    return one_param_check(d, DiagonalGroup(d.ambient.n), min_gap=cfg.min_gap), None
+
+
+_CHECKS = {
+    "rr-series": _Move(_rr_series),
+    "punctured": _Move(_punctured),
+    "dp-classify": _Move(_dp_classify),
+    "wellplaced": _Move(_well_placed, aliases=("well-placed",)),
+    "pi-tame": _Move(_pi_tame),
+    "one-param": _Move(_one_param),
+}
+
+
+def _moved_fields(aut, moved: DiscreteSequence) -> dict:
+    return {"sequence": moved.to_json(), "automorphism": aut.to_json()}
+
+
+def _shears(args, cfg: RunConfig, d: DiscreteSequence):
+    if d.ambient.is_matrix:
+        raise BadParams("shears act on flat sequences; use bundle-push or overshears")
+    targets = HeightAssignment.constant(args.height, len(d))
+    aut, proof = push_prefix_cn(d, targets, seed=cfg.seed, distinct_tol=cfg.distinct_tol)
+    fields = _moved_fields(aut, apply_all(aut, d, "shears"))
+    return heights_verdict(proof["achieved"], targets), {**fields, "proof": proof}
+
+
+def _overshears(args, cfg: RunConfig, d: DiscreteSequence):
+    if args.shift:
+        shift = _parse_shift_grid(args.shift)
+    else:
+        shift = _parse_lambda("1+a" if args.factor is None else args.factor)
+    aut = OvershearAut(OvershearSpec(shift))
+    moved = apply_all(aut, d, "overshears")
+    drift, verdict = drift_verdict(moved.array, cfg.det_tol)
+    return verdict, {**_moved_fields(aut, moved), "det_drift": drift}
+
+
+def _lambda_rescale(args, cfg: RunConfig, d: DiscreteSequence):
+    factor = float(args.factor) if args.factor else 2.0
+    if factor < 1.0:
+        raise BadParams("the row factor must be at least 1")
+    row = [factor] + [1.0] * (d.ambient.n - 2) + [1.0 / factor]
+    table = RescaleTable(np.tile(np.array(row, dtype=np.complex128), (len(d), 1)))
+    out = lambda_rescale(d, table, check_conditions=True)
+    verdict, _ = well_placed_check(out)
+    return verdict, {"sequence": out.to_json(), "automorphism": None, "factor": factor}
+
+
+def _union_decompose(args, cfg: RunConfig, d: DiscreteSequence):
+    parts = union_decompose(d)
+    verdict = union_split_verdict(d, parts)
+    return verdict, {"parts": [s.to_json() for s in parts], "automorphism": None}
+
+
+def _torus_embed(args, cfg: RunConfig, d: DiscreteSequence):
+    images, verdict = torus_embed(d.points, min_gap=cfg.min_gap)
+    out = DiscreteSequence(
+        cn(d.ambient.n),
+        images,
+        GeneratorInfo.of("torus-embed", source=d.generator.family if d.generator else "input"),
+    )
+    prod_err = max(abs(complex(np.prod(v)) - 1.0) for v in images)
+    return verdict, {"sequence": out.to_json(), "automorphism": None, "product_error": prod_err}
+
+
+def _align(args, cfg: RunConfig, d: DiscreteSequence, other: DiscreteSequence):
+    a2, b2, record, rep = align_first_columns(d, other)
+    return alignment_verdict(a2, b2, rep), {
+        "sequence": a2.to_json(),
+        "sequence2": b2.to_json(),
+        "automorphism": None,
+        "scaling": record.to_json(),
+        "alignment": asdict(rep),
+    }
+
+
+def _equivalence(args, cfg: RunConfig, d: DiscreteSequence, other: DiscreteSequence):
+    phi = equivalence_automorphism(d, other, seed=cfg.seed)
+    moved = apply_all(phi, other, "equivalence")
+    return equivalence_verdict(d, moved), _moved_fields(phi, moved)
+
+
+def _sl2_pipeline(args, cfg: RunConfig, d: DiscreteSequence):
+    composite, verdict = sl2_column_pipeline(d, seed=cfg.seed, max_fiber=args.max_fiber)
+    moved = apply_all(composite, d, "sl2-pipeline")
+    _, verdict = drift_verdict(moved.array, cfg.det_tol, verdict)
+    return verdict, _moved_fields(composite, moved)
+
+
+def _center_separate(args, cfg: RunConfig, d: DiscreteSequence):
+    aut, verdict = center_separate(d, tries=args.tries, seed=cfg.seed)
+    return verdict, _moved_fields(aut, apply_all(aut, d, "center-separate"))
+
+
+def _bundle_push(args, cfg: RunConfig, d: DiscreteSequence):
+    targets = HeightAssignment.constant(args.height, len(d))
+    aut, achieved = bundle_push(d, targets, seed=cfg.seed)
+    fields = _moved_fields(aut, apply_all(aut, d, "bundle-push"))
+    return heights_verdict(achieved, targets), {**fields, "achieved": list(achieved)}
+
+
+_TRANSFORMS = {
+    "shears": _Move(_shears, aliases=("shear",), seed=True),
+    "overshears": _Move(_overshears, aliases=("overshear",)),
+    "lambda-rescale": _Move(_lambda_rescale),
+    "union-decompose": _Move(_union_decompose, aliases=("union",)),
+    "torus-embed": _Move(_torus_embed),
+    "align": _Move(_align, aliases=("align-first-columns",), seq2=True),
+    "equivalence": _Move(
+        _equivalence, aliases=("equivalence-automorphism",), seed=True, seq2=True
+    ),
+    "sl2-pipeline": _Move(_sl2_pipeline, aliases=("sl2-column-pipeline",), seed=True),
+    "center-separate": _Move(_center_separate, seed=True),
+    "bundle-push": _Move(_bundle_push, seed=True),
+}
+
+
+def _run_move(table: dict[str, _Move], name: str, args, cfg: RunConfig):
+    """Resolves an alias, checks the move's requirements, loads its
+    inputs and runs it; returns (canonical name, verdict, fields)."""
+    name = next(key for key, move in table.items() if name in (key, *move.aliases))
+    move = table[name]
+    if move.seed:
+        cfg.require_seed()
+    inputs = [_load_sequence(args.seq_file)]
+    if move.seq2:
+        if not args.seq2:
+            raise BadParams(f"transform {name} needs --seq2 FILE")
+        inputs.append(_load_sequence(args.seq2))
+    verdict, fields = move.run(args, cfg, *inputs)
+    return name, verdict, fields
 
 
 def _cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
-    criterion = _CHECK_ALIASES.get(args.criterion, args.criterion)
-    d = _load_sequence(args.seq_file)
-    verdict, extra = _run_check(criterion, d, args, cfg)
+    criterion, verdict, extra = _run_move(_CHECKS, args.criterion, args, cfg)
     doc = {
         "command": "check",
         "criterion": criterion,
@@ -476,238 +451,17 @@ def _cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     return _verdict_exit(verdict)
 
 
-def _seq_doc(seq: DiscreteSequence) -> dict:
-    return seq.to_json()
-
-
-def _apply_all(aut, d: DiscreteSequence, label: str) -> DiscreteSequence:
-    return d.replace_points(
-        tuple(aut.apply(p) for p in d.points),
-        GeneratorInfo.of(label, source=d.generator.family if d.generator else "input"),
-    )
-
-
-def _heights_verdict(moved: DiscreteSequence, targets: HeightAssignment) -> Verdict:
-    norms = [float(np.linalg.norm(p)) for p in moved.points]
-    low = [i for i, h in enumerate(norms) if h < targets[i]]
-    if low:
-        return Verdict.violated(low, f"{len(low)} point(s) fall short of their height")
-    return Verdict.consistent("every image clears its demanded height")
-
-
-def _run_transform(args, cfg: RunConfig, d: DiscreteSequence):
-    """Returns (doc fragment, postcondition verdict)."""
-    name = args.transform
-    if name == "shears":
-        if d.ambient.is_matrix:
-            raise BadParams("shears act on flat sequences; use bundle-push or overshears")
-        targets = HeightAssignment.constant(args.height, len(d))
-        aut, proof = push_prefix_cn(
-            d, targets, seed=cfg.require_seed(), distinct_tol=cfg.distinct_tol
-        )
-        moved = _apply_all(aut, d, "shears")
-        return (
-            {"sequence": _seq_doc(moved), "automorphism": aut.to_json(), "proof": proof},
-            _heights_verdict(moved, targets),
-        )
-    if name == "overshears":
-        shift = _parse_shift_grid(args.shift) if args.shift else _parse_lambda(args.factor)
-        spec = OvershearSpec(shift)
-        aut = OvershearAut(spec)
-        moved = _apply_all(aut, d, "overshears")
-        drift = max(
-            abs(complex(np.linalg.det(p)) - 1.0) for p in moved.points
-        )
-        verdict = (
-            Verdict.consistent(f"determinant drift {drift:.3g}")
-            if drift <= cfg.det_tol
-            else Verdict.violated(
-                (0,), f"determinant drift {drift:.3g} exceeds {cfg.det_tol:g}"
-            )
-        )
-        return (
-            {
-                "sequence": _seq_doc(moved),
-                "automorphism": aut.to_json(),
-                "det_drift": float(drift),
-            },
-            verdict,
-        )
-    if name == "lambda-rescale":
-        factor = float(args.factor) if args.factor else 2.0
-        if factor < 1.0:
-            raise BadParams("the row factor must be at least 1")
-        n = d.ambient.n
-        row = [factor] + [1.0] * (n - 2) + [1.0 / factor]
-        table = RescaleTable(np.tile(np.array(row, dtype=np.complex128), (len(d), 1)))
-        out = lambda_rescale(d, table, check_conditions=True)
-        verdict, _ = well_placed_check(out)
-        return (
-            {
-                "sequence": _seq_doc(out),
-                "automorphism": None,
-                "factor": factor,
-            },
-            verdict,
-        )
-    if name == "union-decompose":
-        parts = union_decompose(d)
-        n = d.ambient.n
-        total = 0
-        for k, part in enumerate(parts):
-            for p in part.points:
-                total += 1
-                col = float(np.linalg.norm(p[:, k]))
-                if col < float(np.linalg.norm(p)) / n:
-                    return (
-                        {"parts": [_seq_doc(s) for s in parts], "automorphism": None},
-                        Verdict.violated((k,), "a member misses its column bound"),
-                    )
-        verdict = (
-            Verdict.consistent(
-                f"{len(parts)} parts partition {total} points; "
-                "column dominance holds on every member"
-            )
-            if total == len(d)
-            else Verdict.violated((0,), "parts do not partition the input")
-        )
-        return ({"parts": [_seq_doc(s) for s in parts], "automorphism": None}, verdict)
-    if name == "torus-embed":
-        images, verdict = torus_embed(d.points, min_gap=cfg.min_gap)
-        prod_err = max(abs(complex(np.prod(v)) - 1.0) for v in images)
-        out = DiscreteSequence(
-            cn(d.ambient.n),
-            images,
-            GeneratorInfo.of(
-                "torus-embed", source=d.generator.family if d.generator else "input"
-            ),
-        )
-        return (
-            {
-                "sequence": _seq_doc(out),
-                "automorphism": None,
-                "product_error": float(prod_err),
-            },
-            verdict,
-        )
-    if name == "align":
-        other = _load_sequence(_require_seq2(args))
-        a2, b2, record, rep = align_first_columns(d, other)
-        mismatches = [
-            float(np.max(np.abs(x[:, 0] - y[:, 0])))
-            for x, y in zip(a2.points, b2.points)
-        ]
-        worst = max(mismatches)
-        flags_ok = all(
-            (rep.unit_caps_ok, rep.ratio_caps_ok, rep.matching_ok,
-             rep.products_ok, rep.dominance_ok)
-        )
-        if worst <= 1e-10 and flags_ok:
-            verdict = Verdict.consistent(
-                f"first columns agree within {worst:.3g}; all constraint groups hold"
-            )
-        else:
-            verdict = Verdict.violated(
-                (int(np.argmax(mismatches)),),
-                f"first-column mismatch {worst:.3g} or a constraint group failed",
-            )
-        extra = {
-            "sequence": _seq_doc(a2),
-            "sequence2": _seq_doc(b2),
-            "automorphism": None,
-            "scaling": record.to_json(),
-            "alignment": {
-                "first_column_mismatch": rep.first_column_mismatch,
-                "unit_caps_ok": rep.unit_caps_ok,
-                "ratio_caps_ok": rep.ratio_caps_ok,
-                "matching_ok": rep.matching_ok,
-                "products_ok": rep.products_ok,
-                "dominance_ok": rep.dominance_ok,
-            },
-        }
-        return extra, verdict
-    if name == "equivalence":
-        other = _load_sequence(_require_seq2(args))
-        phi = equivalence_automorphism(d, other, seed=cfg.require_seed())
-        errors = [
-            float(np.max(np.abs(phi.apply(y) - x)))
-            for x, y in zip(d.points, other.points)
-        ]
-        worst = max(errors)
-        verdict = (
-            Verdict.consistent(f"worst mapping error {worst:.3g}")
-            if worst <= 1e-8
-            else Verdict.violated(
-                (int(np.argmax(errors)),), f"mapping error {worst:.3g} exceeds 1e-08"
-            )
-        )
-        moved = _apply_all(phi, other, "equivalence")
-        return (
-            {"sequence": _seq_doc(moved), "automorphism": phi.to_json()},
-            verdict,
-        )
-    if name == "sl2-pipeline":
-        composite, verdict = sl2_column_pipeline(
-            d, seed=cfg.require_seed(), max_fiber=args.max_fiber
-        )
-        moved = _apply_all(composite, d, "sl2-pipeline")
-        return (
-            {"sequence": _seq_doc(moved), "automorphism": composite.to_json()},
-            verdict,
-        )
-    if name == "center-separate":
-        aut, verdict = center_separate(d, tries=args.tries, seed=cfg.require_seed())
-        moved = _apply_all(aut, d, "center-separate")
-        return (
-            {"sequence": _seq_doc(moved), "automorphism": aut.to_json()},
-            verdict,
-        )
-    if name == "bundle-push":
-        targets = HeightAssignment.constant(args.height, len(d))
-        aut, achieved = bundle_push(d, targets, seed=cfg.require_seed())
-        moved = _apply_all(aut, d, "bundle-push")
-        low = [i for i, h in enumerate(achieved) if h < targets[i]]
-        verdict = (
-            Verdict.violated(low, f"{len(low)} image(s) fall short of their height")
-            if low
-            else Verdict.consistent("every image clears its demanded height")
-        )
-        return (
-            {
-                "sequence": _seq_doc(moved),
-                "automorphism": aut.to_json(),
-                "achieved": [float(h) for h in achieved],
-            },
-            verdict,
-        )
-    raise BadParams(f"unknown transform {name!r}")
-
-
-def _require_seq2(args) -> str:
-    if not getattr(args, "seq2", None):
-        raise BadParams(f"transform {args.transform} needs --seq2 FILE")
-    return args.seq2
-
-
 def _cmd_transform(args: argparse.Namespace, cfg: RunConfig) -> int:
-    args.transform = _TRANSFORM_ALIASES.get(args.transform, args.transform)
-    if args.transform in _STOCHASTIC_TRANSFORMS:
-        cfg.require_seed()
-    d = _load_sequence(args.seq_file)
-    fragment, verdict = _run_transform(args, cfg, d)
+    name, verdict, fields = _run_move(_TRANSFORMS, args.transform, args, cfg)
     doc = {
         "command": "transform",
-        "transform": args.transform,
+        "transform": name,
         "input": args.seq_file,
         "config": cfg.to_json(),
         "postcondition": verdict.to_json(),
+        **fields,
     }
-    doc.update(fragment)
-    _finish(
-        cfg,
-        doc,
-        [f"transform {args.transform}: {verdict.state}  {verdict.detail}"],
-    )
+    _finish(cfg, doc, [f"transform {name}: {verdict.state}  {verdict.detail}"])
     return _verdict_exit(verdict)
 
 
@@ -901,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--mode", help="disc base behavior")
 
     chk = sub.add_parser("check", parents=[common], help="run a tameness criterion")
-    chk.add_argument("criterion", choices=_CHECKS + tuple(_CHECK_ALIASES))
+    chk.add_argument("criterion", choices=_choices(_CHECKS))
     chk.add_argument("seq_file")
     chk.add_argument("--tail-policy", choices=(PARTIAL_ONLY, MONOTONE_TAIL_BOUND),
                      default=MONOTONE_TAIL_BOUND)
@@ -916,14 +670,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bundle-push needs pairwise distinct first columns: two points that "
         "share a first column end in FiberCollision.",
     )
-    tra.add_argument("transform", choices=_TRANSFORMS + tuple(_TRANSFORM_ALIASES))
+    tra.add_argument("transform", choices=_choices(_TRANSFORMS))
     tra.add_argument("seq_file")
     tra.add_argument("--seq2", help="second sequence for align and equivalence")
     tra.add_argument("--height", type=float, default=10.0, help="target height")
-    tra.add_argument("--factor", dest="factor", default=None,
+    tra.add_argument("--factor", "--lambda", dest="factor", default=None,
                      help="rescale row factor, or overshear factor such as 1+a")
-    tra.add_argument("--lambda", dest="factor_alias", default=None,
-                     help="alias for --factor")
     tra.add_argument("--shift", default=None,
                      help="overshear shift coefficients, rows ; entries ,")
     tra.add_argument("--tries", type=int, default=8)
@@ -961,10 +713,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
-    if getattr(args, "factor_alias", None) is not None and args.factor is None:
-        args.factor = args.factor_alias
-    if getattr(args, "factor", None) is None and args.command == "transform":
-        args.factor = "1+a" if args.transform in ("overshear", "overshears") else None
     try:
         cfg = _resolve_config(args)
         return _HANDLERS[args.command](args, cfg)

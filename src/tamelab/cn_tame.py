@@ -188,17 +188,6 @@ class ShearAut(Automorphism):
         }
 
 
-def shear_apply(s: ShearAut, z) -> np.ndarray:
-    v = np.asarray(z, dtype=np.complex128)
-    if v.ndim != 1 or v.shape[0] < 2:
-        raise DimensionMismatch("shears need a vector of dimension at least 2")
-    if s.axis >= v.shape[0] or s.driver >= v.shape[0]:
-        raise DimensionMismatch(
-            f"shear indices ({s.axis}, {s.driver}) exceed dimension {v.shape[0]}"
-        )
-    return s.apply(v)
-
-
 @dataclass(frozen=True)
 class SeriesReport:
     verdict: Verdict

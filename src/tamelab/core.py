@@ -1,6 +1,7 @@
 """Shared primitives: ambient spaces, discrete sequences, exhaustion
-functions, and the discreteness/properness checks every other module
-builds on.
+functions, the discreteness/properness checks every other module builds
+on, the postconditions several moves share, and the canonical JSON
+serializer.
 
 Conventions fixed here for the whole package:
 
@@ -15,8 +16,10 @@ Conventions fixed here for the whole package:
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -450,6 +453,34 @@ class Verdict:
         }
 
 
+def heights_verdict(achieved, targets: HeightAssignment) -> Verdict:
+    """The postcondition of a height push: violated at every point, in
+    index order, whose achieved height falls short of its target."""
+    low = np.flatnonzero(np.asarray(achieved, dtype=float) < np.asarray(targets.values))
+    if low.size:
+        return Verdict.violated(low, f"{low.size} image(s) fall short of their height")
+    return Verdict.consistent("every image clears its demanded height")
+
+
+def drift_verdict(
+    mats: np.ndarray, det_tol: float, passed: Verdict | None = None
+) -> tuple[float, Verdict]:
+    """The largest determinant drift |det - 1| over a stack of matrices,
+    and a verdict violated at every matrix, in index order, whose drift
+    exceeds det_tol. Within det_tol the verdict is `passed`, or by default
+    one that states the drift."""
+    dev = np.linalg.det(mats) - 1.0
+    # hypot rounds as Python's abs(complex); numpy's complex abs may not
+    drifts = np.hypot(dev.real, dev.imag)
+    worst = float(drifts.max(initial=0.0))
+    over = np.flatnonzero(drifts > det_tol)
+    if over.size:
+        return worst, Verdict.violated(
+            over, f"determinant drift {worst:.3g} exceeds {det_tol:g}"
+        )
+    return worst, passed or Verdict.consistent(f"determinant drift {worst:.3g}")
+
+
 def exhaust_eval(kind: str, p, ambient: AmbientSpace) -> float:
     """Evaluate one of the shipped exhaustion functions at a point."""
     p = as_point(ambient, p)
@@ -658,13 +689,165 @@ class Composite(Automorphism):
         return {"kind": self.kind, "stages": [s.to_json() for s in self.stages]}
 
 
-def canonical_json(data) -> str:
-    """Stable serialization: sorted keys, repr floats, trailing newline.
+def apply_all(aut: Automorphism, d: DiscreteSequence, label: str) -> DiscreteSequence:
+    """The prefix moved by `aut` point by point, tagged with the move's
+    label and the family it came from."""
+    return d.replace_points(
+        tuple(aut.apply(p) for p in d.points),
+        GeneratorInfo.of(label, source=d.generator.family if d.generator else "input"),
+    )
 
-    Identical values always produce identical bytes, and every float
-    round-trips exactly (shortest repr).
-    """
-    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+def _float_text(value: float) -> str:
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite value {value!r} in a report")
+    return format(value, ".17g")
+
+
+def _scalar_text(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool) or isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _float_text(float(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
+
+
+_CONTAINERS = (list, tuple, dict)
+_NON_FINITE = ("nan", "inf", "-inf")
+_BATCH = 1 << 10  # list items formatted together
+_FLUSH = 1 << 12  # pending chunks per write into the buffer
+
+
+def _leaf_texts(leaves: list) -> list[str]:
+    """The texts of scalar leaves, one comprehension for plain floats and
+    ints; anything else, and any error, goes leaf by leaf in order."""
+    kinds = set(map(type, leaves))
+    try:
+        if kinds == {float}:
+            texts = [f"{v:.17g}" for v in leaves]
+        elif kinds <= {float, int}:
+            texts = [f"{v:.17g}" if type(v) is float else f"{v}" for v in leaves]
+        else:
+            texts = None
+    except ValueError:  # an int too long to print
+        texts = None
+    if texts is None or any(bad in texts for bad in _NON_FINITE):
+        return [_scalar_text(v) for v in leaves]
+    return texts
+
+
+def _block_text(items, indent: int) -> str | None:
+    """The items of a list, each at `indent`, joined as the emitter joins
+    them, when they form a regular block: scalars, or lists of one length
+    down to scalar leaves. None otherwise."""
+    dims = [len(items)]
+    level = items
+    while True:
+        kinds = set(map(type, level))
+        if kinds <= {list, tuple}:
+            sizes = set(map(len, level))
+            if len(sizes) != 1 or 0 in sizes:
+                return None
+            dims.append(sizes.pop())
+            level = list(chain.from_iterable(level))
+        elif any(issubclass(k, _CONTAINERS) for k in kinds):
+            return None
+        else:
+            break
+    texts = _leaf_texts(level)
+    depth = len(dims) - 1
+    pads = ["\n" + "  " * (indent + r) for r in range(depth + 1)]
+    # seps[c]: between two leaves that c enclosing lists separate
+    seps = [
+        "".join(pads[depth - 1 - r] + "]" for r in range(c))
+        + ","
+        + "".join(pads[depth - c + r] + "[" for r in range(c))
+        + pads[depth]
+        for c in range(depth + 1)
+    ]
+    between: list[str] = []
+    for closes, size in enumerate(reversed(dims)):
+        between = (between + [seps[closes]]) * size
+        between.pop()
+    parts = [""] * (2 * len(texts) - 1)
+    parts[::2] = texts
+    parts[1::2] = between
+    head = "".join("[" + pads[r + 1] for r in range(depth))
+    tail = "".join(pads[depth - 1 - r] + "]" for r in range(depth))
+    return head + "".join(parts) + tail
+
+
+class _Emitter:
+    """Writes a document as canonical JSON into a StringIO, flushing its
+    chunks in batches."""
+
+    def __init__(self):
+        self.buf = io.StringIO()
+        self.chunks: list[str] = []
+
+    def put(self, text: str) -> None:
+        self.chunks.append(text)
+        if len(self.chunks) >= _FLUSH:
+            self.flush()
+
+    def flush(self) -> None:
+        self.buf.write("".join(self.chunks))
+        self.chunks.clear()
+
+    def emit(self, value, indent: int) -> None:
+        if isinstance(value, (list, tuple)):
+            self.emit_list(value, indent)
+        elif isinstance(value, dict):
+            self.emit_dict(value, indent)
+        else:
+            self.put(_scalar_text(value))
+
+    def emit_list(self, value, indent: int) -> None:
+        if not value:
+            self.put("[]")
+            return
+        pad = "\n" + "  " * (indent + 1)
+        self.put("[")
+        for lo in range(0, len(value), _BATCH):
+            chunk = value[lo : lo + _BATCH]
+            if lo:
+                self.put(",")
+            block = _block_text(chunk, indent + 1)
+            if block is not None:
+                self.put(pad + block)
+                continue
+            for i, item in enumerate(chunk):
+                self.put("," + pad if i else pad)
+                self.emit(item, indent + 1)
+        self.put("\n" + "  " * indent + "]")
+
+    def emit_dict(self, value, indent: int) -> None:
+        if not value:
+            self.put("{}")
+            return
+        pad = "\n" + "  " * (indent + 1)
+        self.put("{")
+        for i, (key, item) in enumerate(value.items()):
+            self.put(("," if i else "") + pad + json.dumps(str(key)) + ": ")
+            self.emit(item, indent + 1)
+        self.put("\n" + "  " * indent + "}")
+
+
+def canonical_json(doc) -> str:
+    """Deterministic JSON: keys in insertion order, two-space indentation,
+    floats at 17 significant digits so they round-trip exactly, and a
+    trailing newline. A non-finite float raises `ValueError`."""
+    out = _Emitter()
+    out.emit(doc, 0)
+    out.put("\n")
+    out.flush()
+    return out.buf.getvalue()
 
 
 def save_sequence(d: DiscreteSequence, path) -> None:

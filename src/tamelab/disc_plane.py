@@ -130,10 +130,6 @@ class DiscPlaneAut(Automorphism):
         }
 
 
-def dp_apply(a: DiscPlaneAut, p) -> np.ndarray:
-    return a.apply(np.asarray(p, dtype=np.complex128))
-
-
 def _taylor_fit(fn, pole_radius: float) -> Polynomial:
     """Taylor polynomial of a function holomorphic on |z| < pole_radius (> 1),
     fitted by FFT on a ring between the evaluation disc and the singularity."""
@@ -359,11 +355,6 @@ def poincare_signature(points) -> np.ndarray:
         for j in range(i + 1, len(zs))
     ]
     return np.array(sorted(out))
-
-
-def signature_csv(signature) -> str:
-    """One distance per line, 15 significant digits."""
-    return "".join(f"{float(d):.15g}\n" for d in np.asarray(signature))
 
 
 def inequivalent_base_pair() -> tuple[tuple[complex, ...], tuple[complex, ...]]:

@@ -24,6 +24,7 @@ from .core import (
     IdentityAut,
     Verdict,
     _close_pair_scan,
+    _row_norms,
     max_norm_distance,
     properness_check,
     sl_matrix,
@@ -119,12 +120,6 @@ class WellPlacedReport:
             raise ValueError("ratio tables must share the prefix length")
 
 
-def _strictly_increasing(seq) -> bool:
-    arr = np.asarray(seq, dtype=float)
-    diffs = np.diff(arr)
-    return bool(np.all(diffs > 0))
-
-
 def well_placed_check(d: DiscreteSequence) -> tuple[Verdict, WellPlacedReport]:
     """Nonzero entries plus strictly growing ratio families on the prefix."""
     if d.ambient.kind != "sln":
@@ -186,15 +181,6 @@ def well_placed_check(d: DiscreteSequence) -> tuple[Verdict, WellPlacedReport]:
             report,
         )
     return Verdict.consistent("all ratio families strictly increase"), report
-
-
-def proof_variant_ok(report: WellPlacedReport) -> bool:
-    """Secondary reading of the ratio condition: column ratios restricted
-    to rows past the first.  An index chase shows these are exactly the
-    beta families with row index at least 2, so this only re-reads the
-    primary report."""
-    keys = [key for key in report.beta if key[1] >= 2]
-    return all(_strictly_increasing(report.beta[key]) for key in keys)
 
 
 def lambda_rescale(
@@ -407,6 +393,28 @@ def align_first_columns(
     )
 
 
+def alignment_verdict(
+    a_seq: DiscreteSequence, b_seq: DiscreteSequence, rep: AlignmentReport
+) -> Verdict:
+    """The postcondition of `align_first_columns` on its two outputs: the
+    first columns agree within ALIGN_TOL and every constraint group of the
+    report holds. A violation names the point of the largest mismatch."""
+    mismatches = np.max(np.abs(a_seq.array[:, :, 0] - b_seq.array[:, :, 0]), axis=1)
+    worst = float(np.max(mismatches))
+    flags_ok = all(
+        (rep.unit_caps_ok, rep.ratio_caps_ok, rep.matching_ok,
+         rep.products_ok, rep.dominance_ok)
+    )
+    if worst <= ALIGN_TOL and flags_ok:
+        return Verdict.consistent(
+            f"first columns agree within {worst:.3g}; all constraint groups hold"
+        )
+    return Verdict.violated(
+        (int(np.argmax(mismatches)),),
+        f"first-column mismatch {worst:.3g} or a constraint group failed",
+    )
+
+
 def equivalence_automorphism(
     c_seq: DiscreteSequence, d_seq: DiscreteSequence, seed: int = 0
 ) -> BundlePushAut:
@@ -435,6 +443,19 @@ def equivalence_automorphism(
     return phi
 
 
+def equivalence_verdict(target: DiscreteSequence, moved: DiscreteSequence) -> Verdict:
+    """The postcondition of `equivalence_automorphism`: the pushed second
+    prefix lands on the first within EQUIV_TOL at every point. A violation
+    names the point of the largest error."""
+    errors = np.max(np.abs(moved.array - target.array).reshape(len(target), -1), axis=1)
+    worst = float(np.max(errors))
+    if worst <= EQUIV_TOL:
+        return Verdict.consistent(f"worst mapping error {worst:.3g}")
+    return Verdict.violated(
+        (int(np.argmax(errors)),), f"mapping error {worst:.3g} exceeds {EQUIV_TOL:g}"
+    )
+
+
 def union_decompose(d: DiscreteSequence) -> list[DiscreteSequence]:
     """Splits a prefix by which column carries the largest norm; ties go to
     the smallest column index.  The winning column norm is the exhaustion
@@ -450,6 +471,37 @@ def union_decompose(d: DiscreteSequence) -> list[DiscreteSequence]:
         assert norms[k] >= np.linalg.norm(p) / np.sqrt(n) * (1.0 - 1e-12)
         parts[k].append(p)
     return [d.replace_points(tuple(part)) for part in parts]
+
+
+def union_split_verdict(d: DiscreteSequence, parts: list[DiscreteSequence]) -> Verdict:
+    """The postcondition of `union_decompose`: every member of part k has
+    a k-th column norm of at least 1/n of its whole norm, and the parts
+    hold each input point exactly once.
+
+    Violations name input indices in index order: first the members that
+    miss their column bound, otherwise the input points that are missing
+    from the parts or repeated in them.
+    """
+    n = d.ambient.n
+    index = {p.tobytes(): i for i, p in enumerate(d.array)}
+    owners: list[int] = []
+    weak: list[int] = []
+    for k, part in enumerate(parts):
+        ids = [index.get(p.tobytes()) for p in part.array]
+        if None in ids:
+            raise ValueError(f"part {k} holds a point that is not an input point")
+        short = _row_norms(part.array[:, :, k]) < _row_norms(part.array) / n
+        weak.extend(i for i, s in zip(ids, short) if s)
+        owners.extend(ids)
+    if weak:
+        return Verdict.violated(sorted(weak), "a member misses its column bound")
+    off = np.flatnonzero(np.bincount(owners, minlength=len(d)) != 1)
+    if off.size:
+        return Verdict.violated(off, "parts do not partition the input")
+    return Verdict.consistent(
+        f"{len(parts)} parts partition {len(owners)} points; "
+        "column dominance holds on every member"
+    )
 
 
 def torus_embed(

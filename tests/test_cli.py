@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamelab import cli
+from tamelab import cli, core
 from tamelab.core import DiscreteSequence, cn, sln
 from tamelab.generic_projection import MC_CSV_COLUMNS, threshold_estimate
 
@@ -189,9 +189,9 @@ class TestBatchedEmitter:
 
     def test_long_lists_cross_batch_boundaries(self):
         rng = np.random.default_rng(4)
-        vals = rng.standard_normal((2 * cli._BATCH + 37, 2, 2))
+        vals = rng.standard_normal((2 * core._BATCH + 37, 2, 2))
         points = vals.tolist()
-        points[cli._BATCH] = [[0, -0.0], [1, 2]]  # ints inside one batch
+        points[core._BATCH] = [[0, -0.0], [1, 2]]  # ints inside one batch
         points[5] = [[1.0, 2.0]]  # an irregular batch
         doc = {"points": points, "flat": vals.reshape(-1).tolist(), "empty": [[], []]}
         assert cli.canonical_json(doc) == _canonical_reference(doc)
@@ -632,3 +632,131 @@ class TestDiscBoundaryCap:
                    "--out", str(out)) == 1
         assert "at most 53 points" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _write_seq(path, points) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(cli.canonical_json(DiscreteSequence(sln(2), tuple(points)).to_json()))
+    return str(path)
+
+
+def _drifts(doc: dict) -> np.ndarray:
+    return np.abs(np.linalg.det(DiscreteSequence.from_json(doc["sequence"]).array) - 1.0)
+
+
+class TestWitnesses:
+    """A violated postcondition names the input points that witness it."""
+
+    def test_overshear_drift_names_every_point_above_det_tol(self, tmp_path):
+        pts = [np.eye(2, dtype=complex)]
+        for k in range(1, 8):
+            a, b, c = (k + 0.3) * (1 + 0.5j), 3.7 * k - 1j, 2.1j * k
+            pts.append(np.array([[a, c], [b, (1 + b * c) / a]]))
+        path = _write_seq(tmp_path / "in.json", pts)
+        out = str(tmp_path / "ov.json")
+        argv = ["transform", "overshears", path, "--factor", "1+0.5*a", "--out", out]
+        assert run(*argv) == 0
+        drifts = _drifts(load(out))
+        assert drifts[0] == 0.0
+        tol = float(np.median(drifts[1:]))
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"det_tol = {tol!r}\n", encoding="utf-8")
+        assert run(*argv, "--config", str(cfg)) == 2
+        post = load(out)["postcondition"]
+        want = [i for i, x in enumerate(drifts) if x > tol]
+        assert post["witness"] == want and want[0] > 0
+        assert post["detail"] == f"determinant drift {drifts.max():.3g} exceeds {tol:g}"
+
+    def test_sl2_pipeline_names_drifting_outputs(self, tmp_path):
+        path = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
+        out = str(tmp_path / "pipe.json")
+        code = run("transform", "sl2-pipeline", path, "--seed", "1",
+                   "--max-fiber", "16", "--out", out)
+        doc = load(out)
+        want = [int(i) for i in np.flatnonzero(_drifts(doc) > 1e-9)]
+        assert code == 2 and want
+        assert doc["postcondition"]["witness"] == want
+        assert doc["postcondition"]["detail"].startswith("determinant drift ")
+
+    @staticmethod
+    def _split_case(case, parts):
+        """A wrong split of the four points of `_union_input`."""
+        p = [part.points for part in parts]  # part 0: points 0, 3; part 1: 1, 2
+        if case == "dominance":
+            return [p[0][:1], p[1] + p[0][1:]]
+        if case == "missing":
+            return [p[0], p[1][:1]]
+        if case == "repeated":
+            return [p[0] + p[1][1:], p[1]]
+        return [p[0], p[1] + (np.diag([5.0, 0.2]).astype(complex),)]
+
+    @pytest.mark.parametrize(
+        "case, code, witness",
+        [("dominance", 2, [3]), ("missing", 2, [2]), ("repeated", 2, [2]), ("foreign", 1, None)],
+    )
+    def test_union_split_names_input_points(self, tmp_path, monkeypatch, case, code, witness):
+        pts = [np.diag([2.0, 0.5]), np.diag([0.5, 2.0]),
+               np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([3.0, 1 / 3])]
+        path = _write_seq(tmp_path / "in.json", [p.astype(complex) for p in pts])
+        real = cli.union_decompose
+        assert [len(part) for part in real(DiscreteSequence.from_json(load(path)))] == [2, 2]
+
+        def bad_split(d):
+            return [d.replace_points(ps) for ps in self._split_case(case, real(d))]
+
+        monkeypatch.setattr(cli, "union_decompose", bad_split)
+        out = str(tmp_path / "parts.json")
+        assert run("transform", "union-decompose", path, "--out", out) == code
+        if witness is not None:
+            assert load(out)["postcondition"]["witness"] == witness
+
+
+def _spelling_inputs(tmp_path) -> dict:
+    """Per canonical name: the input files and flags one run needs."""
+    wp = gen(tmp_path, "wellplaced2", "--k", "8")
+    wp1 = gen(tmp_path, "wellplaced2", "--k", "8", "--p", "1")
+    sg = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
+    cs = [np.diag([float(k), 1.0 / k]).astype(complex) for k in range(1, 6)]
+    ds = [c @ np.array([[1.0, float(k)], [0.0, 1.0]]) for k, c in enumerate(cs, 1)]
+    ceq, deq = _write_seq(tmp_path / "c.json", cs), _write_seq(tmp_path / "d.json", ds)
+    return {
+        "wellplaced": [wp],
+        "shears": [gen(tmp_path, "cn-powers", "--n", "2", "--k", "6"),
+                   "--height", "9", "--seed", "1"],
+        "overshears": [sg, "--factor", "1+0.5*a"],
+        "union-decompose": [wp],
+        "align": [wp, "--seq2", wp1],
+        "equivalence": [ceq, "--seq2", deq, "--seed", "0"],
+        "sl2-pipeline": [sg, "--seed", "3", "--max-fiber", "16"],
+    }
+
+
+def _spellings() -> list:
+    cases = [("check", name, alias) for name, move in cli._CHECKS.items()
+             for alias in move.aliases]
+    cases += [("transform", name, alias) for name, move in cli._TRANSFORMS.items()
+              for alias in move.aliases]
+    return cases
+
+
+@pytest.mark.parametrize("command, name, alias", _spellings())
+def test_alias_writes_the_canonical_bytes(tmp_path, command, name, alias):
+    rest = _spelling_inputs(tmp_path)[name]
+    out = str(tmp_path / "out.json")
+    assert run(command, name, *rest, "--out", out) == 0
+    canonical = read_bytes(out)
+    assert run(command, alias, *rest, "--out", out) == 0
+    assert read_bytes(out) == canonical
+
+
+@pytest.mark.parametrize(
+    "name, value", [("overshears", "1+0.5*a"), ("lambda-rescale", "2")]
+)
+def test_lambda_flag_writes_the_factor_bytes(tmp_path, name, value):
+    path = gen(tmp_path, "sl2-gauss" if name == "overshears" else "wellplaced2",
+               *(("--field", "qi", "--height", "1") if name == "overshears" else ()))
+    out = str(tmp_path / "out.json")
+    assert run("transform", name, path, "--factor", value, "--out", out) == 0
+    canonical = read_bytes(out)
+    assert run("transform", name, path, "--lambda", value, "--out", out) == 0
+    assert read_bytes(out) == canonical

@@ -99,12 +99,6 @@ class TestWellPlaced:
         with pytest.raises(InconclusivePrefix):
             sln_tame.well_placed_check(_mseq([_family(1)]))
 
-    def test_proof_variant_reads_beta(self):
-        _, report = sln_tame.well_placed_check(
-            _mseq([_family(k) for k in range(1, 8)])
-        )
-        assert sln_tame.proof_variant_ok(report)
-
 
 class TestRescaleTable:
     def test_product_must_be_one(self):
