@@ -189,10 +189,7 @@ def _verdict_exit(v: Verdict) -> int:
 
 def _load_sequence(path: str) -> DiscreteSequence:
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "ambient" not in obj and isinstance(obj.get("sequence"), dict):
-        obj = obj["sequence"]
-    return DiscreteSequence.from_json(obj)
+        return DiscreteSequence.from_json(json.load(fh))
 
 
 def _parse_complex(text: str) -> complex:

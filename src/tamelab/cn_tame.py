@@ -61,12 +61,18 @@ class Polynomial:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
     def __call__(self, z):
-        acc = np.zeros_like(np.asarray(z, dtype=np.complex128))
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        if np.ndim(z) == 0:
-            return complex(acc)
-        return acc
+        """Horner's rule in Python complex arithmetic, at a scalar or at each
+        entry of an array, so that array entries round as scalar calls do."""
+        zs = np.asarray(z, dtype=np.complex128)
+        out = []
+        for s in zs.ravel().tolist():
+            acc = 0j
+            for c in reversed(self.coeffs):
+                acc = acc * s + c
+            out.append(acc)
+        if zs.ndim == 0:
+            return out[0]
+        return np.array(out, dtype=np.complex128).reshape(zs.shape)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
@@ -171,9 +177,9 @@ class ShearAut(Automorphism):
         if self.axis < 0 or self.driver < 0:
             raise DimensionMismatch("coordinate indices must be nonnegative")
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        out = np.array(p, dtype=np.complex128)
-        out[self.axis] = out[self.axis] + self.f(out[self.driver])
+    def apply_batch(self, ps: np.ndarray) -> np.ndarray:
+        out = np.array(ps, dtype=np.complex128)
+        out[:, self.axis] += self.f(out[:, self.driver])
         return out
 
     def inverse(self) -> "ShearAut":
@@ -393,7 +399,7 @@ def push_prefix_cn(
     shear = ShearAut(axis=1, driver=0, f=f)
     phi = Composite((LinearAut(u_mat), shear))
 
-    achieved = np.array([np.linalg.norm(phi(p)) for p in d.points])
+    achieved = _row_norms(phi.apply_batch(pts))
     if np.any(achieved < targets):
         worst = int(np.argmin(achieved - targets))
         raise InterpolationIllConditioned(

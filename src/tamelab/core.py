@@ -137,10 +137,13 @@ def _check_rows(ambient: AmbientSpace, arr: np.ndarray, det_tol: float) -> None:
     ok = arr[:stop]
     if ambient.is_matrix:
         dets = np.linalg.det(ok)
-        allowed = det_tolerance(ok, det_tol)
-        off = np.flatnonzero(np.abs(dets - 1.0) > allowed)
-        if off.size:
-            _require_unit_det(complex(dets[off[0]]), float(allowed[off[0]]))  # raises
+        dev = np.abs(dets - 1.0)
+        near = np.flatnonzero(dev > det_tol)  # det_tolerance is never below det_tol
+        if near.size:
+            allowed = det_tolerance(ok[near], det_tol)
+            off = np.flatnonzero(dev[near] > allowed)
+            if off.size:
+                _require_unit_det(complex(dets[near[off[0]]]), float(allowed[off[0]]))
     elif ambient.kind == "punctured-cn":
         if not np.all(np.any(ok != 0, axis=1)):
             raise PointOutsideAmbient("the puncture (origin) is not a point of this space")
@@ -338,6 +341,9 @@ class DiscreteSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteSequence":
+        """A sequence document, or a command output holding one as `sequence`."""
+        if "ambient" not in obj and isinstance(obj.get("sequence"), dict):
+            obj = obj["sequence"]
         ambient = AmbientSpace(obj["ambient"], int(obj["n"]))
         points = _unpair_points(obj["points"])
         gen = obj.get("generator")
@@ -354,9 +360,8 @@ def _pair(z: complex) -> list[float]:
 
 
 def _unpair_array(pairs: np.ndarray) -> np.ndarray:
-    """Complex entries from real [re, im] pairs along the last axis; any
-    entries past the second are ignored."""
-    if pairs.ndim == 0 or pairs.shape[-1] < 2:
+    """Complex entries from real [re, im] pairs along the last axis."""
+    if pairs.ndim == 0 or pairs.shape[-1] != 2:
         raise ValueError("a complex entry is written as a pair [re, im]")
     out = np.empty(pairs.shape[:-1], dtype=np.complex128)
     out.real = pairs[..., 0]
@@ -619,13 +624,18 @@ def zeta0_reduce(
 
 
 class Automorphism:
-    """Duck-typed contract for ambient-space maps; subclasses set `kind`
-    and implement `apply` plus `to_json`."""
+    """Ambient-space maps. `apply_batch` moves an (m, n) or (m, n, n) stack
+    of points and `apply` is its one-row view; a subclass sets `kind` and
+    `to_json` and defines one of the two, the other following from it."""
 
     kind = "abstract"
 
     def apply(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.apply_batch(np.asarray(p, dtype=np.complex128)[None])[0]
+
+    def apply_batch(self, ps: np.ndarray) -> np.ndarray:
+        rows = [self.apply(p) for p in ps]
+        return np.array(rows if rows else ps, dtype=np.complex128)
 
     def __call__(self, p) -> np.ndarray:
         return self.apply(np.asarray(p, dtype=np.complex128))
@@ -638,19 +648,22 @@ class Automorphism:
 class IdentityAut(Automorphism):
     kind = "identity"
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return np.array(p, dtype=np.complex128)
+    def apply_batch(self, ps: np.ndarray) -> np.ndarray:
+        return np.array(ps, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
 class LinearAut(Automorphism):
-    """Invertible linear map on a vector ambient."""
+    """Invertible linear map on vectors, or on matrices from the left."""
 
     matrix: np.ndarray
     kind = "linear"
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.matrix @ p
+    def apply_batch(self, ps: np.ndarray) -> np.ndarray:
+        if ps.ndim == 2:
+            # a column per point rounds as matrix @ p does; ps @ matrix.T may not
+            return (self.matrix @ ps[:, :, None])[:, :, 0]
+        return self.matrix @ ps
 
     def to_json(self) -> dict:
         return {
@@ -666,8 +679,8 @@ class ScalarAut(Automorphism):
     factor: complex
     kind = "scalar"
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.factor * p
+    def apply_batch(self, ps: np.ndarray) -> np.ndarray:
+        return self.factor * ps
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "factor": _pair(self.factor)}
@@ -680,20 +693,20 @@ class Composite(Automorphism):
     stages: tuple[Automorphism, ...]
     kind = "composite"
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
+    def apply_batch(self, ps: np.ndarray) -> np.ndarray:
         for s in self.stages:
-            p = s.apply(p)
-        return p
+            ps = s.apply_batch(ps)
+        return ps
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "stages": [s.to_json() for s in self.stages]}
 
 
 def apply_all(aut: Automorphism, d: DiscreteSequence, label: str) -> DiscreteSequence:
-    """The prefix moved by `aut` point by point, tagged with the move's
-    label and the family it came from."""
+    """The prefix moved by `aut`, tagged with the move's label and the
+    family it came from."""
     return d.replace_points(
-        tuple(aut.apply(p) for p in d.points),
+        aut.apply_batch(d.array),
         GeneratorInfo.of(label, source=d.generator.family if d.generator else "input"),
     )
 

@@ -44,6 +44,7 @@ from .core import (
     MIN_GAP,
     DiscreteSequence,
     GeneratorInfo,
+    _PAIR_TABLE_ENTRIES,
     cn,
     properness_check,
     sln,
@@ -448,13 +449,32 @@ def _central_ratio_table(points: np.ndarray) -> np.ndarray:
     for i in range(m):
         a, c = points[i, 0, 0], points[i, 0, 1]
         b, d = points[i, 1, 0], points[i, 1, 1]
-        inv = np.array([[d, -c], [-b, a]])
-        for j in range(m):
-            ratio = inv @ points[j]
-            plus = np.max(np.abs(ratio - eye))
-            minus = np.max(np.abs(ratio + eye))
-            table[i, j] = min(plus, minus) <= CENTRAL_RATIO_TOL
+        ratios = np.array([[d, -c], [-b, a]]) @ points
+        plus = np.max(np.abs(ratios - eye), axis=(1, 2))
+        minus = np.max(np.abs(ratios + eye), axis=(1, 2))
+        table[i] = np.minimum(plus, minus) <= CENTRAL_RATIO_TOL
     return table
+
+
+def _close_samples(images: np.ndarray, min_gap: float) -> np.ndarray:
+    """The samples of a (k, m, 4) image stack holding two images closer
+    than min_gap. Gaps are taken a block of samples, or of one sample's
+    rows, at a time, so the table stays near `_PAIR_TABLE_ENTRIES`."""
+    k, m, width = images.shape
+    rows = max(1, _PAIR_TABLE_ENTRIES // (m * width))
+    step = max(1, rows // m)
+    cols = np.arange(m)
+    close = np.zeros(k, dtype=bool)
+    for t in range(0, k, step):
+        block = images[t : t + step]
+        for lo in range(0, m, rows):
+            diff = block[:, lo : lo + rows, None, :] - block[:, None, :, :]
+            gaps = np.linalg.norm(diff, axis=-1)
+            upper = cols[None, :] > cols[lo : lo + rows, None]
+            close[t : t + step] |= np.any((gaps < min_gap) & upper, axis=(1, 2))
+            if close[t : t + step].all():
+                break
+    return np.flatnonzero(close)
 
 
 def omega_check(
@@ -490,21 +510,12 @@ def omega_check(
         moved = np.einsum("kji,jl,klm->kim", ks.conj(), points[i], ks)
         images[:, i, :] = chart.embed_batch(moved)
     failures: list[tuple[int, str]] = []
-    if m > 1:
-        gaps = np.linalg.norm(
-            images[:, :, None, :] - images[:, None, :, :], axis=-1
-        )
-        rows, cols = np.triu_indices(m, 1)
-        suspects = np.nonzero(np.any(gaps[:, rows, cols] < min_gap, axis=1))[0]
-    else:
-        suspects = np.array([], dtype=int)
-    for t in suspects:
+    for t in _close_samples(images, min_gap):
         reason = None
         labels = list(range(m))
         for i in range(m):
-            for j in range(i + 1, m):
-                if gaps[t, i, j] >= min_gap:
-                    continue
+            gaps = np.linalg.norm(images[t, i] - images[t, i + 1 :], axis=-1)
+            for j in (i + 1 + np.flatnonzero(~(gaps >= min_gap))).tolist():
                 if not central[i, j]:
                     reason = (
                         f"images {i} and {j} collide but the point ratio "

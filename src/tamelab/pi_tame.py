@@ -16,6 +16,7 @@ import numpy as np
 
 from .cn_tame import LagrangePoly, Polynomial, interpolate_nodes
 from .core import (
+    DET_TOL,
     DISTINCT_TOL,
     MAX_FIBER,
     MIN_GAP,
@@ -24,8 +25,8 @@ from .core import (
     DiscreteSequence,
     HeightAssignment,
     Verdict,
+    _check_rows,
     _pair,
-    _require_finite,
     _require_unit_det,
     _row_norms,
     det_tolerance,
@@ -100,17 +101,15 @@ class QElement:
 
     @classmethod
     def from_blocks(cls, r: np.ndarray, lower: np.ndarray) -> "QElement":
-        """[[1, r], [0, lower]].  Its first column is e1 by construction and
-        its determinant is det(lower), so only finiteness and det(lower)
-        against the whole matrix's `det_tolerance` are checked."""
+        """[[1, r], [0, lower]].  Its first column is e1 by construction,
+        so only its finiteness and determinant are checked."""
         r = np.atleast_1d(np.asarray(r, dtype=np.complex128))
         lower = np.asarray(lower, dtype=np.complex128)
         n = r.shape[0] + 1
         m = np.eye(n, dtype=np.complex128)
         m[0, 1:] = r
         m[1:, 1:] = lower
-        _require_finite(m, "matrix")
-        _require_unit_det(complex(np.linalg.det(m[1:, 1:])), float(det_tolerance(m)))
+        _check_rows(sln(n), m[None], DET_TOL)
         q = object.__new__(cls)
         object.__setattr__(q, "n", n)
         object.__setattr__(q, "entries", m)
@@ -236,15 +235,11 @@ class QPolyMap:
         """
         ss = np.sum(self.u * ys, axis=1)
         k = self.n - 1
-        r = np.stack([_eval_each(fn, ss) for fn in self.r_fns], axis=1)
-        logl = np.stack([_eval_each(fn, ss) for fn in self.logl_fns], axis=1)
+        r = np.stack([fn(ss) for fn in self.r_fns], axis=1)
+        logl = np.stack([fn(ss) for fn in self.logl_fns], axis=1)
         logl = logl.reshape(len(ss), k, k)
         logl -= np.eye(k) * (np.trace(logl, axis1=1, axis2=2) / k)[:, None, None]
         return r, _matrix_exp(logl)
-
-    def q_of(self, y) -> QElement:
-        r, lower = self.blocks(np.asarray(y, dtype=np.complex128)[None])
-        return QElement.from_blocks(r[0], lower[0])
 
     def to_json(self) -> dict:
         fns = list(self.r_fns) + list(self.logl_fns)
@@ -254,24 +249,6 @@ class QPolyMap:
             "separator_u": [_pair(z) for z in self.u],
             "coeffs": [fn.to_json() for fn in fns],
         }
-
-
-def _eval_each(fn, ss: np.ndarray) -> np.ndarray:
-    """fn at every entry of ss, rounded exactly as the scalar call fn(s).
-
-    numpy's vectorized complex multiply may fuse multiply and add, so a
-    polynomial runs Horner's rule in scalar complex arithmetic instead.
-    """
-    if not isinstance(fn, Polynomial):
-        return fn(ss)
-    coeffs = fn.coeffs[::-1]
-    out = []
-    for s in ss.tolist():
-        acc = 0j
-        for c in coeffs:
-            acc = acc * s + c
-        out.append(acc)
-    return np.array(out, dtype=np.complex128)
 
 
 def _zero_fit(count: int):
@@ -330,18 +307,15 @@ class BundlePushAut(Automorphism):
     fmap: QPolyMap
     kind = "bundle-push"
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        m = np.asarray(p, dtype=np.complex128)
-        return m @ self.fmap.q_of(m[:, 0]).entries
-
     def apply_batch(self, ps: np.ndarray) -> np.ndarray:
-        """`apply` over an (m, n, n) stack, bit for bit, without checking
-        that the fiber factors are unimodular; callers check the images."""
+        """The push over an (m, n, n) stack. The first fiber factor, in
+        row order, that `QElement.from_blocks` would reject raises."""
         r, lower = self.fmap.blocks(ps[:, :, 0])
         q = np.zeros(ps.shape, dtype=np.complex128)
         q[:, 0, 0] = 1.0
         q[:, 0, 1:] = r
         q[:, 1:, 1:] = lower
+        _check_rows(sln(self.fmap.n), q, DET_TOL)
         return ps @ q
 
     def to_json(self) -> dict:

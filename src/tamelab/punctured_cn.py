@@ -94,14 +94,13 @@ def bilipschitz_estimate(
         direction = g / np.linalg.norm(g)
         cutoff = radius * (1.0 - float(rng.uniform()))
         top = math.floor(math.log2(cutoff))
-        for k in range(_MAG_FLOOR_EXP, top + 1):
-            v = 2.0**k * direction
-            ratio = float(np.linalg.norm(np.asarray(phi.apply(v)))) / float(
-                np.linalg.norm(v)
-            )
-            lo = min(lo, ratio)
-            hi = max(hi, ratio)
-            seen += 1
+        if top < _MAG_FLOOR_EXP:
+            continue
+        vs = np.array([2.0**k * direction for k in range(_MAG_FLOOR_EXP, top + 1)])
+        ratios = _row_norms(phi.apply_batch(vs)) / _row_norms(vs)
+        lo = min(lo, float(ratios.min()))
+        hi = max(hi, float(ratios.max()))
+        seen += len(vs)
     if seen == 0:
         raise ValueError("no sample magnitudes fit under the requested radius")
     return BiLipschitzReport(lo, hi, radius, int(samples))
@@ -180,8 +179,8 @@ def no_threshold_witness(
     count = len(gamma_prefix)
     zeta = tuple(float((k + 1) / norms[k - 1]) for k in range(1, count + 1))
     tau = tuple(
-        exhaust_eval(PUNCTURED_TAU, candidate_phi.apply(p), gamma_prefix.ambient)
-        for p in gamma_prefix.points
+        exhaust_eval(PUNCTURED_TAU, img, gamma_prefix.ambient)
+        for img in candidate_phi.apply_batch(gamma_prefix.array)
     )
     if count < start:
         raise InconclusivePrefix(

@@ -379,7 +379,7 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
     rng = stream(seed, "sl2-pipeline")
 
     left = _left_move(d.points, rng)
-    moved = [left @ p for p in d.points]
+    moved = LinearAut(left).apply_batch(d.array)
 
     radii = _fiber_radii(moved)
     spec = _clearance_shear(moved, radii, rng)
@@ -391,7 +391,7 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
                 "fiber-rescale",
                 f"point {k} clears {have:.3g}, needs more than {k + 1}",
             )
-    sheared = [overshear_apply(spec, p) for p in moved]
+    sheared = OvershearAut(spec).apply_batch(moved)
 
     fibers = group_fibers([p[:, 0] for p in sheared])
     verdict = None

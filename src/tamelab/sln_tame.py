@@ -434,12 +434,13 @@ def equivalence_automorphism(
     images = [np.array(c[:, 0]) for c in c_seq.points]
     fmap = fit_q_map(images, factors, seed=seed)
     phi = BundlePushAut(fmap)
-    for i, (c, d) in enumerate(zip(c_seq.points, d_seq.points)):
-        err = max_norm_distance(phi.apply(d), c)
-        if err > EQUIV_TOL:
-            raise InterpolationIllConditioned(
-                f"node {i} maps with error {err:.3g}, beyond {EQUIV_TOL:g}"
-            )
+    moved = phi.apply_batch(d_seq.array)
+    errors = np.abs(moved - c_seq.array).reshape(len(c_seq), -1).max(axis=1)
+    if np.any(errors > EQUIV_TOL):
+        i = int(np.argmax(errors > EQUIV_TOL))
+        raise InterpolationIllConditioned(
+            f"node {i} maps with error {errors[i]:.3g}, beyond {EQUIV_TOL:g}"
+        )
     return phi
 
 
@@ -672,8 +673,7 @@ def center_separate(
             for _ in range(n - 1)
         )
         phi = BundlePushAut(QPolyMap(n, u, r_fns, zero_logs))
-        moved = [phi.apply(p) for p in d.points]
-        stuck = _central_pairs(moved, n)
+        stuck = _central_pairs(phi.apply_batch(d.array), n)
         if not stuck:
             return phi, Verdict.consistent(
                 f"central pairs separated after {attempt} attempt(s)"

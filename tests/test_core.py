@@ -4,13 +4,14 @@ height reduction, matrix validation, and serialization."""
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamelab import core
+from tamelab import cli, core
 from tamelab.errors import (
     DeterminantError,
     DimensionMismatch,
@@ -387,6 +388,17 @@ class TestBatchedValidation:
         # every error class this ambient can raise, and clean prefixes
         assert len(seen) == 3 + (ambient.kind != "cn")
 
+    def test_determinant_tolerance_scales_with_the_column_norms(self):
+        eye = np.eye(2, dtype=np.complex128)
+        near = np.diag([1.0 + 5e-10, 1.0]).astype(np.complex128)
+        off = np.diag([1.0 + 2e-9, 1.0]).astype(np.complex128)
+        big = np.array([[1e3, 1e3], [0.0, (1.0 + 5e-8) / 1e3]], dtype=np.complex128)
+        assert len(core.DiscreteSequence(core.sln(2), (eye, near, big))) == 3
+        with pytest.raises(DeterminantError, match="differs from 1 by 2e-09"):
+            core.DiscreteSequence(core.sln(2), (eye, big, off))
+        with pytest.raises(DeterminantError, match="allowed 1e-09"):
+            core.DiscreteSequence(core.sln(2), (big, off, 2 * eye))
+
     def test_duplicates_name_the_earlier_and_later_point(self):
         for pts, pair in (([[1, 0], [2, 0], [1, 0], [2, 0]], (0, 2)),
                           ([[1, 0], [2, 0], [3, 0], [2, 0], [1, -0.0]], (1, 3)),
@@ -496,10 +508,28 @@ class TestSequenceDocuments:
         with pytest.raises(ValueError, match="point contains non-finite entries"):
             core.DiscreteSequence.from_json(obj)
 
-    def test_three_entry_pairs_read_as_before(self):
-        obj = {"ambient": "cn", "n": 2, "points": [[[1, 2, 5], [0, 3, 1]], [[2, 0, 7], [0, 0, 1]]]}
-        d = core.DiscreteSequence.from_json(obj)
-        assert np.array_equal(d.array, np.array(_from_json_points_reference(obj)))
+    def test_three_entry_pairs_are_rejected(self):
+        for points in ([[[1, 2, 5], [0, 3, 1]], [[2, 0, 7], [0, 0, 1]]],
+                       [[[1, 2], [0, 3]], [[2, 0, 7], [0, 0, 1], [1, 1, 1]]]):
+            obj = {"ambient": "cn", "n": 2, "points": points}
+            with pytest.raises(ValueError, match=r"written as a pair \[re, im\]"):
+                core.DiscreteSequence.from_json(obj)
+
+    def test_load_sequence_reads_command_outputs(self, tmp_path):
+        home = os.getcwd()
+        os.chdir(tmp_path)
+        try:
+            assert cli.main(["gen", "wellplaced2", "--k", "5", "--out", "gen.out"]) == 0
+            assert cli.main(["transform", "lambda-rescale", "gen.out", "--out", "tr.out"]) == 0
+        finally:
+            os.chdir(home)
+        for name in ("gen.out", "tr.out"):
+            with open(tmp_path / name, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            d = core.load_sequence(tmp_path / name)
+            want = core.DiscreteSequence.from_json(doc["sequence"])
+            assert d.ambient == want.ambient == core.sln(2)
+            assert len(d) == 5 and np.array_equal(d.array, want.array)
 
     def test_empty_point_list_is_an_empty_prefix(self):
         for amb, n in (("cn", 2), ("sln", 2)):

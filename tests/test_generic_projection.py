@@ -18,6 +18,7 @@ from tamelab.errors import (
     SearchExhausted,
     ZeroVector,
 )
+from tamelab.rng import stream
 
 
 def _sampler(seed: int, counter: int = 0) -> gp.HaarSampler:
@@ -387,6 +388,20 @@ class TestOmegaCheck:
         report = gp.omega_check(d, 100, _sampler(1), max_fiber=1)
         assert report.fraction == 0.0
         assert "fiber of size 2" in report.failures[0][1]
+
+    def test_gap_blocks_leave_the_report_unchanged(self, monkeypatch):
+        rng = stream(21, "omega-blocks")
+        x = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=np.complex128)
+        pts = [x, -x]
+        for _ in range(10):
+            a, b, c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            pts.append(np.array([[a, c], [b, (1.0 + b * c) / a]]))
+        d = DiscreteSequence(sln(2), tuple(pts))
+        want = gp.omega_check(d, 60, _sampler(3), min_gap=2.0)
+        assert 0.0 < want.fraction < 1.0
+        for cap in (1, 50, 700):
+            monkeypatch.setattr(gp, "_PAIR_TABLE_ENTRIES", cap)
+            assert gp.omega_check(d, 60, _sampler(3), min_gap=2.0) == want
 
     def test_input_validation(self):
         with pytest.raises(AmbientMismatch):
