@@ -104,14 +104,7 @@ class RunConfig:
         return self.seed
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "det_tol": self.det_tol,
-            "min_gap": self.min_gap,
-            "distinct_tol": self.distinct_tol,
-            "samples": self.samples,
-            "out": self.out,
-        }
+        return {key: getattr(self, key) for key in (*_CONFIG_KEYS, "out")}
 
 
 def _load_config_file(path: str) -> dict:
@@ -143,11 +136,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "samples", None) is not None:
         values["samples"] = args.samples
     return RunConfig(
-        seed=values.get("seed"),
-        det_tol=values.get("det_tol", DET_TOL),
-        min_gap=values.get("min_gap", MIN_GAP),
-        distinct_tol=values.get("distinct_tol", DISTINCT_TOL),
-        samples=values.get("samples", 2000),
+        **values,
         out=getattr(args, "out", None),
         emit_json=bool(getattr(args, "emit_json", False)),
     )
@@ -462,82 +451,59 @@ def _cmd_transform(args: argparse.Namespace, cfg: RunConfig) -> int:
     return _verdict_exit(verdict)
 
 
+def _mc_measure(args, cfg: RunConfig, seed: int):
+    scales = [float(s) for s in str(args.R).split(",") if s]
+    if not scales or any(r <= 0 for r in scales):
+        raise BadParams(f"--R needs positive scales, got {args.R!r}")
+    rows = []
+    for scale in scales:
+        v = np.diag([scale, 1.0 / scale]).astype(np.complex128)
+        est = measure_estimate(
+            v, args.r, cfg.samples, HaarSampler(2, seed), action=args.twist
+        )
+        rows.append(mc_report_row(args.twist, v, args.r, est))
+    csv_text = _measure_csv(rows)
+    return {"rows": rows}, csv_text.splitlines(), None if cfg.emit_json else csv_text
+
+
+def _mc_g(args, cfg: RunConfig, seed: int):
+    est = g_estimate(args.r, args.probes, cfg.samples, HaarSampler(2, seed), action=args.twist)
+    human = [f"g({_float_text(args.r)}) = {_float_text(est.estimate)}"]
+    return {"r": args.r, "estimate": est.to_json()}, human, None
+
+
+def _mc_threshold(args, cfg: RunConfig, seed: int):
+    th = threshold_estimate(
+        args.levels, samples_per_level=cfg.samples, sphere_probes=args.probes, seed=seed
+    )
+    human = [
+        f"R[{i + 1}] = {_float_text(r)}  (budget {_float_text(b)})"
+        for i, (r, b) in enumerate(zip(th.rhat, th.delta))
+    ]
+    return {"threshold": th.to_json()}, human, None
+
+
+def _mc_omega(args, cfg: RunConfig, seed: int):
+    if not args.seq:
+        raise BadParams("mc omega needs --seq FILE")
+    d = _load_sequence(args.seq)
+    report = omega_check(
+        d, cfg.samples, HaarSampler(2, seed), min_gap=cfg.min_gap, max_fiber=args.max_fiber
+    )
+    human = [f"omega fraction {_float_text(report.fraction)}"]
+    return {"omega": report.to_json()}, human, None
+
+
+# mc action -> runner returning (document fields, human lines, file text)
+_MC = {"measure": _mc_measure, "g": _mc_g, "threshold": _mc_threshold, "omega": _mc_omega}
+
+
 def _cmd_mc(args: argparse.Namespace, cfg: RunConfig) -> int:
     seed = cfg.require_seed()
-    if args.twist not in ACTIONS:
-        raise BadParams(f"twist must be one of {ACTIONS}")
-    if args.action == "measure":
-        scales = [float(s) for s in str(args.R).split(",") if s]
-        if not scales or any(r <= 0 for r in scales):
-            raise BadParams(f"--R needs positive scales, got {args.R!r}")
-        rows = []
-        for scale in scales:
-            v = np.diag([scale, 1.0 / scale]).astype(np.complex128)
-            est = measure_estimate(
-                v, args.r, cfg.samples, HaarSampler(2, seed), action=args.twist
-            )
-            rows.append(mc_report_row(args.twist, v, args.r, est))
-        doc = {
-            "command": "mc",
-            "action": "measure",
-            "config": cfg.to_json(),
-            "rows": rows,
-        }
-        csv_text = _measure_csv(rows)
-        _finish(cfg, doc, csv_text.splitlines(), None if cfg.emit_json else csv_text)
-        return 0
-    if args.action == "g":
-        est = g_estimate(
-            args.r, args.probes, cfg.samples, HaarSampler(2, seed), action=args.twist
-        )
-        doc = {
-            "command": "mc",
-            "action": "g",
-            "config": cfg.to_json(),
-            "r": args.r,
-            "estimate": est.to_json(),
-        }
-        _finish(cfg, doc, [f"g({_float_text(args.r)}) = {_float_text(est.estimate)}"])
-        return 0
-    if args.action == "threshold":
-        th = threshold_estimate(
-            args.levels,
-            samples_per_level=cfg.samples,
-            sphere_probes=args.probes,
-            seed=seed,
-        )
-        doc = {
-            "command": "mc",
-            "action": "threshold",
-            "config": cfg.to_json(),
-            "threshold": th.to_json(),
-        }
-        human = [
-            f"R[{i + 1}] = {_float_text(r)}  (budget {_float_text(b)})"
-            for i, (r, b) in enumerate(zip(th.rhat, th.delta))
-        ]
-        _finish(cfg, doc, human)
-        return 0
-    if args.action == "omega":
-        if not args.seq:
-            raise BadParams("mc omega needs --seq FILE")
-        d = _load_sequence(args.seq)
-        report = omega_check(
-            d,
-            cfg.samples,
-            HaarSampler(2, seed),
-            min_gap=cfg.min_gap,
-            max_fiber=args.max_fiber,
-        )
-        doc = {
-            "command": "mc",
-            "action": "omega",
-            "config": cfg.to_json(),
-            "omega": report.to_json(),
-        }
-        _finish(cfg, doc, [f"omega fraction {_float_text(report.fraction)}"])
-        return 0
-    raise BadParams(f"unknown mc action {args.action!r}")
+    fields, human, file_text = _MC[args.action](args, cfg, seed)
+    doc = {"command": "mc", "action": args.action, "config": cfg.to_json(), **fields}
+    _finish(cfg, doc, human, file_text)
+    return 0
 
 
 def _violated_inside(doc) -> bool:
@@ -679,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     tra.add_argument("--max-fiber", type=int, default=MAX_FIBER)
 
     mc = sub.add_parser("mc", parents=[common], help="seeded Monte-Carlo estimates")
-    mc.add_argument("action", choices=("measure", "g", "threshold", "omega"))
+    mc.add_argument("action", choices=tuple(_MC))
     mc.add_argument("--R", default="10,100,1000", help="comma-separated scales")
     mc.add_argument("--r", type=float, default=1.0, help="event radius")
     mc.add_argument("--samples", type=int, help="draw count")

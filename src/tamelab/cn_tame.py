@@ -99,9 +99,6 @@ class Polynomial:
         """The polynomial t -> self(s * t)."""
         return Polynomial(tuple(c * s**k for k, c in enumerate(self.coeffs)))
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
     def to_json(self) -> dict:
         return {"kind": "poly", "coeffs": [_pair(c) for c in self.coeffs]}
 

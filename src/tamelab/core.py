@@ -28,6 +28,7 @@ from .errors import (
     AmbientMismatch,
     DeterminantError,
     DimensionMismatch,
+    MalformedDocument,
     PointOutsideAmbient,
     UnsupportedPair,
 )
@@ -65,14 +66,6 @@ class AmbientSpace:
     @property
     def is_matrix(self) -> bool:
         return self.kind == "sln"
-
-    def default_exhaustion(self) -> str:
-        return {
-            "cn": EUCLIDEAN_NORM,
-            "punctured-cn": PUNCTURED_TAU,
-            "disc-plane": DISC_PLANE_TAU,
-            "sln": MAX_COLUMN_NORM,
-        }[self.kind]
 
 
 def cn(n: int) -> AmbientSpace:
@@ -236,7 +229,10 @@ class GeneratorInfo:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GeneratorInfo":
-        return cls.of(obj["family"], **obj.get("params", {}))
+        params = obj.get("params", {}) if isinstance(obj, dict) else None
+        if not isinstance(params, dict) or not isinstance(obj.get("family"), str):
+            raise MalformedDocument("field 'generator' of the sequence document is malformed")
+        return cls.of(obj["family"], **params)
 
 
 def _flat(p: np.ndarray) -> np.ndarray:
@@ -342,14 +338,21 @@ class DiscreteSequence:
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteSequence":
         """A sequence document, or a command output holding one as `sequence`."""
+        if not isinstance(obj, dict):
+            raise MalformedDocument("a sequence document is a JSON object")
         if "ambient" not in obj and isinstance(obj.get("sequence"), dict):
             obj = obj["sequence"]
-        ambient = AmbientSpace(obj["ambient"], int(obj["n"]))
-        points = _unpair_points(obj["points"])
+        field = {key: obj.get(key) for key in ("ambient", "n", "points")}
+        if isinstance(field["n"], float) and field["n"].is_integer():
+            field["n"] = int(field["n"])
+        for key, kind in (("ambient", str), ("n", int), ("points", list)):
+            if not isinstance(field[key], kind) or isinstance(field[key], bool):
+                state = "missing" if key not in obj else "malformed"
+                raise MalformedDocument(f"field {key!r} of the sequence document is {state}")
         gen = obj.get("generator")
         return cls(
-            ambient,
-            points,
+            AmbientSpace(field["ambient"], field["n"]),
+            _unpair_points(field["points"]),
             GeneratorInfo.from_json(gen) if gen is not None else None,
         )
 

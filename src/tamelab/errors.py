@@ -124,6 +124,10 @@ class UnknownFamily(TamelabError):
     """The requested generator family does not exist."""
 
 
+class MalformedDocument(TamelabError):
+    """A sequence document lacks a field or holds one of the wrong type."""
+
+
 class BadParams(TamelabError):
     """Parameters passed to a generator or command are invalid."""
 

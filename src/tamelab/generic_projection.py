@@ -441,19 +441,23 @@ class OmegaReport:
         }
 
 
-def _central_ratio_table(points: np.ndarray) -> np.ndarray:
-    """Pair table: does x_i^(-1) x_j lie in the center {I, -I}."""
-    m = len(points)
-    table = np.zeros((m, m), dtype=bool)
+def _central_ratios(points: np.ndarray, i: int, js: np.ndarray) -> np.ndarray:
+    """Whether x_i^(-1) x_j lies in the center {I, -I}, for each j in js."""
+    a, c = points[i, 0, 0], points[i, 0, 1]
+    b, d = points[i, 1, 0], points[i, 1, 1]
+    ratios = np.array([[d, -c], [-b, a]]) @ points[js]
     eye = np.eye(2)
-    for i in range(m):
-        a, c = points[i, 0, 0], points[i, 0, 1]
-        b, d = points[i, 1, 0], points[i, 1, 1]
-        ratios = np.array([[d, -c], [-b, a]]) @ points
-        plus = np.max(np.abs(ratios - eye), axis=(1, 2))
-        minus = np.max(np.abs(ratios + eye), axis=(1, 2))
-        table[i] = np.minimum(plus, minus) <= CENTRAL_RATIO_TOL
-    return table
+    plus = np.max(np.abs(ratios - eye), axis=(1, 2))
+    minus = np.max(np.abs(ratios + eye), axis=(1, 2))
+    return np.minimum(plus, minus) <= CENTRAL_RATIO_TOL
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving its path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _close_samples(images: np.ndarray, min_gap: float) -> np.ndarray:
@@ -502,7 +506,6 @@ def omega_check(
         raise ValueError("need at least one sampled twist")
     points = d.array
     m = len(points)
-    central = _central_ratio_table(points)
     ks = haar_su_batch(sampler, k_samples)
     chart = InvariantEmbedding()
     images = np.empty((k_samples, m, 4), dtype=np.complex128)
@@ -512,24 +515,24 @@ def omega_check(
     failures: list[tuple[int, str]] = []
     for t in _close_samples(images, min_gap):
         reason = None
-        labels = list(range(m))
+        # union-find: each merge files j's class under the root of i's
+        parent = list(range(m))
         for i in range(m):
             gaps = np.linalg.norm(images[t, i] - images[t, i + 1 :], axis=-1)
-            for j in (i + 1 + np.flatnonzero(~(gaps >= min_gap))).tolist():
-                if not central[i, j]:
-                    reason = (
-                        f"images {i} and {j} collide but the point ratio "
-                        "is not central"
-                    )
-                    break
-                root = labels[i]
-                labels = [root if lab == labels[j] else lab for lab in labels]
-            if reason is not None:
+            js = i + 1 + np.flatnonzero(~(gaps >= min_gap))
+            if not js.size:
+                continue
+            central = _central_ratios(points, i, js)
+            if not central.all():
+                j = js[np.argmin(central)]
+                reason = f"images {i} and {j} collide but the point ratio is not central"
                 break
+            for j in js.tolist():
+                parent[_find(parent, j)] = _find(parent, i)
         if reason is None:
             classes: dict[bytes, list[int]] = {}
-            for i, lab in enumerate(labels):
-                classes.setdefault(f"class-{lab}".encode(), []).append(i)
+            for i in range(m):
+                classes.setdefault(f"class-{_find(parent, i)}".encode(), []).append(i)
             verdict = properness_check(
                 list(images[t]),
                 min_gap=min_gap,

@@ -161,6 +161,8 @@ def overshear_apply(s: OvershearSpec, m) -> np.ndarray:
     literally, with no cancellation.
     """
     m = sl_matrix(m)
+    if m.shape != (2, 2):
+        raise AmbientMismatch(f"overshears act on SL(2), not on {len(m)}x{len(m)} matrices")
     a, c = m[0, 0], m[0, 1]
     b, d = m[1, 0], m[1, 1]
     lam = s.lambda_at(a, b)

@@ -23,6 +23,7 @@ from .core import (
     DiscreteSequence,
     IdentityAut,
     Verdict,
+    _PAIR_TABLE_ENTRIES,
     _close_pair_scan,
     _row_norms,
     max_norm_distance,
@@ -634,18 +635,41 @@ def one_param_check(
     raise UnsupportedPair("unknown subgroup declaration")
 
 
-def _central_pairs(points, n: int) -> list[tuple[int, int]]:
+def _central_pairs(points: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """The pairs i < j, in lexicographic order, with max|Q - wI| at most
+    CENTER_TOL for Q = np.linalg.solve(p_i, p_j) and some w^n = 1.
+    Blocks of rows near `_PAIR_TABLE_ENTRIES` entries pass a prefilter;
+    one batched solve per block decides, rounding as single solves do."""
+    m = len(points)
     roots = np.exp(2j * np.pi * np.arange(n) / n)
-    eye = np.eye(n)
-    hits = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            quotient = np.linalg.solve(points[i], points[j])
-            best = min(
-                float(np.max(np.abs(quotient - w * eye))) for w in roots
-            )
-            if best <= CENTER_TOL:
-                hits.append((i, j))
+    # p_j - w p_i = p_i (Q - wI) + p_i (Q_exact - Q): each entry is at most
+    # n max|p_i| (CENTER_TOL + max|Q_exact - Q|) at a hit.  The solve errs
+    # by a modest multiple of n eps cond(p_i), and det p_i = 1 gives
+    # cond(p_i) <= |p_i|_F^n; 64 n^2 eps |p_i|_F^n covers that multiple
+    # and the rounding of p_j - w p_i.
+    slack = 64 * n**2 * np.finfo(float).eps * _row_norms(points) ** n
+    entries = np.ascontiguousarray(points.reshape(m, n * n).T)
+    bound = n * np.max(np.abs(entries), axis=0) * (CENTER_TOL + slack)
+    step = max(1, _PAIR_TABLE_ENTRIES // max(1, entries.size))
+    hits: list[tuple[int, int]] = []
+    for lo in range(0, m - 1, step):
+        rows = np.arange(lo, min(lo + step, m))[:, None]
+        keep = np.zeros((len(rows), m - lo - 1), dtype=bool)
+        for w in roots:
+            # the largest entry gap, an entry at a time so tables stay small
+            wb = w * entries[:, rows]
+            gap = np.abs(entries[0, lo + 1 :] - wb[0])
+            for e in range(1, n * n):
+                np.maximum(gap, np.abs(entries[e, lo + 1 :] - wb[e]), out=gap)
+            keep |= ~(gap > bound[rows])
+        i, j = np.nonzero(keep & (np.arange(lo + 1, m) > rows))
+        if not i.size:
+            continue
+        i, j = i + lo, j + lo + 1
+        quotient = np.linalg.solve(points[i], points[j])
+        devs = [np.max(np.abs(quotient - w * np.eye(n)), axis=(1, 2)) for w in roots]
+        ok = np.min(devs, axis=0) <= CENTER_TOL
+        hits.extend(zip(i[ok].tolist(), j[ok].tolist()))
     return hits
 
 
@@ -657,7 +681,7 @@ def center_separate(
     if d.ambient.kind != "sln":
         raise AmbientMismatch("center separation applies to the matrix ambient")
     n = d.ambient.n
-    pairs = _central_pairs(d.points, n)
+    pairs = _central_pairs(d.array, n)
     if not pairs:
         return IdentityAut(), Verdict.certified(
             "no-central-pairs",

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tamelab import cli, core
 from tamelab.core import DiscreteSequence, cn, sln
+from tamelab.errors import MalformedDocument
 from tamelab.generic_projection import MC_CSV_COLUMNS, threshold_estimate
 
 
@@ -355,6 +356,14 @@ class TestTransform:
         assert run("transform", "overshear", path, "--lambda", "1+a") == 1
         assert "modulus 0" in capsys.readouterr().err
 
+    def test_overshears_refuse_sl3_before_moving(self, tmp_path, capsys):
+        path = str(tmp_path / "sl3.json")
+        core.save_sequence(DiscreteSequence(sln(3), (np.eye(3, dtype=complex),)), path)
+        out = tmp_path / "ov.json"
+        assert run("transform", "overshears", path, "--out", str(out)) == 1
+        assert "error: overshears act on SL(2), not on 3x3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_union_decompose_partitions(self, tmp_path):
         path = gen(tmp_path, "wellplaced2", "--k", "20")
         out = str(tmp_path / "parts.json")
@@ -596,6 +605,43 @@ class TestExitCodeContract:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["family"] == "diagtorus"
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[1, 2]", "JSON object"),
+            ('{"ambient": "cn", "n": 1e400, "points": []}', "'n'"),
+            ('{"ambient": "sln", "n": 2}', "'points'"),
+        ],
+    )
+    def test_typed_error_names_the_field(self, tmp_path, capsys, text, field):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert run("check", "wellplaced", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"ambient": 2, "n": 2, "points": []},
+            {"ambient": "cn", "n": "2", "points": []},
+            {"ambient": "cn", "n": True, "points": []},
+            {"ambient": "cn", "n": 2, "points": {}},
+            {"ambient": "cn", "n": 2, "points": [], "generator": {"params": {}}},
+            {"ambient": "cn", "n": 2, "points": [], "generator": []},
+        ],
+    )
+    def test_loader_raises_malformed_document(self, doc):
+        with pytest.raises(MalformedDocument):
+            DiscreteSequence.from_json(doc)
+
+    def test_integral_float_dimension_still_reads(self):
+        seq = DiscreteSequence.from_json({"ambient": "cn", "n": 2.0, "points": []})
+        assert seq.ambient == cn(2)
 
 
 class TestReportKeepsNegativeZero:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamelab import generic_projection as gp
-from tamelab.core import DiscreteSequence, GeneratorInfo, cn, sln
+from tamelab.core import DiscreteSequence, GeneratorInfo, cn, properness_check, sln
 from tamelab.errors import (
     AmbientMismatch,
     DimensionMismatch,
@@ -348,6 +348,52 @@ class TestThresholdSearch:
             gp.threshold_estimate(1, samples_per_level=0)
 
 
+def _omega_failures_loop(d, k_samples, sampler, min_gap, max_fiber=gp.MAX_FIBER):
+    """Reference: the m x m central-ratio table and the relabelling after
+    each close pair that union-find and the lazy ratio test replace."""
+    points = d.array
+    m = len(points)
+    central = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        a, c = points[i, 0, 0], points[i, 0, 1]
+        b, e = points[i, 1, 0], points[i, 1, 1]
+        ratios = np.array([[e, -c], [-b, a]]) @ points
+        plus = np.max(np.abs(ratios - np.eye(2)), axis=(1, 2))
+        minus = np.max(np.abs(ratios + np.eye(2)), axis=(1, 2))
+        central[i] = np.minimum(plus, minus) <= gp.CENTRAL_RATIO_TOL
+    ks = gp.haar_su_batch(sampler, k_samples)
+    images = np.empty((k_samples, m, 4), dtype=np.complex128)
+    for i in range(m):
+        moved = np.einsum("kji,jl,klm->kim", ks.conj(), points[i], ks)
+        images[:, i, :] = gp.InvariantEmbedding().embed_batch(moved)
+    failures = []
+    for t in range(k_samples):
+        reason = None
+        labels = list(range(m))
+        for i in range(m):
+            gaps = np.linalg.norm(images[t, i] - images[t, i + 1 :], axis=-1)
+            for j in (i + 1 + np.flatnonzero(~(gaps >= min_gap))).tolist():
+                if not central[i, j]:
+                    reason = f"images {i} and {j} collide but the point ratio is not central"
+                    break
+                root = labels[i]
+                labels = [root if lab == labels[j] else lab for lab in labels]
+            if reason is not None:
+                break
+        if reason is None:
+            classes = {}
+            for i, lab in enumerate(labels):
+                classes.setdefault(f"class-{lab}".encode(), []).append(i)
+            verdict = properness_check(
+                list(images[t]), min_gap=min_gap, max_fiber=max_fiber, fiber_keys=classes
+            )
+            if verdict.is_violated:
+                reason = verdict.detail
+        if reason is not None:
+            failures.append((t, reason))
+    return tuple(failures)
+
+
 class TestOmegaCheck:
     def test_diagonal_tower_passes(self):
         pts = tuple(_diag(float(2**j)) for j in range(1, 9))
@@ -402,6 +448,33 @@ class TestOmegaCheck:
         for cap in (1, 50, 700):
             monkeypatch.setattr(gp, "_PAIR_TABLE_ENTRIES", cap)
             assert gp.omega_check(d, 60, _sampler(3), min_gap=2.0) == want
+
+    @pytest.mark.parametrize("cap", [1, 50, None])
+    def test_matches_relabelling_loop(self, monkeypatch, cap):
+        # central pairs, chains of them and near-coset pairs under a wide
+        # gap, so classes merge across rows and some twists fail
+        if cap is not None:
+            monkeypatch.setattr(gp, "_PAIR_TABLE_ENTRIES", cap)
+        rng = stream(23, "omega-union-find")
+        failed = passed = 0
+        for trial in range(12):
+            pts = []
+            for _ in range(int(rng.integers(2, 9))):
+                a, b, c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                x = np.array([[a, c], [b, (1.0 + b * c) / a]])
+                pts.append(x)
+                if rng.uniform() < 0.5:
+                    pts.append(-x)
+                if rng.uniform() < 0.2:
+                    pts.append(x @ np.diag([1.0 + 1e-7, 1.0 / (1.0 + 1e-7)]))
+            order = rng.permutation(len(pts))
+            d = DiscreteSequence(sln(2), tuple(pts[k] for k in order))
+            gap = [1e-6, 0.5, 2.0][trial % 3]
+            report = gp.omega_check(d, 40, _sampler(trial), min_gap=gap, max_fiber=2)
+            assert report.failures == _omega_failures_loop(d, 40, _sampler(trial), gap, 2)
+            failed += len(report.failures)
+            passed += 40 - len(report.failures)
+        assert failed and passed
 
     def test_input_validation(self):
         with pytest.raises(AmbientMismatch):

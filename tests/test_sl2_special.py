@@ -17,6 +17,7 @@ from tamelab.core import (
     sln,
 )
 from tamelab.errors import (
+    AmbientMismatch,
     EmptyResult,
     InconsistentFiber,
     LambdaVanishes,
@@ -83,6 +84,10 @@ class TestOvershearApply:
         wall = sl2.overshear_apply(_linear_shear(), [[0.0, -1.0], [1.0, 0.0]])
         near = sl2.overshear_apply(_linear_shear(), [[1e-6, -1.0], [1.0, 0.0]])
         assert abs(near[1, 1] - wall[1, 1]) < 1e-4
+
+    def test_larger_matrices_are_refused(self):
+        with pytest.raises(AmbientMismatch, match="overshears act on SL\\(2\\)"):
+            sl2.overshear_apply(_linear_shear(), np.eye(3))
 
     def test_first_column_fixed_exactly(self):
         m = np.array([[0.3 + 0.1j, 1.0], [0.25j, (1.0 + 0.25j) / (0.3 + 0.1j)]])

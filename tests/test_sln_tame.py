@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamelab import sln_tame
+from tamelab.cn_tame import Polynomial
 from tamelab.core import (
     CERTIFIED,
     CONSISTENT,
@@ -32,7 +33,8 @@ from tamelab.errors import (
     NotOnSubgroup,
     ProductNotOne,
 )
-from tamelab.pi_tame import BundlePushAut
+from tamelab.pi_tame import BundlePushAut, QPolyMap
+from tamelab.rng import stream
 
 
 def _family(k: int) -> np.ndarray:
@@ -358,3 +360,99 @@ class TestCenterSeparate:
         assert verdict.state == VIOLATED
         assert verdict.witness == (0, 1)
         assert isinstance(phi, IdentityAut)
+
+
+def _central_pairs_loop(points, n):
+    """Reference: the pairwise solves the blocked scan replaces."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    eye = np.eye(n)
+    hits = []
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            quotient = np.linalg.solve(points[i], points[j])
+            best = min(
+                float(np.max(np.abs(quotient - w * eye))) for w in roots
+            )
+            if best <= sln_tame.CENTER_TOL:
+                hits.append((i, j))
+    return hits
+
+
+def _gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _random_sl(rng, n, scale):
+    """A point of SL(n) as a product of unit triangular factors, with
+    entries up to about scale**2."""
+    low = np.tril(_gaussian(rng, (n, n)) * scale, -1) + np.eye(n)
+    up = np.triu(_gaussian(rng, (n, n)) * scale, 1) + np.eye(n)
+    return low @ up
+
+
+def _planted_prefix(rng, n, m, scale):
+    """Random SL(n) points, some replaced by p_i (wI + E) with w^n = 1 and
+    max|E| zero or between 0.5 and 1.5 times CENTER_TOL."""
+    pts = np.stack([_random_sl(rng, n, scale) for _ in range(m)])
+    roots = [1.0, -1.0] if n == 2 else np.exp(2j * np.pi * np.arange(n) / n)
+    for _ in range(int(rng.integers(1, m // 2 + 1))):
+        i, j = (int(k) for k in rng.choice(m, 2, replace=False))
+        e = _gaussian(rng, (n, n))
+        size = rng.choice([0.0, rng.uniform(0.5, 1.5)]) * sln_tame.CENTER_TOL
+        e *= size / np.max(np.abs(e))
+        pts[j] = pts[i] @ (roots[int(rng.integers(n))] * np.eye(n) + e)
+    return pts
+
+
+def _random_push(rng, n):
+    r_fns = tuple(Polynomial(tuple(_gaussian(rng, 3))) for _ in range(n - 1))
+    logs = tuple(Polynomial() for _ in range((n - 1) ** 2))
+    return BundlePushAut(QPolyMap(n, _gaussian(rng, n), r_fns, logs))
+
+
+class TestCentralPairs:
+    @pytest.mark.parametrize("cap", [1, 50, None])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_pairwise_solves(self, monkeypatch, n, cap):
+        if cap is not None:
+            monkeypatch.setattr(sln_tame, "_PAIR_TABLE_ENTRIES", cap)
+        rng = stream(17 + n, "central-pairs")
+        found = 0
+        for trial in range(60):
+            m = int(rng.integers(2, 24))
+            pts = _planted_prefix(rng, n, m, [1.0, 10.0, 300.0][trial % 3])
+            expected = _central_pairs_loop(pts, n)
+            assert sln_tame._central_pairs(pts, n) == expected
+            found += len(expected)
+        assert found > 0
+
+    @pytest.mark.parametrize("cap", [1, 50, None])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_on_pushed_prefixes(self, monkeypatch, n, cap):
+        if cap is not None:
+            monkeypatch.setattr(sln_tame, "_PAIR_TABLE_ENTRIES", cap)
+        rng = stream(29 + n, "central-pairs-pushed")
+        for trial in range(20):
+            m = int(rng.integers(2, 24))
+            pts = _planted_prefix(rng, n, m, [1.0, 10.0][trial % 2])
+            moved = _random_push(rng, n).apply_batch(pts)
+            assert sln_tame._central_pairs(moved, n) == _central_pairs_loop(moved, n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_extremal_perturbation_is_kept(self, n):
+        # the first row of p E reaches (1 - 1e-3) n max|p| CENTER_TOL, just
+        # under the prefilter's bound before its rounding slack
+        p = np.eye(n, dtype=np.complex128)
+        p[0] = 1.0
+        e = (1 - 1e-3) * sln_tame.CENTER_TOL * np.ones((n, n))
+        for w in np.exp(2j * np.pi * np.arange(n) / n):
+            pts = np.stack([p, p @ (w * np.eye(n) + e)])
+            assert sln_tame._central_pairs(pts, n) == [(0, 1)]
+            assert _central_pairs_loop(pts, n) == [(0, 1)]
+
+    def test_lexicographic_order_and_small_prefixes(self):
+        eye = np.eye(2, dtype=np.complex128)
+        pts = np.stack([eye, np.diag([2.0, 0.5]) + 0j, -eye, eye])
+        assert sln_tame._central_pairs(pts, 2) == [(0, 2), (0, 3), (2, 3)]
+        assert sln_tame._central_pairs(pts[:1], 2) == []
+        assert sln_tame._central_pairs(pts[:0], 2) == []
