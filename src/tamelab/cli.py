@@ -50,7 +50,7 @@ from .generic_projection import (
     HaarSampler,
     g_estimate,
     mc_report_row,
-    measure_estimate,
+    measure_estimates,
     omega_check,
     threshold_estimate,
 )
@@ -455,13 +455,9 @@ def _mc_measure(args, cfg: RunConfig, seed: int):
     scales = [float(s) for s in str(args.R).split(",") if s]
     if not scales or any(r <= 0 for r in scales):
         raise BadParams(f"--R needs positive scales, got {args.R!r}")
-    rows = []
-    for scale in scales:
-        v = np.diag([scale, 1.0 / scale]).astype(np.complex128)
-        est = measure_estimate(
-            v, args.r, cfg.samples, HaarSampler(2, seed), action=args.twist
-        )
-        rows.append(mc_report_row(args.twist, v, args.r, est))
+    vs = [np.diag([scale, 1.0 / scale]).astype(np.complex128) for scale in scales]
+    ests = measure_estimates(vs, args.r, cfg.samples, HaarSampler(2, seed), action=args.twist)
+    rows = [mc_report_row(args.twist, v, args.r, est) for v, est in zip(vs, ests)]
     csv_text = _measure_csv(rows)
     return {"rows": rows}, csv_text.splitlines(), None if cfg.emit_json else csv_text
 

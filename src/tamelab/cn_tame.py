@@ -95,10 +95,6 @@ class Polynomial:
                 out[i + j] += a * b
         return Polynomial(tuple(out))
 
-    def scale_argument(self, s: complex) -> "Polynomial":
-        """The polynomial t -> self(s * t)."""
-        return Polynomial(tuple(c * s**k for k, c in enumerate(self.coeffs)))
-
     def to_json(self) -> dict:
         return {"kind": "poly", "coeffs": [_pair(c) for c in self.coeffs]}
 

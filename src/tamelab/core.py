@@ -349,6 +349,10 @@ class DiscreteSequence:
             if not isinstance(field[key], kind) or isinstance(field[key], bool):
                 state = "missing" if key not in obj else "malformed"
                 raise MalformedDocument(f"field {key!r} of the sequence document is {state}")
+        # numpy must be able to shape one point: n (or n^2) complex entries in an array
+        entries = max(field["n"], 0) ** (2 if field["ambient"] == "sln" else 1)
+        if entries * np.dtype(np.complex128).itemsize > np.iinfo(np.intp).max:
+            raise MalformedDocument("field 'n' of the sequence document is too large")
         gen = obj.get("generator")
         return cls(
             AmbientSpace(field["ambient"], field["n"]),

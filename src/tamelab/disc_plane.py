@@ -30,17 +30,8 @@ from .core import (
     group_fibers,
 )
 from .errors import AmbientMismatch, InconclusivePrefix, PointOutsideAmbient, ZeroPoint
-from .rng import stream
 
 ALPHA_MARGIN = 1e-12
-
-_FIT_SAMPLES = 4096
-_FIT_DEGREE_CAP = 512
-# The fit ring must clear the evaluation disc for Taylor decay, yet stay
-# small enough that exp(logf) does not blow up the FFT's dynamic range.
-_FIT_RING_CAP = 1.075
-_EVAL_RADIUS = 1.0 - 1e-3
-_RESIDUAL_SEED = 31
 
 
 @dataclass(frozen=True)
@@ -57,10 +48,6 @@ class MoebiusDisc:
             raise PointOutsideAmbient(
                 f"|alpha| = {abs(self.alpha):.6g} is not inside the unit disc"
             )
-
-    @property
-    def is_identity(self) -> bool:
-        return self.theta == 0.0 and self.alpha == 0j
 
     def matrix(self) -> np.ndarray:
         ph = cmath.exp(1j * self.theta)
@@ -106,10 +93,6 @@ class DiscPlaneAut(Automorphism):
     def identity(cls) -> "DiscPlaneAut":
         return cls(MoebiusDisc(), Polynomial(), Polynomial())
 
-    @property
-    def is_plain_identity(self) -> bool:
-        return self.phi.is_identity and self.logf.is_zero and self.g.is_zero
-
     def multiplier(self, z):
         return np.exp(self.logf(z))
 
@@ -128,105 +111,6 @@ class DiscPlaneAut(Automorphism):
             "logf": self.logf.to_json(),
             "g": self.g.to_json(),
         }
-
-
-def _taylor_fit(fn, pole_radius: float) -> Polynomial:
-    """Taylor polynomial of a function holomorphic on |z| < pole_radius (> 1),
-    fitted by FFT on a ring between the evaluation disc and the singularity."""
-    rc = min(0.5 * (1.0 + pole_radius), _FIT_RING_CAP)
-    ring = rc * np.exp(2j * np.pi * np.arange(_FIT_SAMPLES) / _FIT_SAMPLES)
-    vals = np.asarray(fn(ring), dtype=np.complex128)
-    coeffs = np.fft.fft(vals) / _FIT_SAMPLES
-    coeffs = coeffs[: _FIT_DEGREE_CAP + 1] / rc ** np.arange(_FIT_DEGREE_CAP + 1)
-    top = float(np.max(np.abs(coeffs)))
-    if top > 0.0:
-        coeffs[np.abs(coeffs) < 1e-16 * top] = 0.0
-    return Polynomial(tuple(complex(c) for c in coeffs))
-
-
-def _pole_radius(mob: MoebiusDisc) -> float:
-    return math.inf if mob.alpha == 0 else 1.0 / abs(mob.alpha)
-
-
-def _worst_roundtrip(got_fn, want_fn, count: int, label: str) -> float:
-    rng = stream(_RESIDUAL_SEED, label)
-    worst = 0.0
-    for _ in range(count):
-        r = _EVAL_RADIUS * math.sqrt(float(rng.uniform()))
-        z = r * cmath.exp(2j * math.pi * float(rng.uniform()))
-        w = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        p = np.array([z, w], dtype=np.complex128)
-        got = got_fn(p)
-        want = want_fn(p)
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    return worst
-
-
-def dp_compose(a: DiscPlaneAut, b: DiscPlaneAut) -> tuple[DiscPlaneAut, float]:
-    """Composite acting as b first, then a, plus a max residual.
-
-    The Moebius part composes exactly.  The fiber part stays exact when b
-    keeps the base rigidly rotated and either a's multiplier is constant
-    or b adds nothing upstairs; otherwise the fiber data is refitted as
-    polynomials and the worst mismatch over seeded test points on the
-    evaluation disc is reported.
-    """
-    if b.is_plain_identity:
-        return a, 0.0
-    if a.is_plain_identity:
-        return b, 0.0
-    phi_c = a.phi.compose(b.phi)
-    if b.phi.alpha == 0 and (a.logf.degree <= 0 or b.g.is_zero):
-        phase = cmath.exp(1j * b.phi.theta)
-        logf_c = a.logf.scale_argument(phase) + b.logf
-        if b.g.is_zero:
-            g_c = a.g.scale_argument(phase)
-        else:
-            fa = cmath.exp(complex(a.logf.coeffs[0])) if a.logf.coeffs else 1.0
-            g_c = Polynomial((fa,)) * b.g + a.g.scale_argument(phase)
-        return DiscPlaneAut(phi_c, logf_c, g_c), 0.0
-
-    pole = _pole_radius(b.phi)
-    logf_c = _taylor_fit(lambda z: a.logf(b.phi.apply(z)) + b.logf(z), pole)
-    g_c = _taylor_fit(
-        lambda z: np.exp(a.logf(b.phi.apply(z))) * b.g(z) + a.g(b.phi.apply(z)),
-        pole,
-    )
-    comp = DiscPlaneAut(phi_c, logf_c, g_c)
-    residual = _worst_roundtrip(
-        comp.apply, lambda p: a.apply(b.apply(p)), 200, "compose-residual"
-    )
-    return comp, residual
-
-
-def dp_invert(a: DiscPlaneAut) -> tuple[DiscPlaneAut, float]:
-    """Inverse in the same representation: (phi^{-1}, 1/(f o phi^{-1}),
-    -(g o phi^{-1})/(f o phi^{-1})), with the fiber data refitted when the
-    base part genuinely moves points; residual over 1000 roundtrips."""
-    phi_inv = a.phi.inverse()
-    if a.phi.alpha == 0:
-        phase = cmath.exp(-1j * a.phi.theta)
-        logf_i = -a.logf.scale_argument(phase)
-        if a.logf.degree <= 0:
-            fa = cmath.exp(complex(a.logf.coeffs[0])) if a.logf.coeffs else 1.0
-            g_i = Polynomial((-1.0 / fa,)) * a.g.scale_argument(phase)
-            inv = DiscPlaneAut(phi_inv, logf_i, g_i)
-            return inv, 0.0
-        g_i = _taylor_fit(
-            lambda z: -a.g(phase * z) * np.exp(-a.logf(phase * z)), math.inf
-        )
-    else:
-        pole = _pole_radius(phi_inv)
-        logf_i = _taylor_fit(lambda z: -a.logf(phi_inv.apply(z)), pole)
-        g_i = _taylor_fit(
-            lambda z: -a.g(phi_inv.apply(z)) * np.exp(-a.logf(phi_inv.apply(z))),
-            pole,
-        )
-    inv = DiscPlaneAut(phi_inv, logf_i, g_i)
-    residual = _worst_roundtrip(
-        lambda p: inv.apply(a.apply(p)), lambda p: p, 1000, "invert-residual"
-    )
-    return inv, residual
 
 
 def dp_classify(

@@ -111,14 +111,20 @@ class HaarSampler:
 
 
 def haar_su_batch(sampler: HaarSampler, count: int) -> np.ndarray:
-    """Stack of `count` consecutive draws starting at sampler.counter."""
+    """Stack of `count` consecutive draws starting at sampler.counter.
+
+    Each draw is the unitary QR factor of a complex Ginibre matrix,
+    with the phases of R's diagonal moved into Q and the determinant
+    scaled to one (Mezzadri, Notices AMS 54, 2007). For n = 2 that
+    factor has a closed form, evaluated entrywise without LAPACK.
+    """
     if count < 1:
         raise ValueError("batch needs at least one draw")
     n = sampler.n
     u = sampler.raw_uniforms(count)
-    radial = u[:, : n * n]
-    angular = u[:, n * n :]
-    ginibre = np.sqrt(-np.log1p(-radial)) * np.exp(2j * math.pi * angular)
+    ginibre = np.sqrt(-np.log1p(-u[:, : n * n])) * np.exp(2j * math.pi * u[:, n * n :])
+    if n == 2:
+        return _su2_closed_form(ginibre)
     q, r = np.linalg.qr(ginibre.reshape(count, n, n))
     diag = np.diagonal(r, axis1=1, axis2=2)
     mags = np.abs(diag)
@@ -127,6 +133,25 @@ def haar_su_batch(sampler: HaarSampler, count: int) -> np.ndarray:
     det = np.linalg.det(q)
     fix = np.exp(-1j * np.angle(det) / n) / np.abs(det) ** (1.0 / n)
     return q * fix[:, None, None]
+
+
+def _su2_closed_form(ginibre: np.ndarray) -> np.ndarray:
+    """The n = 2 draws from rows (g00, g01, g10, g11) of Ginibre entries.
+
+    The phase-fixed QR factor of G has first column (g00, g10) / norm and
+    second column det(G)/|det(G)| times (-conj(g10), conj(g00)) / norm.
+    Dividing by a square root of that phase gives [[a, -conj(b)], [b,
+    conj(a)]]. A root on the other side of the branch cut gives -U, which
+    is the same twist: every conjugation by it is bit for bit the same.
+    """
+    g00, g01, g10, g11 = ginibre.T
+    norm = np.sqrt(g00.real**2 + g00.imag**2 + g10.real**2 + g10.imag**2)
+    scale = np.exp(-0.5j * np.angle(g00 * g11 - g01 * g10)) / norm
+    a, b = g00 * scale, g10 * scale
+    out = np.empty((len(ginibre), 2, 2), dtype=np.complex128)
+    out[:, 0, 0], out[:, 0, 1] = a, -b.conj()
+    out[:, 1, 0], out[:, 1, 1] = b, a.conj()
+    return out
 
 
 def haar_su(sampler: HaarSampler) -> np.ndarray:
@@ -198,40 +223,77 @@ class MCEstimate:
         }
 
 
-def _tail_norms(
-    v: np.ndarray, samples: int, sampler: HaarSampler, action: str
-) -> np.ndarray:
-    """Embedded-image norms of the moved input, one per sampled twist."""
+def _conjugate(ks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """k^H v k for every k of a (K, 2, 2) stack, as explicit 2 by 2 products."""
+    k00, k01, k10, k11 = ks[:, 0, 0], ks[:, 0, 1], ks[:, 1, 0], ks[:, 1, 1]
+    (v00, v01), (v10, v11) = v
+    w00, w01 = v00 * k00 + v01 * k10, v00 * k01 + v01 * k11
+    w10, w11 = v10 * k00 + v11 * k10, v10 * k01 + v11 * k11
+    h00, h01, h10, h11 = k00.conj(), k01.conj(), k10.conj(), k11.conj()
+    out = np.empty_like(ks)
+    out[:, 0, 0], out[:, 0, 1] = h00 * w00 + h10 * w10, h00 * w01 + h10 * w11
+    out[:, 1, 0], out[:, 1, 1] = h01 * w00 + h11 * w10, h01 * w01 + h11 * w11
+    return out
+
+
+def _probe(v) -> np.ndarray:
+    """A nonzero 2 by 2 matrix or length-4 tuple, as a complex array."""
+    v = np.asarray(v, dtype=np.complex128)
+    if not np.any(v):
+        raise ZeroVector("the probe must be nonzero")
+    if v.shape not in ((2, 2), (4,)):
+        raise DimensionMismatch(
+            f"expected a 2 by 2 matrix or a length-4 tuple, got shape {v.shape}"
+        )
+    return v
+
+
+def _tail_norms(v: np.ndarray, ks: np.ndarray, action: str) -> np.ndarray:
+    """Embedded-image norms of the moved probe, one per twist in ks."""
+    if v.shape == (2, 2):
+        moved = _conjugate(ks, v) if action == "conjugation" else ks @ v
+        return np.linalg.norm(InvariantEmbedding().embed_batch(moved), axis=-1)
+    # A tuple-space point carries no matrix to conjugate, so the twist
+    # acts linearly on the tuple arranged as a 2 by 2 array. Both
+    # arrangements are isometries; the estimate degenerates to an
+    # indicator of the input norm, which is exactly what makes the
+    # event-inclusion inequality sharp here.
+    w = v.reshape(2, 2)
+    if action == "conjugation":
+        moved = _conjugate(ks, w)
+    else:
+        moved = np.einsum("kij,jl,kml->kim", ks, w, ks)
+    return np.linalg.norm(moved.reshape(len(ks), 4), axis=-1)
+
+
+def measure_estimates(
+    vs,
+    r: float,
+    samples: int,
+    sampler: HaarSampler,
+    action: str = "conjugation",
+) -> list[MCEstimate]:
+    """`measure_estimate` for each input, all against one draw window.
+
+    The twists are drawn once and every input is counted against the
+    same ones, so each estimate equals its single-input call.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}; choose from {ACTIONS}")
     if sampler.n != 2:
         raise AmbientMismatch("tail estimates run over SU(2) twists")
-    v = np.asarray(v, dtype=np.complex128)
-    if not np.any(v):
-        raise ZeroVector("the probe must be nonzero")
+    probes = [_probe(v) for v in vs]
     ks = haar_su_batch(sampler, samples)
-    chart = InvariantEmbedding()
-    if v.shape == (2, 2):
-        if action == "conjugation":
-            moved = np.einsum("kji,jl,klm->kim", ks.conj(), v, ks)
-        else:
-            moved = ks @ v
-        return np.linalg.norm(chart.embed_batch(moved), axis=-1)
-    if v.shape == (4,):
-        # A tuple-space point carries no matrix to conjugate, so the
-        # twist acts linearly on the tuple arranged as a 2 by 2 array.
-        # Both arrangements are isometries; the estimate degenerates
-        # to an indicator of the input norm, which is exactly what
-        # makes the event-inclusion inequality sharp here.
-        w = v.reshape(2, 2)
-        if action == "conjugation":
-            moved = np.einsum("kji,jl,klm->kim", ks.conj(), w, ks)
-        else:
-            moved = np.einsum("kij,jl,kml->kim", ks, w, ks)
-        return np.linalg.norm(moved.reshape(samples, 4), axis=-1)
-    raise DimensionMismatch(
-        f"expected a 2 by 2 matrix or a length-4 tuple, got shape {v.shape}"
-    )
+    return [
+        MCEstimate.from_hits(
+            int(np.count_nonzero(_tail_norms(v, ks, action) < float(r))),
+            samples,
+            sampler.seed,
+        )
+        for v in probes
+    ]
 
 
 def measure_estimate(
@@ -250,11 +312,7 @@ def measure_estimate(
     events for growing r nest on a shared sampler, so estimates are
     exactly nondecreasing in r.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    norms = _tail_norms(v, samples, sampler, action)
-    hits = int(np.count_nonzero(norms < float(r)))
-    return MCEstimate.from_hits(hits, samples, sampler.seed)
+    return measure_estimates([v], r, samples, sampler, action)[0]
 
 
 MC_CSV_COLUMNS = ("action", "v_norm", "r", "samples", "seed", "estimate", "stderr")
@@ -390,7 +448,7 @@ def threshold_estimate(
         for j in range(sphere_probes):
             offset = ((level - 1) * sphere_probes + j) * m
             ks = haar_su_batch(base.advanced(offset), m)
-            moved = np.einsum("kji,jl,klm->kim", ks.conj(), probes[j], ks)
+            moved = _conjugate(ks, probes[j])
             unit_norms.append(np.linalg.norm(chart.embed_batch(moved), axis=-1))
         budget = 2.0 ** -(level + 1)
 
@@ -441,11 +499,13 @@ class OmegaReport:
         }
 
 
-def _central_ratios(points: np.ndarray, i: int, js: np.ndarray) -> np.ndarray:
-    """Whether x_i^(-1) x_j lies in the center {I, -I}, for each j in js."""
-    a, c = points[i, 0, 0], points[i, 0, 1]
-    b, d = points[i, 1, 0], points[i, 1, 1]
-    ratios = np.array([[d, -c], [-b, a]]) @ points[js]
+def _central_ratios(points: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Whether x_i^(-1) x_j lies in the center {I, -I}, for each pair (i, j)."""
+    p = points[rows]
+    adj = np.empty_like(p)
+    adj[:, 0, 0], adj[:, 0, 1] = p[:, 1, 1], -p[:, 0, 1]
+    adj[:, 1, 0], adj[:, 1, 1] = -p[:, 1, 0], p[:, 0, 0]
+    ratios = adj @ points[cols]
     eye = np.eye(2)
     plus = np.max(np.abs(ratios - eye), axis=(1, 2))
     minus = np.max(np.abs(ratios + eye), axis=(1, 2))
@@ -460,25 +520,75 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _close_samples(images: np.ndarray, min_gap: float) -> np.ndarray:
-    """The samples of a (k, m, 4) image stack holding two images closer
-    than min_gap. Gaps are taken a block of samples, or of one sample's
-    rows, at a time, so the table stays near `_PAIR_TABLE_ENTRIES`."""
-    k, m, width = images.shape
-    rows = max(1, _PAIR_TABLE_ENTRIES // (m * width))
-    step = max(1, rows // m)
-    cols = np.arange(m)
-    close = np.zeros(k, dtype=bool)
-    for t in range(0, k, step):
-        block = images[t : t + step]
-        for lo in range(0, m, rows):
-            diff = block[:, lo : lo + rows, None, :] - block[:, None, :, :]
-            gaps = np.linalg.norm(diff, axis=-1)
-            upper = cols[None, :] > cols[lo : lo + rows, None]
-            close[t : t + step] |= np.any((gaps < min_gap) & upper, axis=(1, 2))
-            if close[t : t + step].all():
-                break
-    return np.flatnonzero(close)
+def _gap_window(min_gap: float) -> float:
+    """A bound on every real-coordinate difference of two images whose
+    gap, as `np.linalg.norm` computes it, is below min_gap.
+
+    The gap is the rounded root of a sum of eight squares of those
+    differences, each square at most the sum, so the relative slack
+    covers a few roundings; the absolute one covers squares that
+    underflow to zero.
+    """
+    return min_gap * (1.0 + 1e-9) + 1e-150
+
+
+def _maybe_close_samples(images: np.ndarray, min_gap: float) -> np.ndarray:
+    """A superset of the samples of a (k, m, 4) image stack holding two
+    images closer than min_gap.
+
+    Two images that close are within `_gap_window` in every real
+    coordinate, so some neighbours of the sorted coordinate of widest
+    spread are too. Samples with a non-finite image are always kept.
+    """
+    flat = images.view(np.float64)
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    spread = np.where(finite[:, None], np.ptp(flat, axis=1), 0.0)
+    coord = np.argmax(spread, axis=1)
+    x = np.sort(np.take_along_axis(flat, coord[:, None, None], axis=2)[:, :, 0], axis=1)
+    near = np.diff(x, axis=1) <= _gap_window(min_gap)
+    return np.flatnonzero(near.any(axis=1) | ~finite)
+
+
+def _close_pairs(img: np.ndarray, min_gap: float):
+    """Blocks (rows, cols, gaps) of the pairs i < j of one sample's (m, 4)
+    images whose gap is not at least min_gap, in lexicographic order.
+
+    Candidates are the pairs within `_gap_window` on the real coordinate
+    of widest spread, read off a sort of that coordinate; the gap of each
+    candidate, taken as `np.linalg.norm(img[i] - img[j])`, decides. A NaN
+    gap counts as close, so an image with a non-finite entry makes every
+    pair a candidate. A block holds about `_PAIR_TABLE_ENTRIES` candidates.
+    """
+    m = len(img)
+    flat = img.view(np.float64)
+    if np.isfinite(flat).all():
+        x = flat[:, np.argmax(np.ptp(flat, axis=0))]
+        order = np.argsort(x, kind="stable")
+        # the slack on |x| covers the rounding of x -/+ half
+        half = _gap_window(min_gap) + 4.0 * np.finfo(float).eps * np.abs(x)
+        lo = np.searchsorted(x[order], x - half, side="left")
+        hi = np.searchsorted(x[order], x + half, side="right")
+    else:
+        order = np.arange(m)
+        lo, hi = np.arange(1, m + 1), np.full(m, m)
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    start = 0
+    while start < m:
+        base = ends[start] - counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_TABLE_ENTRIES, "right")))
+        c = counts[start:stop]
+        rows = np.repeat(np.arange(start, stop), c)
+        cols = order[lo[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(c) - c, c)]
+        keep = cols > rows
+        rows, cols = rows[keep], cols[keep]
+        ranked = np.lexsort((cols, rows))
+        rows, cols = rows[ranked], cols[ranked]
+        gaps = np.linalg.norm(img[rows] - img[cols], axis=-1)
+        close = ~(gaps >= min_gap)
+        if close.any():
+            yield rows[close], cols[close], gaps[close]
+        start = stop
 
 
 def omega_check(
@@ -510,24 +620,22 @@ def omega_check(
     chart = InvariantEmbedding()
     images = np.empty((k_samples, m, 4), dtype=np.complex128)
     for i in range(m):
-        moved = np.einsum("kji,jl,klm->kim", ks.conj(), points[i], ks)
-        images[:, i, :] = chart.embed_batch(moved)
+        images[:, i, :] = chart.embed_batch(_conjugate(ks, points[i]))
     failures: list[tuple[int, str]] = []
-    for t in _close_samples(images, min_gap):
+    for t in _maybe_close_samples(images, min_gap):
+        if not any((gaps < min_gap).any() for _, _, gaps in _close_pairs(images[t], min_gap)):
+            continue
         reason = None
         # union-find: each merge files j's class under the root of i's
         parent = list(range(m))
-        for i in range(m):
-            gaps = np.linalg.norm(images[t, i] - images[t, i + 1 :], axis=-1)
-            js = i + 1 + np.flatnonzero(~(gaps >= min_gap))
-            if not js.size:
-                continue
-            central = _central_ratios(points, i, js)
+        for rows, cols, _ in _close_pairs(images[t], min_gap):
+            central = _central_ratios(points, rows, cols)
             if not central.all():
-                j = js[np.argmin(central)]
+                bad = np.argmin(central)
+                i, j = rows[bad], cols[bad]
                 reason = f"images {i} and {j} collide but the point ratio is not central"
                 break
-            for j in js.tolist():
+            for i, j in zip(rows.tolist(), cols.tolist()):
                 parent[_find(parent, j)] = _find(parent, i)
         if reason is None:
             classes: dict[bytes, list[int]] = {}

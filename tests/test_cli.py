@@ -625,6 +625,25 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "ambient, n",
+        [("sln", 10**400), ("cn", 2**63), ("sln", 3037000500), ("sln", 759250125)],
+        ids=["sln-401-digits", "cn-past-intp", "sln-square-past-intp", "sln-bytes-past-intp"],
+    )
+    def test_dimension_numpy_cannot_shape_is_malformed(self, tmp_path, capsys, ambient, n):
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"ambient": "{ambient}", "n": {n}, "points": []}}', encoding="utf-8")
+        assert run("check", "wellplaced", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'n'" in err
+        assert "Traceback" not in err
+        with pytest.raises(MalformedDocument, match="'n'"):
+            DiscreteSequence.from_json({"ambient": ambient, "n": n, "points": []})
+
+    def test_largest_shapeable_dimension_still_reads(self):
+        seq = DiscreteSequence.from_json({"ambient": "sln", "n": 759250124, "points": []})
+        assert len(seq) == 0
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"ambient": 2, "n": 2, "points": []},

@@ -18,7 +18,6 @@ from tamelab.core import (
     properness_check,
 )
 from tamelab.errors import InconclusivePrefix, PointOutsideAmbient
-from tamelab.rng import stream
 
 
 def _aut(theta=0.0, alpha=0j, logf=(), g=()):
@@ -98,51 +97,6 @@ class TestApply:
         out1 = a([z, w1])
         out2 = a([z, w2])
         assert abs(out1[0] - out2[0]) < 1e-14
-
-
-class TestCompose:
-    def test_identity_right_unit(self):
-        a = _aut(theta=0.4, alpha=0.3j, logf=(0.2, 0.1), g=(1.0, 0.5))
-        comp, residual = dp.dp_compose(a, dp.DiscPlaneAut.identity())
-        assert comp == a
-        assert residual == 0.0
-
-    def test_identity_left_unit(self):
-        b = _aut(theta=-0.9, alpha=0.2, logf=(0.1,), g=(0.0, 2.0))
-        comp, residual = dp.dp_compose(dp.DiscPlaneAut.identity(), b)
-        assert comp == b
-        assert residual == 0.0
-
-    def test_trivial_base_constant_multiplier_is_exact(self):
-        c = 0.3 - 0.2j
-        g1 = Polynomial((1.0, 2.0, 0.5j))
-        g2 = Polynomial((0.5, -1.0))
-        a = _aut(logf=(c,), g=g1.coeffs)
-        b = _aut(logf=(0.7,), g=g2.coeffs)
-        comp, residual = dp.dp_compose(a, b)
-        assert residual == 0.0
-        want_g = Polynomial((np.exp(c),)) * g2 + g1
-        assert comp.g == want_g
-        assert comp.logf == Polynomial((c + 0.7,))
-
-    def test_generic_pair_residual_small(self):
-        a = _aut(theta=0.3, alpha=0.2 + 0.1j, logf=(0.1, 0.2, -0.1), g=(1.0, 0.3))
-        b = _aut(theta=-0.7, alpha=0.25j, logf=(0.05, 0.3), g=(0.2, 0.0, 0.4))
-        comp, residual = dp.dp_compose(a, b)
-        assert residual < 1e-6
-        rng = stream(5, "compose-spot")
-        for _ in range(25):
-            z = 0.9 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            w = complex(rng.standard_normal(), rng.standard_normal())
-            p = np.array([z, w])
-            want = a.apply(b.apply(p))
-            got = comp.apply(p)
-            assert np.max(np.abs(got - want)) < 1e-5
-
-    def test_inverse_roundtrip_thousand_points(self):
-        a = _aut(theta=0.5, alpha=0.3 - 0.2j, logf=(0.2, -0.3, 0.1), g=(0.5, 1.0))
-        inv, residual = dp.dp_invert(a)
-        assert residual < 1e-9
 
 
 class TestClassify:

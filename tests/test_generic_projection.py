@@ -49,6 +49,14 @@ class TestHaarSampler:
         head = gp.haar_su_batch(_sampler(7), 4)
         tail = gp.haar_su_batch(_sampler(7).advanced(4), 6)
         assert np.array_equal(np.concatenate([head, tail]), batch)
+        # odd splits put draws in every remainder lane of a vector loop
+        for n in (2, 3):
+            whole = gp.haar_su_batch(gp.HaarSampler(n, 7), 88)
+            parts, start = [], 0
+            for size in (1, 7, 13, 67):
+                parts.append(gp.haar_su_batch(gp.HaarSampler(n, 7, start), size))
+                start += size
+            assert np.array_equal(np.concatenate(parts), whole)
 
     def test_fixed_seed_replays_identical_matrices(self):
         a = gp.haar_su_batch(_sampler(3), 32)
@@ -90,6 +98,58 @@ class TestHaarSampler:
             gp.HaarSampler(2, 1, -1)
         with pytest.raises(ValueError):
             gp.haar_su_batch(_sampler(1), 0)
+
+
+def _haar_su_qr(sampler: gp.HaarSampler, count: int) -> np.ndarray:
+    """Reference: the QR factor of the Ginibre matrix with R's diagonal
+    phases moved into Q and the determinant scaled to one, for every n."""
+    n = sampler.n
+    u = sampler.raw_uniforms(count)
+    radial = u[:, : n * n]
+    angular = u[:, n * n :]
+    ginibre = np.sqrt(-np.log1p(-radial)) * np.exp(2j * math.pi * angular)
+    q, r = np.linalg.qr(ginibre.reshape(count, n, n))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    mags = np.abs(diag)
+    phases = np.where(mags > 0.0, diag / np.where(mags > 0.0, mags, 1.0), 1.0)
+    q = q * phases[:, None, :]
+    det = np.linalg.det(q)
+    fix = np.exp(-1j * np.angle(det) / n) / np.abs(det) ** (1.0 / n)
+    return q * fix[:, None, None]
+
+
+class TestClosedFormDraws:
+    def test_su2_matches_qr_up_to_one_sign_per_draw(self):
+        for seed in (0, 7, 21, 101):
+            got = gp.haar_su_batch(_sampler(seed, 1000), 30_000)
+            want = _haar_su_qr(_sampler(seed, 1000), 30_000)
+            same = np.max(np.abs(got - want), axis=(1, 2))
+            flipped = np.max(np.abs(got + want), axis=(1, 2))
+            assert np.max(np.minimum(same, flipped)) <= 1e-13
+
+    def test_dimension_three_is_the_qr_construction(self):
+        sampler = gp.HaarSampler(3, 5, 17)
+        assert np.array_equal(gp.haar_su_batch(sampler, 300), _haar_su_qr(sampler, 300))
+
+    def test_twist_matches_the_matrix_product(self):
+        ks = gp.haar_su_batch(_sampler(4), 1000)
+        v = np.array([[3.0 + 1j, -2.0], [0.5j, 7.0 - 2j]])
+        want = np.einsum("kji,jl,klm->kim", ks.conj(), v, ks)
+        assert np.max(np.abs(gp._conjugate(ks, v) - want)) <= 1e-13 * np.linalg.norm(v)
+
+    def test_estimates_agree_with_qr_draws(self, monkeypatch):
+        def estimates():
+            measure = [
+                gp.measure_estimate(v, r, 20_000, _sampler(3))
+                for v in (_diag(10.0), _diag(100.0), np.array([1.0, 2j, -1.0, 0.5]))
+                for r in (4.0, 150.0)
+            ]
+            g = gp.g_estimate(0.25, 8, 2000, _sampler(0))
+            return measure, g, gp.threshold_estimate(3, samples_per_level=2000, seed=1)
+
+        closed_form = estimates()
+        monkeypatch.setattr(gp, "haar_su_batch", _haar_su_qr)
+        assert estimates() == closed_form
 
 
 class TestInvariantEmbedding:
@@ -236,6 +296,14 @@ class TestMeasureEstimate:
         left = gp.measure_estimate(v, radius, 200, sampler)
         right = gp.measure_estimate(w, radius + slack, 200, sampler)
         assert left.estimate <= right.estimate
+
+    def test_shared_window_equals_single_calls(self):
+        vs = [_diag(10.0), _diag(100.0), np.array([1.0, 2j, -1.0, 0.5])]
+        for action in gp.ACTIONS:
+            shared = gp.measure_estimates(vs, 150.0, 5000, _sampler(8), action)
+            assert shared == [
+                gp.measure_estimate(v, 150.0, 5000, _sampler(8), action) for v in vs
+            ]
 
     def test_report_row_matches_csv_columns(self):
         est = gp.measure_estimate(_diag(10.0), 1.0, 100, _sampler(2))
@@ -475,6 +543,20 @@ class TestOmegaCheck:
             failed += len(report.failures)
             passed += 40 - len(report.failures)
         assert failed and passed
+
+    def test_overflowing_images_follow_the_gap_rules(self):
+        # Entries near 1e160 overflow the chart, so images 0 and 1 hold
+        # infinities and their gap is NaN. A NaN gap counts as close in
+        # the row scan, but only a gap below min_gap makes a twist suspect.
+        x = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=np.complex128)
+        big = (_diag(1e160), _diag(2e160))
+        with np.errstate(over="ignore", invalid="ignore"):
+            quiet = gp.omega_check(DiscreteSequence(sln(2), big + (x,)), 30, _sampler(3))
+            d = DiscreteSequence(sln(2), big + (x, -x))
+            loud = gp.omega_check(d, 30, _sampler(3), max_fiber=2)
+            want = _omega_failures_loop(d, 30, _sampler(3), gp.MIN_GAP, 2)
+        assert quiet.fraction == 1.0
+        assert loud.fraction == 0.0 and loud.failures == want
 
     def test_input_validation(self):
         with pytest.raises(AmbientMismatch):
