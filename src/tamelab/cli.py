@@ -41,6 +41,7 @@ from .core import (
     cn,
     drift_verdict,
     heights_verdict,
+    load_sequence,
 )
 from .disc_plane import dp_classify
 from .errors import AmbientMismatch, BadParams, TamelabError
@@ -174,11 +175,6 @@ def _finish(cfg: RunConfig, doc: dict, human: list[str], file_text: str | None =
 
 def _verdict_exit(v: Verdict) -> int:
     return 2 if v.is_violated else 0
-
-
-def _load_sequence(path: str) -> DiscreteSequence:
-    with open(path, encoding="utf-8") as fh:
-        return DiscreteSequence.from_json(json.load(fh))
 
 
 def _parse_complex(text: str) -> complex:
@@ -414,11 +410,11 @@ def _run_move(table: dict[str, _Move], name: str, args, cfg: RunConfig):
     move = table[name]
     if move.seed:
         cfg.require_seed()
-    inputs = [_load_sequence(args.seq_file)]
+    inputs = [load_sequence(args.seq_file)]
     if move.seq2:
         if not args.seq2:
             raise BadParams(f"transform {name} needs --seq2 FILE")
-        inputs.append(_load_sequence(args.seq2))
+        inputs.append(load_sequence(args.seq2))
     verdict, fields = move.run(args, cfg, *inputs)
     return name, verdict, fields
 
@@ -482,7 +478,7 @@ def _mc_threshold(args, cfg: RunConfig, seed: int):
 def _mc_omega(args, cfg: RunConfig, seed: int):
     if not args.seq:
         raise BadParams("mc omega needs --seq FILE")
-    d = _load_sequence(args.seq)
+    d = load_sequence(args.seq)
     report = omega_check(
         d, cfg.samples, HaarSampler(2, seed), min_gap=cfg.min_gap, max_fiber=args.max_fiber
     )

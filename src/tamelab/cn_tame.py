@@ -4,13 +4,11 @@ interpolation used to push a prefix to prescribed heights."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    CONSISTENT,
     DISTINCT_TOL,
     Automorphism,
     Composite,
@@ -74,26 +72,8 @@ class Polynomial:
             return out[0]
         return np.array(out, dtype=np.complex128).reshape(zs.shape)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return Polynomial(tuple(merged))
-
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
 
     def to_json(self) -> dict:
         return {"kind": "poly", "coeffs": [_pair(c) for c in self.coeffs]}
@@ -392,7 +372,13 @@ def push_prefix_cn(
     shear = ShearAut(axis=1, driver=0, f=f)
     phi = Composite((LinearAut(u_mat), shear))
 
-    achieved = _row_norms(phi.apply_batch(pts))
+    with np.errstate(over="ignore"):  # an overflowing height is reported below
+        achieved = _row_norms(phi.apply_batch(pts))
+    overflow = np.flatnonzero(~np.isfinite(achieved))
+    if overflow.size:
+        raise InterpolationIllConditioned(
+            f"the height of point {overflow[0]} is not finite after interpolation"
+        )
     if np.any(achieved < targets):
         worst = int(np.argmin(achieved - targets))
         raise InterpolationIllConditioned(

@@ -20,7 +20,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -104,8 +104,7 @@ def sl_matrix(entries, det_tol: float = DET_TOL) -> np.ndarray:
     a = np.array(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    _require_finite(a, "matrix")
-    _require_unit_det(complex(np.linalg.det(a)), float(det_tolerance(a, det_tol)))
+    _check_rows("sln", a[None], det_tol)
     return a
 
 
@@ -117,18 +116,18 @@ def _require_unit_det(det: complex, allowed: float) -> None:
         )
 
 
-def _check_rows(ambient: AmbientSpace, arr: np.ndarray, det_tol: float) -> None:
-    """The value checks of a point, over a stack of points of the right
-    shape. The first failing point in index order raises the error of its
-    own first failing check: non-finite entries, then the determinant,
-    the puncture or the disc."""
+def _check_rows(kind: str, arr: np.ndarray, det_tol: float) -> None:
+    """The value checks of a point of an ambient of the given kind, over a
+    stack of points of one shape. The first failing point in index order
+    raises the error of its own first failing check: non-finite entries,
+    then the determinant, the puncture or the disc."""
     m = len(arr)
     if m == 0:
         return
     finite = np.isfinite(arr.view(np.float64)).reshape(m, -1).all(axis=1)
     stop = m if finite.all() else int(np.argmin(finite))
     ok = arr[:stop]
-    if ambient.is_matrix:
+    if kind == "sln":
         dets = np.linalg.det(ok)
         dev = np.abs(dets - 1.0)
         near = np.flatnonzero(dev > det_tol)  # det_tolerance is never below det_tol
@@ -137,10 +136,10 @@ def _check_rows(ambient: AmbientSpace, arr: np.ndarray, det_tol: float) -> None:
             off = np.flatnonzero(dev[near] > allowed)
             if off.size:
                 _require_unit_det(complex(dets[near[off[0]]]), float(allowed[off[0]]))
-    elif ambient.kind == "punctured-cn":
+    elif kind == "punctured-cn":
         if not np.all(np.any(ok != 0, axis=1)):
             raise PointOutsideAmbient("the puncture (origin) is not a point of this space")
-    elif ambient.kind == "disc-plane":
+    elif kind == "disc-plane":
         radii = np.abs(ok[:, 0])
         outside = np.flatnonzero(radii >= 1.0)
         if outside.size:
@@ -148,36 +147,19 @@ def _check_rows(ambient: AmbientSpace, arr: np.ndarray, det_tol: float) -> None:
                 f"|z| = {radii[outside[0]]:.6g} is not inside the unit disc"
             )
     if stop < m:
-        what = "matrix" if ambient.is_matrix else "point"
+        what = "matrix" if kind == "sln" else "point"
         raise ValueError(f"{what} contains non-finite entries")
-
-
-def _coerce_point(ambient: AmbientSpace, value, det_tol: float) -> np.ndarray:
-    """One point, checked on its own: a wrong shape raises
-    `DimensionMismatch`, after a wrong-sized matrix has reported its own
-    finiteness and determinant."""
-    a = np.array(value, dtype=np.complex128)
-    if ambient.is_matrix:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] != ambient.n:
-            sl_matrix(a, det_tol)
-            raise DimensionMismatch(
-                f"expected {ambient.n}x{ambient.n}, got {a.shape[0]}x{a.shape[1]}"
-            )
-    elif a.ndim != 1 or a.shape[0] != ambient.n:
-        raise DimensionMismatch(f"expected a vector of length {ambient.n}")
-    _check_rows(ambient, a[None], det_tol)
-    return a
 
 
 def validate_points(ambient: AmbientSpace, points, det_tol: float = DET_TOL) -> np.ndarray:
     """Coerce and validate a prefix into one complex array of shape
     (m, n) or (m, n, n).
 
-    Points that stack to the ambient's point shape are checked together;
-    otherwise they are taken one at a time, so the first bad point in
-    index order raises the same error either way.
+    When the points do not stack to the ambient's point shape, they are
+    coerced in order up to the first one that does not coerce or lacks
+    that shape; the points before it are checked, then it raises its own
+    error, a square matrix of the wrong size after its finiteness and
+    determinant. Either way the first bad point in index order decides.
     """
     shape = (ambient.n, ambient.n) if ambient.is_matrix else (ambient.n,)
     if not isinstance(points, (tuple, list, np.ndarray)):
@@ -187,9 +169,27 @@ def validate_points(ambient: AmbientSpace, points, det_tol: float = DET_TOL) -> 
     except (ValueError, TypeError):
         arr = None
     if arr is None or arr.shape[1:] != shape:
-        rows = [_coerce_point(ambient, p, det_tol) for p in points]
-        return np.stack(rows) if rows else np.zeros((0, *shape), dtype=np.complex128)
-    _check_rows(ambient, arr, det_tol)
+        rows = []
+        for p in points:
+            try:
+                row = np.array(p, dtype=np.complex128)
+            except (ValueError, TypeError):
+                break
+            if row.shape != shape:
+                break
+            rows.append(row)
+        arr = np.stack(rows) if rows else np.zeros((0, *shape), dtype=np.complex128)
+        _check_rows(ambient.kind, arr, det_tol)
+        if len(rows) < len(points):
+            bad = np.array(points[len(rows)], dtype=np.complex128)
+            if not ambient.is_matrix:
+                raise DimensionMismatch(f"expected a vector of length {ambient.n}")
+            sl_matrix(bad, det_tol)
+            raise DimensionMismatch(
+                f"expected {ambient.n}x{ambient.n}, got {bad.shape[0]}x{bad.shape[1]}"
+            )
+        return arr
+    _check_rows(ambient.kind, arr, det_tol)
     return arr
 
 
@@ -565,16 +565,16 @@ def properness_check(
     images: Sequence[np.ndarray],
     min_gap: float = MIN_GAP,
     max_fiber: int = MAX_FIBER,
-    fiber_keys: dict[bytes, list[int]] | None = None,
+    fiber_keys: dict | None = None,
 ) -> Verdict:
     """Discrete image and bounded fibers, at prefix scale.
 
-    `fiber_keys` may supply the grouping (original indices per image);
-    when omitted, images are grouped by exact equality.
+    `fiber_keys` may supply the grouping (original indices per image,
+    under any keys); when omitted, images are grouped by exact equality.
     """
     if len(images) == 0:
         raise ValueError("properness needs a nonempty image list")
-    arrays = [np.asarray(img, dtype=np.complex128) for img in images]
+    arrays = np.asarray(images, dtype=np.complex128)
     fibers = fiber_keys if fiber_keys is not None else group_fibers(arrays)
     for members in fibers.values():
         if len(members) > max_fiber:
@@ -584,7 +584,7 @@ def properness_check(
             )
     reps = [members[0] for members in fibers.values()]
     if len(reps) >= 2:
-        flats = np.stack([_flat(arrays[i]) for i in reps])
+        flats = arrays[reps].reshape(len(reps), -1)
         hit = _close_pair_scan(flats, float(min_gap))
         if hit is not None:
             i, j = reps[hit[0]], reps[hit[1]]

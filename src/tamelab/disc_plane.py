@@ -49,25 +49,9 @@ class MoebiusDisc:
                 f"|alpha| = {abs(self.alpha):.6g} is not inside the unit disc"
             )
 
-    def matrix(self) -> np.ndarray:
-        ph = cmath.exp(1j * self.theta)
-        return np.array(
-            [[ph, -ph * self.alpha], [-np.conj(self.alpha), 1.0]],
-            dtype=np.complex128,
-        )
-
-    @classmethod
-    def from_matrix(cls, m) -> "MoebiusDisc":
-        m = np.asarray(m, dtype=np.complex128)
-        return cls(cmath.phase(complex(m[0, 0] / m[1, 1])), -complex(np.conj(m[1, 0] / m[1, 1])))
-
     def apply(self, z):
         ph = cmath.exp(1j * self.theta)
         return ph * (z - self.alpha) / (1.0 - np.conj(self.alpha) * z)
-
-    def compose(self, other: "MoebiusDisc") -> "MoebiusDisc":
-        """self after other; other acts first."""
-        return MoebiusDisc.from_matrix(self.matrix() @ other.matrix())
 
     def inverse(self) -> "MoebiusDisc":
         return MoebiusDisc(-self.theta, -cmath.exp(1j * self.theta) * self.alpha)
@@ -92,9 +76,6 @@ class DiscPlaneAut(Automorphism):
     @classmethod
     def identity(cls) -> "DiscPlaneAut":
         return cls(MoebiusDisc(), Polynomial(), Polynomial())
-
-    def multiplier(self, z):
-        return np.exp(self.logf(z))
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         q = as_point(disc_plane_space(), p)
@@ -170,14 +151,6 @@ class DpNontameReport:
     proximity_cap: float
     lhs: tuple[float, ...]
     rhs: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "first_failure_index": self.first_failure_index,
-            "proximity_cap": self.proximity_cap,
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-        }
 
 
 def dp_nontame_bound(seq: DiscreteSequence, a: DiscPlaneAut) -> DpNontameReport:

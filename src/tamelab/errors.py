@@ -83,10 +83,6 @@ class NotOnSubgroup(TamelabError):
     """A point does not lie on the declared one-parameter subgroup."""
 
 
-class AllColumnsConstant(TamelabError):
-    """No column of the subgroup family is non-constant; internal inconsistency."""
-
-
 class LambdaVanishes(TamelabError):
     """An overshear multiplier is numerically zero where it must be inverted."""
 
@@ -114,10 +110,6 @@ class ZeroVector(TamelabError):
 
 class SearchExhausted(TamelabError):
     """A monotone search hit its cap without meeting the target."""
-
-
-class PrefixTooBounded(TamelabError):
-    """No point in the prefix clears the first threshold."""
 
 
 class UnknownFamily(TamelabError):

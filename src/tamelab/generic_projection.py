@@ -20,8 +20,6 @@ twisted torus projection of a matrix stays inside a small ball:
     the tail mass drops below the budget 2^-(n+1), and `omega_check`
     measures how often a sampled twist keeps a finite prefix proper
     and collision-free away from the center.
-  * `select_tame_subset` greedily extracts a subsequence climbing past
-    estimated threshold radii.
 
 A norm floor worth knowing about: for any matrix the tuple norm equals
 the product of the two column norms, which dominates |det|. Moving a
@@ -39,20 +37,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    DET_TOL,
     MAX_FIBER,
     MIN_GAP,
     DiscreteSequence,
-    GeneratorInfo,
     _PAIR_TABLE_ENTRIES,
-    cn,
     properness_check,
     sln,
 )
 from .errors import (
     AmbientMismatch,
     DimensionMismatch,
-    PrefixTooBounded,
     SearchExhausted,
     ZeroVector,
 )
@@ -187,9 +181,6 @@ class InvariantEmbedding:
         a, c = ms[..., 0, 0], ms[..., 0, 1]
         b, d = ms[..., 1, 0], ms[..., 1, 1]
         return np.stack([a * c, a * d, b * c, b * d], axis=-1)
-
-    def __call__(self, m) -> np.ndarray:
-        return self.embed(m)
 
 
 @dataclass(frozen=True)
@@ -402,17 +393,6 @@ class ThresholdEstimate:
                 "seed": self.seed,
             },
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ThresholdEstimate":
-        cfg = obj.get("config", {})
-        return cls(
-            tuple(float(x) for x in obj["R"]),
-            tuple(float(x) for x in obj["delta"]),
-            int(cfg.get("samples_per_level", 0) or 1),
-            int(cfg.get("sphere_probes", 0) or 1),
-            int(cfg.get("seed", 0)),
-        )
 
 
 def threshold_estimate(
@@ -638,11 +618,11 @@ def omega_check(
             for i, j in zip(rows.tolist(), cols.tolist()):
                 parent[_find(parent, j)] = _find(parent, i)
         if reason is None:
-            classes: dict[bytes, list[int]] = {}
+            classes: dict[int, list[int]] = {}
             for i in range(m):
-                classes.setdefault(f"class-{_find(parent, i)}".encode(), []).append(i)
+                classes.setdefault(_find(parent, i), []).append(i)
             verdict = properness_check(
-                list(images[t]),
+                images[t],
                 min_gap=min_gap,
                 max_fiber=max_fiber,
                 fiber_keys=classes,
@@ -653,46 +633,3 @@ def omega_check(
             failures.append((int(t), reason))
     fraction = 1.0 - len(failures) / k_samples
     return OmegaReport(fraction, k_samples, sampler.seed, tuple(failures))
-
-
-def select_tame_subset(points, thresholds: ThresholdEstimate) -> DiscreteSequence:
-    """Greedy subsequence whose heights climb past the threshold radii.
-
-    Points are scanned in order; the next point whose flat Euclidean
-    norm exceeds the next unmet radius is kept, as deep as the
-    threshold list allows. Heights use the same entry-space norm the
-    threshold search scaled its probes with.
-    """
-    if isinstance(points, DiscreteSequence):
-        ambient = points.ambient
-        pts = [np.asarray(p, dtype=np.complex128) for p in points.points]
-        generator = points.generator
-    else:
-        pts = [np.asarray(p, dtype=np.complex128) for p in points]
-        generator = None
-        matrixlike = all(p.shape == (2, 2) for p in pts)
-        if matrixlike and all(
-            abs(np.linalg.det(p) - 1.0) <= DET_TOL for p in pts
-        ):
-            ambient = sln(2)
-        else:
-            widths = {p.reshape(-1).shape[0] for p in pts}
-            if len(widths) != 1:
-                raise DimensionMismatch("points must share one flat dimension")
-            ambient = cn(widths.pop())
-            pts = [p.reshape(-1) for p in pts]
-    selected: list[np.ndarray] = []
-    level = 0
-    for p in pts:
-        if level == len(thresholds):
-            break
-        if float(np.linalg.norm(p.reshape(-1))) > thresholds.rhat[level]:
-            selected.append(p)
-            level += 1
-    if level == 0:
-        raise PrefixTooBounded(
-            f"no point exceeds the first threshold {thresholds.rhat[0]:g}"
-        )
-    family = generator.family if generator is not None else "input"
-    info = GeneratorInfo.of("threshold-select", depth=level, source=family)
-    return DiscreteSequence(ambient, tuple(selected), info)

@@ -27,9 +27,7 @@ from .core import (
     Verdict,
     _check_rows,
     _pair,
-    _require_unit_det,
     _row_norms,
-    det_tolerance,
     first_close_pair,
     properness_check,
     sl_matrix,
@@ -42,12 +40,10 @@ from .errors import (
     InterpolationIllConditioned,
     NotSameFiber,
     SearchExhausted,
-    UnsupportedPair,
 )
 from .rng import stream
 
 FIRST_COLUMN = "first-column"
-RIGHT_TORUS = "right-torus"
 
 Q_COLUMN_TOL = 1e-10
 FIBER_MATCH_TOL = 1e-9
@@ -57,16 +53,13 @@ _NEWTON_NODE_LIMIT = 40
 
 @dataclass(frozen=True)
 class BundleSpec:
-    """A projection out of the matrix ambient, named by what survives it."""
+    """The first-column projection out of the matrix ambient."""
 
     total: AmbientSpace
-    kind: str = FIRST_COLUMN
 
     def __post_init__(self):
         if self.total.kind != "sln":
             raise AmbientMismatch("bundle projections live over the matrix ambient")
-        if self.kind not in (FIRST_COLUMN, RIGHT_TORUS):
-            raise ValueError(f"unknown bundle kind {self.kind!r}")
 
     @property
     def n(self) -> int:
@@ -74,11 +67,7 @@ class BundleSpec:
 
 
 def first_column(n: int) -> BundleSpec:
-    return BundleSpec(sln(n), FIRST_COLUMN)
-
-
-def right_torus(n: int) -> BundleSpec:
-    return BundleSpec(sln(n), RIGHT_TORUS)
+    return BundleSpec(sln(n))
 
 
 @dataclass(frozen=True)
@@ -109,7 +98,7 @@ class QElement:
         m = np.eye(n, dtype=np.complex128)
         m[0, 1:] = r
         m[1:, 1:] = lower
-        _check_rows(sln(n), m[None], DET_TOL)
+        _check_rows("sln", m[None], DET_TOL)
         q = object.__new__(cls)
         object.__setattr__(q, "n", n)
         object.__setattr__(q, "entries", m)
@@ -129,16 +118,7 @@ def project(b: BundleSpec, a) -> np.ndarray:
     m = sl_matrix(a)
     if m.shape[0] != b.n:
         raise AmbientMismatch(f"expected {b.n}x{b.n}, got {m.shape[0]}x{m.shape[1]}")
-    if b.kind == FIRST_COLUMN:
-        return np.array(m[:, 0])
-    cols = m / np.linalg.norm(m, axis=0, keepdims=True)
-    out = np.empty_like(cols)
-    for j in range(b.n):
-        v = cols[:, j]
-        lead = int(np.argmax(np.abs(v) > 1e-12))
-        phase = v[lead] / abs(v[lead])
-        out[:, j] = v * np.conj(phase)
-    return out
+    return np.array(m[:, 0])
 
 
 def pi_tame_check(
@@ -150,8 +130,7 @@ def pi_tame_check(
     """Discrete projected image with bounded fibers, at prefix scale."""
     if d.ambient.kind != "sln" or d.ambient.n != b.n:
         raise AmbientMismatch("sequence and bundle ambients disagree")
-    images = [project(b, p) for p in d.points]
-    return properness_check(images, min_gap=min_gap, max_fiber=max_fiber)
+    return properness_check(d.array[:, :, 0], min_gap=min_gap, max_fiber=max_fiber)
 
 
 def q_factor(a, b) -> QElement:
@@ -315,7 +294,7 @@ class BundlePushAut(Automorphism):
         q[:, 0, 0] = 1.0
         q[:, 0, 1:] = r
         q[:, 1:, 1:] = lower
-        _check_rows(sln(self.fmap.n), q, DET_TOL)
+        _check_rows("sln", q, DET_TOL)
         return ps @ q
 
     def to_json(self) -> dict:
@@ -345,30 +324,21 @@ def _shear_parameters(xs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _pushed_heights(images: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Max column norms of pushed points (m, n, n), each checked in index
-    order as `sl_matrix` and the height demand would check it: a point off
-    the unimodular group raises `DeterminantError`, one that falls short
-    raises `InterpolationIllConditioned`, one with a non-finite entry
-    raises `ValueError`."""
-    m = len(images)
-    finite = np.isfinite(images.view(np.float64)).reshape(m, -1).all(axis=1)
-    stop = m if finite.all() else int(np.argmin(finite))
-    ok = images[:stop]
-    heights = np.max(np.linalg.norm(ok, axis=1), axis=1)
-    dets = np.linalg.det(ok)
-    allowed = det_tolerance(ok)
-    off = np.abs(dets - 1.0) > allowed
-    low = heights < targets[:stop] - 1e-9 * (1.0 + targets[:stop])
-    bad = np.flatnonzero(off | low)
-    if bad.size:
-        i = int(bad[0])
-        if off[i]:
-            _require_unit_det(complex(dets[i]), float(allowed[i]))  # raises
+    order as `sl_matrix` and then the height demand would check it: a
+    point with a non-finite entry raises `ValueError`, one off the
+    unimodular group `DeterminantError`, one that falls short
+    `InterpolationIllConditioned`."""
+    with np.errstate(invalid="ignore"):
+        # a non-finite point has a non-finite height, which is never short
+        heights = np.max(np.linalg.norm(images, axis=1), axis=1)
+    low = np.flatnonzero(heights < targets - 1e-9 * (1.0 + targets))
+    _check_rows("sln", images[: low[0] + 1] if low.size else images, DET_TOL)
+    if low.size:
+        i = int(low[0])
         raise InterpolationIllConditioned(
             f"achieved height {heights[i]:.6g} at point {i} fell below the demand "
             f"{targets[i]:.6g} after interpolation"
         )
-    if stop < m:
-        raise ValueError(f"pushed point {stop} contains non-finite entries")
     return heights
 
 
@@ -391,8 +361,6 @@ def bundle_push(
     if d.ambient.kind != "sln":
         raise AmbientMismatch("bundle push needs the matrix ambient")
     b = bundle if bundle is not None else first_column(d.ambient.n)
-    if b.kind != FIRST_COLUMN:
-        raise UnsupportedPair("the push construction works along first-column fibers")
     if b.n != d.ambient.n:
         raise AmbientMismatch("sequence and bundle ambients disagree")
     if len(zeta) != len(d):

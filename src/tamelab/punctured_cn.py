@@ -51,14 +51,6 @@ class BiLipschitzReport:
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
 
-    def to_json(self) -> dict:
-        return {
-            "C1": self.c1,
-            "C2": self.c2,
-            "radius": self.radius,
-            "samples": self.samples,
-        }
-
 
 def bilipschitz_estimate(
     phi: Automorphism,

@@ -438,9 +438,6 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
 
 _HALF_INTEGER = {3: 1, 7: 2, 11: 3}
 _PLAIN = {1: 1, 2: 2}
-_FIELD_TAGS = ("Q", "Q(i)", "Q(sqrt-2)", "Q(sqrt-3)", "Q(sqrt-7)", "Q(sqrt-11)")
-
-
 def _field_params(tag: str):
     """(d, half_integer_flag) for a supported field tag; None for Q."""
     if tag == "Q":

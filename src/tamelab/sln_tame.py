@@ -7,8 +7,8 @@ images, survive balanced row rescaling, and can be scaled so that two
 of them share first columns exactly, at which point a single fiberwise
 push carries one onto the other.  This module implements those
 constructions at prefix scale, together with union splitting, the
-diagonal torus embedding, center separation, and one-parameter
-subgroup checks.
+diagonal torus embedding, center separation, and the diagonal
+one-parameter subgroup check.
 """
 
 from __future__ import annotations
@@ -27,14 +27,11 @@ from .core import (
     _close_pair_scan,
     _row_norms,
     max_norm_distance,
-    properness_check,
     sl_matrix,
 )
 from .errors import (
     AlignmentInfeasible,
-    AllColumnsConstant,
     AmbientMismatch,
-    BadParams,
     ConditionViolated,
     InconclusivePrefix,
     InterpolationIllConditioned,
@@ -549,90 +546,26 @@ class DiagonalGroup:
     n: int
 
 
-@dataclass(frozen=True)
-class UnipotentGroup:
-    """The subgroup t -> exp(t N) for a nilpotent direction N."""
-
-    n: int
-    nilpotent: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.nilpotent, dtype=np.complex128)
-        if mat.shape != (self.n, self.n):
-            raise BadParams(f"the direction must be {self.n}x{self.n}")
-        power = np.linalg.matrix_power(mat, self.n)
-        scale = max(1.0, float(np.max(np.abs(mat))) ** self.n)
-        if float(np.max(np.abs(power))) > 1e-12 * scale:
-            raise BadParams("the direction matrix is not nilpotent")
-        object.__setattr__(self, "nilpotent", mat)
-
-    def sample(self, t: complex) -> np.ndarray:
-        acc = np.eye(self.n, dtype=np.complex128)
-        term = np.eye(self.n, dtype=np.complex128)
-        for power in range(1, self.n):
-            term = term @ (complex(t) * self.nilpotent) / power
-            acc = acc + term
-        return acc
-
-
-def _recover_parameter(group: UnipotentGroup, p: np.ndarray) -> tuple[complex, float]:
-    """Least-squares parameter of the nearest subgroup element, with the
-    entrywise residual at that parameter."""
-    nil = group.nilpotent
-    i, j = np.unravel_index(int(np.argmax(np.abs(nil))), nil.shape)
-    t = complex((p - np.eye(group.n))[i, j] / nil[i, j])
-    for _ in range(30):
-        current = group.sample(t)
-        resid = (current - p).reshape(-1)
-        deriv = (nil @ current).reshape(-1)
-        denom = float(np.vdot(deriv, deriv).real)
-        if denom == 0.0:
-            break
-        step = complex(np.vdot(deriv, resid) / denom)
-        t -= step
-        if abs(step) <= 1e-15 * (1.0 + abs(t)):
-            break
-    final = float(np.max(np.abs(group.sample(t) - p)))
-    return t, final
-
-
 def one_param_check(
     d: DiscreteSequence, subgroup, min_gap: float = MIN_GAP
 ) -> Verdict:
-    """Discreteness of a prefix inside a one-dimensional subgroup, checked
-    through coordinates in which the subgroup embedding is polynomial."""
+    """Discreteness of a prefix inside the diagonal subgroup, checked
+    through the torus embedding of its diagonals."""
     if d.ambient.kind != "sln":
         raise AmbientMismatch("subgroup checks apply to the matrix ambient")
-    if isinstance(subgroup, DiagonalGroup):
-        if subgroup.n != d.ambient.n:
-            raise AmbientMismatch("subgroup and ambient sizes disagree")
-        snapped = []
-        for i, p in enumerate(d.points):
-            off = float(np.max(np.abs(p - np.diag(np.diag(p)))))
-            if off > SUBGROUP_TOL:
-                raise NotOnSubgroup(
-                    f"point {i} has off-diagonal modulus {off:.3g}"
-                )
-            snapped.append(np.diag(np.diag(p)))
-        return torus_embed(snapped, min_gap=min_gap)[1]
-    if isinstance(subgroup, UnipotentGroup):
-        if subgroup.n != d.ambient.n:
-            raise AmbientMismatch("subgroup and ambient sizes disagree")
-        nil = subgroup.nilpotent
-        live = [j for j in range(subgroup.n) if np.linalg.norm(nil[:, j]) > 0]
-        if not live:
-            raise AllColumnsConstant(
-                "a zero direction makes every column constant"
+    if not isinstance(subgroup, DiagonalGroup):
+        raise UnsupportedPair("unknown subgroup declaration")
+    if subgroup.n != d.ambient.n:
+        raise AmbientMismatch("subgroup and ambient sizes disagree")
+    snapped = []
+    for i, p in enumerate(d.points):
+        off = float(np.max(np.abs(p - np.diag(np.diag(p)))))
+        if off > SUBGROUP_TOL:
+            raise NotOnSubgroup(
+                f"point {i} has off-diagonal modulus {off:.3g}"
             )
-        for i, p in enumerate(d.points):
-            _, resid = _recover_parameter(subgroup, p)
-            if resid > SUBGROUP_TOL:
-                raise NotOnSubgroup(
-                    f"point {i} misses the subgroup by {resid:.3g}"
-                )
-        images = [np.array(p[:, live[0]]) for p in d.points]
-        return properness_check(images, min_gap=min_gap)
-    raise UnsupportedPair("unknown subgroup declaration")
+        snapped.append(np.diag(np.diag(p)))
+    return torus_embed(snapped, min_gap=min_gap)[1]
 
 
 def _central_pairs(points: np.ndarray, n: int) -> list[tuple[int, int]]:

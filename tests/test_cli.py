@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -473,6 +474,20 @@ class TestTransform:
     def test_shears_reject_matrix_ambient(self, tmp_path):
         path = gen(tmp_path, "wellplaced2", "--k", "6")
         assert run("transform", "shears", path, "--height", "4", "--seed", "1") == 1
+
+    def test_shears_name_a_point_whose_height_overflows(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((300, 3)) + 1j * rng.standard_normal((300, 3))
+        path = str(tmp_path / "c3.json")
+        core.save_sequence(DiscreteSequence(cn(3), tuple(pts)), path)
+        out = tmp_path / "sheared.json"
+        code = run("transform", "shears", path, "--height", "4", "--seed", "2",
+                   "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: the height of point \d+ is not finite after "
+                            r"interpolation\n", err)
+        assert not out.exists()
 
     def test_stochastic_transform_requires_seed(self, tmp_path, capsys):
         path = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")

@@ -357,6 +357,24 @@ _DEFECTS = {
 }
 
 
+@pytest.mark.parametrize(
+    "points, error",
+    [
+        ([2 * np.eye(2), [[1, 0], [0]]], DeterminantError),
+        ([[[1, 0], [0]], np.eye(2)], ValueError),
+        ([np.diag([np.nan, 1.0]), np.eye(3)], ValueError),
+        ([np.eye(2), 2 * np.eye(3)], DeterminantError),
+    ],
+    ids=["det-before-ragged", "ragged-first", "non-finite-before-3x3", "wrong-size-bad-det"],
+)
+def test_points_that_do_not_stack_raise_the_first_error(points, error):
+    expected = _outcome(_sequence_reference, core.sln(2), points)
+    got = _outcome(lambda a, p: core.DiscreteSequence(a, tuple(p)).points,
+                   core.sln(2), points)
+    assert expected[0] is error
+    assert got == expected
+
+
 class TestBatchedValidation:
     """Sequence construction against point-by-point validation."""
 

@@ -49,14 +49,6 @@ class TestMoebius:
         m = dp.MoebiusDisc(0.0, 0.5)
         assert abs(m.apply(0.5)) < 1e-15
 
-    @given(_moebius_params, _moebius_params, st.complex_numbers(max_magnitude=0.95))
-    @settings(max_examples=60, deadline=None)
-    def test_compose_matches_chained_apply(self, pa, pb, z):
-        a = dp.MoebiusDisc(*pa)
-        b = dp.MoebiusDisc(*pb)
-        c = a.compose(b)
-        assert abs(c.apply(z) - a.apply(b.apply(z))) < 1e-11
-
     @given(_moebius_params, st.complex_numbers(max_magnitude=0.95))
     @settings(max_examples=60, deadline=None)
     def test_inverse_undoes(self, p, z):

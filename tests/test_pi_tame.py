@@ -28,7 +28,6 @@ from tamelab.errors import (
     InterpolationIllConditioned,
     NotSameFiber,
     SearchExhausted,
-    UnsupportedPair,
 )
 from tamelab.rng import stream
 
@@ -76,13 +75,8 @@ class TestBundleSpec:
         with pytest.raises(AmbientMismatch):
             pi_tame.BundleSpec(cn(2))
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            pi_tame.BundleSpec(sln(2), "last-row")
-
     def test_factories(self):
         assert pi_tame.first_column(3).n == 3
-        assert pi_tame.right_torus(2).kind == pi_tame.RIGHT_TORUS
 
 
 class TestQElement:
@@ -120,14 +114,6 @@ class TestProject:
         m = np.array([[1.0, 1.0], [1.0, 2.0]])
         assert np.array_equal(pi_tame.project(b, m), np.array([1.0, 1.0]))
 
-    def test_right_torus_normalizes(self):
-        b = pi_tame.right_torus(2)
-        m = np.array([[0.0, -2.0], [0.5, 0.0]])
-        img = pi_tame.project(b, m)
-        # unit columns with the leading nonzero entry rotated positive
-        assert np.allclose(np.linalg.norm(img, axis=0), 1.0)
-        assert np.allclose(img, np.array([[0.0, 1.0], [1.0, 0.0]]))
-
     def test_size_mismatch(self):
         with pytest.raises(AmbientMismatch):
             pi_tame.project(pi_tame.first_column(3), np.eye(2))
@@ -158,13 +144,6 @@ class TestPiTameCheck:
         verdict = pi_tame.pi_tame_check(_mseq(mats), pi_tame.first_column(2))
         assert verdict.state == VIOLATED
         assert len(verdict.witness) == 20
-
-    def test_unipotent_family_crowds_the_torus(self):
-        mats = [np.array([[1.0, k], [0.0, 1.0]]) for k in range(1, 21)]
-        verdict = pi_tame.pi_tame_check(
-            _mseq(mats), pi_tame.right_torus(2), min_gap=0.005
-        )
-        assert verdict.state == VIOLATED
 
     def test_ambient_mismatch(self):
         from tamelab.core import cn
@@ -383,13 +362,6 @@ class TestBundlePush:
         d = _mseq([np.eye(2)])
         with pytest.raises(SearchExhausted):
             pi_tame.bundle_push(d, HeightAssignment((1e20,)))
-
-    def test_rejects_other_bundles(self):
-        d = _mseq([np.eye(2)])
-        with pytest.raises(UnsupportedPair):
-            pi_tame.bundle_push(
-                d, HeightAssignment((2.0,)), bundle=pi_tame.right_torus(2)
-            )
 
     def test_height_count_mismatch(self):
         d = _mseq([np.eye(2)])
