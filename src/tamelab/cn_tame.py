@@ -26,12 +26,14 @@ from .errors import (
     DimensionMismatch,
     DuplicateNodes,
     InterpolationIllConditioned,
+    MalformedDocument,
     ZeroPoint,
 )
 from .rng import haar_unitary, stream
 
 PARTIAL_ONLY = "partial-only"
 MONOTONE_TAIL_BOUND = "monotone-tail-bound"
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -185,13 +187,17 @@ class SeriesReport:
 
 
 def _declared_growth(d: DiscreteSequence) -> tuple[float, float] | None:
-    if d.generator is None:
+    """The declared norm growth (c, alpha), or None if either is absent.
+    A declared value that is not a finite int or float is malformed."""
+    keys = ("norm_growth_c", "norm_growth_alpha")
+    values = [None if d.generator is None else d.generator.get(key) for key in keys]
+    if any(v is None for v in values):
         return None
-    c = d.generator.get("norm_growth_c")
-    alpha = d.generator.get("norm_growth_alpha")
-    if c is None or alpha is None:
-        return None
-    return float(c), float(alpha)
+    for key, v in zip(keys, values):
+        # abs(v) <= max also turns away nan, inf and ints past the float range
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _FLOAT_MAX:
+            raise MalformedDocument(f"generator parameter {key!r} must be a finite number")
+    return float(values[0]), float(values[1])
 
 
 def rr_series_test(d: DiscreteSequence, tail_policy: str = PARTIAL_ONLY) -> SeriesReport:
@@ -213,7 +219,8 @@ def rr_series_test(d: DiscreteSequence, tail_policy: str = PARTIAL_ONLY) -> Seri
     small = tuple(int(i) for i in np.nonzero(norms <= 1.0)[0])
 
     growth = _declared_growth(d)
-    if tail_policy == MONOTONE_TAIL_BOUND and growth is not None:
+    # an empty prefix checks no declaration, so it certifies nothing
+    if tail_policy == MONOTONE_TAIL_BOUND and growth is not None and len(norms):
         c, alpha = growth
         k = np.arange(1, len(norms) + 1, dtype=float)
         declared_ok = c > 0 and np.all(norms >= c * k**alpha - 1e-9 * (1 + norms))

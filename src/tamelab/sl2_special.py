@@ -19,9 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .cn_tame import Polynomial, interpolate_nodes
 from .core import (
-    DISTINCT_TOL,
     MAX_FIBER,
     MIN_GAP,
     Automorphism,
@@ -47,6 +45,7 @@ from .errors import (
     ZeroVector,
 )
 from .pi_tame import BundlePushAut, QElement, fit_q_map, first_column, pi_tame_check
+from .pi_tame import _fit_scalar, _separate
 from .rng import stream
 
 SMALL_CORNER_TOL = 1e-10
@@ -54,6 +53,7 @@ LAMBDA_FLOOR = 1e-12
 SAME_COLUMN_TOL = 1e-10
 CROSS_CHECK_TOL = 1e-8
 AXIS_CLEARANCE = 1e-8
+OVERSHOOT_FACTOR = 2.0
 _TRY_CAP = 64
 
 
@@ -81,19 +81,6 @@ class BivariatePoly:
     def constant(cls, value) -> "BivariatePoly":
         return cls(((complex(value),),))
 
-    @classmethod
-    def from_separated(cls, u, inner: Polynomial) -> "BivariatePoly":
-        """Expand ``p(u[0]*a + u[1]*b)`` into an explicit coefficient grid."""
-        u0, u1 = complex(u[0]), complex(u[1])
-        deg = len(inner.coeffs) - 1
-        if deg < 0:
-            return cls.zero()
-        grid = [[0j] * (deg + 1) for _ in range(deg + 1)]
-        for j, c in enumerate(inner.coeffs):
-            for m in range(j + 1):
-                grid[m][j - m] += c * math.comb(j, m) * u0**m * u1 ** (j - m)
-        return cls(tuple(tuple(row) for row in grid))
-
     @property
     def is_zero(self) -> bool:
         return all(z == 0 for row in self.coeffs for z in row)
@@ -113,6 +100,23 @@ class BivariatePoly:
 
 
 @dataclass(frozen=True)
+class SeparatedShift:
+    """Shift that reads (a, b) only through the separator u[0]*a + u[1]*b,
+    kept as a one-variable fit rather than expanded into a grid. The
+    separator rounds as `pi_tame._separate` forms it, so a fitted first
+    column evaluates at its node exactly."""
+
+    u: np.ndarray
+    fn: object
+
+    def __call__(self, a, b) -> complex:
+        return complex(self.fn(np.sum(self.u * np.array([a, b], dtype=np.complex128))))
+
+    def to_json(self) -> dict:
+        return {"separator_u": [_pair(z) for z in self.u], "inner": self.fn.to_json()}
+
+
+@dataclass(frozen=True)
 class OvershearSpec:
     """Second-column rescaling factor in structural unit-at-the-wall form.
 
@@ -122,7 +126,7 @@ class OvershearSpec:
     structural form with shift' = -shift / lambda.
     """
 
-    shift: BivariatePoly
+    shift: BivariatePoly | SeparatedShift
     inverted: bool = False
 
     @classmethod
@@ -325,37 +329,26 @@ def _fiber_radii(points) -> list[float]:
     return radii
 
 
-def _clearance_shear(points, radii, rng):
+def _clearance_shear(points, radii, seed: int):
     """Overshear whose factor meets the per-point clearance target
-    |lambda| * radius * column_norm > index."""
-    fibers = group_fibers([p[:, 0] for p in points])
-    reps = [points[members[0]][:, 0] for members in fibers.values()]
-    targets = []
-    for members in fibers.values():
-        need = max(
-            (k + 1) / (radii[k] * float(np.linalg.norm(points[k][:, 0])))
-            for k in members
-        )
-        targets.append(2.0 * max(1.0, need))
-    for _ in range(_TRY_CAP):
-        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        svals = [u[0] * v[0] + u[1] * v[1] for v in reps]
-        scale = max(1.0, max(abs(x) for x in svals))
-        gap = min(
-            (abs(svals[i] - svals[j]) for i in range(len(svals))
-             for j in range(i + 1, len(svals))),
-            default=np.inf,
-        )
-        if gap <= DISTINCT_TOL * scale:
-            continue
-        nodes = [
-            (svals[i], (targets[i] - 1.0) / reps[i][0]) for i in range(len(reps))
-        ]
-        inner = interpolate_nodes(nodes, distinct_tol=0.0)
-        return OvershearSpec(BivariatePoly.from_separated(u, inner))
-    raise StageFailed(
-        "fiber-rescale", "no separating direction found for the fiber images"
+    |lambda| * radius * column_norm > index; returns it with each point's
+    target factor.
+
+    The shift is fitted in the bundle push's separator: the push later
+    draws the same functional from the same stream, since the overshear
+    fixes first columns exactly.
+    """
+    need = (np.arange(len(points)) + 1.0) / (
+        np.asarray(radii) * np.linalg.norm(points[:, :, 0], axis=1)
     )
+    targets = np.empty(len(points))
+    reps = []
+    for members in group_fibers(points[:, :, 0]).values():
+        targets[members] = 2.0 * max(1.0, float(np.max(need[members])))
+        reps.append(members[0])
+    u, ss = _separate(points[reps, :, 0], seed)
+    fn = _fit_scalar(ss, (targets[reps] - 1.0) / points[reps, 0, 0])
+    return OvershearSpec(SeparatedShift(u, fn)), targets
 
 
 def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX_FIBER):
@@ -384,14 +377,16 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
     moved = LinearAut(left).apply_batch(d.array)
 
     radii = _fiber_radii(moved)
-    spec = _clearance_shear(moved, radii, rng)
+    spec, targets = _clearance_shear(moved, radii, seed)
     for k, p in enumerate(moved):
         v = p[:, 0]
-        have = abs(spec.lambda_at(v[0], v[1])) * radii[k] * float(np.linalg.norm(v))
-        if not have > k + 1:
+        lam = abs(spec.lambda_at(v[0], v[1]))
+        have = lam * radii[k] * float(np.linalg.norm(v))
+        if not (have > k + 1 and lam <= OVERSHOOT_FACTOR * targets[k]):
             raise StageFailed(
                 "fiber-rescale",
-                f"point {k} clears {have:.3g}, needs more than {k + 1}",
+                f"point {k} clears {have:.3g} (needs more than {k + 1}) with factor "
+                f"{lam:.3g} (at most {OVERSHOOT_FACTOR:g} times its target {targets[k]:.3g})",
             )
     sheared = OvershearAut(spec).apply_batch(moved)
 
@@ -425,10 +420,7 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
             f"translations kept colliding after {_TRY_CAP} rounds: {verdict.detail}",
         )
 
-    elements = [
-        QElement(2, np.array([[1.0, t], [0.0, 1.0]], dtype=np.complex128))
-        for t in translations
-    ]
+    elements = [QElement.from_blocks(np.array([t]), np.eye(1)) for t in translations]
     reps = [sheared[members[0]][:, 0] for members in fibers.values()]
     push = BundlePushAut(fit_q_map(reps, elements, seed=seed))
     composite = Composite((LinearAut(left), OvershearAut(spec), push))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import io
 import json
 import re
@@ -305,6 +307,19 @@ class TestCheck:
         assert run("check", "rr-series", path, "--tail-policy", "partial-only") == 0
         assert "consistent" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "value", ["1.0", True, [1], {}], ids=["str", "bool", "list", "dict"]
+    )
+    def test_rr_series_refuses_a_growth_that_is_not_a_number(self, tmp_path, capsys, value):
+        path = gen(tmp_path, "cn-powers", "--n", "2", "--k", "6", "--alpha", "1.1")
+        doc = load(path)
+        doc["sequence"]["generator"]["params"]["norm_growth_c"] = value
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert run("check", "rr-series", path) == 1
+        assert "'norm_growth_c' must be a finite number" in capsys.readouterr().err
+
     def test_punctured_violation_exits_2(self, tmp_path):
         path = gen(tmp_path, "punctured-accumulate", "--k", "40")
         assert run("check", "punctured", path) == 2
@@ -438,6 +453,19 @@ class TestTransform:
         assert run("transform", "sl2-pipeline", path, "--seed", "3",
                    "--max-fiber", "16", "--out", out) == 0
         assert read_bytes(out) == first
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12, 45])
+    def test_sl2_pipeline_is_right_on_seeds_that_overshot(self, tmp_path, seed):
+        # a clearance shear expanded into a monomial grid drifted (exit 2)
+        # or fell short at fiber-rescale (exit 1) on these seeds
+        path = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
+        out = str(tmp_path / "pipe.json")
+        assert run("transform", "sl2-pipeline", path, "--seed", str(seed),
+                   "--max-fiber", "16", "--out", out) == 0
+        moved = DiscreteSequence.from_json(load(out)["sequence"]).array
+        assert float(np.max(np.abs(np.linalg.det(moved) - 1.0))) <= 1e-10
+        norms = np.linalg.norm(moved[:, :, 1], axis=1)
+        assert np.all(norms > np.arange(len(moved)) + 1)
 
     def test_bundle_push_heights(self, tmp_path):
         path = gen(tmp_path, "wellplaced2", "--k", "8")
@@ -678,6 +706,74 @@ class TestMalformedDocuments:
         assert seq.ambient == cn(2)
 
 
+# (gen argv, commands that read its ambient); every prefix has 6 points
+_MUTATION_SOURCES = (
+    (("cn-powers", "--n", "2"),
+     (("check", "rr-series"), ("transform", "shears", "--height", "9", "--seed", "1"))),
+    (("wellplaced2",),
+     (("check", "wellplaced"), ("check", "pi-tame"), ("transform", "overshears"),
+      ("transform", "bundle-push", "--height", "5", "--seed", "0"),
+      ("transform", "sl2-pipeline", "--seed", "0"))),
+    (("discplane-base", "--mode", "interior"), (("check", "dp-classify"),)),
+)
+_HUGE = "<1e400>"  # written out as the literal 1e400, which json reads as inf
+_MUTANTS = (None, True, False, "x", [], [1.5, -2], _HUGE, *core.AMBIENT_KINDS)
+
+
+def _paths(node, prefix=()):
+    """Every path below `node`, as tuples of dict keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def mutation_bases(tmp_path_factory):
+    home = tmp_path_factory.mktemp("mutations")
+    bases = []
+    for i, (family, commands) in enumerate(_MUTATION_SOURCES):
+        out = str(home / f"base{i}.json")
+        assert run("gen", *family, "--k", "6", "--out", out) == 0
+        bases.append((load(out), commands))
+    return home, bases
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_document_exits_cleanly(mutation_bases, data):
+    home, bases = mutation_bases
+    doc, commands = data.draw(st.sampled_from(bases))
+    doc = copy.deepcopy(doc)
+    kind = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    paths = [p for p in _paths(doc)
+             if kind == "replace" or isinstance(p[-1], str) == (kind == "delete")]
+    *head, last = data.draw(st.sampled_from(paths))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if kind == "replace":
+        parent[last] = copy.deepcopy(data.draw(st.sampled_from(_MUTANTS)))
+    elif kind == "delete":
+        del parent[last]
+    else:
+        parent.insert(last, copy.deepcopy(parent[last]))
+    path = home / "mutant.json"
+    path.write_text(json.dumps(doc).replace(json.dumps(_HUGE), "1e400"), encoding="utf-8")
+    command = data.draw(st.sampled_from(commands))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(*command[:2], str(path), *command[2:], "--out", str(home / "out.json"))
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+
+
 class TestReportKeepsNegativeZero:
     def test_negative_zero_entries_come_back_byte_identical(self, tmp_path):
         pts = (np.array([[1.0, -0.0], [-0.0, 1.0]], dtype=complex),
@@ -750,13 +846,18 @@ class TestWitnesses:
     def test_sl2_pipeline_names_drifting_outputs(self, tmp_path):
         path = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
         out = str(tmp_path / "pipe.json")
-        code = run("transform", "sl2-pipeline", path, "--seed", "1",
-                   "--max-fiber", "16", "--out", out)
-        doc = load(out)
-        want = [int(i) for i in np.flatnonzero(_drifts(doc) > 1e-9)]
-        assert code == 2 and want
-        assert doc["postcondition"]["witness"] == want
-        assert doc["postcondition"]["detail"].startswith("determinant drift ")
+        argv = ["transform", "sl2-pipeline", path, "--seed", "1",
+                "--max-fiber", "16", "--out", out]
+        assert run(*argv) == 0
+        drifts = _drifts(load(out))
+        tol = float(np.median(drifts))
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"det_tol = {tol!r}\n", encoding="utf-8")
+        assert run(*argv, "--config", str(cfg)) == 2
+        post = load(out)["postcondition"]
+        want = [i for i, x in enumerate(drifts) if x > tol]
+        assert post["witness"] == want and want
+        assert post["detail"] == f"determinant drift {drifts.max():.3g} exceeds {tol:g}"
 
     @staticmethod
     def _split_case(case, parts):

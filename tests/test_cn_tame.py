@@ -68,6 +68,13 @@ class TestSeries:
         rep = cn_tame.rr_series_test(d, cn_tame.MONOTONE_TAIL_BOUND)
         assert rep.verdict.state == core.CONSISTENT
 
+    def test_empty_prefix_with_declared_growth_stays_consistent(self):
+        # no point checks the declaration, and the tail from k = 0 diverges
+        d = powers_sequence(2, 1, 0)
+        rep = cn_tame.rr_series_test(d, cn_tame.MONOTONE_TAIL_BOUND)
+        assert rep.verdict.state == core.CONSISTENT
+        assert rep.partial_sum == 0.0 and rep.tail_bound is None
+
     def test_small_norm_points_flagged_but_summed(self):
         d = DiscreteSequence(
             cn(2), (np.array([0.5, 0j]), np.array([2.0, 0j]))

@@ -129,7 +129,7 @@ GOLDEN = {
     'omega': (0, '1cfbb49606a1f63e312f43fc4fc5f98f908502f1ef2996d7a112aeaaaac29a29'),
     'measure': (0, 'cc46083b29ea84e73128834150f0e89843a721a1ba3f6126a29f5388d6b05ba0'),
     'threshold': (0, '195fc9309f20fe0038e269e868444e4a047f620d628bde262ca1c62d801f2a6b'),
-    'pipeline': (0, 'f58f361a82e56c1e2975863a19f53d04e4b0d81c8ff7f7d238dd396541a4dc3a'),
+    'pipeline': (0, 'db423ab1fe5849d46477edad9b28cf91ed3119fe2161e166564f3decea5056e5'),
     'report': (0, 'c14bf851429c3a9e09a8b9a4a3367b8d6f40aac1b7189663effe98c55167b2c4'),
     'powers': (0, 'f5cda6d589cbd40e097416bc82feb35a2d1986c6531f03f3a1705536972542bc'),
     'powers-report': (0, 'f5cda6d589cbd40e097416bc82feb35a2d1986c6531f03f3a1705536972542bc'),

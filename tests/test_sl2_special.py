@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamelab import sl2_special as sl2
-from tamelab.cn_tame import Polynomial
 from tamelab.core import (
     CONSISTENT,
     Composite,
@@ -45,15 +44,6 @@ class TestBivariatePoly:
         assert poly(1.0, 1.0) == 17.0
         assert poly(2.0, 0.0) == 8.0
         assert poly(0.0, -1.0) == -3.0
-
-    def test_separated_expansion_matches_direct(self):
-        inner = Polynomial((1.0, 2.0, -0.5j))
-        u = (0.7 - 0.2j, 1.3j)
-        poly = sl2.BivariatePoly.from_separated(u, inner)
-        for a, b in [(0.3, -1.2), (1.0 + 1j, 0.4), (0.0, 2.0)]:
-            s = u[0] * a + u[1] * b
-            want = inner(s)
-            assert abs(poly(a, b) - want) < 1e-12 * max(1.0, abs(want))
 
     def test_zero(self):
         assert sl2.BivariatePoly.zero().is_zero
@@ -276,6 +266,22 @@ class TestPipeline:
         with pytest.raises(StageFailed) as err:
             sl2.sl2_column_pipeline(_mseq(mats))
         assert err.value.stage == "input-gate"
+
+    @pytest.mark.parametrize("first", [0, 6])
+    def test_overshooting_factor_fails_the_stage(self, monkeypatch, first):
+        # one fiber per point here, so node i is point i's first column
+        real = sl2._fit_scalar
+
+        def overshooting(ss, values):
+            return real(ss, np.concatenate([values[:first], 10.0 * values[first:]]))
+
+        monkeypatch.setattr(sl2, "_fit_scalar", overshooting)
+        d = _mseq([np.diag([float(k), 1.0 / k]) for k in range(1, 11)])
+        with pytest.raises(StageFailed) as err:
+            sl2.sl2_column_pipeline(d, seed=3)
+        assert err.value.stage == "fiber-rescale"
+        assert err.value.reason.startswith(f"point {first} clears ")
+        assert "(at most 2 times its target " in err.value.reason
 
     def test_verdict_reports_seed(self):
         d = _mseq([np.diag([2.0, 0.5])])
