@@ -235,61 +235,107 @@ class GeneratorInfo:
         return cls.of(obj["family"], **params)
 
 
-def _flat(p: np.ndarray) -> np.ndarray:
-    return p.reshape(-1)
-
-
 def max_norm_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Largest entrywise modulus of the difference; the prefix metric."""
-    return float(np.max(np.abs(_flat(p) - _flat(q))))
+    return float(np.max(np.abs(np.ravel(p) - np.ravel(q))))
 
 
 _PAIR_TABLE_ENTRIES = 1 << 16
+
+
+def _window_pairs(x: np.ndarray, half, width: int = 1):
+    """Blocks (rows, cols) of the pairs i < j with x[j] in [x[i] - half[i],
+    x[i] + half[i]] (the ends as rounded), in lexicographic order; `half` is
+    a scalar or one value per row. If an x is not finite, every pair is.
+
+    A stable sort of x bounds each row's window (a plane sweep). For callers
+    comparing `width` entries per pair, a block holds `_PAIR_TABLE_ENTRIES /
+    (4 * width)` candidates, both orders counted: at that size the scans'
+    peak memory stayed near that of the pair tables they replaced."""
+    m = len(x)
+    if not np.isfinite(x).all():
+        x, half = np.zeros(m), 0.0
+    order = np.argsort(x, kind="stable")
+    lo = np.searchsorted(x[order], x - half, side="left")
+    hi = np.searchsorted(x[order], x + half, side="right")
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    budget = _PAIR_TABLE_ENTRIES // (4 * width)
+    start = 0
+    while start < m:
+        base = ends[start] - counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + budget, "right")))
+        c = counts[start:stop]
+        rows = np.repeat(np.arange(start, stop), c)
+        # candidate k of row r sits at sorted position lo[r] + k - (ends[r] - c[r])
+        cols = np.arange(base, ends[stop - 1])
+        cols += np.repeat(lo[start:stop] - ends[start:stop] + c, c)
+        cols = order[cols]
+        keep = cols > rows
+        rows, cols = rows[keep], cols[keep]
+        ranked = np.lexsort((cols, rows))
+        yield rows[ranked], cols[ranked]
+        start = stop
 
 
 def first_close_pair(rows: np.ndarray, tol: float) -> tuple[int, int] | None:
     """The first pair i < j, in lexicographic order, whose rows lie within
     tol of each other in the max-norm; None if there is none.
 
-    Compares every pair, a block of rows at a time so the distance table
-    stays near `_PAIR_TABLE_ENTRIES` entries.
+    A small input is compared in one table of every pair. A larger one
+    takes its candidates from `_window_pairs` on the real coordinate of
+    widest spread and compares them an entry at a time.
     """
     m = len(rows)
     if m < 2:
         return None
     flats = np.asarray(rows).reshape(m, -1)
-    step = max(1, _PAIR_TABLE_ENTRIES // max(1, flats.size))
-    cols = np.arange(m)
-    for lo in range(0, m, step):
-        block = flats[lo : lo + step]
-        near = np.max(np.abs(block[:, None, :] - flats[None, :, :]), axis=2) <= tol
-        near &= cols[None, :] > cols[lo : lo + len(block), None]
+    if m * flats.size <= _PAIR_TABLE_ENTRIES:
+        near = np.max(np.abs(flats[:, None, :] - flats[None, :, :]), axis=2) <= tol
+        near &= np.arange(m)[None, :] > np.arange(m)[:, None]
         hits = np.argwhere(near)
+        return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
+    reals = np.ascontiguousarray(flats, dtype=np.complex128).view(np.float64)
+    x = reals[:, np.argmax(np.ptp(reals, axis=0))]  # non-finite if any entry is
+    # close rows are within tol on every real coordinate; slack for rounding
+    half = tol + 4.0 * np.finfo(float).eps * (np.abs(x) + tol)
+    for i, j in _window_pairs(x, half, flats.shape[1]):
+        gap = np.zeros(len(i))
+        for e in range(flats.shape[1]):
+            diff = flats[j, e]
+            diff -= flats[i, e]
+            np.maximum(gap, np.abs(diff), out=gap)
+        hits = np.flatnonzero(gap <= tol)
         if hits.size:
-            return lo + int(hits[0, 0]), int(hits[0, 1])
+            return int(i[hits[0]]), int(j[hits[0]])
     return None
+
+
+def _equal_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sort of the rows of an (m, ...) array that puts equal rows,
+    those whose bits of `arr + 0.0` agree (-0 equal to 0), next to each
+    other in index order; and a mask, True where a run of them starts."""
+    if len(arr) < 2:
+        return np.arange(len(arr)), np.ones(len(arr), dtype=bool)
+    keys = (np.asarray(arr, dtype=np.complex128).reshape(len(arr), -1) + 0.0).view(np.uint64)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.ones(len(arr), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    return order, starts
 
 
 def _first_duplicate(arr: np.ndarray) -> tuple[int, int] | None:
     """The first point of a stack (in index order) equal to an earlier
     one, as (earlier, later); None if the points are pairwise distinct.
-
-    Equality is exact, with -0 equal to 0. A stable sort puts equal points
-    next to each other, the earliest first.
-    """
-    m = len(arr)
-    if m < 2:
+    Equality is that of `_equal_runs`."""
+    order, starts = _equal_runs(arr)
+    dups = np.flatnonzero(~starts)
+    if not dups.size:
         return None
-    keys = arr.reshape(m, -1).view(np.float64)
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    same = np.all(ranked[1:] == ranked[:-1], axis=1)
-    if not same.any():
-        return None
-    starts = np.maximum.accumulate(np.where(np.r_[True, ~same], np.arange(m), 0))
-    dups = np.flatnonzero(same) + 1
+    heads = np.maximum.accumulate(np.where(starts, np.arange(len(arr)), 0))
     k = int(np.argmin(order[dups]))
-    return int(order[starts[dups[k]]]), int(order[dups[k]])
+    return int(order[heads[dups[k]]]), int(order[dups[k]])
 
 
 @dataclass(frozen=True)
@@ -366,29 +412,31 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _unpair_array(pairs: np.ndarray) -> np.ndarray:
-    """Complex entries from real [re, im] pairs along the last axis."""
-    if pairs.ndim == 0 or pairs.shape[-1] != 2:
-        raise ValueError("a complex entry is written as a pair [re, im]")
-    out = np.empty(pairs.shape[:-1], dtype=np.complex128)
-    out.real = pairs[..., 0]
-    out.imag = pairs[..., 1]
-    return out
+def _unpair_array(raw, i: int = 0) -> np.ndarray:
+    """Complex entries from [re, im] pairs: point i of a sequence document,
+    or a stack of points from point i."""
+    try:
+        pairs = np.asarray(raw, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        why = "its entries do not convert to [re, im] pairs of floats"
+    else:
+        if pairs.ndim and pairs.shape[-1] == 2:
+            return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
+        why = "a complex entry is written as a pair [re, im]"
+    raise MalformedDocument(f"point {i} of the sequence document is malformed: {why}")
 
 
 def _unpair_points(raw):
-    """The points of a sequence document as one complex array.
-
-    Points that do not stack (a ragged document) are read one at a time,
-    so that validation names the first point of the wrong shape.
-    """
+    """The points of a sequence document as one complex array. Points that
+    do not stack are read one at a time, in index order, so that the first
+    point not made of [re, im] pairs, or validation later, names it."""
     try:
         pairs = np.asarray(raw, dtype=np.float64)
-    except ValueError:
-        return tuple(_unpair_array(np.asarray(p, dtype=np.float64)) for p in raw)
-    if pairs.shape == (0,):
-        return ()
-    return _unpair_array(pairs)
+    except (ValueError, TypeError, OverflowError):
+        pairs = None
+    if pairs is not None and pairs.ndim > 1:
+        return _unpair_array(pairs)
+    return tuple(_unpair_array(p, i) for i, p in enumerate(raw))
 
 
 @dataclass(frozen=True)
@@ -517,34 +565,13 @@ def exhaust_eval(kind: str, p, ambient: AmbientSpace) -> float:
     raise UnsupportedPair(f"unknown exhaustion kind {kind!r}")
 
 
-def _close_pair_scan(flats: np.ndarray, min_gap: float) -> tuple[int, int] | None:
-    """First pair of rows within min_gap in the max-norm, or None.
-
-    Sorting on the real part of the first coordinate bounds the window:
-    any pair closer than min_gap in max-norm is also closer than min_gap
-    in that one coordinate.
-    """
-    m = flats.shape[0]
-    order = np.argsort(flats[:, 0].real, kind="stable")
-    anchor = flats[order, 0].real
-    for a in range(m):
-        b = a + 1
-        while b < m and anchor[b] - anchor[a] <= min_gap:
-            i, j = int(order[a]), int(order[b])
-            if np.max(np.abs(flats[i] - flats[j])) <= min_gap:
-                return (min(i, j), max(i, j))
-            b += 1
-    return None
-
-
 def discreteness_check(d: DiscreteSequence, min_gap: float = MIN_GAP) -> Verdict:
     """Violated if two prefix points sit within min_gap of each other."""
     if len(d) == 0:
         raise ValueError("discreteness needs a nonempty prefix")
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
-    flats = d.array.reshape(len(d), -1)
-    hit = _close_pair_scan(flats, float(min_gap))
+    hit = first_close_pair(d.array, float(min_gap))
     if hit is not None:
         i, j = hit
         gap = max_norm_distance(d.points[i], d.points[j])
@@ -552,13 +579,14 @@ def discreteness_check(d: DiscreteSequence, min_gap: float = MIN_GAP) -> Verdict
     return Verdict.consistent(f"all pairwise gaps exceed {min_gap:g}")
 
 
-def group_fibers(images: Sequence[np.ndarray]) -> dict[bytes, list[int]]:
-    """Indices grouped by exact image equality."""
-    fibers: dict[bytes, list[int]] = {}
-    for i, img in enumerate(images):
-        key = (_flat(np.asarray(img, dtype=np.complex128)) + 0.0).tobytes()
-        fibers.setdefault(key, []).append(i)
-    return fibers
+def group_fibers(images: np.ndarray) -> dict[int, list[int]]:
+    """Indices grouped by exact image equality (that of `_equal_runs`),
+    keyed and ordered by each group's first index."""
+    order, starts = _equal_runs(images)
+    bounds = np.flatnonzero(starts).tolist() + [len(order)]
+    indices = order.tolist()
+    runs = [indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return {run[0]: run for run in sorted(runs)}
 
 
 def properness_check(
@@ -584,8 +612,7 @@ def properness_check(
             )
     reps = [members[0] for members in fibers.values()]
     if len(reps) >= 2:
-        flats = arrays[reps].reshape(len(reps), -1)
-        hit = _close_pair_scan(flats, float(min_gap))
+        hit = first_close_pair(arrays[reps], float(min_gap))
         if hit is not None:
             i, j = reps[hit[0]], reps[hit[1]]
             return Verdict.violated(

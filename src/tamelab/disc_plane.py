@@ -23,10 +23,10 @@ from .core import (
     Automorphism,
     DiscreteSequence,
     Verdict,
-    _close_pair_scan,
     _pair,
     as_point,
     disc_plane as disc_plane_space,
+    first_close_pair,
     group_fibers,
 )
 from .errors import AmbientMismatch, InconclusivePrefix, PointOutsideAmbient, ZeroPoint
@@ -109,7 +109,7 @@ def dp_classify(
     if d.ambient.kind != "disc-plane":
         raise AmbientMismatch(f"expected a disc-plane sequence, got {d.ambient.kind}")
     zs = d.array[:, 0]
-    fibers = group_fibers([np.array([z]) for z in zs])
+    fibers = group_fibers(zs)
     for members in fibers.values():
         if len(members) > max_fiber:
             return Verdict.violated(
@@ -120,8 +120,7 @@ def dp_classify(
     first_at = sorted(members[0] for members in fibers.values())
     interior = [i for i in first_at if 1.0 - abs(zs[i]) > 10.0 * min_gap_disc]
     if len(interior) >= 2:
-        flats = zs[np.array(interior)].reshape(-1, 1)
-        hit = _close_pair_scan(flats, float(min_gap_disc))
+        hit = first_close_pair(zs[interior], float(min_gap_disc))
         if hit is not None:
             i, j = interior[hit[0]], interior[hit[1]]
             return Verdict.violated(

@@ -116,8 +116,9 @@ class UnknownFamily(TamelabError):
     """The requested generator family does not exist."""
 
 
-class MalformedDocument(TamelabError):
-    """A sequence document lacks a field or holds one of the wrong type."""
+class MalformedDocument(TamelabError, ValueError):
+    """A sequence document lacks a field or holds a malformed one (also a
+    `ValueError`, which bad point entries raised before they were typed)."""
 
 
 class BadParams(TamelabError):

@@ -40,7 +40,7 @@ from .core import (
     MAX_FIBER,
     MIN_GAP,
     DiscreteSequence,
-    _PAIR_TABLE_ENTRIES,
+    _window_pairs,
     properness_check,
     sln,
 )
@@ -533,42 +533,19 @@ def _close_pairs(img: np.ndarray, min_gap: float):
     """Blocks (rows, cols, gaps) of the pairs i < j of one sample's (m, 4)
     images whose gap is not at least min_gap, in lexicographic order.
 
-    Candidates are the pairs within `_gap_window` on the real coordinate
-    of widest spread, read off a sort of that coordinate; the gap of each
-    candidate, taken as `np.linalg.norm(img[i] - img[j])`, decides. A NaN
-    gap counts as close, so an image with a non-finite entry makes every
-    pair a candidate. A block holds about `_PAIR_TABLE_ENTRIES` candidates.
+    Candidates come from `_window_pairs` on the real coordinate of widest
+    spread, within `_gap_window`; the gap of each candidate, taken as
+    `np.linalg.norm(img[i] - img[j])`, decides, a NaN gap counting as close.
     """
-    m = len(img)
     flat = img.view(np.float64)
-    if np.isfinite(flat).all():
-        x = flat[:, np.argmax(np.ptp(flat, axis=0))]
-        order = np.argsort(x, kind="stable")
-        # the slack on |x| covers the rounding of x -/+ half
-        half = _gap_window(min_gap) + 4.0 * np.finfo(float).eps * np.abs(x)
-        lo = np.searchsorted(x[order], x - half, side="left")
-        hi = np.searchsorted(x[order], x + half, side="right")
-    else:
-        order = np.arange(m)
-        lo, hi = np.arange(1, m + 1), np.full(m, m)
-    counts = hi - lo
-    ends = np.cumsum(counts)
-    start = 0
-    while start < m:
-        base = ends[start] - counts[start]
-        stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_TABLE_ENTRIES, "right")))
-        c = counts[start:stop]
-        rows = np.repeat(np.arange(start, stop), c)
-        cols = order[lo[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(c) - c, c)]
-        keep = cols > rows
-        rows, cols = rows[keep], cols[keep]
-        ranked = np.lexsort((cols, rows))
-        rows, cols = rows[ranked], cols[ranked]
+    x = flat[:, np.argmax(np.ptp(flat, axis=0))]  # non-finite if any entry is
+    # the slack on |x| covers the rounding of x -/+ half
+    half = _gap_window(min_gap) + 4.0 * np.finfo(float).eps * np.abs(x)
+    for rows, cols in _window_pairs(x, half):
         gaps = np.linalg.norm(img[rows] - img[cols], axis=-1)
         close = ~(gaps >= min_gap)
         if close.any():
             yield rows[close], cols[close], gaps[close]
-        start = stop
 
 
 def omega_check(

@@ -113,14 +113,6 @@ class QElement:
         return np.array(self.entries[1:, 1:])
 
 
-def project(b: BundleSpec, a) -> np.ndarray:
-    """The part of a matrix the bundle's fiber group cannot move."""
-    m = sl_matrix(a)
-    if m.shape[0] != b.n:
-        raise AmbientMismatch(f"expected {b.n}x{b.n}, got {m.shape[0]}x{m.shape[1]}")
-    return np.array(m[:, 0])
-
-
 def pi_tame_check(
     d: DiscreteSequence,
     b: BundleSpec,

@@ -316,7 +316,7 @@ def _left_move(points, rng):
 
 def _fiber_radii(points) -> list[float]:
     """Half the closest same-fiber gap per point; singletons get 1."""
-    fibers = group_fibers([p[:, 0] for p in points])
+    fibers = group_fibers(points[:, :, 0])
     radii = [1.0] * len(points)
     for members in fibers.values():
         if len(members) < 2:
@@ -390,7 +390,7 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
             )
     sheared = OvershearAut(spec).apply_batch(moved)
 
-    fibers = group_fibers([p[:, 0] for p in sheared])
+    fibers = group_fibers(sheared[:, :, 0])
     verdict = None
     translations: list[complex] = []
     for _ in range(_TRY_CAP):

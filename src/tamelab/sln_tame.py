@@ -23,9 +23,9 @@ from .core import (
     DiscreteSequence,
     IdentityAut,
     Verdict,
-    _PAIR_TABLE_ENTRIES,
-    _close_pair_scan,
     _row_norms,
+    _window_pairs,
+    first_close_pair,
     max_norm_distance,
     sl_matrix,
 )
@@ -528,8 +528,7 @@ def torus_embed(
         assert max_norm_distance(image, np.diag(p)) <= 1e-9
         assert abs(complex(np.prod(image)) - 1.0) <= 1e-9
         images.append(image)
-    flats = np.stack([img for img in images])
-    hit = _close_pair_scan(flats, min_gap)
+    hit = first_close_pair(np.stack(images), min_gap)
     if hit is not None:
         return tuple(images), Verdict.violated(
             hit, f"images {hit[0]} and {hit[1]} sit within {min_gap:g}"
@@ -571,9 +570,11 @@ def one_param_check(
 def _central_pairs(points: np.ndarray, n: int) -> list[tuple[int, int]]:
     """The pairs i < j, in lexicographic order, with max|Q - wI| at most
     CENTER_TOL for Q = np.linalg.solve(p_i, p_j) and some w^n = 1.
-    Blocks of rows near `_PAIR_TABLE_ENTRIES` entries pass a prefilter;
-    one batched solve per block decides, rounding as single solves do."""
+    Candidates from `_window_pairs` pass a prefilter; one batched solve
+    per block decides, rounding as single solves do."""
     m = len(points)
+    if m < 2:
+        return []
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     # p_j - w p_i = p_i (Q - wI) + p_i (Q_exact - Q): each entry is at most
     # n max|p_i| (CENTER_TOL + max|Q_exact - Q|) at a hit.  The solve errs
@@ -582,23 +583,22 @@ def _central_pairs(points: np.ndarray, n: int) -> list[tuple[int, int]]:
     # and the rounding of p_j - w p_i.
     slack = 64 * n**2 * np.finfo(float).eps * _row_norms(points) ** n
     entries = np.ascontiguousarray(points.reshape(m, n * n).T)
-    bound = n * np.max(np.abs(entries), axis=0) * (CENTER_TOL + slack)
-    step = max(1, _PAIR_TABLE_ENTRIES // max(1, entries.size))
+    mods = np.abs(entries)
+    bound = n * np.max(mods, axis=0) * (CENTER_TOL + slack)
+    # for |w| = 1, ||p_j,e| - |p_i,e|| <= |p_j,e - w p_i,e|: a window on the
+    # modulus of the widest entry (non-finite if any is), slack for rounding
+    x = mods[np.argmax(np.ptp(mods, axis=1))]
+    half = bound + 16 * np.finfo(float).eps * (x + bound)
     hits: list[tuple[int, int]] = []
-    for lo in range(0, m - 1, step):
-        rows = np.arange(lo, min(lo + step, m))[:, None]
-        keep = np.zeros((len(rows), m - lo - 1), dtype=bool)
+    for i, j in _window_pairs(x, half, n * n):
+        keep = np.zeros(len(i), dtype=bool)
         for w in roots:
             # the largest entry gap, an entry at a time so tables stay small
-            wb = w * entries[:, rows]
-            gap = np.abs(entries[0, lo + 1 :] - wb[0])
+            gap = np.abs(entries[0, j] - w * entries[0, i])
             for e in range(1, n * n):
-                np.maximum(gap, np.abs(entries[e, lo + 1 :] - wb[e]), out=gap)
-            keep |= ~(gap > bound[rows])
-        i, j = np.nonzero(keep & (np.arange(lo + 1, m) > rows))
-        if not i.size:
-            continue
-        i, j = i + lo, j + lo + 1
+                np.maximum(gap, np.abs(entries[e, j] - w * entries[e, i]), out=gap)
+            keep |= ~(gap > bound[i])
+        i, j = i[keep], j[keep]
         quotient = np.linalg.solve(points[i], points[j])
         devs = [np.max(np.abs(quotient - w * np.eye(n)), axis=(1, 2)) for w in roots]
         ok = np.min(devs, axis=0) <= CENTER_TOL

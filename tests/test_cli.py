@@ -772,6 +772,8 @@ def test_a_mutated_document_exits_cleanly(mutation_bases, data):
     assert code in (0, 1, 2)
     if code == 1:
         assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+        for leak in ("could not convert string to float", "setting an array element"):
+            assert leak not in err.getvalue()
 
 
 class TestReportKeepsNegativeZero:

@@ -80,6 +80,13 @@ class TestDiscreteness:
         v = core.discreteness_check(seq_cn(pts), 1e-4)
         assert v.is_violated
 
+    def test_witness_is_the_lexicographically_first_pair(self):
+        # (1, 2) comes first in order of the real part, (0, 3) by index
+        d = seq_cn([[1.0], [0.0], [1e-8], [1.0 + 1e-8]])
+        v = core.discreteness_check(d, 1e-6)
+        assert v.witness == (0, 3)
+        assert v.detail == "points 0 and 3 are 1e-08 apart"
+
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
     def test_permutation_invariant(self, pyrandom):
@@ -130,16 +137,81 @@ class TestFirstClosePair:
         assert core.first_close_pair(np.stack([a, b]), 0.0) is None
         assert core.first_close_pair(np.stack([a]), 0.0) is None
 
-    def test_matches_double_loop(self, monkeypatch):
-        # a small table limit forces several row blocks
-        monkeypatch.setattr(core, "_PAIR_TABLE_ENTRIES", 16)
+    @pytest.mark.parametrize("cap", [None, 16])
+    def test_matches_double_loop(self, monkeypatch, cap):
+        # the default limit compares in one table; 16 reads candidates off
+        # the sort window in several blocks
+        if cap is not None:
+            monkeypatch.setattr(core, "_PAIR_TABLE_ENTRIES", cap)
         rng = stream(11, "close-pairs")
-        for trial in range(200):
+        odd = (np.inf, -np.inf, np.nan, complex(np.inf, np.nan), complex(0.0, np.inf))
+        for trial in range(300):
             m, k = int(rng.integers(2, 12)), int(rng.integers(1, 4))
             rows = rng.integers(-2, 3, (m, k)) + 1j * rng.integers(-1, 2, (m, k))
             rows = rows + 1e-7 * rng.standard_normal((m, k))
+            if trial % 4 == 3:
+                for _ in range(int(rng.integers(1, 3))):
+                    rows[rng.integers(m), rng.integers(k)] = odd[rng.integers(len(odd))]
             tol = [0.0, 1e-7, 1e-6][trial % 3]
-            assert core.first_close_pair(rows, tol) == _first_close_pair_loop(rows, tol)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                assert core.first_close_pair(rows, tol) == _first_close_pair_loop(rows, tol)
+
+
+def _window_pairs_loop(x, half):
+    """Reference: every pair i < j with x[j] in [x[i] - half[i], x[i] + half[i]]."""
+    return [(i, j) for i in range(len(x)) for j in range(i + 1, len(x))
+            if x[i] - half[i] <= x[j] <= x[i] + half[i]]
+
+
+class TestWindowPairs:
+    @pytest.mark.parametrize("cap", [1, 7, 50, None])
+    def test_matches_brute_force_in_lexicographic_order(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(core, "_PAIR_TABLE_ENTRIES", cap)
+        rng = stream(31, "window-pairs")
+        found = 0
+        for trial in range(100):
+            m = int(rng.integers(0, 30))
+            x = rng.integers(-4, 5, m) + [0.0, 1e-9, 0.5][trial % 3] * rng.standard_normal(m)
+            half = np.abs(rng.standard_normal(m)) * [0.0, 0.3, 2.0][trial % 3]
+            blocks = list(core._window_pairs(x, half))
+            got = [(i, j) for rows, cols in blocks for i, j in zip(rows.tolist(), cols.tolist())]
+            assert got == _window_pairs_loop(x, half)
+            found += len(got)
+        assert found > 0
+
+    def test_a_scalar_half_applies_to_every_row(self):
+        x = np.array([3.0, 0.0, 1.0, 3.5, 0.5])
+        got = [(int(i), int(j)) for rows, cols in core._window_pairs(x, 0.5)
+               for i, j in zip(rows, cols)]
+        assert got == _window_pairs_loop(x, np.full(5, 0.5))
+
+
+def _group_fibers_reference(images):
+    """Reference: the per-point dict keyed by the bytes of each image."""
+    fibers = {}
+    for i, img in enumerate(images):
+        key = (np.asarray(img, dtype=np.complex128).reshape(-1) + 0.0).tobytes()
+        fibers.setdefault(key, []).append(i)
+    return list(fibers.values())
+
+
+class TestGroupFibers:
+    def test_matches_bytes_keyed_dict(self):
+        rng = stream(37, "group-fibers")
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.5])
+        for trial in range(100):
+            m, k = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+            images = (values[rng.integers(0, 5, (m, k))]
+                      + 1j * values[rng.integers(0, 2 + trial % 4, (m, k))])
+            fibers = core.group_fibers(images)
+            assert list(fibers.values()) == _group_fibers_reference(images)
+            assert list(fibers) == [members[0] for members in fibers.values()]
+
+    def test_signed_zeros_share_a_fiber(self):
+        images = np.array([[complex(-0.0, 0.0)], [0j], [complex(0.0, -0.0)], [1j]])
+        assert core.group_fibers(images) == {0: [0, 1, 2], 3: [3]}
+        assert core.group_fibers(images[:0]) == {}
 
 
 class TestZeta0:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamelab import core
 from tamelab import generic_projection as gp
 from tamelab.core import DiscreteSequence, GeneratorInfo, cn, properness_check, sln
 from tamelab.errors import (
@@ -512,7 +513,7 @@ class TestOmegaCheck:
         want = gp.omega_check(d, 60, _sampler(3), min_gap=2.0)
         assert 0.0 < want.fraction < 1.0
         for cap in (1, 50, 700):
-            monkeypatch.setattr(gp, "_PAIR_TABLE_ENTRIES", cap)
+            monkeypatch.setattr(core, "_PAIR_TABLE_ENTRIES", cap)
             assert gp.omega_check(d, 60, _sampler(3), min_gap=2.0) == want
 
     @pytest.mark.parametrize("cap", [1, 50, None])
@@ -520,7 +521,7 @@ class TestOmegaCheck:
         # central pairs, chains of them and near-coset pairs under a wide
         # gap, so classes merge across rows and some twists fail
         if cap is not None:
-            monkeypatch.setattr(gp, "_PAIR_TABLE_ENTRIES", cap)
+            monkeypatch.setattr(core, "_PAIR_TABLE_ENTRIES", cap)
         rng = stream(23, "omega-union-find")
         failed = passed = 0
         for trial in range(12):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamelab import sln_tame
+from tamelab import core, sln_tame
 from tamelab.cn_tame import Polynomial
 from tamelab.core import (
     CERTIFIED,
@@ -391,7 +391,7 @@ class TestCentralPairs:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_pairwise_solves(self, monkeypatch, n, cap):
         if cap is not None:
-            monkeypatch.setattr(sln_tame, "_PAIR_TABLE_ENTRIES", cap)
+            monkeypatch.setattr(core, "_PAIR_TABLE_ENTRIES", cap)
         rng = stream(17 + n, "central-pairs")
         found = 0
         for trial in range(60):
@@ -406,7 +406,7 @@ class TestCentralPairs:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_on_pushed_prefixes(self, monkeypatch, n, cap):
         if cap is not None:
-            monkeypatch.setattr(sln_tame, "_PAIR_TABLE_ENTRIES", cap)
+            monkeypatch.setattr(core, "_PAIR_TABLE_ENTRIES", cap)
         rng = stream(29 + n, "central-pairs-pushed")
         for trial in range(20):
             m = int(rng.integers(2, 24))

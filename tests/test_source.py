@@ -28,6 +28,34 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+# private helpers that only tests call, with the reason each is kept
+_TEST_ONLY_HELPERS = {
+    "core._require_finite": "the reference validator in tests/test_core.py calls it",
+}
+
+
+def _unreferenced_helpers(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.name` of each top-level function whose name starts with `_`
+    that no module reads: as a name, an attribute or an imported name."""
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and node.name not in used
+    ]
+
+
 def test_sources_are_found():
     assert len(SOURCES) > 10
 
@@ -43,3 +71,21 @@ def test_the_scan_sees_plain_aliased_and_reexported_names():
         "__all__ = ['f']\nnp.zeros(d)\n"
     )
     assert _unused_imports(tree) == ["os", "b"]
+
+
+def test_every_private_helper_is_reached_from_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert sorted(_unreferenced_helpers(trees)) == sorted(_TEST_ONLY_HELPERS)
+
+
+def test_the_helper_scan_sees_calls_attributes_and_imports():
+    trees = {
+        "a": ast.parse(
+            "def _called():\n    pass\n\ndef _dead():\n    pass\n\n"
+            "def _imported():\n    pass\n\ndef _by_attribute():\n    pass\n\n"
+            "def public():\n    return _called()\n"
+        ),
+        "b": ast.parse("from .a import _imported\nimport a\n\nx = a._by_attribute\n"),
+        "c": ast.parse("class K:\n    def _method(self):\n        pass\n"),
+    }
+    assert _unreferenced_helpers(trees) == ["a._dead"]
