@@ -63,6 +63,9 @@ _COMMANDS = (
     ("wp1", ["gen", "wellplaced2", "--k", "16", "--p", "1"]),
     ("dt", ["gen", "diagtorus", "--k", "6"]),
     ("sg", ["gen", "sl2-gauss", "--field", "qi", "--height", "1"]),
+    ("sg-qi2", ["gen", "sl2-gauss", "--field", "qi", "--height", "2"]),
+    ("sg-q3-2", ["gen", "sl2-gauss", "--field", "q3", "--height", "2"]),
+    ("sg-q10", ["gen", "sl2-gauss", "--field", "q", "--height", "10"]),
     ("cnp", ["gen", "cn-powers", "--n", "2", "--alpha", "1", "--k", "2000"]),
     ("dpb", ["gen", "discplane-base", "--mode", "boundary", "--k", "30"]),
     ("pa", ["gen", "punctured-accumulate", "--k", "40"]),
@@ -112,6 +115,9 @@ GOLDEN = {
     'wp1': (0, 'c14b3d335c6f7ff60abe5635978f9886d45ba38b76c0b7a5f32fa100f5d00cea'),
     'dt': (0, '0bfd0d54c66ec9dc798e4f6d8bdbf931b119c0f0979065fc04d14d5eb1a25259'),
     'sg': (0, 'bdac9782485a4567ff9f089fb39fb6391e106a16c913f0c9f17d57adccdecb2b'),
+    'sg-qi2': (0, 'edf083fbf7970107c7e4da3fde669dd726747d0394a6e9734c61c72a6854960c'),
+    'sg-q3-2': (0, 'e251d01d6f3f69ae500eb230ebdfcf64ff95f0144dd3e51dbd12edb25341b93e'),
+    'sg-q10': (0, 'c2fbc8314586e4e04610a719fb2c65b20a94c88e4d1e6d9b82fad43350d29be5'),
     'cnp': (0, '94931de76ec505b197810a8dfd385120678396f9d73eb51b30cfe7bd776e23cf'),
     'dpb': (0, 'fba584ec11da63b2718f4b1e743bab1819bc9c232c5be670773c18b993881f8b'),
     'pa': (0, 'e75170b27a50b2bc06fdcfbf0bbe5bdaf401e3fa09ce0e6287d4608d58c39ff1'),
