@@ -5,6 +5,7 @@ interpolation used to push a prefix to prescribed heights."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,11 +109,14 @@ class LagrangePoly:
             tuple(complex(w) for w in logs),
         )
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, values and log-weights as arrays, built on first use."""
+        return np.asarray(self.nodes), np.asarray(self.values), np.asarray(self.log_weights)
+
     def __call__(self, z):
         zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        xs = np.asarray(self.nodes)
-        vals = np.asarray(self.values)
-        logw = np.asarray(self.log_weights)
+        xs, vals, logw = self._arrays
         out = np.empty_like(zs)
         for idx, point in enumerate(zs):
             diffs = point - xs

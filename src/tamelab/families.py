@@ -39,6 +39,14 @@ _FIELD_ALIASES = {
 
 _DISC_MODES = ("boundary", "constant", "interior")
 
+# Largest sl2-gauss height per ring, set by the size of the output; the
+# entry products stay far inside int64 at any height that fits in memory.
+# At the cap, Q(sqrt-3) gives 137,844 matrices (47 MB of JSON, 0.29 GB peak
+# for `gen`) and Q gives 140,340 (39 MB, 0.25 GB); Q(sqrt-3) at height 7
+# gives 254,628 (87 MB, 0.54 GB).
+_GAUSS_HEIGHT_CAP = {"Q": 120}
+_QUADRATIC_HEIGHT_CAP = 6
+
 # Largest k with 1 - 2^-k < 1.0 in double precision (53-bit significand).
 _BOUNDARY_CAP = 53
 
@@ -90,7 +98,11 @@ def diagtorus(count: int = 8, ratio: float = 2.0) -> DiscreteSequence:
 def sl2_gauss(field: str = "qi", height: int = 1) -> DiscreteSequence:
     """Exact enumeration of small-height matrices over a quadratic ring."""
     tag = _FIELD_ALIASES.get(str(field).lower(), str(field))
-    return gaussian_sl2_generate(GaussianIntegerParams(tag, int(height)))
+    h = int(height)
+    if h >= 1:  # below 1, GaussianIntegerParams answers EmptyResult
+        cap = _GAUSS_HEIGHT_CAP.get(tag, _QUADRATIC_HEIGHT_CAP)
+        h = _count(height, 1, cap, "height")
+    return gaussian_sl2_generate(GaussianIntegerParams(tag, h))
 
 
 def cn_powers(n: int = 2, alpha: float = 1.0, count: int = 100) -> DiscreteSequence:

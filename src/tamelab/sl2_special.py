@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .core import (
+    DET_TOL,
     MAX_FIBER,
     MIN_GAP,
     Automorphism,
@@ -28,7 +28,9 @@ from .core import (
     GeneratorInfo,
     LinearAut,
     Verdict,
+    _check_rows,
     _pair,
+    _row_norms,
     group_fibers,
     properness_check,
     sl_matrix,
@@ -36,6 +38,7 @@ from .core import (
 )
 from .errors import (
     AmbientMismatch,
+    DimensionMismatch,
     EmptyResult,
     InconsistentFiber,
     LambdaVanishes,
@@ -165,8 +168,21 @@ def overshear_apply(s: OvershearSpec, m) -> np.ndarray:
     literally, with no cancellation.
     """
     m = sl_matrix(m)
-    if m.shape != (2, 2):
-        raise AmbientMismatch(f"overshears act on SL(2), not on {len(m)}x{len(m)} matrices")
+    _require_sl2(m[None])
+    return _overshear_point(s, m)
+
+
+def _require_sl2(ps: np.ndarray) -> None:
+    """The shape check of a stack of overshear inputs."""
+    shape = ps.shape[1:]
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {shape}")
+    if shape != (2, 2):
+        raise AmbientMismatch(f"overshears act on SL(2), not on {shape[0]}x{shape[1]} matrices")
+
+
+def _overshear_point(s: OvershearSpec, m: np.ndarray) -> np.ndarray:
+    """`overshear_apply` on a validated 2x2 matrix, in scalar arithmetic."""
     a, c = m[0, 0], m[0, 1]
     b, d = m[1, 0], m[1, 1]
     lam = s.lambda_at(a, b)
@@ -214,6 +230,37 @@ def right_translate(m, t) -> np.ndarray:
     return np.array([[a, c + a * t], [b, d + b * t]], dtype=np.complex128)
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| per entry, rounded as the scalar abs rounds it."""
+    return np.hypot(z.real, z.imag)
+
+
+def _scalar_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y per entry, rounded as the product of two complex scalars."""
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+
+
+def _translation_moduli(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """`fiber_distance` over matched stacks of validated matrices, pair
+    by pair; the first failing pair in order raises its error."""
+    diff = second - first
+    col_gap = np.max(np.abs(diff[:, :, 0]), axis=1)
+    a, b = first[:, 0, 0], first[:, 1, 0]
+    top = _modulus(a) >= _modulus(b)
+    t = np.where(top, diff[:, 0, 1], diff[:, 1, 1]) / np.where(top, a, b)
+    rest = np.where(top, diff[:, 1, 1], diff[:, 0, 1])
+    slack = _modulus(rest - _scalar_product(np.where(top, b, a), t))
+    bad = np.flatnonzero((col_gap > SAME_COLUMN_TOL) | (slack > CROSS_CHECK_TOL))
+    if bad.size:
+        k = bad[0]
+        if col_gap[k] > SAME_COLUMN_TOL:
+            raise NotSameFiber(f"first columns differ by {col_gap[k]:.3g}")
+        raise InconsistentFiber(
+            f"second columns disagree with a single translation by {slack[k]:.3g}"
+        )
+    return _modulus(t)
+
+
 def fiber_distance(a_mat, b_mat) -> float:
     """|t| for the translation carrying one matrix to the other.
 
@@ -223,23 +270,7 @@ def fiber_distance(a_mat, b_mat) -> float:
     """
     first = sl_matrix(a_mat)
     second = sl_matrix(b_mat)
-    col_gap = float(np.max(np.abs(first[:, 0] - second[:, 0])))
-    if col_gap > SAME_COLUMN_TOL:
-        raise NotSameFiber(f"first columns differ by {col_gap:.3g}")
-    a, b = first[0, 0], first[1, 0]
-    dc = second[0, 1] - first[0, 1]
-    dd = second[1, 1] - first[1, 1]
-    if abs(a) >= abs(b):
-        t = dc / a
-        slack = abs(dd - b * t)
-    else:
-        t = dd / b
-        slack = abs(dc - a * t)
-    if slack > CROSS_CHECK_TOL:
-        raise InconsistentFiber(
-            f"second columns disagree with a single translation by {slack:.3g}"
-        )
-    return abs(t)
+    return float(_translation_moduli(first[None], second[None])[0])
 
 
 def fiber_affine_probe(s: OvershearSpec, v, samples):
@@ -288,14 +319,19 @@ class OvershearAut(Automorphism):
     spec: OvershearSpec
     kind = "overshear"
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return overshear_apply(self.spec, p)
+    def apply_batch(self, ps: np.ndarray) -> np.ndarray:
+        """`overshear_apply` at each matrix of a stack, the stack checked
+        once."""
+        ps = np.asarray(ps, dtype=np.complex128)
+        _require_sl2(ps)
+        _check_rows("sln", ps, DET_TOL)
+        return np.array([_overshear_point(self.spec, p) for p in ps] or ps)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "factor": self.spec.to_json()}
 
 
-def _left_move(points, rng):
+def _left_move(columns, rng):
     """A determinant-one matrix whose action clears both axes for every
     first column, found by seeded rejection."""
     for _ in range(_TRY_CAP):
@@ -304,9 +340,7 @@ def _left_move(points, rng):
         if abs(det) < 1e-6:
             continue
         cand = raw / np.sqrt(det)
-        clearance = min(
-            float(np.min(np.abs(cand @ p[:, 0]))) for p in points
-        )
+        clearance = float(np.min(np.abs(LinearAut(cand).apply_batch(columns))))
         if clearance >= AXIS_CLEARANCE:
             return cand
     raise StageFailed(
@@ -314,18 +348,23 @@ def _left_move(points, rng):
     )
 
 
-def _fiber_radii(points) -> list[float]:
-    """Half the closest same-fiber gap per point; singletons get 1."""
-    fibers = group_fibers(points[:, :, 0])
-    radii = [1.0] * len(points)
-    for members in fibers.values():
-        if len(members) < 2:
-            continue
-        for i in members:
-            gap = min(
-                fiber_distance(points[i], points[j]) for j in members if j != i
-            )
-            radii[i] = 0.5 * gap
+def _fiber_radii(points) -> np.ndarray:
+    """Half the closest same-fiber gap per point; singletons get 1. The
+    gaps of every ordered pair of fiber members are taken at once, in the
+    order fiber by fiber (by first member), then by member and partner."""
+    pairs = [
+        (i, j)
+        for members in group_fibers(points[:, :, 0]).values()
+        for i in members
+        for j in members
+        if j != i
+    ]
+    radii = np.ones(len(points))
+    if pairs:
+        i, j = np.array(pairs).T
+        gaps = np.full(len(points), np.inf)
+        np.minimum.at(gaps, i, _translation_moduli(points[i], points[j]))
+        radii[i] = 0.5 * gaps[i]
     return radii
 
 
@@ -373,15 +412,15 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
         raise StageFailed("input-gate", f"first-column projection fails: {gate.detail}")
     rng = stream(seed, "sl2-pipeline")
 
-    left = _left_move(d.points, rng)
+    left = _left_move(d.array[:, :, 0], rng)
     moved = LinearAut(left).apply_batch(d.array)
 
     radii = _fiber_radii(moved)
     spec, targets = _clearance_shear(moved, radii, seed)
+    col_norms = _row_norms(moved[:, :, 0]).tolist()  # the overshear keeps them
     for k, p in enumerate(moved):
-        v = p[:, 0]
-        lam = abs(spec.lambda_at(v[0], v[1]))
-        have = lam * radii[k] * float(np.linalg.norm(v))
+        lam = abs(spec.lambda_at(p[0, 0], p[1, 0]))
+        have = lam * radii[k] * col_norms[k]
         if not (have > k + 1 and lam <= OVERSHOOT_FACTOR * targets[k]):
             raise StageFailed(
                 "fiber-rescale",
@@ -391,26 +430,22 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
     sheared = OvershearAut(spec).apply_batch(moved)
 
     fibers = group_fibers(sheared[:, :, 0])
+    second_norms = _row_norms(sheared[:, :, 1]).tolist()
+    balls = np.arange(1.0, len(sheared) + 1.0)
     verdict = None
     translations: list[complex] = []
     for _ in range(_TRY_CAP):
         translations = []
-        final = list(sheared)
+        ts = np.empty(len(sheared), dtype=np.complex128)
         for members in fibers.values():
-            v = sheared[members[0]][:, 0]
-            vnorm = float(np.linalg.norm(v))
-            need = max(members) + 2 + max(
-                float(np.linalg.norm(sheared[k][:, 1])) for k in members
-            )
-            t = (need / vnorm) * (1.0 + 0.25 * abs(rng.standard_normal()))
+            need = max(members) + 2 + max(second_norms[k] for k in members)
+            t = (need / col_norms[members[0]]) * (1.0 + 0.25 * abs(rng.standard_normal()))
             t = complex(t * np.exp(2j * np.pi * rng.random()))
             translations.append(t)
-            for k in members:
-                final[k] = right_translate(sheared[k], t)
-        images = [p[:, 1] for p in final]
-        escaped = all(
-            float(np.linalg.norm(img)) > k + 1 for k, img in enumerate(images)
-        )
+            ts[members] = t
+        # `right_translate` at every point, rounded as its scalar form
+        images = sheared[:, :, 1] + _scalar_product(sheared[:, :, 0], ts[:, None])
+        escaped = bool(np.all(_row_norms(images) > balls))
         verdict = properness_check(images, min_gap=MIN_GAP, max_fiber=MAX_FIBER)
         if escaped and not verdict.is_violated:
             break
@@ -511,25 +546,51 @@ def _omega_complex(field) -> complex:
     return complex(0.0, math.sqrt(d))
 
 
-def gaussian_sl2_exact(p: GaussianIntegerParams) -> tuple[ExactMatrix, ...]:
-    """Every determinant-one matrix with coordinate height within the
-    bound, in lexicographic entry order, with exact integer arithmetic."""
+def _exact_quadruples(p: GaussianIntegerParams):
+    """The entry table (xs, ys) and the index arrays (a, b, c, d) into it
+    of every determinant-one matrix within the height bound, in
+    lexicographic entry order.
+
+    The (2h+1)^4 products of two entries are formed once and joined on
+    ad - bc = 1: the products, keyed so that adding one to the real part
+    adds one to the key, are sorted, and each product bc finds its
+    partners ad = bc + 1 by binary search.
+    """
     field = _field_params(p.field)
     h = p.height_bound
-    span = range(-h, h + 1)
+    span = np.arange(-h, h + 1, dtype=np.int64)
     if field is None:
-        entries = [(x, 0) for x in span]
+        xs, ys = span, np.zeros_like(span)
         d_val, half = 0, False
     else:
         d_val, half = field
-        entries = [(x, y) for x in span for y in span]
-    out = []
-    for ea, eb, ec, ed in product(entries, repeat=4):
-        ad = _ring_mul(ea, ed, d_val, half)
-        cb = _ring_mul(ec, eb, d_val, half)
-        if (ad[0] - cb[0], ad[1] - cb[1]) == (1, 0):
-            out.append(ExactMatrix(ea, eb, ec, ed))
-    return tuple(out)
+        xs, ys = np.repeat(span, len(span)), np.tile(span, len(span))
+    n = len(xs)
+    # product of entries i and j at i * n + j
+    px, py = _ring_mul((xs[:, None], ys[:, None]), (xs[None, :], ys[None, :]), d_val, half)
+    reach = int(max(np.abs(px).max(), np.abs(py).max())) + 1
+    keys = (py * (2 * reach + 1) + px).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    lo = np.searchsorted(ranked, keys + 1, side="left")
+    counts = np.searchsorted(ranked, keys + 1, side="right") - lo
+    cb = np.repeat(np.arange(n * n), counts)
+    ad = order[np.arange(len(cb)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    a, d = np.divmod(ad, n)
+    c, b = np.divmod(cb, n)
+    rank = np.lexsort((d, c, b, a))
+    return xs, ys, a[rank], b[rank], c[rank], d[rank]
+
+
+def gaussian_sl2_exact(p: GaussianIntegerParams) -> tuple[ExactMatrix, ...]:
+    """Every determinant-one matrix with coordinate height within the
+    bound, in lexicographic entry order, with exact integer arithmetic."""
+    xs, ys, *quad = _exact_quadruples(p)
+    entries = list(zip(xs.tolist(), ys.tolist()))
+    return tuple(
+        ExactMatrix(entries[a], entries[b], entries[c], entries[d])
+        for a, b, c, d in zip(*(q.tolist() for q in quad))
+    )
 
 
 def _lattice_min_modulus(field, h: int) -> float:
@@ -550,14 +611,15 @@ def gaussian_sl2_generate(p: GaussianIntegerParams) -> DiscreteSequence:
     """The exact enumeration embedded as a matrix prefix; first-column
     images stay on the integer lattice, which has unit minimum gap."""
     field = _field_params(p.field)
-    exacts = gaussian_sl2_exact(p)
-    if not exacts:
+    xs, ys, a, b, c, d = _exact_quadruples(p)
+    if not len(a):
         raise EmptyResult("no matrices at this height")
     if _lattice_min_modulus(field, p.height_bound) < 1.0 - 1e-12:
         raise UnsupportedField(
             f"field {p.field!r} packs lattice points closer than one"
         )
-    omega = _omega_complex(field)
-    points = tuple(e.to_complex(omega) for e in exacts)
+    # x + y * omega as `ExactMatrix.to_complex` forms each entry
+    embedded = xs + ys * _omega_complex(field)
+    points = embedded[np.stack([np.stack([a, c], axis=1), np.stack([b, d], axis=1)], axis=1)]
     gen = GeneratorInfo.of("sl2-gauss", field=p.field, height_bound=p.height_bound)
     return DiscreteSequence(sln(2), points, gen)
