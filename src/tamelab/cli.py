@@ -498,29 +498,6 @@ def _cmd_mc(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _violated_inside(doc) -> bool:
-    """Whether any dict in the document has state "violated". Walks one
-    nesting level at a time; a level of lists is flattened whole, and a
-    level without dicts or lists ends the walk unvisited."""
-    level = [doc]
-    while level:
-        kinds = set(map(type, level))
-        if kinds <= {list}:
-            level = list(chain.from_iterable(level))
-            continue
-        if not any(issubclass(k, (dict, list)) for k in kinds):
-            return False
-        dicts = [v for v in level if isinstance(v, dict)]
-        if any(v.get("state") == "violated" for v in dicts):
-            return True
-        lists = [v for v in level if isinstance(v, list)]
-        level = [
-            *chain.from_iterable(v.values() for v in dicts),
-            *chain.from_iterable(lists),
-        ]
-    return False
-
-
 # Where "-0" may stand as an integer token; a false hit only costs time.
 _NEG_ZERO = re.compile(r"-0(?![\d.eE])")
 
@@ -529,6 +506,22 @@ def _parse_int(text: str):
     """Integers as json parses them, except "-0", which stays the float
     -0.0 that was written, so that `report` re-emits the bytes it read."""
     return -0.0 if text == "-0" else int(text)
+
+
+def _read_report(text: str):
+    """The JSON document in `text`, and whether any object in it has
+    state "violated", noted as the parser builds each object."""
+    violated = False
+
+    def note(obj: dict) -> dict:
+        nonlocal violated
+        violated = violated or obj.get("state") == "violated"
+        return obj
+
+    doc = json.loads(
+        text, parse_int=_parse_int if _NEG_ZERO.search(text) else None, object_hook=note
+    )
+    return doc, violated
 
 
 def _summarize(doc: dict) -> list[str]:
@@ -564,7 +557,7 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text, parse_int=_parse_int if _NEG_ZERO.search(text) else None)
+        doc, violated = _read_report(text)
     except json.JSONDecodeError:
         lines = text.splitlines()
         if not lines or lines[0].split(",") != list(MC_CSV_COLUMNS):
@@ -579,7 +572,7 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
             print(line)
     if cfg.out is not None:
         _write_out(cfg, canonical_json(doc))
-    return 2 if _violated_inside(doc) else 0
+    return 2 if violated else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -231,7 +231,19 @@ _json_docs = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_json_docs)
 def test_violated_scan_matches_reference(doc):
-    assert cli._violated_inside(doc) == _violated_reference(doc)
+    parsed, violated = cli._read_report(json.dumps(doc))
+    assert parsed == doc
+    assert violated == _violated_reference(doc)
+
+
+def test_report_flags_a_verdict_nested_inside_a_list(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    doc = {"command": "transform", "parts": [[{"verdict": {"state": "violated"}}]]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("report", str(path)) == 2
+    doc["parts"][0][0]["verdict"]["state"] = "consistent-up-to-prefix"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("report", str(path)) == 0
 
 
 class TestConfig:
@@ -355,6 +367,17 @@ class TestCheck:
 
 
 class TestTransform:
+    def test_overshears_drift_is_judged_by_the_loader_rule(self, tmp_path):
+        # the large entries of this prefix drift the determinant past 1e-9
+        # in absolute terms, within det_tol scaled by their column norms
+        path = gen(tmp_path, "wellplaced2", "--k", "16")
+        out = str(tmp_path / "ov.json")
+        assert run("transform", "overshears", path, "--out", out) == 0
+        doc = load(out)
+        assert doc["det_drift"] > 1e-9
+        assert doc["postcondition"]["state"] == "consistent-up-to-prefix"
+        assert len(DiscreteSequence.from_json(doc["sequence"])) == 16
+
     def test_overshear_det_drift(self, tmp_path):
         path = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
         out = str(tmp_path / "ov.json")
@@ -797,6 +820,17 @@ class TestReportKeepsNegativeZero:
         assert cli._NEG_ZERO.search('[1, -0]') is not None
 
 
+class TestGaussHeightCap:
+    @pytest.mark.parametrize("field, cap", [("qi", 6), ("q3", 6), ("q", 120)])
+    def test_one_past_the_cap_is_refused(self, tmp_path, capsys, field, cap):
+        out = tmp_path / "g.json"
+        assert run("gen", "sl2-gauss", "--field", field, "--height", str(cap + 1),
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: height must be an integer in [1, {cap}], got {cap + 1}\n"
+        assert not out.exists()
+
+
 class TestDiscBoundaryCap:
     def test_53_points_fit_inside_the_disc(self, tmp_path):
         out = str(tmp_path / "b53.json")
@@ -822,6 +856,28 @@ def _drifts(doc: dict) -> np.ndarray:
     return np.abs(np.linalg.det(DiscreteSequence.from_json(doc["sequence"]).array) - 1.0)
 
 
+def _drift_ratios(doc: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Each output point's determinant drift and its drift per unit of
+    det_tol: the drift over the point's column-norm scale."""
+    scales = core.det_tolerance(DiscreteSequence.from_json(doc["sequence"]).array, 1.0)
+    drifts = _drifts(doc)
+    return drifts, drifts / scales
+
+
+def _split_tolerance(ratios: np.ndarray) -> float:
+    """A det_tol halfway between the two middle drift ratios."""
+    r = np.sort(ratios)
+    return float(0.5 * (r[len(r) // 2 - 1] + r[len(r) // 2]))
+
+
+def _drift_detail(doc: dict, want: list, tol: float) -> str:
+    drifts, ratios = _drift_ratios(doc)
+    k = max(want, key=lambda i: ratios[i])
+    allowed = core.det_tolerance(DiscreteSequence.from_json(doc["sequence"]).array[k], tol)
+    return (f"determinant drift {drifts[k]:.3g} at point {k} exceeds {allowed:.3g}, "
+            f"det_tol {tol:g} scaled by its column norms")
+
+
 class TestWitnesses:
     """A violated postcondition names the input points that witness it."""
 
@@ -834,16 +890,17 @@ class TestWitnesses:
         out = str(tmp_path / "ov.json")
         argv = ["transform", "overshears", path, "--factor", "1+0.5*a", "--out", out]
         assert run(*argv) == 0
-        drifts = _drifts(load(out))
+        moved = load(out)
+        drifts, ratios = _drift_ratios(moved)
         assert drifts[0] == 0.0
-        tol = float(np.median(drifts[1:]))
+        tol = _split_tolerance(ratios[1:])
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(f"det_tol = {tol!r}\n", encoding="utf-8")
         assert run(*argv, "--config", str(cfg)) == 2
         post = load(out)["postcondition"]
-        want = [i for i, x in enumerate(drifts) if x > tol]
+        want = [i for i, x in enumerate(ratios) if x > tol]
         assert post["witness"] == want and want[0] > 0
-        assert post["detail"] == f"determinant drift {drifts.max():.3g} exceeds {tol:g}"
+        assert post["detail"] == _drift_detail(moved, want, tol)
 
     def test_sl2_pipeline_names_drifting_outputs(self, tmp_path):
         path = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
@@ -851,15 +908,16 @@ class TestWitnesses:
         argv = ["transform", "sl2-pipeline", path, "--seed", "1",
                 "--max-fiber", "16", "--out", out]
         assert run(*argv) == 0
-        drifts = _drifts(load(out))
-        tol = float(np.median(drifts))
+        moved = load(out)
+        _, ratios = _drift_ratios(moved)
+        tol = _split_tolerance(ratios)
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(f"det_tol = {tol!r}\n", encoding="utf-8")
         assert run(*argv, "--config", str(cfg)) == 2
         post = load(out)["postcondition"]
-        want = [i for i, x in enumerate(drifts) if x > tol]
+        want = [i for i, x in enumerate(ratios) if x > tol]
         assert post["witness"] == want and want
-        assert post["detail"] == f"determinant drift {drifts.max():.3g} exceeds {tol:g}"
+        assert post["detail"] == _drift_detail(moved, want, tol)
 
     @staticmethod
     def _split_case(case, parts):

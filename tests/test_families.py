@@ -73,6 +73,14 @@ class TestSl2Gauss:
         b = families.sl2_gauss(field="Q(i)", height=1)
         assert len(a) == len(b) == 296
 
+    def test_heights_up_to_six_enumerate(self):
+        assert len(families.sl2_gauss(field="qi", height=6)) == 114504
+
+    @pytest.mark.parametrize("field, cap", [("qi", 6), ("q7", 6), ("q", 120)])
+    def test_height_cap_is_bad_params(self, field, cap):
+        with pytest.raises(BadParams, match=rf"height must be an integer in \[1, {cap}\]"):
+            families.sl2_gauss(field=field, height=cap + 1)
+
     def test_ring_errors_pass_through(self):
         with pytest.raises(UnsupportedField):
             families.sl2_gauss(field="Q(sqrt-5)")

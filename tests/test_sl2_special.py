@@ -3,6 +3,8 @@ quadratic-integer enumeration."""
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from tamelab.core import (
 )
 from tamelab.errors import (
     AmbientMismatch,
+    DeterminantError,
     EmptyResult,
     InconsistentFiber,
     LambdaVanishes,
@@ -356,3 +359,148 @@ class TestGaussianEnumeration:
             for p in seq.points
         )
         assert found
+
+
+def _exact_reference(params: sl2.GaussianIntegerParams) -> list[sl2.ExactMatrix]:
+    """Reference: every entry quadruple tested one at a time, in
+    lexicographic entry order."""
+    field = sl2._field_params(params.field)
+    span = range(-params.height_bound, params.height_bound + 1)
+    if field is None:
+        entries, d_val, half = [(x, 0) for x in span], 0, False
+    else:
+        (d_val, half), entries = field, [(x, y) for x in span for y in span]
+    out = []
+    for ea, eb, ec, ed in product(entries, repeat=4):
+        ad = sl2._ring_mul(ea, ed, d_val, half)
+        cb = sl2._ring_mul(ec, eb, d_val, half)
+        if (ad[0] - cb[0], ad[1] - cb[1]) == (1, 0):
+            out.append(sl2.ExactMatrix(ea, eb, ec, ed))
+    return out
+
+
+_FIELDS = ("Q", "Q(i)", "Q(sqrt-2)", "Q(sqrt-3)", "Q(sqrt-7)", "Q(sqrt-11)")
+
+
+class TestSortJoinEnumeration:
+    @pytest.mark.parametrize(
+        "field, height", [(f, 1) for f in _FIELDS] + [("Q(i)", 2)]
+    )
+    def test_matches_the_quadruple_loop(self, field, height):
+        params = sl2.GaussianIntegerParams(field, height)
+        assert list(sl2.gaussian_sl2_exact(params)) == _exact_reference(params)
+
+    @pytest.mark.parametrize("field", ["Q", "Q(i)", "Q(sqrt-3)", "Q(sqrt-7)"])
+    def test_prefix_embeds_each_matrix_as_to_complex(self, field):
+        params = sl2.GaussianIntegerParams(field, 2)
+        omega = sl2._omega_complex(sl2._field_params(field))
+        want = np.stack([m.to_complex(omega) for m in sl2.gaussian_sl2_exact(params)])
+        got = sl2.gaussian_sl2_generate(params).array
+        assert got.tobytes() == want.tobytes()
+
+
+def _fiber_distance_reference(first: np.ndarray, second: np.ndarray) -> float:
+    """`fiber_distance` as a scalar computation, as it was."""
+    col_gap = float(np.max(np.abs(first[:, 0] - second[:, 0])))
+    if col_gap > sl2.SAME_COLUMN_TOL:
+        raise NotSameFiber(f"first columns differ by {col_gap:.3g}")
+    a, b = first[0, 0], first[1, 0]
+    dc = second[0, 1] - first[0, 1]
+    dd = second[1, 1] - first[1, 1]
+    if abs(a) >= abs(b):
+        t = dc / a
+        slack = abs(dd - b * t)
+    else:
+        t = dd / b
+        slack = abs(dc - a * t)
+    if slack > sl2.CROSS_CHECK_TOL:
+        raise InconsistentFiber(
+            f"second columns disagree with a single translation by {slack:.3g}"
+        )
+    return abs(t)
+
+
+def _fiber_radii_reference(points: np.ndarray) -> list[float]:
+    radii = [1.0] * len(points)
+    for members in sl2.group_fibers(points[:, :, 0]).values():
+        if len(members) < 2:
+            continue
+        for i in members:
+            gap = min(
+                _fiber_distance_reference(points[i], points[j]) for j in members if j != i
+            )
+            radii[i] = 0.5 * gap
+    return radii
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotSameFiber, InconsistentFiber) as exc:
+        return type(exc), str(exc)
+
+
+class TestFiberRadii:
+    def test_match_the_pairwise_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            cols = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+            pts = []
+            for k in rng.integers(0, 6, 40):
+                a, b = cols[k]
+                t = complex(*rng.standard_normal(2)) * 10.0 ** rng.integers(-3, 4)
+                base = np.array([[a, 0.0], [b, 1.0 / a]]) if abs(a) >= abs(b) else \
+                    np.array([[a, -1.0 / b], [b, 0.0]])
+                pts.append(sl2.right_translate(base, t))
+            pts = np.unique(np.stack(pts), axis=0)
+            got = sl2._fiber_radii(pts)
+            assert got.tobytes() == np.array(_fiber_radii_reference(pts)).tobytes()
+
+    def test_inconsistent_fiber_is_named_as_before(self):
+        # one first column; the large second column lets a drift of the
+        # corner entry through the determinant check
+        pts = np.array([
+            [[1.0, 1000.0], [1e-6, 1.001]],
+            [[1.0, 1000.0], [1e-6, 1.001 + 5e-7]],
+            [[1.0, 2.0], [1e-6, 1.0 + 2e-6]],
+        ], dtype=np.complex128)
+        want = _outcome(_fiber_radii_reference, pts)
+        assert want[0] is InconsistentFiber
+        with pytest.raises(InconsistentFiber) as err:
+            sl2._fiber_radii(pts)
+        assert str(err.value) == want[1]
+
+    def test_not_same_fiber_is_named_as_before(self, monkeypatch):
+        pts = np.array([np.eye(2), np.diag([2.0, 0.5]), np.diag([3.0, 1 / 3])],
+                       dtype=np.complex128)
+        monkeypatch.setattr(sl2, "group_fibers", lambda images: {0: [0, 1, 2]})
+        want = _outcome(_fiber_radii_reference, pts)
+        assert want[0] is NotSameFiber
+        with pytest.raises(NotSameFiber) as err:
+            sl2._fiber_radii(pts)
+        assert str(err.value) == want[1]
+
+
+class TestOvershearStack:
+    def test_first_bad_determinant_raises_as_the_point_does(self):
+        rng = np.random.default_rng(3)
+        a, b, c = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
+        a = a + 0.2 * a / np.abs(a)
+        ps = np.stack([np.stack([a, c], axis=1), np.stack([b, (1.0 + b * c) / a], axis=1)],
+                      axis=1)
+        ps[5, 1, 1] += 1e-3
+        ps[9, 1, 1] += 1e-2
+        spec = _linear_shear()
+        with pytest.raises(DeterminantError) as one:
+            sl2.overshear_apply(spec, ps[5])
+        with pytest.raises(DeterminantError) as stack:
+            sl2.OvershearAut(spec).apply_batch(ps)
+        assert str(stack.value) == str(one.value)
+        assert np.array_equal(
+            sl2.OvershearAut(spec).apply_batch(ps[:5]),
+            np.stack([sl2.overshear_apply(spec, p) for p in ps[:5]]),
+        )
+
+    def test_larger_matrices_are_refused_before_any_check(self):
+        with pytest.raises(AmbientMismatch, match="not on 3x3"):
+            sl2.OvershearAut(_linear_shear()).apply_batch(np.zeros((2, 3, 3)))
