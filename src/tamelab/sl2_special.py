@@ -235,11 +235,6 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _scalar_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y per entry, rounded as the product of two complex scalars."""
-    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
-
-
 def _translation_moduli(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """`fiber_distance` over matched stacks of validated matrices, pair
     by pair; the first failing pair in order raises its error."""
@@ -249,7 +244,7 @@ def _translation_moduli(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     top = _modulus(a) >= _modulus(b)
     t = np.where(top, diff[:, 0, 1], diff[:, 1, 1]) / np.where(top, a, b)
     rest = np.where(top, diff[:, 1, 1], diff[:, 0, 1])
-    slack = _modulus(rest - _scalar_product(np.where(top, b, a), t))
+    slack = np.abs(rest - np.where(top, b, a) * t)
     bad = np.flatnonzero((col_gap > SAME_COLUMN_TOL) | (slack > CROSS_CHECK_TOL))
     if bad.size:
         k = bad[0]
@@ -443,8 +438,8 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
             t = complex(t * np.exp(2j * np.pi * rng.random()))
             translations.append(t)
             ts[members] = t
-        # `right_translate` at every point, rounded as its scalar form
-        images = sheared[:, :, 1] + _scalar_product(sheared[:, :, 0], ts[:, None])
+        # the second columns `right_translate` gives every point
+        images = sheared[:, :, 1] + sheared[:, :, 0] * ts[:, None]
         escaped = bool(np.all(_row_norms(images) > balls))
         verdict = properness_check(images, min_gap=MIN_GAP, max_fiber=MAX_FIBER)
         if escaped and not verdict.is_violated:
@@ -620,6 +615,6 @@ def gaussian_sl2_generate(p: GaussianIntegerParams) -> DiscreteSequence:
         )
     # x + y * omega as `ExactMatrix.to_complex` forms each entry
     embedded = xs + ys * _omega_complex(field)
-    points = embedded[np.stack([np.stack([a, c], axis=1), np.stack([b, d], axis=1)], axis=1)]
+    points = embedded[np.stack([a, c, b, d], axis=1).reshape(-1, 2, 2)]
     gen = GeneratorInfo.of("sl2-gauss", field=p.field, height_bound=p.height_bound)
     return DiscreteSequence(sln(2), points, gen)
