@@ -98,11 +98,9 @@ def diagtorus(count: int = 8, ratio: float = 2.0) -> DiscreteSequence:
 def sl2_gauss(field: str = "qi", height: int = 1) -> DiscreteSequence:
     """Exact enumeration of small-height matrices over a quadratic ring."""
     tag = _FIELD_ALIASES.get(str(field).lower(), str(field))
-    h = int(height)
-    if h >= 1:  # below 1, GaussianIntegerParams answers EmptyResult
-        cap = _GAUSS_HEIGHT_CAP.get(tag, _QUADRATIC_HEIGHT_CAP)
-        h = _count(height, 1, cap, "height")
-    return gaussian_sl2_generate(GaussianIntegerParams(tag, h))
+    params = GaussianIntegerParams(tag, int(height))  # the ring, then a height of at least 1
+    _count(height, 1, _GAUSS_HEIGHT_CAP.get(tag, _QUADRATIC_HEIGHT_CAP), "height")
+    return gaussian_sl2_generate(params)
 
 
 def cn_powers(n: int = 2, alpha: float = 1.0, count: int = 100) -> DiscreteSequence:
