@@ -285,9 +285,9 @@ def first_close_pair(rows: np.ndarray, tol: float) -> tuple[int, int] | None:
     A small input is compared in one table of every pair. A larger one
     takes its candidates from `_window_pairs` on the real coordinate of
     widest spread and compares them an entry at a time. The table holds
-    at most 1/32 of a window block, 2048 entries (m * m * width): timed on
-    random complex rows, the two broke even at about 1.5k entries for
-    widths 2 and 4, and at about 4k for widths 1 and 8.
+    at most `_PAIR_TABLE_ENTRIES >> 5` = 2048 entries (m * m * width):
+    timed on random complex rows, the two broke even at about 1.5k
+    entries for widths 2 and 4, and at about 4k for widths 1 and 8.
     """
     m = len(rows)
     if m < 2:
