@@ -87,6 +87,15 @@ _COMMANDS = (
                  "--samples", "2000", "--seed", "3"]),
     ("threshold", ["mc", "threshold", "--levels", "3", "--samples", "2000",
                    "--seed", "0"]),
+    # estimator windows that span more than one draw block
+    ("mc-g", ["mc", "g", "--r", "4", "--probes", "4", "--samples", "9000", "--seed", "2"]),
+    ("measure-blocks", ["mc", "measure", "--R", "10,100", "--r", "4",
+                        "--samples", "10001", "--seed", "3"]),
+    ("threshold-blocks", ["mc", "threshold", "--levels", "2", "--samples", "8193",
+                          "--probes", "3", "--seed", "0"]),
+    # every twist fails, and the failures cross a block of twists
+    ("omega-blocks", ["mc", "omega", "--seq", "sg.out", "--samples", "300",
+                      "--max-fiber", "1", "--seed", "5"]),
     ("pipeline", ["transform", "sl2-pipeline", "sg.out", "--seed", "3",
                   "--max-fiber", "16"]),
     ("report", ["report", "wp.out"]),
@@ -135,6 +144,10 @@ GOLDEN = {
     'omega': (0, '1cfbb49606a1f63e312f43fc4fc5f98f908502f1ef2996d7a112aeaaaac29a29'),
     'measure': (0, 'cc46083b29ea84e73128834150f0e89843a721a1ba3f6126a29f5388d6b05ba0'),
     'threshold': (0, '195fc9309f20fe0038e269e868444e4a047f620d628bde262ca1c62d801f2a6b'),
+    'mc-g': (0, 'bc6293bfbfab97de6bd5cab9d2e6771d8aa50828b16e8543f35326c9da15c921'),
+    'measure-blocks': (0, 'd25dfb0c5027c43ab503ca2f7871a1b2ab2b0c7b906e718702b113b19eb87fd9'),
+    'threshold-blocks': (0, 'dadf107eb7aeffdb9674724e3994bcfa3f9e8a798ad003d64e5b6e352b332367'),
+    'omega-blocks': (0, 'cae9714d43c0c33a905bcd2a33c50e2ec259adb44f6bb2b3b10bfae7255553f5'),
     'pipeline': (0, 'db423ab1fe5849d46477edad9b28cf91ed3119fe2161e166564f3decea5056e5'),
     'report': (0, 'c14bf851429c3a9e09a8b9a4a3367b8d6f40aac1b7189663effe98c55167b2c4'),
     'powers': (0, 'f5cda6d589cbd40e097416bc82feb35a2d1986c6531f03f3a1705536972542bc'),
