@@ -447,19 +447,31 @@ def _cmd_transform(args: argparse.Namespace, cfg: RunConfig) -> int:
     return _verdict_exit(verdict)
 
 
+def _mc_radius(args) -> float:
+    if not np.isfinite(args.r):
+        raise BadParams(f"--r must be finite, got {args.r!r}")
+    return args.r
+
+
 def _mc_measure(args, cfg: RunConfig, seed: int):
-    scales = [float(s) for s in str(args.R).split(",") if s]
-    if not scales or any(r <= 0 for r in scales):
-        raise BadParams(f"--R needs positive scales, got {args.R!r}")
+    try:
+        scales = [float(s) for s in str(args.R).split(",") if s]
+    except ValueError:
+        scales = []
+    if not scales or not all(np.isfinite(r) and r > 0 for r in scales):
+        raise BadParams(f"--R needs finite positive scales, got {args.R!r}")
+    r = _mc_radius(args)
     vs = [np.diag([scale, 1.0 / scale]).astype(np.complex128) for scale in scales]
-    ests = measure_estimates(vs, args.r, cfg.samples, HaarSampler(2, seed), action=args.twist)
-    rows = [mc_report_row(args.twist, v, args.r, est) for v, est in zip(vs, ests)]
+    ests = measure_estimates(vs, r, cfg.samples, HaarSampler(2, seed), action=args.twist)
+    rows = [mc_report_row(args.twist, v, r, est) for v, est in zip(vs, ests)]
     csv_text = _measure_csv(rows)
     return {"rows": rows}, csv_text.splitlines(), None if cfg.emit_json else csv_text
 
 
 def _mc_g(args, cfg: RunConfig, seed: int):
-    est = g_estimate(args.r, args.probes, cfg.samples, HaarSampler(2, seed), action=args.twist)
+    est = g_estimate(
+        _mc_radius(args), args.probes, cfg.samples, HaarSampler(2, seed), action=args.twist
+    )
     human = [f"g({_float_text(args.r)}) = {_float_text(est.estimate)}"]
     return {"r": args.r, "estimate": est.to_json()}, human, None
 
@@ -492,6 +504,10 @@ _MC = {"measure": _mc_measure, "g": _mc_g, "threshold": _mc_threshold, "omega": 
 
 def _cmd_mc(args: argparse.Namespace, cfg: RunConfig) -> int:
     seed = cfg.require_seed()
+    if args.action in ("threshold", "omega") and args.twist != "conjugation":
+        raise BadParams(
+            f"mc {args.action} always twists by conjugation; --twist applies to measure and g"
+        )
     fields, human, file_text = _MC[args.action](args, cfg, seed)
     doc = {"command": "mc", "action": args.action, "config": cfg.to_json(), **fields}
     _finish(cfg, doc, human, file_text)
@@ -637,7 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--probes", type=int, default=8, help="sphere probe count")
     mc.add_argument("--levels", type=int, default=5)
     mc.add_argument("--seq", help="sequence file for omega")
-    mc.add_argument("--twist", choices=ACTIONS, default="conjugation")
+    mc.add_argument("--twist", choices=ACTIONS, default="conjugation",
+                    help="how measure and g move their input; threshold and omega "
+                    "always conjugate")
     mc.add_argument("--max-fiber", type=int, default=MAX_FIBER)
 
     rep = sub.add_parser("report", parents=[common], help="render a written report")

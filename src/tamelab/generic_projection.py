@@ -3,7 +3,10 @@
 The compact group SU(n) is sampled through a counter-addressed Haar
 sampler: every draw is a pure function of (n, seed, draw index), so a
 batch partitioned across workers reproduces the single-worker stream
-bit for bit. On top of the sampler sit estimators for how often a
+bit for bit. The estimators read the stream in blocks of at most
+`_DRAW_BLOCK` draws, so their memory does not grow with the sample
+count and their results are those of one whole window. On top of the
+sampler sit estimators for how often a
 twisted torus projection of a matrix stays inside a small ball:
 
   * `InvariantEmbedding` maps g = [[a, c], [b, d]] to the right-torus
@@ -36,6 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import core
 from .core import (
     MAX_FIBER,
     MIN_GAP,
@@ -61,6 +65,8 @@ ACTIONS = ("conjugation", "translation")
 
 _MASK64 = (1 << 64) - 1
 _INV53 = float(2.0**-53)
+# Most draws an estimator holds at once; bounds its memory at any --samples.
+_DRAW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -153,6 +159,18 @@ def haar_su(sampler: HaarSampler) -> np.ndarray:
     return haar_su_batch(sampler, 1)[0]
 
 
+def _draw_blocks(sampler: HaarSampler, count: int, block: int | None = None):
+    """The draws of `haar_su_batch(sampler, count)`, as the stacks of its
+    consecutive windows of at most `block` draws (`_DRAW_BLOCK` by default).
+
+    Every draw is addressed by its counter, so the stacks joined are the
+    whole window bit for bit.
+    """
+    block = block or _DRAW_BLOCK
+    for start in range(0, count, block):
+        yield haar_su_batch(sampler.advanced(start), min(block, count - start))
+
+
 @dataclass(frozen=True)
 class InvariantEmbedding:
     """Chart g = [[a, c], [b, d]] -> (ac, ad, bc, bd) of the torus quotient.
@@ -215,15 +233,16 @@ class MCEstimate:
 
 
 def _conjugate(ks: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """k^H v k for every k of a (K, 2, 2) stack, as explicit 2 by 2 products."""
-    k00, k01, k10, k11 = ks[:, 0, 0], ks[:, 0, 1], ks[:, 1, 0], ks[:, 1, 1]
-    (v00, v01), (v10, v11) = v
+    """k^H v k as explicit 2 by 2 products, broadcast over the leading
+    axes of the stacks ks and v."""
+    k00, k01, k10, k11 = ks[..., 0, 0], ks[..., 0, 1], ks[..., 1, 0], ks[..., 1, 1]
+    v00, v01, v10, v11 = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
     w00, w01 = v00 * k00 + v01 * k10, v00 * k01 + v01 * k11
     w10, w11 = v10 * k00 + v11 * k10, v10 * k01 + v11 * k11
     h00, h01, h10, h11 = k00.conj(), k01.conj(), k10.conj(), k11.conj()
-    out = np.empty_like(ks)
-    out[:, 0, 0], out[:, 0, 1] = h00 * w00 + h10 * w10, h00 * w01 + h10 * w11
-    out[:, 1, 0], out[:, 1, 1] = h01 * w00 + h11 * w10, h01 * w01 + h11 * w11
+    out = np.empty((*w00.shape, 2, 2), dtype=np.complex128)
+    out[..., 0, 0], out[..., 0, 1] = h00 * w00 + h10 * w10, h00 * w01 + h10 * w11
+    out[..., 1, 0], out[..., 1, 1] = h01 * w00 + h11 * w10, h01 * w01 + h11 * w11
     return out
 
 
@@ -266,8 +285,10 @@ def measure_estimates(
 ) -> list[MCEstimate]:
     """`measure_estimate` for each input, all against one draw window.
 
-    The twists are drawn once and every input is counted against the
-    same ones, so each estimate equals its single-input call.
+    The window streams in blocks of at most `_DRAW_BLOCK` twists, and
+    every input is counted against each block before the next is drawn:
+    memory stays flat in `samples`, and each estimate equals its
+    single-input call and the count over the whole window at once.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -276,15 +297,12 @@ def measure_estimates(
     if sampler.n != 2:
         raise AmbientMismatch("tail estimates run over SU(2) twists")
     probes = [_probe(v) for v in vs]
-    ks = haar_su_batch(sampler, samples)
-    return [
-        MCEstimate.from_hits(
-            int(np.count_nonzero(_tail_norms(v, ks, action) < float(r))),
-            samples,
-            sampler.seed,
-        )
-        for v in probes
-    ]
+    r = float(r)
+    hits = [0] * len(probes)
+    for ks in _draw_blocks(sampler, samples):
+        for i, v in enumerate(probes):
+            hits[i] += int(np.count_nonzero(_tail_norms(v, ks, action) < r))
+    return [MCEstimate.from_hits(h, samples, sampler.seed) for h in hits]
 
 
 def measure_estimate(
@@ -427,9 +445,10 @@ def threshold_estimate(
         unit_norms = []
         for j in range(sphere_probes):
             offset = ((level - 1) * sphere_probes + j) * m
-            ks = haar_su_batch(base.advanced(offset), m)
-            moved = _conjugate(ks, probes[j])
-            unit_norms.append(np.linalg.norm(chart.embed_batch(moved), axis=-1))
+            unit_norms.append(np.concatenate([
+                np.linalg.norm(chart.embed_batch(_conjugate(ks, probes[j])), axis=-1)
+                for ks in _draw_blocks(base.advanced(offset), m)
+            ]))
         budget = 2.0 ** -(level + 1)
 
         def clears(radius: float) -> bool:
@@ -564,6 +583,10 @@ def omega_check(
     and any image collision comes from a central ratio; a pair whose
     ratio is central always collides, since negating a matrix leaves
     every entry product unchanged.
+
+    Twists stream in blocks of `core._PAIR_TABLE_ENTRIES // m` (at least
+    one), so the image table holds a bounded number of entries whatever
+    `k_samples` is, and the report is the one of the whole window at once.
     """
     if d.ambient != sln(2):
         raise AmbientMismatch("the omega fraction runs over SL2 prefixes")
@@ -573,12 +596,23 @@ def omega_check(
         raise ValueError("need at least one sampled twist")
     points = d.array
     m = len(points)
-    ks = haar_su_batch(sampler, k_samples)
     chart = InvariantEmbedding()
-    images = np.empty((k_samples, m, 4), dtype=np.complex128)
-    for i in range(m):
-        images[:, i, :] = chart.embed_batch(_conjugate(ks, points[i]))
+    block = max(1, core._PAIR_TABLE_ENTRIES // m)
     failures: list[tuple[int, str]] = []
+    start = 0
+    for ks in _draw_blocks(sampler, k_samples, block):
+        images = chart.embed_batch(_conjugate(ks[:, None], points[None]))
+        for t, reason in _twist_failures(images, points, min_gap, max_fiber):
+            failures.append((start + t, reason))
+        start += len(ks)
+    fraction = 1.0 - len(failures) / k_samples
+    return OmegaReport(fraction, k_samples, sampler.seed, tuple(failures))
+
+
+def _twist_failures(images: np.ndarray, points: np.ndarray, min_gap: float, max_fiber: int):
+    """(t, reason) for each sample t of a (k, m, 4) image stack whose
+    twist breaks properness or collides two points of non-central ratio."""
+    m = len(points)
     for t in _maybe_close_samples(images, min_gap):
         if not any((gaps < min_gap).any() for _, _, gaps in _close_pairs(images[t], min_gap)):
             continue
@@ -607,6 +641,4 @@ def omega_check(
             if verdict.is_violated:
                 reason = verdict.detail
         if reason is not None:
-            failures.append((int(t), reason))
-    fraction = 1.0 - len(failures) / k_samples
-    return OmegaReport(fraction, k_samples, sampler.seed, tuple(failures))
+            yield int(t), reason

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamelab import cli, core
+from tamelab import cli, core, generic_projection
 from tamelab.core import DiscreteSequence, cn, sln
 from tamelab.errors import MalformedDocument
 from tamelab.generic_projection import MC_CSV_COLUMNS, threshold_estimate
@@ -552,6 +552,16 @@ class TestTransform:
         assert code == 0
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fails the test if any Haar twist is drawn."""
+
+    def draw(sampler, count):
+        raise AssertionError("drew twists for a rejected flag")
+
+    monkeypatch.setattr(generic_projection, "haar_su_batch", draw)
+
+
 class TestMc:
     def test_measure_csv_shape_and_determinism(self, tmp_path):
         out = str(tmp_path / "measure.csv")
@@ -615,6 +625,34 @@ class TestMc:
 
     def test_bad_scale_list(self):
         assert run("mc", "measure", "--R", "10,-3", "--seed", "0") == 1
+
+    @pytest.mark.parametrize(
+        "action, flag, value",
+        [
+            ("measure", "--r", "nan"),
+            ("measure", "--r", "inf"),
+            ("measure", "--r", "1e400"),
+            ("g", "--r", "nan"),
+            ("g", "--r", "inf"),
+            ("measure", "--R", "nan"),
+            ("measure", "--R", "10,inf"),
+            ("measure", "--R", "abc"),
+        ],
+    )
+    def test_non_finite_radii_fail_before_any_draw(self, no_draws, capsys, action, flag, value):
+        assert run("mc", action, flag, value, "--samples", "10", "--seed", "0") == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+    @pytest.mark.parametrize(
+        "argv", [("threshold", "--levels", "1"), ("omega", "--seq", "unread.json")]
+    )
+    def test_twist_is_refused_where_it_would_be_ignored(self, no_draws, capsys, argv):
+        assert run("mc", *argv, "--twist", "translation", "--seed", "0") == 1
+        assert "--twist applies to measure and g" in capsys.readouterr().err
+
+    def test_help_says_which_actions_take_the_twist(self, capsys):
+        assert run("mc", "--help") == 0
+        assert "threshold and omega always conjugate" in " ".join(capsys.readouterr().out.split())
 
 
 class TestReport:

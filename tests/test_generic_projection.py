@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +342,59 @@ class TestGEstimate:
             gp.g_estimate(0.0, 4, 100, _sampler(0))
         with pytest.raises(ValueError):
             gp.g_estimate(1.0, 0, 100, _sampler(0))
+
+
+@pytest.fixture(params=[1, 7, 1 << 20], ids=lambda b: f"block{b}")
+def draw_block(request, monkeypatch):
+    """Every estimator streams its draws in blocks of this many."""
+    monkeypatch.setattr(gp, "_DRAW_BLOCK", request.param)
+    return request.param
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDrawBlocks:
+    """The exact estimates, at blocks of one draw, of seven, and of more
+    draws than any window holds."""
+
+    def test_blocks_join_to_the_window(self, draw_block):
+        blocks = list(gp._draw_blocks(_sampler(5, 3), 1000))
+        assert max(len(ks) for ks in blocks) == min(draw_block, 1000)
+        assert np.array_equal(np.concatenate(blocks), gp.haar_su_batch(_sampler(5, 3), 1000))
+
+    def test_measure_estimates_count_every_input_per_block(self, draw_block):
+        TestMeasureEstimate().test_decay_is_strict_above_the_floor()
+        vs = [_diag(10.0), _diag(100.0), np.array([1.0, 2j, -1.0, 0.5])]
+        for action in gp.ACTIONS:
+            shared = gp.measure_estimates(vs, 150.0, 700, _sampler(8), action)
+            assert shared == [gp.measure_estimate(v, 150.0, 700, _sampler(8), action) for v in vs]
+
+    def test_g_envelope(self, draw_block):
+        TestGEstimate().test_envelope_nonincreasing_under_halving()
+
+    def test_threshold_radii(self, draw_block):
+        th = gp.threshold_estimate(2, samples_per_level=1500, sphere_probes=3, seed=4)
+        assert th.rhat == (1.765625, 2.921875)
+
+    def test_measure_memory_does_not_grow_with_samples(self):
+        # the whole 200k window at once peaked at 58.7 MiB
+        vs = [_diag(10.0), _diag(100.0)]
+        _, peak = _traced_peak(gp.measure_estimates, vs, 150.0, 200_000, _sampler(3))
+        assert peak < 8 * 2**20
+
+    def test_omega_memory_does_not_grow_with_samples(self):
+        # the whole 80k x 8 image table at once peaked at 62.9 MiB
+        d = DiscreteSequence(sln(2), tuple(_diag(float(2**j)) for j in range(1, 9)))
+        report, peak = _traced_peak(gp.omega_check, d, 80_000, _sampler(5))
+        assert report.fraction == 1.0
+        assert peak < 24 * 2**20
 
 
 class TestThresholdEstimateType:

@@ -89,3 +89,48 @@ def test_the_helper_scan_sees_calls_attributes_and_imports():
         "c": ast.parse("class K:\n    def _method(self):\n        pass\n"),
     }
     assert _unreferenced_helpers(trees) == ["a._dead"]
+
+
+def _callers(trees: dict[str, ast.Module], name: str) -> set[str]:
+    """`module.function` of each top-level function or method that calls
+    `name`, as a plain or an attribute call; `module` alone for a call
+    outside any function."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                found.add(owner)
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and "." not in owner:
+                inner = f"{owner}.{child.name}"
+            visit(child, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return found
+
+
+def test_only_the_draw_block_generator_and_the_single_draw_call_the_batch_sampler():
+    # estimators draw through `_draw_blocks`, which bounds the draws held at once
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _callers(trees, "haar_su_batch") == {
+        "generic_projection._draw_blocks",
+        "generic_projection.haar_su",
+    }
+
+
+def test_the_caller_scan_sees_plain_attribute_nested_and_module_calls():
+    trees = {
+        "a": ast.parse(
+            "def f():\n    return g(1)\n\n"
+            "def h():\n    def inner():\n        return m.g(2)\n    return inner\n\n"
+            "class K:\n    def k(self):\n        return [g(x) for x in ()]\n\n"
+            "def quiet():\n    return g\n\n"
+            "x = g(3)\n"
+        ),
+    }
+    assert _callers(trees, "g") == {"a.f", "a.h", "a.k", "a"}
