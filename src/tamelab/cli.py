@@ -341,7 +341,7 @@ def _union_decompose(args, cfg: RunConfig, d: DiscreteSequence):
 
 
 def _torus_embed(args, cfg: RunConfig, d: DiscreteSequence):
-    images, verdict = torus_embed(d.points, min_gap=cfg.min_gap)
+    images, verdict = torus_embed(d.array, min_gap=cfg.min_gap)
     out = DiscreteSequence(
         cn(d.ambient.n),
         images,

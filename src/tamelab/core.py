@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -341,22 +341,22 @@ def _first_duplicate(arr: np.ndarray) -> tuple[int, int] | None:
     return int(order[heads[dups[k]]]), int(order[dups[k]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteSequence:
     """A finite prefix of points in a tagged ambient space.
 
     The points are validated once, on construction, into `array`: one
     read-only complex array of shape (m, n), or (m, n, n) for matrix
-    points. `points` is the tuple of its rows.
+    points, and the only point container. `points` builds the tuple of
+    its rows on request. Sequences compare and hash by identity.
     """
 
     ambient: AmbientSpace
-    points: tuple[np.ndarray, ...]
+    array: np.ndarray
     generator: GeneratorInfo | None = None
-    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = validate_points(self.ambient, self.points)
+        arr = validate_points(self.ambient, self.array)
         hit = _first_duplicate(arr)
         if hit is not None:
             raise ValueError(
@@ -365,13 +365,16 @@ class DiscreteSequence:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "points", tuple(arr))
+
+    @property
+    def points(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.array)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.array)
 
     def replace_points(self, points: Iterable, generator=None) -> "DiscreteSequence":
-        return DiscreteSequence(self.ambient, tuple(points), generator)
+        return DiscreteSequence(self.ambient, points, generator)
 
     def to_json(self) -> dict:
         pairs = self.array.view(np.float64).reshape(*self.array.shape, 2)
@@ -582,7 +585,7 @@ def discreteness_check(d: DiscreteSequence, min_gap: float = MIN_GAP) -> Verdict
     hit = first_close_pair(d.array, float(min_gap))
     if hit is not None:
         i, j = hit
-        gap = max_norm_distance(d.points[i], d.points[j])
+        gap = max_norm_distance(d.array[i], d.array[j])
         return Verdict.violated((i, j), f"points {i} and {j} are {gap:.3g} apart")
     return Verdict.consistent(f"all pairwise gaps exceed {min_gap:g}")
 

@@ -160,7 +160,7 @@ def no_threshold_witness(
         raise AmbientMismatch(
             f"expected a punctured-cn sequence, got {gamma_prefix.ambient.kind}"
         )
-    norms = np.array([np.linalg.norm(p) for p in gamma_prefix.points])
+    norms = _row_norms(gamma_prefix.array)
     if np.any(np.diff(norms) >= 0.0):
         raise ValueError("prefix norms must strictly decrease toward the puncture")
     n = gamma_prefix.ambient.n

@@ -203,10 +203,7 @@ def lambda_rescale(
             raise ConditionViolated(
                 f"condition ({cond}) fails at step {k}, row {j + 1}"
             )
-    points = [
-        table.values[k][:, None] * p for k, p in enumerate(d.points)
-    ]
-    return d.replace_points(points)
+    return d.replace_points(table.values[: len(d), :, None] * d.array)
 
 
 @dataclass(frozen=True)
@@ -282,8 +279,8 @@ def align_first_columns(
     mu_t = np.ones((m, n), dtype=np.complex128)
 
     for k in range(m):
-        col_a = a_seq.points[k][:, 0]
-        col_b = b_seq.points[k][:, 0]
+        col_a = a_seq.array[k, :, 0]
+        col_b = b_seq.array[k, :, 0]
         rho = complex((np.prod(col_b) / np.prod(col_a)) ** (1.0 / n))
         growth = np.abs(rho) * np.abs(col_a[1:]) / np.abs(col_b[1:])
         base = np.minimum(1.0, 1.0 / growth)
@@ -337,15 +334,9 @@ def align_first_columns(
         mu_t[k, 1:] = w * phase
         mu_t[k, 0] = 1.0 / np.prod(mu_t[k, 1:])
 
-    c_points = [
-        lam[k][:, None] * a_seq.points[k] * lam_t[k][None, :] for k in range(m)
-    ]
-    d_points = [
-        mu[k][:, None] * b_seq.points[k] * mu_t[k][None, :] for k in range(m)
-    ]
-    mismatch = max(
-        max_norm_distance(c[:, 0], e[:, 0]) for c, e in zip(c_points, d_points)
-    )
+    c_points = lam[:, :, None] * a_seq.array * lam_t[:, None, :]
+    d_points = mu[:, :, None] * b_seq.array * mu_t[:, None, :]
+    mismatch = max_norm_distance(c_points[:, :, 0], d_points[:, :, 0])
 
     slack = 1.0 + _VERIFY_SLACK
     unit_caps_ok = all(
@@ -426,10 +417,8 @@ def equivalence_automorphism(
         raise AmbientMismatch("equivalence needs two prefixes in one matrix ambient")
     if len(c_seq) != len(d_seq):
         raise ValueError("equivalence needs equal prefix lengths")
-    factors = [
-        q_factor(c, d) for c, d in zip(c_seq.points, d_seq.points)
-    ]
-    images = [np.array(c[:, 0]) for c in c_seq.points]
+    factors = [q_factor(c, d) for c, d in zip(c_seq.array, d_seq.array)]
+    images = c_seq.array[:, :, 0]
     fmap = fit_q_map(images, factors, seed=seed)
     phi = BundlePushAut(fmap)
     moved = phi.apply_batch(d_seq.array)
@@ -461,15 +450,8 @@ def union_decompose(d: DiscreteSequence) -> list[DiscreteSequence]:
     value itself, so each member trivially clears the 1/n bound."""
     if d.ambient.kind != "sln":
         raise AmbientMismatch("union decomposition applies to the matrix ambient")
-    n = d.ambient.n
-    parts: list[list[np.ndarray]] = [[] for _ in range(n)]
-    for p in d.points:
-        norms = np.linalg.norm(p, axis=0)
-        k = int(np.argmax(norms))
-        assert norms[k] >= np.max(norms) / n
-        assert norms[k] >= np.linalg.norm(p) / np.sqrt(n) * (1.0 - 1e-12)
-        parts[k].append(p)
-    return [d.replace_points(tuple(part)) for part in parts]
+    owner = np.argmax(np.linalg.norm(d.array, axis=1), axis=1)
+    return [d.replace_points(d.array[owner == k]) for k in range(d.ambient.n)]
 
 
 def union_split_verdict(d: DiscreteSequence, parts: list[DiscreteSequence]) -> Verdict:
@@ -556,14 +538,15 @@ def one_param_check(
         raise UnsupportedPair("unknown subgroup declaration")
     if subgroup.n != d.ambient.n:
         raise AmbientMismatch("subgroup and ambient sizes disagree")
-    snapped = []
-    for i, p in enumerate(d.points):
-        off = float(np.max(np.abs(p - np.diag(np.diag(p)))))
-        if off > SUBGROUP_TOL:
-            raise NotOnSubgroup(
-                f"point {i} has off-diagonal modulus {off:.3g}"
-            )
-        snapped.append(np.diag(np.diag(p)))
+    diag = range(d.ambient.n)
+    snapped = np.zeros_like(d.array)
+    snapped[:, diag, diag] = d.array[:, diag, diag]
+    off = np.max(np.abs(d.array - snapped), axis=(1, 2))
+    bad = np.flatnonzero(off > SUBGROUP_TOL)
+    if bad.size:
+        raise NotOnSubgroup(
+            f"point {bad[0]} has off-diagonal modulus {off[bad[0]]:.3g}"
+        )
     return torus_embed(snapped, min_gap=min_gap)[1]
 
 
