@@ -462,6 +462,10 @@ def _mc_measure(args, cfg: RunConfig, seed: int):
         raise BadParams(f"--R needs finite positive scales, got {args.R!r}")
     r = _mc_radius(args)
     vs = [np.diag([scale, 1.0 / scale]).astype(np.complex128) for scale in scales]
+    with np.errstate(over="ignore"):
+        huge = [scale for scale, v in zip(scales, vs) if not np.isfinite(np.linalg.norm(v))]
+    if huge:
+        raise BadParams(f"--R scale {huge[0]!r} gives a probe norm that overflows")
     ests = measure_estimates(vs, r, cfg.samples, HaarSampler(2, seed), action=args.twist)
     rows = [mc_report_row(args.twist, v, r, est) for v, est in zip(vs, ests)]
     csv_text = _measure_csv(rows)

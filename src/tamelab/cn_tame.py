@@ -20,6 +20,7 @@ from .core import (
     Verdict,
     _pair,
     _row_norms,
+    falls_short,
     first_close_pair,
 )
 from .errors import (
@@ -351,7 +352,7 @@ def push_prefix_cn(
     pts = d.array
     heights = np.linalg.norm(pts, axis=1) if len(d) else np.array([])
     targets = np.array(zeta.values)
-    if len(d) == 0 or np.all(heights >= targets):
+    if not np.any(falls_short(heights, targets)):
         proof = {
             "achieved": [float(h) for h in heights],
             "targets": list(targets),
@@ -366,10 +367,7 @@ def push_prefix_cn(
         rng = stream(seed, "push-unitary", attempt)
         cand = haar_unitary(rng, n)
         moved = pts @ cand.T
-        firsts = moved[:, 0]
-        gaps = np.abs(firsts[:, None] - firsts[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if np.min(gaps) > distinct_tol:
+        if first_close_pair(moved[:, 0], distinct_tol) is None:
             rotated, u_mat, used_tries = moved, cand, attempt + 1
             break
     if rotated is None:
@@ -390,7 +388,7 @@ def push_prefix_cn(
         raise InterpolationIllConditioned(
             f"the height of point {overflow[0]} is not finite after interpolation"
         )
-    if np.any(achieved < targets):
+    if np.any(falls_short(achieved, targets)):
         worst = int(np.argmin(achieved - targets))
         raise InterpolationIllConditioned(
             f"point {worst} reached height {achieved[worst]:.6g} "

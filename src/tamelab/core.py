@@ -519,10 +519,18 @@ class Verdict:
         }
 
 
+def falls_short(achieved, targets) -> np.ndarray:
+    """Where an achieved height misses its target by more than the
+    rounding slack 1e-9 * (1 + target) that every height push allows.
+    A non-finite height is never short."""
+    targets = np.asarray(targets, dtype=float)
+    return np.asarray(achieved, dtype=float) < targets - 1e-9 * (1.0 + targets)
+
+
 def heights_verdict(achieved, targets: HeightAssignment) -> Verdict:
     """The postcondition of a height push: violated at every point, in
     index order, whose achieved height falls short of its target."""
-    low = np.flatnonzero(np.asarray(achieved, dtype=float) < np.asarray(targets.values))
+    low = np.flatnonzero(falls_short(achieved, targets.values))
     if low.size:
         return Verdict.violated(low, f"{low.size} image(s) fall short of their height")
     return Verdict.consistent("every image clears its demanded height")

@@ -28,6 +28,7 @@ from .core import (
     _check_rows,
     _pair,
     _row_norms,
+    falls_short,
     first_close_pair,
     properness_check,
     sl_matrix,
@@ -255,8 +256,7 @@ def _separate(
         u = rng.standard_normal(ys.shape[1]) + 1j * rng.standard_normal(ys.shape[1])
         ss = np.sum(u * ys, axis=1)
         scale = max(1.0, float(np.max(np.abs(ss))))
-        gaps = np.abs(ss[:, None] - ss[None, :]) + np.eye(len(ss)) * scale
-        if float(np.min(gaps)) > DISTINCT_TOL * scale:
+        if np.isfinite(ss).all() and first_close_pair(ss, DISTINCT_TOL * scale) is None:
             return u, ss
     raise DegenerateConfiguration(
         "no separating functional found for the projected images"
@@ -323,7 +323,7 @@ def _pushed_heights(images: np.ndarray, targets: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         # a non-finite point has a non-finite height, which is never short
         heights = np.max(np.linalg.norm(images, axis=1), axis=1)
-    low = np.flatnonzero(heights < targets - 1e-9 * (1.0 + targets))
+    low = np.flatnonzero(falls_short(heights, targets))
     _check_rows("sln", images[: low[0] + 1] if low.size else images, DET_TOL)
     if low.size:
         i = int(low[0])

@@ -499,6 +499,19 @@ class TestTransform:
         doc = load(out)
         assert all(h >= 3.0 for h in doc["achieved"])
 
+    def test_bundle_push_verdict_allows_the_push_slack(self, tmp_path):
+        # point 0 lands at 4.999999999999999: short of 5 by one rounding,
+        # within the slack the push itself accepts
+        path = str(tmp_path / "seq.json")
+        pts = (np.array([[1, 4], [-1, -3]], dtype=complex), np.eye(2, dtype=complex))
+        core.save_sequence(DiscreteSequence(sln(2), pts), path)
+        out = str(tmp_path / "pushed.json")
+        assert run("transform", "bundle-push", path, "--height", "5",
+                   "--seed", "0", "--out", out) == 0
+        doc = load(out)
+        assert doc["achieved"][0] < 5.0
+        assert doc["postcondition"]["state"] == "consistent-up-to-prefix"
+
     def test_bundle_push_names_shared_first_columns(self, tmp_path, capsys):
         path = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
         capsys.readouterr()
@@ -642,6 +655,13 @@ class TestMc:
     def test_non_finite_radii_fail_before_any_draw(self, no_draws, capsys, action, flag, value):
         assert run("mc", action, flag, value, "--samples", "10", "--seed", "0") == 1
         assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scales", ["1e200", "1e-200", "10,1.4e154"])
+    def test_overflowing_probe_norms_fail_before_any_draw(self, no_draws, capsys, scales):
+        # finite scales whose probe diag(R, 1/R) has no finite norm
+        assert run("mc", "measure", "--R", scales, "--samples", "10", "--seed", "0") == 1
+        assert capsys.readouterr().err.startswith("error: --R scale ")
 
     @pytest.mark.parametrize(
         "argv", [("threshold", "--levels", "1"), ("omega", "--seq", "unread.json")]

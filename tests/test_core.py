@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,37 @@ class TestSequences:
     def test_canonical_json_is_stable(self):
         d = seq_cn([[1, 0], [2, 0]])
         assert core.canonical_json(d.to_json()) == core.canonical_json(d.to_json())
+
+    def test_a_sequence_retains_only_its_array(self):
+        arr = stream(0, "container").standard_normal((10**5, 2)).astype(complex)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            d = core.DiscreteSequence(core.cn(2), arr)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained <= 1.1 * d.array.nbytes
+        assert np.array_equal(np.stack(d.points), arr)
+
+    def test_sequences_compare_and_hash_by_identity(self):
+        a = seq_cn([[1, 0], [2, 0]])
+        b = seq_cn([[1, 0], [2, 0]])
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
+
+class TestHeightsVerdict:
+    def test_a_rounding_shortfall_is_within_the_push_slack(self):
+        targets = core.HeightAssignment((5.0, 5.0, 5.0))
+        verdict = core.heights_verdict([4.999999999999999, 5.0, 7.0], targets)
+        assert verdict.state == core.CONSISTENT
+
+    def test_a_shortfall_beyond_the_slack_is_violated(self):
+        targets = core.HeightAssignment((5.0, 5.0, 5.0, 5.0))
+        verdict = core.heights_verdict([5.0, 5.0 - 1e-8, 4.0, 5.0 - 1e-12], targets)
+        assert verdict.is_violated and verdict.witness == (1, 2)
 
 
 class TestAutomorphismPlumbing:

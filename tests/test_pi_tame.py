@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,18 @@ class TestFitQMap:
             pi_tame.fit_q_map([a, a, a], [_random_q2(stream(0, "q"))] * 3)
         with pytest.raises(FiberCollision, match="images 0 and 3 coincide"):
             pi_tame.fit_q_map([a, b, b, a], [_random_q2(stream(1, "q"))] * 4)
+
+    def test_separating_many_images_holds_no_pair_table(self):
+        # a dense table of 2000 separators' gaps alone would take 61 MiB
+        rng = stream(4, "many-images")
+        ys = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
+        tracemalloc.start()
+        try:
+            pi_tame._separate(ys, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_batched_blocks_match_single_points(self):
         rng = stream(8, "q-blocks")

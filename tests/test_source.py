@@ -91,6 +91,31 @@ def test_the_helper_scan_sees_calls_attributes_and_imports():
     assert _unreferenced_helpers(trees) == ["a._dead"]
 
 
+def _attribute_reads(tree: ast.Module, name: str) -> list[int]:
+    """Line numbers, in walk order, where the module reads an attribute
+    called `name`."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == name
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_package_reads_points_from_the_array(path):
+    # `DiscreteSequence.points` builds a tuple of row views on every read
+    assert _attribute_reads(ast.parse(path.read_text(encoding="utf-8")), "points") == []
+
+
+def test_the_attribute_scan_sees_reads_but_not_stores_keys_or_names():
+    tree = ast.parse(
+        "a = d.points\nfor p in s.points[1:]:\n    pass\n"
+        "d.points = 1\nx = doc['points']\npoints = 2\ny = d.points_seen\n"
+    )
+    assert sorted(_attribute_reads(tree, "points")) == [1, 2]
+
+
 def _callers(trees: dict[str, ast.Module], name: str) -> set[str]:
     """`module.function` of each top-level function or method that calls
     `name`, as a plain or an attribute call; `module` alone for a call
