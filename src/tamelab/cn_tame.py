@@ -350,7 +350,7 @@ def push_prefix_cn(
     if len(zeta) != len(d):
         raise ValueError("one height per point is required")
     pts = d.array
-    heights = np.linalg.norm(pts, axis=1) if len(d) else np.array([])
+    heights = np.linalg.norm(pts, axis=1)
     targets = np.array(zeta.values)
     if not np.any(falls_short(heights, targets)):
         proof = {
