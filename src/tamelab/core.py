@@ -368,6 +368,7 @@ class DiscreteSequence:
 
     @property
     def points(self) -> tuple[np.ndarray, ...]:
+        """The rows of `array`, as a new tuple on each read."""
         return tuple(self.array)
 
     def __len__(self) -> int:
