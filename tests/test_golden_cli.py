@@ -93,6 +93,13 @@ _COMMANDS = (
                         "--samples", "10001", "--seed", "3"]),
     ("threshold-blocks", ["mc", "threshold", "--levels", "2", "--samples", "8193",
                           "--probes", "3", "--seed", "0"]),
+    # tail estimates strictly inside (0, 1), so single norms decide them
+    ("mc-g-tail", ["mc", "g", "--r", "0.25", "--probes", "8", "--samples", "4000",
+                   "--seed", "2"]),
+    ("measure-tail", ["mc", "measure", "--R", "1.5,3,10", "--r", "2.5",
+                      "--samples", "20000", "--seed", "4"]),
+    ("threshold-tail", ["mc", "threshold", "--levels", "5", "--samples", "10000",
+                        "--seed", "7"]),
     # every twist fails, and the failures cross a block of twists
     ("omega-blocks", ["mc", "omega", "--seq", "sg.out", "--samples", "300",
                       "--max-fiber", "1", "--seed", "5"]),
@@ -147,6 +154,9 @@ GOLDEN = {
     'mc-g': (0, 'bc6293bfbfab97de6bd5cab9d2e6771d8aa50828b16e8543f35326c9da15c921'),
     'measure-blocks': (0, 'd25dfb0c5027c43ab503ca2f7871a1b2ab2b0c7b906e718702b113b19eb87fd9'),
     'threshold-blocks': (0, 'dadf107eb7aeffdb9674724e3994bcfa3f9e8a798ad003d64e5b6e352b332367'),
+    'mc-g-tail': (0, 'b7ef743ac512c17fcc6f255813e8fe5c5362b6d33e0aee6aab2cac3bba47af0a'),
+    'measure-tail': (0, '6371d4d1d5808d90c55b76a5187899d332b4f6a74484d2d1b1c465d7ae337eeb'),
+    'threshold-tail': (0, '466fe1f78e2d7fbc257b3f2aa48e570de80d593459eae2ed500bcf23fbe53174'),
     'omega-blocks': (0, 'cae9714d43c0c33a905bcd2a33c50e2ec259adb44f6bb2b3b10bfae7255553f5'),
     'pipeline': (0, 'db423ab1fe5849d46477edad9b28cf91ed3119fe2161e166564f3decea5056e5'),
     'report': (0, 'c14bf851429c3a9e09a8b9a4a3367b8d6f40aac1b7189663effe98c55167b2c4'),
