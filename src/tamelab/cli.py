@@ -462,7 +462,7 @@ def _mc_measure(args, cfg: RunConfig, seed: int):
         raise BadParams(f"--R needs finite positive scales, got {args.R!r}")
     r = _mc_radius(args)
     vs = [np.diag([scale, 1.0 / scale]).astype(np.complex128) for scale in scales]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         huge = [scale for scale, v in zip(scales, vs) if not np.isfinite(np.linalg.norm(v))]
     if huge:
         raise BadParams(f"--R scale {huge[0]!r} gives a probe norm that overflows")

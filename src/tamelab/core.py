@@ -28,6 +28,7 @@ from .errors import (
     AmbientMismatch,
     DeterminantError,
     DimensionMismatch,
+    DuplicatePoints,
     MalformedDocument,
     PointOutsideAmbient,
     UnsupportedPair,
@@ -359,7 +360,7 @@ class DiscreteSequence:
         arr = validate_points(self.ambient, self.array)
         hit = _first_duplicate(arr)
         if hit is not None:
-            raise ValueError(
+            raise DuplicatePoints(
                 f"points {hit[0]} and {hit[1]} coincide; prefixes must be "
                 "pairwise distinct"
             )

@@ -121,6 +121,11 @@ class MalformedDocument(TamelabError, ValueError):
     `ValueError`, which bad point entries raised before they were typed)."""
 
 
+class DuplicatePoints(TamelabError, ValueError):
+    """Two points of a prefix coincide (also a `ValueError`, which
+    duplicates raised before they were typed)."""
+
+
 class BadParams(TamelabError):
     """Parameters passed to a generator or command are invalid."""
 

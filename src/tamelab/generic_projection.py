@@ -30,6 +30,15 @@ determinant-one matrix by unitaries on either side cannot push the
 embedded image below norm one, so tail radii at or under one have
 exactly zero mass on the group itself. Decay is visible above the
 floor, and for off-group points of large entry norm.
+
+The same identity makes the conjugation tail cheap. k^H is unitary, so
+the norm of k^H v k is |v k e1| |v k e2|, and the closed-form draw has
+k e1 = s g and k e2 = conj(s) J conj(g), where g = (g00, g10) is the
+first column of its Ginibre matrix, J conj(g) = (-conj(g10), conj(g00))
+and |s| = 1/|g|. The norm is |v g| |v J conj(g)| / |g|^2: a function of
+|g00|, |g10| and their relative phase alone, so the estimators that
+conjugate a 2 by 2 probe read those three numbers per draw
+(`_column_blocks`) and never build k.
 """
 
 from __future__ import annotations
@@ -39,7 +48,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import core
 from .core import (
     MAX_FIBER,
     MIN_GAP,
@@ -171,6 +179,24 @@ def _draw_blocks(sampler: HaarSampler, count: int, block: int | None = None):
         yield haar_su_batch(sampler.advanced(start), min(block, count - start))
 
 
+def _column_blocks(sampler: HaarSampler, count: int):
+    """(k, 2) stacks g, one per window of `_draw_blocks(sampler, count)`,
+    each row the first Ginibre column (g00, g10) of that draw times
+    exp(-i arg g00): g00 real, g10 carrying the relative phase.
+
+    The moduli and phases come from the same counter-addressed uniforms
+    as `haar_su_batch`'s g00 and g10, and a common phase leaves
+    `_conjugation_norms` unchanged.
+    """
+    block = _DRAW_BLOCK
+    for start in range(0, count, block):
+        u = sampler.advanced(start).raw_uniforms(min(block, count - start))
+        moduli = np.sqrt(-np.log1p(-u[:, 0:4:2]))
+        g = moduli.astype(np.complex128)
+        g[:, 1] *= np.exp(2j * math.pi * (u[:, 6] - u[:, 4]))
+        yield g
+
+
 @dataclass(frozen=True)
 class InvariantEmbedding:
     """Chart g = [[a, c], [b, d]] -> (ac, ad, bc, bd) of the torus quotient.
@@ -258,11 +284,27 @@ def _probe(v) -> np.ndarray:
     return v
 
 
+def _conjugation_norms(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Norms of embed(k^H v k) for the 2 by 2 probe v, one per row g of a
+    (k, 2) stack, k the SU(2) draw whose first column is g/|g| up to a
+    phase: |v g| |v J conj(g)| / |g|^2 (see the module docstring)."""
+    g0, g1 = g[:, 0], g[:, 1]
+    c0, c1 = g0.conj(), g1.conj()
+    with np.errstate(under="ignore"):  # see `_scaled_probe`
+        a0, a1 = v[0, 0] * g0 + v[0, 1] * g1, v[1, 0] * g0 + v[1, 1] * g1
+        b0, b1 = v[0, 1] * c0 - v[0, 0] * c1, v[1, 1] * c0 - v[1, 0] * c1
+        n1 = a0.real**2 + a0.imag**2 + a1.real**2 + a1.imag**2
+        n2 = b0.real**2 + b0.imag**2 + b1.real**2 + b1.imag**2
+    # two roots, not one of the product: n1 * n2 overflows first
+    return np.sqrt(n1) * np.sqrt(n2) / (g0.real**2 + g0.imag**2 + g1.real**2 + g1.imag**2)
+
+
 def _tail_norms(v: np.ndarray, ks: np.ndarray, action: str) -> np.ndarray:
-    """Embedded-image norms of the moved probe, one per twist in ks."""
+    """Embedded-image norms of the moved probe, one per twist in ks, for a
+    2 by 2 probe under translation or a tuple under either action (a 2 by
+    2 probe under conjugation goes through `_conjugation_norms`)."""
     if v.shape == (2, 2):
-        moved = _conjugate(ks, v) if action == "conjugation" else ks @ v
-        return np.linalg.norm(InvariantEmbedding().embed_batch(moved), axis=-1)
+        return np.linalg.norm(InvariantEmbedding().embed_batch(ks @ v), axis=-1)
     # A tuple-space point carries no matrix to conjugate, so the twist
     # acts linearly on the tuple arranged as a 2 by 2 array. Both
     # arrangements are isometries; the estimate degenerates to an
@@ -285,10 +327,12 @@ def measure_estimates(
 ) -> list[MCEstimate]:
     """`measure_estimate` for each input, all against one draw window.
 
-    The window streams in blocks of at most `_DRAW_BLOCK` twists, and
+    The window streams in blocks of at most `_DRAW_BLOCK` draws, and
     every input is counted against each block before the next is drawn:
     memory stays flat in `samples`, and each estimate equals its
-    single-input call and the count over the whole window at once.
+    single-input call and the count over the whole window at once. A 2
+    by 2 input under conjugation is counted on the first columns of the
+    draws (`_column_blocks`), any other on the twists themselves.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -299,10 +343,40 @@ def measure_estimates(
     probes = [_probe(v) for v in vs]
     r = float(r)
     hits = [0] * len(probes)
-    for ks in _draw_blocks(sampler, samples):
-        for i, v in enumerate(probes):
-            hits[i] += int(np.count_nonzero(_tail_norms(v, ks, action) < r))
+    # a 2 by 2 probe under conjugation reads first columns, the rest twists
+    columns = [i for i, v in enumerate(probes) if v.shape == (2, 2) and action == "conjugation"]
+    twisted = [i for i in range(len(probes)) if i not in columns]
+    scaled = {i: _scaled_probe(probes[i], r) for i in columns}
+    column_blocks = _column_blocks(sampler, samples)
+    twist_blocks = _draw_blocks(sampler, samples)
+    for _ in range(0, samples, _DRAW_BLOCK):
+        if columns:
+            g = next(column_blocks)
+            for i in columns:
+                w, radius = scaled[i]
+                hits[i] += int(np.count_nonzero(_conjugation_norms(w, g) < radius))
+        if twisted:
+            ks = next(twist_blocks)
+            for i in twisted:
+                hits[i] += int(np.count_nonzero(_tail_norms(probes[i], ks, action) < r))
     return [MCEstimate.from_hits(h, samples, sampler.seed) for h in hits]
+
+
+def _scaled_probe(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
+    """(w, radius): the 2 by 2 probe v and the radius r scaled by 2^-e and
+    4^-e, with e >= 0 the least that leaves no entry of w of modulus one.
+
+    The conjugation norm has degree two in the probe, and scaling by a
+    power of two rounds nothing until a value turns subnormal, so the
+    norm of w is below radius exactly when that of v is below r wherever
+    the latter is finite; the norms of w stay finite for every probe of
+    finite norm. Entries of w far below its largest may round to
+    subnormals or zero; in the norms their squares are below the
+    rounding of the sum either way.
+    """
+    shift = max(0, math.frexp(float(np.max(np.abs(v))))[1])
+    with np.errstate(under="ignore"):
+        return v * 2.0**-shift, math.ldexp(r, -2 * shift)
 
 
 def measure_estimate(
@@ -332,9 +406,11 @@ def mc_report_row(action: str, v, r: float, est: MCEstimate) -> dict:
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}; choose from {ACTIONS}")
     flat = np.asarray(v, dtype=np.complex128).reshape(-1)
+    with np.errstate(under="ignore"):  # the square of 1/R for R near 1e154
+        v_norm = float(np.linalg.norm(flat))
     return {
         "action": action,
-        "v_norm": float(np.linalg.norm(flat)),
+        "v_norm": v_norm,
         "r": float(r),
         "samples": est.samples,
         "seed": est.seed,
@@ -436,7 +512,6 @@ def threshold_estimate(
     if samples_per_level < 1 or sphere_probes < 1:
         raise ValueError("sampling counts must be positive")
     probes = _unit_probes(seed, sphere_probes)
-    chart = InvariantEmbedding()
     base = HaarSampler(2, seed)
     radii: list[float] = []
     deltas: list[float] = []
@@ -446,8 +521,8 @@ def threshold_estimate(
         for j in range(sphere_probes):
             offset = ((level - 1) * sphere_probes + j) * m
             unit_norms.append(np.concatenate([
-                np.linalg.norm(chart.embed_batch(_conjugate(ks, probes[j])), axis=-1)
-                for ks in _draw_blocks(base.advanced(offset), m)
+                _conjugation_norms(probes[j], g)
+                for g in _column_blocks(base.advanced(offset), m)
             ]))
         budget = 2.0 ** -(level + 1)
 
@@ -584,9 +659,9 @@ def omega_check(
     ratio is central always collides, since negating a matrix leaves
     every entry product unchanged.
 
-    Twists stream in blocks of `core._PAIR_TABLE_ENTRIES // m` (at least
-    one), so the image table holds a bounded number of entries whatever
-    `k_samples` is, and the report is the one of the whole window at once.
+    Twists stream in blocks of `_DRAW_BLOCK // m` (at least one), so the
+    image table holds about `_DRAW_BLOCK` images whatever `k_samples` is,
+    and the report is the one of the whole window at once.
     """
     if d.ambient != sln(2):
         raise AmbientMismatch("the omega fraction runs over SL2 prefixes")
@@ -597,7 +672,7 @@ def omega_check(
     points = d.array
     m = len(points)
     chart = InvariantEmbedding()
-    block = max(1, core._PAIR_TABLE_ENTRIES // m)
+    block = max(1, _DRAW_BLOCK // m)
     failures: list[tuple[int, str]] = []
     start = 0
     for ks in _draw_blocks(sampler, k_samples, block):

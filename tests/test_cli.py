@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tamelab import cli, core, generic_projection
 from tamelab.core import DiscreteSequence, cn, sln
-from tamelab.errors import MalformedDocument
+from tamelab.errors import DuplicatePoints, MalformedDocument
 from tamelab.generic_projection import MC_CSV_COLUMNS, threshold_estimate
 
 
@@ -664,6 +664,20 @@ class TestMc:
         assert capsys.readouterr().err.startswith("error: --R scale ")
 
     @pytest.mark.parametrize(
+        "twist, estimates",
+        # the estimates of the unscaled norms; conjugation printed overflow warnings
+        [("conjugation", [0, 0, 0, 0]), ("translation", [1, 1, 1, 1])],
+    )
+    def test_huge_scales_raise_no_floating_point_error(self, capsys, twist, estimates):
+        argv = ("mc", "measure", "--R", "1e78,1e100,1e150,1.34e154", "--r", "2.5",
+                "--samples", "3000", "--seed", "0", "--twist", twist, "--json")
+        with np.errstate(all="raise"):
+            assert run(*argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [row["estimate"] for row in json.loads(out)["rows"]] == estimates
+
+    @pytest.mark.parametrize(
         "argv", [("threshold", "--levels", "1"), ("omega", "--seq", "unread.json")]
     )
     def test_twist_is_refused_where_it_would_be_ignored(self, no_draws, capsys, argv):
@@ -785,6 +799,17 @@ class TestMalformedDocuments:
     def test_integral_float_dimension_still_reads(self):
         seq = DiscreteSequence.from_json({"ambient": "cn", "n": 2.0, "points": []})
         assert seq.ambient == cn(2)
+
+    def test_duplicate_points_are_typed_and_exit_1(self, tmp_path, capsys):
+        doc = {"ambient": "cn", "n": 1, "points": [[[1.0, 0.0]], [[2.0, 0.0]], [[1.0, -0.0]]]}
+        with pytest.raises(DuplicatePoints, match="points 0 and 2 coincide"):
+            DiscreteSequence.from_json(doc)
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("report", str(path)) == 0
+        assert run("check", "rr-series", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: points 0 and 2 coincide") and "Traceback" not in err
 
 
 # (gen argv, commands that read its ambient); every prefix has 6 points

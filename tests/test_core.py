@@ -16,6 +16,7 @@ from tamelab import cli, core
 from tamelab.errors import (
     DeterminantError,
     DimensionMismatch,
+    DuplicatePoints,
     PointOutsideAmbient,
     UnsupportedPair,
 )
@@ -398,7 +399,7 @@ def _sequence_reference(ambient, points):
     for i, p in enumerate(validated):
         key = (p.reshape(-1) + 0.0).tobytes()
         if key in seen:
-            raise ValueError(
+            raise DuplicatePoints(
                 f"points {seen[key]} and {i} coincide; prefixes must be "
                 "pairwise distinct"
             )
@@ -507,8 +508,9 @@ class TestBatchedValidation:
                 assert np.array_equal(got[1], expected[1])
             else:
                 assert got[1] == expected[1]
-        # every error class this ambient can raise, and clean prefixes
-        assert len(seen) == 3 + (ambient.kind != "cn")
+        # every error class this ambient can raise, and clean prefixes;
+        # duplicates have their own class, non-finite entries raise ValueError
+        assert len(seen) == 4 + (ambient.kind != "cn")
 
     def test_determinant_tolerance_scales_with_the_column_norms(self):
         eye = np.eye(2, dtype=np.complex128)

@@ -153,6 +153,91 @@ class TestClosedFormDraws:
         assert estimates() == closed_form
 
 
+def _chart_norms(ks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Reference: the norms of embed(k^H v k), conjugating every draw."""
+    return np.linalg.norm(gp.InvariantEmbedding().embed_batch(gp._conjugate(ks, v)), axis=-1)
+
+
+class TestColumnStream:
+    """Conjugation tail norms from the first column of each draw."""
+
+    @pytest.mark.parametrize("draws", [gp.haar_su_batch, _haar_su_qr], ids=["closed-form", "qr"])
+    def test_norms_match_the_conjugated_chart(self, draws):
+        rng = stream(31, "column-norms")
+        probes = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4)]
+        probes += [_diag(scale) for scale in (1.5, 10.0, 1e3, 1e6)]
+        ks = draws(_sampler(31, 500), 20_000)
+        for v in probes:
+            got = gp._conjugation_norms(v, ks[:, :, 0])
+            assert np.max(np.abs(got / _chart_norms(ks, v) - 1.0)) <= 1e-14
+
+    def test_the_column_stream_holds_the_draws_first_columns(self):
+        # equal up to one phase per row, which leaves every norm unchanged
+        ks = gp.haar_su_batch(_sampler(32, 70), 20_000)
+        columns = np.concatenate(list(gp._column_blocks(_sampler(32, 70), 20_000)))
+        units = columns / np.linalg.norm(columns, axis=1, keepdims=True)
+        phases = ks[:, 0, 0] / units[:, 0]
+        assert np.max(np.abs(np.abs(phases) - 1.0)) <= 1e-14
+        assert np.max(np.abs(units * phases[:, None] - ks[:, :, 0])) <= 1e-14
+        for v in (_diag(10.0), _diag(1e6), np.array([[3.0 + 1j, -2.0], [0.5j, 7.0 - 2j]])):
+            got = gp._conjugation_norms(v, columns)
+            assert np.max(np.abs(got / _chart_norms(ks, v) - 1.0)) <= 1e-14
+
+    def test_estimates_are_hit_counts_over_qr_draws(self):
+        vs = [_diag(1.5), _diag(3.0), _diag(10.0), 4.0 * gp._unit_probes(5, 1)[0]]
+        for seed, r in ((4, 2.5), (9, 6.0)):
+            ks = _haar_su_qr(_sampler(seed), 20_000)
+            hits = [int(np.count_nonzero(_chart_norms(ks, v) < r)) for v in vs]
+            assert any(0 < h < 20_000 for h in hits)
+            assert gp.measure_estimates(vs, r, 20_000, _sampler(seed)) == [
+                gp.MCEstimate.from_hits(h, 20_000, seed) for h in hits
+            ]
+        # every probe of the envelope owns the window after the previous one's
+        probes = gp._unit_probes(2, 8)
+        hits = [
+            int(np.count_nonzero(_chart_norms(_haar_su_qr(_sampler(2, j * 2000), 2000), v) < 0.25))
+            for j, v in enumerate(probes)
+        ]
+        assert 0 < max(hits) < 2000
+        assert gp.g_estimate(0.25, 8, 2000, _sampler(2)).estimate == max(hits) / 2000
+
+    def test_conjugation_estimates_build_no_twist(self, monkeypatch):
+        vs = [_diag(3.0), 4.0 * gp._unit_probes(5, 1)[0]]
+
+        def estimates():
+            return (
+                gp.measure_estimates(vs, 2.5, 3000, _sampler(4)),
+                gp.g_estimate(0.25, 4, 1000, _sampler(2)),
+                gp.threshold_estimate(2, samples_per_level=1000, sphere_probes=3, seed=1),
+            )
+
+        want = estimates()
+
+        def refuse(sampler, count):
+            raise AssertionError("a conjugation tail drew a twist matrix")
+
+        monkeypatch.setattr(gp, "haar_su_batch", refuse)
+        assert estimates() == want
+        with pytest.raises(AssertionError, match="twist matrix"):
+            gp.measure_estimate(_diag(3.0), 2.5, 10, _sampler(4), action="translation")
+
+    def test_a_scaled_probe_counts_as_the_unscaled_one(self):
+        # norms of 2^p v are 4^p times those of v; at p = 500 the chart's
+        # squares would overflow without the power-of-two scaling
+        rng = stream(33, "scaled-probes")
+        estimates = []
+        for _ in range(3):
+            v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            for r in (1.0, 3.0):
+                want = gp.measure_estimate(v, r, 4000, _sampler(6))
+                estimates.append(want.estimate)
+                for power in (3, 200, 500):
+                    with np.errstate(all="raise"):
+                        got = gp.measure_estimate(v * 2.0**power, r * 4.0**power, 4000, _sampler(6))
+                    assert got == want
+        assert any(0.0 < e < 1.0 for e in estimates)
+
+
 class TestInvariantEmbedding:
     def test_products_of_entries(self):
         g = np.array([[1.0, 2.0], [0.5, 3.0]], dtype=np.complex128)
@@ -368,6 +453,27 @@ class TestDrawBlocks:
         blocks = list(gp._draw_blocks(_sampler(5, 3), 1000))
         assert max(len(ks) for ks in blocks) == min(draw_block, 1000)
         assert np.array_equal(np.concatenate(blocks), gp.haar_su_batch(_sampler(5, 3), 1000))
+
+    def test_column_blocks_join_to_the_window(self, draw_block):
+        blocks = list(gp._column_blocks(_sampler(5, 3), 1000))
+        assert max(len(g) for g in blocks) == min(draw_block, 1000)
+        u = _sampler(5, 3).raw_uniforms(1000)
+        moduli = np.sqrt(-np.log1p(-u[:, [0, 2]]))
+        phase = np.exp(2j * math.pi * (u[:, 6] - u[:, 4]))
+        want = np.stack([moduli[:, 0] + 0j, moduli[:, 1] * phase], axis=1)
+        assert np.array_equal(np.concatenate(blocks), want)
+
+    def test_omega_report(self, draw_block):
+        rng = stream(21, "omega-blocks")
+        x = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=np.complex128)
+        pts = [x, -x]
+        for _ in range(10):
+            a, b, c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            pts.append(np.array([[a, c], [b, (1.0 + b * c) / a]]))
+        d = DiscreteSequence(sln(2), tuple(pts))
+        report = gp.omega_check(d, 60, _sampler(3), min_gap=2.0)
+        assert report.failures == _omega_failures_loop(d, 60, _sampler(3), 2.0)
+        assert 0.0 < report.fraction < 1.0
 
     def test_measure_estimates_count_every_input_per_block(self, draw_block):
         TestMeasureEstimate().test_decay_is_strict_above_the_floor()

@@ -148,6 +148,15 @@ def test_only_the_draw_block_generator_and_the_single_draw_call_the_batch_sample
     }
 
 
+def test_only_the_batch_sampler_and_the_column_stream_read_raw_uniforms():
+    # everything else reaches the uniforms through a block generator
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _callers(trees, "raw_uniforms") == {
+        "generic_projection.haar_su_batch",
+        "generic_projection._column_blocks",
+    }
+
+
 def test_the_caller_scan_sees_plain_attribute_nested_and_module_calls():
     trees = {
         "a": ast.parse(
