@@ -188,9 +188,8 @@ def _column_blocks(sampler: HaarSampler, count: int):
     as `haar_su_batch`'s g00 and g10, and a common phase leaves
     `_conjugation_norms` unchanged.
     """
-    block = _DRAW_BLOCK
-    for start in range(0, count, block):
-        u = sampler.advanced(start).raw_uniforms(min(block, count - start))
+    for start in range(0, count, _DRAW_BLOCK):
+        u = sampler.advanced(start).raw_uniforms(min(_DRAW_BLOCK, count - start))
         moduli = np.sqrt(-np.log1p(-u[:, 0:4:2]))
         g = moduli.astype(np.complex128)
         g[:, 1] *= np.exp(2j * math.pi * (u[:, 6] - u[:, 4]))
@@ -364,7 +363,8 @@ def measure_estimates(
 
 def _scaled_probe(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
     """(w, radius): the 2 by 2 probe v and the radius r scaled by 2^-e and
-    4^-e, with e >= 0 the least that leaves no entry of w of modulus one.
+    4^-e, with e >= 0 the least that leaves every entry of w below one in
+    modulus.
 
     The conjugation norm has degree two in the probe, and scaling by a
     power of two rounds nothing until a value turns subnormal, so the

@@ -806,7 +806,6 @@ class TestMalformedDocuments:
             DiscreteSequence.from_json(doc)
         path = tmp_path / "twice.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert run("report", str(path)) == 0
         assert run("check", "rr-series", str(path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: points 0 and 2 coincide") and "Traceback" not in err
