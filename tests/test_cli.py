@@ -166,6 +166,35 @@ _docs = st.recursive(
     max_leaves=30,
 )
 
+# numbers where '%.17g' and str() could part ways, and the float extremes
+_BOUNDARY_NUMBERS = (2**53, -(2**53), 2**53 + 1, -(2**53 + 1), 0, -0.0, 5e-324, -5e-324,
+                     1.7976931348623157e308, -1.7976931348623157e308, 0.1, 3)
+# regular block shapes by depth
+_SHAPES = {1: [(5,)], 2: [(4, 3), (1025, 2)], 3: [(3, 2, 2)], 4: [(2, 3, 2, 2)]}
+
+
+def _regular(leaves: list, dims: tuple) -> list:
+    if len(dims) == 1:
+        return list(leaves)
+    step = len(leaves) // dims[0]
+    return [_regular(leaves[i * step : (i + 1) * step], dims[1:]) for i in range(dims[0])]
+
+
+def _boundary_leaf_sets(size: int) -> list[list]:
+    """Leaf lists for one block: boundary floats, boundary ints among
+    floats, bools among numbers, and nan or inf at the first, middle
+    and last leaf."""
+    numbers = [_BOUNDARY_NUMBERS[i % len(_BOUNDARY_NUMBERS)] for i in range(size)]
+    floats = [float(x) for x in numbers]
+    sets = [floats, numbers, [bool(i % 2) if i % 3 == 0 else x for i, x in enumerate(numbers)]]
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for at in (0, size // 2, size - 1):
+            for base in (floats, numbers):
+                leaves = list(base)
+                leaves[at] = bad
+                sets.append(leaves)
+    return sets
+
 
 class TestBatchedEmitter:
     """`canonical_json` against the value-at-a-time reference emitter."""
@@ -190,6 +219,16 @@ class TestBatchedEmitter:
             expected = _outcome(_canonical_reference, doc)
             assert expected[0] in (ValueError, TypeError)
             assert _outcome(cli.canonical_json, doc) == expected
+
+    @pytest.mark.parametrize("wrap", range(4), ids=lambda w: f"indent{w}")
+    @pytest.mark.parametrize("depth", sorted(_SHAPES), ids=lambda d: f"depth{d}")
+    def test_boundary_blocks_match_reference(self, depth, wrap):
+        for dims in _SHAPES[depth]:
+            for leaves in _boundary_leaf_sets(int(np.prod(dims))):
+                doc = _regular(leaves, dims)
+                for _ in range(wrap):  # each enclosing object indents the block once more
+                    doc = {"k": doc}
+                assert _outcome(cli.canonical_json, doc) == _outcome(_canonical_reference, doc)
 
     def test_long_lists_cross_batch_boundaries(self):
         rng = np.random.default_rng(4)

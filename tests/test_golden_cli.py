@@ -55,6 +55,26 @@ def _write_inputs() -> None:
     doc = {"ambient": "cn", "n": 3, "points": [[[z.real, z.imag] for z in p] for p in flat]}
     with open("flat60.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))
+    with open("bounds.json", "w", encoding="utf-8") as fh:
+        fh.write(_bounds_text())
+
+
+def _bounds_text() -> str:
+    """A hand-written document at the edges of number printing: ints at
+    and just past 2**53, a "-0" token, the smallest subnormal and the
+    largest float, mixed int/float rows, and a block of 1025 rows, one
+    more than the emitter formats together."""
+    big = 2**53
+    rows = [f"[{i}, {i / 7!r}, {-3 * i}]" for i in range(1025)]
+    rows[1000] = "[-0, -0.0, 1000]"
+    rows[1024] = f"[{big + 1}, 0.5, {-(big + 1)}]"
+    return (
+        '{"command": "gen", "family": "bounds",\n'
+        f' "ints": [{big}, {-big}, {big + 1}, {-(big + 1)}, -0, 0],\n'
+        ' "floats": [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308],\n'
+        f' "mixed": [[1, 2.5], [3.25, -4], [{big}, 0.1], [-0, 1e-300]],\n'
+        ' "block": [' + ", ".join(rows) + "]}\n"
+    )
 
 
 # (name, argv); each command writes <name>.out, later commands read it.
@@ -106,6 +126,7 @@ _COMMANDS = (
     ("pipeline", ["transform", "sl2-pipeline", "sg.out", "--seed", "3",
                   "--max-fiber", "16"]),
     ("report", ["report", "wp.out"]),
+    ("bounds-report", ["report", "bounds.json"]),
     # a long flat prefix through gen, report and the series check
     ("powers", ["gen", "cn-powers", "--n", "2", "--k", "20000", "--alpha", "1.15"]),
     ("powers-report", ["report", "powers.out"]),
@@ -159,6 +180,7 @@ GOLDEN = {
     'threshold-tail': (0, '466fe1f78e2d7fbc257b3f2aa48e570de80d593459eae2ed500bcf23fbe53174'),
     'omega-blocks': (0, 'cae9714d43c0c33a905bcd2a33c50e2ec259adb44f6bb2b3b10bfae7255553f5'),
     'pipeline': (0, 'db423ab1fe5849d46477edad9b28cf91ed3119fe2161e166564f3decea5056e5'),
+    'bounds-report': (0, '4dbbe9f5ab890602dcb043d7aea17fae76ce0ca119dc960a03e6472dcaf09215'),
     'report': (0, 'c14bf851429c3a9e09a8b9a4a3367b8d6f40aac1b7189663effe98c55167b2c4'),
     'powers': (0, 'f5cda6d589cbd40e097416bc82feb35a2d1986c6531f03f3a1705536972542bc'),
     'powers-report': (0, 'f5cda6d589cbd40e097416bc82feb35a2d1986c6531f03f3a1705536972542bc'),
