@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import re
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Callable
 
@@ -44,7 +46,7 @@ from .core import (
     load_sequence,
 )
 from .disc_plane import dp_classify
-from .errors import AmbientMismatch, BadParams, TamelabError
+from .errors import AmbientMismatch, BadParams, MalformedDocument, TamelabError
 from .generic_projection import (
     ACTIONS,
     MC_CSV_COLUMNS,
@@ -157,17 +159,18 @@ def _measure_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _write_out(cfg: RunConfig, text: str) -> None:
-    if cfg.out is None:
-        return
-    with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _finish(cfg: RunConfig, doc: dict, human: list[str], file_text: str | None = None) -> None:
-    _write_out(cfg, file_text if file_text is not None else canonical_json(doc))
+def _finish(cfg: RunConfig, doc, human: list[str], file_text: str | None = None) -> None:
+    """Writes `file_text`, or else the document's canonical JSON, to --out,
+    then prints the JSON under --json and the human lines otherwise. The
+    document is serialized at most once."""
+    text = None
+    if cfg.emit_json or (cfg.out is not None and file_text is None):
+        text = canonical_json(doc)
+    if cfg.out is not None:
+        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(file_text if file_text is not None else text)
     if cfg.emit_json:
-        sys.stdout.write(canonical_json(doc))
+        sys.stdout.write(text)
     else:
         for line in human:
             print(line)
@@ -544,7 +547,20 @@ def _read_report(text: str):
     return doc, violated
 
 
-def _summarize(doc: dict) -> list[str]:
+def _radii_text(radii) -> str:
+    if isinstance(radii, list) and not any(isinstance(r, (bool, str)) for r in radii):
+        try:
+            return ", ".join(_float_text(float(r)) for r in radii)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise MalformedDocument("field 'R' of the threshold is not a list of finite numbers")
+
+
+def _summarize(doc) -> list[str]:
+    """The human lines of `report`; a field they read that has the wrong
+    type raises `MalformedDocument` naming it."""
+    if not isinstance(doc, dict):
+        raise MalformedDocument("a report document is a JSON object")
     lines = []
     command = doc.get("command")
     if command:
@@ -560,14 +576,14 @@ def _summarize(doc: dict) -> list[str]:
     if seq is None and "ambient" in doc:
         seq = doc
     if seq is not None:
-        lines.append(
-            f"sequence: {len(seq.get('points', []))} points in {seq.get('ambient')}"
-        )
+        points = seq.get("points", [])
+        if not isinstance(points, list):
+            raise MalformedDocument("field 'points' of the sequence is not a list")
+        lines.append(f"sequence: {len(points)} points in {seq.get('ambient')}")
     if isinstance(doc.get("rows"), list):
         lines.append(f"rows: {len(doc['rows'])}")
     if isinstance(doc.get("threshold"), dict):
-        radii = doc["threshold"].get("R", [])
-        lines.append("thresholds: " + ", ".join(_float_text(float(r)) for r in radii))
+        lines.append("thresholds: " + _radii_text(doc["threshold"].get("R", [])))
     if isinstance(doc.get("omega"), dict):
         lines.append(f"omega fraction: {doc['omega'].get('fraction')}")
     return lines or ["empty report"]
@@ -585,13 +601,7 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         human = [f"csv report: {len(lines) - 1} rows", lines[0]]
         _finish(cfg, {"command": "report", "rows": len(lines) - 1}, human)
         return 0
-    if cfg.emit_json:
-        sys.stdout.write(canonical_json(doc))
-    else:
-        for line in _summarize(doc):
-            print(line)
-    if cfg.out is not None:
-        _write_out(cfg, canonical_json(doc))
+    _finish(cfg, doc, _summarize(doc))
     return 2 if violated else 0
 
 
@@ -676,10 +686,31 @@ _HANDLERS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building one takes
+    milliseconds and leaves reference cycles for the collector."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Runs one command with the cyclic garbage collector paused, and
+    restores the caller's collector state on every exit. The documents a
+    command parses and builds are acyclic lists and dicts that reference
+    counting frees, while the collector would walk them again and again
+    as they grow."""
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        return _run(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
+    try:
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -787,33 +788,33 @@ def _scalar_text(value) -> str:
 
 
 _CONTAINERS = (list, tuple, dict)
-_NON_FINITE = ("nan", "inf", "-inf")
 _BATCH = 1 << 10  # list items formatted together
 _FLUSH = 1 << 12  # pending chunks per write into the buffer
 
 
-def _leaf_texts(leaves: list) -> list[str]:
-    """The texts of scalar leaves, one comprehension for plain floats and
-    ints; anything else, and any error, goes leaf by leaf in order."""
-    kinds = set(map(type, leaves))
-    try:
-        if kinds == {float}:
-            texts = [f"{v:.17g}" for v in leaves]
-        elif kinds <= {float, int}:
-            texts = [f"{v:.17g}" if type(v) is float else f"{v}" for v in leaves]
-        else:
-            texts = None
-    except ValueError:  # an int too long to print
-        texts = None
-    if texts is None or any(bad in texts for bad in _NON_FINITE):
-        return [_scalar_text(v) for v in leaves]
-    return texts
+# ints up to this size print through '%.17g' exactly as str() prints them
+_EXACT_INT = 1 << 53
+
+
+@lru_cache(maxsize=64)
+def _item_template(shape: tuple[int, ...], indent: int, slot: str) -> str:
+    """One list item of the given nested shape at `indent`, as the emitter
+    lays it out, with `slot` in place of each scalar leaf."""
+    if not shape:
+        return slot
+    pad = "\n" + "  " * (indent + 1)
+    inner = _item_template(shape[1:], indent + 1, slot)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * indent + "]"
 
 
 def _block_text(items, indent: int) -> str | None:
     """The items of a list, each at `indent`, joined as the emitter joins
     them, when they form a regular block: scalars, or lists of one length
-    down to scalar leaves. None otherwise."""
+    down to scalar leaves. None otherwise.
+
+    Plain floats and ints that '%.17g' prints exactly fill the block's
+    template in one '%' call; a nan or inf among them, and any other
+    leaf, sends the block leaf by leaf, so the first bad value raises."""
     dims = [len(items)]
     level = items
     while True:
@@ -828,27 +829,17 @@ def _block_text(items, indent: int) -> str | None:
             return None
         else:
             break
-    texts = _leaf_texts(level)
-    depth = len(dims) - 1
-    pads = ["\n" + "  " * (indent + r) for r in range(depth + 1)]
-    # seps[c]: between two leaves that c enclosing lists separate
-    seps = [
-        "".join(pads[depth - 1 - r] + "]" for r in range(c))
-        + ","
-        + "".join(pads[depth - c + r] + "[" for r in range(c))
-        + pads[depth]
-        for c in range(depth + 1)
-    ]
-    between: list[str] = []
-    for closes, size in enumerate(reversed(dims)):
-        between = (between + [seps[closes]]) * size
-        between.pop()
-    parts = [""] * (2 * len(texts) - 1)
-    parts[::2] = texts
-    parts[1::2] = between
-    head = "".join("[" + pads[r + 1] for r in range(depth))
-    tail = "".join(pads[depth - 1 - r] + "]" for r in range(depth))
-    return head + "".join(parts) + tail
+    shape = tuple(dims[1:])
+    frame = (",\n" + "  " * indent).join
+    if kinds == {float} or (
+        kinds <= {float, int}
+        and all(-_EXACT_INT <= v <= _EXACT_INT for v in level if type(v) is int)
+    ):
+        text = frame([_item_template(shape, indent, "%.17g")] * dims[0]) % tuple(level)
+        if "n" not in text:  # no nan, inf or -inf
+            return text
+    texts = tuple(_scalar_text(v) for v in level)
+    return frame([_item_template(shape, indent, "%s")] * dims[0]) % texts
 
 
 class _Emitter:

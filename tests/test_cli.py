@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import re
@@ -763,6 +764,90 @@ class TestReport:
         path.write_text("not a report\n")
         assert run("report", str(path)) == 1
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[1, 2]", "a report document is a JSON object"),
+            ("3", "a report document is a JSON object"),
+            ('"x"', "a report document is a JSON object"),
+            ('{"sequence": {"points": 5}}', "'points'"),
+            ('{"ambient": "cn", "points": "abc"}', "'points'"),
+            ('{"threshold": {"R": ["a"]}}', "'R'"),
+            ('{"threshold": {"R": 5}}', "'R'"),
+            ('{"threshold": {"R": [null]}}', "'R'"),
+            ('{"threshold": {"R": [true]}}', "'R'"),
+            ('{"threshold": {"R": [NaN]}}', "'R'"),
+            ('{"threshold": {"R": [1' + "0" * 400 + "]}}", "'R'"),
+        ],
+        ids=["list", "int", "string", "points-int", "points-string", "R-string",
+             "R-scalar", "R-null", "R-bool", "R-nan", "R-past-float"],
+    )
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
+    def test_malformed_document_is_a_typed_error(self, tmp_path, capsys, text, field, flags):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert run("report", str(path), "--out", str(out), *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and field in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+class TestSerializeOnce:
+    """Each command serializes its document only when a flag asks for the
+    text, once, and writes that one text to stdout and --out."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch) -> list:
+        calls = []
+
+        def counting(doc):
+            calls.append(1)
+            return core.canonical_json(doc)
+
+        monkeypatch.setattr(cli, "canonical_json", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "flags, serializations",
+        [((), 0), (("--out",), 1), (("--json",), 1), (("--json", "--out"), 1)],
+        ids=["neither", "out", "json", "json-out"],
+    )
+    @pytest.mark.parametrize("command", ["gen", "report"])
+    def test_count_and_bytes(self, tmp_path, capsys, counted, command, flags, serializations):
+        source = gen(tmp_path, "diagtorus", "--k", "5")
+        argv = ["gen", "diagtorus", "--k", "5"] if command == "gen" else ["report", source]
+        out = tmp_path / "again.json"
+        if "--out" in flags:
+            argv += ["--out", str(out)]
+        if "--json" in flags:
+            argv.append("--json")
+        capsys.readouterr()
+        counted.clear()
+        assert run(*argv) == 0
+        assert len(counted) == serializations
+        texts = [capsys.readouterr().out] if "--json" in flags else []
+        if "--out" in flags:
+            texts.append(out.read_text(encoding="utf-8"))
+        else:
+            assert not out.exists()
+        for text in texts:
+            assert text == _canonical_reference(json.loads(text))
+            if command == "report":
+                assert text.encode() == read_bytes(source)
+        assert len(set(texts)) <= 1
+
+    def test_measure_csv_file_and_json_stdout(self, tmp_path, capsys, counted):
+        argv = ["mc", "measure", "--R", "10", "--samples", "50", "--seed", "0"]
+        csv_path = tmp_path / "m.csv"
+        assert run(*argv, "--out", str(csv_path)) == 0
+        assert len(counted) == 0
+        assert csv_path.read_text().splitlines() == capsys.readouterr().out.splitlines()
+        assert run(*argv, "--json") == 0
+        assert len(counted) == 1
+        assert json.loads(capsys.readouterr().out)["action"] == "measure"
+
 
 class TestExitCodeContract:
     def test_argparse_failures_map_to_1(self):
@@ -782,6 +867,79 @@ class TestExitCodeContract:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["family"] == "diagtorus"
+
+
+@pytest.fixture
+def collector():
+    """Yields the collector state to set before a call; restores it after."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """`cli.main` pauses the cyclic collector while a command runs and
+    leaves it as the caller had it, however the command ends."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, code, handled",
+        [
+            (["gen", "diagtorus", "--k", "3"], 0, True),
+            (["report", "absent.json"], 1, True),
+            (["--help"], 0, False),
+            (["gen", "diagtorus", "--no-such-flag"], 1, False),
+        ],
+        ids=["success", "typed-error", "help", "bad-flag"],
+    )
+    def test_restored_on_every_exit(
+        self, tmp_path, monkeypatch, collector, argv, code, handled, enabled
+    ):
+        monkeypatch.chdir(tmp_path)
+        seen = []
+        for name, real in list(cli._HANDLERS.items()):
+            monkeypatch.setitem(
+                cli._HANDLERS,
+                name,
+                lambda *a, real=real: seen.append(gc.isenabled()) or real(*a),
+            )
+        gc.enable() if enabled else gc.disable()
+        assert run(*argv) == code
+        assert gc.isenabled() is enabled
+        assert seen == ([False] if handled else [])
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_restored_when_a_handler_raises(self, monkeypatch, collector, enabled):
+        def boom(args, cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "gen", boom)
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(RuntimeError, match="boom"):
+            run("gen", "diagtorus")
+        assert gc.isenabled() is enabled
+
+    def test_a_command_leaves_no_cyclic_garbage(self, tmp_path, capsys):
+        # anything a command left in a reference cycle would outlive it
+        # whenever the caller's collector stays off
+        sg = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
+        moved = str(tmp_path / "moved.json")
+        commands = [
+            ["gen", "diagtorus", "--k", "5"],
+            ["check", "pi-tame", sg],
+            ["transform", "overshears", sg, "--lambda", "1+0.1*a", "--out", moved],
+            ["mc", "g", "--samples", "100", "--seed", "0"],
+            ["report", moved, "--json"],
+        ]
+        for argv in commands:
+            run(*argv)  # warm-up: imports, caches and the parser
+        for argv in commands:
+            gc.collect()
+            assert run(*argv) in (0, 2)
+            assert gc.collect() == 0, argv
 
 
 class TestMalformedDocuments:

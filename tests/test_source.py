@@ -168,3 +168,16 @@ def test_the_caller_scan_sees_plain_attribute_nested_and_module_calls():
         ),
     }
     assert _callers(trees, "g") == {"a.f", "a.h", "a.k", "a"}
+
+
+def test_only_the_command_line_touches_the_collector():
+    # `cli.main` pauses it for one command and restores the caller's state;
+    # library calls run under whatever the caller chose
+    importers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names):
+                importers.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                importers.add(path.stem)
+    assert importers == {"cli"}
