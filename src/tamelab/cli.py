@@ -159,7 +159,7 @@ def _measure_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _finish(cfg: RunConfig, doc, human: list[str], file_text: str | None = None) -> None:
+def _finish(cfg: RunConfig, doc: dict, human: list[str], file_text: str | None = None) -> None:
     """Writes `file_text`, or else the document's canonical JSON, to --out,
     then prints the JSON under --json and the human lines otherwise. The
     document is serialized at most once."""
@@ -548,10 +548,10 @@ def _read_report(text: str):
 
 
 def _radii_text(radii) -> str:
-    if isinstance(radii, list) and not any(isinstance(r, (bool, str)) for r in radii):
+    if isinstance(radii, list) and all(type(r) in (int, float) for r in radii):
         try:
             return ", ".join(_float_text(float(r)) for r in radii)
-        except (TypeError, ValueError, OverflowError):
+        except (ValueError, OverflowError):  # nan, inf, or an int past the float range
             pass
     raise MalformedDocument("field 'R' of the threshold is not a list of finite numbers")
 
