@@ -50,6 +50,11 @@ def _write_inputs() -> None:
         doc = _pair_doc([_random_sl2(rng) for _ in range(count)])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc))
+    # more than 40 points, so the push fits the barycentric form
+    rng = np.random.default_rng(20172)
+    doc = _pair_doc([_random_sl2(rng) for _ in range(120)])
+    with open("rand120.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
     rng = np.random.default_rng(20171)
     flat = rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3))
     doc = {"ambient": "cn", "n": 3, "points": [[[z.real, z.imag] for z in p] for p in flat]}
@@ -141,6 +146,8 @@ _COMMANDS = (
                    "--seed", "7"]),
     ("rand12-push", ["transform", "bundle-push", "rand12.json", "--height", "1e6",
                      "--seed", "0"]),
+    ("rand120-push", ["transform", "bundle-push", "rand120.json", "--height", "25",
+                      "--seed", "7"]),
     # the two transforms left that move a prefix through core.apply_all
     ("flat-shears", ["transform", "shears", "flat60.json", "--height", "6", "--seed", "1"]),
     ("center", ["transform", "center-separate", "sg.out", "--seed", "1"]),
@@ -192,6 +199,7 @@ GOLDEN = {
     'rand-union': (0, '8ba3a79a04a32b2e2ecab7d0b99011e5b0a656eec577b3e1fc7e6a874bd1f7fd'),
     'rand-push': (0, 'b11caffdd44cfe1235ca2fb90bf8ac2e3fa31729f165ca022e46c11f429ffbd1'),
     'rand12-push': (0, '55ff9351acc2bf37e988f2770ed1b8878e973da0403fb35aa4b9560c97477b72'),
+    'rand120-push': (0, 'd699deae0630fee2e57abff3ddf924ef869afd4bdb5cd5eb2d900cdf2302a0fa'),
     'flat-shears': (0, '340d065744007d36aec60a1efabc6b37ac32596f2815cbc2d51924e8c905617f'),
     'center': (0, '3fdd5908b2ed65f0701203221f727a97daee0b79834598845130416ca67ebc35'),
     'ceq.json': (0, '4ec5b890faddd241b165f3b36e65b7d18e0b21362d00a3c1060463b10900fc0d'),
