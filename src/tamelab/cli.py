@@ -33,6 +33,7 @@ from .core import (
     DISTINCT_TOL,
     MAX_FIBER,
     MIN_GAP,
+    TOO_DEEP,
     DiscreteSequence,
     GeneratorInfo,
     HeightAssignment,
@@ -541,9 +542,12 @@ def _read_report(text: str):
         violated = violated or obj.get("state") == "violated"
         return obj
 
-    doc = json.loads(
-        text, parse_int=_parse_int if _NEG_ZERO.search(text) else None, object_hook=note
-    )
+    try:
+        doc = json.loads(
+            text, parse_int=_parse_int if _NEG_ZERO.search(text) else None, object_hook=note
+        )
+    except RecursionError:
+        raise MalformedDocument(TOO_DEEP) from None
     return doc, violated
 
 

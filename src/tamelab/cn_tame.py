@@ -4,8 +4,9 @@ interpolation used to push a prefix to prescribed heights."""
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .core import (
     IdentityAut,
     LinearAut,
     Verdict,
+    _PAIR_TABLE_ENTRIES,
     _pair,
     _row_norms,
     falls_short,
@@ -83,6 +85,31 @@ class Polynomial:
         return {"kind": "poly", "coeffs": [_pair(c) for c in self.coeffs]}
 
 
+_FIT_BLOCK = _PAIR_TABLE_ENTRIES >> 2
+
+
+@lru_cache(maxsize=8)
+def _log_weights(node_bytes: bytes) -> tuple[complex, ...]:
+    """Barycentric log-weights -sum_{j != i} log(x_i - x_j) of the
+    complex128 nodes packed in `node_bytes`, kept so that fits at one node
+    set share them.
+
+    The difference matrix is taken in blocks of rows, about `_FIT_BLOCK`
+    entries each. A row holds its off-diagonal entries in node order, so
+    it sums exactly as the 1-D array of one node's differences.
+    """
+    xs = np.frombuffer(node_bytes, dtype=np.complex128)
+    m = len(xs)
+    logs = np.empty(m, dtype=np.complex128)
+    step = max(1, _FIT_BLOCK // max(m, 1))
+    cols = np.arange(m - 1)
+    for start in range(0, m, step):
+        rows = np.arange(start, min(start + step, m))
+        others = cols + (cols >= rows[:, None])
+        logs[rows] = -np.sum(np.log(xs[rows, None] - xs[others]), axis=1)
+    return tuple(logs.tolist())
+
+
 @dataclass(frozen=True)
 class LagrangePoly:
     """Barycentric Lagrange form for node counts where expanding to
@@ -100,38 +127,54 @@ class LagrangePoly:
     @classmethod
     def fit(cls, nodes, values) -> "LagrangePoly":
         xs = np.asarray(nodes, dtype=np.complex128)
-        logs = []
-        for i in range(len(xs)):
-            diffs = xs[i] - np.delete(xs, i)
-            logs.append(-np.sum(np.log(diffs)))
         return cls(
-            tuple(complex(x) for x in xs),
-            tuple(complex(v) for v in values),
-            tuple(complex(w) for w in logs),
+            tuple(xs.tolist()),
+            tuple(np.asarray(values, dtype=np.complex128).tolist()),
+            _log_weights(xs.tobytes()),
         )
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes, values and log-weights as arrays, built on first use."""
-        return np.asarray(self.nodes), np.asarray(self.values), np.asarray(self.log_weights)
+        return tuple(
+            np.asarray(t, dtype=np.complex128)
+            for t in (self.nodes, self.values, self.log_weights)
+        )
+
+    @cached_property
+    def _first_index(self) -> dict:
+        """Each finite node's first index. Its keys compare as the node
+        differences do: 0.0 and -0.0 parts are equal, and a point matches
+        no non-finite node."""
+        index: dict[complex, int] = {}
+        for j, x in enumerate(self.nodes):
+            if cmath.isfinite(x):
+                index.setdefault(x, j)
+        return index
 
     def __call__(self, z):
-        zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+        """The interpolant at a scalar or at each entry of an array. A
+        point equal to a node takes that node's value; the others are
+        evaluated in blocks of rows, each as the barycentric sum alone."""
+        zs = np.asarray(z, dtype=np.complex128)
+        flat = zs.reshape(-1)
         xs, vals, logw = self._arrays
-        out = np.empty_like(zs)
-        for idx, point in enumerate(zs):
-            diffs = point - xs
-            exact = np.nonzero(diffs == 0)[0]
-            if exact.size:
-                out[idx] = vals[exact[0]]
-                continue
-            terms = logw - np.log(diffs)
-            shift = np.max(terms.real)
-            w = np.exp(terms - shift)
-            out[idx] = np.sum(w * vals) / np.sum(w)
-        if np.ndim(z) == 0:
+        index = self._first_index
+        hit = np.array([index.get(p, -1) for p in flat.tolist()], dtype=np.intp)
+        out = np.empty(flat.shape, dtype=np.complex128)
+        at = hit >= 0
+        out[at] = vals[hit[at]]
+        rest = np.flatnonzero(~at)
+        step = max(1, _FIT_BLOCK // max(len(xs), 1))
+        for start in range(0, len(rest), step):
+            rows = rest[start : start + step]
+            terms = logw - np.log(flat[rows, None] - xs)
+            shift = np.max(terms.real, axis=1)
+            w = np.exp(terms - shift[:, None])
+            out[rows] = np.sum(w * vals, axis=1) / np.sum(w, axis=1)
+        if zs.ndim == 0:
             return complex(out[0])
-        return out
+        return out.reshape(zs.shape)
 
     def to_json(self) -> dict:
         return {

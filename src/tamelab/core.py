@@ -914,6 +914,13 @@ def save_sequence(d: DiscreteSequence, path) -> None:
         fh.write(canonical_json(d.to_json()))
 
 
+TOO_DEEP = "the document nests too deeply to parse"
+
+
 def load_sequence(path) -> DiscreteSequence:
     with open(path, "r", encoding="utf-8") as fh:
-        return DiscreteSequence.from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise MalformedDocument(TOO_DEEP) from None
+    return DiscreteSequence.from_json(doc)

@@ -98,6 +98,10 @@ class BivariatePoly:
             total = total * a + inner
         return total
 
+    def at_columns(self, cols: np.ndarray) -> list[complex]:
+        """The polynomial at each row (a, b) of an (m, 2) array."""
+        return [self(a, b) for a, b in cols.tolist()]
+
     def to_json(self) -> dict:
         return {"coeffs": [[_pair(z) for z in row] for row in self.coeffs]}
 
@@ -113,7 +117,12 @@ class SeparatedShift:
     fn: object
 
     def __call__(self, a, b) -> complex:
-        return complex(self.fn(np.sum(self.u * np.array([a, b], dtype=np.complex128))))
+        return self.at_columns(np.array([[a, b]], dtype=np.complex128))[0]
+
+    def at_columns(self, cols: np.ndarray) -> list[complex]:
+        """The shift at each row (a, b) of an (m, 2) array, with one
+        evaluation of the fit over the whole stack."""
+        return self.fn(np.sum(self.u * cols, axis=1)).tolist()
 
     def to_json(self) -> dict:
         return {"separator_u": [_pair(z) for z in self.u], "inner": self.fn.to_json()}
@@ -137,26 +146,37 @@ class OvershearSpec:
         return cls(BivariatePoly.zero())
 
     def shift_at(self, a, b) -> complex:
-        base = self.shift(a, b)
-        if not self.inverted:
-            return base
-        lam = 1.0 + complex(a) * base
-        if abs(lam) < LAMBDA_FLOOR:
-            raise LambdaVanishes(
-                f"factor has modulus {abs(lam):.3g} at the requested point"
-            )
-        return -base / lam
+        return self._turned(complex(a), self.shift(a, b))
 
     def lambda_at(self, a, b) -> complex:
-        val = 1.0 + complex(a) * self.shift_at(a, b)
-        if abs(val) < LAMBDA_FLOOR:
-            raise LambdaVanishes(
-                f"factor has modulus {abs(val):.3g} at the requested point"
-            )
-        return val
+        return _factor(complex(a), self.shift_at(a, b))
+
+    def factors(self, cols: np.ndarray):
+        """(shift, lambda) at each first column (a, b), the rows of an
+        (m, 2) array, in order. The base shift is taken for the whole
+        stack at once; a vanishing factor raises when its row is reached."""
+        for a, base in zip(cols[:, 0].tolist(), self.shift.at_columns(cols)):
+            shift = self._turned(a, base)
+            yield shift, _factor(a, shift)
+
+    def _turned(self, a: complex, base: complex) -> complex:
+        """The shift at a point where the base shift takes `base`."""
+        if not self.inverted:
+            return base
+        return -base / _factor(a, base)
 
     def to_json(self) -> dict:
         return {"shift": self.shift.to_json(), "inverted": self.inverted}
+
+
+def _factor(a: complex, shift: complex) -> complex:
+    """lambda = 1 + a * shift, which must stay away from zero."""
+    val = 1.0 + a * shift
+    if abs(val) < LAMBDA_FLOOR:
+        raise LambdaVanishes(
+            f"factor has modulus {abs(val):.3g} at the requested point"
+        )
+    return val
 
 
 def overshear_apply(s: OvershearSpec, m) -> np.ndarray:
@@ -169,7 +189,7 @@ def overshear_apply(s: OvershearSpec, m) -> np.ndarray:
     """
     m = sl_matrix(m)
     _require_sl2(m[None])
-    return _overshear_point(s, m)
+    return _overshear_stack(m[None], s.factors(m[None, :, 0]))[0]
 
 
 def _require_sl2(ps: np.ndarray) -> None:
@@ -181,16 +201,24 @@ def _require_sl2(ps: np.ndarray) -> None:
         raise AmbientMismatch(f"overshears act on SL(2), not on {shape[0]}x{shape[1]} matrices")
 
 
-def _overshear_point(s: OvershearSpec, m: np.ndarray) -> np.ndarray:
-    """`overshear_apply` on a validated 2x2 matrix, in scalar arithmetic."""
+def _overshear_point(m: np.ndarray, shift: complex, lam: complex) -> tuple:
+    """The entries, row by row, of `overshear_apply` on a validated 2x2
+    matrix whose first column gives the factor `lam` and the shift
+    `shift`, in scalar arithmetic."""
     a, c = m[0, 0], m[0, 1]
     b, d = m[1, 0], m[1, 1]
-    lam = s.lambda_at(a, b)
     if abs(a) >= SMALL_CORNER_TOL:
         d2 = (1.0 + b * c * lam) / a
     else:
-        d2 = lam * d - s.shift_at(a, b)
-    return np.array([[a, c * lam], [b, d2]], dtype=np.complex128)
+        d2 = lam * d - shift
+    return a, c * lam, b, d2
+
+
+def _overshear_stack(ps: np.ndarray, factors) -> np.ndarray:
+    """`_overshear_point` at each matrix of a validated (m, 2, 2) stack,
+    with its (shift, lambda) pair from `factors`."""
+    rows = [_overshear_point(p, *f) for p, f in zip(ps, factors)]
+    return np.array(rows, dtype=np.complex128).reshape(ps.shape)
 
 
 _ROUNDTRIP_SAMPLES = (
@@ -320,7 +348,7 @@ class OvershearAut(Automorphism):
         ps = np.asarray(ps, dtype=np.complex128)
         _require_sl2(ps)
         _check_rows("sln", ps, DET_TOL)
-        return np.array([_overshear_point(self.spec, p) for p in ps] or ps)
+        return _overshear_stack(ps, self.spec.factors(ps[:, :, 0]))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "factor": self.spec.to_json()}
@@ -413,16 +441,19 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
     radii = _fiber_radii(moved)
     spec, targets = _clearance_shear(moved, radii, seed)
     col_norms = _row_norms(moved[:, :, 0]).tolist()  # the overshear keeps them
-    for k, p in enumerate(moved):
-        lam = abs(spec.lambda_at(p[0, 0], p[1, 0]))
-        have = lam * radii[k] * col_norms[k]
-        if not (have > k + 1 and lam <= OVERSHOOT_FACTOR * targets[k]):
+    factors = []
+    for k, (shift, lam) in enumerate(spec.factors(moved[:, :, 0])):
+        size = abs(lam)
+        have = size * radii[k] * col_norms[k]
+        if not (have > k + 1 and size <= OVERSHOOT_FACTOR * targets[k]):
             raise StageFailed(
                 "fiber-rescale",
                 f"point {k} clears {have:.3g} (needs more than {k + 1}) with factor "
-                f"{lam:.3g} (at most {OVERSHOOT_FACTOR:g} times its target {targets[k]:.3g})",
+                f"{size:.3g} (at most {OVERSHOOT_FACTOR:g} times its target {targets[k]:.3g})",
             )
-    sheared = OvershearAut(spec).apply_batch(moved)
+        factors.append((shift, lam))
+    _check_rows("sln", moved, DET_TOL)
+    sheared = _overshear_stack(moved, factors)
 
     fibers = group_fibers(sheared[:, :, 0])
     second_norms = _row_norms(sheared[:, :, 1]).tolist()

@@ -794,6 +794,16 @@ class TestReport:
         assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command", [["report"], ["check", "rr-series"]], ids=["report", "rr-series"])
+def test_a_deeply_nested_document_is_a_typed_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert run(*command, str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the document nests too deeply to parse\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 class TestSerializeOnce:
     """Each command serializes its document only when a flag asks for the
     text, once, and writes that one text to stdout and --out."""

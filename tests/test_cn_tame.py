@@ -215,6 +215,127 @@ class TestInterpolation:
         assert np.max(agreement / (1.0 + np.abs(bary_small(probes)))) < 1e-7
 
 
+def _reference_log_weights(xs: np.ndarray) -> np.ndarray:
+    """The per-node fit: one `np.delete` per node."""
+    return np.array(
+        [-np.sum(np.log(xs[i] - np.delete(xs, i))) for i in range(len(xs))],
+        dtype=np.complex128,
+    )
+
+
+def _reference_values(xs, vals, logw, zs) -> np.ndarray:
+    """The per-point evaluation: one point per loop step."""
+    out = np.empty(len(zs), dtype=np.complex128)
+    for idx, point in enumerate(zs):
+        diffs = point - xs
+        exact = np.nonzero(diffs == 0)[0]
+        if exact.size:
+            out[idx] = vals[exact[0]]
+            continue
+        terms = logw - np.log(diffs)
+        shift = np.max(terms.real)
+        w = np.exp(terms - shift)
+        out[idx] = np.sum(w * vals) / np.sum(w)
+    return out
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBarycentricBits:
+    """The batched fit and evaluation against the per-node loops they
+    replaced, bit for bit."""
+
+    @pytest.mark.parametrize("m", [41, 127, 128, 129, 200, 700])
+    def test_log_weights_and_values_match_the_loops(self, m):
+        # rows per block are _FIT_BLOCK // m: one block below 128 nodes,
+        # several above, the last one partial
+        assert (m <= 128) == (cn_tame._FIT_BLOCK // m >= m)
+        rng = stream(m, "bary-bits")
+        xs = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 10.0 ** rng.uniform(-2, 2)
+        vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        fit = cn_tame.LagrangePoly.fit(xs, vals)
+        logw = _reference_log_weights(xs)
+        assert _same_bits(fit.log_weights, logw)
+        off = rng.standard_normal(m + 7) + 1j * rng.standard_normal(m + 7)
+        probes = np.concatenate([off, xs[rng.permutation(m)], xs[:3]])
+        rng.shuffle(probes)
+        assert _same_bits(fit(probes), _reference_values(xs, vals, logw, probes))
+
+    def test_a_negative_zero_node_answers_a_positive_zero_probe(self):
+        rng = stream(0, "bary-zero")
+        xs = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        xs[17] = complex(-0.0, -0.0)
+        vals = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        fit = cn_tame.LagrangePoly.fit(xs, vals)
+        logw = _reference_log_weights(xs)
+        assert _same_bits(fit.log_weights, logw)
+        probes = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1e-300 + 0j])
+        got = fit(probes)
+        assert _same_bits(got, _reference_values(xs, vals, logw, probes))
+        assert _same_bits(got[:3], np.repeat(vals[17], 3))
+
+    def test_a_repeated_node_answers_with_its_first_value(self):
+        rng = stream(4, "bary-repeat")
+        xs = rng.standard_normal(70) + 1j * rng.standard_normal(70)
+        xs[40] = xs[20]
+        xs[5], xs[12] = complex(0.0, -0.0), complex(-0.0, 0.0)
+        vals = rng.standard_normal(70) + 1j * rng.standard_normal(70)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fit = cn_tame.LagrangePoly.fit(xs, vals)
+            logw = _reference_log_weights(xs)
+            probes = np.array([xs[40], 0j, xs[12], 0.5 + 0j])
+            got = fit(probes)
+            assert _same_bits(got, _reference_values(xs, vals, logw, probes))
+        assert _same_bits(fit.log_weights, logw)
+        assert _same_bits(got[:3], vals[[20, 5, 5]])
+
+    def test_a_non_finite_node_matches_no_probe(self):
+        rng = stream(5, "bary-inf")
+        xs = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        xs[7] = complex(np.inf, 0.0)
+        vals = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        with np.errstate(invalid="ignore"):
+            fit = cn_tame.LagrangePoly.fit(xs, vals)
+            logw = _reference_log_weights(xs)
+            probes = np.array([complex(np.inf, 0.0), xs[3]])
+            got = fit(probes)
+            assert _same_bits(got, _reference_values(xs, vals, logw, probes))
+        assert not np.isfinite(got[0]) and _same_bits(got[1], vals[3])
+
+    def test_a_scalar_probe_gives_a_complex(self):
+        rng = stream(1, "bary-scalar")
+        xs = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        vals = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        fit = cn_tame.LagrangePoly.fit(xs, vals)
+        logw = _reference_log_weights(xs)
+        for z in (xs[3], 0.25 - 1.5j, complex(xs[49])):
+            got = fit(z)
+            assert type(got) is complex
+            assert _same_bits(got, _reference_values(xs, vals, logw, [z])[0])
+
+    def test_an_all_zero_fit(self):
+        rng = stream(2, "bary-zeros")
+        xs = rng.standard_normal(90) + 1j * rng.standard_normal(90)
+        vals = np.zeros(90, dtype=np.complex128)
+        fit = cn_tame.LagrangePoly.fit(xs, vals)
+        logw = _reference_log_weights(xs)
+        assert _same_bits(fit.log_weights, logw)
+        probes = np.concatenate([xs, rng.standard_normal(30) + 0j])
+        got = fit(probes)
+        assert _same_bits(got, _reference_values(xs, vals, logw, probes))
+        assert not got.any()
+
+    def test_fits_at_one_node_set_share_their_weights(self):
+        rng = stream(3, "bary-share")
+        xs = rng.standard_normal(45) + 1j * rng.standard_normal(45)
+        first = cn_tame.LagrangePoly.fit(xs, np.ones(45))
+        second = cn_tame.LagrangePoly.fit(xs.copy(), np.arange(45.0))
+        assert first.log_weights is second.log_weights
+
+
 class TestPushPrefix:
     def test_two_point_push(self):
         d = DiscreteSequence(cn(2), (np.array([1.0, 0j]), np.array([2.0, 0j])))

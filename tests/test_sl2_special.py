@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamelab import cn_tame
 from tamelab import sl2_special as sl2
 from tamelab.core import (
     CONSISTENT,
@@ -285,6 +286,23 @@ class TestPipeline:
         assert err.value.stage == "fiber-rescale"
         assert err.value.reason.startswith(f"point {first} clears ")
         assert "(at most 2 times its target " in err.value.reason
+
+    def test_one_fit_and_one_shift_evaluation_per_lattice_prefix(self, monkeypatch):
+        # 296 points over 56 first columns: every fit takes the barycentric form
+        d = sl2.gaussian_sl2_generate(sl2.GaussianIntegerParams("Q(i)", 1))
+        rows = []
+        real = sl2.SeparatedShift.at_columns
+
+        def counted(self, cols):
+            rows.append(len(cols))
+            return real(self, cols)
+
+        monkeypatch.setattr(sl2.SeparatedShift, "at_columns", counted)
+        cn_tame._log_weights.cache_clear()
+        sl2.sl2_column_pipeline(d, seed=3, max_fiber=16)
+        # the clearance shift, then the push's top-row and lower-block maps
+        assert cn_tame._log_weights.cache_info()[:2] == (2, 1)
+        assert rows == [len(d)]
 
     def test_verdict_reports_seed(self):
         d = _mseq([np.diag([2.0, 0.5])])

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "tamelab").glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -181,3 +183,53 @@ def test_only_the_command_line_touches_the_collector():
             elif isinstance(node, ast.ImportFrom) and node.module == "gc":
                 importers.add(path.stem)
     assert importers == {"cli"}
+
+
+def _traced_names(source: str) -> list[tuple[str, str]]:
+    """(module, attribute) of every entry of a tracer's `TARGETS` tuple."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [(entry.elts[1].value, entry.elts[2].value) for entry in node.value.elts]
+    raise AssertionError("no TARGETS tuple")
+
+
+def _unresolved(names: list[tuple[str, str]]) -> list[str]:
+    """The `module:attribute` names that do not resolve to a callable; a
+    `Class.method` must be defined on the class itself, where the tracer
+    patches it."""
+    missing = []
+    for mod_name, attr in names:
+        owner = importlib.import_module(mod_name)
+        *path, last = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        found = vars(owner).get(last) if path and owner is not None else getattr(owner, last, None)
+        if not (callable(found) or isinstance(found, classmethod)):
+            missing.append(f"{mod_name}:{attr}")
+    return missing
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    names = _traced_names(TRACER.read_text(encoding="utf-8"))
+    assert len(names) > 20
+    assert _unresolved(names) == []
+
+
+def test_the_traced_name_check_sees_functions_methods_and_misses():
+    names = _traced_names(
+        'TARGETS = (("a", "tamelab.core", "load_sequence", {}),\n'
+        '           ("b", "tamelab.cn_tame", "LagrangePoly.fit", {"n": lambda a, k, r: 1}),\n'
+        '           ("c", "tamelab.core", "DiscreteSequence.__post_init__", {}),\n'
+        '           ("d", "tamelab.core", "LinearAut.apply", {}),\n'
+        '           ("e", "tamelab.core", "no_such_function", {}),\n'
+        '           ("f", "tamelab.cn_tame", "NoSuchClass.fit", {}))\n'
+    )
+    assert len(names) == 6
+    # LinearAut inherits `apply`, so the tracer could not patch it there
+    assert _unresolved(names) == [
+        "tamelab.core:LinearAut.apply",
+        "tamelab.core:no_such_function",
+        "tamelab.cn_tame:NoSuchClass.fit",
+    ]
