@@ -116,9 +116,6 @@ class SeparatedShift:
     u: np.ndarray
     fn: object
 
-    def __call__(self, a, b) -> complex:
-        return self.at_columns(np.array([[a, b]], dtype=np.complex128))[0]
-
     def at_columns(self, cols: np.ndarray) -> list[complex]:
         """The shift at each row (a, b) of an (m, 2) array, with one
         evaluation of the fit over the whole stack."""
@@ -145,25 +142,17 @@ class OvershearSpec:
     def identity(cls) -> "OvershearSpec":
         return cls(BivariatePoly.zero())
 
-    def shift_at(self, a, b) -> complex:
-        return self._turned(complex(a), self.shift(a, b))
-
     def lambda_at(self, a, b) -> complex:
-        return _factor(complex(a), self.shift_at(a, b))
+        return next(self.factors(np.array([[a, b]], dtype=np.complex128)))[1]
 
     def factors(self, cols: np.ndarray):
         """(shift, lambda) at each first column (a, b), the rows of an
         (m, 2) array, in order. The base shift is taken for the whole
         stack at once; a vanishing factor raises when its row is reached."""
         for a, base in zip(cols[:, 0].tolist(), self.shift.at_columns(cols)):
-            shift = self._turned(a, base)
-            yield shift, _factor(a, shift)
-
-    def _turned(self, a: complex, base: complex) -> complex:
-        """The shift at a point where the base shift takes `base`."""
-        if not self.inverted:
-            return base
-        return -base / _factor(a, base)
+            if self.inverted:
+                base = -base / _factor(a, base)
+            yield base, _factor(a, base)
 
     def to_json(self) -> dict:
         return {"shift": self.shift.to_json(), "inverted": self.inverted}
@@ -189,7 +178,8 @@ def overshear_apply(s: OvershearSpec, m) -> np.ndarray:
     """
     m = sl_matrix(m)
     _require_sl2(m[None])
-    return _overshear_stack(m[None], s.factors(m[None, :, 0]))[0]
+    (shift, lam), = s.factors(m[None, :, 0])
+    return np.array(_overshear_point(m, shift, lam), dtype=np.complex128).reshape(2, 2)
 
 
 def _require_sl2(ps: np.ndarray) -> None:
