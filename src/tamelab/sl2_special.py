@@ -179,7 +179,8 @@ def overshear_apply(s: OvershearSpec, m) -> np.ndarray:
     m = sl_matrix(m)
     _require_sl2(m[None])
     (shift, lam), = s.factors(m[None, :, 0])
-    return np.array(_overshear_point(m, shift, lam), dtype=np.complex128).reshape(2, 2)
+    a, c, b, d = _overshear_point(m, shift, lam)
+    return np.array([[a, c], [b, d]], dtype=np.complex128)
 
 
 def _require_sl2(ps: np.ndarray) -> None:
