@@ -149,10 +149,14 @@ class OvershearSpec:
         """(shift, lambda) at each first column (a, b), the rows of an
         (m, 2) array, in order. The base shift is taken for the whole
         stack at once; a vanishing factor raises when its row is reached."""
-        for a, base in zip(cols[:, 0].tolist(), self.shift.at_columns(cols)):
-            if self.inverted:
-                base = -base / _factor(a, base)
-            yield base, _factor(a, base)
+        return map(self._factor_at, cols[:, 0].tolist(), self.shift.at_columns(cols))
+
+    def _factor_at(self, a: complex, base: complex) -> tuple[complex, complex]:
+        """(shift, lambda) at a first column (a, b) where the base shift
+        takes `base`."""
+        if self.inverted:
+            base = -base / _factor(a, base)
+        return base, _factor(a, base)
 
     def to_json(self) -> dict:
         return {"shift": self.shift.to_json(), "inverted": self.inverted}
@@ -178,8 +182,8 @@ def overshear_apply(s: OvershearSpec, m) -> np.ndarray:
     """
     m = sl_matrix(m)
     _require_sl2(m[None])
-    (shift, lam), = s.factors(m[None, :, 0])
-    a, c, b, d = _overshear_point(m, shift, lam)
+    base, = s.shift.at_columns(m[None, :, 0])
+    a, c, b, d = _overshear_point(m, *s._factor_at(complex(m[0, 0]), base))
     return np.array([[a, c], [b, d]], dtype=np.complex128)
 
 
