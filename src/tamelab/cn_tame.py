@@ -136,10 +136,7 @@ class LagrangePoly:
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes, values and log-weights as arrays, built on first use."""
-        return tuple(
-            np.asarray(t, dtype=np.complex128)
-            for t in (self.nodes, self.values, self.log_weights)
-        )
+        return np.asarray(self.nodes), np.asarray(self.values), np.asarray(self.log_weights)
 
     @cached_property
     def _first_index(self) -> dict:
