@@ -183,8 +183,8 @@ def overshear_apply(s: OvershearSpec, m) -> np.ndarray:
     m = sl_matrix(m)
     _require_sl2(m[None])
     base, = s.shift.at_columns(m[None, :, 0])
-    a, c, b, d = _overshear_point(m, *s._factor_at(complex(m[0, 0]), base))
-    return np.array([[a, c], [b, d]], dtype=np.complex128)
+    m[0, 1], m[1, 1] = _overshear_point(m, *s._factor_at(complex(m[0, 0]), base))
+    return m
 
 
 def _require_sl2(ps: np.ndarray) -> None:
@@ -197,23 +197,25 @@ def _require_sl2(ps: np.ndarray) -> None:
 
 
 def _overshear_point(m: np.ndarray, shift: complex, lam: complex) -> tuple:
-    """The entries, row by row, of `overshear_apply` on a validated 2x2
-    matrix whose first column gives the factor `lam` and the shift
-    `shift`, in scalar arithmetic."""
+    """The second column of `overshear_apply` on a validated 2x2 matrix
+    whose first column gives the factor `lam` and the shift `shift`, in
+    scalar arithmetic."""
     a, c = m[0, 0], m[0, 1]
     b, d = m[1, 0], m[1, 1]
     if abs(a) >= SMALL_CORNER_TOL:
         d2 = (1.0 + b * c * lam) / a
     else:
         d2 = lam * d - shift
-    return a, c * lam, b, d2
+    return c * lam, d2
 
 
 def _overshear_stack(ps: np.ndarray, factors) -> np.ndarray:
     """`_overshear_point` at each matrix of a validated (m, 2, 2) stack,
     with its (shift, lambda) pair from `factors`."""
-    rows = [_overshear_point(p, *f) for p, f in zip(ps, factors)]
-    return np.array(rows, dtype=np.complex128).reshape(ps.shape)
+    seconds = [_overshear_point(p, *f) for p, f in zip(ps, factors)]
+    out = ps.copy()
+    out[:, :, 1] = np.array(seconds, dtype=np.complex128).reshape(len(ps), 2)
+    return out
 
 
 _ROUNDTRIP_SAMPLES = (
