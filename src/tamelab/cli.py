@@ -27,7 +27,13 @@ from typing import Callable
 import numpy as np
 
 from . import families
-from .cn_tame import MONOTONE_TAIL_BOUND, PARTIAL_ONLY, push_prefix_cn, rr_series_test
+from .cn_tame import (
+    MONOTONE_TAIL_BOUND,
+    PARTIAL_ONLY,
+    _log_weights,
+    push_prefix_cn,
+    rr_series_test,
+)
 from .core import (
     DET_TOL,
     DISTINCT_TOL,
@@ -702,12 +708,15 @@ def main(argv: list[str] | None = None) -> int:
     restores the caller's collector state on every exit. The documents a
     command parses and builds are acyclic lists and dicts that reference
     counting frees, while the collector would walk them again and again
-    as they grow."""
+    as they grow. The barycentric weights its fits shared are dropped
+    when it returns, so a command costs the same whatever ran before it
+    in the process."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         return _run(argv)
     finally:
+        _log_weights.cache_clear()
         if was_enabled:
             gc.enable()
 

@@ -92,7 +92,7 @@ _FIT_BLOCK = _PAIR_TABLE_ENTRIES >> 2
 def _log_weights(node_bytes: bytes) -> tuple[complex, ...]:
     """Barycentric log-weights -sum_{j != i} log(x_i - x_j) of the
     complex128 nodes packed in `node_bytes`, kept so that fits at one node
-    set share them.
+    set share them. `cli.main` drops them when a command returns.
 
     The difference matrix is taken in blocks of rows, about `_FIT_BLOCK`
     entries each. A row holds its off-diagonal entries in node order, so

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamelab import cli, core, generic_projection
+from tamelab import cli, cn_tame, core, generic_projection
 from tamelab.core import DiscreteSequence, cn, sln
 from tamelab.errors import DuplicatePoints, MalformedDocument
 from tamelab.generic_projection import MC_CSV_COLUMNS, threshold_estimate
@@ -950,6 +950,23 @@ class TestCollectorPause:
             gc.collect()
             assert run(*argv) in (0, 2)
             assert gc.collect() == 0, argv
+
+
+def test_fit_weights_last_one_command(tmp_path, monkeypatch):
+    # the pipeline's three fits at one node set share their weights inside
+    # the command, and the same command run again fits afresh
+    sg = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
+    weights = cn_tame._log_weights
+    clear = weights.cache_clear
+    seen = []
+    monkeypatch.setattr(weights, "cache_clear",
+                        lambda: seen.append(weights.cache_info()[:2]) or clear())
+    clear()
+    argv = ("transform", "sl2-pipeline", sg, "--max-fiber", "16", "--seed", "3")
+    assert run(*argv) == 0
+    assert run(*argv) == 0
+    assert seen == [(2, 1), (2, 1)]
+    assert weights.cache_info().currsize == 0
 
 
 class TestMalformedDocuments:

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tamelab import cn_tame
@@ -189,10 +189,17 @@ class TestFiberAffineProbe:
         vb=st.floats(0.3, 2.0),
     )
     @settings(max_examples=40, deadline=None)
+    @example(p0=0.0, p1=1.0, va=-0.5, vb=2.0)  # lambda = 1 + va * vb = 0
     def test_slope_matches_direct_evaluation(self, p0, p1, va, vb):
         spec = sl2.OvershearSpec(sl2.BivariatePoly(((p0, p1),)))
         v = (va, vb)
-        want = spec.lambda_at(va, vb)
+        try:
+            want = spec.lambda_at(va, vb)
+        except LambdaVanishes:
+            # the probe applies the overshear on the same fiber
+            with pytest.raises(LambdaVanishes):
+                sl2.fiber_affine_probe(spec, v, [0.0, 1.0, -1.0, 1j])
+            return
         slope, _, _ = sl2.fiber_affine_probe(spec, v, [0.0, 1.0, -1.0, 1j])
         assert abs(slope - want) <= 1e-9 * max(1.0, abs(want))
 
