@@ -27,12 +27,17 @@ def _random_sl2(rng: np.random.Generator) -> np.ndarray:
     return np.array([[a, z[2]], [z[1], (1.0 + z[2] * z[1]) / a]])
 
 
-def _pair_doc(points) -> dict:
+def _random_sl3(rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return z / np.linalg.det(z) ** (1.0 / 3.0)
+
+
+def _pair_doc(points, n: int = 2) -> dict:
     """A sequence document written with the standard json module, so the
     seeded inputs do not depend on the serializer under test."""
     return {
         "ambient": "sln",
-        "n": 2,
+        "n": n,
         "points": [
             [[[z.real, z.imag] for z in row] for row in p] for p in points
         ],
@@ -54,6 +59,11 @@ def _write_inputs() -> None:
     rng = np.random.default_rng(20172)
     doc = _pair_doc([_random_sl2(rng) for _ in range(120)])
     with open("rand120.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+    # an SL(3) prefix, so a push takes the general n >= 3 factor path
+    rng = np.random.default_rng(20173)
+    doc = _pair_doc([_random_sl3(rng) for _ in range(30)], n=3)
+    with open("rand30-sl3.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))
     rng = np.random.default_rng(20171)
     flat = rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3))
@@ -148,6 +158,8 @@ _COMMANDS = (
                      "--seed", "0"]),
     ("rand120-push", ["transform", "bundle-push", "rand120.json", "--height", "25",
                       "--seed", "7"]),
+    ("sl3-push", ["transform", "bundle-push", "rand30-sl3.json", "--height", "25",
+                  "--seed", "7"]),
     # the two transforms left that move a prefix through core.apply_all
     ("flat-shears", ["transform", "shears", "flat60.json", "--height", "6", "--seed", "1"]),
     ("center", ["transform", "center-separate", "sg.out", "--seed", "1"]),
@@ -200,6 +212,7 @@ GOLDEN = {
     'rand-push': (0, 'b11caffdd44cfe1235ca2fb90bf8ac2e3fa31729f165ca022e46c11f429ffbd1'),
     'rand12-push': (0, '55ff9351acc2bf37e988f2770ed1b8878e973da0403fb35aa4b9560c97477b72'),
     'rand120-push': (0, 'd699deae0630fee2e57abff3ddf924ef869afd4bdb5cd5eb2d900cdf2302a0fa'),
+    'sl3-push': (0, 'b2f6984c22ca4c44c1603f0d95118fd2b1cbdfec0f440c235142947c3bb9944c'),
     'flat-shears': (0, '340d065744007d36aec60a1efabc6b37ac32596f2815cbc2d51924e8c905617f'),
     'center': (0, '3fdd5908b2ed65f0701203221f727a97daee0b79834598845130416ca67ebc35'),
     'ceq.json': (0, '4ec5b890faddd241b165f3b36e65b7d18e0b21362d00a3c1060463b10900fc0d'),
