@@ -122,18 +122,27 @@ def _check_rows(kind: str, arr: np.ndarray, det_tol: float) -> None:
     """The value checks of a point of an ambient of the given kind, over a
     stack of points of one shape. The first failing point in index order
     raises the error of its own first failing check: non-finite entries,
-    then the determinant, the puncture or the disc."""
+    then the determinant, the puncture or the disc.
+
+    A stack that passes costs one finiteness pass and, for matrices, one
+    comparison of the largest determinant deviation with `det_tol`, the
+    floor of every allowed deviation. Only a stack that fails one of them
+    is scanned for its first non-finite row or its first row past its own
+    `det_tolerance`; a nan deviation (a finite matrix whose determinant
+    overflows both ways) never fails, so it only sends the stack to that
+    scan.
+    """
     m = len(arr)
     if m == 0:
         return
-    finite = np.isfinite(arr.view(np.float64)).reshape(m, -1).all(axis=1)
-    stop = m if finite.all() else int(np.argmin(finite))
+    finite = np.isfinite(arr)
+    stop = m if finite.all() else int(np.argmin(finite.reshape(m, -1).all(axis=1)))
     ok = arr[:stop]
     if kind == "sln":
         dets = np.linalg.det(ok)
         dev = np.abs(dets - 1.0)
-        near = np.flatnonzero(dev > det_tol)  # det_tolerance is never below det_tol
-        if near.size:
+        if stop and not dev.max() <= det_tol:
+            near = np.flatnonzero(dev > det_tol)
             allowed = det_tolerance(ok[near], det_tol)
             off = np.flatnonzero(dev[near] > allowed)
             if off.size:

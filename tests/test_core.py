@@ -554,6 +554,95 @@ class TestBatchedValidation:
             assert len(d) == 0 and d.array.shape == shape
 
 
+def _check_rows_reference(kind, arr, det_tol):
+    """`core._check_rows` as it was before its one-pass common path: every
+    row's finiteness, then every finite row's determinant deviation."""
+    m = len(arr)
+    if m == 0:
+        return
+    finite = np.isfinite(arr.view(np.float64)).reshape(m, -1).all(axis=1)
+    stop = m if finite.all() else int(np.argmin(finite))
+    ok = arr[:stop]
+    if kind == "sln":
+        dets = np.linalg.det(ok)
+        dev = np.abs(dets - 1.0)
+        near = np.flatnonzero(dev > det_tol)
+        if near.size:
+            allowed = core.det_tolerance(ok[near], det_tol)
+            off = np.flatnonzero(dev[near] > allowed)
+            if off.size:
+                core._require_unit_det(complex(dets[near[off[0]]]), float(allowed[off[0]]))
+    elif kind == "disc-plane":
+        radii = np.abs(ok[:, 0])
+        outside = np.flatnonzero(radii >= 1.0)
+        if outside.size:
+            raise PointOutsideAmbient(
+                f"|z| = {radii[outside[0]]:.6g} is not inside the unit disc"
+            )
+    if stop < m:
+        raise ValueError(f"{'matrix' if kind == 'sln' else 'point'} contains non-finite entries")
+
+
+def _rows_outcome(check, kind, rows):
+    try:
+        check(kind, np.array(rows, dtype=np.complex128), core.DET_TOL)
+    except (ValueError, DeterminantError, PointOutsideAmbient) as exc:
+        return type(exc), str(exc)
+    return "ok"
+
+
+_EYE = np.eye(2)
+_BAD_DET = 2.0 * np.eye(2)
+_NAN = np.diag([np.nan, 1.0])
+_INF_DET = np.diag([1e200, 1e200])  # finite entries; det and tolerance are inf
+_NAN_DET = np.array([[1.0, 1.5e308], [1.0, -1.5e308]])  # finite entries; det is nan
+
+
+class TestCheckRowsEdges:
+    """The first bad row and its error, on stacks where the one-pass check
+    and the row scan part ways."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([_EYE, _BAD_DET, _NAN, _EYE], (DeterminantError, "differs from 1 by 3")),
+            ([_EYE, _NAN, _BAD_DET], (ValueError, "matrix contains non-finite entries")),
+            ([_EYE], "ok"),
+            ([_BAD_DET], (DeterminantError, "differs from 1 by 3")),
+            ([_NAN], (ValueError, "matrix contains non-finite entries")),
+            (np.zeros((0, 2, 2)), "ok"),
+            ([_INF_DET], "ok"),
+            ([_EYE, _INF_DET, _EYE], "ok"),
+            ([_NAN_DET], "ok"),
+            ([_NAN_DET, _EYE, _BAD_DET], (DeterminantError, "differs from 1 by 3")),
+            ([_INF_DET, _BAD_DET, _NAN_DET], (DeterminantError, "differs from 1 by 3")),
+            ([_NAN_DET, _NAN], (ValueError, "matrix contains non-finite entries")),
+        ],
+        ids=["det-then-nan", "nan-then-det", "one", "one-bad-det", "one-nan", "empty",
+             "inf-det", "inf-det-inside", "nan-det", "nan-det-then-bad-det",
+             "inf-det-bad-det-nan-det", "nan-det-then-nan"],
+    )
+    def test_matrix_stacks(self, rows, expected):
+        got = _rows_outcome(core._check_rows, "sln", rows)
+        assert got == _rows_outcome(_check_rows_reference, "sln", rows)
+        if expected == "ok":
+            assert got == "ok"
+        else:
+            assert got[0] is expected[0] and expected[1] in got[1]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0.5, 1.0], [1.5, 0.0], [np.inf, 0.0]], [[0.5, 1.0], [np.nan, 0.0], [1.5, 0.0]],
+         [[0.5, 1.0]], np.zeros((0, 2))],
+        ids=["outside-then-inf", "nan-then-outside", "one", "empty"],
+    )
+    def test_disc_stacks(self, rows):
+        assert _rows_outcome(core._check_rows, "disc-plane", rows) == _rows_outcome(
+            _check_rows_reference, "disc-plane", rows
+        )
+
+
 @pytest.mark.parametrize("n", range(1, 65))
 def test_row_norms_match_single_point_norms(n):
     rng = stream(n, "row-norms")
