@@ -204,9 +204,20 @@ class QPolyMap:
 
         The separator is an elementwise product and a row sum, not a
         matmul, so each row rounds as a single-point evaluation does.
+
+        For n = 2 the general steps below act on one scalar per row: the
+        trace of a 1x1 block is its entry, the identity block is 1.0, and
+        the exponential of a 1x1 block is the scalar one. They are done on
+        the evaluated vectors directly, with the same operations in the
+        same order, so the bits are the general path's: the traceless log
+        is 0, whose imaginary part is -0.0 where the fit's is, for a finite
+        fit value and nan for another, and each lower block is exp of it.
         """
         ss = np.sum(self.u * ys, axis=1)
         k = self.n - 1
+        if k == 1:
+            lo = self.logl_fns[0](ss)
+            return self.r_fns[0](ss)[:, None], np.exp(lo - 1.0 * (lo / k))[:, None, None]
         r = np.stack([fn(ss) for fn in self.r_fns], axis=1)
         logl = np.stack([fn(ss) for fn in self.logl_fns], axis=1)
         logl = logl.reshape(len(ss), k, k)
@@ -280,13 +291,22 @@ class BundlePushAut(Automorphism):
 
     def apply_batch(self, ps: np.ndarray) -> np.ndarray:
         """The push over an (m, n, n) stack. The first fiber factor, in
-        row order, that `QElement.from_blocks` would reject raises."""
+        row order, that `QElement.from_blocks` would reject raises.
+
+        For n = 2 a finite factor is [[1, r], [0, 1 + 0j]] (the imaginary
+        zero may be -0.0), and its LU determinant is exactly 1: the pivot
+        is 1, the multiplier 0 and the last pivot 1 - 0 * r. So a stack of
+        finite n = 2 factors skips the determinant check it would pass,
+        and any other stack takes the full check, which names the same
+        first bad factor with the same error.
+        """
         r, lower = self.fmap.blocks(ps[:, :, 0])
         q = np.zeros(ps.shape, dtype=np.complex128)
         q[:, 0, 0] = 1.0
         q[:, 0, 1:] = r
         q[:, 1:, 1:] = lower
-        _check_rows("sln", q, DET_TOL)
+        if self.fmap.n > 2 or not np.isfinite(q).all():
+            _check_rows("sln", q, DET_TOL)
         return ps @ q
 
     def to_json(self) -> dict:

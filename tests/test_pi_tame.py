@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamelab import pi_tame
-from tamelab.cn_tame import Polynomial
+from tamelab.cn_tame import LagrangePoly, Polynomial
 from tamelab.core import (
+    DET_TOL,
+    _check_rows,
     CONSISTENT,
     MAX_COLUMN_NORM,
     VIOLATED,
@@ -378,3 +380,142 @@ class TestBundlePush:
         assert len(blob["separator_u"]) == 2
         assert len(blob["coeffs"]) == 2
         assert all(fn["kind"] in ("poly", "barycentric") for fn in blob["coeffs"])
+
+
+def _blocks_reference(fmap: pi_tame.QPolyMap, ys: np.ndarray):
+    """`QPolyMap.blocks` by the general formula, which serves every n."""
+    ss = np.sum(fmap.u * ys, axis=1)
+    k = fmap.n - 1
+    r = np.stack([fn(ss) for fn in fmap.r_fns], axis=1)
+    logl = np.stack([fn(ss) for fn in fmap.logl_fns], axis=1)
+    logl = logl.reshape(len(ss), k, k)
+    logl -= np.eye(k) * (np.trace(logl, axis1=1, axis2=2) / k)[:, None, None]
+    return r, pi_tame._matrix_exp(logl)
+
+
+def _push_reference(fmap: pi_tame.QPolyMap, ps: np.ndarray) -> np.ndarray:
+    """`BundlePushAut.apply_batch` with every factor's determinant checked."""
+    r, lower = _blocks_reference(fmap, ps[:, :, 0])
+    q = np.zeros(ps.shape, dtype=np.complex128)
+    q[:, 0, 0] = 1.0
+    q[:, 0, 1:] = r
+    q[:, 1:, 1:] = lower
+    _check_rows("sln", q, DET_TOL)
+    return ps @ q
+
+
+def _bits_or_error(fn, *args):
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple((a.shape, a.dtype, a.tobytes()) for a in np.atleast_1d(*out)) if isinstance(
+        out, tuple
+    ) else (out.shape, out.dtype, out.tobytes())
+
+
+def _signed_zero_probes(rng, points: np.ndarray) -> np.ndarray:
+    """The points themselves (separators at the nodes), the same points with
+    every zero part negated or every part zeroed with either sign, and
+    random ones."""
+    ps = np.array(points, dtype=np.complex128)
+    flipped = ps.copy()
+    flipped.real[flipped.real == 0] = -0.0
+    flipped.imag[flipped.imag == 0] = -0.0
+    zeros = np.zeros_like(ps[:4])
+    zeros.real[1::2] = -0.0
+    zeros.imag[2:] = -0.0
+    fresh = rng.standard_normal(ps[:6].shape) + 1j * rng.standard_normal(ps[:6].shape)
+    halves = fresh.copy()
+    halves[:, :, 0] = halves[:, :, 0].real - 0j  # imaginary parts -0.0
+    return np.concatenate([ps, flipped, zeros, fresh, halves])
+
+
+def _sl2_with_zero_parts(rng, m: int) -> np.ndarray:
+    """Random SL(2) matrices, some with an exactly real or imaginary
+    first-column entry."""
+    mats = np.stack([_random_sl2(rng) for _ in range(m)])
+    mats[::3, 1, 0] = mats[::3, 1, 0].real
+    mats[1::3, 0, 0] = 1j * mats[1::3, 0, 0].imag
+    mats[:, 1, 1] = (1.0 + mats[:, 0, 1] * mats[:, 1, 0]) / mats[:, 0, 0]
+    return mats
+
+
+class TestOneByOneFactor:
+    """For n = 2, `QPolyMap.blocks` and `BundlePushAut.apply_batch` take
+    the 1x1 lower block without the general matrix steps and skip the
+    determinant of a finite factor; bits and errors stay the general
+    path's."""
+
+    def _maps(self):
+        rng = stream(31, "one-by-one")
+        maps = []
+        for m in (10, 45):  # the Newton form, then the barycentric one
+            d = _mseq(_sl2_with_zero_parts(rng, m))
+            phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(25.0, m), seed=m)
+            maps.append(("push", phi.fmap, d.array))
+        d = _mseq(_sl2_with_zero_parts(rng, 5))
+        phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(0.5, 5))
+        maps.append(("zero-fit", phi.fmap, d.array))
+        maps.append(("zero-fit-direct", pi_tame.QPolyMap(
+            2, np.zeros(2, dtype=np.complex128), pi_tame._zero_fit(1), pi_tame._zero_fit(1)
+        ), d.array))
+        for m in (12, 50):
+            pts = _sl2_with_zero_parts(rng, m)
+            # lower blocks off 1 by rounding, and 1 - 0j, whose traceless
+            # logarithm keeps a -0.0 imaginary part
+            lowers = [np.array([[1.0 + 1e-12 * (k % 3)]]) if k % 2 else np.array([[1.0 - 0j]])
+                      for k in range(m)]
+            lowers = [np.array([[complex(1.0, -0.0)]]) if k % 4 == 0 else low
+                      for k, low in enumerate(lowers)]
+            els = [pi_tame.QElement.from_blocks(np.array([float(k) - 0.5j]), low)
+                   for k, low in enumerate(lowers)]
+            maps.append(("fit", pi_tame.fit_q_map(list(pts[:, :, 0]), els, seed=1), pts))
+        for m in (8, 48):
+            # log fits with nonzero values, so that the traceless step
+            # cancels nonzero numbers, some of them with -0.0 parts
+            pts = _sl2_with_zero_parts(rng, m)
+            u, ss = pi_tame._separate(pts[:, :, 0], 2)
+            logs = 1e-12 * (rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1)))
+            logs[::3] = logs[::3].real - 0j
+            logs[1::5] = complex(-0.0, -0.0)
+            rs = rng.standard_normal((m, 1)) + 0j
+            maps.append(("nonzero-log", pi_tame._interpolate_blocks(u, ss, rs, logs), pts))
+        return rng, maps
+
+    def test_blocks_and_push_are_the_general_formulas_bits(self):
+        rng, maps = self._maps()
+        kinds = set()
+        for name, fmap, points in maps:
+            ps = _signed_zero_probes(rng, points)
+            kinds.update(type(fn).__name__ for fn in fmap.logl_fns)
+            r, lower = fmap.blocks(ps[:, :, 0])
+            want_r, want_lower = _blocks_reference(fmap, ps[:, :, 0])
+            for got, want in ((r, want_r), (lower, want_lower)):
+                assert got.shape == want.shape and got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
+            pushed = pi_tame.BundlePushAut(fmap).apply_batch(ps)
+            assert pushed.tobytes() == _push_reference(fmap, ps).tobytes(), name
+        assert kinds == {"Polynomial", "LagrangePoly"}
+
+    def test_a_minus_zero_log_keeps_its_sign(self):
+        # exp(x - x) would give 1 + 0j; the general steps give 1 - 0j
+        log = LagrangePoly.fit([2.0], [complex(1e-13, -0.0)])  # that value at s = 2
+        fmap = pi_tame.QPolyMap(2, np.ones(2, dtype=np.complex128), (Polynomial((2.0,)),), (log,))
+        _, lower = fmap.blocks(np.ones((1, 2), dtype=np.complex128))
+        assert np.signbit(lower[0, 0, 0].imag)
+        assert lower.tobytes() == _blocks_reference(fmap, np.ones((1, 2)))[1].tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                     complex(np.inf, 1.0)])
+    def test_non_finite_probes_raise_as_the_general_path(self, bad):
+        rng, maps = self._maps()
+        for name, fmap, points in maps:
+            ps = np.array(points[:4], dtype=np.complex128)
+            ps[2, 1, 0] = bad
+            phi = pi_tame.BundlePushAut(fmap)
+            got = _bits_or_error(phi.apply_batch, ps)
+            assert got == _bits_or_error(_push_reference, fmap, ps), name
+            if not name.startswith("zero-fit"):  # its fits are constants, finite everywhere
+                assert got == (ValueError, "matrix contains non-finite entries"), name
