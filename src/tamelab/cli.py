@@ -611,7 +611,11 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         human = [f"csv report: {len(lines) - 1} rows", lines[0]]
         _finish(cfg, {"command": "report", "rows": len(lines) - 1}, human)
         return 0
-    _finish(cfg, doc, _summarize(doc))
+    human = _summarize(doc)
+    try:
+        _finish(cfg, doc, human)
+    except RecursionError:  # the emitter recurses once per level, as the parser does
+        raise MalformedDocument(TOO_DEEP) from None
     return 2 if violated else 0
 
 

@@ -804,6 +804,24 @@ def test_a_deeply_nested_document_is_a_typed_error(tmp_path, capsys, command):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("flag", [["--json"], ["--out", "out.json"]], ids=["json", "out"])
+def test_report_of_a_nested_document_that_parses_is_a_typed_error(
+    tmp_path, capsys, monkeypatch, flag
+):
+    # parses, but re-emitting it recurses past the interpreter's limit
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(
+        '{"points": ' + "[" * 900 + "]" * 900 + "}", encoding="utf-8"
+    )
+    assert run("report", "deep.json") == 0
+    assert capsys.readouterr().out == "empty report\n"
+    assert run("report", "deep.json", *flag) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the document nests too deeply to parse\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out.json").exists()
+
+
 class TestSerializeOnce:
     """Each command serializes its document only when a flag asks for the
     text, once, and writes that one text to stdout and --out."""
