@@ -128,9 +128,9 @@ def _check_rows(kind: str, arr: np.ndarray, det_tol: float) -> None:
     comparison of the largest determinant deviation with `det_tol`, the
     floor of every allowed deviation. Only a stack that fails one of them
     is scanned for its first non-finite row or its first row past its own
-    `det_tolerance`; a nan deviation (a finite matrix whose determinant
-    overflows both ways) never fails, so it only sends the stack to that
-    scan.
+    `det_tolerance`. A nan deviation (a finite matrix whose determinant
+    overflows) passes, but it sends the stack to that scan, since the
+    largest deviation is then nan and may hide a failing row.
     """
     m = len(arr)
     if m == 0:

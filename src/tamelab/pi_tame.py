@@ -205,13 +205,13 @@ class QPolyMap:
         The separator is an elementwise product and a row sum, not a
         matmul, so each row rounds as a single-point evaluation does.
 
-        For n = 2 the general steps below act on one scalar per row: the
-        trace of a 1x1 block is its entry, the identity block is 1.0, and
-        the exponential of a 1x1 block is the scalar one. They are done on
-        the evaluated vectors directly, with the same operations in the
-        same order, so the bits are the general path's: the traceless log
-        is 0, whose imaginary part is -0.0 where the fit's is, for a finite
-        fit value and nan for another, and each lower block is exp of it.
+        For n = 2 the general steps act on one scalar per row (the trace
+        of a 1x1 block is its entry, the identity block is 1.0, and the
+        exponential is the scalar one), so they run on the evaluated
+        vectors, as the same operations in the same order, with the same
+        bits. The traceless log is 0 where the fit value is finite, with a
+        -0.0 imaginary part where the fit's is -0.0 (which `lo - lo` would
+        lose), and nan where it is not.
         """
         ss = np.sum(self.u * ys, axis=1)
         k = self.n - 1
