@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from tamelab import pi_tame
 from tamelab.cn_tame import LagrangePoly, Polynomial
 from tamelab.core import (
-    DET_TOL,
-    _check_rows,
     CONSISTENT,
+    DET_TOL,
     MAX_COLUMN_NORM,
     VIOLATED,
     DiscreteSequence,
     HeightAssignment,
+    _check_rows,
     exhaust_eval,
     max_norm_distance,
     sl_matrix,
@@ -404,14 +404,12 @@ def _push_reference(fmap: pi_tame.QPolyMap, ps: np.ndarray) -> np.ndarray:
     return ps @ q
 
 
-def _bits_or_error(fn, *args):
+def _bits_or_error(push, *args):
     try:
-        out = fn(*args)
+        out = push(*args)
     except ValueError as exc:
         return type(exc), str(exc)
-    return tuple((a.shape, a.dtype, a.tobytes()) for a in np.atleast_1d(*out)) if isinstance(
-        out, tuple
-    ) else (out.shape, out.dtype, out.tobytes())
+    return out.shape, out.dtype, out.tobytes()
 
 
 def _signed_zero_probes(rng, points: np.ndarray) -> np.ndarray:
@@ -464,11 +462,9 @@ class TestOneByOneFactor:
             pts = _sl2_with_zero_parts(rng, m)
             # lower blocks off 1 by rounding, and 1 - 0j, whose traceless
             # logarithm keeps a -0.0 imaginary part
-            lowers = [np.array([[1.0 + 1e-12 * (k % 3)]]) if k % 2 else np.array([[1.0 - 0j]])
+            lowers = [complex(1.0, -0.0) if k % 4 == 0 else 1.0 + 1e-12 * (k % 3)
                       for k in range(m)]
-            lowers = [np.array([[complex(1.0, -0.0)]]) if k % 4 == 0 else low
-                      for k, low in enumerate(lowers)]
-            els = [pi_tame.QElement.from_blocks(np.array([float(k) - 0.5j]), low)
+            els = [pi_tame.QElement.from_blocks(np.array([k - 0.5j]), np.array([[low]]))
                    for k, low in enumerate(lowers)]
             maps.append(("fit", pi_tame.fit_q_map(list(pts[:, :, 0]), els, seed=1), pts))
         for m in (8, 48):
