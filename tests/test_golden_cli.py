@@ -72,6 +72,8 @@ def _write_inputs() -> None:
         fh.write(json.dumps(doc))
     with open("bounds.json", "w", encoding="utf-8") as fh:
         fh.write(_bounds_text())
+    with open("flat3000.json", "w", encoding="utf-8") as fh:
+        fh.write(_flat_rows_text())
 
 
 def _bounds_text() -> str:
@@ -90,6 +92,22 @@ def _bounds_text() -> str:
         f' "mixed": [[1, 2.5], [3.25, -4], [{big}, 0.1], [-0, 1e-300]],\n'
         ' "block": [' + ", ".join(rows) + "]}\n"
     )
+
+
+def _flat_rows_text() -> str:
+    """A hand-written C^2 document of 3000 points, about three blocks of
+    rows as the emitter formats them. Per point [[a, b], [c, d]]: a
+    varies; b is 0.5 through the first block of 1024 rows and varies
+    after it; c is written as "0" and "-0" tokens, mixed in the first
+    two blocks and "-0" alone in the last; d is an int in every row,
+    2**53 in one of them."""
+    rows = []
+    for i in range(3000):
+        b = "0.5" if i < 1024 else repr(i / 3)
+        c = "-0" if i >= 2048 or i % 3 == 0 else "0"
+        d = 2**53 if i == 2500 else 7 * i - 9000
+        rows.append(f"[[{(i + 1) / 7!r}, {b}], [{c}, {d}]]")
+    return '{"ambient": "cn", "n": 2, "points": [' + ", ".join(rows) + "]}\n"
 
 
 # (name, argv); each command writes <name>.out, later commands read it.
@@ -142,6 +160,7 @@ _COMMANDS = (
                   "--max-fiber", "16"]),
     ("report", ["report", "wp.out"]),
     ("bounds-report", ["report", "bounds.json"]),
+    ("flat-rows-report", ["report", "flat3000.json"]),
     # a long flat prefix through gen, report and the series check
     ("powers", ["gen", "cn-powers", "--n", "2", "--k", "20000", "--alpha", "1.15"]),
     ("powers-report", ["report", "powers.out"]),
@@ -200,6 +219,7 @@ GOLDEN = {
     'omega-blocks': (0, 'cae9714d43c0c33a905bcd2a33c50e2ec259adb44f6bb2b3b10bfae7255553f5'),
     'pipeline': (0, 'db423ab1fe5849d46477edad9b28cf91ed3119fe2161e166564f3decea5056e5'),
     'bounds-report': (0, '4dbbe9f5ab890602dcb043d7aea17fae76ce0ca119dc960a03e6472dcaf09215'),
+    'flat-rows-report': (0, '93255a78b7fd441c41ef6347d1a177c6a2d2789304824e1b5cfec6f68f0e6422'),
     'report': (0, 'c14bf851429c3a9e09a8b9a4a3367b8d6f40aac1b7189663effe98c55167b2c4'),
     'powers': (0, 'f5cda6d589cbd40e097416bc82feb35a2d1986c6531f03f3a1705536972542bc'),
     'powers-report': (0, 'f5cda6d589cbd40e097416bc82feb35a2d1986c6531f03f3a1705536972542bc'),
