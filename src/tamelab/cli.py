@@ -241,7 +241,7 @@ def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
         "command": "gen",
         "family": args.family,
         "config": cfg.to_json(),
-        "sequence": seq.to_json(),
+        "sequence": seq.to_document(),
     }
     _finish(cfg, doc, [f"gen {args.family}: {len(seq)} points in {seq.ambient.kind}"])
     return 0
@@ -310,7 +310,7 @@ _CHECKS = {
 
 
 def _moved_fields(aut, moved: DiscreteSequence) -> dict:
-    return {"sequence": moved.to_json(), "automorphism": aut.to_json()}
+    return {"sequence": moved.to_document(), "automorphism": aut.to_json()}
 
 
 def _shears(args, cfg: RunConfig, d: DiscreteSequence):
@@ -341,13 +341,13 @@ def _lambda_rescale(args, cfg: RunConfig, d: DiscreteSequence):
     table = RescaleTable(np.tile(np.array(row, dtype=np.complex128), (len(d), 1)))
     out = lambda_rescale(d, table, check_conditions=True)
     verdict, _ = well_placed_check(out)
-    return verdict, {"sequence": out.to_json(), "automorphism": None, "factor": factor}
+    return verdict, {"sequence": out.to_document(), "automorphism": None, "factor": factor}
 
 
 def _union_decompose(args, cfg: RunConfig, d: DiscreteSequence):
     parts = union_decompose(d)
     verdict = union_split_verdict(d, parts)
-    return verdict, {"parts": [s.to_json() for s in parts], "automorphism": None}
+    return verdict, {"parts": [s.to_document() for s in parts], "automorphism": None}
 
 
 def _torus_embed(args, cfg: RunConfig, d: DiscreteSequence):
@@ -358,14 +358,14 @@ def _torus_embed(args, cfg: RunConfig, d: DiscreteSequence):
         GeneratorInfo.of("torus-embed", source=d.generator.family if d.generator else "input"),
     )
     prod_err = max(abs(complex(np.prod(v)) - 1.0) for v in images)
-    return verdict, {"sequence": out.to_json(), "automorphism": None, "product_error": prod_err}
+    return verdict, {"sequence": out.to_document(), "automorphism": None, "product_error": prod_err}
 
 
 def _align(args, cfg: RunConfig, d: DiscreteSequence, other: DiscreteSequence):
     a2, b2, record, rep = align_first_columns(d, other)
     return alignment_verdict(a2, b2, rep), {
-        "sequence": a2.to_json(),
-        "sequence2": b2.to_json(),
+        "sequence": a2.to_document(),
+        "sequence2": b2.to_document(),
         "automorphism": None,
         "scaling": record.to_json(),
         "alignment": asdict(rep),

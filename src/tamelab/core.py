@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -388,15 +389,23 @@ class DiscreteSequence:
     def replace_points(self, points: Iterable, generator=None) -> "DiscreteSequence":
         return DiscreteSequence(self.ambient, points, generator)
 
-    def to_json(self) -> dict:
-        pairs = self.array.view(np.float64).reshape(*self.array.shape, 2)
+    def to_document(self) -> dict:
+        """The sequence document with `points` as the float64 view of
+        `array`, [re, im] on a last axis of length 2. `canonical_json`
+        writes it as it writes `to_json()`, without building the lists."""
         obj = {
             "ambient": self.ambient.kind,
             "n": self.ambient.n,
-            "points": pairs.tolist(),
+            "points": self.array.view(np.float64).reshape(*self.array.shape, 2),
         }
         if self.generator is not None:
             obj["generator"] = self.generator.to_json()
+        return obj
+
+    def to_json(self) -> dict:
+        """The sequence document with `points` as nested lists of floats."""
+        obj = self.to_document()
+        obj["points"] = obj["points"].tolist()
         return obj
 
     @classmethod
@@ -445,13 +454,25 @@ def _unpair_array(raw, i: int = 0) -> np.ndarray:
 
 
 def _unpair_points(raw):
-    """The points of a sequence document as one complex array. Points that
-    do not stack are read one at a time, in index order, so that the first
-    point not made of [re, im] pairs, or validation later, names it."""
-    try:
-        pairs = np.asarray(raw, dtype=np.float64)
-    except (ValueError, TypeError, OverflowError):
-        pairs = None
+    """The points of a sequence document as one complex array. A regular
+    block of plain numbers is flattened level by level into one float64
+    array; any other block goes through `np.asarray`, with the same bits.
+    Points that do not stack are read one at a time, in index order, so
+    that the first point not made of [re, im] pairs, or validation later,
+    names it."""
+    pairs = None
+    regular = _regular_leaves(raw)
+    if regular is not None and regular[2] <= {float, int}:
+        dims, leaves, _ = regular
+        try:
+            pairs = np.array(leaves, dtype=np.float64).reshape(dims)
+        except OverflowError:  # an int past the float range
+            pass
+    if pairs is None:
+        try:
+            pairs = np.asarray(raw, dtype=np.float64)
+        except (ValueError, TypeError, OverflowError):
+            pairs = None
     if pairs is not None and pairs.ndim > 1:
         return _unpair_array(pairs)
     return tuple(_unpair_array(p, i) for i, p in enumerate(raw))
@@ -796,12 +817,13 @@ def _scalar_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
 
 
-_CONTAINERS = (list, tuple, dict)
+_CONTAINERS = (list, tuple, dict, np.ndarray)
 _BATCH = 1 << 10  # list items formatted together
 _FLUSH = 1 << 12  # pending chunks per write into the buffer
 
 
-# ints up to this size print through '%.17g' exactly as str() prints them
+# ints below this size convert to float64 exactly, and '%.17g' prints
+# them (and 2**53 itself) exactly as str() prints the int
 _EXACT_INT = 1 << 53
 
 
@@ -816,14 +838,31 @@ def _item_template(shape: tuple[int, ...], indent: int, slot: str) -> str:
     return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * indent + "]"
 
 
-def _block_text(items, indent: int) -> str | None:
-    """The items of a list, each at `indent`, joined as the emitter joins
-    them, when they form a regular block: scalars, or lists of one length
-    down to scalar leaves. None otherwise.
+def _rows_text(flat: np.ndarray, shape: tuple[int, ...], indent: int) -> str:
+    """List items of the given nested shape, each at `indent`, joined as
+    the emitter joins them, from a finite float64 array of their leaves in
+    row-major order. One '%' call formats the leaves; a leaf position that
+    holds the same bits in every item (the same value, with the same sign
+    of zero) is formatted once, into the item template."""
+    rows = np.ascontiguousarray(flat).reshape(-1, math.prod(shape))
+    bits = rows.view(np.int64)
+    same = (bits == bits[0]).all(axis=0)
+    item = _item_template(shape, indent, "%.17g")
+    flags = same.tolist()
+    if any(flags):
+        slots = ["%.17g" % v if s else "%.17g" for v, s in zip(rows[0].tolist(), flags)]
+        parts = item.split("%.17g")
+        item = parts[0] + "".join(map(str.__add__, slots, parts[1:]))
+        rows = rows[:, ~same]
+    frame = (",\n" + "  " * indent).join([item] * len(bits))
+    return frame % tuple(rows.ravel().tolist())
 
-    Plain floats and ints that '%.17g' prints exactly fill the block's
-    template in one '%' call; a nan or inf among them, and any other
-    leaf, sends the block leaf by leaf, so the first bad value raises."""
+
+def _regular_leaves(items) -> tuple[tuple[int, ...], list, set] | None:
+    """The shape, the leaves and the leaf types of a non-empty list of
+    scalars, or of lists and tuples of one length down to scalar leaves,
+    flattened level by level. None for an empty, ragged or mixed-depth
+    list, or one with a dict or an array among its leaves."""
     dims = [len(items)]
     level = items
     while True:
@@ -837,17 +876,48 @@ def _block_text(items, indent: int) -> str | None:
         elif any(issubclass(k, _CONTAINERS) for k in kinds):
             return None
         else:
-            break
-    shape = tuple(dims[1:])
-    frame = (",\n" + "  " * indent).join
-    if kinds == {float} or (
-        kinds <= {float, int}
-        and all(-_EXACT_INT <= v <= _EXACT_INT for v in level if type(v) is int)
-    ):
-        text = frame([_item_template(shape, indent, "%.17g")] * dims[0]) % tuple(level)
-        if "n" not in text:  # no nan, inf or -inf
-            return text
+            return tuple(dims), level, kinds
+
+
+def _float_leaves(level: list, ints: bool) -> np.ndarray | None:
+    """Plain float and int leaves as a float64 array, when it is finite and
+    '%.17g' prints each int from it as str() does; None otherwise."""
+    try:
+        flat = np.array(level, dtype=np.float64)
+    except OverflowError:  # an int past the float range
+        return None
+    if np.abs(flat).max() < _EXACT_INT:  # finite, and every int converted exactly
+        return flat
+    if not np.isfinite(flat).all():
+        return None
+    # 2**53 + 1 converts to 2**53, so ints this large are tested as ints
+    if ints and not all(-_EXACT_INT <= v <= _EXACT_INT for v in level if type(v) is int):
+        return None
+    return flat
+
+
+def _block_text(items, indent: int) -> str | None:
+    """The items of a list, each at `indent`, joined as the emitter joins
+    them, when they form a regular block: a chunk of a float64 array,
+    scalars, or lists of one length down to scalar leaves. None otherwise.
+
+    A finite array chunk, and plain floats and ints that `_float_leaves`
+    takes, go through `_rows_text`. Any other leaf sends the block
+    through `_scalar_text` value by value, and a non-finite array chunk
+    goes item by item, so the first bad value raises."""
+    if isinstance(items, np.ndarray):
+        return _rows_text(items, items.shape[1:], indent) if np.isfinite(items).all() else None
+    regular = _regular_leaves(items)
+    if regular is None:
+        return None
+    dims, level, kinds = regular
+    shape = dims[1:]
+    if kinds <= {float, int}:
+        flat = _float_leaves(level, int in kinds)
+        if flat is not None:
+            return _rows_text(flat, shape, indent)
     texts = tuple(_scalar_text(v) for v in level)
+    frame = (",\n" + "  " * indent).join
     return frame([_item_template(shape, indent, "%s")] * dims[0]) % texts
 
 
@@ -869,7 +939,10 @@ class _Emitter:
         self.chunks.clear()
 
     def emit(self, value, indent: int) -> None:
-        if isinstance(value, (list, tuple)):
+        if isinstance(value, np.ndarray) and value.ndim and value.dtype == np.float64:
+            # written as value.tolist() is; an empty one through those lists
+            self.emit_list(value if value.size else value.tolist(), indent)
+        elif isinstance(value, (list, tuple)):
             self.emit_list(value, indent)
         elif isinstance(value, dict):
             self.emit_dict(value, indent)
@@ -877,7 +950,7 @@ class _Emitter:
             self.put(_scalar_text(value))
 
     def emit_list(self, value, indent: int) -> None:
-        if not value:
+        if not len(value):
             self.put("[]")
             return
         pad = "\n" + "  " * (indent + 1)
@@ -910,7 +983,8 @@ class _Emitter:
 def canonical_json(doc) -> str:
     """Deterministic JSON: keys in insertion order, two-space indentation,
     floats at 17 significant digits so they round-trip exactly, and a
-    trailing newline. A non-finite float raises `ValueError`."""
+    trailing newline. A float64 array of one or more dimensions is written
+    as its `tolist()`. A non-finite float raises `ValueError`."""
     out = _Emitter()
     out.emit(doc, 0)
     out.put("\n")
@@ -920,7 +994,7 @@ def canonical_json(doc) -> str:
 
 def save_sequence(d: DiscreteSequence, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(d.to_json()))
+        fh.write(canonical_json(d.to_document()))
 
 
 TOO_DEEP = "the document nests too deeply to parse"

@@ -7,6 +7,7 @@ import copy
 import gc
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -245,6 +246,98 @@ class TestBatchedEmitter:
         pts = rng.standard_normal((3000, 3)) + 1j * rng.standard_normal((3000, 3))
         doc = DiscreteSequence(cn(3), tuple(pts)).to_json()
         assert cli.canonical_json(doc) == _canonical_reference(doc)
+
+
+def _listed(doc):
+    """`doc` with each array in it replaced by its `tolist()`."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: _listed(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(_listed(value) for value in doc)
+    return doc
+
+
+_BIG_INTS = (2**53 - 1, 2**53, 2**53 + 1, 2**63)
+
+
+def _parting(want, got):
+    """None when two outcomes agree; else where two texts first part, so
+    that a failure does not diff megabytes."""
+    if want == got:
+        return None
+    if not (isinstance(want, str) and isinstance(got, str)):
+        return want, got
+    at = len(os.path.commonprefix([want, got]))
+    return at, want[at - 60 : at + 60], got[at - 60 : at + 60]
+
+
+class TestArrayBlocks:
+    """A float64 array in a document is written as its `tolist()` is, by
+    the batched emitter and by the value-at-a-time reference."""
+
+    def _same(self, value):
+        for doc in (value, {"k": value}, [value, {"k": [value]}]):
+            listed = _listed(doc)
+            expected = _outcome(_canonical_reference, listed)
+            assert _parting(expected, _outcome(cli.canonical_json, listed)) is None
+            assert _parting(expected, _outcome(cli.canonical_json, doc)) is None
+        return expected
+
+    def test_signed_zeros_in_one_column(self):
+        vals = np.random.default_rng(6).standard_normal((3000, 2, 2))
+        vals[:, 1, 0] = 0.0
+        vals[::3, 1, 0] = -0.0
+        vals[: core._BATCH, 1, 1] = -0.0  # one sign through a whole block
+        vals[core._BATCH :, 1, 1] = 0.0
+        text = self._same(vals)
+        assert "-0," in text and "\n        0," in text
+
+    @pytest.mark.parametrize("rows", [1, core._BATCH, core._BATCH + 1])
+    def test_block_boundaries(self, rows):
+        vals = np.random.default_rng(rows).standard_normal((rows, 3, 2))
+        self._same(vals)
+        self._same(vals[:, 0, 0].copy())
+        self._same(vals[:, :, 1])  # a strided view
+
+    def test_every_column_constant(self):
+        self._same(np.full((2 * core._BATCH + 5, 3, 2), 0.5))
+        vals = np.zeros((3000, 2, 2))
+        vals[core._BATCH :] = [[1e300, -2.5], [5e-324, -0.0]]  # constant per block
+        self._same(vals)
+
+    def test_large_ints_among_floats(self):
+        rows = [[big, 0.5 * i] for i, big in enumerate(_BIG_INTS * 300)]
+        rows += [[-big, 1.25] for big in _BIG_INTS]
+        text = self._same(rows)
+        assert "9007199254740993" in text and "9223372036854775808" in text
+        self._same(np.array(rows, dtype=np.float64))
+        for big in _BIG_INTS:  # each as the largest leaf of its block
+            text = self._same([[big, 0.5], [1.5, -big]] * 600)
+            assert str(big) in text and str(-big) in text
+
+    def test_bools_and_numpy_scalars_beside_arrays(self):
+        vals = np.random.default_rng(7).standard_normal((1500, 2))
+        leaves = [[True, 1.5], [np.float64(2.5), False], [np.float64(-0.0), 3]]
+        self._same({"points": vals, "flags": leaves * 400, "x": np.float64(0.25)})
+        self._same(np.array([[True, False]] * 3, dtype=np.float64))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_raise_the_same_error(self, bad):
+        for at in (0, 2 * core._BATCH * 4 - 1, 5 * core._BATCH + 3):
+            vals = np.random.default_rng(8).standard_normal((3000, 2, 2))
+            vals.reshape(-1)[at] = bad
+            outcome = self._same(vals)
+            assert outcome == (ValueError, f"non-finite value {bad!r} in a report")
+
+    def test_only_float64_arrays_are_written(self):
+        for value in (np.arange(3), np.array(1.5), np.ones(2, np.float32)):
+            assert _outcome(cli.canonical_json, {"a": value}) == (
+                TypeError, "cannot serialize ndarray deterministically"
+            )
+        self._same(np.zeros((0, 2)))
+        self._same(np.zeros((3, 0)))
 
 
 def _violated_reference(doc) -> bool:
@@ -875,6 +968,61 @@ class TestSerializeOnce:
         assert run(*argv, "--json") == 0
         assert len(counted) == 1
         assert json.loads(capsys.readouterr().out)["action"] == "measure"
+
+
+class TestDocumentsCarryArrays:
+    """Commands and `save_sequence` write a sequence from the float64 view
+    of its array, never through the nested lists of `to_json`."""
+
+    @staticmethod
+    def _refuse_lists(monkeypatch) -> None:
+        def refuse(self):
+            raise AssertionError("DiscreteSequence.to_json was called")
+
+        monkeypatch.setattr(DiscreteSequence, "to_json", refuse)
+
+    @staticmethod
+    def _inputs(tmp_path) -> dict:
+        rng = np.random.default_rng(20171)
+        flat = rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3))
+        doc = {"ambient": "cn", "n": 3, "points": [[[z.real, z.imag] for z in p] for p in flat]}
+        (tmp_path / "flat.json").write_text(json.dumps(doc), encoding="utf-8")
+        return {
+            "sg": gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1"),
+            "wp": gen(tmp_path, "wellplaced2", "--k", "16"),
+            "flat": str(tmp_path / "flat.json"),
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "cn-powers", "--n", "2", "--k", "3000", "--alpha", "1.15"],
+            ["gen", "wellplaced2", "--k", "16"],
+            ["transform", "overshears", "sg", "--lambda", "1+0.5*a"],
+            ["transform", "union-decompose", "wp"],
+            ["transform", "shears", "flat", "--height", "6", "--seed", "1"],
+        ],
+        ids=["gen-flat", "gen-sl2", "overshears", "union-decompose", "shears"],
+    )
+    def test_commands_build_no_lists(self, tmp_path, monkeypatch, argv):
+        inputs = self._inputs(tmp_path)
+        self._refuse_lists(monkeypatch)
+        out = tmp_path / "out.json"
+        assert run(*[inputs.get(a, a) for a in argv], "--out", str(out)) == 0
+        text = out.read_text(encoding="utf-8")
+        doc, _ = cli._read_report(text)  # keeps "-0" tokens as -0.0
+        assert text == _canonical_reference(doc)
+
+    def test_save_sequence_writes_the_list_bytes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(9)
+        pts = rng.standard_normal((1500, 2)) + 1j * rng.standard_normal((1500, 2))
+        pts[::4, 1] = complex(0.0, -0.0)
+        d = DiscreteSequence(cn(2), pts, core.GeneratorInfo.of("demo", k=1500))
+        want = _canonical_reference(d.to_json())
+        self._refuse_lists(monkeypatch)
+        path = tmp_path / "seq.json"
+        core.save_sequence(d, path)
+        assert path.read_text(encoding="utf-8") == want
 
 
 class TestExitCodeContract:

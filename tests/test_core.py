@@ -748,3 +748,93 @@ class TestSequenceDocuments:
         for amb, n in (("cn", 2), ("sln", 2)):
             d = core.DiscreteSequence.from_json({"ambient": amb, "n": n, "points": []})
             assert len(d) == 0 and d.points == ()
+
+
+def _unpair_points_reference(raw):
+    """`core._unpair_points` as it read every document through `np.asarray`."""
+    try:
+        pairs = np.asarray(raw, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        pairs = None
+    if pairs is not None and pairs.ndim > 1:
+        return core._unpair_array(pairs)
+    return tuple(core._unpair_array(p, i) for i, p in enumerate(raw))
+
+
+def _read_outcome(fn, *args):
+    """What reading points returns, to the bit, or the error it raises."""
+    try:
+        got = fn(*args)
+    except Exception as exc:  # every error must match, whatever its type
+        return type(exc), str(exc)
+    if isinstance(got, core.DiscreteSequence):
+        got = got.array
+    if isinstance(got, tuple):
+        return "points", [(p.shape, p.tobytes()) for p in got]
+    return "stack", got.shape, got.tobytes()
+
+
+def _regular_point_lists():
+    """Regular cn and sln point lists: random floats, signed zeros, and
+    ints beside them, including ints that round on the way to float64."""
+    rng = stream(21, "flat-loader")
+    vec = rng.standard_normal((700, 3, 2))
+    vec[::5, 1] = [0.0, -0.0]
+    flat = vec.tolist()
+    for i, big in enumerate((0, 7, -3, 2**53 - 1, 2**53, 2**53 + 1, 2**63, -(2**64) - 1)):
+        flat[i][2][0] = big
+    mats = rng.standard_normal((300, 2, 2, 2)).tolist()
+    mats[0][1][1][1] = 1
+    mats[1][0][0][0] = -0.0
+    return [("cn", 3, flat), ("cn", 3, flat[:1]), ("sln", 2, mats), ("sln", 2, mats[:1])]
+
+
+class TestFlattenedLoader:
+    """`_unpair_points` flattens a regular block of plain numbers itself;
+    everything else reads as it did through `np.asarray` alone."""
+
+    @pytest.mark.parametrize("index", range(4), ids=["cn", "cn-one", "sln", "sln-one"])
+    def test_regular_documents_are_bit_identical(self, index):
+        ambient, n, points = _regular_point_lists()[index]
+        assert core._regular_leaves(points) is not None  # the flattening path
+        got = _read_outcome(core._unpair_points, points)
+        assert got[0] == "stack"
+        assert got == _read_outcome(_unpair_points_reference, points)
+        pairs = np.asarray(points, dtype=np.float64)
+        assert got[2] == np.ascontiguousarray(pairs).view(np.complex128)[..., 0].tobytes()
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[[1, 0], [0, 0]], [[2, 0]]],
+            [[[1, 0]], [[2, 0], [0, 0]]],
+            [[[1, 0], [0, 0]], [[2, 0], 5]],
+            [[[1, 0], [0, 0]], [[2, 0], [0, [1]]]],
+            [[[1, 0], [0, 0]], [[2, 0], [0, [1, 2]]]],
+            [[["1.5", 0], [0, 0]], [[2, 0], [0, 0]]],
+            [[["a", 0], [0, 0]]],
+            [["12", [0, 0]], [[2, 0], [0, 0]]],
+            [[{"1": 0, "2": 0}, [0, 0]], [[2, 0], [0, 0]]],
+            [[[True, 0], [0, False]], [[2, 0], [0, 0]]],
+            [[[json.loads("1e400"), 0], [0, 0]], [[2, 0], [0, 0]]],
+            [[[10**400, 0], [0, 0]], [[2, 0], [0, 0]]],
+            [[[None, 0], [0, 0]], [[2, 0], [0, 0]]],
+            [[[1, 2, 5], [0, 3, 1]], [[2, 0, 7], [0, 0, 1]]],
+            [],
+            [[]],
+            [[], []],
+            [[[], []], [[], []]],
+        ],
+        ids=["ragged", "ragged-first", "mixed-depth", "deep-leaf", "deep-pair",
+             "numeric-string", "string", "string-point", "dict-point", "bool", "1e400",
+             "int-past-float", "null", "three-entry", "empty", "empty-point",
+             "empty-points", "empty-entries"],
+    )
+    def test_other_documents_keep_their_outcome(self, monkeypatch, points):
+        assert _read_outcome(core._unpair_points, points) == _read_outcome(
+            _unpair_points_reference, points
+        )
+        obj = {"ambient": "cn", "n": 2, "points": points}
+        got = _read_outcome(core.DiscreteSequence.from_json, obj)
+        monkeypatch.setattr(core, "_unpair_points", _unpair_points_reference)
+        assert got == _read_outcome(core.DiscreteSequence.from_json, obj)
