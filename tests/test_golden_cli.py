@@ -182,6 +182,9 @@ _COMMANDS = (
     # the two transforms left that move a prefix through core.apply_all
     ("flat-shears", ["transform", "shears", "flat60.json", "--height", "6", "--seed", "1"]),
     ("center", ["transform", "center-separate", "sg.out", "--seed", "1"]),
+    # a chain: moves read back a move's output, which holds -0 tokens
+    ("chain-union", ["transform", "union-decompose", "overshear-det.out"]),
+    ("chain-center", ["transform", "center-separate", "overshear-det.out", "--seed", "1"]),
 )
 
 # name -> (exit code, sha256 of the --out file)
@@ -235,6 +238,8 @@ GOLDEN = {
     'sl3-push': (0, 'b2f6984c22ca4c44c1603f0d95118fd2b1cbdfec0f440c235142947c3bb9944c'),
     'flat-shears': (0, '340d065744007d36aec60a1efabc6b37ac32596f2815cbc2d51924e8c905617f'),
     'center': (0, '3fdd5908b2ed65f0701203221f727a97daee0b79834598845130416ca67ebc35'),
+    'chain-union': (0, '3cf6c1503ad28d607725cb2355556301b1ddb799bfd7a3b09565eff7a628a6bb'),
+    'chain-center': (0, '17e2f8971c915aa3d32131c744aa540814d0ee181ed7dd275f79bb3532fcdbe6'),
     'ceq.json': (0, '4ec5b890faddd241b165f3b36e65b7d18e0b21362d00a3c1060463b10900fc0d'),
     'deq.json': (0, '96ceaf208e66f7abdd0c8a1060679da4013e9da53822007bf4e8cda297a5e5dd'),
 }
