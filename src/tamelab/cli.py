@@ -45,6 +45,7 @@ from .core import (
     HeightAssignment,
     Verdict,
     _float_text,
+    _read_json,
     apply_all,
     canonical_json,
     cn,
@@ -528,16 +529,6 @@ def _cmd_mc(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-# Where "-0" may stand as an integer token; a false hit only costs time.
-_NEG_ZERO = re.compile(r"-0(?![\d.eE])")
-
-
-def _parse_int(text: str):
-    """Integers as json parses them, except "-0", which stays the float
-    -0.0 that was written, so that `report` re-emits the bytes it read."""
-    return -0.0 if text == "-0" else int(text)
-
-
 def _read_report(text: str):
     """The JSON document in `text`, and whether any object in it has
     state "violated", noted as the parser builds each object."""
@@ -548,13 +539,7 @@ def _read_report(text: str):
         violated = violated or obj.get("state") == "violated"
         return obj
 
-    try:
-        doc = json.loads(
-            text, parse_int=_parse_int if _NEG_ZERO.search(text) else None, object_hook=note
-        )
-    except RecursionError:
-        raise MalformedDocument(TOO_DEEP) from None
-    return doc, violated
+    return _read_json(text, object_hook=note), violated
 
 
 def _radii_text(radii) -> str:
@@ -734,10 +719,7 @@ def _run(argv: list[str] | None) -> int:
     try:
         cfg = _resolve_config(args)
         return _HANDLERS[args.command](args, cfg)
-    except TamelabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (TamelabError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

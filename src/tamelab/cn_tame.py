@@ -30,14 +30,12 @@ from .errors import (
     DimensionMismatch,
     DuplicateNodes,
     InterpolationIllConditioned,
-    MalformedDocument,
     ZeroPoint,
 )
 from .rng import haar_unitary, stream
 
 PARTIAL_ONLY = "partial-only"
 MONOTONE_TAIL_BOUND = "monotone-tail-bound"
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -235,14 +233,9 @@ def _declared_growth(d: DiscreteSequence) -> tuple[float, float] | None:
     """The declared norm growth (c, alpha), or None if either is absent.
     A declared value that is not a finite int or float is malformed."""
     keys = ("norm_growth_c", "norm_growth_alpha")
-    values = [None if d.generator is None else d.generator.get(key) for key in keys]
-    if any(v is None for v in values):
+    if d.generator is None or any(d.generator.get(key) is None for key in keys):
         return None
-    for key, v in zip(keys, values):
-        # abs(v) <= max also turns away nan, inf and ints past the float range
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _FLOAT_MAX:
-            raise MalformedDocument(f"generator parameter {key!r} must be a finite number")
-    return float(values[0]), float(values[1])
+    return tuple(d.generator.declared(key, float) for key in keys)
 
 
 def rr_series_test(d: DiscreteSequence, tail_policy: str = PARTIAL_ONLY) -> SeriesReport:

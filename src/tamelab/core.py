@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -40,6 +41,7 @@ DET_TOL = 1e-9
 MIN_GAP = 1e-6
 DISTINCT_TOL = 1e-6
 MAX_FIBER = 8
+_FLOAT_MAX = float(np.finfo(float).max)
 
 AMBIENT_KINDS = ("cn", "punctured-cn", "disc-plane", "sln")
 
@@ -231,10 +233,22 @@ class GeneratorInfo:
         return cls(family, tuple(sorted(params.items())))
 
     def get(self, key: str, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+        return dict(self.params).get(key, default)
+
+    def declared(self, key: str, kind: type = bool):
+        """Parameter `key` as a check may trust it: a flag (`kind` bool) is
+        True only for JSON true and False for false, null or a missing key;
+        a number (`kind` float) is a finite int or float, or None if null or
+        missing. Any other value raises `MalformedDocument` naming it."""
+        v = self.get(key)
+        if v is None or kind is bool and isinstance(v, bool):
+            return v is True if kind is bool else None
+        # abs(v) <= max also turns away nan, inf and ints past the float range
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if kind is float and number and abs(v) <= _FLOAT_MAX:
+            return float(v)
+        what = "true or false" if kind is bool else "a finite number"
+        raise MalformedDocument(f"generator parameter {key!r} must be {what}")
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": dict(self.params)}
@@ -439,43 +453,41 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _unpair_array(raw, i: int = 0) -> np.ndarray:
-    """Complex entries from [re, im] pairs: point i of a sequence document,
-    or a stack of points from point i."""
+def _float_array(raw) -> np.ndarray | None:
+    """A number, or lists of one length at every level down to numbers, as
+    one float64 array flattened level by level. None for a string, a bool
+    or null among the leaves, an int past the float range, or a ragged list."""
+    regular = _regular_leaves(raw) if isinstance(raw, (list, tuple)) else ((), [raw], {type(raw)})
     try:
-        pairs = np.asarray(raw, dtype=np.float64)
+        if regular is None:  # numpy stacks these only when they hold no leaf
+            return np.asarray(raw, dtype=np.float64)
+        dims, leaves, kinds = regular
+        if kinds <= {float, int}:
+            return np.array(leaves, dtype=np.float64).reshape(dims)
     except (ValueError, TypeError, OverflowError):
+        pass
+    return None
+
+
+def _unpair_array(pairs: np.ndarray | None, i: int = 0) -> np.ndarray:
+    """Complex entries from a `_float_array` of [re, im] pairs: point i of a
+    sequence document, or a stack of points from point i."""
+    if pairs is not None and pairs.ndim and pairs.shape[-1] == 2:
+        return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
+    why = "a complex entry is written as a pair [re, im]"
+    if pairs is None:
         why = "its entries do not convert to [re, im] pairs of floats"
-    else:
-        if pairs.ndim and pairs.shape[-1] == 2:
-            return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
-        why = "a complex entry is written as a pair [re, im]"
     raise MalformedDocument(f"point {i} of the sequence document is malformed: {why}")
 
 
 def _unpair_points(raw):
-    """The points of a sequence document as one complex array. A regular
-    block of plain numbers is flattened level by level into one float64
-    array; any other block goes through `np.asarray`, with the same bits.
-    Points that do not stack are read one at a time, in index order, so
-    that the first point not made of [re, im] pairs, or validation later,
-    names it."""
-    pairs = None
-    regular = _regular_leaves(raw)
-    if regular is not None and regular[2] <= {float, int}:
-        dims, leaves, _ = regular
-        try:
-            pairs = np.array(leaves, dtype=np.float64).reshape(dims)
-        except OverflowError:  # an int past the float range
-            pass
-    if pairs is None:
-        try:
-            pairs = np.asarray(raw, dtype=np.float64)
-        except (ValueError, TypeError, OverflowError):
-            pairs = None
+    """The points of a sequence document as one complex array if they stack;
+    otherwise one at a time, in index order, so that the first point not
+    made of [re, im] pairs of numbers, or validation later, names it."""
+    pairs = _float_array(raw)
     if pairs is not None and pairs.ndim > 1:
         return _unpair_array(pairs)
-    return tuple(_unpair_array(p, i) for i, p in enumerate(raw))
+    return tuple(_unpair_array(_float_array(p), i) for i, p in enumerate(raw))
 
 
 @dataclass(frozen=True)
@@ -999,11 +1011,25 @@ def save_sequence(d: DiscreteSequence, path) -> None:
 
 TOO_DEEP = "the document nests too deeply to parse"
 
+# Where "-0" may stand as an integer token; a false hit only costs time.
+_NEG_ZERO = re.compile(r"-0(?![\d.eE])")
+
+
+def _parse_int(text: str):
+    """Integers as json parses them, except "-0", which stays the float -0.0."""
+    return -0.0 if text == "-0" else int(text)
+
+
+def _read_json(text: str, object_hook=None):
+    """The one JSON parse of the package: a "-0" token reads back as -0.0,
+    and a document nested too deeply to parse raises `MalformedDocument`."""
+    parse_int = _parse_int if _NEG_ZERO.search(text) else None
+    try:
+        return json.loads(text, parse_int=parse_int, object_hook=object_hook)
+    except RecursionError:
+        raise MalformedDocument(TOO_DEEP) from None
+
 
 def load_sequence(path) -> DiscreteSequence:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise MalformedDocument(TOO_DEEP) from None
-    return DiscreteSequence.from_json(doc)
+        return DiscreteSequence.from_json(_read_json(fh.read()))

@@ -128,7 +128,7 @@ def dp_classify(
                 f"base points {i} and {j} are {abs(zs[i] - zs[j]):.3g} apart "
                 f"well inside the disc",
             )
-    escapes = bool(d.generator is not None and d.generator.get("boundary_escape"))
+    escapes = d.generator is not None and d.generator.declared("boundary_escape")
     radii = np.abs(zs)
     monotone = bool(np.all(np.diff(radii) >= 0.0))
     singletons = all(len(m) == 1 for m in fibers.values())

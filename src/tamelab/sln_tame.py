@@ -149,9 +149,7 @@ def well_placed_check(d: DiscreteSequence) -> tuple[Verdict, WellPlacedReport]:
                 if bad.size and failure is None:
                     failure = (name, key, int(bad[0]))
     monotone_ok = nonzero_ok and failure is None
-    growth_declared = bool(
-        d.generator is not None and d.generator.get("ratio_divergence", False)
-    )
+    growth_declared = d.generator is not None and d.generator.declared("ratio_divergence")
     report = WellPlacedReport(nonzero_ok, alpha, beta, monotone_ok, growth_declared)
 
     if not nonzero_ok:

@@ -465,6 +465,44 @@ class TestCheck:
         assert run("check", "rr-series", path) == 1
         assert "'norm_growth_c' must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family, flags, criterion, key",
+        [
+            ("wellplaced2", ("--k", "12"), "wellplaced", "ratio_divergence"),
+            ("discplane-base", ("--mode", "boundary", "--k", "30"), "dp-classify",
+             "boundary_escape"),
+        ],
+        ids=["ratio-divergence", "boundary-escape"],
+    )
+    @pytest.mark.parametrize(
+        "value, code",
+        [(True, 0), (False, 0), (None, 0), ("missing", 0), ("false", 1), ("no", 1),
+         ([0], 1), (1, 1), ({}, 1)],
+        ids=["true", "false", "null", "missing", "str-false", "str-no", "list", "int",
+             "dict"],
+    )
+    def test_only_json_true_declares_a_flag(
+        self, tmp_path, capsys, family, flags, criterion, key, value, code
+    ):
+        path = gen(tmp_path, family, *flags)
+        doc = load(path)
+        params = doc["sequence"]["generator"]["params"]
+        assert params[key] is True
+        if value == "missing":
+            del params[key]
+        else:
+            params[key] = value
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert run("check", criterion, path, "--json") == code
+        out, err = capsys.readouterr()
+        if code:
+            assert f"error: generator parameter {key!r} must be true or false" in err
+        else:
+            certified = json.loads(out)["verdict"]["state"] == "certified"
+            assert certified is (value is True)
+
     def test_punctured_violation_exits_2(self, tmp_path):
         path = gen(tmp_path, "punctured-accumulate", "--k", "40")
         assert run("check", "punctured", path) == 2
@@ -1286,10 +1324,10 @@ class TestReportKeepsNegativeZero:
         assert out.read_bytes() == src.read_bytes()
 
     def test_other_integers_stay_integers(self):
-        assert cli._parse_int("-0") == 0.0 and str(cli._parse_int("-0")) == "-0.0"
-        assert cli._parse_int("-01") == -1 and isinstance(cli._parse_int("0"), int)
-        assert cli._NEG_ZERO.search('{"a": 1e-05, "b": -0.5}') is None
-        assert cli._NEG_ZERO.search('[1, -0]') is not None
+        assert core._parse_int("-0") == 0.0 and str(core._parse_int("-0")) == "-0.0"
+        assert core._parse_int("-01") == -1 and isinstance(core._parse_int("0"), int)
+        assert core._NEG_ZERO.search('{"a": 1e-05, "b": -0.5}') is None
+        assert core._NEG_ZERO.search('[1, -0]') is not None
 
 
 class TestGaussHeightCap:

@@ -17,6 +17,7 @@ from tamelab.errors import (
     DeterminantError,
     DimensionMismatch,
     DuplicatePoints,
+    MalformedDocument,
     PointOutsideAmbient,
     UnsupportedPair,
 )
@@ -750,6 +751,19 @@ class TestSequenceDocuments:
             assert len(d) == 0 and d.points == ()
 
 
+def _unpair_array_reference(raw, i=0):
+    """`core._unpair_array` as it read a point through `np.asarray`."""
+    try:
+        pairs = np.asarray(raw, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        why = "its entries do not convert to [re, im] pairs of floats"
+    else:
+        if pairs.ndim and pairs.shape[-1] == 2:
+            return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
+        why = "a complex entry is written as a pair [re, im]"
+    raise MalformedDocument(f"point {i} of the sequence document is malformed: {why}")
+
+
 def _unpair_points_reference(raw):
     """`core._unpair_points` as it read every document through `np.asarray`."""
     try:
@@ -757,8 +771,8 @@ def _unpair_points_reference(raw):
     except (ValueError, TypeError, OverflowError):
         pairs = None
     if pairs is not None and pairs.ndim > 1:
-        return core._unpair_array(pairs)
-    return tuple(core._unpair_array(p, i) for i, p in enumerate(raw))
+        return _unpair_array_reference(pairs)
+    return tuple(_unpair_array_reference(p, i) for i, p in enumerate(raw))
 
 
 def _read_outcome(fn, *args):
@@ -791,7 +805,8 @@ def _regular_point_lists():
 
 class TestFlattenedLoader:
     """`_unpair_points` flattens a regular block of plain numbers itself;
-    everything else reads as it did through `np.asarray` alone."""
+    everything else reads point by point, with the outcome `np.asarray`
+    gave, except that only numbers convert."""
 
     @pytest.mark.parametrize("index", range(4), ids=["cn", "cn-one", "sln", "sln-one"])
     def test_regular_documents_are_bit_identical(self, index):
@@ -811,14 +826,11 @@ class TestFlattenedLoader:
             [[[1, 0], [0, 0]], [[2, 0], 5]],
             [[[1, 0], [0, 0]], [[2, 0], [0, [1]]]],
             [[[1, 0], [0, 0]], [[2, 0], [0, [1, 2]]]],
-            [[["1.5", 0], [0, 0]], [[2, 0], [0, 0]]],
             [[["a", 0], [0, 0]]],
             [["12", [0, 0]], [[2, 0], [0, 0]]],
             [[{"1": 0, "2": 0}, [0, 0]], [[2, 0], [0, 0]]],
-            [[[True, 0], [0, False]], [[2, 0], [0, 0]]],
             [[[json.loads("1e400"), 0], [0, 0]], [[2, 0], [0, 0]]],
             [[[10**400, 0], [0, 0]], [[2, 0], [0, 0]]],
-            [[[None, 0], [0, 0]], [[2, 0], [0, 0]]],
             [[[1, 2, 5], [0, 3, 1]], [[2, 0, 7], [0, 0, 1]]],
             [],
             [[]],
@@ -826,9 +838,8 @@ class TestFlattenedLoader:
             [[[], []], [[], []]],
         ],
         ids=["ragged", "ragged-first", "mixed-depth", "deep-leaf", "deep-pair",
-             "numeric-string", "string", "string-point", "dict-point", "bool", "1e400",
-             "int-past-float", "null", "three-entry", "empty", "empty-point",
-             "empty-points", "empty-entries"],
+             "string", "string-point", "dict-point", "1e400", "int-past-float",
+             "three-entry", "empty", "empty-point", "empty-points", "empty-entries"],
     )
     def test_other_documents_keep_their_outcome(self, monkeypatch, points):
         assert _read_outcome(core._unpair_points, points) == _read_outcome(
@@ -838,3 +849,29 @@ class TestFlattenedLoader:
         got = _read_outcome(core.DiscreteSequence.from_json, obj)
         monkeypatch.setattr(core, "_unpair_points", _unpair_points_reference)
         assert got == _read_outcome(core.DiscreteSequence.from_json, obj)
+
+    @pytest.mark.parametrize(
+        "points, bad",
+        [
+            ([[["1.5", 0], [0, 0]], [[2, 0], [0, 0]]], 0),
+            ([[[True, 0], [0, False]], [[2, 0], [0, 0]]], 0),
+            ([[[None, 0], [0, 0]], [[2, 0], [0, 0]]], 0),
+            ([[[1.5, 1], [3, 0]], [[2, 0], [0, "1"]]], 1),
+            ([[[1.5, 1], [3, 0]], [[2, 0], [0, 0]], [[2, 0], [False, 1]]], 2),
+            ([[[1.5, 1], [3, 0]], [[2, 0], [None, 1]], [[2, 0]]], 1),
+        ],
+        ids=["numeric-string", "bool", "null", "numeric-string-later", "bool-later",
+             "null-ragged"],
+    )
+    def test_a_coordinate_that_is_not_a_number_names_its_point(
+        self, tmp_path, capsys, points, bad
+    ):
+        why = f"point {bad} of the sequence document is malformed: its entries do not convert"
+        with pytest.raises(MalformedDocument, match=why):
+            core._unpair_points(points)
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"ambient": "cn", "n": 2, "points": points}))
+        with pytest.raises(MalformedDocument, match=why):
+            core.load_sequence(path)
+        assert cli.main(["check", "rr-series", str(path)]) == 1
+        assert why in capsys.readouterr().err

@@ -185,6 +185,14 @@ def test_only_the_command_line_touches_the_collector():
     assert importers == {"cli"}
 
 
+def test_only_core_parses_json():
+    # `core._read_json` is the one parse: it reads "-0" back as -0.0 and
+    # types a document nested too deeply
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _callers(trees, "loads") == {"core._read_json"}
+    assert _callers(trees, "load") == set()
+
+
 def _traced_names(source: str) -> list[tuple[str, str]]:
     """(module, attribute) of every entry of a tracer's `TARGETS` tuple."""
     for node in ast.parse(source).body:
