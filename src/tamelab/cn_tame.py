@@ -110,12 +110,13 @@ def _log_weights(node_bytes: bytes) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class LagrangePoly:
-    """Barycentric Lagrange form for node counts where expanding to
-    monomials would overflow.
+    """Barycentric Lagrange form of the unique interpolating polynomial
+    of degree < #nodes, the form of every fit in the package (Berrut &
+    Trefethen, SIAM Review 46, 2004).
 
     Weights are kept as complex logarithms and renormalized per
-    evaluation, so hundreds of nodes are fine. Agrees with the unique
-    interpolating polynomial of degree < #nodes.
+    evaluation, so thousands of nodes are fine. A point equal to a node
+    takes that node's value exactly.
     """
 
     nodes: tuple[complex, ...]
@@ -171,6 +172,9 @@ class LagrangePoly:
             return complex(out[0])
         return out.reshape(zs.shape)
 
+    def __neg__(self) -> "LagrangePoly":
+        return LagrangePoly(self.nodes, tuple(-v for v in self.values), self.log_weights)
+
     def to_json(self) -> dict:
         return {
             "kind": "barycentric",
@@ -186,7 +190,7 @@ class ShearAut(Automorphism):
 
     axis: int
     driver: int
-    f: Polynomial
+    f: Polynomial | LagrangePoly
     kind = "shear"
 
     def __post_init__(self):
@@ -288,79 +292,21 @@ def rr_series_test(d: DiscreteSequence, tail_policy: str = PARTIAL_ONLY) -> Seri
     )
 
 
-def _leja_order(xs: np.ndarray) -> np.ndarray:
-    """Node ordering that keeps divided differences well scaled."""
-    m = len(xs)
-    order = np.empty(m, dtype=int)
-    order[0] = int(np.argmax(np.abs(xs)))
-    chosen = np.zeros(m, dtype=bool)
-    chosen[order[0]] = True
-    score = np.abs(xs - xs[order[0]])
-    score[order[0]] = -1.0
-    for i in range(1, m):
-        nxt = int(np.argmax(score))
-        order[i] = nxt
-        chosen[nxt] = True
-        score = np.minimum(score, np.abs(xs - xs[nxt]))
-        score[chosen] = -1.0
-    return order
-
-
-def interpolate_nodes(nodes, distinct_tol: float = DISTINCT_TOL) -> Polynomial:
-    """Unique polynomial of degree < #nodes through the given (x, y) pairs.
-
-    Newton divided differences after rescaling the abscissae to unit mean
-    modulus; the result is checked against every node before it is
-    returned.
-    """
-    xs = np.array([complex(x) for x, _ in nodes])
-    ys = np.array([complex(y) for _, y in nodes])
-    m = len(xs)
-    if m == 0:
+def interpolate_nodes(nodes, distinct_tol: float = DISTINCT_TOL) -> Polynomial | LagrangePoly:
+    """The unique polynomial of degree < #nodes through the given (x, y)
+    pairs: the zero polynomial when every y is zero, else its barycentric
+    form. Abscissae within `distinct_tol` of each other raise."""
+    if len(nodes) == 0:
         raise DuplicateNodes("at least one node is required")
+    xs, ys = np.asarray(nodes, dtype=np.complex128).T
     hit = first_close_pair(xs, distinct_tol)
     if hit is not None:
         raise DuplicateNodes(
             f"abscissae {hit[0]} and {hit[1]} are within {distinct_tol:g}"
         )
-    scale = float(np.mean(np.abs(xs)))
-    if scale == 0.0:
-        scale = 1.0
-    order = _leja_order(xs)
-    # divided differences and the Newton-to-monomial expansion run in
-    # extended precision; rounding back to double happens only at the end
-    xr = (xs[order] / scale).astype(np.clongdouble)
-    diffs = ys[order].astype(np.clongdouble)
-    for level in range(1, m):
-        diffs[level:m] = (diffs[level:m] - diffs[level - 1 : m - 1]) / (
-            xr[level:m] - xr[: m - level]
-        )
-    coeffs = np.zeros(m, dtype=np.clongdouble)
-    coeffs[0] = diffs[m - 1]
-    top = 0
-    for level in range(m - 2, -1, -1):
-        top += 1
-        coeffs[1 : top + 1] = coeffs[0:top]
-        coeffs[0] = 0.0
-        coeffs[0:top] -= xr[level] * coeffs[1 : top + 1]
-        coeffs[0] += diffs[level]
-    inv = np.clongdouble(1.0) / np.clongdouble(scale)
-    coeffs *= inv ** np.arange(m)
-    result = Polynomial(tuple(complex(c) for c in coeffs))
-
-    fitted = result(xs)
-    err = np.abs(np.atleast_1d(fitted) - ys)
-    # tolerance widens by the forward error bound of evaluating the
-    # monomial form in double precision; tighter is not representable
-    mags = np.abs(np.array(result.coeffs)) if not result.is_zero else np.zeros(1)
-    eval_cond = np.sum(mags * np.abs(xs)[:, None] ** np.arange(len(mags)), axis=1)
-    bound = 1e-9 * (1.0 + np.abs(ys)) + 16 * np.finfo(float).eps * eval_cond
-    if np.any(err > bound):
-        worst = int(np.argmax(err - bound))
-        raise InterpolationIllConditioned(
-            f"node {worst} reproduces with error {err[worst]:.3g}"
-        )
-    return result
+    if not ys.any():
+        return Polynomial()
+    return LagrangePoly.fit(xs, ys)
 
 
 def push_prefix_cn(
@@ -393,29 +339,25 @@ def push_prefix_cn(
         }
         return IdentityAut(), proof
 
-    rotated = None
-    used_tries = 0
-    u_mat = None
     for attempt in range(tries):
-        rng = stream(seed, "push-unitary", attempt)
-        cand = haar_unitary(rng, n)
-        moved = pts @ cand.T
-        if first_close_pair(moved[:, 0], distinct_tol) is None:
-            rotated, u_mat, used_tries = moved, cand, attempt + 1
+        rotation = LinearAut(haar_unitary(stream(seed, "push-unitary", attempt), n))
+        rotated = rotation.apply_batch(pts)
+        if first_close_pair(rotated[:, 0], distinct_tol) is None:
             break
-    if rotated is None:
+    else:
         raise DegenerateConfiguration(
             f"no sampled unitary separated first coordinates in {tries} tries"
         )
 
-    node_xs = rotated[:, 0]
+    # fitted at the rotated coordinates the map itself computes, so each
+    # point's first coordinate is a node and its shear value is exact
     node_ys = (targets + 1.0) - rotated[:, 1]
-    f = interpolate_nodes(list(zip(node_xs, node_ys)), distinct_tol)
+    f = interpolate_nodes(np.column_stack((rotated[:, 0], node_ys)), distinct_tol)
     shear = ShearAut(axis=1, driver=0, f=f)
-    phi = Composite((LinearAut(u_mat), shear))
+    phi = Composite((rotation, shear))
 
     with np.errstate(over="ignore"):  # an overflowing height is reported below
-        achieved = _row_norms(phi.apply_batch(pts))
+        achieved = _row_norms(shear.apply_batch(rotated))
     overflow = np.flatnonzero(~np.isfinite(achieved))
     if overflow.size:
         raise InterpolationIllConditioned(
@@ -430,7 +372,7 @@ def push_prefix_cn(
     proof = {
         "achieved": [float(a) for a in achieved],
         "targets": [float(t) for t in targets],
-        "unitary_tries": used_tries,
+        "unitary_tries": attempt + 1,
         "stages": "unitary+shear",
         "interpolation_nodes": len(d),
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cn_tame import LagrangePoly, Polynomial, interpolate_nodes
+from .cn_tame import Polynomial, interpolate_nodes
 from .core import (
     DET_TOL,
     DISTINCT_TOL,
@@ -49,7 +49,6 @@ FIRST_COLUMN = "first-column"
 Q_COLUMN_TOL = 1e-10
 FIBER_MATCH_TOL = 1e-9
 _SEARCH_CAP = 2**60
-_NEWTON_NODE_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -175,15 +174,6 @@ def _matrix_exp(m: np.ndarray) -> np.ndarray:
     return v @ diag @ np.linalg.inv(v)
 
 
-def _fit_scalar(ss: np.ndarray, values: np.ndarray):
-    if len(ss) <= _NEWTON_NODE_LIMIT:
-        if not values.any():
-            # what interpolating zeros returns, without the divided differences
-            return Polynomial()
-        return interpolate_nodes(list(zip(ss, values)), distinct_tol=0.0)
-    return LagrangePoly.fit(ss, values)
-
-
 @dataclass(frozen=True)
 class QPolyMap:
     """F: projected point -> Q, polynomial in a separating scalar <u, y>.
@@ -277,8 +267,8 @@ def _separate(
 def _interpolate_blocks(u, ss, rs: np.ndarray, logs: np.ndarray) -> QPolyMap:
     """The map whose top rows (m, n-1) and flattened traceless lower-block
     logarithms (m, (n-1)^2) take the given values at the separators ss."""
-    r_fns = tuple(_fit_scalar(ss, rs[:, j]) for j in range(rs.shape[1]))
-    logl_fns = tuple(_fit_scalar(ss, logs[:, j]) for j in range(logs.shape[1]))
+    r_fns = tuple(interpolate_nodes(np.column_stack((ss, col)), 0.0) for col in rs.T)
+    logl_fns = tuple(interpolate_nodes(np.column_stack((ss, col)), 0.0) for col in logs.T)
     return QPolyMap(len(u), u, r_fns, logl_fns)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cn_tame import interpolate_nodes
 from .core import (
     DET_TOL,
     MAX_FIBER,
@@ -48,7 +49,7 @@ from .errors import (
     ZeroVector,
 )
 from .pi_tame import BundlePushAut, QElement, fit_q_map, first_column, pi_tame_check
-from .pi_tame import _fit_scalar, _separate
+from .pi_tame import _separate
 from .rng import stream
 
 SMALL_CORNER_TOL = 1e-10
@@ -406,7 +407,8 @@ def _clearance_shear(points, radii, seed: int):
         targets[members] = 2.0 * max(1.0, float(np.max(need[members])))
         reps.append(members[0])
     u, ss = _separate(points[reps, :, 0], seed)
-    fn = _fit_scalar(ss, (targets[reps] - 1.0) / points[reps, 0, 0])
+    shifts = (targets[reps] - 1.0) / points[reps, 0, 0]
+    fn = interpolate_nodes(np.column_stack((ss, shifts)), 0.0)
     return OvershearSpec(SeparatedShift(u, fn)), targets
 
 

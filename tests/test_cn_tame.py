@@ -162,11 +162,13 @@ class TestShear:
 class TestInterpolation:
     def test_single_node(self):
         p = cn_tame.interpolate_nodes([(0.0, 5.0)])
-        assert p.coeffs == (5.0 + 0j,)
+        probes = np.array([0.0, 1.0, -2.5j, 3.0 + 4.0j])
+        assert np.array_equal(p(probes), np.full(4, 5.0 + 0j))
 
     def test_parabola(self):
         p = cn_tame.interpolate_nodes([(0, 0), (1, 1), (2, 4)])
-        assert np.allclose(p.coeffs, [0, 0, 1], atol=1e-12)
+        probes = np.array([0.5, -1.0, 1.5j, 0.75 - 0.25j])
+        assert np.allclose(p(probes), probes**2, rtol=0.0, atol=1e-12)
 
     def test_duplicate_abscissae(self):
         with pytest.raises(DuplicateNodes):
@@ -189,16 +191,13 @@ class TestInterpolation:
         xs *= 2.0
         nodes = [(x, target(x)) for x in xs]
         fitted = cn_tame.interpolate_nodes(nodes, distinct_tol=1e-9)
-        assert fitted.degree < len(nodes)
-        width = max(len(fitted.coeffs), len(coeffs))
-        padded = np.zeros(width, dtype=complex)
-        padded[: len(fitted.coeffs)] = fitted.coeffs
-        reference = np.zeros(width, dtype=complex)
-        reference[: len(coeffs)] = coeffs
-        scale = max(np.abs(coeffs))
-        assert np.max(np.abs(padded - reference)) <= 1e-8 * scale
+        probes = 2.0 * (rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        # coefficients within 1e-8 * scale move a value by at most that
+        # much times sum_k |z|^k
+        scale = max(np.abs(coeffs)) * np.sum(np.abs(probes)[:, None] ** np.arange(degree + 1), axis=1)
+        assert np.all(np.abs(fitted(probes) - target(probes)) <= 1e-8 * scale)
 
-    def test_barycentric_matches_newton_and_scales_up(self):
+    def test_barycentric_matches_the_exact_polynomial_and_scales_up(self):
         rng = stream(4, "bary")
         xs = rng.standard_normal(400) + 1j * rng.standard_normal(400)
         ys = rng.standard_normal(400) + 1j * rng.standard_normal(400)
@@ -206,13 +205,27 @@ class TestInterpolation:
         recovered = bary(np.array(xs))
         assert np.max(np.abs(recovered - ys)) < 1e-9
         small_n = 12
-        newton = cn_tame.interpolate_nodes(
-            list(zip(xs[:small_n], ys[:small_n])), distinct_tol=1e-9
-        )
-        bary_small = cn_tame.LagrangePoly.fit(xs[:small_n], ys[:small_n])
+        exact = cn_tame.Polynomial(tuple(rng.standard_normal(small_n) + 1j * rng.standard_normal(small_n)))
+        bary_small = cn_tame.LagrangePoly.fit(xs[:small_n], exact(xs[:small_n]))
         probes = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        agreement = np.abs(newton(probes) - bary_small(probes))
-        assert np.max(agreement / (1.0 + np.abs(bary_small(probes)))) < 1e-7
+        agreement = np.abs(exact(probes) - bary_small(probes))
+        assert np.max(agreement / (1.0 + np.abs(exact(probes)))) < 1e-7
+
+    def test_zero_values_fit_the_zero_polynomial_at_any_size(self):
+        for m in (3, 41, 300):
+            xs = np.exp(2j * np.pi * np.arange(m) / m)
+            assert cn_tame.interpolate_nodes(np.column_stack((xs, np.zeros(m)))) == cn_tame.Polynomial()
+
+    def test_negated_fit_takes_negated_values_at_its_nodes(self):
+        rng = stream(6, "bary-neg")
+        xs = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        ys = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        fit = cn_tame.LagrangePoly.fit(xs, ys)
+        neg = -fit
+        assert neg.nodes == fit.nodes and neg.log_weights == fit.log_weights
+        assert np.array_equal(neg(xs), -ys)
+        probes = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        assert np.array_equal(neg(probes), -fit(probes))
 
 
 def _reference_log_weights(xs: np.ndarray) -> np.ndarray:
@@ -376,3 +389,26 @@ class TestPushPrefix:
             phi, _ = cn_tame.push_prefix_cn(d, zeta, seed=trial)
             for p, t in zip(d.points, zeta.values):
                 assert np.linalg.norm(phi(p)) >= t
+
+    @pytest.mark.parametrize("m", [40, 60, 100, 300])
+    def test_largest_height_stays_near_the_target(self, m):
+        # the monomial form fitted at other nodes than the map's reached
+        # 1.4e3, 4.0e12 and 1.4e28 here, and fell short at m = 300
+        rng = np.random.default_rng(0)
+        pts = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+        d = DiscreteSequence(cn(3), pts)
+        _, proof = cn_tame.push_prefix_cn(d, HeightAssignment.constant(6.0, m), seed=1)
+        assert min(proof["achieved"]) >= 6.0
+        assert max(proof["achieved"]) <= 2.0 * (6.0 + 1.0)
+
+    def test_inverse_returns_every_point(self):
+        # the golden corpus's flat60 input, pushed as `shears --height 6 --seed 1`
+        rng = np.random.default_rng(20171)
+        d = DiscreteSequence(cn(3), rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3)))
+        phi, _ = cn_tame.push_prefix_cn(d, HeightAssignment.constant(6.0, 60), seed=1)
+        rotation, shear = phi.stages
+        assert isinstance(shear.f, cn_tame.LagrangePoly)
+        image = phi.apply_batch(d.array)
+        back = core.LinearAut(rotation.matrix.conj().T).apply_batch(shear.inverse().apply_batch(image))
+        err = core._row_norms(back - d.array)
+        assert np.all(err <= 4 * np.finfo(float).eps * core._row_norms(image))

@@ -55,7 +55,7 @@ def _write_inputs() -> None:
         doc = _pair_doc([_random_sl2(rng) for _ in range(count)])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc))
-    # more than 40 points, so the push fits the barycentric form
+    # a larger push: 120 points
     rng = np.random.default_rng(20172)
     doc = _pair_doc([_random_sl2(rng) for _ in range(120)])
     with open("rand120.json", "w", encoding="utf-8") as fh:
@@ -207,7 +207,7 @@ GOLDEN = {
     'union': (0, 'abbbceba3fdf62f18113a508172d821a4606e7308aee7bd7c9b7feda57ded04d'),
     'rescale': (0, '82a2aa975a347eaa5f0c68441e87b5bdd2787337d20ec074c9bba08e1c34f0c3'),
     'align': (0, '5ea47b79d3636d7c130ef8fd3e47d3b6c4eee00102c0483c02e510f15ebc35b2'),
-    'equivalence': (0, 'e6901f8fcb0f7f5aec09528f3cc7a6549ff0ffb38f0b54ddc1c61b7fa8ec2f1d'),
+    'equivalence': (0, '99579143c716bac5d8109fd120fe178907105ee964e408e38cae0b709b8f686c'),
     'classify': (0, 'bed7db0f21aebcb4a7eb8b4e0f295fdc15901a396ccb256b24064be291931783'),
     'punctured': (2, 'e7bfa1bfa042f0d0fb6194ada82501f179f3597ce765ce01d8137c5ee8da70c9'),
     'omega': (0, '1cfbb49606a1f63e312f43fc4fc5f98f908502f1ef2996d7a112aeaaaac29a29'),
@@ -220,7 +220,7 @@ GOLDEN = {
     'measure-tail': (0, '6371d4d1d5808d90c55b76a5187899d332b4f6a74484d2d1b1c465d7ae337eeb'),
     'threshold-tail': (0, '466fe1f78e2d7fbc257b3f2aa48e570de80d593459eae2ed500bcf23fbe53174'),
     'omega-blocks': (0, 'cae9714d43c0c33a905bcd2a33c50e2ec259adb44f6bb2b3b10bfae7255553f5'),
-    'pipeline': (0, 'db423ab1fe5849d46477edad9b28cf91ed3119fe2161e166564f3decea5056e5'),
+    'pipeline': (0, '67e1861f4a17a73ce25c8ffeeffab63922321e9b654217de1081d99e9aa0ee32'),
     'bounds-report': (0, '4dbbe9f5ab890602dcb043d7aea17fae76ce0ca119dc960a03e6472dcaf09215'),
     'flat-rows-report': (0, '93255a78b7fd441c41ef6347d1a177c6a2d2789304824e1b5cfec6f68f0e6422'),
     'report': (0, 'c14bf851429c3a9e09a8b9a4a3367b8d6f40aac1b7189663effe98c55167b2c4'),
@@ -232,11 +232,11 @@ GOLDEN = {
     'rand-overshears': (0, '534fc6dbeb3aab75725fd1e33bbba38cb9fef5ff1b291ab31d117284e4b44536'),
     'rand-overshears-report': (0, '534fc6dbeb3aab75725fd1e33bbba38cb9fef5ff1b291ab31d117284e4b44536'),
     'rand-union': (0, '8ba3a79a04a32b2e2ecab7d0b99011e5b0a656eec577b3e1fc7e6a874bd1f7fd'),
-    'rand-push': (0, 'b11caffdd44cfe1235ca2fb90bf8ac2e3fa31729f165ca022e46c11f429ffbd1'),
-    'rand12-push': (0, '55ff9351acc2bf37e988f2770ed1b8878e973da0403fb35aa4b9560c97477b72'),
-    'rand120-push': (0, 'd699deae0630fee2e57abff3ddf924ef869afd4bdb5cd5eb2d900cdf2302a0fa'),
-    'sl3-push': (0, 'b2f6984c22ca4c44c1603f0d95118fd2b1cbdfec0f440c235142947c3bb9944c'),
-    'flat-shears': (0, '340d065744007d36aec60a1efabc6b37ac32596f2815cbc2d51924e8c905617f'),
+    'rand-push': (0, 'd7148e71f7ec42d99e6e2298b6179d24c3363e817609e26988c527e7a5ac1b0d'),
+    'rand12-push': (0, '7ac881f4837ef24524dc9f767c3b4003a850bc03fdec4e60fa863bda022ba916'),
+    'rand120-push': (0, '226b86d35d488b7f08f4e1216477c00c0658cecd58c6d5e43532c2c1d4ba2cea'),
+    'sl3-push': (0, 'f5350b13a6e92b0ada7f63d247729f071bea029b006033de5f4894af0cc4691c'),
+    'flat-shears': (0, '4c8ffa76d205276e18c5f485c8fa6422728fa7e91e1a907432ece17601fbcd65'),
     'center': (0, '3fdd5908b2ed65f0701203221f727a97daee0b79834598845130416ca67ebc35'),
     'chain-union': (0, 'abaf888509ae8ba0da65a08b34368c626ee762ddbac83c1eced46dc041da92e3'),
     'chain-center': (0, '08225e40a03acd504384be0673e21443f630ce1eb517e7559b726e96c04f86da'),

@@ -166,7 +166,7 @@ def _case(name: str):
         return Composite((left, over, push)), pts
     if name == "overshear":
         return _overshear(rng), _sl2(rng, 40)
-    if name == "push-newton":
+    if name == "push-small":
         pts = _sl2(rng, 12)
         return _push(pts, 25.0), pts
     if name == "push-barycentric":
@@ -186,7 +186,7 @@ def _case(name: str):
 CASES = (
     "identity-vectors", "identity-matrices", "linear-n2", "linear-n3", "linear-n4",
     "linear-matrices", "scalar", "shear", "shear-backwards", "composite",
-    "composite-pipeline", "overshear", "push-newton", "push-barycentric",
+    "composite-pipeline", "overshear", "push-small", "push-barycentric",
     "push-lower-blocks", "disc-plane",
 )
 

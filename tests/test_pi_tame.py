@@ -259,6 +259,17 @@ class TestFitQMap:
         assert np.array_equal(poly(ss.reshape(20, 10)), want.reshape(20, 10))
         assert np.array_equal(Polynomial()(ss), np.zeros(200))
 
+    def test_every_fit_is_barycentric_and_zero_values_fit_zero_at_any_size(self):
+        rng = stream(10, "fit-forms")
+        for m in (5, 45, 300):
+            ys = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+            u, ss = pi_tame._separate(ys, 1)
+            rs = rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1))
+            fmap = pi_tame._interpolate_blocks(u, ss, rs, np.zeros((m, 1), dtype=np.complex128))
+            assert isinstance(fmap.r_fns[0], LagrangePoly)
+            assert fmap.logl_fns == (Polynomial(),)
+            assert np.array_equal(fmap.r_fns[0](ss), rs[:, 0])
+
     def test_nonprincipal_branch_rejected(self):
         images = [np.array([1.0, 0.0, 0.0])]
         els = [pi_tame.QElement.from_blocks(np.array([0.0, 0.0]), -np.eye(2))]
@@ -448,7 +459,7 @@ class TestOneByOneFactor:
     def _maps(self):
         rng = stream(31, "one-by-one")
         maps = []
-        for m in (10, 45):  # the Newton form, then the barycentric one
+        for m in (10, 45):
             d = _mseq(_sl2_with_zero_parts(rng, m))
             phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(25.0, m), seed=m)
             maps.append(("push", phi.fmap, d.array))

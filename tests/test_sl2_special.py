@@ -281,12 +281,14 @@ class TestPipeline:
     @pytest.mark.parametrize("first", [0, 6])
     def test_overshooting_factor_fails_the_stage(self, monkeypatch, first):
         # one fiber per point here, so node i is point i's first column
-        real = sl2._fit_scalar
+        real = sl2.interpolate_nodes
 
-        def overshooting(ss, values):
-            return real(ss, np.concatenate([values[:first], 10.0 * values[first:]]))
+        def overshooting(nodes, distinct_tol):
+            ss, values = np.asarray(nodes).T
+            scaled = np.concatenate([values[:first], 10.0 * values[first:]])
+            return real(np.column_stack((ss, scaled)), distinct_tol)
 
-        monkeypatch.setattr(sl2, "_fit_scalar", overshooting)
+        monkeypatch.setattr(sl2, "interpolate_nodes", overshooting)
         d = _mseq([np.diag([float(k), 1.0 / k]) for k in range(1, 11)])
         with pytest.raises(StageFailed) as err:
             sl2.sl2_column_pipeline(d, seed=3)
@@ -295,7 +297,7 @@ class TestPipeline:
         assert "(at most 2 times its target " in err.value.reason
 
     def test_one_fit_and_one_shift_evaluation_per_lattice_prefix(self, monkeypatch):
-        # 296 points over 56 first columns: every fit takes the barycentric form
+        # 296 points over 56 first columns
         d = sl2.gaussian_sl2_generate(sl2.GaussianIntegerParams("Q(i)", 1))
         rows = []
         real = sl2.SeparatedShift.at_columns
@@ -307,8 +309,9 @@ class TestPipeline:
         monkeypatch.setattr(sl2.SeparatedShift, "at_columns", counted)
         cn_tame._log_weights.cache_clear()
         sl2.sl2_column_pipeline(d, seed=3, max_fiber=16)
-        # the clearance shift, then the push's top-row and lower-block maps
-        assert cn_tame._log_weights.cache_info()[:2] == (2, 1)
+        # the clearance shift, then the push's top-row map; the lower-block
+        # values are all zero, so that map is the zero polynomial
+        assert cn_tame._log_weights.cache_info()[:2] == (1, 1)
         assert rows == [len(d)]
 
     def test_verdict_reports_seed(self):

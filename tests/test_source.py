@@ -110,6 +110,41 @@ def test_the_package_reads_points_from_the_array(path):
     assert _attribute_reads(ast.parse(path.read_text(encoding="utf-8")), "points") == []
 
 
+# numpy's extended types, whose width depends on the platform: 80-bit on
+# x86-64 Linux, binary128 on aarch64 Linux, plain double on Windows
+_EXTENDED_TYPES = {"longdouble", "clongdouble", "float96", "float128", "complex192", "complex256"}
+
+
+def _extended_type_names(tree: ast.Module) -> list[str]:
+    """Every name, attribute, imported name or string constant of the
+    module that names one of numpy's extended types."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.alias):
+            found.append(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.append(node.value)
+    return [name for name in found if name in _EXTENDED_TYPES]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_platform_width_floats(path):
+    # bytes from an extended type would differ from one platform to the next
+    assert _extended_type_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_extended_type_scan_sees_names_attributes_and_dtype_strings():
+    tree = ast.parse(
+        "from numpy import longdouble\nx = np.clongdouble(1)\n"
+        "y = a.astype('float128')\n# longdouble\nz = 'a longdouble'\n"
+    )
+    assert _extended_type_names(tree) == ["longdouble", "clongdouble", "float128"]
+
+
 def test_the_attribute_scan_sees_reads_but_not_stores_keys_or_names():
     tree = ast.parse(
         "a = d.points\nfor p in s.points[1:]:\n    pass\n"
