@@ -294,8 +294,9 @@ def rr_series_test(d: DiscreteSequence, tail_policy: str = PARTIAL_ONLY) -> Seri
 
 def interpolate_nodes(nodes, distinct_tol: float = DISTINCT_TOL) -> Polynomial | LagrangePoly:
     """The unique polynomial of degree < #nodes through the given (x, y)
-    pairs: the zero polynomial when every y is zero, else its barycentric
-    form. Abscissae within `distinct_tol` of each other raise."""
+    pairs, a sequence of pairs or an (m, 2) array: the zero polynomial
+    when every y is zero, else its barycentric form. Abscissae within
+    `distinct_tol` of each other raise `DuplicateNodes`."""
     if len(nodes) == 0:
         raise DuplicateNodes("at least one node is required")
     xs, ys = np.asarray(nodes, dtype=np.complex128).T
