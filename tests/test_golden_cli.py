@@ -44,12 +44,31 @@ def _pair_doc(points, n: int = 2) -> dict:
     }
 
 
+def _sl3_fiber_factor(k: int) -> np.ndarray:
+    """[[1, r], [0, L]] with r = (k, 0.5j * k) and L = P diag(mu, 1/mu) P^-1
+    for mu = 1 + k / 8: it fixes e1 and has determinant one."""
+    p = np.array([[1.0, 1.0j], [0.5, 2.0]])
+    mu = 1.0 + k / 8.0
+    q = np.eye(3, dtype=np.complex128)
+    q[0, 1:] = (k, 0.5j * k)
+    q[1:, 1:] = p @ np.diag([mu, 1.0 / mu]) @ np.linalg.inv(p)
+    return q
+
+
 def _write_inputs() -> None:
     cs = [np.diag([float(k), 1.0 / k]).astype(complex) for k in range(1, 16)]
     ds = [c @ np.array([[1.0, float(k)], [0.0, 1.0]]) for k, c in enumerate(cs, 1)]
     for path, pts in (("ceq.json", cs), ("deq.json", ds)):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(cli.canonical_json(DiscreteSequence(sln(2), tuple(pts)).to_json()))
+    # an SL(3) pair whose fiber factors have a nonzero top row and a
+    # diagonalizable lower block other than the identity, so every one of
+    # the six fitted block columns is nonzero
+    cs = [np.diag([float(k), 1.0, 1.0 / k]).astype(complex) for k in range(1, 11)]
+    ds = [c @ _sl3_fiber_factor(k) for k, c in enumerate(cs, 1)]
+    for path, pts in (("ceq3.json", cs), ("deq3.json", ds)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(cli.canonical_json(DiscreteSequence(sln(3), tuple(pts)).to_json()))
     rng = np.random.default_rng(20170)
     for path, count in (("rand40.json", 40), ("rand12.json", 12)):
         doc = _pair_doc([_random_sl2(rng) for _ in range(count)])
@@ -133,6 +152,8 @@ _COMMANDS = (
     ("align", ["transform", "align", "wp.out", "--seq2", "wp1.out"]),
     ("equivalence", ["transform", "equivalence", "ceq.json", "--seq2", "deq.json",
                      "--seed", "0"]),
+    ("sl3-equivalence", ["transform", "equivalence", "ceq3.json", "--seq2", "deq3.json",
+                         "--seed", "0"]),
     ("classify", ["check", "dp-classify", "dpb.out"]),
     ("punctured", ["check", "punctured", "pa.out"]),
     ("omega", ["mc", "omega", "--seq", "dt.out", "--samples", "300", "--seed", "5"]),
@@ -187,6 +208,9 @@ _COMMANDS = (
     ("chain-center", ["transform", "center-separate", "overshear-det.out", "--seed", "1"]),
 )
 
+# inputs written by `_write_inputs` whose bytes are digested too
+_INPUTS = ("ceq.json", "deq.json", "ceq3.json", "deq3.json")
+
 # name -> (exit code, sha256 of the --out file)
 GOLDEN = {
     'wp': (0, 'c14bf851429c3a9e09a8b9a4a3367b8d6f40aac1b7189663effe98c55167b2c4'),
@@ -208,6 +232,7 @@ GOLDEN = {
     'rescale': (0, '82a2aa975a347eaa5f0c68441e87b5bdd2787337d20ec074c9bba08e1c34f0c3'),
     'align': (0, '5ea47b79d3636d7c130ef8fd3e47d3b6c4eee00102c0483c02e510f15ebc35b2'),
     'equivalence': (0, '99579143c716bac5d8109fd120fe178907105ee964e408e38cae0b709b8f686c'),
+    'sl3-equivalence': (0, '429bf21c43387891af4113786744949e760cd30b97710180a524635690f003f4'),
     'classify': (0, 'bed7db0f21aebcb4a7eb8b4e0f295fdc15901a396ccb256b24064be291931783'),
     'punctured': (2, 'e7bfa1bfa042f0d0fb6194ada82501f179f3597ce765ce01d8137c5ee8da70c9'),
     'omega': (0, '1cfbb49606a1f63e312f43fc4fc5f98f908502f1ef2996d7a112aeaaaac29a29'),
@@ -242,6 +267,8 @@ GOLDEN = {
     'chain-center': (0, '08225e40a03acd504384be0673e21443f630ce1eb517e7559b726e96c04f86da'),
     'ceq.json': (0, '4ec5b890faddd241b165f3b36e65b7d18e0b21362d00a3c1060463b10900fc0d'),
     'deq.json': (0, '96ceaf208e66f7abdd0c8a1060679da4013e9da53822007bf4e8cda297a5e5dd'),
+    'ceq3.json': (0, '818dfecb38d74576b75738b8025150c4e0365dba2b42ee06e37076a43ecc33d1'),
+    'deq3.json': (0, '49bfe2db4638ab1b12aa96662f6f198d0920cec182c43f5b5865533e04277716'),
 }
 
 
@@ -257,7 +284,7 @@ def corpus(tmp_path_factory) -> dict:
             code = cli.main([*argv, "--out", f"{name}.out"])
             with open(f"{name}.out", "rb") as fh:
                 got[name] = (code, hashlib.sha256(fh.read()).hexdigest())
-        for path in ("ceq.json", "deq.json"):
+        for path in _INPUTS:
             with open(path, "rb") as fh:
                 got[path] = (0, hashlib.sha256(fh.read()).hexdigest())
         return got
@@ -266,7 +293,7 @@ def corpus(tmp_path_factory) -> dict:
 
 
 def test_corpus_covers_every_command():
-    assert set(GOLDEN) == {name for name, _ in _COMMANDS} | {"ceq.json", "deq.json"}
+    assert set(GOLDEN) == {name for name, _ in _COMMANDS} | set(_INPUTS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
