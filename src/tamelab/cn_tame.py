@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -86,17 +86,13 @@ class Polynomial:
 _FIT_BLOCK = _PAIR_TABLE_ENTRIES >> 2
 
 
-@lru_cache(maxsize=8)
-def _log_weights(node_bytes: bytes) -> tuple[complex, ...]:
-    """Barycentric log-weights -sum_{j != i} log(x_i - x_j) of the
-    complex128 nodes packed in `node_bytes`, kept so that fits at one node
-    set share them. `cli.main` drops them when a command returns.
+def _log_weights(xs: np.ndarray) -> tuple[complex, ...]:
+    """Barycentric log-weights -sum_{j != i} log(x_i - x_j) of the nodes xs.
 
     The difference matrix is taken in blocks of rows, about `_FIT_BLOCK`
     entries each. A row holds its off-diagonal entries in node order, so
     it sums exactly as the 1-D array of one node's differences.
     """
-    xs = np.frombuffer(node_bytes, dtype=np.complex128)
     m = len(xs)
     logs = np.empty(m, dtype=np.complex128)
     step = max(1, _FIT_BLOCK // max(m, 1))
@@ -115,8 +111,9 @@ class LagrangePoly:
     Trefethen, SIAM Review 46, 2004).
 
     Weights are kept as complex logarithms and renormalized per
-    evaluation, so thousands of nodes are fine. A point equal to a node
-    takes that node's value exactly.
+    evaluation, so thousands of nodes are fine. They depend on the nodes
+    alone, so fits at one node set share them through `with_values`. A
+    point equal to a node takes that node's value exactly.
     """
 
     nodes: tuple[complex, ...]
@@ -126,11 +123,12 @@ class LagrangePoly:
     @classmethod
     def fit(cls, nodes, values) -> "LagrangePoly":
         xs = np.asarray(nodes, dtype=np.complex128)
-        return cls(
-            tuple(xs.tolist()),
-            tuple(np.asarray(values, dtype=np.complex128).tolist()),
-            _log_weights(xs.tobytes()),
-        )
+        return cls(tuple(xs.tolist()), (), _log_weights(xs)).with_values(values)
+
+    def with_values(self, values) -> "LagrangePoly":
+        """The fit taking `values` at the same nodes, with the same weights."""
+        values = tuple(np.asarray(values, dtype=np.complex128).tolist())
+        return LagrangePoly(self.nodes, values, self.log_weights)
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,7 +171,7 @@ class LagrangePoly:
         return out.reshape(zs.shape)
 
     def __neg__(self) -> "LagrangePoly":
-        return LagrangePoly(self.nodes, tuple(-v for v in self.values), self.log_weights)
+        return self.with_values([-v for v in self.values])
 
     def to_json(self) -> dict:
         return {

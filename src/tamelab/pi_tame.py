@@ -179,8 +179,8 @@ class QPolyMap:
     """F: projected point -> Q, polynomial in a separating scalar <u, y>.
 
     Coordinates are the top-row block r and the principal logarithm of the
-    lower block, each interpolated separately; the log coordinates are kept
-    traceless so the exponential stays unimodular.
+    lower block, fitted at one node set with one set of weights; the log
+    coordinates are kept traceless so the exponential stays unimodular.
     """
 
     n: int
@@ -266,10 +266,13 @@ def _separate(
 
 def _interpolate_blocks(u, ss, rs: np.ndarray, logs: np.ndarray) -> QPolyMap:
     """The map whose top rows (m, n-1) and flattened traceless lower-block
-    logarithms (m, (n-1)^2) take the given values at the separators ss."""
-    r_fns = tuple(interpolate_nodes(np.column_stack((ss, col)), 0.0) for col in rs.T)
-    logl_fns = tuple(interpolate_nodes(np.column_stack((ss, col)), 0.0) for col in logs.T)
-    return QPolyMap(len(u), u, r_fns, logl_fns)
+    logarithms (m, (n-1)^2) take the given values at the separators ss:
+    every nonzero column takes the nodes and weights of one fit, and an
+    all-zero column is the zero polynomial."""
+    cols = [*rs.T, *logs.T]
+    fit = next((interpolate_nodes(np.column_stack((ss, c)), 0.0) for c in cols if c.any()), None)
+    fns = tuple(fit.with_values(c) if c.any() else Polynomial() for c in cols)
+    return QPolyMap(len(u), u, fns[: rs.shape[1]], fns[rs.shape[1] :])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cn_tame import interpolate_nodes
+from .cn_tame import Polynomial, interpolate_nodes
 from .core import (
     DET_TOL,
     MAX_FIBER,
@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedField,
     ZeroVector,
 )
-from .pi_tame import BundlePushAut, QElement, fit_q_map, first_column, pi_tame_check
+from .pi_tame import BundlePushAut, QPolyMap, first_column, pi_tame_check
 from .pi_tame import _separate
 from .rng import stream
 
@@ -369,13 +369,14 @@ def _left_move(columns, rng):
     )
 
 
-def _fiber_radii(points) -> np.ndarray:
-    """Half the closest same-fiber gap per point; singletons get 1. The
-    gaps of every ordered pair of fiber members are taken at once, in the
-    order fiber by fiber (by first member), then by member and partner."""
+def _fiber_radii(points, fibers: dict) -> np.ndarray:
+    """Half the closest same-fiber gap per point, over the grouping
+    `fibers` of the first columns; singletons get 1. The gaps of every
+    ordered pair of fiber members are taken at once, in the order fiber
+    by fiber (by first member), then by member and partner."""
     pairs = [
         (i, j)
-        for members in group_fibers(points[:, :, 0]).values()
+        for members in fibers.values()
         for i in members
         for j in members
         if j != i
@@ -389,21 +390,21 @@ def _fiber_radii(points) -> np.ndarray:
     return radii
 
 
-def _clearance_shear(points, radii, seed: int):
+def _clearance_shear(points, radii, fibers: dict, seed: int):
     """Overshear whose factor meets the per-point clearance target
     |lambda| * radius * column_norm > index; returns it with each point's
     target factor.
 
-    The shift is fitted in the bundle push's separator: the push later
-    draws the same functional from the same stream, since the overshear
-    fixes first columns exactly.
+    The shift is fitted at one separator per fiber of `fibers`, the
+    grouping of the first columns, which the overshear keeps exactly: the
+    bundle push fits its top row at the same nodes, with the same weights.
     """
     need = (np.arange(len(points)) + 1.0) / (
         np.asarray(radii) * np.linalg.norm(points[:, :, 0], axis=1)
     )
     targets = np.empty(len(points))
     reps = []
-    for members in group_fibers(points[:, :, 0]).values():
+    for members in fibers.values():
         targets[members] = 2.0 * max(1.0, float(np.max(need[members])))
         reps.append(members[0])
     u, ss = _separate(points[reps, :, 0], seed)
@@ -437,9 +438,10 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
     left = _left_move(d.array[:, :, 0], rng)
     moved = LinearAut(left).apply_batch(d.array)
 
-    radii = _fiber_radii(moved)
-    spec, targets = _clearance_shear(moved, radii, seed)
-    col_norms = _row_norms(moved[:, :, 0]).tolist()  # the overshear keeps them
+    fibers = group_fibers(moved[:, :, 0])  # the overshear keeps first columns
+    radii = _fiber_radii(moved, fibers)
+    spec, targets = _clearance_shear(moved, radii, fibers, seed)
+    col_norms = _row_norms(moved[:, :, 0]).tolist()
     factors = []
     for k, (shift, lam) in enumerate(spec.factors(moved[:, :, 0])):
         size = abs(lam)
@@ -454,7 +456,6 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
     _check_rows("sln", moved, DET_TOL)
     sheared = _overshear_stack(moved, factors)
 
-    fibers = group_fibers(sheared[:, :, 0])
     second_norms = _row_norms(sheared[:, :, 1]).tolist()
     balls = np.arange(1.0, len(sheared) + 1.0)
     verdict = None
@@ -480,9 +481,10 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
             f"translations kept colliding after {_TRY_CAP} rounds: {verdict.detail}",
         )
 
-    elements = [QElement.from_blocks(np.array([t]), np.eye(1)) for t in translations]
-    reps = [sheared[members[0]][:, 0] for members in fibers.values()]
-    push = BundlePushAut(fit_q_map(reps, elements, seed=seed))
+    # the translations are the top row at the shift's nodes; every lower
+    # block is the identity, whose principal logarithm is 0
+    top = (spec.shift.fn.with_values(translations),)
+    push = BundlePushAut(QPolyMap(2, spec.shift.u, top, (Polynomial(),)))
     composite = Composite((LinearAut(left), OvershearAut(spec), push))
     final_verdict = Verdict.consistent(f"{verdict.detail}; translation seed {seed}")
     return composite, final_verdict

@@ -1207,20 +1207,21 @@ class TestCollectorPause:
 
 
 def test_fit_weights_last_one_command(tmp_path, monkeypatch):
-    # the pipeline's two nonzero fits at one node set share their weights
-    # inside the command, and the same command run again fits afresh
+    # the pipeline's two nonzero fits share one set of weights, which the
+    # push takes from the clearance shift; the same command run again in
+    # the process computes them afresh and writes the same bytes
     sg = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
-    weights = cn_tame._log_weights
-    clear = weights.cache_clear
-    seen = []
-    monkeypatch.setattr(weights, "cache_clear",
-                        lambda: seen.append(weights.cache_info()[:2]) or clear())
-    clear()
-    argv = ("transform", "sl2-pipeline", sg, "--max-fiber", "16", "--seed", "3")
-    assert run(*argv) == 0
-    assert run(*argv) == 0
-    assert seen == [(1, 1), (1, 1)]
-    assert weights.cache_info().currsize == 0
+    real = cn_tame._log_weights
+    nodes = []
+    monkeypatch.setattr(cn_tame, "_log_weights", lambda xs: nodes.append(len(xs)) or real(xs))
+    out = str(tmp_path / "moved.json")
+    argv = ("transform", "sl2-pipeline", sg, "--max-fiber", "16", "--seed", "3", "--out", out)
+    written = []
+    for _ in range(2):
+        assert run(*argv) == 0
+        written.append(read_bytes(out))
+    assert written[0] == written[1]
+    assert nodes == [56, 56]
 
 
 class TestMalformedDocuments:

@@ -344,9 +344,15 @@ class TestBarycentricBits:
     def test_fits_at_one_node_set_share_their_weights(self):
         rng = stream(3, "bary-share")
         xs = rng.standard_normal(45) + 1j * rng.standard_normal(45)
-        first = cn_tame.LagrangePoly.fit(xs, np.ones(45))
-        second = cn_tame.LagrangePoly.fit(xs.copy(), np.arange(45.0))
-        assert first.log_weights is second.log_weights
+        fit = cn_tame.LagrangePoly.fit(xs, np.ones(45))
+        vals = rng.standard_normal(45) + 1j * rng.standard_normal(45)
+        vals[7] = complex(-0.0, -0.0)
+        shared = fit.with_values(vals)
+        fresh = cn_tame.LagrangePoly.fit(xs, vals)
+        assert shared.log_weights is fit.log_weights and shared.nodes is fit.nodes
+        assert _same_bits(shared.values, fresh.values)
+        probes = np.concatenate([xs, rng.standard_normal(30) + 1j * rng.standard_normal(30)])
+        assert _same_bits(shared(probes), fresh(probes))
 
 
 class TestPushPrefix:

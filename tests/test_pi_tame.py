@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamelab import pi_tame
+from tamelab import cn_tame, pi_tame
 from tamelab.cn_tame import LagrangePoly, Polynomial
 from tamelab.core import (
     CONSISTENT,
@@ -249,6 +249,27 @@ class TestFitQMap:
             q = pi_tame.QElement.from_blocks(*(b[0] for b in fmap.blocks(y[None])))
             assert np.array_equal(q.r_block, r[k])
             assert np.array_equal(q.l_block, lower[k])
+
+    def test_nonzero_block_columns_share_one_set_of_weights(self, monkeypatch):
+        # SL(3) factors with a nonzero top row and a diagonalizable lower
+        # block other than the identity, so all six block columns are nonzero
+        rng = stream(11, "q-shared")
+        images = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(8)]
+        x = np.array([[0.3, 0.1], [0.2, -0.3]])
+        elements = [
+            pi_tame.QElement.from_blocks(
+                rng.standard_normal(2) + 1j * rng.standard_normal(2), pi_tame._matrix_exp(s * x)
+            )
+            for s in np.linspace(-0.5, 0.5, 8)
+        ]
+        real = cn_tame._log_weights
+        nodes = []
+        monkeypatch.setattr(cn_tame, "_log_weights", lambda xs: nodes.append(len(xs)) or real(xs))
+        fmap = pi_tame.fit_q_map(images, elements, seed=2)
+        fns = fmap.r_fns + fmap.logl_fns
+        assert len(fns) == 6 and all(isinstance(fn, LagrangePoly) for fn in fns)
+        assert nodes == [8]
+        assert all(fn.log_weights is fns[0].log_weights for fn in fns)
 
     def test_polynomials_evaluate_as_scalars(self):
         rng = stream(9, "eval-each")

@@ -307,11 +307,15 @@ class TestPipeline:
             return real(self, cols)
 
         monkeypatch.setattr(sl2.SeparatedShift, "at_columns", counted)
-        cn_tame._log_weights.cache_clear()
+        real_weights = cn_tame._log_weights
+        nodes = []
+        monkeypatch.setattr(cn_tame, "_log_weights",
+                            lambda xs: nodes.append(len(xs)) or real_weights(xs))
         sl2.sl2_column_pipeline(d, seed=3, max_fiber=16)
-        # the clearance shift, then the push's top-row map; the lower-block
-        # values are all zero, so that map is the zero polynomial
-        assert cn_tame._log_weights.cache_info()[:2] == (1, 1)
+        # the clearance shift is fitted, and the push's top-row map takes
+        # its nodes and weights; the lower-block values are all zero, so
+        # that map is the zero polynomial
+        assert nodes == [56]
         assert rows == [len(d)]
 
     def test_verdict_reports_seed(self):
@@ -481,7 +485,7 @@ class TestFiberRadii:
                     np.array([[a, -1.0 / b], [b, 0.0]])
                 pts.append(sl2.right_translate(base, t))
             pts = np.unique(np.stack(pts), axis=0)
-            got = sl2._fiber_radii(pts)
+            got = sl2._fiber_radii(pts, sl2.group_fibers(pts[:, :, 0]))
             assert got.tobytes() == np.array(_fiber_radii_reference(pts)).tobytes()
 
     def test_inconsistent_fiber_is_named_as_before(self):
@@ -495,7 +499,7 @@ class TestFiberRadii:
         want = _outcome(_fiber_radii_reference, pts)
         assert want[0] is InconsistentFiber
         with pytest.raises(InconsistentFiber) as err:
-            sl2._fiber_radii(pts)
+            sl2._fiber_radii(pts, sl2.group_fibers(pts[:, :, 0]))
         assert str(err.value) == want[1]
 
     def test_not_same_fiber_is_named_as_before(self, monkeypatch):
@@ -505,7 +509,7 @@ class TestFiberRadii:
         want = _outcome(_fiber_radii_reference, pts)
         assert want[0] is NotSameFiber
         with pytest.raises(NotSameFiber) as err:
-            sl2._fiber_radii(pts)
+            sl2._fiber_radii(pts, sl2.group_fibers(pts[:, :, 0]))
         assert str(err.value) == want[1]
 
 

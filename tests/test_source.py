@@ -228,6 +228,37 @@ def test_only_core_parses_json():
     assert _callers(trees, "load") == set()
 
 
+def _memoized(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.function` of each function or method decorated with
+    `lru_cache` or `cache`, called or not, by plain or attribute name."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = getattr(target, "id", getattr(target, "attr", None))
+                    if name in ("lru_cache", "cache"):
+                        found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_only_the_parser_and_the_item_templates_are_memoized():
+    # a process-wide cache is state one call leaves for the next; fits at
+    # one node set share their weights by handing them over instead
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert sorted(_memoized(trees)) == ["cli._parser", "core._item_template"]
+
+
+def test_the_memo_scan_sees_plain_called_and_attribute_decorators():
+    tree = ast.parse(
+        "@lru_cache(maxsize=2)\ndef a():\n    pass\n\n@functools.cache\ndef b():\n    pass\n\n"
+        "@cached_property\ndef c():\n    pass\n\n"
+        "class K:\n    @functools.lru_cache\n    def d(self):\n        pass\n"
+    )
+    assert _memoized({"m": tree}) == ["m.a", "m.b", "m.d"]
+
+
 def _traced_names(source: str) -> list[tuple[str, str]]:
     """(module, attribute) of every entry of a tracer's `TARGETS` tuple."""
     for node in ast.parse(source).body:
