@@ -147,14 +147,18 @@ class LagrangePoly:
         return index
 
     def __call__(self, z):
-        """The interpolant at a scalar or at each entry of an array. A
-        point equal to a node takes that node's value; the others are
+        """The interpolant at a scalar or at each entry of an array. Points
+        equal to nodes take their values (at once if all do); the others are
         evaluated in blocks of rows, each as the barycentric sum alone."""
         zs = np.asarray(z, dtype=np.complex128)
         flat = zs.reshape(-1)
         xs, vals, logw = self._arrays
         index = self._first_index
-        hit = np.array([index.get(p, -1) for p in flat.tolist()], dtype=np.intp)
+        hit = [index.get(p, -1) for p in flat.tolist()]
+        if -1 not in hit:
+            out = vals[hit]
+            return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+        hit = np.array(hit, dtype=np.intp)
         out = np.empty(flat.shape, dtype=np.complex128)
         at = hit >= 0
         out[at] = vals[hit[at]]

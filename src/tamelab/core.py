@@ -357,7 +357,15 @@ def _equal_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _first_duplicate(arr: np.ndarray) -> tuple[int, int] | None:
     """The first point of a stack (in index order) equal to an earlier
     one, as (earlier, later); None if the points are pairwise distinct.
-    Equality is that of `_equal_runs`."""
+    Equality is that of `_equal_runs`. A stack under `first_close_pair`'s
+    table bound (m * m * width entries) is looked up row by row in a dict."""
+    m, first = len(arr), {}
+    if 0 < m * arr.size <= _PAIR_TABLE_ENTRIES >> 5:
+        keys = np.asarray(arr, dtype=np.complex128).reshape(m, -1) + 0.0
+        for j, key in enumerate(map(bytes, keys)):
+            if first.setdefault(key, j) != j:
+                return first[key], j
+        return None
     order, starts = _equal_runs(arr)
     dups = np.flatnonzero(~starts)
     if not dups.size:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cn_tame import Polynomial, interpolate_nodes
+from .cn_tame import LagrangePoly, Polynomial
 from .core import (
     DET_TOL,
     DISTINCT_TOL,
@@ -48,7 +48,7 @@ FIRST_COLUMN = "first-column"
 
 Q_COLUMN_TOL = 1e-10
 FIBER_MATCH_TOL = 1e-9
-_SEARCH_CAP = 2**60
+_CAP_LOG2 = 60  # the largest shear parameter tried is 2^60
 
 
 @dataclass(frozen=True)
@@ -201,13 +201,19 @@ class QPolyMap:
         vectors, as the same operations in the same order, with the same
         bits. The traceless log is 0 where the fit value is finite, with a
         -0.0 imaginary part where the fit's is -0.0 (which `lo - lo` would
-        lose), and nan where it is not.
+        lose), and nan where it is not. A zero lower fit, that of every
+        push, evaluates to 0j, whose lower block exp(0j - 1.0 * (0j / 1))
+        is 1 + 0j, so its blocks are ones without the steps.
         """
-        ss = np.sum(self.u * ys, axis=1)
+        ss = np.add.reduce(self.u * ys, axis=1)
         k = self.n - 1
         if k == 1:
-            lo = self.logl_fns[0](ss)
-            return self.r_fns[0](ss)[:, None], np.exp(lo - 1.0 * (lo / k))[:, None, None]
+            r = self.r_fns[0](ss)[:, None]
+            fn = self.logl_fns[0]
+            if isinstance(fn, Polynomial) and fn.is_zero:
+                return r, np.ones((len(ss), 1, 1), dtype=np.complex128)
+            lo = fn(ss)
+            return r, np.exp(lo - 1.0 * (lo / k))[:, None, None]
         r = np.stack([fn(ss) for fn in self.r_fns], axis=1)
         logl = np.stack([fn(ss) for fn in self.logl_fns], axis=1)
         logl = logl.reshape(len(ss), k, k)
@@ -268,9 +274,10 @@ def _interpolate_blocks(u, ss, rs: np.ndarray, logs: np.ndarray) -> QPolyMap:
     """The map whose top rows (m, n-1) and flattened traceless lower-block
     logarithms (m, (n-1)^2) take the given values at the separators ss:
     every nonzero column takes the nodes and weights of one fit, and an
-    all-zero column is the zero polynomial."""
+    all-zero column is the zero polynomial. The caller's `_separate` is the
+    check that the nodes ss are pairwise apart."""
     cols = [*rs.T, *logs.T]
-    fit = next((interpolate_nodes(np.column_stack((ss, c)), 0.0) for c in cols if c.any()), None)
+    fit = next((LagrangePoly.fit(ss, c) for c in cols if c.any()), None)
     fns = tuple(fit.with_values(c) if c.any() else Polynomial() for c in cols)
     return QPolyMap(len(u), u, fns[: rs.shape[1]], fns[rs.shape[1] :])
 
@@ -309,20 +316,25 @@ class BundlePushAut(Automorphism):
 def _shear_parameters(xs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per matrix of an (m, n, n) stack, the smallest doubling parameter t
     with max column norm of x * (I + t E_{12}) at least its target; 0 where
-    x already reaches it."""
+    x already reaches it. Rungs of 8 doublings, t = 2^lo ... 2^(lo+7), shear
+    the pending matrices as one stack, each column rounded as alone."""
     base = np.max(np.linalg.norm(xs, axis=1), axis=1)
     ts = np.zeros(len(xs))
     todo = np.flatnonzero(base < targets)
-    t = 1.0
-    while todo.size and t <= _SEARCH_CAP:
-        sheared = _row_norms(xs[todo, :, 1] + t * xs[todo, :, 0])
-        hit = np.maximum(base[todo], sheared) >= targets[todo]
-        ts[todo[hit]] = t
-        todo = todo[~hit]
-        t *= 2.0
+    for lo in range(0, _CAP_LOG2 + 1, 8):
+        if not todo.size:
+            break
+        rung = np.ldexp(1.0, np.arange(lo, min(lo + 8, _CAP_LOG2 + 1)))
+        with np.errstate(over="ignore", invalid="ignore"):  # t past a row's hit
+            sheared = xs[todo, None, :, 1] + rung[:, None] * xs[todo, None, :, 0]
+            sheared = _row_norms(sheared.reshape(-1, xs.shape[1])).reshape(len(todo), -1)
+        hit = np.maximum(base[todo, None], sheared) >= targets[todo, None]
+        done = hit.any(axis=1)
+        ts[todo[done]] = rung[np.argmax(hit[done], axis=1)]
+        todo = todo[~done]
     if todo.size:
         raise SearchExhausted(
-            f"no shear parameter up to 2^60 reaches height {targets[todo[0]]:g}"
+            f"no shear parameter up to 2^{_CAP_LOG2} reaches height {targets[todo[0]]:g}"
         )
     return ts
 

@@ -355,6 +355,58 @@ class TestBarycentricBits:
         assert _same_bits(shared(probes), fresh(probes))
 
 
+def _call_reference(fit: cn_tame.LagrangePoly, z):
+    """`LagrangePoly.__call__` without its return for all points on nodes."""
+    zs = np.asarray(z, dtype=np.complex128)
+    flat = zs.reshape(-1)
+    xs, vals, logw = fit._arrays
+    index = fit._first_index
+    hit = np.array([index.get(p, -1) for p in flat.tolist()], dtype=np.intp)
+    out = np.empty(flat.shape, dtype=np.complex128)
+    at = hit >= 0
+    out[at] = vals[hit[at]]
+    rest = np.flatnonzero(~at)
+    step = max(1, cn_tame._FIT_BLOCK // max(len(xs), 1))
+    for start in range(0, len(rest), step):
+        rows = rest[start : start + step]
+        terms = logw - np.log(flat[rows, None] - xs)
+        shift = np.max(terms.real, axis=1)
+        w = np.exp(terms - shift[:, None])
+        out[rows] = np.sum(w * vals, axis=1) / np.sum(w, axis=1)
+    if zs.ndim == 0:
+        return complex(out[0])
+    return out.reshape(zs.shape)
+
+
+class TestEvaluationOnNodes:
+    """Points that all sit on nodes take their values directly, with the
+    bits and return type of the general evaluation."""
+
+    def _fit(self, m):
+        rng = stream(m, "on-nodes")
+        xs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        xs[1] = complex(-0.0, 0.0)
+        vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        vals[0], vals[2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        return rng, xs, cn_tame.LagrangePoly.fit(xs, vals)
+
+    @pytest.mark.parametrize("m", [3, 10, 60])
+    def test_scalar_vector_and_matrix_probes(self, m):
+        rng, xs, fit = self._fit(m)
+        probes = xs[rng.integers(0, m, 24)]
+        probes[0] = 0j  # the -0.0 node, reached by a +0.0 probe
+        for z in (probes, probes.reshape(4, 6), probes[:0], probes[:1], complex(xs[-1]), 0j):
+            got, want = fit(z), _call_reference(fit, z)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_one_point_off_the_nodes_takes_the_general_path(self):
+        rng, xs, fit = self._fit(10)
+        probes = np.concatenate([xs, [0.25 - 1.5j]])
+        assert fit(probes).tobytes() == _call_reference(fit, probes).tobytes()
+
+
 class TestPushPrefix:
     def test_two_point_push(self):
         d = DiscreteSequence(cn(2), (np.array([1.0, 0j]), np.array([2.0, 0j])))

@@ -217,6 +217,56 @@ class TestGroupFibers:
         assert core.group_fibers(images[:0]) == {}
 
 
+def _first_duplicate_sorted(arr, monkeypatch):
+    """`_first_duplicate` by its sort of `_equal_runs`, at any size."""
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_PAIR_TABLE_ENTRIES", 0)
+        return core._first_duplicate(arr)
+
+
+class TestFirstDuplicate:
+    """Stacks under the table bound look rows up in a dict; the pair they
+    name is the one the sort names, bit-equal rows counting -0.0 as 0.0."""
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 2), (3, 3)])
+    def test_small_stacks_name_the_sorted_pair(self, shape, monkeypatch):
+        rng = stream(41, "first-duplicate")
+        values = np.array([0.0, -0.0, 1.0, -2.5])
+        width = int(np.prod(shape))
+        small = 0
+        for trial in range(200):
+            m = int(rng.integers(2, 60))
+            parts = values[rng.integers(0, 4, (2, m, *shape))]
+            arr = parts[0] + 1j * parts[1]
+            if trial % 2:  # mostly distinct rows with a few planted repeats
+                arr = rng.standard_normal((m, *shape)) + 1j * rng.standard_normal((m, *shape))
+                for _ in range(int(rng.integers(0, 3))):
+                    i, j = sorted(rng.choice(m, 2, replace=False))
+                    arr[j] = arr[i]
+                    if trial % 4 == 1:  # equal up to the sign of a zero
+                        arr[i].flat[0], arr[j].flat[0] = 0j, complex(-0.0, -0.0)
+            small += m * m * width <= 2048
+            assert core._first_duplicate(arr) == _first_duplicate_sorted(arr, monkeypatch)
+        assert 0 < small < 200
+
+    def test_the_bound_is_m_times_m_times_width(self, monkeypatch):
+        calls = []
+        real = core._equal_runs
+        monkeypatch.setattr(core, "_equal_runs", lambda a: calls.append(len(a)) or real(a))
+        for m, sorted_ in ((22, False), (23, True)):  # 22 * 22 * 4 = 1936, 23 * 23 * 4 = 2116
+            arr = np.zeros((m, 2, 2), dtype=np.complex128)
+            arr[:, 0, 0] = np.arange(m)
+            arr[m - 1, 0, 0] = arr[3, 0, 0] = complex(-0.0, -0.0)
+            arr[0, 0, 0] = 0j
+            calls.clear()
+            assert core._first_duplicate(arr) == (0, 3)
+            assert calls == ([m] if sorted_ else [])
+
+    def test_empty_and_single_stacks(self):
+        for m in (0, 1):
+            assert core._first_duplicate(np.zeros((m, 2, 2), dtype=np.complex128)) is None
+
+
 class TestZeta0:
     def test_same_kind(self):
         z = core.HeightAssignment((5.0,))

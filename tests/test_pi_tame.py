@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -371,6 +375,55 @@ class TestBundlePush:
                 targets[k] = np.linalg.norm(xs[k][:, 1] + t * xs[k][:, 0])
             want = [_shear_parameter_loop(x, t) for x, t in zip(xs, targets)]
             assert list(pi_tame._shear_parameters(xs, targets)) == want
+            # demands past t = 2^8, so that the search crosses rungs of 8
+            # doublings: on a sheared height at each rung's ends and up to
+            # the cap, and just past one, which takes the next doubling
+            ks = np.concatenate([[7, 8, 15, 16, 23, 24, 55, 56, 59, 60], rng.integers(8, 60, 90)])
+            far = np.array([np.linalg.norm(x[:, 1] + 2.0**k * x[:, 0]) for x, k in zip(xs, ks)])
+            far[1::2] *= 1.0 + 1e-12 * (ks[1::2] < 60)
+            far[10:][rng.random(90) < 0.2] *= 0.5
+            want = [_shear_parameter_loop(x, t) for x, t in zip(xs, far)]
+            assert None not in want and max(want) == 2.0**60
+            assert list(pi_tame._shear_parameters(xs[:100], far)) == want
+            # the cap: the first demand that no doubling up to 2^60 meets is named
+            for i, scale in ((40, 4.0), (70, 8.0)):
+                far[i] = scale * np.linalg.norm(xs[i][:, 1] + 2.0**60 * xs[i][:, 0])
+            assert _shear_parameter_loop(xs[40], far[40]) is None
+            named = re.escape(f"reaches height {far[40]:g}") + "$"
+            with pytest.raises(SearchExhausted, match=named):
+                pi_tame._shear_parameters(xs[:100], far)
+
+    def test_shear_parameters_match_the_loop_under_another_blas_kernel(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+        if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+            pytest.skip("numpy is not linked to a DYNAMIC_ARCH OpenBLAS")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pi_tame.__file__)))
+        pythonpath = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": src + (os.pathsep + pythonpath if pythonpath else "")}
+        test = f"{__file__}::TestBundlePush::test_shear_parameters_match_scalar_search"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_a_push_checks_its_nodes_once(self, monkeypatch):
+        # the columns and the one separator draw are checked; the fit and
+        # the search do not check again, and every t <= 128 is one rung
+        counts = dict.fromkeys(["first_close_pair", "_log_weights", "interpolate_nodes",
+                                "_row_norms"], 0)
+        for module, name in ((pi_tame, "first_close_pair"), (cn_tame, "_log_weights"),
+                             (cn_tame, "interpolate_nodes"), (pi_tame, "_row_norms")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _name=name, _real=real:
+                                counts.__setitem__(_name, counts[_name] + 1) or _real(*a))
+        d = _mseq(_sl2_with_zero_parts(stream(33, "push-checks"), 10))
+        phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(25.0, 10), seed=0)
+        ts = np.array(phi.fmap.r_fns[0].values)
+        assert ts.any() and np.abs(ts).max() <= 128
+        assert counts == {"first_close_pair": 2, "_log_weights": 1, "interpolate_nodes": 0,
+                          "_row_norms": 1}
 
     def test_pushed_heights_guard_each_point(self):
         good = np.array([[1.0, 30.0], [0.0, 1.0]], dtype=np.complex128)
@@ -525,6 +578,33 @@ class TestOneByOneFactor:
             pushed = pi_tame.BundlePushAut(fmap).apply_batch(ps)
             assert pushed.tobytes() == _push_reference(fmap, ps).tobytes(), name
         assert kinds == {"Polynomial", "LagrangePoly"}
+
+    def test_a_zero_lower_fit_pushes_as_the_assembled_factor(self, monkeypatch):
+        rng = stream(32, "zero-lower")
+        d = _mseq(_sl2_with_zero_parts(rng, 10))
+        phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(25.0, 10), seed=1)
+        fmap = phi.fmap
+        assert fmap.logl_fns == (Polynomial(),) and isinstance(fmap.r_fns[0], LagrangePoly)
+        ps = _signed_zero_probes(rng, d.array)
+        # the factor as the general steps build it: exp(lo - 1.0 * (lo / 1)) of lo = 0j
+        ss = np.sum(fmap.u * ps[:, :, 0], axis=1)
+        lo = Polynomial()(ss)
+        q = np.zeros(ps.shape, dtype=np.complex128)
+        q[:, 0, 0] = 1.0
+        q[:, 0, 1] = fmap.r_fns[0](ss)
+        q[:, 1, 1] = np.exp(lo - 1.0 * (lo / 1))
+        assert phi.apply_batch(ps).tobytes() == (ps @ q).tobytes()
+        # a non-finite top row is still caught by the full check
+        values = list(fmap.r_fns[0].values)
+        values[4] = complex(np.inf, 0.0)
+        bad = pi_tame.BundlePushAut(pi_tame.QPolyMap(
+            2, fmap.u, (fmap.r_fns[0].with_values(values),), fmap.logl_fns))
+        checked = []
+        monkeypatch.setattr(pi_tame, "_check_rows", lambda kind, arr, tol:
+                            checked.append(len(arr)) or _check_rows(kind, arr, tol))
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            bad.apply_batch(d.array)
+        assert checked == [10]
 
     def test_a_minus_zero_log_keeps_its_sign(self):
         # exp(x - x) would give 1 + 0j; the general steps give 1 - 0j
