@@ -64,8 +64,11 @@ class Polynomial:
 
     def __call__(self, z):
         """Horner's rule in Python complex arithmetic, at a scalar or at each
-        entry of an array, so that array entries round as scalar calls do."""
+        entry of an array, so that array entries round as scalar calls do.
+        The zero polynomial is 0j everywhere, as Horner's empty loop gives."""
         zs = np.asarray(z, dtype=np.complex128)
+        if not self.coeffs:
+            return 0j if zs.ndim == 0 else np.zeros(zs.shape, dtype=np.complex128)
         out = []
         for s in zs.ravel().tolist():
             acc = 0j

@@ -201,19 +201,13 @@ class QPolyMap:
         vectors, as the same operations in the same order, with the same
         bits. The traceless log is 0 where the fit value is finite, with a
         -0.0 imaginary part where the fit's is -0.0 (which `lo - lo` would
-        lose), and nan where it is not. A zero lower fit, that of every
-        push, evaluates to 0j, whose lower block exp(0j - 1.0 * (0j / 1))
-        is 1 + 0j, so its blocks are ones without the steps.
+        lose), and nan where it is not.
         """
         ss = np.add.reduce(self.u * ys, axis=1)
         k = self.n - 1
         if k == 1:
-            r = self.r_fns[0](ss)[:, None]
-            fn = self.logl_fns[0]
-            if isinstance(fn, Polynomial) and fn.is_zero:
-                return r, np.ones((len(ss), 1, 1), dtype=np.complex128)
-            lo = fn(ss)
-            return r, np.exp(lo - 1.0 * (lo / k))[:, None, None]
+            lo = self.logl_fns[0](ss)
+            return self.r_fns[0](ss)[:, None], np.exp(lo - 1.0 * (lo / k))[:, None, None]
         r = np.stack([fn(ss) for fn in self.r_fns], axis=1)
         logl = np.stack([fn(ss) for fn in self.logl_fns], axis=1)
         logl = logl.reshape(len(ss), k, k)

@@ -407,6 +407,31 @@ class TestEvaluationOnNodes:
         assert fit(probes).tobytes() == _call_reference(fit, probes).tobytes()
 
 
+def _horner_reference(poly: cn_tame.Polynomial, z):
+    """`Polynomial.__call__` by Horner's rule alone, the zero one included."""
+    zs = np.asarray(z, dtype=np.complex128)
+    out = []
+    for s in zs.ravel().tolist():
+        acc = 0j
+        for c in reversed(poly.coeffs):
+            acc = acc * s + c
+        out.append(acc)
+    if zs.ndim == 0:
+        return out[0]
+    return np.array(out, dtype=np.complex128).reshape(zs.shape)
+
+
+def test_the_zero_polynomial_evaluates_as_horner():
+    probes = np.array([0j, complex(-0.0, -0.0), 2.5 - 1j, np.nan, complex(np.inf, 1.0), -np.inf])
+    for z in (probes, probes.reshape(2, 3), probes[:0], probes[:1], complex(np.nan, 0.0), 3,
+              -0.0):
+        zero = cn_tame.Polynomial()
+        got, want = zero(z), _horner_reference(zero, z)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestPushPrefix:
     def test_two_point_push(self):
         d = DiscreteSequence(cn(2), (np.array([1.0, 0j]), np.array([2.0, 0j])))

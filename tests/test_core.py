@@ -220,13 +220,14 @@ class TestGroupFibers:
 def _first_duplicate_sorted(arr, monkeypatch):
     """`_first_duplicate` by its sort of `_equal_runs`, at any size."""
     with monkeypatch.context() as patch:
-        patch.setattr(core, "_PAIR_TABLE_ENTRIES", 0)
+        patch.setattr(core, "_DICT_ROWS", 0)
         return core._first_duplicate(arr)
 
 
 class TestFirstDuplicate:
-    """Stacks under the table bound look rows up in a dict; the pair they
-    name is the one the sort names, bit-equal rows counting -0.0 as 0.0."""
+    """Stacks of at most `_DICT_ROWS` points look rows up in a dict; the
+    pair they name is the one the sort names, bit-equal rows counting -0.0
+    as 0.0."""
 
     @pytest.mark.parametrize("shape", [(1,), (3,), (2, 2), (3, 3)])
     def test_small_stacks_name_the_sorted_pair(self, shape, monkeypatch):
@@ -245,19 +246,21 @@ class TestFirstDuplicate:
                     arr[j] = arr[i]
                     if trial % 4 == 1:  # equal up to the sign of a zero
                         arr[i].flat[0], arr[j].flat[0] = 0j, complex(-0.0, -0.0)
-            small += m * m * width <= 2048
+            small += m <= core._DICT_ROWS
             assert core._first_duplicate(arr) == _first_duplicate_sorted(arr, monkeypatch)
         assert 0 < small < 200
 
-    def test_the_bound_is_m_times_m_times_width(self, monkeypatch):
+    @pytest.mark.parametrize("shape", [(1,), (2, 2), (3, 3)])
+    def test_the_bound_counts_points_not_entries(self, shape, monkeypatch):
         calls = []
         real = core._equal_runs
         monkeypatch.setattr(core, "_equal_runs", lambda a: calls.append(len(a)) or real(a))
-        for m, sorted_ in ((22, False), (23, True)):  # 22 * 22 * 4 = 1936, 23 * 23 * 4 = 2116
-            arr = np.zeros((m, 2, 2), dtype=np.complex128)
-            arr[:, 0, 0] = np.arange(m)
-            arr[m - 1, 0, 0] = arr[3, 0, 0] = complex(-0.0, -0.0)
-            arr[0, 0, 0] = 0j
+        for m, sorted_ in ((core._DICT_ROWS, False), (core._DICT_ROWS + 1, True)):
+            arr = np.zeros((m, *shape), dtype=np.complex128)
+            lead = arr.reshape(m, -1)[:, 0]  # a view of each point's first entry
+            lead[:] = np.arange(m)
+            lead[m - 1] = lead[3] = complex(-0.0, -0.0)
+            lead[0] = 0j
             calls.clear()
             assert core._first_duplicate(arr) == (0, 3)
             assert calls == ([m] if sorted_ else [])

@@ -588,7 +588,7 @@ class TestOneByOneFactor:
         ps = _signed_zero_probes(rng, d.array)
         # the factor as the general steps build it: exp(lo - 1.0 * (lo / 1)) of lo = 0j
         ss = np.sum(fmap.u * ps[:, :, 0], axis=1)
-        lo = Polynomial()(ss)
+        lo = np.zeros(len(ss), dtype=np.complex128)  # Horner's value of the zero polynomial
         q = np.zeros(ps.shape, dtype=np.complex128)
         q[:, 0, 0] = 1.0
         q[:, 0, 1] = fmap.r_fns[0](ss)
