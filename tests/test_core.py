@@ -401,16 +401,14 @@ class TestSequences:
         assert hash(a) == hash(a)
 
 
-class TestHeightsVerdict:
+class TestFallsShort:
     def test_a_rounding_shortfall_is_within_the_push_slack(self):
-        targets = core.HeightAssignment((5.0, 5.0, 5.0))
-        verdict = core.heights_verdict([4.999999999999999, 5.0, 7.0], targets)
-        assert verdict.state == core.CONSISTENT
+        short = core.falls_short([4.999999999999999, 5.0, 7.0], [5.0, 5.0, 5.0])
+        assert not short.any()
 
-    def test_a_shortfall_beyond_the_slack_is_violated(self):
-        targets = core.HeightAssignment((5.0, 5.0, 5.0, 5.0))
-        verdict = core.heights_verdict([5.0, 5.0 - 1e-8, 4.0, 5.0 - 1e-12], targets)
-        assert verdict.is_violated and verdict.witness == (1, 2)
+    def test_a_shortfall_beyond_the_slack_falls_short(self):
+        short = core.falls_short([5.0, 5.0 - 1e-8, 4.0, 5.0 - 1e-12], [5.0] * 4)
+        assert np.flatnonzero(short).tolist() == [1, 2]
 
 
 class TestAutomorphismPlumbing:

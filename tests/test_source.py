@@ -93,6 +93,13 @@ def test_the_helper_scan_sees_calls_attributes_and_imports():
     assert _unreferenced_helpers(trees) == ["a._dead"]
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # `python -O` strips asserts, and otherwise one escapes the CLI as a traceback
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
 def _attribute_reads(tree: ast.Module, name: str) -> list[int]:
     """Line numbers, in walk order, where the module reads an attribute
     called `name`."""
