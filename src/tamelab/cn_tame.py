@@ -20,6 +20,8 @@ from .core import (
     LinearAut,
     Verdict,
     _PAIR_TABLE_ENTRIES,
+    _Parts,
+    _horner,
     _pair,
     _row_norms,
     falls_short,
@@ -63,21 +65,16 @@ class Polynomial:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
     def __call__(self, z):
-        """Horner's rule in Python complex arithmetic, at a scalar or at each
-        entry of an array, so that array entries round as scalar calls do.
+        """Horner's rule at a scalar, in Python complex arithmetic, or at
+        each entry of an array in `_Parts`, which rounds as the scalar does.
         The zero polynomial is 0j everywhere, as Horner's empty loop gives."""
         zs = np.asarray(z, dtype=np.complex128)
-        if not self.coeffs:
-            return 0j if zs.ndim == 0 else np.zeros(zs.shape, dtype=np.complex128)
-        out = []
-        for s in zs.ravel().tolist():
-            acc = 0j
-            for c in reversed(self.coeffs):
-                acc = acc * s + c
-            out.append(acc)
         if zs.ndim == 0:
-            return out[0]
-        return np.array(out, dtype=np.complex128).reshape(zs.shape)
+            return _horner(self.coeffs, complex(zs))
+        if not self.coeffs:
+            return np.zeros(zs.shape, dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic is silent
+            return _horner(self.coeffs, _Parts.of(zs)).array()
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))

@@ -221,6 +221,101 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
 
 
+# Complex arithmetic written once for one point and for a stack. One
+# point runs it on Python complex scalars; a stack runs it on `_Parts`,
+# whose float64 parts take +, -, * and abs() as CPython's complex scalars
+# do (the textbook product, and hypot). numpy's complex array product may
+# round differently at a wider SIMD level, so a stack never uses it.
+# Operands are complex, never a float beside a complex, so that Python's
+# mixed real-complex rules do not enter.
+_ONE = complex(1.0, 0.0)
+
+
+class _Parts:
+    """A stack of complex numbers as float64 real and imaginary parts."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    @classmethod
+    def of(cls, z: np.ndarray) -> "_Parts":
+        return cls(z.real, z.imag)
+
+    def array(self) -> np.ndarray:
+        """The complex array, with the bits of both parts."""
+        out = np.empty(np.broadcast(self.real, self.imag).shape, dtype=np.complex128)
+        out.real, out.imag = self.real, self.imag
+        return out
+
+    def __add__(self, other):
+        return _Parts(self.real + other.real, self.imag + other.imag)
+
+    def __sub__(self, other):
+        return _Parts(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other):
+        return _Parts(other.real - self.real, other.imag - self.imag)
+
+    def __mul__(self, other):
+        return _Parts(self.real * other.real - self.imag * other.imag,
+                      self.real * other.imag + self.imag * other.real)
+
+    # the sum and the textbook product round the same either way round
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _Parts(-self.real, -self.imag)
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)
+
+
+def _choose(cond, branch, *args):
+    """branch(cond, *args) at one point; over a stack, both branches are
+    formed and each row takes the one its `cond` picks."""
+    if not isinstance(cond, np.ndarray):
+        return branch(cond, *args)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x, y = branch(True, *args), branch(False, *args)
+    return _Parts(np.where(cond, x.real, y.real), np.where(cond, x.imag, y.imag))
+
+
+def _divide(x, y, reciprocal: bool):
+    """x / y by Smith's method (see `_smith`)."""
+    return _choose(abs(y.real) >= abs(y.imag), _smith, x, y, reciprocal)
+
+
+def _smith(by_real: bool, x, y, reciprocal: bool):
+    """x / y scaled by y's real part (`by_real`, for |re y| >= |im y|) or
+    imaginary part, then times 1 / denominator with `reciprocal`, as
+    numpy's complex scalars divide, else over it, as CPython's
+    `_Py_c_quot` does."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    if by_real:
+        r = yi / yr
+        re, im, den = xr + xi * r, xi - xr * r, yr + yi * r
+    else:
+        r = yr / yi
+        re, im, den = xr * r + xi, xi * r - xr, yi + yr * r
+    if reciprocal:
+        den = 1.0 / den
+        re, im = re * den, im * den
+    else:
+        re, im = re / den, im / den
+    return _Parts(re, im) if isinstance(re, np.ndarray) else complex(re, im)
+
+
+def _horner(coeffs, z):
+    """sum coeffs[k] * z**k, lowest degree first, by Horner's rule from 0j."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 @dataclass(frozen=True)
 class GeneratorInfo:
     """Symbolic family descriptor attached to a generated sequence."""
@@ -725,16 +820,12 @@ def zeta0_reduce(
 class Automorphism:
     """Ambient-space maps. `apply_batch` moves an (m, n) or (m, n, n) stack
     of points and `apply` is its one-row view; a subclass sets `kind` and
-    `to_json` and defines one of the two, the other following from it."""
+    `to_json` and defines `apply_batch`."""
 
     kind = "abstract"
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.apply_batch(np.asarray(p, dtype=np.complex128)[None])[0]
-
-    def apply_batch(self, ps: np.ndarray) -> np.ndarray:
-        rows = [self.apply(p) for p in ps]
-        return np.array(rows if rows else ps, dtype=np.complex128)
 
     def __call__(self, p) -> np.ndarray:
         return self.apply(np.asarray(p, dtype=np.complex128))

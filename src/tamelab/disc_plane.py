@@ -23,11 +23,14 @@ from .core import (
     Automorphism,
     DiscreteSequence,
     Verdict,
+    _ONE,
+    _Parts,
+    _divide,
     _pair,
-    as_point,
     disc_plane as disc_plane_space,
     first_close_pair,
     group_fibers,
+    validate_points,
 )
 from .errors import AmbientMismatch, InconclusivePrefix, PointOutsideAmbient, ZeroPoint
 
@@ -50,8 +53,10 @@ class MoebiusDisc:
             )
 
     def apply(self, z):
+        """The image of z, a complex scalar or a `_Parts` stack; the
+        quotient rounds as numpy's complex scalars divide."""
         ph = cmath.exp(1j * self.theta)
-        return ph * (z - self.alpha) / (1.0 - np.conj(self.alpha) * z)
+        return _divide(ph * (z - self.alpha), _ONE - self.alpha.conjugate() * z, reciprocal=True)
 
     def inverse(self) -> "MoebiusDisc":
         return MoebiusDisc(-self.theta, -cmath.exp(1j * self.theta) * self.alpha)
@@ -77,13 +82,13 @@ class DiscPlaneAut(Automorphism):
     def identity(cls) -> "DiscPlaneAut":
         return cls(MoebiusDisc(), Polynomial(), Polynomial())
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        q = as_point(disc_plane_space(), p)
-        z, w = complex(q[0]), complex(q[1])
-        return np.array(
-            [self.phi.apply(z), np.exp(self.logf(z)) * w + self.g(z)],
-            dtype=np.complex128,
-        )
+    def apply_batch(self, ps: np.ndarray) -> np.ndarray:
+        """Each row moved as one point in Python complex scalars would be,
+        with numpy's exp, which rounds an array entry as it rounds a scalar."""
+        ps = validate_points(disc_plane_space(), ps)
+        z, w = ps[:, 0], ps[:, 1]
+        fiber = _Parts.of(np.exp(self.logf(z))) * _Parts.of(w) + _Parts.of(self.g(z))
+        return np.stack([self.phi.apply(_Parts.of(z)).array(), fiber.array()], axis=1)
 
     def to_json(self) -> dict:
         return {
@@ -174,20 +179,14 @@ def dp_nontame_bound(seq: DiscreteSequence, a: DiscPlaneAut) -> DpNontameReport:
         whole, tail = diam(ps), diam(ps[count // 2 :])
         if tail > 0.5 * whole + 1e-12:
             raise ValueError("base points p_k do not look convergent on this prefix")
-    lhs, rhs = [], []
-    for k in range(1, count + 1):
-        z, q = ps[k - 1], qs[k - 1]
-        image_zn = abs(a.phi.apply(z))
-        lhs.append(
-            float(abs(np.exp(a.logf(z)) * q + a.g(z)) + 1.0 / (1.0 - image_zn))
-        )
-        rhs.append(float(2.0**k * abs(q) * (1.0 + 1e-6)))
-    cap = max(
-        1.0 / (1.0 - abs(a.phi.apply(z))) for z in ps
-    )
-    for k in range(1, count + 1):
-        if lhs[k - 1] < rhs[k - 1]:
-            return DpNontameReport(k, float(cap), tuple(lhs), tuple(rhs))
+    images = a.apply_batch(seq.array)
+    proximity = 1.0 / (1.0 - abs(_Parts.of(images[:, 0])))
+    lhs = abs(_Parts.of(images[:, 1])) + proximity
+    rhs = np.ldexp(1.0, np.arange(1, count + 1)) * abs(_Parts.of(qs)) * (1.0 + 1e-6)
+    below = np.flatnonzero(lhs < rhs)
+    if below.size:
+        cap = float(np.max(proximity))
+        return DpNontameReport(int(below[0]) + 1, cap, tuple(lhs.tolist()), tuple(rhs.tolist()))
     raise InconclusivePrefix(
         f"no index up to {count} undershoots the doubling heights; extend the prefix"
     )

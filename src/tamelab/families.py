@@ -110,6 +110,10 @@ def cn_powers(n: int = 2, alpha: float = 1.0, count: int = 100) -> DiscreteSeque
     if not np.isfinite(a) or a <= 0:
         raise BadParams(f"alpha must be positive, got {alpha!r}")
     k = _count(count, 1, 10**7, "count")
+    try:
+        float(k) ** a  # the largest coordinate; the float power raises past the range
+    except OverflowError:
+        raise BadParams(f"alpha {a!r} takes k^alpha past the float range at k = {k}") from None
     points = np.zeros((k, dim), dtype=np.complex128)
     # Python's float power, so every coordinate rounds as it always has
     points[:, 0] = [float(j) ** a for j in range(1, k + 1)]

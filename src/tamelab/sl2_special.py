@@ -29,7 +29,12 @@ from .core import (
     GeneratorInfo,
     LinearAut,
     Verdict,
+    _ONE,
+    _Parts,
     _check_rows,
+    _choose,
+    _divide,
+    _horner,
     _pair,
     _row_norms,
     group_fibers,
@@ -90,18 +95,12 @@ class BivariatePoly:
         return all(z == 0 for row in self.coeffs for z in row)
 
     def __call__(self, a, b) -> complex:
-        a, b = complex(a), complex(b)
-        total = 0j
-        for row in reversed(self.coeffs):
-            inner = 0j
-            for c in reversed(row):
-                inner = inner * b + c
-            total = total * a + inner
-        return total
+        return self.at(complex(a), complex(b))
 
-    def at_columns(self, cols: np.ndarray) -> list[complex]:
-        """The polynomial at each row (a, b) of an (m, 2) array."""
-        return [self(a, b) for a, b in cols.tolist()]
+    def at(self, a, b):
+        """The polynomial at (a, b), complex scalars or `_Parts`, by
+        Horner's rule in b within a row and in a across the rows."""
+        return _horner([_horner(row, b) for row in self.coeffs], a)
 
     def to_json(self) -> dict:
         return {"coeffs": [[_pair(z) for z in row] for row in self.coeffs]}
@@ -117,10 +116,16 @@ class SeparatedShift:
     u: np.ndarray
     fn: object
 
-    def at_columns(self, cols: np.ndarray) -> list[complex]:
+    def at(self, a, b):
+        """The shift at (a, b), complex scalars or `_Parts`."""
+        if isinstance(a, _Parts):
+            return self.at_columns(np.stack([a.array(), b.array()], axis=1))
+        return complex(self.at_columns(np.array([[a, b]])).array()[0])
+
+    def at_columns(self, cols: np.ndarray) -> _Parts:
         """The shift at each row (a, b) of an (m, 2) array, with one
         evaluation of the fit over the whole stack."""
-        return self.fn(np.sum(self.u * cols, axis=1)).tolist()
+        return _Parts.of(self.fn(np.sum(self.u * cols, axis=1)))
 
     def to_json(self) -> dict:
         return {"separator_u": [_pair(z) for z in self.u], "inner": self.fn.to_json()}
@@ -144,47 +149,71 @@ class OvershearSpec:
         return cls(BivariatePoly.zero())
 
     def lambda_at(self, a, b) -> complex:
-        return next(self.factors(np.array([[a, b]], dtype=np.complex128)))[1]
+        _, lam, size = self.factors(complex(a), complex(b))
+        _require_factor(size)
+        return lam
 
-    def factors(self, cols: np.ndarray):
-        """(shift, lambda) at each first column (a, b), the rows of an
-        (m, 2) array, in order. The base shift is taken for the whole
-        stack at once; a vanishing factor raises when its row is reached."""
-        return map(self._factor_at, cols[:, 0].tolist(), self.shift.at_columns(cols))
-
-    def _factor_at(self, a: complex, base: complex) -> tuple[complex, complex]:
-        """(shift, lambda) at a first column (a, b) where the base shift
-        takes `base`."""
-        if self.inverted:
-            base = -base / _factor(a, base)
-        return base, _factor(a, base)
+    def factors(self, a, b):
+        """(shift, lambda, modulus) at first columns (a, b), complex scalars
+        or `_Parts` over a stack. The modulus is that of a point's first
+        vanishing factor, else of lambda, for `_require_factor`; one point
+        raises before it would divide by a vanishing factor. The inverted
+        shift divides by CPython's rule."""
+        base = self.shift.at(a, b)
+        lam = _ONE + a * base
+        size = abs(lam)
+        if not self.inverted:
+            return base, lam, size
+        if not isinstance(size, np.ndarray):
+            _require_factor(size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            shift = _divide(-base, lam, reciprocal=False)
+            lam = _ONE + a * shift
+            then = abs(lam)
+        if isinstance(size, np.ndarray):
+            then = np.where(size < LAMBDA_FLOOR, size, then)
+        return shift, lam, then
 
     def to_json(self) -> dict:
         return {"shift": self.shift.to_json(), "inverted": self.inverted}
 
 
-def _factor(a: complex, shift: complex) -> complex:
-    """lambda = 1 + a * shift, which must stay away from zero."""
-    val = 1.0 + a * shift
-    if abs(val) < LAMBDA_FLOOR:
-        raise LambdaVanishes(
-            f"factor has modulus {abs(val):.3g} at the requested point"
-        )
-    return val
+def _require_factor(size) -> None:
+    """Raise at the first point whose factor modulus `size` (a float, or
+    an array over a stack) falls below `LAMBDA_FLOOR`."""
+    if not isinstance(size, np.ndarray):
+        if size < LAMBDA_FLOOR:
+            raise LambdaVanishes(f"factor has modulus {size:.3g} at the requested point")
+        return
+    low = np.flatnonzero(size < LAMBDA_FLOOR)
+    if low.size:
+        k = int(low[0])
+        raise LambdaVanishes(f"factor has modulus {size[k]:.3g} at point {k}")
+
+
+def _second_column(a, b, c, d, shift, lam):
+    """The overshear's second column (c * lambda, d') for a matrix
+    [[a, c], [b, d]] whose first column gives `shift` and `lam`."""
+    return c * lam, _choose(abs(a) >= SMALL_CORNER_TOL, _corner, a, b, c, d, shift, lam)
+
+
+def _corner(off_wall: bool, a, b, c, d, shift, lam):
+    """d' = (1 + b*c*lambda) / a in numpy's scalar division away from the
+    a = 0 wall; at it the equivalent lambda*d - shift, the removable-
+    singularity value (1 - lambda)/a = -shift taken literally."""
+    if off_wall:
+        return _divide(_ONE + b * c * lam, a, reciprocal=True)
+    return lam * d - shift
 
 
 def overshear_apply(s: OvershearSpec, m) -> np.ndarray:
-    """Rescale the second column by lambda(first column), keeping det = 1.
-
-    The bottom-right entry is (1 + b*c*lambda) / a away from the a = 0
-    wall; at the wall the equivalent form lambda*d - shift(a, b) is used,
-    which is the removable-singularity value (1 - lambda)/a = -shift taken
-    literally, with no cancellation.
-    """
+    """Rescale the second column by lambda(first column), keeping det = 1."""
     m = sl_matrix(m)
     _require_sl2(m[None])
-    base, = s.shift.at_columns(m[None, :, 0])
-    m[0, 1], m[1, 1] = _overshear_point(m, *s._factor_at(complex(m[0, 0]), base))
+    (a, c), (b, d) = m.tolist()
+    shift, lam, size = s.factors(a, b)
+    _require_factor(size)
+    m[0, 1], m[1, 1] = _second_column(a, b, c, d, shift, lam)
     return m
 
 
@@ -197,26 +226,14 @@ def _require_sl2(ps: np.ndarray) -> None:
         raise AmbientMismatch(f"overshears act on SL(2), not on {shape[0]}x{shape[1]} matrices")
 
 
-def _overshear_point(m: np.ndarray, shift: complex, lam: complex) -> tuple:
-    """The second column of `overshear_apply` on a validated 2x2 matrix
-    whose first column gives the factor `lam` and the shift `shift`, in
-    scalar arithmetic."""
-    a, c = m[0, 0], m[0, 1]
-    b, d = m[1, 0], m[1, 1]
-    if abs(a) >= SMALL_CORNER_TOL:
-        d2 = (1.0 + b * c * lam) / a
-    else:
-        d2 = lam * d - shift
-    return c * lam, d2
-
-
-def _overshear_stack(ps: np.ndarray, factors) -> np.ndarray:
-    """`_overshear_point` at each matrix of a validated (m, 2, 2) stack,
-    with its (shift, lambda) pair from `factors`."""
-    seconds = [_overshear_point(p, *f) for p, f in zip(ps, factors)]
+def _overshear(ps: np.ndarray, spec: OvershearSpec) -> tuple[np.ndarray, np.ndarray]:
+    """`overshear_apply` over a validated (m, 2, 2) stack, with the factor
+    modulus of each row for `_require_factor`."""
+    (a, c), (b, d) = ([_Parts.of(ps[:, i, j]) for j in (0, 1)] for i in (0, 1))
+    shift, lam, size = spec.factors(a, b)
     out = ps.copy()
-    out[:, :, 1] = np.array(seconds, dtype=np.complex128).reshape(len(ps), 2)
-    return out
+    out[:, :, 1] = np.stack([x.array() for x in _second_column(a, b, c, d, shift, lam)], 1)
+    return out, size
 
 
 _ROUNDTRIP_SAMPLES = (
@@ -256,18 +273,13 @@ def right_translate(m, t) -> np.ndarray:
     return np.array([[a, c + a * t], [b, d + b * t]], dtype=np.complex128)
 
 
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| per entry, rounded as the scalar abs rounds it."""
-    return np.hypot(z.real, z.imag)
-
-
 def _translation_moduli(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """`fiber_distance` over matched stacks of validated matrices, pair
     by pair; the first failing pair in order raises its error."""
     diff = second - first
     col_gap = np.max(np.abs(diff[:, :, 0]), axis=1)
     a, b = first[:, 0, 0], first[:, 1, 0]
-    top = _modulus(a) >= _modulus(b)
+    top = abs(_Parts.of(a)) >= abs(_Parts.of(b))
     t = np.where(top, diff[:, 0, 1], diff[:, 1, 1]) / np.where(top, a, b)
     rest = np.where(top, diff[:, 1, 1], diff[:, 0, 1])
     slack = np.abs(rest - np.where(top, b, a) * t)
@@ -279,7 +291,7 @@ def _translation_moduli(first: np.ndarray, second: np.ndarray) -> np.ndarray:
         raise InconsistentFiber(
             f"second columns disagree with a single translation by {slack[k]:.3g}"
         )
-    return _modulus(t)
+    return abs(_Parts.of(t))
 
 
 def fiber_distance(a_mat, b_mat) -> float:
@@ -346,7 +358,9 @@ class OvershearAut(Automorphism):
         ps = np.asarray(ps, dtype=np.complex128)
         _require_sl2(ps)
         _check_rows("sln", ps, DET_TOL)
-        return _overshear_stack(ps, self.spec.factors(ps[:, :, 0]))
+        out, size = _overshear(ps, self.spec)
+        _require_factor(size)
+        return out
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "factor": self.spec.to_json()}
@@ -441,23 +455,24 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
     fibers = group_fibers(moved[:, :, 0])  # the overshear keeps first columns
     radii = _fiber_radii(moved, fibers)
     spec, targets = _clearance_shear(moved, radii, fibers, seed)
-    col_norms = _row_norms(moved[:, :, 0]).tolist()
-    factors = []
-    for k, (shift, lam) in enumerate(spec.factors(moved[:, :, 0])):
-        size = abs(lam)
-        have = size * radii[k] * col_norms[k]
-        if not (have > k + 1 and size <= OVERSHOOT_FACTOR * targets[k]):
-            raise StageFailed(
-                "fiber-rescale",
-                f"point {k} clears {have:.3g} (needs more than {k + 1}) with factor "
-                f"{size:.3g} (at most {OVERSHOOT_FACTOR:g} times its target {targets[k]:.3g})",
-            )
-        factors.append((shift, lam))
+    norms = _row_norms(moved[:, :, 0])
+    col_norms = norms.tolist()
+    sheared, size = _overshear(moved, spec)
+    have = size * radii * norms
+    balls = np.arange(1.0, len(moved) + 1.0)
+    # a row fails on its factor first, then on the stage's own bounds
+    failed = (size < LAMBDA_FLOOR) | ~((have > balls) & (size <= OVERSHOOT_FACTOR * targets))
+    if failed.any():
+        k = int(np.argmax(failed))
+        _require_factor(size[: k + 1])
+        raise StageFailed(
+            "fiber-rescale",
+            f"point {k} clears {have[k]:.3g} (needs more than {k + 1}) with factor "
+            f"{size[k]:.3g} (at most {OVERSHOOT_FACTOR:g} times its target {targets[k]:.3g})",
+        )
     _check_rows("sln", moved, DET_TOL)
-    sheared = _overshear_stack(moved, factors)
 
     second_norms = _row_norms(sheared[:, :, 1]).tolist()
-    balls = np.arange(1.0, len(sheared) + 1.0)
     verdict = None
     translations: list[complex] = []
     for _ in range(_TRY_CAP):

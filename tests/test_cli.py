@@ -432,6 +432,18 @@ class TestGen:
         assert run("gen", "wellplaced2", "--k", "1") == 1
         assert "count" in capsys.readouterr().err
 
+    def test_an_alpha_past_the_float_range_is_a_typed_error(self, tmp_path, capsys):
+        out = tmp_path / "powers.json"
+        argv = ["gen", "cn-powers", "--n", "2", "--k", "5", "--alpha", "2000"]
+        assert run(*argv, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: alpha 2000.0 takes k^alpha past the float range at k = 5\n"
+        assert "Traceback" not in captured.err and not out.exists()
+        # 5^441 is finite and 5^442 is not
+        assert run("gen", "cn-powers", "--n", "2", "--k", "5", "--alpha", "442") == 1
+        assert run("gen", "cn-powers", "--n", "2", "--k", "5", "--alpha", "441",
+                   "--out", str(out)) == 0
+
     def test_json_flag_prints_report(self, capsys):
         assert run("gen", "diagtorus", "--k", "2", "--json") == 0
         doc = json.loads(capsys.readouterr().out)

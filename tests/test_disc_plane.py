@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from tamelab.cn_tame import Polynomial
 from tamelab.core import (
     DiscreteSequence,
     GeneratorInfo,
+    as_point,
     disc_plane as disc_plane_space,
     properness_check,
 )
@@ -89,6 +91,85 @@ class TestApply:
         out1 = a([z, w1])
         out2 = a([z, w2])
         assert abs(out1[0] - out2[0]) < 1e-14
+
+
+def _old_apply(aut: dp.DiscPlaneAut, p) -> np.ndarray:
+    """`DiscPlaneAut.apply` at one point, as it was before the map moved
+    whole stacks: Python complex scalars, numpy's scalar division and exp."""
+    q = as_point(disc_plane_space(), p)
+    z, w = complex(q[0]), complex(q[1])
+
+    def horner(f: Polynomial) -> complex:
+        acc = 0j
+        for c in reversed(f.coeffs):
+            acc = acc * z + c
+        return acc
+
+    phi = cmath.exp(1j * aut.phi.theta) * (z - aut.phi.alpha) / (
+        1.0 - np.conj(aut.phi.alpha) * z)
+    return np.array([phi, np.exp(horner(aut.logf)) * w + horner(aut.g)], dtype=np.complex128)
+
+
+def _signed(rng, values) -> np.ndarray:
+    """`values` with about one part in five replaced by +0.0 or -0.0."""
+    parts = np.array(values, dtype=np.complex128).view(np.float64).copy()
+    hit = rng.random(parts.shape) < 0.2
+    parts[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return parts.view(np.complex128)
+
+
+def _random_aut(rng) -> dp.DiscPlaneAut:
+    def poly():
+        k = int(rng.integers(0, 5))
+        return Polynomial(tuple(_signed(rng, rng.standard_normal(k) + 1j * rng.standard_normal(k))))
+
+    alpha = _signed(rng, [0.6 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())])[0]
+    return dp.DiscPlaneAut(dp.MoebiusDisc(rng.uniform(-3.2, 3.2), alpha), poly(), poly())
+
+
+def _random_points(rng, m: int) -> np.ndarray:
+    radius = np.where(rng.random(m) < 0.2, 1.0 - 10.0 ** rng.uniform(-12, -2, m),
+                      np.sqrt(rng.random(m)))
+    z = _signed(rng, radius * np.exp(2j * np.pi * rng.random(m)))
+    w = _signed(rng, 10.0 ** rng.uniform(-3, 3, m) * (rng.standard_normal(m)
+                                                        + 1j * rng.standard_normal(m)))
+    return np.stack([z, w], axis=1)
+
+
+class TestApplyBatch:
+    def test_rows_match_the_old_per_point_apply_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            aut, ps = _random_aut(rng), _random_points(rng, 60)
+            got = aut.apply_batch(ps)
+            want = np.stack([_old_apply(aut, p) for p in ps])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for k, p in enumerate(ps[:5]):
+                assert np.array_equal(aut.apply(p).view(np.uint64), want[k].view(np.uint64))
+
+    def test_identity_keeps_every_bit(self):
+        ps = _random_points(np.random.default_rng(27), 200)
+        out = dp.DiscPlaneAut.identity().apply_batch(ps)
+        assert np.array_equal(out.view(np.uint64), np.stack(
+            [_old_apply(dp.DiscPlaneAut.identity(), p) for p in ps]).view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [{3: 1.5, 6: np.nan}, {3: np.nan, 6: 1.5}],
+                             ids=["outside-first", "non-finite-first"])
+    def test_the_first_bad_row_raises_its_own_error(self, bad):
+        ps = _random_points(np.random.default_rng(28), 10)
+        for k, z in bad.items():
+            ps[k, 0] = z
+        aut = _aut(theta=0.3, alpha=0.1j, logf=(0.2,), g=(1.0,))
+        with pytest.raises((PointOutsideAmbient, ValueError)) as want:
+            for p in ps:
+                _old_apply(aut, p)
+        with pytest.raises(type(want.value)) as got:
+            aut.apply_batch(ps)
+        assert str(got.value) == str(want.value)
+
+    def test_an_empty_stack_maps_to_an_empty_stack(self):
+        out = _aut(logf=(0.5,)).apply_batch(np.zeros((0, 2), dtype=np.complex128))
+        assert out.shape == (0, 2) and out.dtype == np.complex128
 
 
 class TestClassify:

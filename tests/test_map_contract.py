@@ -208,7 +208,8 @@ def test_cases_cover_every_shipped_map():
 @pytest.mark.parametrize("cls", sorted(_shipped_maps(), key=lambda c: c.__name__),
                          ids=lambda c: c.__name__)
 def test_each_map_defines_one_form(cls):
-    assert ("apply" in cls.__dict__) != ("apply_batch" in cls.__dict__)
+    # the batch form; `apply` is the base class's one-row view of it
+    assert "apply_batch" in cls.__dict__ and "apply" not in cls.__dict__
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -228,21 +229,6 @@ def test_empty_stack_maps_to_empty_stack(name):
     aut, ps = _case(name)
     out = aut.apply_batch(ps[:0])
     assert out.shape == ps[:0].shape
-
-
-def test_batch_applies_the_rows_in_order():
-    class Counting(Automorphism):
-        def __init__(self):
-            self.seen = []
-
-        def apply(self, p):
-            self.seen.append(p[0])
-            return 2.0 * p
-
-    aut = Counting()
-    ps = np.arange(6, dtype=np.complex128).reshape(3, 2)
-    assert np.array_equal(aut.apply_batch(ps), 2.0 * ps)
-    assert aut.seen == [0, 2, 4]
 
 
 def _trivial_push(n: int, r_fn=None) -> BundlePushAut:

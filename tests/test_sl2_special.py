@@ -536,3 +536,174 @@ class TestOvershearStack:
     def test_larger_matrices_are_refused_before_any_check(self):
         with pytest.raises(AmbientMismatch, match="not on 3x3"):
             sl2.OvershearAut(_linear_shear()).apply_batch(np.zeros((2, 3, 3)))
+
+
+# The overshear as it was computed before it moved whole stacks: the base
+# shift by Horner's rule over Python complex scalars, the factor per row,
+# and the second column in numpy scalar arithmetic. `1.0 + z` is spelled
+# with a complex one, which is how CPython before 3.14 added a float to a
+# complex.
+_REF_ONE = complex(1.0, 0.0)
+
+
+def _ref_shifts(shift, cols: np.ndarray) -> list:
+    if isinstance(shift, sl2.SeparatedShift):
+        return shift.fn(np.sum(shift.u * cols, axis=1)).tolist()
+    out = []
+    for a, b in cols.tolist():
+        total = 0j
+        for row in reversed(shift.coeffs):
+            inner = 0j
+            for c in reversed(row):
+                inner = inner * b + c
+            total = total * a + inner
+        out.append(total)
+    return out
+
+
+def _ref_factor(a: complex, shift: complex) -> complex:
+    val = _REF_ONE + a * shift
+    if abs(val) < sl2.LAMBDA_FLOOR:
+        raise LambdaVanishes(f"factor has modulus {abs(val):.3g} at the requested point")
+    return val
+
+
+def _ref_factor_at(spec, a: complex, base: complex) -> tuple:
+    if spec.inverted:
+        base = -base / _ref_factor(a, base)
+    return base, _ref_factor(a, base)
+
+
+def _ref_point(m: np.ndarray, shift: complex, lam: complex) -> tuple:
+    a, c = m[0, 0], m[0, 1]
+    b, d = m[1, 0], m[1, 1]
+    if abs(a) >= sl2.SMALL_CORNER_TOL:
+        d2 = (1.0 + b * c * lam) / a
+    else:
+        d2 = lam * d - shift
+    return c * lam, d2
+
+
+def _ref_overshear(spec, ps: np.ndarray):
+    """The moved stack, or (row, message) of the first vanishing factor."""
+    out = ps.copy()
+    for k, (p, base) in enumerate(zip(ps, _ref_shifts(spec.shift, ps[:, :, 0]))):
+        try:
+            shift, lam = _ref_factor_at(spec, complex(p[0, 0]), base)
+        except LambdaVanishes as exc:
+            return k, str(exc)
+        out[k, :, 1] = _ref_point(p, shift, lam)
+    return out
+
+
+def _signed(rng, values: np.ndarray) -> np.ndarray:
+    """`values` with about one part in six replaced by +0.0 or -0.0."""
+    parts = np.array(values, dtype=np.complex128).view(np.float64).copy()
+    hit = rng.random(parts.shape) < 1 / 6
+    parts[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return parts.view(np.complex128)
+
+
+def _overshear_inputs(rng, m: int) -> np.ndarray:
+    """Determinant-one matrices [[a, c], [b, d]], a third of them within a
+    few orders of magnitude of the a = 0 wall (some on it, with signed
+    zeros, and the first at |a| = SMALL_CORNER_TOL), and signed-zero parts
+    among the other entries."""
+    z = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
+    a, b, c, d = _signed(rng, z)
+    a[a == 0] = z[0, a == 0]
+    wall = rng.random(m) < 1 / 3
+    scale = 10.0 ** rng.uniform(-13, -7, m)
+    a[wall] = _signed(rng, scale[wall] * np.exp(2j * np.pi * rng.random(wall.sum())))
+    a[0], wall[0] = 1j * sl2.SMALL_CORNER_TOL, True  # exactly at the branch threshold
+    b[wall] = z[1, wall]  # nonzero, to solve for c below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(wall, d, (1.0 + b * c) / a)
+        c = np.where(wall, (a * d - 1.0) / b, c)
+    return np.stack([np.stack([a, c], axis=1), np.stack([b, d], axis=1)], axis=1)
+
+
+def _grid_spec(rng, inverted: bool) -> sl2.OvershearSpec:
+    shape = rng.integers(1, 4, 2)
+    grid = _signed(rng, 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    return sl2.OvershearSpec(sl2.BivariatePoly(tuple(map(tuple, grid))), inverted)
+
+
+def _separated_spec(rng, ps: np.ndarray, inverted: bool) -> sl2.OvershearSpec:
+    """A fitted shift with nodes at the first columns of half the rows."""
+    u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    ss = np.sum(u * ps[: len(ps) // 2, :, 0], axis=1)
+    vals = 0.2 * (rng.standard_normal(len(ss)) + 1j * rng.standard_normal(len(ss)))
+    fn = cn_tame.interpolate_nodes(np.column_stack((ss, vals)), 0.0)
+    return sl2.OvershearSpec(sl2.SeparatedShift(u, fn), inverted)
+
+
+def _bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=np.complex128).view(np.uint64)
+
+
+class TestOvershearKernel:
+    """The stack and one-point overshears against `_ref_overshear`, bit
+    for bit, as uint64 views."""
+
+    def _check(self, spec, ps):
+        want = _ref_overshear(spec, ps)
+        assert not isinstance(want, tuple), "a random input hit a vanishing factor"
+        got = sl2.OvershearAut(spec).apply_batch(ps)
+        assert np.array_equal(_bits(got), _bits(want))
+        for k, p in enumerate(ps):
+            assert np.array_equal(_bits(sl2.overshear_apply(spec, p)), _bits(got[k])), k
+
+    @pytest.mark.parametrize("inverted", [False, True], ids=["plain", "inverted"])
+    def test_grid_shifts_match_the_point_by_point_formula(self, inverted):
+        rng = np.random.default_rng(26 + inverted)
+        for _ in range(60):
+            self._check(_grid_spec(rng, inverted), _overshear_inputs(rng, 50))
+
+    @pytest.mark.parametrize("inverted", [False, True], ids=["plain", "inverted"])
+    def test_separated_shifts_match_the_point_by_point_formula(self, inverted):
+        rng = np.random.default_rng(36 + inverted)
+        for _ in range(20):
+            ps = _overshear_inputs(rng, 30)
+            self._check(_separated_spec(rng, ps, inverted), ps)
+
+    def test_identity_and_zero_shifts(self):
+        rng = np.random.default_rng(46)
+        ps = _overshear_inputs(rng, 80)
+        for spec in (sl2.OvershearSpec.identity(), sl2.OvershearSpec(sl2.BivariatePoly.zero(), True),
+                     sl2.OvershearSpec(sl2.BivariatePoly(((0.0, -0.0), (-0.0, 0.0))))):
+            self._check(spec, ps)
+            assert np.array_equal(_bits(sl2.OvershearAut(spec).apply_batch(ps)[:, :, 0]),
+                                  _bits(ps[:, :, 0]))
+
+    def test_the_factor_at_a_point_matches(self):
+        rng = np.random.default_rng(56)
+        for inverted in (False, True):
+            spec = _grid_spec(rng, inverted)
+            for a, b in _overshear_inputs(rng, 200)[:, :, 0].tolist():
+                base, = _ref_shifts(spec.shift, np.array([[a, b]]))
+                want = _ref_factor_at(spec, a, base)[1]
+                assert _bits(spec.lambda_at(a, b)).tolist() == _bits(want).tolist()
+
+    @pytest.mark.parametrize(
+        "rows, first",
+        [({3: "zero", 6: "zero"}, 3), ({2: "inverse", 5: "zero"}, 2), ({2: "zero", 5: "inverse"}, 2)],
+        ids=["two-zeros", "inverse-first", "zero-first"],
+    )
+    def test_a_vanishing_factor_raises_at_its_row(self, rows, first):
+        # lambda = 1 + a/2 is 0 at a = -2; the inverted factor 1/lambda
+        # falls under the floor where lambda passes 1e12, at a = 2e13
+        ps = _overshear_inputs(np.random.default_rng(66), 8)
+        for k, kind in rows.items():
+            ps[k] = [[-2.0, 0.0], [1.0, -0.5]] if kind == "zero" else [[2e13, 0.0], [1.0, 5e-14]]
+        spec = sl2.OvershearSpec(sl2.BivariatePoly.constant(0.5), inverted=True)
+        k, message = _ref_overshear(spec, ps)
+        assert k == first
+        with pytest.raises(LambdaVanishes) as err:
+            sl2.OvershearAut(spec).apply_batch(ps)
+        assert str(err.value) == message.replace("the requested point", f"point {first}")
+        with pytest.raises(LambdaVanishes) as one:
+            sl2.overshear_apply(spec, ps[first])
+        assert str(one.value) == message
+        assert np.array_equal(_bits(sl2.OvershearAut(spec).apply_batch(ps[:first])),
+                              _bits(_ref_overshear(spec, ps[:first])))
