@@ -45,11 +45,11 @@ from .core import (
     Verdict,
     _float_text,
     _read_json,
-    apply_all,
     canonical_json,
+    check_moved,
     cn,
-    drift_verdict,
     load_sequence,
+    sequence_document,
 )
 from .disc_plane import dp_classify
 from .errors import AmbientMismatch, BadParams, MalformedDocument, TamelabError
@@ -71,11 +71,11 @@ from .sln_tame import (
     RescaleTable,
     align_first_columns,
     center_separate,
-    equivalence_automorphism,
+    equivalence_move,
     lambda_rescale,
     one_param_check,
     torus_embed,
-    union_decompose,
+    union_owners,
     union_split_verdict,
     well_placed_check,
 )
@@ -306,8 +306,17 @@ _CHECKS = {
 }
 
 
-def _moved_fields(aut, moved: DiscreteSequence) -> dict:
-    return {"sequence": moved.to_document(), "automorphism": aut.to_json()}
+def _moved(aut, d: DiscreteSequence, label: str, cfg: RunConfig, moved=None):
+    """The prefix moved once by `aut` (or `moved`, the stack the move carried),
+    checked once by `check_moved`: its drift, violation or None, and fields."""
+    if moved is None:
+        moved = aut.apply_batch(d.array)
+    drift, violation = check_moved(d.ambient, moved, cfg.det_tol)
+    gen = GeneratorInfo.of(label, source=d.generator.family if d.generator else "input")
+    return drift, violation, {
+        "sequence": sequence_document(d.ambient, moved, gen),
+        "automorphism": aut.to_json(),
+    }
 
 
 def _shears(args, cfg: RunConfig, d: DiscreteSequence):
@@ -315,9 +324,9 @@ def _shears(args, cfg: RunConfig, d: DiscreteSequence):
         raise BadParams("shears act on flat sequences; use bundle-push or overshears")
     targets = HeightAssignment.constant(args.height, len(d))
     aut, proof = push_prefix_cn(d, targets, seed=cfg.seed, distinct_tol=cfg.distinct_tol)
-    fields = _moved_fields(aut, apply_all(aut, d, "shears"))
+    _, violation, fields = _moved(aut, d, "shears", cfg)
     # push_prefix_cn raises before it returns a height that falls short
-    verdict = Verdict.consistent("every image clears its demanded height")
+    verdict = violation or Verdict.consistent("every image clears its demanded height")
     return verdict, {**fields, "proof": proof}
 
 
@@ -327,9 +336,9 @@ def _overshears(args, cfg: RunConfig, d: DiscreteSequence):
     else:
         shift = _parse_lambda("1+a" if args.factor is None else args.factor)
     aut = OvershearAut(OvershearSpec(shift))
-    moved = apply_all(aut, d, "overshears")
-    drift, verdict = drift_verdict(moved.array, cfg.det_tol)
-    return verdict, {**_moved_fields(aut, moved), "det_drift": drift}
+    drift, violation, fields = _moved(aut, d, "overshears", cfg)
+    verdict = violation or Verdict.consistent(f"determinant drift {drift:.3g}")
+    return verdict, {**fields, "det_drift": drift}
 
 
 def _lambda_rescale(args, cfg: RunConfig, d: DiscreteSequence):
@@ -344,9 +353,9 @@ def _lambda_rescale(args, cfg: RunConfig, d: DiscreteSequence):
 
 
 def _union_decompose(args, cfg: RunConfig, d: DiscreteSequence):
-    parts = union_decompose(d)
-    verdict = union_split_verdict(d, parts)
-    return verdict, {"parts": [s.to_document() for s in parts], "automorphism": None}
+    owner = union_owners(d)
+    parts = [sequence_document(d.ambient, d.array[owner == k]) for k in range(d.ambient.n)]
+    return union_split_verdict(d, owner), {"parts": parts, "automorphism": None}
 
 
 def _torus_embed(args, cfg: RunConfig, d: DiscreteSequence):
@@ -377,31 +386,31 @@ def _align(args, cfg: RunConfig, d: DiscreteSequence, other: DiscreteSequence):
 
 
 def _equivalence(args, cfg: RunConfig, d: DiscreteSequence, other: DiscreteSequence):
-    phi = equivalence_automorphism(d, other, seed=cfg.seed)
-    moved = apply_all(phi, other, "equivalence")
-    # equivalence_automorphism raises for any error above EQUIV_TOL
-    worst = float(np.max(np.abs(moved.array - d.array)))
-    return Verdict.consistent(f"worst mapping error {worst:.3g}"), _moved_fields(phi, moved)
+    phi, moved = equivalence_move(d, other, seed=cfg.seed)
+    _, violation, fields = _moved(phi, other, "equivalence", cfg, moved)
+    # equivalence_move raises for any error above EQUIV_TOL
+    worst = float(np.max(np.abs(moved - d.array)))
+    return violation or Verdict.consistent(f"worst mapping error {worst:.3g}"), fields
 
 
 def _sl2_pipeline(args, cfg: RunConfig, d: DiscreteSequence):
     composite, verdict = sl2_column_pipeline(d, seed=cfg.seed, max_fiber=args.max_fiber)
-    moved = apply_all(composite, d, "sl2-pipeline")
-    _, verdict = drift_verdict(moved.array, cfg.det_tol, verdict)
-    return verdict, _moved_fields(composite, moved)
+    _, violation, fields = _moved(composite, d, "sl2-pipeline", cfg)
+    return violation or verdict, fields
 
 
 def _center_separate(args, cfg: RunConfig, d: DiscreteSequence):
     aut, verdict = center_separate(d, tries=args.tries, seed=cfg.seed)
-    return verdict, _moved_fields(aut, apply_all(aut, d, "center-separate"))
+    _, violation, fields = _moved(aut, d, "center-separate", cfg)
+    return violation or verdict, fields
 
 
 def _bundle_push(args, cfg: RunConfig, d: DiscreteSequence):
     targets = HeightAssignment.constant(args.height, len(d))
     aut, achieved = bundle_push(d, targets, seed=cfg.seed)
-    fields = _moved_fields(aut, apply_all(aut, d, "bundle-push"))
+    _, violation, fields = _moved(aut, d, "bundle-push", cfg)
     # bundle_push raises before it returns a height that falls short
-    verdict = Verdict.consistent("every image clears its demanded height")
+    verdict = violation or Verdict.consistent("every image clears its demanded height")
     return verdict, {**fields, "achieved": list(achieved)}
 
 

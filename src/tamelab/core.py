@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     AmbientMismatch,
+    BadParams,
     DeterminantError,
     DimensionMismatch,
     DuplicatePoints,
@@ -121,19 +122,26 @@ def _require_unit_det(det: complex, allowed: float) -> None:
         )
 
 
+def det_drift(mats: np.ndarray, det_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The determinant rule of SL(n) on a stack of finite matrices: each
+    drift |det - 1|, and the indices and `det_tolerance`s of the matrices
+    past theirs, with column norms only past `det_tol`. A nan drift passes."""
+    dev = np.linalg.det(mats) - 1.0
+    # hypot rounds as Python's abs(complex); numpy's complex abs may not
+    drifts = np.hypot(dev.real, dev.imag)
+    if drifts.max(initial=0.0) <= det_tol:  # a nan drift fails this and takes the scan
+        return drifts, np.zeros(0, dtype=np.intp), drifts[:0]
+    near = np.flatnonzero(drifts > det_tol)
+    allowed = det_tolerance(mats[near], det_tol)
+    off = drifts[near] > allowed
+    return drifts, near[off], allowed[off]
+
+
 def _check_rows(kind: str, arr: np.ndarray, det_tol: float) -> None:
     """The value checks of a point of an ambient of the given kind, over a
     stack of points of one shape. The first failing point in index order
     raises the error of its own first failing check: non-finite entries,
-    then the determinant, the puncture or the disc.
-
-    A stack that passes costs one finiteness pass and, for matrices, one
-    comparison of the largest determinant deviation with `det_tol`, the
-    floor of every allowed deviation. Only a stack that fails one of them
-    is scanned for its first non-finite row or its first row past its own
-    `det_tolerance`. A nan deviation (a finite matrix whose determinant
-    overflows) passes, but it sends the stack to that scan, since the
-    largest deviation is then nan and may hide a failing row.
+    then the determinant (`det_drift`), the puncture or the disc.
     """
     m = len(arr)
     if m == 0:
@@ -142,14 +150,9 @@ def _check_rows(kind: str, arr: np.ndarray, det_tol: float) -> None:
     stop = m if finite.all() else int(np.argmin(finite.reshape(m, -1).all(axis=1)))
     ok = arr[:stop]
     if kind == "sln":
-        dets = np.linalg.det(ok)
-        dev = np.abs(dets - 1.0)
-        if stop and not dev.max() <= det_tol:
-            near = np.flatnonzero(dev > det_tol)
-            allowed = det_tolerance(ok[near], det_tol)
-            off = np.flatnonzero(dev[near] > allowed)
-            if off.size:
-                _require_unit_det(complex(dets[near[off[0]]]), float(allowed[off[0]]))
+        _, off, allowed = det_drift(ok, det_tol)
+        if off.size:
+            _require_unit_det(complex(np.linalg.det(ok[off[0]])), float(allowed[0]))
     elif kind == "punctured-cn":
         if not np.all(np.any(ok != 0, axis=1)):
             raise PointOutsideAmbient("the puncture (origin) is not a point of this space")
@@ -472,6 +475,14 @@ def _first_duplicate(arr: np.ndarray) -> tuple[int, int] | None:
     return int(order[heads[dups[k]]]), int(order[dups[k]])
 
 
+def _require_distinct(arr: np.ndarray) -> None:
+    hit = _first_duplicate(arr)
+    if hit is not None:
+        raise DuplicatePoints(
+            f"points {hit[0]} and {hit[1]} coincide; prefixes must be pairwise distinct"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteSequence:
     """A finite prefix of points in a tagged ambient space.
@@ -488,12 +499,7 @@ class DiscreteSequence:
 
     def __post_init__(self):
         arr = validate_points(self.ambient, self.array)
-        hit = _first_duplicate(arr)
-        if hit is not None:
-            raise DuplicatePoints(
-                f"points {hit[0]} and {hit[1]} coincide; prefixes must be "
-                "pairwise distinct"
-            )
+        _require_distinct(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
@@ -505,21 +511,11 @@ class DiscreteSequence:
     def __len__(self) -> int:
         return len(self.array)
 
-    def replace_points(self, points: Iterable, generator=None) -> "DiscreteSequence":
-        return DiscreteSequence(self.ambient, points, generator)
+    def replace_points(self, points: Iterable) -> "DiscreteSequence":
+        return DiscreteSequence(self.ambient, points)
 
     def to_document(self) -> dict:
-        """The sequence document with `points` as the float64 view of
-        `array`, [re, im] on a last axis of length 2. `canonical_json`
-        writes it as it writes `to_json()`, without building the lists."""
-        obj = {
-            "ambient": self.ambient.kind,
-            "n": self.ambient.n,
-            "points": self.array.view(np.float64).reshape(*self.array.shape, 2),
-        }
-        if self.generator is not None:
-            obj["generator"] = self.generator.to_json()
-        return obj
+        return sequence_document(self.ambient, self.array, self.generator)
 
     def to_json(self) -> dict:
         """The sequence document with `points` as nested lists of floats."""
@@ -551,6 +547,19 @@ class DiscreteSequence:
             _unpair_points(field["points"]),
             GeneratorInfo.from_json(gen) if gen is not None else None,
         )
+
+
+def sequence_document(ambient: AmbientSpace, array: np.ndarray, generator=None) -> dict:
+    """The document of a checked complex array: `points` is its float64 view,
+    [re, im] on a last axis, which `canonical_json` writes without lists."""
+    obj = {
+        "ambient": ambient.kind,
+        "n": ambient.n,
+        "points": array.view(np.float64).reshape(*array.shape, 2),
+    }
+    if generator is not None:
+        obj["generator"] = generator.to_json()
+    return obj
 
 
 def _pair(z: complex) -> list[float]:
@@ -604,7 +613,7 @@ class HeightAssignment:
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         if any(not np.isfinite(v) or v <= 0 for v in vals):
-            raise ValueError("heights must be finite and positive")
+            raise BadParams("heights must be finite and positive")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -677,28 +686,29 @@ def falls_short(achieved, targets) -> np.ndarray:
     return np.asarray(achieved, dtype=float) < targets - 1e-9 * (1.0 + targets)
 
 
-def drift_verdict(
-    mats: np.ndarray, det_tol: float, passed: Verdict | None = None
-) -> tuple[float, Verdict]:
-    """The largest determinant drift |det - 1| over a stack of matrices,
-    and a verdict violated at every matrix, in index order, whose drift
-    exceeds its `det_tolerance`: the rule by which a matrix is a point of
-    SL(n) when it is loaded. Otherwise the verdict is `passed`, or by
-    default one that states the drift."""
-    dev = np.linalg.det(mats) - 1.0
-    # hypot rounds as Python's abs(complex); numpy's complex abs may not
-    drifts = np.hypot(dev.real, dev.imag)
-    worst = float(drifts.max(initial=0.0))
-    allowed = det_tolerance(mats, det_tol)
-    over = np.flatnonzero(drifts > allowed)
-    if over.size:
-        k = over[np.argmax(drifts[over] / allowed[over])]
-        return worst, Verdict.violated(
-            over,
-            f"determinant drift {drifts[k]:.3g} at point {k} exceeds {allowed[k]:.3g}, "
-            f"det_tol {det_tol:g} scaled by its column norms",
-        )
-    return worst, passed or Verdict.consistent(f"determinant drift {worst:.3g}")
+def check_moved(
+    ambient: AmbientSpace, arr: np.ndarray, det_tol: float
+) -> tuple[float, Verdict | None]:
+    """The one check of a moved prefix, at the run's `det_tol`: a non-finite
+    row, a point off the ambient or a repeated point raises as on load. A
+    matrix stack gives its largest drift and a verdict violated at every
+    matrix that `det_drift` finds off SL(n), or None; others 0.0 and None."""
+    worst, violation = 0.0, None
+    if ambient.is_matrix:
+        _require_finite(arr, "matrix")
+        drifts, off, allowed = det_drift(arr, det_tol)
+        worst = float(drifts.max(initial=0.0))
+        if off.size:
+            k = int(np.argmax(drifts[off] / allowed))
+            violation = Verdict.violated(
+                off,
+                f"determinant drift {drifts[off[k]]:.3g} at point {off[k]} exceeds "
+                f"{allowed[k]:.3g}, det_tol {det_tol:g} scaled by its column norms",
+            )
+    else:
+        _check_rows(ambient.kind, arr, det_tol)
+    _require_distinct(arr)
+    return worst, violation
 
 
 def exhaust_eval(kind: str, p, ambient: AmbientSpace) -> float:
@@ -890,15 +900,6 @@ class Composite(Automorphism):
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "stages": [s.to_json() for s in self.stages]}
-
-
-def apply_all(aut: Automorphism, d: DiscreteSequence, label: str) -> DiscreteSequence:
-    """The prefix moved by `aut`, tagged with the move's label and the
-    family it came from."""
-    return d.replace_points(
-        aut.apply_batch(d.array),
-        GeneratorInfo.of(label, source=d.generator.family if d.generator else "input"),
-    )
 
 
 def _float_text(value: float) -> str:

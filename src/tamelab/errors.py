@@ -126,8 +126,9 @@ class DuplicatePoints(TamelabError, ValueError):
     duplicates raised before they were typed)."""
 
 
-class BadParams(TamelabError):
-    """Parameters passed to a generator or command are invalid."""
+class BadParams(TamelabError, ValueError):
+    """Parameters passed to a generator, an estimator or a command are
+    invalid (also a `ValueError`, which the library raised before)."""
 
 
 class AmbientMismatch(TamelabError):

@@ -58,6 +58,7 @@ from .core import (
 )
 from .errors import (
     AmbientMismatch,
+    BadParams,
     DimensionMismatch,
     SearchExhausted,
     ZeroVector,
@@ -421,8 +422,13 @@ def mc_report_row(action: str, v, r: float, est: MCEstimate) -> dict:
 
 def _unit_probes(seed: int, count: int) -> np.ndarray:
     """Seeded unit-norm probe matrices, stacked (count, 2, 2)."""
+    if count < 1:
+        raise BadParams("need at least one probe")
     rng = stream(seed, "unit-probes")
-    flat = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
+    try:
+        flat = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
+    except (ValueError, MemoryError):  # numpy cannot shape or hold them
+        raise BadParams(f"{count} probes do not fit in memory") from None
     flat /= np.linalg.norm(flat, axis=1, keepdims=True)
     return flat.reshape(count, 2, 2)
 
@@ -441,9 +447,7 @@ def g_estimate(
     the envelope is therefore exactly nondecreasing in r.
     """
     if r <= 0.0:
-        raise ValueError("the ball radius must be positive")
-    if sphere_probes < 1:
-        raise ValueError("need at least one probe")
+        raise BadParams("the ball radius must be positive")
     probes = _unit_probes(sampler.seed, sphere_probes)
     best: MCEstimate | None = None
     for j in range(sphere_probes):
@@ -508,9 +512,9 @@ def threshold_estimate(
     the returned radii are cumulative maxima.
     """
     if levels < 1:
-        raise ValueError("need at least one level")
-    if samples_per_level < 1 or sphere_probes < 1:
-        raise ValueError("sampling counts must be positive")
+        raise BadParams("need at least one level")
+    if samples_per_level < 1:
+        raise BadParams("need at least one sample per level")
     probes = _unit_probes(seed, sphere_probes)
     base = HaarSampler(2, seed)
     radii: list[float] = []

@@ -26,7 +26,6 @@ from .core import (
     _row_norms,
     _window_pairs,
     first_close_pair,
-    max_norm_distance,
     sl_matrix,
 )
 from .errors import (
@@ -238,11 +237,11 @@ class AlignmentReport:
     dominance_ok: bool
 
 
-def _ratio_caps_ok(table: np.ndarray) -> bool:
+def _ratio_caps_hold(table: np.ndarray) -> np.ndarray:
+    """Per step, whether no ratio to the first multiplier grew since the last."""
     mags = np.abs(table)
     ratios = mags[:, 1:] / mags[:, :1]
-    slack = 1.0 + _VERIFY_SLACK
-    return bool(np.all(ratios[1:] <= ratios[:-1] * slack))
+    return np.r_[True, np.all(ratios[1:] <= ratios[:-1] * (1.0 + _VERIFY_SLACK), axis=1)]
 
 
 def align_first_columns(
@@ -334,42 +333,32 @@ def align_first_columns(
 
     c_points = lam[:, :, None] * a_seq.array * lam_t[:, None, :]
     d_points = mu[:, :, None] * b_seq.array * mu_t[:, None, :]
-    mismatch = max_norm_distance(c_points[:, :, 0], d_points[:, :, 0])
+    gaps = np.abs(c_points[:, :, 0] - d_points[:, :, 0]).max(axis=1)
 
     slack = 1.0 + _VERIFY_SLACK
-    unit_caps_ok = all(
-        bool(np.all(np.abs(tab[:, 1:]) <= slack))
-        for tab in (lam, mu, lam_t, mu_t)
-    )
-    ratio_caps_ok = all(_ratio_caps_ok(tab) for tab in (lam, mu, lam_t, mu_t))
-    products_ok = all(
-        bool(np.all(np.abs(np.prod(tab, axis=1) - 1.0) <= 1e-9))
-        for tab in (lam, mu, lam_t, mu_t)
-    )
-    dominance_ok = all(
-        bool(np.all(np.abs(tab[:, 1:]) <= np.abs(tab[:, :1]) * slack))
-        for tab in (lam, mu, lam_t, mu_t)
-    )
-    matching_ok = mismatch <= ALIGN_TOL
-    report = AlignmentReport(
-        float(mismatch),
-        unit_caps_ok,
-        ratio_caps_ok,
-        matching_ok,
-        products_ok,
-        dominance_ok,
-    )
-    for name, ok in (
-        ("unit caps", unit_caps_ok),
-        ("ratio caps", ratio_caps_ok),
-        ("product-one", products_ok),
-        ("first-multiplier dominance", dominance_ok),
-    ):
-        if not ok:
-            raise AlignmentInfeasible(f"{name} constraint failed re-verification")
-    if not matching_ok:
+    tables = (lam, mu, lam_t, mu_t)
+    # per group, the steps at which it fails in any of the four tables
+    fails = {
+        name: ~np.all([rule(tab) for tab in tables], axis=0)
+        for name, rule in (
+            ("unit caps", lambda tab: np.all(np.abs(tab[:, 1:]) <= slack, axis=1)),
+            ("ratio caps", _ratio_caps_hold),
+            ("product-one", lambda tab: np.abs(np.prod(tab, axis=1) - 1.0) <= 1e-9),
+            ("first-multiplier dominance",
+             lambda tab: np.all(np.abs(tab[:, 1:]) <= np.abs(tab[:, :1]) * slack, axis=1)),
+        )
+    }
+    far = np.flatnonzero(~(gaps <= ALIGN_TOL))
+    ok = [not fail.any() for fail in fails.values()]
+    report = AlignmentReport(float(gaps.max()), ok[0], ok[1], not far.size, ok[2], ok[3])
+    for name, fail in fails.items():
+        if fail.any():
+            raise AlignmentInfeasible(
+                f"{name} constraint failed re-verification at step {np.argmax(fail)}"
+            )
+    if far.size:
         raise AlignmentInfeasible(
-            f"first columns disagree by {mismatch:.3g} after alignment"
+            f"first columns disagree by {gaps[far[0]]:.3g} at point {far[0]} after alignment"
         )
     record = ScalingRecord(lam, mu, lam_t, mu_t)
     return (
@@ -383,7 +372,15 @@ def align_first_columns(
 def equivalence_automorphism(
     c_seq: DiscreteSequence, d_seq: DiscreteSequence, seed: int = 0
 ) -> BundlePushAut:
-    """The fiberwise push carrying the second aligned prefix onto the first.
+    """The fiberwise push of `equivalence_move`."""
+    return equivalence_move(c_seq, d_seq, seed)[0]
+
+
+def equivalence_move(
+    c_seq: DiscreteSequence, d_seq: DiscreteSequence, seed: int = 0
+) -> tuple[BundlePushAut, np.ndarray]:
+    """The fiberwise push carrying the second aligned prefix onto the
+    first, and the second prefix's points moved by it.
 
     Each step's fiber factor is interpolated over the shared first
     columns, so the resulting map sends d_seq's k-th point to c_seq's
@@ -404,47 +401,34 @@ def equivalence_automorphism(
         raise InterpolationIllConditioned(
             f"node {i} maps with error {errors[i]:.3g}, beyond {EQUIV_TOL:g}"
         )
-    return phi
+    return phi, moved
+
+
+def union_owners(d: DiscreteSequence) -> np.ndarray:
+    """Per point, the column with the largest norm, ties to the smallest
+    index.  That norm is the exhaustion value itself, so each member
+    trivially clears the 1/n bound."""
+    if d.ambient.kind != "sln":
+        raise AmbientMismatch("union decomposition applies to the matrix ambient")
+    return np.argmax(np.linalg.norm(d.array, axis=1), axis=1)
 
 
 def union_decompose(d: DiscreteSequence) -> list[DiscreteSequence]:
-    """Splits a prefix by which column carries the largest norm; ties go to
-    the smallest column index.  The winning column norm is the exhaustion
-    value itself, so each member trivially clears the 1/n bound."""
-    if d.ambient.kind != "sln":
-        raise AmbientMismatch("union decomposition applies to the matrix ambient")
-    owner = np.argmax(np.linalg.norm(d.array, axis=1), axis=1)
+    """Splits a prefix into one part per column, by `union_owners`."""
+    owner = union_owners(d)
     return [d.replace_points(d.array[owner == k]) for k in range(d.ambient.n)]
 
 
-def union_split_verdict(d: DiscreteSequence, parts: list[DiscreteSequence]) -> Verdict:
-    """The postcondition of `union_decompose`: every member of part k has
-    a k-th column norm of at least 1/n of its whole norm, and the parts
-    hold each input point exactly once.
-
-    Violations name input indices in index order: first the members that
-    miss their column bound, otherwise the input points that are missing
-    from the parts or repeated in them.
-    """
-    n = d.ambient.n
-    index = {p.tobytes(): i for i, p in enumerate(d.array)}
-    owners: list[int] = []
-    weak: list[int] = []
-    for k, part in enumerate(parts):
-        ids = [index.get(p.tobytes()) for p in part.array]
-        if None in ids:
-            raise ValueError(f"part {k} holds a point that is not an input point")
-        short = _row_norms(part.array[:, :, k]) < _row_norms(part.array) / n
-        weak.extend(i for i, s in zip(ids, short) if s)
-        owners.extend(ids)
-    if weak:
-        return Verdict.violated(sorted(weak), "a member misses its column bound")
-    off = np.flatnonzero(np.bincount(owners, minlength=len(d)) != 1)
-    if off.size:
-        return Verdict.violated(off, "parts do not partition the input")
+def union_split_verdict(d: DiscreteSequence, owner: np.ndarray) -> Verdict:
+    """The postcondition of the split by `owner`, the column each point goes
+    to: each owner column norm is at least 1/n of its point's norm.  A
+    violation names the points that miss it; the labels cannot miss a point."""
+    n, arr = d.ambient.n, d.array
+    weak = np.flatnonzero(_row_norms(arr[np.arange(len(arr)), :, owner]) < _row_norms(arr) / n)
+    if weak.size:
+        return Verdict.violated(weak, "a member misses its column bound")
     return Verdict.consistent(
-        f"{len(parts)} parts partition {len(owners)} points; "
-        "column dominance holds on every member"
+        f"{n} parts partition {len(arr)} points; column dominance holds on every member"
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import gc
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamelab import cli, cn_tame, core, generic_projection, pi_tame, sln_tame
+from tamelab import cli, cn_tame, core, generic_projection, pi_tame, sl2_special, sln_tame
 from tamelab.core import DiscreteSequence, cn, sln
-from tamelab.errors import DuplicatePoints, MalformedDocument
+from tamelab.errors import DuplicatePoints, MalformedDocument, TamelabError
 from tamelab.generic_projection import MC_CSV_COLUMNS, threshold_estimate
 
 
@@ -1541,36 +1542,67 @@ class TestWitnesses:
         assert post["detail"] == _drift_detail(moved, want, tol)
 
     @staticmethod
-    def _split_case(case, parts):
-        """A wrong split of the four points of `_union_input`."""
-        p = [part.points for part in parts]  # part 0: points 0, 3; part 1: 1, 2
-        if case == "dominance":
-            return [p[0][:1], p[1] + p[0][1:]]
-        if case == "missing":
-            return [p[0], p[1][:1]]
-        if case == "repeated":
-            return [p[0] + p[1][1:], p[1]]
-        return [p[0], p[1] + (np.diag([5.0, 0.2]).astype(complex),)]
+    def _patch_overshear(monkeypatch, change):
+        """`transform overshears` with `change` applied to its moved stack."""
+        apply_batch = sl2_special.OvershearAut.apply_batch
+
+        def changed(self, ps):
+            out = apply_batch(self, ps)
+            change(out)
+            return out
+
+        monkeypatch.setattr(sl2_special.OvershearAut, "apply_batch", changed)
+
+    def test_a_drifting_output_is_violated_at_the_run_det_tol(self, tmp_path, monkeypatch):
+        path = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
+
+        def drift(out):
+            out[3, 0] *= 1.0 + 1e-6  # the determinant of point 3 drifts by 1e-6
+
+        self._patch_overshear(monkeypatch, drift)
+        out = str(tmp_path / "ov.json")
+        argv = ["transform", "overshears", path, "--factor", "1+0.5*a", "--out", out]
+        assert run(*argv) == 2
+        doc = load(out)
+        assert doc["postcondition"]["witness"] == [3]
+        assert "at point 3 exceeds" in doc["postcondition"]["detail"]
+        assert doc["det_drift"] == pytest.approx(1e-6, rel=1e-3)
+        cfg = tmp_path / "loose.cfg"
+        cfg.write_text("det_tol = 1e-3\n", encoding="utf-8")
+        assert run(*argv, "--config", str(cfg)) == 0
+        assert load(out)["postcondition"]["state"] == "consistent-up-to-prefix"
 
     @pytest.mark.parametrize(
-        "case, code, witness",
-        [("dominance", 2, [3]), ("missing", 2, [2]), ("repeated", 2, [2]), ("foreign", 1, None)],
+        "case, message",
+        [("nan", "error: matrix contains non-finite entries\n"),
+         ("repeat", "error: points 2 and 3 coincide; prefixes must be pairwise distinct\n")],
+        ids=["nan", "repeat"],
     )
+    def test_a_bad_output_raises_as_on_load(self, tmp_path, monkeypatch, capsys, case, message):
+        path = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
+
+        def spoil(out):
+            out[3] = np.nan if case == "nan" else out[2]
+
+        self._patch_overshear(monkeypatch, spoil)
+        capsys.readouterr()
+        out = tmp_path / "ov.json"
+        assert run("transform", "overshears", path, "--factor", "1+0.5*a", "--out", str(out)) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, code, witness", [("dominance", 2, [3])])
     def test_union_split_names_input_points(self, tmp_path, monkeypatch, case, code, witness):
         pts = [np.diag([2.0, 0.5]), np.diag([0.5, 2.0]),
                np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([3.0, 1 / 3])]
         path = _write_seq(tmp_path / "in.json", [p.astype(complex) for p in pts])
-        real = cli.union_decompose
-        assert [len(part) for part in real(DiscreteSequence.from_json(load(path)))] == [2, 2]
-
-        def bad_split(d):
-            return [d.replace_points(ps) for ps in self._split_case(case, real(d))]
-
-        monkeypatch.setattr(cli, "union_decompose", bad_split)
+        owner = cli.union_owners(DiscreteSequence.from_json(load(path)))
+        assert owner.tolist() == [0, 1, 1, 0]
+        # a wrong split: point 3 goes to the column it does not dominate
+        monkeypatch.setattr(cli, "union_owners", lambda d: np.array([0, 1, 1, 1]))
         out = str(tmp_path / "parts.json")
         assert run("transform", "union-decompose", path, "--out", out) == code
-        if witness is not None:
-            assert load(out)["postcondition"]["witness"] == witness
+        assert load(out)["postcondition"]["witness"] == witness
 
 
 def _spelling_inputs(tmp_path) -> dict:
@@ -1622,3 +1654,112 @@ def test_lambda_flag_writes_the_factor_bytes(tmp_path, name, value):
     canonical = read_bytes(out)
     assert run("transform", name, path, "--lambda", value, "--out", out) == 0
     assert read_bytes(out) == canonical
+
+
+# values every numeric option is fuzzed with
+HOSTILE = ("nan", "inf", "-1", "0", "1e400", "abc", "", "3.5", "9" * 22)
+
+# (command, flag, value) never run: each starts work that grows with the value
+LONG_RUNS = {
+    ("mc", "--samples", "9" * 22): "10^22 Haar draws: --samples is unbounded and costs "
+    "time linearly (README)",
+}
+
+
+def _numeric_options() -> set:
+    """(command, flag) of every option of `cli.build_parser()` whose type
+    is int or float."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        (name, action.option_strings[0])
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.type in (int, float)
+    }
+
+
+def _fuzz_bases(files: dict) -> dict:
+    """Per numeric option, a minimal valid command that reads it; the
+    fuzzed value comes last, and argparse keeps the last one given."""
+    flat = ["gen", "cn-powers", "--n", "2", "--k", "6"]
+    shears = ["transform", "shears", files["flat"], "--height", "9", "--seed", "1"]
+    g = ["mc", "g", "--r", "1", "--probes", "2", "--samples", "16", "--seed", "0"]
+    return {
+        ("gen", "--seed"): flat,
+        ("gen", "--k"): flat,
+        ("gen", "--n"): flat,
+        ("gen", "--alpha"): flat,
+        ("gen", "--p"): ["gen", "wellplaced2", "--k", "4", "--p", "2"],
+        ("gen", "--ratio"): ["gen", "diagtorus", "--k", "6", "--ratio", "2"],
+        ("gen", "--height"): ["gen", "sl2-gauss", "--field", "qi", "--height", "1"],
+        ("check", "--seed"): ["check", "pi-tame", files["wp"]],
+        ("check", "--max-fiber"): ["check", "pi-tame", files["wp"]],
+        ("transform", "--seed"): shears,
+        ("transform", "--height"): shears,
+        ("transform", "--tries"): ["transform", "center-separate", files["sg"], "--seed", "1"],
+        ("transform", "--max-fiber"): ["transform", "sl2-pipeline", files["sg"], "--seed", "3",
+                                       "--max-fiber", "16"],
+        ("mc", "--seed"): g,
+        ("mc", "--r"): g,
+        ("mc", "--samples"): g,
+        ("mc", "--probes"): g,
+        ("mc", "--levels"): ["mc", "threshold", "--levels", "2", "--probes", "2",
+                             "--samples", "16", "--seed", "0"],
+        ("mc", "--max-fiber"): ["mc", "omega", "--seq", files["sg"], "--samples", "4",
+                                "--seed", "0"],
+        ("report", "--seed"): ["report", files["flat"]],
+    }
+
+
+class TestFlagFuzz:
+    """Every numeric option, with hostile values, on a minimal valid
+    command: exit 0, 1 or 2, never a traceback, and every exit 1 either
+    argparse's rejection of the value or a `TamelabError`."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory) -> dict:
+        tmp = tmp_path_factory.mktemp("fuzz")
+        return {
+            "flat": gen(tmp, "cn-powers", "--n", "2", "--k", "6"),
+            "wp": gen(tmp, "wellplaced2", "--k", "8"),
+            "sg": gen(tmp, "sl2-gauss", "--field", "qi", "--height", "1"),
+        }
+
+    def test_every_numeric_option_has_a_command(self, files):
+        assert set(_fuzz_bases(files)) == _numeric_options()
+        assert {key[:2] for key in LONG_RUNS} <= _numeric_options()
+
+    @pytest.mark.parametrize("command, flag", sorted(_numeric_options()))
+    def test_hostile_values_end_cleanly(self, files, tmp_path, monkeypatch, capsys,
+                                        command, flag):
+        raised = []
+
+        def recording(fn):
+            def run_recorded(*args):
+                try:
+                    return fn(*args)
+                except Exception as exc:
+                    raised.append(exc)
+                    raise
+            return run_recorded
+
+        monkeypatch.setattr(cli, "_resolve_config", recording(cli._resolve_config))
+        monkeypatch.setattr(
+            cli, "_HANDLERS", {name: recording(fn) for name, fn in cli._HANDLERS.items()}
+        )
+        base = [*_fuzz_bases(files)[(command, flag)], "--out", str(tmp_path / "out.json")]
+        assert run(*base) == 0
+        for value in HOSTILE:
+            if (command, flag, value) in LONG_RUNS:
+                continue
+            raised.clear()
+            code = run(*base, flag, value)
+            assert code in (0, 1, 2), (flag, value, code)
+            if code == 1 and not raised:
+                # argparse rejected the value before any command ran
+                with pytest.raises(SystemExit):
+                    cli.build_parser().parse_args([*base, flag, value])
+            elif code == 1:
+                assert isinstance(raised[-1], TamelabError), (flag, value, raised[-1])
+        capsys.readouterr()

@@ -17,7 +17,7 @@ import os
 import numpy as np
 import pytest
 
-from tamelab import cli
+from tamelab import cli, core
 from tamelab.core import DiscreteSequence, load_sequence, sln
 
 
@@ -200,7 +200,7 @@ _COMMANDS = (
                       "--seed", "7"]),
     ("sl3-push", ["transform", "bundle-push", "rand30-sl3.json", "--height", "25",
                   "--seed", "7"]),
-    # the two transforms left that move a prefix through core.apply_all
+    # a flat move and a matrix move, each checked once by core.check_moved
     ("flat-shears", ["transform", "shears", "flat60.json", "--height", "6", "--seed", "1"]),
     ("center", ["transform", "center-separate", "sg.out", "--seed", "1"]),
     # a chain: moves read back a move's output, which holds -0 tokens
@@ -306,10 +306,15 @@ def test_a_loaded_sequence_has_the_bits_the_command_wrote(tmp_path, monkeypatch)
     # back as -0.0: every command reads a sequence through `load_sequence`
     monkeypatch.chdir(tmp_path)
     written = []
-    to_document = DiscreteSequence.to_document
-    monkeypatch.setattr(
-        DiscreteSequence, "to_document", lambda d: written.append(d.array) or to_document(d)
-    )
+    write = core.sequence_document
+
+    def hook(ambient, array, generator=None):
+        written.append(array)
+        return write(ambient, array, generator)
+
+    # `DiscreteSequence.to_document` reads core's name, the moves cli's
+    monkeypatch.setattr(core, "sequence_document", hook)
+    monkeypatch.setattr(cli, "sequence_document", hook)
     commands = dict(_COMMANDS)
     names = [name for name, argv in _COMMANDS if argv[0] == "gen"] + ["overshear-det"]
     for name in names:

@@ -22,10 +22,13 @@ from test_golden_cli import _COMMANDS, GOLDEN
 
 DISABLED = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
 
-# the overshear commands and the moves that read an overshear's output;
-# `sg` writes their input
-NAMES = ("sg", "overshear-det", "overshear-law", "overshear-grid", "rand-overshears",
-         "rand-overshears-report", "chain-union", "chain-center")
+# the overshear commands and the moves that read an overshear's output,
+# the other moves whose output `core.check_moved` checks, and the series
+# checks, whose partial sums take a float power; `sg`, `cnp` and `powers`
+# write their inputs
+NAMES = ("sg", "cnp", "overshear-det", "overshear-law", "overshear-grid", "series",
+         "powers", "powers-series", "rand-overshears", "rand-overshears-report",
+         "rand-union", "flat-shears", "center", "chain-union", "chain-center")
 
 _SCRIPT = """
 import hashlib, json, sys, warnings

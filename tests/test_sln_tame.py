@@ -196,6 +196,27 @@ class TestAlignment:
             ]
             assert all(abs(p - 1.0) <= 1e-9 for p in prods)
 
+    def test_a_mismatch_names_its_first_point(self, monkeypatch):
+        a = _mseq([_family(k) for k in range(1, 21)])
+        b = _mseq([_partner(k) for k in range(1, 21)])
+        c, d, _, _ = sln_tame.align_first_columns(a, b)
+        gaps = np.abs(c.array[:, :, 0] - d.array[:, :, 0]).max(axis=1)
+        tol = float(np.median(gaps))
+        first = int(np.flatnonzero(gaps > tol)[0])
+        assert first > 0
+        monkeypatch.setattr(sln_tame, "ALIGN_TOL", tol)
+        with pytest.raises(AlignmentInfeasible, match=f"by {gaps[first]:.3g} at point {first} "):
+            sln_tame.align_first_columns(a, b)
+
+    def test_a_failed_group_names_its_first_step(self, monkeypatch):
+        a = _mseq([_family(k) for k in range(1, 6)])
+        b = _mseq([_partner(k) for k in range(1, 6)])
+        # every unit cap is 1 at step 0, so a negative slack fails it there
+        monkeypatch.setattr(sln_tame, "_VERIFY_SLACK", -1e-3)
+        with pytest.raises(AlignmentInfeasible,
+                           match="^unit caps constraint failed re-verification at step 0$"):
+            sln_tame.align_first_columns(a, b)
+
     def test_prefix_length_mismatch(self):
         a = _mseq([_family(k) for k in range(1, 6)])
         b = _mseq([_partner(k) for k in range(1, 7)])

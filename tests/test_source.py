@@ -31,9 +31,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 # private helpers that only tests call, with the reason each is kept
-_TEST_ONLY_HELPERS = {
-    "core._require_finite": "the reference validator in tests/test_core.py calls it",
-}
+_TEST_ONLY_HELPERS: dict[str, str] = {}
 
 
 def _unreferenced_helpers(trees: dict[str, ast.Module]) -> list[str]:
@@ -233,6 +231,24 @@ def test_only_core_parses_json():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert _callers(trees, "loads") == {"core._read_json"}
     assert _callers(trees, "load") == set()
+
+
+def test_only_the_determinant_rule_scales_the_tolerance():
+    # `core.det_drift` is the one rule by which a matrix is a point of SL(n),
+    # on load and on a move's output alike
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _callers(trees, "det_tolerance") == {"core.det_drift"}
+
+
+def test_no_second_copy_of_the_output_check():
+    # a moved prefix is applied and checked once, by `cli._moved`
+    defined = {
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert defined & {"apply_all", "drift_verdict"} == set()
 
 
 def _memoized(trees: dict[str, ast.Module]) -> list[str]:
