@@ -206,6 +206,12 @@ _COMMANDS = (
     # a chain: moves read back a move's output, which holds -0 tokens
     ("chain-union", ["transform", "union-decompose", "overshear-det.out"]),
     ("chain-center", ["transform", "center-separate", "overshear-det.out", "--seed", "1"]),
+    # the diagonal torus: the subgroup check, and a longer prefix through
+    # the embedding and the check
+    ("one-param", ["check", "one-param", "dt.out"]),
+    ("dt1k", ["gen", "diagtorus", "--k", "1000", "--ratio", "1.2"]),
+    ("dt1k-torus", ["transform", "torus-embed", "dt1k.out"]),
+    ("dt1k-one-param", ["check", "one-param", "dt1k.out"]),
 )
 
 # inputs written by `_write_inputs` whose bytes are digested too
@@ -265,6 +271,10 @@ GOLDEN = {
     'center': (0, '3fdd5908b2ed65f0701203221f727a97daee0b79834598845130416ca67ebc35'),
     'chain-union': (0, 'abaf888509ae8ba0da65a08b34368c626ee762ddbac83c1eced46dc041da92e3'),
     'chain-center': (0, '08225e40a03acd504384be0673e21443f630ce1eb517e7559b726e96c04f86da'),
+    'one-param': (0, '11c28b7fcc8803cd6ca91726bdc698e5ca41e3a5109fa72e11ac20dcd6613788'),
+    'dt1k': (0, '7ec54217a72f9c3afde2397da2184e638ed327b473807faa3f18864e6643e4b7'),
+    'dt1k-torus': (0, 'a904cb972a48ede5ba325a76828b4c09ae6d907a7d516355ba430c94efbd7b3c'),
+    'dt1k-one-param': (0, '52684416d86aeddf7fbc34557f4f4c14bf3066eac20b190aaced3d73e2ba6ed1'),
     'ceq.json': (0, '4ec5b890faddd241b165f3b36e65b7d18e0b21362d00a3c1060463b10900fc0d'),
     'deq.json': (0, '96ceaf208e66f7abdd0c8a1060679da4013e9da53822007bf4e8cda297a5e5dd'),
     'ceq3.json': (0, '818dfecb38d74576b75738b8025150c4e0365dba2b42ee06e37076a43ecc33d1'),
