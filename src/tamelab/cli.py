@@ -67,7 +67,6 @@ from .pi_tame import bundle_push, first_column, pi_tame_check
 from .punctured_cn import punctured_tame_check
 from .sl2_special import BivariatePoly, OvershearAut, OvershearSpec, sl2_column_pipeline
 from .sln_tame import (
-    DiagonalGroup,
     RescaleTable,
     align_first_columns,
     center_separate,
@@ -142,6 +141,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         values["seed"] = args.seed
     if getattr(args, "samples", None) is not None:
         values["samples"] = args.samples
+    # the counts some moves read: a floor of 1, checked here once for all
+    for flag in ("max_fiber", "tries"):
+        count = getattr(args, flag, None)
+        if count is not None and count < 1:
+            raise BadParams(f"--{flag.replace('_', '-')} must be at least 1, got {count}")
     return RunConfig(
         **values,
         out=getattr(args, "out", None),
@@ -291,9 +295,7 @@ def _pi_tame(args, cfg: RunConfig, d: DiscreteSequence):
 
 
 def _one_param(args, cfg: RunConfig, d: DiscreteSequence):
-    if args.subgroup != "diagonal":
-        raise BadParams(f"unsupported subgroup {args.subgroup!r}; use diagonal")
-    return one_param_check(d, DiagonalGroup(d.ambient.n), min_gap=cfg.min_gap), None
+    return one_param_check(d, min_gap=cfg.min_gap), None
 
 
 _CHECKS = {
@@ -306,17 +308,21 @@ _CHECKS = {
 }
 
 
+def _output(ambient, arr: np.ndarray, d: DiscreteSequence, label: str, cfg: RunConfig):
+    """The points a move wrote from `d`, checked once by `check_moved`: their
+    drift, violation or None, and their sequence document."""
+    drift, violation = check_moved(ambient, arr, cfg.det_tol)
+    gen = GeneratorInfo.of(label, source=d.generator.family if d.generator else "input")
+    return drift, violation, sequence_document(ambient, arr, gen)
+
+
 def _moved(aut, d: DiscreteSequence, label: str, cfg: RunConfig, moved=None):
     """The prefix moved once by `aut` (or `moved`, the stack the move carried),
-    checked once by `check_moved`: its drift, violation or None, and fields."""
+    checked once by `_output`: its drift, violation or None, and fields."""
     if moved is None:
         moved = aut.apply_batch(d.array)
-    drift, violation = check_moved(d.ambient, moved, cfg.det_tol)
-    gen = GeneratorInfo.of(label, source=d.generator.family if d.generator else "input")
-    return drift, violation, {
-        "sequence": sequence_document(d.ambient, moved, gen),
-        "automorphism": aut.to_json(),
-    }
+    drift, violation, seq = _output(d.ambient, moved, d, label, cfg)
+    return drift, violation, {"sequence": seq, "automorphism": aut.to_json()}
 
 
 def _shears(args, cfg: RunConfig, d: DiscreteSequence):
@@ -360,13 +366,11 @@ def _union_decompose(args, cfg: RunConfig, d: DiscreteSequence):
 
 def _torus_embed(args, cfg: RunConfig, d: DiscreteSequence):
     images, verdict = torus_embed(d.array, min_gap=cfg.min_gap)
-    out = DiscreteSequence(
-        cn(d.ambient.n),
-        images,
-        GeneratorInfo.of("torus-embed", source=d.generator.family if d.generator else "input"),
-    )
-    prod_err = max(abs(complex(np.prod(v)) - 1.0) for v in images)
-    return verdict, {"sequence": out.to_document(), "automorphism": None, "product_error": prod_err}
+    _, _, seq = _output(cn(d.ambient.n), images, d, "torus-embed", cfg)
+    # hypot rounds as abs(complex) does, a row's product as np.prod of the row
+    dev = np.prod(images, axis=1) - 1.0
+    prod_err = float(np.hypot(dev.real, dev.imag).max())
+    return verdict, {"sequence": seq, "automorphism": None, "product_error": prod_err}
 
 
 def _align(args, cfg: RunConfig, d: DiscreteSequence, other: DiscreteSequence):
@@ -653,7 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--tail-policy", choices=(PARTIAL_ONLY, MONOTONE_TAIL_BOUND),
                      default=MONOTONE_TAIL_BOUND)
     chk.add_argument("--max-fiber", type=int, default=MAX_FIBER)
-    chk.add_argument("--subgroup", default="diagonal")
 
     tra = sub.add_parser(
         "transform",

@@ -38,6 +38,7 @@ from .rng import haar_unitary, stream
 
 PARTIAL_ONLY = "partial-only"
 MONOTONE_TAIL_BOUND = "monotone-tail-bound"
+UNITARY_TRIES = 64  # unitaries `push_prefix_cn` samples before it gives up
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,6 @@ def push_prefix_cn(
     zeta: HeightAssignment,
     seed: int = 0,
     distinct_tol: float = DISTINCT_TOL,
-    tries: int = 64,
 ) -> tuple[Automorphism, dict]:
     """Automorphism pushing every prefix point to at least its target height.
 
@@ -342,14 +342,14 @@ def push_prefix_cn(
         }
         return IdentityAut(), proof
 
-    for attempt in range(tries):
+    for attempt in range(UNITARY_TRIES):
         rotation = LinearAut(haar_unitary(stream(seed, "push-unitary", attempt), n))
         rotated = rotation.apply_batch(pts)
         if first_close_pair(rotated[:, 0], distinct_tol) is None:
             break
     else:
         raise DegenerateConfiguration(
-            f"no sampled unitary separated first coordinates in {tries} tries"
+            f"no sampled unitary separated first coordinates in {UNITARY_TRIES} tries"
         )
 
     # fitted at the rotated coordinates the map itself computes, so each

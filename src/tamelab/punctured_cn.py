@@ -98,17 +98,13 @@ def bilipschitz_estimate(
     return BiLipschitzReport(lo, hi, radius, int(samples))
 
 
-def punctured_tame_check(
-    d: DiscreteSequence,
-    min_gap: float = MIN_GAP,
-    tail_policy: str = MONOTONE_TAIL_BOUND,
-) -> Verdict:
+def punctured_tame_check(d: DiscreteSequence, min_gap: float = MIN_GAP) -> Verdict:
     """Tameness of a punctured-space prefix, viewed through the flat ambient.
 
     Approach to the puncture or a flat-discreteness failure is a violation
-    outright; otherwise the summability criterion decides, since a prefix
-    staying away from the origin is tame there iff it is tame in the plain
-    ambient.
+    outright; otherwise the summability criterion decides, with its monotone
+    tail bound, since a prefix staying away from the origin is tame there
+    iff it is tame in the plain ambient.
     """
     if d.ambient.kind != "punctured-cn":
         raise AmbientMismatch(f"expected a punctured-cn sequence, got {d.ambient.kind}")
@@ -122,7 +118,7 @@ def punctured_tame_check(
     flat = discreteness_check(d, min_gap)
     if flat.is_violated:
         return flat
-    return rr_series_test(d, tail_policy=tail_policy).verdict
+    return rr_series_test(d, tail_policy=MONOTONE_TAIL_BOUND).verdict
 
 
 @dataclass(frozen=True)

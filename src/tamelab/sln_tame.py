@@ -26,7 +26,8 @@ from .core import (
     _row_norms,
     _window_pairs,
     first_close_pair,
-    sl_matrix,
+    sln,
+    validate_points,
 )
 from .errors import (
     AlignmentInfeasible,
@@ -38,7 +39,6 @@ from .errors import (
     NotDiagonal,
     NotOnSubgroup,
     ProductNotOne,
-    UnsupportedPair,
 )
 from .pi_tame import BundlePushAut, QPolyMap, fit_q_map, q_factor
 from .rng import stream
@@ -432,64 +432,54 @@ def union_split_verdict(d: DiscreteSequence, owner: np.ndarray) -> Verdict:
     )
 
 
-def torus_embed(
-    mats, min_gap: float = MIN_GAP
-) -> tuple[tuple[np.ndarray, ...], Verdict]:
-    """Sends diagonal matrices to their diagonals, which land on the
-    product-one hypersurface."""
-    points = [sl_matrix(p) for p in mats]
-    if not points:
+def _off_diagonal(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, the largest modulus of an off-diagonal entry."""
+    off = stack.copy()
+    diag = range(stack.shape[-1])
+    off[:, diag, diag] = 0
+    return np.max(np.abs(off), axis=(1, 2))
+
+
+def _torus_verdict(images: np.ndarray, min_gap: float) -> Verdict:
+    """The gap verdict on the diagonals of a prefix, as points of C^n."""
+    if not len(images):
         raise ValueError("need at least one diagonal matrix")
-    n = points[0].shape[0]
-    images = []
-    for i, p in enumerate(points):
-        if p.shape[0] != n:
-            raise AmbientMismatch("all matrices must share one size")
-        image = np.diag(p)
-        worst = float(np.max(np.abs(p - np.diag(image))))
-        if worst > 1e-10:
-            raise NotDiagonal(
-                f"matrix {i} has an off-diagonal entry of modulus {worst:.3g}"
-            )
-        images.append(image)
-    hit = first_close_pair(np.stack(images), min_gap)
+    hit = first_close_pair(images, min_gap)
     if hit is not None:
-        return tuple(images), Verdict.violated(
-            hit, f"images {hit[0]} and {hit[1]} sit within {min_gap:g}"
+        return Verdict.violated(hit, f"images {hit[0]} and {hit[1]} sit within {min_gap:g}")
+    return Verdict.consistent("torus images are separated at prefix scale")
+
+
+def torus_embed(mats, min_gap: float = MIN_GAP) -> tuple[np.ndarray, Verdict]:
+    """Sends diagonal matrices to their diagonals, which land on the
+    product-one hypersurface: an (m, n) array of images.  The matrices are
+    validated once, as one SL(n) stack of the first one's size, so the
+    first bad matrix raises; then the first off-diagonal one does."""
+    mats = mats if isinstance(mats, np.ndarray) else tuple(mats)
+    shape = np.shape(mats[0]) if len(mats) else ()
+    stack = validate_points(sln(shape[0] if shape else 2), mats)
+    worst = _off_diagonal(stack)
+    bad = np.flatnonzero(worst > 1e-10)
+    if bad.size:
+        raise NotDiagonal(
+            f"matrix {bad[0]} has an off-diagonal entry of modulus {worst[bad[0]]:.3g}"
         )
-    return tuple(images), Verdict.consistent(
-        "torus images are separated at prefix scale"
-    )
+    images = np.ascontiguousarray(np.diagonal(stack, 0, 1, 2))
+    return images, _torus_verdict(images, min_gap)
 
 
-@dataclass(frozen=True)
-class DiagonalGroup:
-    """The diagonal one-parameter-per-coordinate subgroup declaration."""
-
-    n: int
-
-
-def one_param_check(
-    d: DiscreteSequence, subgroup, min_gap: float = MIN_GAP
-) -> Verdict:
+def one_param_check(d: DiscreteSequence, min_gap: float = MIN_GAP) -> Verdict:
     """Discreteness of a prefix inside the diagonal subgroup, checked
     through the torus embedding of its diagonals."""
     if d.ambient.kind != "sln":
         raise AmbientMismatch("subgroup checks apply to the matrix ambient")
-    if not isinstance(subgroup, DiagonalGroup):
-        raise UnsupportedPair("unknown subgroup declaration")
-    if subgroup.n != d.ambient.n:
-        raise AmbientMismatch("subgroup and ambient sizes disagree")
-    diag = range(d.ambient.n)
-    snapped = np.zeros_like(d.array)
-    snapped[:, diag, diag] = d.array[:, diag, diag]
-    off = np.max(np.abs(d.array - snapped), axis=(1, 2))
+    off = _off_diagonal(d.array)
     bad = np.flatnonzero(off > SUBGROUP_TOL)
     if bad.size:
         raise NotOnSubgroup(
             f"point {bad[0]} has off-diagonal modulus {off[bad[0]]:.3g}"
         )
-    return torus_embed(snapped, min_gap=min_gap)[1]
+    return _torus_verdict(np.diagonal(d.array, 0, 1, 2), min_gap)
 
 
 def _central_pairs(points: np.ndarray, n: int) -> list[tuple[int, int]]:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from tamelab import cli, cn_tame, core, generic_projection, pi_tame, sl2_special, sln_tame
 from tamelab.core import DiscreteSequence, cn, sln
-from tamelab.errors import DuplicatePoints, MalformedDocument, TamelabError
+from tamelab.errors import BadParams, DuplicatePoints, MalformedDocument, TamelabError
 from tamelab.generic_projection import MC_CSV_COLUMNS, threshold_estimate
 
 
@@ -406,6 +406,31 @@ class TestConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("min_gap=-1.0\n")
         assert run("mc", "threshold", "--seed", "0", "--config", str(cfg)) == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["check", "pi-tame", "{sg}", "--max-fiber", "-1"], "--max-fiber"),
+            (["transform", "sl2-pipeline", "{sg}", "--seed", "3", "--max-fiber", "0"],
+             "--max-fiber"),
+            (["mc", "omega", "--seq", "{sg}", "--samples", "4", "--seed", "0",
+              "--max-fiber", "-1"], "--max-fiber"),
+            (["transform", "center-separate", "{sg}", "--seed", "1", "--tries", "-1"],
+             "--tries"),
+            (["transform", "center-separate", "{sg}", "--seed", "1", "--tries", "0"],
+             "--tries"),
+        ],
+    )
+    def test_a_count_below_one_is_bad_params(self, tmp_path, capsys, argv, flag):
+        sg = gen(tmp_path, "sl2-gauss", "--field", "qi", "--height", "1")
+        argv = [arg.format(sg=sg) for arg in argv]
+        with pytest.raises(BadParams, match=f"{flag} must be at least 1"):
+            cli._resolve_config(cli.build_parser().parse_args(argv))
+        out = tmp_path / "out.json"
+        assert run(*argv, "--out", str(out)) == 1
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+        cli._resolve_config(cli.build_parser().parse_args([*argv[:-1], "1"]))
 
 
 class TestGen:

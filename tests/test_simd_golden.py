@@ -23,12 +23,14 @@ from test_golden_cli import _COMMANDS, GOLDEN
 DISABLED = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
 
 # the overshear commands and the moves that read an overshear's output,
-# the other moves whose output `core.check_moved` checks, and the series
-# checks, whose partial sums take a float power; `sg`, `cnp` and `powers`
-# write their inputs
-NAMES = ("sg", "cnp", "overshear-det", "overshear-law", "overshear-grid", "series",
-         "powers", "powers-series", "rand-overshears", "rand-overshears-report",
-         "rand-union", "flat-shears", "center", "chain-union", "chain-center")
+# the other moves whose output `core.check_moved` checks, the series
+# checks, whose partial sums take a float power, and the torus embeddings,
+# whose product error takes a complex array product; `dt`, `sg`, `cnp`,
+# `powers` and `dt1k` write their inputs
+NAMES = ("dt", "sg", "cnp", "overshear-det", "overshear-law", "overshear-grid", "series",
+         "torus", "powers", "powers-series", "rand-overshears", "rand-overshears-report",
+         "rand-union", "flat-shears", "center", "chain-union", "chain-center", "dt1k",
+         "dt1k-torus")
 
 _SCRIPT = """
 import hashlib, json, sys, warnings

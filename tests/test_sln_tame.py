@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamelab import core, sln_tame
+from tamelab import cli, core, sln_tame
 from tamelab.cn_tame import Polynomial
 from tamelab.core import (
     CERTIFIED,
@@ -16,6 +18,7 @@ from tamelab.core import (
     DiscreteSequence,
     GeneratorInfo,
     IdentityAut,
+    Verdict,
     cn,
     max_norm_distance,
     sln,
@@ -24,6 +27,8 @@ from tamelab.errors import (
     AlignmentInfeasible,
     AmbientMismatch,
     ConditionViolated,
+    DeterminantError,
+    DimensionMismatch,
     FiberCollision,
     InconclusivePrefix,
     LambdaVanishes,
@@ -310,20 +315,164 @@ class TestTorusEmbed:
 
 class TestOneParam:
     def test_diagonal_family(self):
-        group = sln_tame.DiagonalGroup(2)
         d = _mseq([np.diag([2.0**k, 2.0**-k]) for k in range(1, 11)])
-        assert sln_tame.one_param_check(d, group).state == CONSISTENT
+        assert sln_tame.one_param_check(d).state == CONSISTENT
 
     def test_off_subgroup_point(self):
-        group = sln_tame.DiagonalGroup(2)
         d = _mseq([np.array([[1.0, 1.0], [0.0, 1.0]])])
         with pytest.raises(NotOnSubgroup):
-            sln_tame.one_param_check(d, group)
+            sln_tame.one_param_check(d)
 
     def test_vector_ambient_rejected(self):
         d = DiscreteSequence(cn(2), (np.array([1.0, 0.0]),))
         with pytest.raises(AmbientMismatch):
-            sln_tame.one_param_check(d, sln_tame.DiagonalGroup(2))
+            sln_tame.one_param_check(d)
+
+
+def _torus_per_point(mats, min_gap: float = core.MIN_GAP):
+    """`torus_embed` validating and testing one matrix at a time: the
+    reference the stack path must reproduce."""
+    points = [core.sl_matrix(p) for p in mats]
+    if not points:
+        raise ValueError("need at least one diagonal matrix")
+    n = points[0].shape[0]
+    images = []
+    for i, p in enumerate(points):
+        if p.shape[0] != n:
+            raise AmbientMismatch("all matrices must share one size")
+        image = np.diag(p)
+        worst = float(np.max(np.abs(p - np.diag(image))))
+        if worst > 1e-10:
+            raise NotDiagonal(f"matrix {i} has an off-diagonal entry of modulus {worst:.3g}")
+        images.append(image)
+    hit = core.first_close_pair(np.stack(images), min_gap)
+    if hit is not None:
+        return tuple(images), Verdict.violated(
+            hit, f"images {hit[0]} and {hit[1]} sit within {min_gap:g}"
+        )
+    return tuple(images), Verdict.consistent("torus images are separated at prefix scale")
+
+
+def _one_param_per_point(d: DiscreteSequence, min_gap: float = core.MIN_GAP) -> Verdict:
+    """`one_param_check` snapping each point to its diagonal and sending
+    the snapped matrices through `_torus_per_point`."""
+    diag = range(d.ambient.n)
+    snapped = np.zeros_like(d.array)
+    snapped[:, diag, diag] = d.array[:, diag, diag]
+    off = np.max(np.abs(d.array - snapped), axis=(1, 2))
+    bad = np.flatnonzero(off > sln_tame.SUBGROUP_TOL)
+    if bad.size:
+        raise NotOnSubgroup(f"point {bad[0]} has off-diagonal modulus {off[bad[0]]:.3g}")
+    return _torus_per_point(snapped, min_gap=min_gap)[1]
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _random_diagonals(rng: np.random.Generator, m: int, n: int, close: int = 0) -> np.ndarray:
+    """m unimodular diagonal n x n matrices with complex entries, a third of
+    them real with a +0.0 or -0.0 imaginary part, and +0.0 or -0.0 parts off
+    the diagonal. The last `close` diagonals sit within 1e-8 of earlier ones."""
+    lead = np.empty((m, n - 1), dtype=np.complex128)
+    re, im = np.moveaxis(lead.view(np.float64).reshape(m, n - 1, 2), -1, 0)
+    re[...] = np.exp(rng.uniform(-3.0, 3.0, re.shape))
+    im[...] = re * rng.uniform(-1.0, 1.0, re.shape)
+    real = rng.random(re.shape) < 1 / 3
+    im[real] = np.where(rng.random(int(real.sum())) < 0.5, -0.0, 0.0)
+    if close:
+        lead[m - close:] = lead[:close] * (1.0 + 1e-9)
+    diag = np.column_stack((lead, 1.0 / np.prod(lead, axis=1)))
+    stack = np.zeros((m, n, n), dtype=np.complex128)
+    parts = stack.view(np.float64)
+    parts[...] = np.where(rng.random(parts.shape) < 0.5, -0.0, 0.0)
+    stack[:, range(n), range(n)] = diag
+    return stack
+
+
+class TestTorusStack:
+    """The stack path of `torus_embed` and `one_param_check` against the
+    per-point reference: the same image bits, verdicts and first errors."""
+
+    @pytest.mark.parametrize("close", [0, 40])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_images_and_verdict_match_the_per_point_loop(self, n, close):
+        stack = _random_diagonals(np.random.default_rng(280 + n), 400, n, close)
+        want, verdict = _torus_per_point(list(stack))
+        assert verdict.is_violated == bool(close)
+        assert np.count_nonzero(np.signbit(stack.view(np.float64)) & (stack.view(np.float64) == 0))
+        for mats in (list(stack), _mseq(stack).array):
+            images, got = sln_tame.torus_embed(mats)
+            assert images.shape == (400, n)
+            assert np.array_equal(images.view(np.uint64), np.stack(want).view(np.uint64))
+            assert got == verdict
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_product_error_rounds_as_each_row(self, n, tmp_path):
+        stack = _random_diagonals(np.random.default_rng(290 + n), 2000, n)
+        images, _ = sln_tame.torus_embed(stack)
+        rows = [abs(complex(np.prod(v)) - 1.0) for v in images]
+        dev = np.prod(images, axis=1) - 1.0
+        assert np.array_equal(np.hypot(dev.real, dev.imag), rows)
+        path, out = str(tmp_path / "diag.json"), str(tmp_path / "torus.json")
+        core.save_sequence(_mseq(stack), path)
+        assert cli.main(["transform", "torus-embed", path, "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            assert json.load(fh)["product_error"] == max(rows) > 0.0
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ({2: "det", 5: "off"}, DeterminantError, "determinant 2"),
+            ({2: "off", 5: "det"}, DeterminantError, "determinant 2"),
+            ({2: "near", 5: "off"}, NotDiagonal, "matrix 2 has"),
+            ({4: "off", 6: "near"}, NotDiagonal, "matrix 4 has"),
+            ({1: "det", 3: "nan"}, DeterminantError, "determinant 2"),
+            ({1: "nan", 3: "det"}, ValueError, "non-finite"),
+        ],
+    )
+    def test_the_first_bad_matrix_raises_the_per_point_error(self, bad, error, message):
+        kinds = {
+            "det": np.diag([2.0, 1.0]),
+            "off": np.array([[1.0, 1e-6], [0.0, 1.0]]),
+            "near": np.array([[1.0, 0.0], [-3e-10j, 1.0]]),
+            "nan": np.diag([np.nan, 1.0]),
+        }
+        mats = list(_random_diagonals(np.random.default_rng(7), 8, 2))
+        for i, kind in bad.items():
+            mats[i] = kinds[kind].astype(np.complex128)
+        want = _outcome(_torus_per_point, mats)
+        assert want[0] is error and message in want[1]
+        assert _outcome(sln_tame.torus_embed, mats) == want
+
+    def test_a_matrix_of_another_size_is_a_dimension_error(self):
+        mats = [np.eye(2), np.diag([2.0, 0.5]), np.eye(3)]
+        assert _outcome(_torus_per_point, mats)[0] is AmbientMismatch
+        with pytest.raises(DimensionMismatch, match="expected 2x2, got 3x3"):
+            sln_tame.torus_embed(mats)
+
+    @pytest.mark.parametrize("exponents", [(9.0, 12.0), (7.5, 12.0)])
+    @pytest.mark.parametrize("close", [0, 5])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_param_matches_the_per_point_check(self, n, close, exponents):
+        rng = np.random.default_rng(300 + 10 * n + close)
+        for _ in range(6):
+            stack = _random_diagonals(rng, 50, n, close)
+            # off-diagonal mass of modulus 10^-u above the diagonal, and for
+            # SL(2) below it too, with the last diagonal entry kept unimodular
+            near = rng.random(50) < 0.5
+            mass = 10.0 ** -rng.uniform(*exponents, (50, 2)) * np.exp(2j * np.pi * rng.random((50, 2)))
+            stack[near, 0, n - 1] = mass[near, 0]
+            if n == 2:
+                stack[near, 1, 0] = mass[near, 1]
+                stack[near, 1, 1] = (1.0 + mass[near, 0] * mass[near, 1]) / stack[near, 0, 0]
+            d = _mseq(stack)
+            want = _outcome(_one_param_per_point, d)
+            assert _outcome(sln_tame.one_param_check, d) == want
 
 
 class TestCenterSeparate:

@@ -240,6 +240,24 @@ def test_only_the_determinant_rule_scales_the_tolerance():
     assert _callers(trees, "det_tolerance") == {"core.det_drift"}
 
 
+def test_the_torus_validates_its_stack_once():
+    # `torus_embed` validates its input as one stack, and `one_param_check`
+    # reads the loaded array: no matrix is validated one at a time
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert not {owner for owner in _callers(trees, "sl_matrix") if owner.startswith("sln_tame")}
+
+
+def test_no_subgroup_declaration():
+    # the diagonal subgroup is the only one, so nothing declares it
+    defined = {
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert "DiagonalGroup" not in defined
+
+
 def test_no_second_copy_of_the_output_check():
     # a moved prefix is applied and checked once, by `cli._moved`
     defined = {
