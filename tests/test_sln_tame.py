@@ -377,7 +377,8 @@ def _outcome(fn, *args):
 def _random_diagonals(rng: np.random.Generator, m: int, n: int, close: int = 0) -> np.ndarray:
     """m unimodular diagonal n x n matrices with complex entries, a third of
     them real with a +0.0 or -0.0 imaginary part, and +0.0 or -0.0 parts off
-    the diagonal. The last `close` diagonals sit within 1e-8 of earlier ones."""
+    the diagonal. The last `close` diagonals sit within 1e-7 of the first
+    `close`, inside the default gap."""
     lead = np.empty((m, n - 1), dtype=np.complex128)
     re, im = np.moveaxis(lead.view(np.float64).reshape(m, n - 1, 2), -1, 0)
     re[...] = np.exp(rng.uniform(-3.0, 3.0, re.shape))
@@ -465,7 +466,8 @@ class TestTorusStack:
             # off-diagonal mass of modulus 10^-u above the diagonal, and for
             # SL(2) below it too, with the last diagonal entry kept unimodular
             near = rng.random(50) < 0.5
-            mass = 10.0 ** -rng.uniform(*exponents, (50, 2)) * np.exp(2j * np.pi * rng.random((50, 2)))
+            mass = 10.0 ** -rng.uniform(*exponents, (50, 2))
+            mass = mass * np.exp(2j * np.pi * rng.random((50, 2)))
             stack[near, 0, n - 1] = mass[near, 0]
             if n == 2:
                 stack[near, 1, 0] = mass[near, 1]
