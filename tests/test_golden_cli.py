@@ -55,6 +55,38 @@ def _sl3_fiber_factor(k: int) -> np.ndarray:
     return q
 
 
+def _sl2_equivalence_pair(count: int) -> tuple[list, list]:
+    """Diagonal c_k and d_k = c_k q_k with q_k = [[1, t], [0, 1]], written
+    entry by entry in Python complex arithmetic (no matmul, no LAPACK), so
+    the inputs do not depend on the BLAS kernel. Some zeros are -0.0."""
+    cs, ds = [], []
+    for k in range(1, count + 1):
+        a = complex(1.0 + k / 64.0, (k % 7) / 16.0)
+        t = complex(k % 11 - 5.0, (k % 5) / 4.0)
+        zero = complex(-0.0, -0.0) if k % 3 == 0 else 0j
+        cs.append([[a, zero], [zero, 1.0 / a]])
+        ds.append([[a, a * t], [zero, 1.0 / a]])
+    return cs, ds
+
+
+def _sl3_equivalence_pair(count: int) -> tuple[list, list]:
+    """Diagonal c_k and d_k = c_k q_k with q_k = [[1, r], [0, L]] and
+    L = [[mu, s], [0, 1/mu]], mu != +-1, written entry by entry as in
+    `_sl2_equivalence_pair`."""
+    cs, ds = [], []
+    for k in range(1, count + 1):
+        a = complex(1.0 + k / 32.0, (k % 5) / 8.0)
+        b = complex(0.5 + (k % 9) / 8.0, -(k % 4) / 8.0)
+        c = 1.0 / (a * b)
+        r = (complex(k % 7 - 3.0, 0.5), complex(0.25, (k % 3) - 1.0))
+        mu = complex(1.5 + k / 100.0, (k % 6) / 8.0)
+        s = complex((k % 4) / 2.0, -0.75)
+        zero = complex(-0.0, 0.0) if k % 2 else 0j
+        cs.append([[a, zero, zero], [zero, b, zero], [zero, zero, c]])
+        ds.append([[a, a * r[0], a * r[1]], [zero, b * mu, b * s], [zero, zero, c / mu]])
+    return cs, ds
+
+
 def _write_inputs() -> None:
     cs = [np.diag([float(k), 1.0 / k]).astype(complex) for k in range(1, 16)]
     ds = [c @ np.array([[1.0, float(k)], [0.0, 1.0]]) for k, c in enumerate(cs, 1)]
@@ -69,6 +101,12 @@ def _write_inputs() -> None:
     for path, pts in (("ceq3.json", cs), ("deq3.json", ds)):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(cli.canonical_json(DiscreteSequence(sln(3), tuple(pts)).to_json()))
+    for path, pts in zip(("ceq300.json", "deq300.json"), _sl2_equivalence_pair(300)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(_pair_doc(pts)))
+    for path, pts in zip(("ceq3-100.json", "deq3-100.json"), _sl3_equivalence_pair(100)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(_pair_doc(pts, n=3)))
     rng = np.random.default_rng(20170)
     for path, count in (("rand40.json", 40), ("rand12.json", 12)):
         doc = _pair_doc([_random_sl2(rng) for _ in range(count)])
@@ -154,6 +192,11 @@ _COMMANDS = (
                      "--seed", "0"]),
     ("sl3-equivalence", ["transform", "equivalence", "ceq3.json", "--seq2", "deq3.json",
                          "--seed", "0"]),
+    # longer pairs through the same move
+    ("equivalence-300", ["transform", "equivalence", "ceq300.json", "--seq2",
+                         "deq300.json", "--seed", "0"]),
+    ("sl3-equivalence-100", ["transform", "equivalence", "ceq3-100.json", "--seq2",
+                             "deq3-100.json", "--seed", "0"]),
     ("classify", ["check", "dp-classify", "dpb.out"]),
     ("punctured", ["check", "punctured", "pa.out"]),
     ("omega", ["mc", "omega", "--seq", "dt.out", "--samples", "300", "--seed", "5"]),
@@ -215,7 +258,10 @@ _COMMANDS = (
 )
 
 # inputs written by `_write_inputs` whose bytes are digested too
-_INPUTS = ("ceq.json", "deq.json", "ceq3.json", "deq3.json")
+_INPUTS = (
+    "ceq.json", "deq.json", "ceq3.json", "deq3.json",
+    "ceq300.json", "deq300.json", "ceq3-100.json", "deq3-100.json",
+)
 
 # name -> (exit code, sha256 of the --out file)
 GOLDEN = {
@@ -239,6 +285,8 @@ GOLDEN = {
     'align': (0, '5ea47b79d3636d7c130ef8fd3e47d3b6c4eee00102c0483c02e510f15ebc35b2'),
     'equivalence': (0, '99579143c716bac5d8109fd120fe178907105ee964e408e38cae0b709b8f686c'),
     'sl3-equivalence': (0, '429bf21c43387891af4113786744949e760cd30b97710180a524635690f003f4'),
+    'equivalence-300': (0, '7be8c5a17d01502934d73af35c1bae4972387c583e2336e5631b4c1daaf82a8c'),
+    'sl3-equivalence-100': (0, '9333aa1a77e6c431a4bbbac6e97535a9ac58ae2e340a59f5b22ec33478648aef'),
     'classify': (0, 'bed7db0f21aebcb4a7eb8b4e0f295fdc15901a396ccb256b24064be291931783'),
     'punctured': (2, 'e7bfa1bfa042f0d0fb6194ada82501f179f3597ce765ce01d8137c5ee8da70c9'),
     'omega': (0, '1cfbb49606a1f63e312f43fc4fc5f98f908502f1ef2996d7a112aeaaaac29a29'),
@@ -279,6 +327,10 @@ GOLDEN = {
     'deq.json': (0, '96ceaf208e66f7abdd0c8a1060679da4013e9da53822007bf4e8cda297a5e5dd'),
     'ceq3.json': (0, '818dfecb38d74576b75738b8025150c4e0365dba2b42ee06e37076a43ecc33d1'),
     'deq3.json': (0, '49bfe2db4638ab1b12aa96662f6f198d0920cec182c43f5b5865533e04277716'),
+    'ceq300.json': (0, 'b16a909f3ad0b10eff10af63308a597150c69db1b36c77ad0d27103caaa1163e'),
+    'deq300.json': (0, 'd4578a319164aee76cb2194aed88304e9f00aa56de4a48e650d893d6e4ffb48e'),
+    'ceq3-100.json': (0, '0e151c7697c8b61fa9bf018dfc75ebfcaf819c97a19d314acb32b5f9ba00e6e1'),
+    'deq3-100.json': (0, 'd7be050ee026cb9c8472ce15b5a187c8f4b1fd2ceae37d3c22cc3327062d2716'),
 }
 
 
