@@ -26,7 +26,9 @@ from .core import (
     HeightAssignment,
     Verdict,
     _check_rows,
+    _divide,
     _pair,
+    _Parts,
     _row_norms,
     falls_short,
     first_close_pair,
@@ -82,26 +84,20 @@ class QElement:
         a = sl_matrix(self.entries)
         if a.shape[0] != self.n:
             raise AmbientMismatch(f"expected {self.n}x{self.n} entries")
-        e1 = np.zeros(self.n, dtype=np.complex128)
-        e1[0] = 1.0
-        if float(np.max(np.abs(a[:, 0] - e1))) > Q_COLUMN_TOL:
+        if np.max(np.abs(a[:, 0] - np.eye(self.n)[0])) > Q_COLUMN_TOL:
             raise NotSameFiber("first column must be e1")
         object.__setattr__(self, "entries", a)
 
     @classmethod
     def from_blocks(cls, r: np.ndarray, lower: np.ndarray) -> "QElement":
-        """[[1, r], [0, lower]].  Its first column is e1 by construction,
-        so only its finiteness and determinant are checked."""
-        r = np.atleast_1d(np.asarray(r, dtype=np.complex128))
-        lower = np.asarray(lower, dtype=np.complex128)
-        n = r.shape[0] + 1
-        m = np.eye(n, dtype=np.complex128)
-        m[0, 1:] = r
-        m[1:, 1:] = lower
-        _check_rows("sln", m[None], DET_TOL)
+        """[[1, r], [0, lower]], checked as `_q_stack` checks one."""
+        return cls._of(_q_stack(np.atleast_1d(r)[None], np.asarray(lower)[None])[0])
+
+    @classmethod
+    def _of(cls, entries: np.ndarray) -> "QElement":
+        """The element of entries that `_q_stack` checked."""
         q = object.__new__(cls)
-        object.__setattr__(q, "n", n)
-        object.__setattr__(q, "entries", m)
+        vars(q).update(n=len(entries), entries=entries)
         return q
 
     @property
@@ -125,40 +121,74 @@ def pi_tame_check(
     return properness_check(d.array[:, :, 0], min_gap=min_gap, max_fiber=max_fiber)
 
 
+def _q_stack(r: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The fiber-group elements [[1, r_k], [0, lower_k]] of top rows (m, n-1)
+    and lower blocks (m, n-1, n-1), checked by `_check_rows`: their first
+    columns are e1 by construction. For n = 2 a finite element with lower
+    entry exactly 1 has LU determinant exactly 1 (pivot 1, multiplier 0,
+    last pivot 1 - 0 * r), so a stack of such elements skips the check."""
+    m, k = r.shape
+    q = np.zeros((m, k + 1, k + 1), dtype=np.complex128)
+    q[:, 0, 0] = 1.0
+    q[:, 0, 1:] = r
+    q[:, 1:, 1:] = lower
+    if k > 1 or not ((lower == 1).all() and np.isfinite(r).all()):
+        _check_rows("sln", q, DET_TOL)
+    return q
+
+
+def fiber_factors(cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """The fiber-group elements g_k = d_k^{-1} c_k carrying d_k to c_k, with
+    Q's structural zeros restored, over two unimodular (m, n, n) stacks. The
+    first failing pair raises: first columns apart by more than
+    `FIBER_MATCH_TOL` (`NotSameFiber`), or a factor `_q_stack` rejects."""
+    drift = np.max(np.abs(cs[:, :, 0] - ds[:, :, 0]), axis=1)
+    far = np.flatnonzero(drift > FIBER_MATCH_TOL)
+    stop = far[0] if far.size else len(cs)
+    g = np.linalg.solve(ds[:stop], cs[:stop])
+    factors = _q_stack(g[:, 0, 1:], g[:, 1:, 1:])
+    if far.size:
+        raise NotSameFiber(f"first columns differ by {drift[stop]:.3g} at point {stop}")
+    return factors
+
+
 def q_factor(a, b) -> QElement:
     """The fiber-group element carrying b to a when both sit over the same
-    projected point: g = b^{-1} a, with the structural zeros of Q restored."""
+    projected point: the one-pair case of `fiber_factors`."""
     am = sl_matrix(a)
     bm = sl_matrix(b)
     if am.shape != bm.shape:
         raise AmbientMismatch("q_factor needs matrices of equal size")
-    drift = float(np.max(np.abs(am[:, 0] - bm[:, 0])))
-    if drift > FIBER_MATCH_TOL:
-        raise NotSameFiber(f"first columns differ by {drift:.3g}")
-    g = np.linalg.solve(bm, am)
-    return QElement.from_blocks(g[0, 1:], g[1:, 1:])
+    return QElement._of(fiber_factors(am[None], bm[None])[0])
 
 
 def _principal_log(lower: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm of a diagonalizable unimodular block;
-    rejects defective inputs and branch mismatches (nonzero trace)."""
-    if lower.shape == (1, 1):
-        val = complex(np.log(lower[0, 0]))
-        out = np.array([[val]])
+    """Traceless principal logarithms of a stack (m, k, k) of
+    diagonalizable unimodular blocks. The first block in index order that
+    is defective, or whose logarithm has nonzero trace (a nonprincipal
+    branch), raises `DegenerateConfiguration` naming its node."""
+    m, k = lower.shape[:2]
+    if k == 1:
+        out, stop = np.log(lower), m
     else:
         w, v = np.linalg.eig(lower)
-        if np.any(w == 0) or np.linalg.cond(v) > 1e10:
-            raise DegenerateConfiguration(
-                "lower block is defective; no principal logarithm"
-            )
-        out = v @ np.diag(np.log(w)) @ np.linalg.inv(v)
-    trace = complex(np.trace(out))
-    if abs(trace) > 1e-8:
-        raise DegenerateConfiguration(
-            f"principal logarithm has trace {trace:.3g}; the block sits on "
-            "a nonprincipal branch"
-        )
-    return out - np.eye(lower.shape[0]) * (trace / lower.shape[0])
+        bad = np.flatnonzero(np.any(w == 0, axis=1) | (np.linalg.cond(v) > 1e10))
+        stop = bad[0] if bad.size else m
+        diag = np.zeros((stop, k, k), dtype=np.complex128)
+        diag[:, range(k), range(k)] = np.log(w[:stop])
+        out = v[:stop] @ diag @ np.linalg.inv(v[:stop])
+    trace = np.trace(out, axis1=1, axis2=2)
+    off = np.flatnonzero(np.hypot(trace.real, trace.imag) > 1e-8)
+    if off.size:
+        raise DegenerateConfiguration(f"the principal logarithm at node {off[0]} has trace "
+                                      f"{complex(trace[off[0]]):.3g}; the block sits on a "
+                                      "nonprincipal branch")
+    if stop < m:
+        raise DegenerateConfiguration(f"the lower block at node {stop} is defective")
+    # trace / k as CPython divides a complex by an int; numpy's complex
+    # division multiplies by 1 / k, which rounds differently for k = 3
+    shift = _divide(_Parts.of(trace), _Parts(float(k), 0.0), reciprocal=False).array()
+    return out - np.eye(k) * shift[:, None, None]
 
 
 def _matrix_exp(m: np.ndarray) -> np.ndarray:
@@ -229,18 +259,22 @@ def _zero_fit(count: int):
 
 
 def fit_q_map(images, elements, seed: int = 0) -> QPolyMap:
-    """Interpolates fiber-group elements over their projected positions.
-
-    A seeded random functional separates the images; up to 64 draws are
-    tried before giving up on the configuration.
-    """
+    """Interpolates fiber-group elements over their projected positions,
+    as `fit_factors` fits their stack."""
     ys = [np.asarray(y, dtype=np.complex128) for y in images]
     if not ys:
         raise ValueError("need at least one node")
-    u, ss = _separate(np.stack(ys), seed)
-    rs = np.stack([np.atleast_1d(el.r_block) for el in elements])
-    logs = np.stack([_principal_log(el.l_block).reshape(-1) for el in elements])
-    return _interpolate_blocks(u, ss, rs, logs)
+    return fit_factors(np.stack(ys), np.stack([el.entries for el in elements]), seed)
+
+
+def fit_factors(images: np.ndarray, factors: np.ndarray, seed: int = 0) -> QPolyMap:
+    """Interpolates a stack of fiber-group elements (m, n, n) over their
+    projected positions (m, n): their top rows and the principal
+    logarithms of their lower blocks, at the separators of a seeded random
+    functional (`_separate`, up to 64 draws)."""
+    u, ss = _separate(images, seed)
+    logs = _principal_log(factors[:, 1:, 1:]).reshape(len(factors), -1)
+    return _interpolate_blocks(u, ss, factors[:, 0, 1:], logs)
 
 
 def _separate(
@@ -285,23 +319,8 @@ class BundlePushAut(Automorphism):
 
     def apply_batch(self, ps: np.ndarray) -> np.ndarray:
         """The push over an (m, n, n) stack. The first fiber factor, in
-        row order, that `QElement.from_blocks` would reject raises.
-
-        For n = 2 a finite factor is [[1, r], [0, 1 + 0j]] (the imaginary
-        zero may be -0.0), and its LU determinant is exactly 1: the pivot
-        is 1, the multiplier 0 and the last pivot 1 - 0 * r. So a stack of
-        finite n = 2 factors skips the determinant check it would pass,
-        and any other stack takes the full check, which names the same
-        first bad factor with the same error.
-        """
-        r, lower = self.fmap.blocks(ps[:, :, 0])
-        q = np.zeros(ps.shape, dtype=np.complex128)
-        q[:, 0, 0] = 1.0
-        q[:, 0, 1:] = r
-        q[:, 1:, 1:] = lower
-        if self.fmap.n > 2 or not np.isfinite(q).all():
-            _check_rows("sln", q, DET_TOL)
-        return ps @ q
+        row order, that `_q_stack` rejects raises."""
+        return ps @ _q_stack(*self.fmap.blocks(ps[:, :, 0]))
 
     def to_json(self) -> dict:
         return self.fmap.to_json()

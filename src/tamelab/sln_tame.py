@@ -32,6 +32,7 @@ from .core import (
 from .errors import (
     AlignmentInfeasible,
     AmbientMismatch,
+    BadParams,
     ConditionViolated,
     InconclusivePrefix,
     InterpolationIllConditioned,
@@ -40,7 +41,7 @@ from .errors import (
     NotOnSubgroup,
     ProductNotOne,
 )
-from .pi_tame import BundlePushAut, QPolyMap, fit_q_map, q_factor
+from .pi_tame import BundlePushAut, QPolyMap, fiber_factors, fit_factors
 from .rng import stream
 
 ZERO_ENTRY_TOL = 1e-12
@@ -88,14 +89,12 @@ class RescaleTable:
         every step.  Condition 2: no ratio against the first multiplier
         grows from one step to the next."""
         mags = np.abs(self.values)
-        for k in range(self.steps):
-            for j in range(1, self.n):
-                if mags[k, 0] < mags[k, j]:
-                    return (1, k, j)
-        for k in range(self.steps - 1):
-            for j in range(1, self.n):
-                if mags[k + 1, 0] * mags[k, j] < mags[k, 0] * mags[k + 1, j]:
-                    return (2, k, j)
+        fails = (mags[:, :1] < mags[:, 1:],
+                 mags[1:, :1] * mags[:-1, 1:] < mags[:-1, :1] * mags[1:, 1:])
+        for cond, fail in enumerate(fails, 1):
+            if fail.any():
+                k, j = np.argwhere(fail)[0]
+                return (cond, int(k), int(j) + 1)
         return None
 
 
@@ -109,12 +108,6 @@ class WellPlacedReport:
     beta: dict
     monotone_ok: bool
     growth_declared: bool
-
-    def __post_init__(self):
-        lengths = {len(v) for v in self.alpha.values()}
-        lengths |= {len(v) for v in self.beta.values()}
-        if len(lengths) > 1:
-            raise ValueError("ratio tables must share the prefix length")
 
 
 def well_placed_check(d: DiscreteSequence) -> tuple[Verdict, WellPlacedReport]:
@@ -261,7 +254,7 @@ def align_first_columns(
     if a_seq.ambient != b_seq.ambient or a_seq.ambient.kind != "sln":
         raise AmbientMismatch("alignment needs two prefixes in one matrix ambient")
     if len(a_seq) != len(b_seq):
-        raise ValueError("alignment needs equal prefix lengths")
+        raise BadParams(f"alignment needs equal prefix lengths, got {len(a_seq)} and {len(b_seq)}")
     for label, seq in (("first", a_seq), ("second", b_seq)):
         verdict, _ = well_placed_check(seq)
         if verdict.is_violated:
@@ -274,32 +267,23 @@ def align_first_columns(
     mu = np.ones((m, n), dtype=np.complex128)
     lam_t = np.ones((m, n), dtype=np.complex128)
     mu_t = np.ones((m, n), dtype=np.complex128)
-
+    # the caps at step k: each table's ratios to its first multiplier at k - 1
+    cap_l = cap_m = cap_lt = cap_mt = np.full(n - 1, np.inf)
     for k in range(m):
         col_a = a_seq.array[k, :, 0]
         col_b = b_seq.array[k, :, 0]
         rho = complex((np.prod(col_b) / np.prod(col_a)) ** (1.0 / n))
         growth = np.abs(rho) * np.abs(col_a[1:]) / np.abs(col_b[1:])
         base = np.minimum(1.0, 1.0 / growth)
-        if k == 0:
-            cap_l = np.full(n - 1, np.inf)
-            cap_m = np.full(n - 1, np.inf)
-        else:
-            cap_l = np.abs(lam[k - 1, 1:]) / np.abs(lam[k - 1, 0])
-            cap_m = np.abs(mu[k - 1, 1:]) / np.abs(mu[k - 1, 0])
         prod_base = float(np.prod(base))
         prod_growth = float(np.prod(growth * base))
         # one common shrink keeps every ratio below its previous value
-        t_bounds = [1.0]
-        t_bounds.extend(
-            (min(1.0, c) / (b * prod_base)) ** (1.0 / n)
-            for c, b in zip(cap_l, base)
+        t = min(
+            1.0,
+            *((min(1.0, c) / (b * prod_base)) ** (1.0 / n) for c, b in zip(cap_l, base)),
+            *((min(1.0, c) / (g * b * prod_growth)) ** (1.0 / n)
+              for c, g, b in zip(cap_m, growth, base)),
         )
-        t_bounds.extend(
-            (min(1.0, c) / (g * b * prod_growth)) ** (1.0 / n)
-            for c, g, b in zip(cap_m, growth, base)
-        )
-        t = min(t_bounds)
         if t <= 0.0:
             raise AlignmentInfeasible(f"scale underflow at step {k}")
         lam[k, 1:] = base * t
@@ -307,21 +291,13 @@ def align_first_columns(
         lam[k, 0] = 1.0 / np.prod(lam[k, 1:])
         mu[k, 0] = 1.0 / np.prod(mu[k, 1:])
 
-        if k == 0:
-            cap_lt = np.full(n - 1, np.inf)
-            cap_mt = np.full(n - 1, np.inf)
-        else:
-            cap_lt = np.abs(lam_t[k - 1, 1:]) / np.abs(lam_t[k - 1, 0])
-            cap_mt = np.abs(mu_t[k - 1, 1:]) / np.abs(mu_t[k - 1, 0])
         r_mag = abs(rho)
-        s_bounds = [1.0, min(1.0, float(np.min(cap_lt))) ** (1.0 / n)]
-        if n > 1:
-            s_bounds.append(r_mag ** (-1.0 / (n - 1)))
-            s_bounds.append(
-                min(1.0, float(np.min(cap_mt))) ** (1.0 / n)
-                * r_mag ** (-1.0 / (n - 1))
-            )
-        s = min(s_bounds)
+        s = min(
+            1.0,
+            min(1.0, float(np.min(cap_lt))) ** (1.0 / n),
+            r_mag ** (-1.0 / (n - 1)),
+            min(1.0, float(np.min(cap_mt))) ** (1.0 / n) * r_mag ** (-1.0 / (n - 1)),
+        )
         if s <= 0.0:
             raise AlignmentInfeasible(f"column scale underflow at step {k}")
         lam_t[k, 1:] = s
@@ -330,6 +306,9 @@ def align_first_columns(
         phase = complex((rho / r_mag) ** (1.0 / (n - 1)))
         mu_t[k, 1:] = w * phase
         mu_t[k, 0] = 1.0 / np.prod(mu_t[k, 1:])
+        cap_l, cap_m, cap_lt, cap_mt = (
+            np.abs(tab[k, 1:]) / np.abs(tab[k, 0]) for tab in (lam, mu, lam_t, mu_t)
+        )
 
     c_points = lam[:, :, None] * a_seq.array * lam_t[:, None, :]
     d_points = mu[:, :, None] * b_seq.array * mu_t[:, None, :]
@@ -389,11 +368,12 @@ def equivalence_move(
     if c_seq.ambient != d_seq.ambient or c_seq.ambient.kind != "sln":
         raise AmbientMismatch("equivalence needs two prefixes in one matrix ambient")
     if len(c_seq) != len(d_seq):
-        raise ValueError("equivalence needs equal prefix lengths")
-    factors = [q_factor(c, d) for c, d in zip(c_seq.array, d_seq.array)]
-    images = c_seq.array[:, :, 0]
-    fmap = fit_q_map(images, factors, seed=seed)
-    phi = BundlePushAut(fmap)
+        raise BadParams("equivalence needs equal prefix lengths, "
+                        f"got {len(c_seq)} and {len(d_seq)}")
+    if not len(c_seq):
+        raise InconclusivePrefix("equivalence needs at least one point")
+    factors = fiber_factors(c_seq.array, d_seq.array)
+    phi = BundlePushAut(fit_factors(c_seq.array[:, :, 0], factors, seed))
     moved = phi.apply_batch(d_seq.array)
     errors = np.abs(moved - c_seq.array).reshape(len(c_seq), -1).max(axis=1)
     if np.any(errors > EQUIV_TOL):
@@ -443,7 +423,7 @@ def _off_diagonal(stack: np.ndarray) -> np.ndarray:
 def _torus_verdict(images: np.ndarray, min_gap: float) -> Verdict:
     """The gap verdict on the diagonals of a prefix, as points of C^n."""
     if not len(images):
-        raise ValueError("need at least one diagonal matrix")
+        raise InconclusivePrefix("need at least one diagonal matrix")
     hit = first_close_pair(images, min_gap)
     if hit is not None:
         return Verdict.violated(hit, f"images {hit[0]} and {hit[1]} sit within {min_gap:g}")

@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 
 from tamelab import cli, cn_tame, core, generic_projection, pi_tame, sl2_special, sln_tame
 from tamelab.core import DiscreteSequence, cn, sln
-from tamelab.errors import BadParams, DuplicatePoints, MalformedDocument, TamelabError
+from tamelab.errors import (
+    BadParams,
+    DegenerateConfiguration,
+    DuplicatePoints,
+    InconclusivePrefix,
+    MalformedDocument,
+    NotSameFiber,
+    TamelabError,
+)
 from tamelab.generic_projection import MC_CSV_COLUMNS, threshold_estimate
 
 
@@ -1788,3 +1796,96 @@ class TestFlagFuzz:
             elif code == 1:
                 assert isinstance(raised[-1], TamelabError), (flag, value, raised[-1])
         capsys.readouterr()
+
+
+def _typed_run(monkeypatch, capsys, *argv: str):
+    """The exit code of a command, the type of the error it ended in (None
+    if it ended in none) and what it wrote to stderr."""
+    seen = []
+    inner = cli._HANDLERS[argv[0]]
+
+    def spy(args, cfg):
+        try:
+            return inner(args, cfg)
+        except Exception as exc:
+            seen.append(type(exc))
+            raise
+
+    monkeypatch.setitem(cli._HANDLERS, argv[0], spy)
+    capsys.readouterr()
+    code = run(*argv)
+    return code, (seen or [None])[0], capsys.readouterr().err
+
+
+def _save(path, points, n: int = 2) -> str:
+    core.save_sequence(DiscreteSequence(sln(n), tuple(points)), str(path))
+    return str(path)
+
+
+def _twisted_pair(count: int) -> tuple[list, list]:
+    """Diagonal c_k and d_k = c_k [[1, k], [0, 1]], one fiber factor apart."""
+    cs = [np.diag([float(k), 1.0 / k]).astype(complex) for k in range(1, count + 1)]
+    ds = [c @ np.array([[1.0, float(k)], [0.0, 1.0]]) for k, c in enumerate(cs, 1)]
+    return cs, ds
+
+
+class TestTypedMoveFailures:
+    """An empty prefix, prefixes of unequal length, points in different
+    fibers and a factor without a principal logarithm each end in exit 1
+    with their own error type, named in the message, and no traceback."""
+
+    def _fails(self, monkeypatch, capsys, argv, error, named):
+        code, raised, err = _typed_run(monkeypatch, capsys, *argv)
+        assert code == 1 and raised is error, err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [("check", "one-param"), ("transform", "torus-embed")])
+    def test_an_empty_diagonal_prefix_is_inconclusive(self, tmp_path, monkeypatch, capsys, argv):
+        path = tmp_path / "empty.json"
+        path.write_text('{"ambient": "sln", "n": 2, "points": []}', encoding="utf-8")
+        self._fails(monkeypatch, capsys, (*argv, str(path), "--out", str(tmp_path / "o")),
+                    InconclusivePrefix, "need at least one diagonal matrix")
+
+    def test_an_equivalence_of_empty_prefixes_is_inconclusive(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"ambient": "sln", "n": 2, "points": []}', encoding="utf-8")
+        argv = ("transform", "equivalence", str(path), "--seq2", str(path), "--seed", "0",
+                "--out", str(tmp_path / "o"))
+        self._fails(monkeypatch, capsys, argv, InconclusivePrefix,
+                    "equivalence needs at least one point")
+
+    def test_an_alignment_of_unequal_lengths_names_both(self, tmp_path, monkeypatch, capsys):
+        argv = ("transform", "align", gen(tmp_path, "wellplaced2", "--k", "8"),
+                "--seq2", gen(tmp_path, "wellplaced2", "--k", "9", "--p", "1"),
+                "--out", str(tmp_path / "o"))
+        self._fails(monkeypatch, capsys, argv, BadParams,
+                    "alignment needs equal prefix lengths, got 8 and 9")
+
+    def test_an_equivalence_of_unequal_lengths_names_both(self, tmp_path, monkeypatch, capsys):
+        cs, ds = _twisted_pair(9)
+        argv = ("transform", "equivalence", _save(tmp_path / "c.json", cs[:8]),
+                "--seq2", _save(tmp_path / "d.json", ds), "--seed", "0",
+                "--out", str(tmp_path / "o"))
+        self._fails(monkeypatch, capsys, argv, BadParams,
+                    "equivalence needs equal prefix lengths, got 8 and 9")
+
+    def test_first_columns_that_differ_name_the_first_point(self, tmp_path, monkeypatch, capsys):
+        cs, ds = _twisted_pair(8)
+        for k in (5, 6):
+            ds[k] = ds[k] @ np.array([[1.0, 0.0], [1e-6, 1.0]])
+        argv = ("transform", "equivalence", _save(tmp_path / "c.json", cs),
+                "--seq2", _save(tmp_path / "d.json", ds), "--seed", "0",
+                "--out", str(tmp_path / "o"))
+        self._fails(monkeypatch, capsys, argv, NotSameFiber, "at point 5")
+
+    def test_a_defective_lower_block_names_its_node(self, tmp_path, monkeypatch, capsys):
+        # powers of two, so the factor at node 4 is exactly a Jordan block
+        cs = [np.diag([2.0**k, 1.0, 2.0**-k]) for k in range(1, 9)]
+        qs = [np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])] * 8
+        qs[4] = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        ds = [c @ q for c, q in zip(cs, qs)]
+        argv = ("transform", "equivalence", _save(tmp_path / "c.json", cs, 3),
+                "--seq2", _save(tmp_path / "d.json", ds, 3), "--seed", "0",
+                "--out", str(tmp_path / "o"))
+        self._fails(monkeypatch, capsys, argv, DegenerateConfiguration,
+                    "the lower block at node 4 is defective")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamelab import cn_tame, pi_tame
+from tamelab import cn_tame, pi_tame, sln_tame
 from tamelab.cn_tame import LagrangePoly, Polynomial
 from tamelab.core import (
     CONSISTENT,
@@ -627,3 +627,204 @@ class TestOneByOneFactor:
             assert got == _bits_or_error(_push_reference, fmap, ps), name
             if not name.startswith("zero-fit"):  # its fits are constants, finite everywhere
                 assert got == (ValueError, "matrix contains non-finite entries"), name
+
+
+def _q_factor_per_pair(a, b) -> np.ndarray:
+    """One fiber factor as `q_factor` took it before factors were taken
+    as a stack: the reference `fiber_factors` must reproduce."""
+    am, bm = sl_matrix(a), sl_matrix(b)
+    drift = float(np.max(np.abs(am[:, 0] - bm[:, 0])))
+    if drift > pi_tame.FIBER_MATCH_TOL:
+        raise NotSameFiber(f"first columns differ by {drift:.3g}")
+    g = np.linalg.solve(bm, am)
+    q = np.eye(len(g), dtype=np.complex128)
+    q[0, 1:] = g[0, 1:]
+    q[1:, 1:] = g[1:, 1:]
+    _check_rows("sln", q[None], DET_TOL)
+    return q
+
+
+def _principal_log_per_block(lower: np.ndarray) -> np.ndarray:
+    """One block's traceless principal logarithm, as it was taken before
+    logarithms were taken as a stack."""
+    if lower.shape == (1, 1):
+        out = np.array([[complex(np.log(lower[0, 0]))]])
+    else:
+        w, v = np.linalg.eig(lower)
+        if np.any(w == 0) or np.linalg.cond(v) > 1e10:
+            raise DegenerateConfiguration("lower block is defective; no principal logarithm")
+        out = v @ np.diag(np.log(w)) @ np.linalg.inv(v)
+    trace = complex(np.trace(out))
+    if abs(trace) > 1e-8:
+        raise DegenerateConfiguration(f"principal logarithm has trace {trace:.3g}")
+    return out - np.eye(lower.shape[0]) * (trace / lower.shape[0])
+
+
+def _equivalence_per_pair(cs: np.ndarray, ds: np.ndarray, seed: int = 0):
+    """The factors, logarithms, fit and moved stack of `equivalence_move`,
+    one pair and one block at a time, in its stage order: each pair's
+    first columns then its factor, the separator, the logarithms."""
+    factors = np.stack([_q_factor_per_pair(c, d) for c, d in zip(cs, ds)])
+    u, ss = pi_tame._separate(np.stack(list(cs[:, :, 0])), seed)
+    logs = np.stack([_principal_log_per_block(q[1:, 1:]).reshape(-1) for q in factors])
+    fmap = pi_tame._interpolate_blocks(u, ss, factors[:, 0, 1:], logs)
+    return factors, logs, fmap, _push_reference(fmap, ds)
+
+
+def _flip_zeros(rng, a: np.ndarray) -> np.ndarray:
+    """a with about half of its zero parts negated."""
+    a = a.copy()
+    for part in (a.real, a.imag):
+        flip = (part == 0) & (rng.random(a.shape) < 0.5)
+        part[flip] = -part[flip]
+    return a
+
+
+def _fiber_pairs(rng, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random c_k in SL(n), some parts zero, and d_k = c_k q_k for
+    q_k = [[1, r], [0, L]]: L = 1 for n = 2, else P diag(mu, 1/mu) P^-1.
+    About half of the zero parts of each are -0.0."""
+    if n == 2:
+        cs = _sl2_with_zero_parts(rng, m)
+    else:
+        cs = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        cs[::3, 1, 2] = cs[::3, 1, 2].real
+        cs[1::4, 0, 1] = 0.0
+        cs[:, :, 0] /= np.linalg.det(cs)[:, None]
+    qs = np.zeros((m, n, n), dtype=np.complex128)
+    qs[:, 0, 0] = 1.0
+    qs[:, 0, 1:] = rng.standard_normal((m, n - 1)) + 1j * rng.standard_normal((m, n - 1))
+    qs[::5, 0, 1] = 0.0
+    if n == 2:
+        qs[:, 1, 1] = 1.0
+    else:
+        p = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
+        mu = rng.uniform(0.5, 2.0, m) * np.exp(1j * rng.uniform(-2.5, 2.5, m))
+        qs[:, 1:, 1:] = p @ (np.stack([mu, 1.0 / mu], axis=1)[:, :, None] * np.linalg.inv(p))
+    return _flip_zeros(rng, cs), _flip_zeros(rng, cs @ qs)
+
+
+def _q_with(n: int, lower: np.ndarray) -> np.ndarray:
+    """[[1, r], [0, lower]] with every entry of r 0.5."""
+    q = np.eye(n, dtype=np.complex128)
+    q[0, 1:] = 0.5
+    q[1:, 1:] = lower
+    return q
+
+
+def _float_bits(doc) -> np.ndarray:
+    """Every float of a JSON document, in order, as a uint64 view."""
+    flat = []
+
+    def walk(x):
+        if isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, list):
+            for v in x:
+                walk(v)
+        elif isinstance(x, float):
+            flat.append(x)
+
+    walk(doc)
+    return np.array(flat, dtype=np.float64).view(np.uint64)
+
+
+def _golden_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    from test_golden_cli import _sl2_equivalence_pair, _sl3_equivalence_pair
+
+    pair = _sl2_equivalence_pair(300) if n == 2 else _sl3_equivalence_pair(100)
+    return tuple(np.array(p, dtype=np.complex128) for p in pair)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestFactorStack:
+    """`equivalence_move` takes its fiber factors and their logarithms as
+    stacks; bits, and the first failing pair's error, stay the per-pair
+    path's."""
+
+    @pytest.mark.parametrize("n, m", [(2, 15), (2, 300), (2, 1000), (3, 15), (3, 300),
+                                      (3, 1000), (2, "golden"), (3, "golden")])
+    def test_stacks_have_the_per_pair_bits(self, n, m):
+        if m == "golden":
+            cs, ds = _golden_pair(n)
+        else:
+            cs, ds = _fiber_pairs(stream(m + n, "factor-stack"), n, m)
+        factors, logs, fmap, moved = _equivalence_per_pair(cs, ds)
+        assert _same_bits(pi_tame.fiber_factors(cs, ds), factors)
+        elements = [pi_tame.q_factor(c, d) for c, d in zip(cs, ds)]
+        assert _same_bits(np.stack([q.entries for q in elements]), factors)
+        got_logs = pi_tame._principal_log(factors[:, 1:, 1:]).reshape(len(cs), -1)
+        assert _same_bits(got_logs, logs)
+        fit = pi_tame.fit_q_map(list(cs[:, :, 0]), elements)
+        assert fit.to_json().keys() == fmap.to_json().keys()
+        assert _same_bits(_float_bits(fit.to_json()), _float_bits(fmap.to_json()))
+        phi, got_moved = sln_tame.equivalence_move(_mseq(cs, n), _mseq(ds, n))
+        assert _same_bits(_float_bits(phi.to_json()), _float_bits(fmap.to_json()))
+        assert _same_bits(got_moved, moved)
+
+    @staticmethod
+    def _faulty(n: int, faults) -> tuple[np.ndarray, np.ndarray]:
+        """A 12-point pair with each (kind, index) fault put in: `drift`
+        moves d's first column, `factor` leaves a factor of determinant
+        1 + 1e-7 between inputs that load, `collide` at (j, k) gives pair k
+        the first column of pair j, `branch` gives the factor a lower block
+        whose principal logarithm has trace near 2 pi i, and `defective` a
+        Jordan block."""
+        rng = stream(40 + n, "faulty-pairs")
+        cs, ds = _fiber_pairs(rng, n, 12)
+        for kind, i in faults:
+            if kind == "drift":
+                ds[i, :, 0] += 1e-6 * ds[i, :, 1]
+            elif kind == "factor":
+                # wide second columns loosen the inputs' determinant
+                # tolerance; a lower block I keeps the factor's narrow
+                ds[i] = cs[i] @ _q_with(n, np.eye(n - 1))
+                for a in (cs, ds):
+                    a[i, :, 1] += 1e4 * a[i, :, 0]
+                cs[i, :, 1] *= 1.0 + 1e-7
+            elif kind == "collide":
+                j, k = i
+                cs[k] = cs[j].copy()
+                cs[k, :, 1] += cs[k, :, 0]
+                ds[k] = cs[k].copy()
+            else:
+                # powers of two make the defective factor exactly q^-1; the
+                # branch block's eigenvalues sit just off the negative axis,
+                # on one side, so their logarithms sum to about 2 pi i
+                lower = (np.diag([-2.0 + 1e-12j, -0.5 + 1e-12j]) if kind == "branch"
+                         else np.eye(n - 1) + np.eye(n - 1, k=1))
+                cs[i] = np.diag([2.0 ** (i + 1), 1.0, 2.0 ** -(i + 1)])
+                ds[i] = cs[i] @ _q_with(n, lower)
+        return cs, ds
+
+    @pytest.mark.parametrize("n, faults, error, named", [
+        (2, [("drift", 5)], NotSameFiber, "at point 5"),
+        (2, [("factor", 3), ("drift", 5)], DeterminantError, None),
+        (2, [("drift", 2), ("factor", 6)], NotSameFiber, "at point 2"),
+        (2, [("collide", (1, 4)), ("drift", 9)], NotSameFiber, "at point 9"),
+        (3, [("drift", 7)], NotSameFiber, "at point 7"),
+        (3, [("factor", 3), ("drift", 5)], DeterminantError, None),
+        (3, [("drift", 4), ("factor", 8)], NotSameFiber, "at point 4"),
+        (3, [("collide", (2, 6)), ("factor", 10)], DeterminantError, None),
+        (3, [("defective", 2), ("collide", (5, 7))], FiberCollision, "images 5 and 7"),
+        (3, [("branch", 3), ("defective", 6)], DegenerateConfiguration, "at node 3"),
+        (3, [("defective", 4), ("branch", 8)], DegenerateConfiguration, "at node 4"),
+        (3, [("factor", 7), ("branch", 1)], DeterminantError, None),
+        (3, [("defective", 0)], DegenerateConfiguration, "at node 0"),
+        (3, [("branch", 11), ("drift", 11)], NotSameFiber, "at point 11"),
+    ])
+    def test_the_first_failing_pair_raises_in_stage_order(self, n, faults, error, named):
+        cs, ds = self._faulty(n, faults)
+        c_seq, d_seq = _mseq(cs, n), _mseq(ds, n)
+        with pytest.raises(error) as want:
+            _equivalence_per_pair(c_seq.array, d_seq.array)
+        with pytest.raises(error) as got:
+            sln_tame.equivalence_move(c_seq, d_seq)
+        if named is None or named.startswith("images"):
+            assert str(got.value) == str(want.value)
+        if named is not None:
+            assert named in str(got.value)

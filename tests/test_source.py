@@ -348,3 +348,24 @@ def test_the_traced_name_check_sees_functions_methods_and_misses():
         "tamelab.core:no_such_function",
         "tamelab.cn_tame:NoSuchClass.fit",
     ]
+
+
+def test_no_move_takes_its_fiber_factors_one_pair_at_a_time():
+    # `sln_tame.equivalence_move` takes them as one stack (`fiber_factors`);
+    # `q_factor` is the one-pair case for callers holding two raw matrices
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert not {owner for owner in _callers(trees, "q_factor") if owner.startswith("sln_tame")}
+
+
+def test_only_one_matrix_entry_points_validate_one_matrix():
+    # each takes a raw matrix from its caller; a move reads arrays that were
+    # validated when they were loaded, and does not validate them again
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _callers(trees, "sl_matrix") == {
+        "core.validate_points",
+        "pi_tame.__post_init__",
+        "pi_tame.q_factor",
+        "sl2_special.overshear_apply",
+        "sl2_special.right_translate",
+        "sl2_special.fiber_distance",
+    }
