@@ -682,8 +682,8 @@ def _flip_zeros(rng, a: np.ndarray) -> np.ndarray:
 
 def _fiber_pairs(rng, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Random c_k in SL(n), some parts zero, and d_k = c_k q_k for
-    q_k = [[1, r], [0, L]]: L = 1 for n = 2, else P diag(mu, 1/mu) P^-1.
-    About half of the zero parts of each are -0.0."""
+    q_k = [[1, r], [0, L]]: L = 1 for n = 2, else P diag(mu) P^-1 with
+    prod(mu) = 1. About half of the zero parts of each are -0.0."""
     if n == 2:
         cs = _sl2_with_zero_parts(rng, m)
     else:
@@ -695,12 +695,15 @@ def _fiber_pairs(rng, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     qs[:, 0, 0] = 1.0
     qs[:, 0, 1:] = rng.standard_normal((m, n - 1)) + 1j * rng.standard_normal((m, n - 1))
     qs[::5, 0, 1] = 0.0
-    if n == 2:
-        qs[:, 1, 1] = 1.0
-    else:
-        p = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
-        mu = rng.uniform(0.5, 2.0, m) * np.exp(1j * rng.uniform(-2.5, 2.5, m))
-        qs[:, 1:, 1:] = p @ (np.stack([mu, 1.0 / mu], axis=1)[:, :, None] * np.linalg.inv(p))
+    k = n - 1
+    p = rng.standard_normal((m, k, k)) + 1j * rng.standard_normal((m, k, k))
+    # eigenvalues of product one whose arguments sum to zero, so the
+    # principal logarithms have trace zero
+    mu = rng.uniform(0.5, 2.0, (m, k)) * np.exp(1j * rng.uniform(-2.4, 2.4, (m, k)) / max(k - 1, 1))
+    # blocks near the identity, whose logarithms are near the trace's size
+    mu[::4] = 1.0 + 1e-14 * (rng.standard_normal((len(mu[::4]), k)) + 1j)
+    mu[:, -1] = 1.0 / np.prod(mu[:, :-1], axis=1)
+    qs[:, 1:, 1:] = 1.0 if n == 2 else p @ (mu[:, :, None] * np.linalg.inv(p))
     return _flip_zeros(rng, cs), _flip_zeros(rng, cs @ qs)
 
 
@@ -747,7 +750,8 @@ class TestFactorStack:
     path's."""
 
     @pytest.mark.parametrize("n, m", [(2, 15), (2, 300), (2, 1000), (3, 15), (3, 300),
-                                      (3, 1000), (2, "golden"), (3, "golden")])
+                                      (3, 1000), (4, 15), (4, 300), (2, "golden"),
+                                      (3, "golden")])
     def test_stacks_have_the_per_pair_bits(self, n, m):
         if m == "golden":
             cs, ds = _golden_pair(n)
