@@ -255,7 +255,34 @@ _COMMANDS = (
     ("dt1k", ["gen", "diagtorus", "--k", "1000", "--ratio", "1.2"]),
     ("dt1k-torus", ["transform", "torus-embed", "dt1k.out"]),
     ("dt1k-one-param", ["check", "one-param", "dt1k.out"]),
+    # reports of outputs with several points blocks, with (m, 3, 3, 2)
+    # blocks, and of two hand edits of a long flat prefix
+    ("rand-union-report", ["report", "rand-union.out"]),
+    ("sl3-push-report", ["report", "sl3-push.out"]),
+    ("pipeline-report", ["report", "pipeline.out"]),
+    ("powers-one-report", ["report", "powers-one.json"]),
+    ("powers-neg0-report", ["report", "powers-neg0.json"]),
 )
+
+
+def _edit_powers() -> None:
+    """Two hand edits of powers.out: its first coordinate, the int 1,
+    written as "1.0", which the emitter writes as "1"; and a "neg": -0
+    key added to its config."""
+    with open("powers.out", encoding="utf-8") as fh:
+        text = fh.read()
+    leaf = "\n          1,\n"
+    out = '"out": "powers.out"\n  },'
+    if leaf not in text or out not in text:
+        raise RuntimeError("powers.out no longer has the layout these edits expect")
+    with open("powers-one.json", "w", encoding="utf-8") as fh:
+        fh.write(text.replace(leaf, "\n          1.0,\n", 1))
+    with open("powers-neg0.json", "w", encoding="utf-8") as fh:
+        fh.write(text.replace(out, '"out": "powers.out",\n    "neg": -0\n  },', 1))
+
+
+# command name -> what runs after it, writing inputs for later commands
+_AFTER = {"powers": _edit_powers}
 
 # inputs written by `_write_inputs` whose bytes are digested too
 _INPUTS = (
@@ -323,6 +350,11 @@ GOLDEN = {
     'dt1k': (0, '7ec54217a72f9c3afde2397da2184e638ed327b473807faa3f18864e6643e4b7'),
     'dt1k-torus': (0, 'a904cb972a48ede5ba325a76828b4c09ae6d907a7d516355ba430c94efbd7b3c'),
     'dt1k-one-param': (0, '52684416d86aeddf7fbc34557f4f4c14bf3066eac20b190aaced3d73e2ba6ed1'),
+    'rand-union-report': (0, '8ba3a79a04a32b2e2ecab7d0b99011e5b0a656eec577b3e1fc7e6a874bd1f7fd'),
+    'sl3-push-report': (0, 'f5350b13a6e92b0ada7f63d247729f071bea029b006033de5f4894af0cc4691c'),
+    'pipeline-report': (0, '67e1861f4a17a73ce25c8ffeeffab63922321e9b654217de1081d99e9aa0ee32'),
+    'powers-one-report': (0, 'f5cda6d589cbd40e097416bc82feb35a2d1986c6531f03f3a1705536972542bc'),
+    'powers-neg0-report': (0, '5c520b2dcda2bcd7d56a062bc7477955d568e8e1cca5ee1f5ed588ad5ba1619a'),
     'ceq.json': (0, '4ec5b890faddd241b165f3b36e65b7d18e0b21362d00a3c1060463b10900fc0d'),
     'deq.json': (0, '96ceaf208e66f7abdd0c8a1060679da4013e9da53822007bf4e8cda297a5e5dd'),
     'ceq3.json': (0, '818dfecb38d74576b75738b8025150c4e0365dba2b42ee06e37076a43ecc33d1'),
@@ -346,6 +378,8 @@ def corpus(tmp_path_factory) -> dict:
             code = cli.main([*argv, "--out", f"{name}.out"])
             with open(f"{name}.out", "rb") as fh:
                 got[name] = (code, hashlib.sha256(fh.read()).hexdigest())
+            if name in _AFTER:
+                _AFTER[name]()
         for path in _INPUTS:
             with open(path, "rb") as fh:
                 got[path] = (0, hashlib.sha256(fh.read()).hexdigest())
