@@ -167,12 +167,18 @@ def _measure_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _finish(cfg: RunConfig, doc: dict, human: list[str], file_text: str | None = None) -> None:
+def _finish(
+    cfg: RunConfig,
+    doc: dict,
+    human: list[str],
+    file_text: str | None = None,
+    text: str | None = None,
+) -> None:
     """Writes `file_text`, or else the document's canonical JSON, to --out,
     then prints the JSON under --json and the human lines otherwise. The
-    document is serialized at most once."""
-    text = None
-    if cfg.emit_json or (cfg.out is not None and file_text is None):
+    document is serialized at most once, and not at all when the caller
+    holds its canonical JSON as `text`."""
+    if text is None and (cfg.emit_json or (cfg.out is not None and file_text is None)):
         text = canonical_json(doc)
     if cfg.out is not None:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -549,9 +555,11 @@ def _cmd_mc(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _read_report(text: str):
+def _read_report(text: str, emit=None):
     """The JSON document in `text`, and whether any object in it has
-    state "violated", noted as the parser builds each object."""
+    state "violated", noted as the parser builds each object. Given the
+    serializer `emit`, also whether it writes the document as `text`
+    itself, as `_read_json` tells."""
     violated = False
 
     def note(obj: dict) -> dict:
@@ -559,7 +567,10 @@ def _read_report(text: str):
         violated = violated or obj.get("state") == "violated"
         return obj
 
-    return _read_json(text, object_hook=note), violated
+    if emit is None:
+        return _read_json(text, object_hook=note), violated
+    doc, same = _read_json(text, object_hook=note, emit=emit)
+    return doc, violated, same
 
 
 def _radii_text(radii) -> str:
@@ -591,8 +602,8 @@ def _summarize(doc) -> list[str]:
     if seq is None and "ambient" in doc:
         seq = doc
     if seq is not None:
-        points = seq.get("points", [])
-        if not isinstance(points, list):
+        points = seq.get("points", [])  # an array if the reader checked its block
+        if not isinstance(points, (list, np.ndarray)):
             raise MalformedDocument("field 'points' of the sequence is not a list")
         lines.append(f"sequence: {len(points)} points in {seq.get('ambient')}")
     if isinstance(doc.get("rows"), list):
@@ -607,8 +618,11 @@ def _summarize(doc) -> list[str]:
 def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
-    try:
-        doc, violated = _read_report(text)
+    wanted = cfg.out is not None or cfg.emit_json
+    try:  # serialized once, and only when a flag asks for the text
+        doc, violated, same = (
+            _read_report(text, canonical_json) if wanted else (*_read_report(text), False)
+        )
     except json.JSONDecodeError:
         lines = text.splitlines()
         if not lines or lines[0].split(",") != list(MC_CSV_COLUMNS):
@@ -617,8 +631,8 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         _finish(cfg, {"command": "report", "rows": len(lines) - 1}, human)
         return 0
     human = _summarize(doc)
-    try:
-        _finish(cfg, doc, human)
+    try:  # a canonical document is written back as the bytes read
+        _finish(cfg, doc, human, text=text if same else None)
     except RecursionError:  # the emitter recurses once per level, as the parser does
         raise MalformedDocument(TOO_DEEP) from None
     return 2 if violated else 0

@@ -5,7 +5,7 @@ interpolation used to push a prefix to prescribed heights."""
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -105,6 +105,18 @@ def _log_weights(xs: np.ndarray) -> tuple[complex, ...]:
     return tuple(logs.tolist())
 
 
+class _Weights:
+    """The barycentric log-weights of one node set, computed on first
+    read: only a point off the nodes needs them."""
+
+    def __init__(self, xs: np.ndarray):
+        self.xs = xs
+
+    @cached_property
+    def logs(self) -> tuple[complex, ...]:
+        return _log_weights(self.xs)
+
+
 @dataclass(frozen=True)
 class LagrangePoly:
     """Barycentric Lagrange form of the unique interpolating polynomial
@@ -113,28 +125,38 @@ class LagrangePoly:
 
     Weights are kept as complex logarithms and renormalized per
     evaluation, so thousands of nodes are fine. They depend on the nodes
-    alone, so fits at one node set share them through `with_values`. A
-    point equal to a node takes that node's value exactly.
+    alone and are computed when a point off the nodes first needs them,
+    once for all fits at one node set, which share them through
+    `with_values`. A point equal to a node takes that node's value exactly.
     """
 
     nodes: tuple[complex, ...]
     values: tuple[complex, ...]
-    log_weights: tuple[complex, ...]
+    weights: _Weights = field(compare=False, repr=False)
 
     @classmethod
     def fit(cls, nodes, values) -> "LagrangePoly":
         xs = np.asarray(nodes, dtype=np.complex128)
-        return cls(tuple(xs.tolist()), (), _log_weights(xs)).with_values(values)
+        return cls(tuple(xs.tolist()), (), _Weights(xs)).with_values(values)
 
     def with_values(self, values) -> "LagrangePoly":
         """The fit taking `values` at the same nodes, with the same weights."""
         values = tuple(np.asarray(values, dtype=np.complex128).tolist())
-        return LagrangePoly(self.nodes, values, self.log_weights)
+        return LagrangePoly(self.nodes, values, self.weights)
+
+    @property
+    def log_weights(self) -> tuple[complex, ...]:
+        return self.weights.logs
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        return np.asarray(self.values)
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, values and log-weights as arrays, built on first use."""
-        return np.asarray(self.nodes), np.asarray(self.values), np.asarray(self.log_weights)
+        """Nodes, values and log-weights as arrays, built when a point off
+        the nodes first needs them."""
+        return np.asarray(self.nodes), self._values, np.asarray(self.log_weights)
 
     @cached_property
     def _first_index(self) -> dict:
@@ -153,7 +175,7 @@ class LagrangePoly:
         evaluated in blocks of rows, each as the barycentric sum alone."""
         zs = np.asarray(z, dtype=np.complex128)
         flat = zs.reshape(-1)
-        xs, vals, logw = self._arrays
+        vals = self._values
         index = self._first_index
         hit = [index.get(p, -1) for p in flat.tolist()]
         if -1 not in hit:
@@ -164,6 +186,7 @@ class LagrangePoly:
         at = hit >= 0
         out[at] = vals[hit[at]]
         rest = np.flatnonzero(~at)
+        xs, _, logw = self._arrays
         step = max(1, _FIT_BLOCK // max(len(xs), 1))
         for start in range(0, len(rest), step):
             rows = rest[start : start + step]

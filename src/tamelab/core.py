@@ -533,7 +533,7 @@ class DiscreteSequence:
         field = {key: obj.get(key) for key in ("ambient", "n", "points")}
         if isinstance(field["n"], float) and field["n"].is_integer():
             field["n"] = int(field["n"])
-        for key, kind in (("ambient", str), ("n", int), ("points", list)):
+        for key, kind in (("ambient", str), ("n", int), ("points", (list, np.ndarray))):
             if not isinstance(field[key], kind) or isinstance(field[key], bool):
                 state = "missing" if key not in obj else "malformed"
                 raise MalformedDocument(f"field {key!r} of the sequence document is {state}")
@@ -597,7 +597,11 @@ def _unpair_array(pairs: np.ndarray | None, i: int = 0) -> np.ndarray:
 def _unpair_points(raw):
     """The points of a sequence document as one complex array if they stack;
     otherwise one at a time, in index order, so that the first point not
-    made of [re, im] pairs of numbers, or validation later, names it."""
+    made of [re, im] pairs of numbers, or validation later, names it. A
+    points block that `_read_json` read as an array stacks by construction;
+    one of scalars fails at point 0, as its first number would."""
+    if isinstance(raw, np.ndarray):
+        return _unpair_array(raw if raw.ndim > 1 else raw[0])
     pairs = _float_array(raw)
     if pairs is not None and pairs.ndim > 1:
         return _unpair_array(pairs)
@@ -1113,14 +1117,164 @@ def _parse_int(text: str):
     return -0.0 if text == "-0" else int(text)
 
 
-def _read_json(text: str, object_hook=None):
+_POINTS_KEY = '"points": [\n'
+_NOT_LEAVES = b" \n[]"  # what a block holds besides its numbers and commas
+_CHUNK = 1 << 20  # characters of a block converted to floats at once
+
+
+def _item_shape(item: str) -> tuple[int, ...] | None:
+    """The nested shape of one list item laid out one token a line, as
+    the emitter lays it out, taken from the first list at each depth; the
+    byte check in `_block_array` holds the other lists to it. None if the
+    brackets do not nest or a list is empty."""
+    sizes: dict[int, int] = {}
+    counts: list[int] = []
+    for token in item.split():
+        if token == "[":
+            counts.append(0)
+            continue
+        if token.rstrip(",") == "]":
+            if not counts or not counts[-1]:
+                return None
+            sizes.setdefault(len(counts) - 1, counts.pop())
+        if counts:  # a leaf, or a list just closed, counts in its parent
+            counts[-1] += 1
+    return None if counts else tuple(sizes[d] for d in range(len(sizes)))
+
+
+def _block_leaves(text: str, start: int, end: int) -> np.ndarray | None:
+    """The numbers of text[start:end] in order, read `_CHUNK` characters
+    at a time with brackets and white space dropped; None where numpy
+    cannot read a chunk to its end."""
+    parts = []
+    lo = start
+    while lo < end:
+        hi = text.find(",", min(lo + _CHUNK, end), end)
+        hi = end if hi < 0 else hi
+        try:
+            parts.append(np.fromstring(text[lo:hi].encode().translate(None, _NOT_LEAVES), sep=","))
+        except ValueError:
+            return None
+        lo = hi + 1
+    return np.concatenate(parts)
+
+
+def _block_array(text: str, start: int, end: int, indent: int) -> np.ndarray | None:
+    """The read-only float64 array of the list from text[start], its "[",
+    to text[end], the newline before its "]", written at `indent`, when
+    the emitter writes that array as exactly this text: rendered in the
+    emitter's batches of rows, each compared with its slice of the input.
+    The comparison, not the float parser, decides; None otherwise."""
+    pad = "\n" + "  " * (indent + 1)
+    first = start + 1 + len(pad)
+    if text.startswith("[", first):  # items are lists: the first ends at its "]"
+        stop = text.find(pad + "]", first, end) + len(pad) + 1
+    else:
+        stop = text.find("\n", first, end)
+    shape = _item_shape(text[first:stop])
+    flat = _block_leaves(text, start, end) if shape is not None else None
+    size = math.prod(shape) if shape is not None else 0
+    if flat is None or not len(flat) or len(flat) % size or not np.isfinite(flat).all():
+        return None
+    arr = flat.reshape(-1, *shape)
+    at = start + 1
+    for lo in range(0, len(arr), _BATCH):
+        piece = ("," if lo else "") + pad + _rows_text(arr[lo : lo + _BATCH], shape, indent + 1)
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+    if at != end:
+        return None
+    arr.flags.writeable = False
+    return arr
+
+
+def _points_blocks(text: str) -> list[tuple[int, int, np.ndarray]]:
+    """The points blocks of `text` that the emitter writes back byte for
+    byte, each as (start, end, array): text[start:end] runs from the
+    block's "[" to its "]".
+
+    A block follows a line `<indent>"points": [` whose indent is an even
+    number of spaces, as the emitter indents keys. It ends at the last
+    line `<indent>]` before the first '"' or '}' after it, which in the
+    emitter's layout is where the document goes on, so a later list at the
+    same indent is not taken for its end. Any other block is left to json."""
+    blocks = []
+    key = text.find(_POINTS_KEY)
+    while key >= 0:
+        line = text.rfind("\n", 0, key) + 1
+        start = key + len(_POINTS_KEY) - 2
+        width = key - line
+        if width % 2 == 0 and text.count(" ", line, key) == width:
+            close = "\n" + " " * width + "]"
+            ahead = [i for i in (text.find('"', start), text.find("}", start)) if i >= 0]
+            end = text.rfind(close, start, min(ahead, default=len(text)))
+            arr = _block_array(text, start, end, width // 2) if end > start else None
+            if arr is not None:
+                blocks.append((start, end + len(close), arr))
+                key = text.find(_POINTS_KEY, end)
+                continue
+        key = text.find(_POINTS_KEY, start)
+    return blocks
+
+
+def _read_json(text: str, object_hook=None, emit=None):
     """The one JSON parse of the package: a "-0" token reads back as -0.0,
-    and a document nested too deeply to parse raises `MalformedDocument`."""
-    parse_int = _parse_int if _NEG_ZERO.search(text) else None
-    try:
-        return json.loads(text, parse_int=parse_int, object_hook=object_hook)
-    except RecursionError:
-        raise MalformedDocument(TOO_DEEP) from None
+    and a document nested too deeply to parse raises `MalformedDocument`.
+
+    Each points block that `_points_blocks` reads comes back as its
+    read-only float64 array, and json parses only the rest of the text,
+    with a placeholder string standing for each block. Should that parse
+    fail, the whole text is parsed again as if no block had been read, so
+    a failure raises json's own error at its own line and column.
+
+    Given `emit`, the canonical serializer, returns the document and
+    whether `emit` writes it as `text` itself. That is known without
+    rendering any block again once some block was read and `emit` writes
+    the rest, placeholders and all, as its own text; False otherwise."""
+
+    def parse(source: str, hook):
+        parse_int = _parse_int if _NEG_ZERO.search(source) else None
+        return json.loads(source, parse_int=parse_int, object_hook=hook)
+
+    blocks = _points_blocks(text)
+    held: list[dict] = []
+
+    def hold(obj):
+        obj = obj if object_hook is None else object_hook(obj)
+        ref = obj.get("points") if type(obj) is dict else None
+        if type(ref) is str and ref[:1] == "\0":
+            held.append(obj)
+        return obj
+
+    doc = rest = None
+    if blocks:
+        pieces, at = [], 0
+        for i, (start, end, _) in enumerate(blocks):
+            pieces += [text[at:start], json.dumps(f"\0{i}")]
+            at = end
+        rest = "".join(pieces) + text[at:]
+        # a "\u0000" of the document's own could read as a placeholder
+        if rest.count("\\u0000") == len(blocks):
+            try:
+                doc = parse(rest, hold)
+            except (ValueError, RecursionError):  # a JSONDecodeError is a ValueError
+                held.clear()
+    if doc is None:
+        rest = None
+        try:
+            doc = parse(text, object_hook)
+        except RecursionError:
+            raise MalformedDocument(TOO_DEEP) from None
+    same = False
+    if emit is not None and rest is not None:
+        try:
+            same = emit(doc) == rest
+        except (ValueError, RecursionError):  # the whole document fails as it would
+            pass
+    for obj in held:
+        obj["points"] = blocks[int(obj["points"][1:])][2]
+    return doc if emit is None else (doc, same)
 
 
 def load_sequence(path) -> DiscreteSequence:

@@ -38,6 +38,7 @@ from .core import (
 )
 from .errors import (
     AmbientMismatch,
+    BadParams,
     DegenerateConfiguration,
     FiberCollision,
     InterpolationIllConditioned,
@@ -271,7 +272,9 @@ def fit_factors(images: np.ndarray, factors: np.ndarray, seed: int = 0) -> QPoly
     """Interpolates a stack of fiber-group elements (m, n, n) over their
     projected positions (m, n): their top rows and the principal
     logarithms of their lower blocks, at the separators of a seeded random
-    functional (`_separate`, up to 64 draws)."""
+    functional (`_separate`, up to 64 draws). One factor per image."""
+    if len(factors) != len(images):
+        raise BadParams(f"{len(factors)} fiber factors for {len(images)} images; one per image")
     u, ss = _separate(images, seed)
     logs = _principal_log(factors[:, 1:, 1:]).reshape(len(factors), -1)
     return _interpolate_blocks(u, ss, factors[:, 0, 1:], logs)

@@ -30,6 +30,7 @@ from tamelab.core import (
 )
 from tamelab.errors import (
     AmbientMismatch,
+    BadParams,
     DegenerateConfiguration,
     DeterminantError,
     FiberCollision,
@@ -203,6 +204,18 @@ class TestFitQMap:
             q = pi_tame.QElement.from_blocks(r[k], lower[k])
             assert max_norm_distance(q.entries, el.entries) <= 1e-8
 
+    def test_a_short_factor_stack_is_refused(self):
+        # 3 images and 2 factors once fitted a map whose apply ended in a
+        # plain IndexError; the count is checked before anything is fitted
+        images = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=complex)
+        factors = np.stack([np.array([[1.0, float(k)], [0.0, 1.0]], dtype=complex)
+                            for k in (1, 2)])
+        with pytest.raises(BadParams, match=r"^2 fiber factors for 3 images"):
+            pi_tame.fit_factors(images, factors)
+        els = [pi_tame.QElement.from_blocks(np.array([float(k)]), np.eye(1)) for k in (1, 2)]
+        with pytest.raises(BadParams, match=r"^2 fiber factors for 3 images"):
+            pi_tame.fit_q_map(list(images), els)
+
     def test_coincident_images_rejected(self):
         images = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
         els = [pi_tame.QElement.from_blocks(np.array([float(k)]), np.eye(1)) for k in (1, 2)]
@@ -272,6 +285,14 @@ class TestFitQMap:
         fmap = pi_tame.fit_q_map(images, elements, seed=2)
         fns = fmap.r_fns + fmap.logl_fns
         assert len(fns) == 6 and all(isinstance(fn, LagrangePoly) for fn in fns)
+        # evaluation at the nodes needs no weights, and the first point off
+        # them computes the one set all six fits share
+        for fn in fns:
+            fn(np.array(fn.nodes))
+        assert nodes == []
+        off = complex(np.abs(fns[0].nodes).max() + 1.0)
+        for fn in fns:
+            fn(off)
         assert nodes == [8]
         assert all(fn.log_weights is fns[0].log_weights for fn in fns)
 
@@ -422,8 +443,12 @@ class TestBundlePush:
         phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(25.0, 10), seed=0)
         ts = np.array(phi.fmap.r_fns[0].values)
         assert ts.any() and np.abs(ts).max() <= 128
-        assert counts == {"first_close_pair": 2, "_log_weights": 1, "interpolate_nodes": 0,
+        # the push evaluates its fit only at the nodes, which needs no weights
+        assert counts == {"first_close_pair": 2, "_log_weights": 0, "interpolate_nodes": 0,
                           "_row_norms": 1}
+        fit = phi.fmap.r_fns[0]
+        fit(complex(np.abs(fit.nodes).max() + 1.0))
+        assert counts["_log_weights"] == 1
 
     def test_pushed_heights_guard_each_point(self):
         good = np.array([[1.0, 30.0], [0.0, 1.0]], dtype=np.complex128)
