@@ -1119,7 +1119,7 @@ def _parse_int(text: str):
 
 _POINTS_KEY = '"points": [\n'
 _NOT_LEAVES = b" \n[]"  # what a block holds besides its numbers and commas
-_CHUNK = 1 << 20  # characters of a block converted to floats at once
+_CHUNK = 1 << 16  # characters of a block converted to floats at once
 
 
 def _item_shape(item: str) -> tuple[int, ...] | None:
@@ -1172,17 +1172,19 @@ def _block_array(text: str, start: int, end: int, indent: int) -> np.ndarray | N
     else:
         stop = text.find("\n", first, end)
     shape = _item_shape(text[first:stop])
-    flat = _block_leaves(text, start, end) if shape is not None else None
-    size = math.prod(shape) if shape is not None else 0
-    if flat is None or not len(flat) or len(flat) % size or not np.isfinite(flat).all():
+    if shape is None:
+        return None
+    flat = _block_leaves(text, start, end)
+    if flat is None or not len(flat) or len(flat) % math.prod(shape) or not np.isfinite(flat).all():
         return None
     arr = flat.reshape(-1, *shape)
     at = start + 1
     for lo in range(0, len(arr), _BATCH):
-        piece = ("," if lo else "") + pad + _rows_text(arr[lo : lo + _BATCH], shape, indent + 1)
-        if not text.startswith(piece, at):
+        sep = ("," if lo else "") + pad
+        rows = _rows_text(arr[lo : lo + _BATCH], shape, indent + 1)
+        if not (text.startswith(sep, at) and text.startswith(rows, at + len(sep))):
             return None
-        at += len(piece)
+        at += len(sep) + len(rows)
     if at != end:
         return None
     arr.flags.writeable = False

@@ -323,9 +323,8 @@ class TestSignedZeros:
         assert np.count_nonzero(np.signbit(got[zeros])) == len(_NEG_ZERO.findall(text[start:end]))
 
     def test_a_neg_zero_key_leaves_the_block_to_the_reader(self, tmp_path, monkeypatch):
-        arr = np.arange(4000.0).reshape(-1, 2, 2)
-        doc = {"config": {"neg": -0.0}, "sequence": sequence_document(core.cn(2),
-                                                                        arr.view(np.complex128)[..., 0])}
+        points = np.arange(4000.0).view(np.complex128).reshape(-1, 2)
+        doc = {"config": {"neg": -0.0}, "sequence": sequence_document(core.cn(2), points)}
         text = canonical_json(doc)
         calls = []
         real = core._parse_int
