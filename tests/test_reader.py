@@ -293,6 +293,37 @@ class TestFailures:
             core._read_json(deep)
 
 
+def test_random_edits_of_a_canonical_document():
+    # one to three characters replaced, deleted or inserted anywhere, blocks
+    # included: the same document or the same error as the json path, and
+    # the text is called canonical only when it is
+    arr = np.random.default_rng(5).standard_normal((6, 2, 2))
+    arr[1, 0, 1], arr[2] = -0.0, np.round(arr[2] * 4)
+    doc = {"command": "gen", "config": {"seed": None, "neg": -0.0, "xs": [1, 2.5]},
+           "sequence": {"ambient": "cn", "n": 2, "points": arr, "generator": {"f": "g"}},
+           "parts": [{"points": arr[:2]}, {"points": arr[3:]}]}
+    base = canonical_json(doc)
+    assert len(core._points_blocks(base)) == 3
+    alphabet = list('0123456789-+.eE[]{},: \n"\tnulltrue\\u')
+    rng = np.random.default_rng(7)
+    for _ in range(1500):
+        chars = list(base)
+        for _ in range(rng.integers(1, 4)):
+            i, op, ch = rng.integers(len(chars)), rng.integers(3), str(rng.choice(alphabet))
+            if op == 0:
+                chars[i] = ch
+            elif op == 1:
+                del chars[i]
+            else:
+                chars.insert(i, ch)
+        text = "".join(chars)
+        new, ref = _outcome(lambda: core._read_json(text)), _outcome(lambda: _json_path(text))
+        assert new[0] == ref[0], text
+        assert _same(new[1], ref[1]) if ref[0] == "ok" else new[1] == ref[1]
+        if ref[0] == "ok" and core._read_json(text, emit=canonical_json)[1]:
+            assert canonical_json(ref[1]) == text
+
+
 class TestSignedZeros:
     def test_an_overshear_output_reads_its_block_without_parse_int(self, tmp_path,
                                                                     monkeypatch):
