@@ -43,8 +43,10 @@ from .core import (
     GeneratorInfo,
     HeightAssignment,
     Verdict,
+    _document_bytes,
     _float_text,
     _read_json,
+    canonical_bytes,
     canonical_json,
     check_moved,
     cn,
@@ -172,19 +174,19 @@ def _finish(
     doc: dict,
     human: list[str],
     file_text: str | None = None,
-    text: str | None = None,
+    data: bytes | None = None,
 ) -> None:
-    """Writes `file_text`, or else the document's canonical JSON, to --out,
-    then prints the JSON under --json and the human lines otherwise. The
-    document is serialized at most once, and not at all when the caller
-    holds its canonical JSON as `text`."""
-    if text is None and (cfg.emit_json or (cfg.out is not None and file_text is None)):
-        text = canonical_json(doc)
+    """Writes `file_text`, or else the document's canonical JSON, to --out
+    in binary, then prints the JSON under --json and the human lines
+    otherwise. The document is serialized at most once, and not at all
+    when the caller holds its canonical JSON as `data`."""
+    if data is None and cfg.out is not None and file_text is None:
+        data = canonical_bytes(doc)
     if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(file_text if file_text is not None else text)
+        with open(cfg.out, "wb") as fh:
+            fh.write(data if file_text is None else file_text.encode())
     if cfg.emit_json:
-        sys.stdout.write(text)
+        sys.stdout.write(canonical_json(doc) if data is None else data.decode())
     else:
         for line in human:
             print(line)
@@ -555,10 +557,10 @@ def _cmd_mc(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _read_report(text: str, emit=None):
-    """The JSON document in `text`, and whether any object in it has
+def _read_report(data: bytes, emit=None):
+    """The JSON document in `data`, and whether any object in it has
     state "violated", noted as the parser builds each object. Given the
-    serializer `emit`, also whether it writes the document as `text`
+    serializer `emit`, also whether it writes the document as `data`
     itself, as `_read_json` tells."""
     violated = False
 
@@ -568,8 +570,8 @@ def _read_report(text: str, emit=None):
         return obj
 
     if emit is None:
-        return _read_json(text, object_hook=note), violated
-    doc, same = _read_json(text, object_hook=note, emit=emit)
+        return _read_json(data, object_hook=note), violated
+    doc, same = _read_json(data, object_hook=note, emit=emit)
     return doc, violated, same
 
 
@@ -616,15 +618,14 @@ def _summarize(doc) -> list[str]:
 
 
 def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
+    data = _document_bytes(args.file)
     wanted = cfg.out is not None or cfg.emit_json
     try:  # serialized once, and only when a flag asks for the text
         doc, violated, same = (
-            _read_report(text, canonical_json) if wanted else (*_read_report(text), False)
+            _read_report(data, canonical_bytes) if wanted else (*_read_report(data), False)
         )
-    except json.JSONDecodeError:
-        lines = text.splitlines()
+    except json.JSONDecodeError:  # raised only once the whole file decoded
+        lines = data.decode("utf-8").splitlines()
         if not lines or lines[0].split(",") != list(MC_CSV_COLUMNS):
             raise
         human = [f"csv report: {len(lines) - 1} rows", lines[0]]
@@ -632,7 +633,7 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         return 0
     human = _summarize(doc)
     try:  # a canonical document is written back as the bytes read
-        _finish(cfg, doc, human, text=text if same else None)
+        _finish(cfg, doc, human, data=data if same else None)
     except RecursionError:  # the emitter recurses once per level, as the parser does
         raise MalformedDocument(TOO_DEEP) from None
     return 2 if violated else 0

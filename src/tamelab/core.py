@@ -16,7 +16,6 @@ Conventions fixed here for the whole package:
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
@@ -34,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     DuplicatePoints,
     MalformedDocument,
+    NonFiniteEntries,
     PointOutsideAmbient,
     UnsupportedPair,
 )
@@ -90,9 +90,21 @@ def sln(n: int) -> AmbientSpace:
     return AmbientSpace("sln", n)
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a.view(np.float64))):
-        raise ValueError(f"{what} contains non-finite entries")
+def _at(first: int | None, k, message: str) -> str:
+    """`message` about the point at index k of a stack whose first point
+    is point `first` of its sequence, named by that index; a lone value
+    (`first` None) is not named."""
+    return message if first is None else f"point {first + int(k)}: {message}"
+
+
+def _require_finite(a: np.ndarray, what: str, first: int | None = None) -> None:
+    """Raises `NonFiniteEntries` if an entry of `a` is nan or infinite.
+    With `first`, `a` is a stack, and the message names its first bad
+    point (see `_at`)."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        k = 0 if first is None else np.argmin(finite.reshape(len(a), -1).all(axis=1))
+        raise NonFiniteEntries(_at(first, k, f"{what} contains non-finite entries"))
 
 
 def det_tolerance(a: np.ndarray, det_tol: float = DET_TOL):
@@ -108,18 +120,23 @@ def sl_matrix(entries, det_tol: float = DET_TOL) -> np.ndarray:
     """Validate a square complex matrix as unimodular and return it,
     within `det_tolerance`."""
     a = np.array(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    _check_rows("sln", a[None], det_tol)
+    _require_square(a, None)
+    _check_rows("sln", a[None], det_tol, None)
     return a
 
 
-def _require_unit_det(det: complex, allowed: float) -> None:
+def _require_square(a: np.ndarray, first: int | None) -> None:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(_at(first, 0, f"expected a square matrix, got shape {a.shape}"))
+
+
+def _require_unit_det(det: complex, allowed: float, first: int | None = None, k=0) -> None:
     if abs(det - 1.0) > allowed:
-        raise DeterminantError(
+        raise DeterminantError(_at(
+            first, k,
             f"determinant {det:.6g} differs from 1 by {abs(det - 1.0):.3g} "
-            f"(allowed {allowed:.3g})"
-        )
+            f"(allowed {allowed:.3g})",
+        ))
 
 
 def det_drift(mats: np.ndarray, det_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,11 +154,13 @@ def det_drift(mats: np.ndarray, det_tol: float) -> tuple[np.ndarray, np.ndarray,
     return drifts, near[off], allowed[off]
 
 
-def _check_rows(kind: str, arr: np.ndarray, det_tol: float) -> None:
+def _check_rows(kind: str, arr: np.ndarray, det_tol: float, first: int | None = 0) -> None:
     """The value checks of a point of an ambient of the given kind, over a
     stack of points of one shape. The first failing point in index order
-    raises the error of its own first failing check: non-finite entries,
-    then the determinant (`det_drift`), the puncture or the disc.
+    raises the error of its own first failing check: non-finite entries
+    (`NonFiniteEntries`), then the determinant (`det_drift`), the puncture
+    or the disc. The message names the point as `_at` does: by its index,
+    counted from `first`.
     """
     m = len(arr)
     if m == 0:
@@ -152,23 +171,28 @@ def _check_rows(kind: str, arr: np.ndarray, det_tol: float) -> None:
     if kind == "sln":
         _, off, allowed = det_drift(ok, det_tol)
         if off.size:
-            _require_unit_det(complex(np.linalg.det(ok[off[0]])), float(allowed[0]))
+            det = complex(np.linalg.det(ok[off[0]]))
+            _require_unit_det(det, float(allowed[0]), first, off[0])
     elif kind == "punctured-cn":
-        if not np.all(np.any(ok != 0, axis=1)):
-            raise PointOutsideAmbient("the puncture (origin) is not a point of this space")
+        origins = np.flatnonzero(~np.any(ok != 0, axis=1))
+        if origins.size:
+            raise PointOutsideAmbient(_at(
+                first, origins[0], "the puncture (origin) is not a point of this space"
+            ))
     elif kind == "disc-plane":
         radii = np.abs(ok[:, 0])
         outside = np.flatnonzero(radii >= 1.0)
         if outside.size:
-            raise PointOutsideAmbient(
-                f"|z| = {radii[outside[0]]:.6g} is not inside the unit disc"
-            )
+            raise PointOutsideAmbient(_at(
+                first, outside[0], f"|z| = {radii[outside[0]]:.6g} is not inside the unit disc"
+            ))
     if stop < m:
         what = "matrix" if kind == "sln" else "point"
-        raise ValueError(f"{what} contains non-finite entries")
+        raise NonFiniteEntries(_at(first, stop, f"{what} contains non-finite entries"))
 
 
-def validate_points(ambient: AmbientSpace, points, det_tol: float = DET_TOL) -> np.ndarray:
+def validate_points(ambient: AmbientSpace, points, det_tol: float = DET_TOL,
+                    first: int | None = 0) -> np.ndarray:
     """Coerce and validate a prefix into one complex array of shape
     (m, n) or (m, n, n).
 
@@ -176,7 +200,8 @@ def validate_points(ambient: AmbientSpace, points, det_tol: float = DET_TOL) -> 
     coerced in order up to the first one that does not coerce or lacks
     that shape; the points before it are checked, then it raises its own
     error, a square matrix of the wrong size after its finiteness and
-    determinant. Either way the first bad point in index order decides.
+    determinant. Either way the first bad point in index order decides,
+    and the message names it as `_at` does, counting from `first`.
     """
     shape = (ambient.n, ambient.n) if ambient.is_matrix else (ambient.n,)
     if not isinstance(points, (tuple, list, np.ndarray)):
@@ -196,23 +221,26 @@ def validate_points(ambient: AmbientSpace, points, det_tol: float = DET_TOL) -> 
                 break
             rows.append(row)
         arr = np.stack(rows) if rows else np.zeros((0, *shape), dtype=np.complex128)
-        _check_rows(ambient.kind, arr, det_tol)
+        _check_rows(ambient.kind, arr, det_tol, first)
         if len(rows) < len(points):
+            at = None if first is None else first + len(rows)  # the bad point's index
             bad = np.array(points[len(rows)], dtype=np.complex128)
             if not ambient.is_matrix:
-                raise DimensionMismatch(f"expected a vector of length {ambient.n}")
-            sl_matrix(bad, det_tol)
-            raise DimensionMismatch(
-                f"expected {ambient.n}x{ambient.n}, got {bad.shape[0]}x{bad.shape[1]}"
-            )
+                raise DimensionMismatch(_at(at, 0, f"expected a vector of length {ambient.n}"))
+            _require_square(bad, at)
+            _check_rows("sln", bad[None], det_tol, at)
+            raise DimensionMismatch(_at(
+                at, 0, f"expected {ambient.n}x{ambient.n}, got {bad.shape[0]}x{bad.shape[1]}"
+            ))
         return arr
-    _check_rows(ambient.kind, arr, det_tol)
+    _check_rows(ambient.kind, arr, det_tol, first)
     return arr
 
 
 def as_point(ambient: AmbientSpace, value, det_tol: float = DET_TOL) -> np.ndarray:
-    """Coerce and validate one point of the given ambient space."""
-    return validate_points(ambient, (value,), det_tol)[0]
+    """Coerce and validate one point of the given ambient space; an error
+    does not name it by an index."""
+    return validate_points(ambient, (value,), det_tol, None)[0]
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -407,7 +435,9 @@ def first_close_pair(rows: np.ndarray, tol: float) -> tuple[int, int] | None:
     """The first pair i < j, in lexicographic order, whose rows lie within
     tol of each other in the max-norm; None if there is none.
 
-    A small input is compared in one table of every pair. A larger one
+    A small input is compared in one table of every pair. The table is
+    symmetric, so with its diagonal cleared the first hit in row-major
+    order is the first pair i < j. A larger one
     takes its candidates from `_window_pairs` on the real coordinate of
     widest spread and compares them an entry at a time. The table holds
     at most `_PAIR_TABLE_ENTRIES >> 5` = 2048 entries (m * m * width):
@@ -420,9 +450,9 @@ def first_close_pair(rows: np.ndarray, tol: float) -> tuple[int, int] | None:
     flats = np.asarray(rows).reshape(m, -1)
     if m * flats.size <= _PAIR_TABLE_ENTRIES >> 5:
         near = np.max(np.abs(flats[:, None, :] - flats[None, :, :]), axis=2) <= tol
-        near &= np.arange(m)[None, :] > np.arange(m)[:, None]
-        hits = np.argwhere(near)
-        return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
+        np.fill_diagonal(near, False)
+        k = int(near.argmax())
+        return divmod(k, m) if near.flat[k] else None
     reals = np.ascontiguousarray(flats, dtype=np.complex128).view(np.float64)
     x = reals[:, np.argmax(np.ptp(reals, axis=0))]  # non-finite if any entry is
     # close rows are within tol on every real coordinate; slack for rounding
@@ -616,7 +646,7 @@ class HeightAssignment:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
-        if any(not np.isfinite(v) or v <= 0 for v in vals):
+        if any(not math.isfinite(v) or v <= 0 for v in vals):
             raise BadParams("heights must be finite and positive")
         object.__setattr__(self, "values", vals)
 
@@ -699,7 +729,7 @@ def check_moved(
     matrix that `det_drift` finds off SL(n), or None; others 0.0 and None."""
     worst, violation = 0.0, None
     if ambient.is_matrix:
-        _require_finite(arr, "matrix")
+        _require_finite(arr, "matrix", 0)
         drifts, off, allowed = det_drift(arr, det_tol)
         worst = float(drifts.max(initial=0.0))
         if off.size:
@@ -912,23 +942,28 @@ def _float_text(value: float) -> str:
     return format(value, ".17g")
 
 
-def _scalar_text(value) -> str:
+def _scalar_text(value) -> bytes:
     if value is None:
-        return "null"
+        return b"null"
     if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
+        return b"true" if value else b"false"
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return str(int(value)).encode()
     if isinstance(value, (float, np.floating)):
-        return _float_text(float(value))
+        return _float_text(float(value)).encode()
     if isinstance(value, str):
-        return json.dumps(value)
+        return json.dumps(value).encode()  # ASCII: json escapes the rest
     raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
 
 
 _CONTAINERS = (list, tuple, dict, np.ndarray)
 _BATCH = 1 << 10  # list items formatted together
 _FLUSH = 1 << 12  # pending chunks per write into the buffer
+_FLOAT = b"%.17g"  # bytes '%' formats a float as str '%' and `format` do
+# Lists of at most this many leaves skip the array path of `_block_text`:
+# timed on random floats, value by value took 3.3-8.4 us at 1-2 leaves
+# against 7.8-15.6 us, and the two broke even at 4-5 leaves (ints later).
+_FEW_LEAVES = 4
 
 
 # ints below this size convert to float64 exactly, and '%.17g' prints
@@ -937,17 +972,17 @@ _EXACT_INT = 1 << 53
 
 
 @lru_cache(maxsize=64)
-def _item_template(shape: tuple[int, ...], indent: int, slot: str) -> str:
+def _item_template(shape: tuple[int, ...], indent: int, slot: bytes) -> bytes:
     """One list item of the given nested shape at `indent`, as the emitter
     lays it out, with `slot` in place of each scalar leaf."""
     if not shape:
         return slot
-    pad = "\n" + "  " * (indent + 1)
+    pad = b"\n" + b"  " * (indent + 1)
     inner = _item_template(shape[1:], indent + 1, slot)
-    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * indent + "]"
+    return b"[" + pad + (b"," + pad).join([inner] * shape[0]) + b"\n" + b"  " * indent + b"]"
 
 
-def _rows_text(flat: np.ndarray, shape: tuple[int, ...], indent: int) -> str:
+def _rows_text(flat: np.ndarray, shape: tuple[int, ...], indent: int) -> bytes:
     """List items of the given nested shape, each at `indent`, joined as
     the emitter joins them, from a finite float64 array of their leaves in
     row-major order. One '%' call formats the leaves; a leaf position that
@@ -956,14 +991,14 @@ def _rows_text(flat: np.ndarray, shape: tuple[int, ...], indent: int) -> str:
     rows = np.ascontiguousarray(flat).reshape(-1, math.prod(shape))
     bits = rows.view(np.int64)
     same = (bits == bits[0]).all(axis=0)
-    item = _item_template(shape, indent, "%.17g")
+    item = _item_template(shape, indent, _FLOAT)
     flags = same.tolist()
     if any(flags):
-        slots = ["%.17g" % v if s else "%.17g" for v, s in zip(rows[0].tolist(), flags)]
-        parts = item.split("%.17g")
-        item = parts[0] + "".join(map(str.__add__, slots, parts[1:]))
+        slots = [_FLOAT % v if s else _FLOAT for v, s in zip(rows[0].tolist(), flags)]
+        parts = item.split(_FLOAT)
+        item = parts[0] + b"".join(map(bytes.__add__, slots, parts[1:]))
         rows = rows[:, ~same]
-    frame = (",\n" + "  " * indent).join([item] * len(bits))
+    frame = (b",\n" + b"  " * indent).join([item] * len(bits))
     return frame % tuple(rows.ravel().tolist())
 
 
@@ -1005,15 +1040,16 @@ def _float_leaves(level: list, ints: bool) -> np.ndarray | None:
     return flat
 
 
-def _block_text(items, indent: int) -> str | None:
+def _block_text(items, indent: int) -> bytes | None:
     """The items of a list, each at `indent`, joined as the emitter joins
     them, when they form a regular block: a chunk of a float64 array,
     scalars, or lists of one length down to scalar leaves. None otherwise.
 
-    A finite array chunk, and plain floats and ints that `_float_leaves`
-    takes, go through `_rows_text`. Any other leaf sends the block
-    through `_scalar_text` value by value, and a non-finite array chunk
-    goes item by item, so the first bad value raises."""
+    A finite array chunk, and more than `_FEW_LEAVES` plain floats and
+    ints that `_float_leaves` takes, go through `_rows_text`. Fewer leaves,
+    or any other leaf, send the block through `_scalar_text` value by
+    value, which prints the same bytes, and a non-finite array chunk goes
+    item by item, so the first bad value raises."""
     if isinstance(items, np.ndarray):
         return _rows_text(items, items.shape[1:], indent) if np.isfinite(items).all() else None
     regular = _regular_leaves(items)
@@ -1021,30 +1057,31 @@ def _block_text(items, indent: int) -> str | None:
         return None
     dims, level, kinds = regular
     shape = dims[1:]
-    if kinds <= {float, int}:
+    if kinds <= {float, int} and len(level) > _FEW_LEAVES:
         flat = _float_leaves(level, int in kinds)
         if flat is not None:
             return _rows_text(flat, shape, indent)
     texts = tuple(_scalar_text(v) for v in level)
-    frame = (",\n" + "  " * indent).join
-    return frame([_item_template(shape, indent, "%s")] * dims[0]) % texts
+    frame = (b",\n" + b"  " * indent).join
+    return frame([_item_template(shape, indent, b"%s")] * dims[0]) % texts
 
 
 class _Emitter:
-    """Writes a document as canonical JSON into a StringIO, flushing its
-    chunks in batches."""
+    """Writes a document as canonical JSON bytes, joining its chunks in
+    batches into parts that one join ends. A BytesIO grown by its writes
+    peaked 100 MB higher on a 1M-point document."""
 
     def __init__(self):
-        self.buf = io.StringIO()
-        self.chunks: list[str] = []
+        self.parts: list[bytes] = []
+        self.chunks: list[bytes] = []
 
-    def put(self, text: str) -> None:
+    def put(self, text: bytes) -> None:
         self.chunks.append(text)
         if len(self.chunks) >= _FLUSH:
             self.flush()
 
     def flush(self) -> None:
-        self.buf.write("".join(self.chunks))
+        self.parts.append(b"".join(self.chunks))
         self.chunks.clear()
 
     def emit(self, value, indent: int) -> None:
@@ -1060,50 +1097,56 @@ class _Emitter:
 
     def emit_list(self, value, indent: int) -> None:
         if not len(value):
-            self.put("[]")
+            self.put(b"[]")
             return
-        pad = "\n" + "  " * (indent + 1)
-        self.put("[")
+        pad = b"\n" + b"  " * (indent + 1)
+        self.put(b"[")
         for lo in range(0, len(value), _BATCH):
             chunk = value[lo : lo + _BATCH]
             if lo:
-                self.put(",")
+                self.put(b",")
             block = _block_text(chunk, indent + 1)
             if block is not None:
                 self.put(pad + block)
                 continue
             for i, item in enumerate(chunk):
-                self.put("," + pad if i else pad)
+                self.put(b"," + pad if i else pad)
                 self.emit(item, indent + 1)
-        self.put("\n" + "  " * indent + "]")
+        self.put(b"\n" + b"  " * indent + b"]")
 
     def emit_dict(self, value, indent: int) -> None:
         if not value:
-            self.put("{}")
+            self.put(b"{}")
             return
-        pad = "\n" + "  " * (indent + 1)
-        self.put("{")
+        pad = b"\n" + b"  " * (indent + 1)
+        self.put(b"{")
         for i, (key, item) in enumerate(value.items()):
-            self.put(("," if i else "") + pad + json.dumps(str(key)) + ": ")
+            self.put((b"," if i else b"") + pad + json.dumps(str(key)).encode() + b": ")
             self.emit(item, indent + 1)
-        self.put("\n" + "  " * indent + "}")
+        self.put(b"\n" + b"  " * indent + b"}")
+
+
+def canonical_bytes(doc) -> bytes:
+    """Deterministic JSON, as ASCII bytes: keys in insertion order,
+    two-space indentation, floats at 17 significant digits so they
+    round-trip exactly, and a trailing newline. A float64 array of one or
+    more dimensions is written as its `tolist()`. A non-finite float
+    raises `ValueError`."""
+    out = _Emitter()
+    out.emit(doc, 0)
+    out.put(b"\n")
+    out.flush()
+    return b"".join(out.parts)
 
 
 def canonical_json(doc) -> str:
-    """Deterministic JSON: keys in insertion order, two-space indentation,
-    floats at 17 significant digits so they round-trip exactly, and a
-    trailing newline. A float64 array of one or more dimensions is written
-    as its `tolist()`. A non-finite float raises `ValueError`."""
-    out = _Emitter()
-    out.emit(doc, 0)
-    out.put("\n")
-    out.flush()
-    return out.buf.getvalue()
+    """The text of `canonical_bytes`."""
+    return canonical_bytes(doc).decode()
 
 
 def save_sequence(d: DiscreteSequence, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(d.to_document()))
+    with open(path, "wb") as fh:
+        fh.write(canonical_bytes(d.to_document()))
 
 
 TOO_DEEP = "the document nests too deeply to parse"
@@ -1117,12 +1160,12 @@ def _parse_int(text: str):
     return -0.0 if text == "-0" else int(text)
 
 
-_POINTS_KEY = '"points": [\n'
+_POINTS_KEY = b'"points": [\n'
 _NOT_LEAVES = b" \n[]"  # what a block holds besides its numbers and commas
-_CHUNK = 1 << 16  # characters of a block converted to floats at once
+_CHUNK = 1 << 16  # bytes of a block converted to floats at once
 
 
-def _item_shape(item: str) -> tuple[int, ...] | None:
+def _item_shape(item: bytes) -> tuple[int, ...] | None:
     """The nested shape of one list item laid out one token a line, as
     the emitter lays it out, taken from the first list at each depth; the
     byte check in `_block_array` holds the other lists to it. None if the
@@ -1130,10 +1173,10 @@ def _item_shape(item: str) -> tuple[int, ...] | None:
     sizes: dict[int, int] = {}
     counts: list[int] = []
     for token in item.split():
-        if token == "[":
+        if token == b"[":
             counts.append(0)
             continue
-        if token.rstrip(",") == "]":
+        if token.rstrip(b",") == b"]":
             if not counts or not counts[-1]:
                 return None
             sizes.setdefault(len(counts) - 1, counts.pop())
@@ -1142,47 +1185,47 @@ def _item_shape(item: str) -> tuple[int, ...] | None:
     return None if counts else tuple(sizes[d] for d in range(len(sizes)))
 
 
-def _block_leaves(text: str, start: int, end: int) -> np.ndarray | None:
-    """The numbers of text[start:end] in order, read `_CHUNK` characters
-    at a time with brackets and white space dropped; None where numpy
-    cannot read a chunk to its end."""
+def _block_leaves(data: bytes, start: int, end: int) -> np.ndarray | None:
+    """The numbers of data[start:end] in order, read `_CHUNK` bytes at a
+    time with brackets and white space dropped; None where numpy cannot
+    read a chunk to its end."""
     parts = []
     lo = start
     while lo < end:
-        hi = text.find(",", min(lo + _CHUNK, end), end)
+        hi = data.find(b",", min(lo + _CHUNK, end), end)
         hi = end if hi < 0 else hi
         try:
-            parts.append(np.fromstring(text[lo:hi].encode().translate(None, _NOT_LEAVES), sep=","))
+            parts.append(np.fromstring(data[lo:hi].translate(None, _NOT_LEAVES), sep=","))
         except ValueError:
             return None
         lo = hi + 1
     return np.concatenate(parts)
 
 
-def _block_array(text: str, start: int, end: int, indent: int) -> np.ndarray | None:
-    """The read-only float64 array of the list from text[start], its "[",
-    to text[end], the newline before its "]", written at `indent`, when
-    the emitter writes that array as exactly this text: rendered in the
+def _block_array(data: bytes, start: int, end: int, indent: int) -> np.ndarray | None:
+    """The read-only float64 array of the list from data[start], its "[",
+    to data[end], the newline before its "]", written at `indent`, when
+    the emitter writes that array as exactly these bytes: rendered in the
     emitter's batches of rows, each compared with its slice of the input.
     The comparison, not the float parser, decides; None otherwise."""
-    pad = "\n" + "  " * (indent + 1)
+    pad = b"\n" + b"  " * (indent + 1)
     first = start + 1 + len(pad)
-    if text.startswith("[", first):  # items are lists: the first ends at its "]"
-        stop = text.find(pad + "]", first, end) + len(pad) + 1
+    if data.startswith(b"[", first):  # items are lists: the first ends at its "]"
+        stop = data.find(pad + b"]", first, end) + len(pad) + 1
     else:
-        stop = text.find("\n", first, end)
-    shape = _item_shape(text[first:stop])
+        stop = data.find(b"\n", first, end)
+    shape = _item_shape(data[first:stop])
     if shape is None:
         return None
-    flat = _block_leaves(text, start, end)
+    flat = _block_leaves(data, start, end)
     if flat is None or not len(flat) or len(flat) % math.prod(shape) or not np.isfinite(flat).all():
         return None
     arr = flat.reshape(-1, *shape)
     at = start + 1
     for lo in range(0, len(arr), _BATCH):
-        sep = ("," if lo else "") + pad
+        sep = (b"," if lo else b"") + pad
         rows = _rows_text(arr[lo : lo + _BATCH], shape, indent + 1)
-        if not (text.startswith(sep, at) and text.startswith(rows, at + len(sep))):
+        if not (data.startswith(sep, at) and data.startswith(rows, at + len(sep))):
             return None
         at += len(sep) + len(rows)
     if at != end:
@@ -1191,55 +1234,61 @@ def _block_array(text: str, start: int, end: int, indent: int) -> np.ndarray | N
     return arr
 
 
-def _points_blocks(text: str) -> list[tuple[int, int, np.ndarray]]:
-    """The points blocks of `text` that the emitter writes back byte for
-    byte, each as (start, end, array): text[start:end] runs from the
+def _points_blocks(data: bytes) -> list[tuple[int, int, np.ndarray]]:
+    """The points blocks of `data` that the emitter writes back byte for
+    byte, each as (start, end, array): data[start:end] runs from the
     block's "[" to its "]".
 
     A block follows a line `<indent>"points": [` whose indent is an even
     number of spaces, as the emitter indents keys. It ends at the last
     line `<indent>]` before the first '"' or '}' after it, which in the
     emitter's layout is where the document goes on, so a later list at the
-    same indent is not taken for its end. Any other block is left to json."""
+    same indent is not taken for its end. Any other block is left to json.
+    Every byte the search looks for is ASCII, which UTF-8 never uses
+    inside a longer character."""
     blocks = []
-    key = text.find(_POINTS_KEY)
+    key = data.find(_POINTS_KEY)
     while key >= 0:
-        line = text.rfind("\n", 0, key) + 1
+        line = data.rfind(b"\n", 0, key) + 1
         start = key + len(_POINTS_KEY) - 2
         width = key - line
-        if width % 2 == 0 and text.count(" ", line, key) == width:
-            close = "\n" + " " * width + "]"
-            ahead = [i for i in (text.find('"', start), text.find("}", start)) if i >= 0]
-            end = text.rfind(close, start, min(ahead, default=len(text)))
-            arr = _block_array(text, start, end, width // 2) if end > start else None
+        if width % 2 == 0 and data.count(b" ", line, key) == width:
+            close = b"\n" + b" " * width + b"]"
+            ahead = [i for i in (data.find(b'"', start), data.find(b"}", start)) if i >= 0]
+            end = data.rfind(close, start, min(ahead, default=len(data)))
+            arr = _block_array(data, start, end, width // 2) if end > start else None
             if arr is not None:
                 blocks.append((start, end + len(close), arr))
-                key = text.find(_POINTS_KEY, end)
+                key = data.find(_POINTS_KEY, end)
                 continue
-        key = text.find(_POINTS_KEY, start)
+        key = data.find(_POINTS_KEY, start)
     return blocks
 
 
-def _read_json(text: str, object_hook=None, emit=None):
-    """The one JSON parse of the package: a "-0" token reads back as -0.0,
-    and a document nested too deeply to parse raises `MalformedDocument`.
+def _read_json(data: bytes, object_hook=None, emit=None):
+    """The one JSON parse of the package, of a document's UTF-8 bytes: a
+    "-0" token reads back as -0.0, and a document nested too deeply to
+    parse raises `MalformedDocument`.
 
     Each points block that `_points_blocks` reads comes back as its
-    read-only float64 array, and json parses only the rest of the text,
-    with a placeholder string standing for each block. Should that parse
-    fail, the whole text is parsed again as if no block had been read, so
-    a failure raises json's own error at its own line and column.
+    read-only float64 array. Only the rest of the bytes, with a
+    placeholder string standing for each block, is decoded, strictly as
+    UTF-8, and parsed by json. A block is ASCII, so the rest decodes
+    exactly when the whole does. Should the decode or the parse fail, the
+    whole is decoded and parsed again as if no block had been read, so a
+    failure raises the codec's or json's own error at its own position.
+    json never sees bytes, which it would decode by its own rules.
 
-    Given `emit`, the canonical serializer, returns the document and
-    whether `emit` writes it as `text` itself. That is known without
+    Given `emit`, the canonical serializer to bytes, returns the document
+    and whether `emit` writes it as `data` itself. That is known without
     rendering any block again once some block was read and `emit` writes
-    the rest, placeholders and all, as its own text; False otherwise."""
+    the rest, placeholders and all, as its own bytes; False otherwise."""
 
     def parse(source: str, hook):
         parse_int = _parse_int if _NEG_ZERO.search(source) else None
         return json.loads(source, parse_int=parse_int, object_hook=hook)
 
-    blocks = _points_blocks(text)
+    blocks = _points_blocks(data)
     held: list[dict] = []
 
     def hold(obj):
@@ -1253,19 +1302,19 @@ def _read_json(text: str, object_hook=None, emit=None):
     if blocks:
         pieces, at = [], 0
         for i, (start, end, _) in enumerate(blocks):
-            pieces += [text[at:start], json.dumps(f"\0{i}")]
+            pieces += [data[at:start], b'"\\u0000%d"' % i]
             at = end
-        rest = "".join(pieces) + text[at:]
+        rest = b"".join(pieces) + data[at:]
         # a "\u0000" of the document's own could read as a placeholder
-        if rest.count("\\u0000") == len(blocks):
+        if rest.count(b"\\u0000") == len(blocks):
             try:
-                doc = parse(rest, hold)
-            except (ValueError, RecursionError):  # a JSONDecodeError is a ValueError
+                doc = parse(rest.decode("utf-8"), hold)
+            except (ValueError, RecursionError):  # decode and JSON errors are ValueErrors
                 held.clear()
     if doc is None:
         rest = None
         try:
-            doc = parse(text, object_hook)
+            doc = parse(data.decode("utf-8"), object_hook)
         except RecursionError:
             raise MalformedDocument(TOO_DEEP) from None
     same = False
@@ -1279,6 +1328,19 @@ def _read_json(text: str, object_hook=None, emit=None):
     return doc if emit is None else (doc, same)
 
 
+def _document_bytes(path) -> bytes:
+    """The bytes of a document file, opened in binary, as text mode reads
+    its text: strict UTF-8 with universal newlines, so that CR LF and a
+    lone CR read as LF. A file holding a CR is decoded first, so that
+    invalid UTF-8 in it raises as text mode raises it, at its offset in
+    the file; `_read_json` decodes any other file as it is."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data.decode("utf-8")
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
 def load_sequence(path) -> DiscreteSequence:
-    with open(path, "r", encoding="utf-8") as fh:
-        return DiscreteSequence.from_json(_read_json(fh.read()))
+    return DiscreteSequence.from_json(_read_json(_document_bytes(path)))

@@ -126,6 +126,11 @@ class DuplicatePoints(TamelabError, ValueError):
     duplicates raised before they were typed)."""
 
 
+class NonFiniteEntries(TamelabError, ValueError):
+    """A point or matrix holds a nan or an infinite entry (also a
+    `ValueError`, which such entries raised before they were typed)."""
+
+
 class BadParams(TamelabError, ValueError):
     """Parameters passed to a generator, an estimator or a command are
     invalid (also a `ValueError`, which the library raised before)."""

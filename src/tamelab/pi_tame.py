@@ -92,7 +92,7 @@ class QElement:
     @classmethod
     def from_blocks(cls, r: np.ndarray, lower: np.ndarray) -> "QElement":
         """[[1, r], [0, lower]], checked as `_q_stack` checks one."""
-        return cls._of(_q_stack(np.atleast_1d(r)[None], np.asarray(lower)[None])[0])
+        return cls._of(_q_stack(np.atleast_1d(r)[None], np.asarray(lower)[None], None)[0])
 
     @classmethod
     def _of(cls, entries: np.ndarray) -> "QElement":
@@ -122,9 +122,10 @@ def pi_tame_check(
     return properness_check(d.array[:, :, 0], min_gap=min_gap, max_fiber=max_fiber)
 
 
-def _q_stack(r: np.ndarray, lower: np.ndarray) -> np.ndarray:
+def _q_stack(r: np.ndarray, lower: np.ndarray, first: int | None = 0) -> np.ndarray:
     """The fiber-group elements [[1, r_k], [0, lower_k]] of top rows (m, n-1)
-    and lower blocks (m, n-1, n-1), checked by `_check_rows`: their first
+    and lower blocks (m, n-1, n-1), checked by `_check_rows` (which names a
+    bad one counting from `first`, or not at all for None): their first
     columns are e1 by construction. For n = 2 a finite element with lower
     entry exactly 1 has LU determinant exactly 1 (pivot 1, multiplier 0,
     last pivot 1 - 0 * r), so a stack of such elements skips the check."""
@@ -134,7 +135,7 @@ def _q_stack(r: np.ndarray, lower: np.ndarray) -> np.ndarray:
     q[:, 0, 1:] = r
     q[:, 1:, 1:] = lower
     if k > 1 or not ((lower == 1).all() and np.isfinite(r).all()):
-        _check_rows("sln", q, DET_TOL)
+        _check_rows("sln", q, DET_TOL, first)
     return q
 
 

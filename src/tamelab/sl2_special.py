@@ -13,6 +13,7 @@ matrices over the integers of an imaginary quadratic field.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -77,7 +78,7 @@ class BivariatePoly:
         width = max((len(r) for r in self.coeffs), default=0)
         for row in self.coeffs:
             padded = tuple(complex(z) for z in row) + (0j,) * (width - len(row))
-            if not all(np.isfinite(z.real) and np.isfinite(z.imag) for z in padded):
+            if not all(map(cmath.isfinite, padded)):
                 raise ValueError("coefficients must be finite")
             rows.append(padded)
         object.__setattr__(self, "coeffs", tuple(rows))

@@ -26,6 +26,7 @@ from tamelab.errors import (
     DuplicatePoints,
     InconclusivePrefix,
     MalformedDocument,
+    NonFiniteEntries,
     NotSameFiber,
     TamelabError,
 )
@@ -254,6 +255,21 @@ class TestBatchedEmitter:
         doc = {"points": points, "flat": vals.reshape(-1).tolist(), "empty": [[], []]}
         assert cli.canonical_json(doc) == _canonical_reference(doc)
 
+    def test_short_lists_print_the_same_bytes_value_by_value(self, monkeypatch):
+        # lists of at most `_FEW_LEAVES` leaves skip the array path; with no
+        # cut they take it, and both print the same bytes
+        big = 2**53
+        lists = [[1.5], [1.5, 2.5], [-0.0], [0.0, -0.0, 3], [1, 2, 3, 4], [[0.1, -0.0]],
+                 [[1, 2], [3, 4.5]], [big], [big - 1, -big], [big + 1], [2**63, 0.5],
+                 [5e-324, 1.7976931348623157e308], [[1e16, -7]]]
+        rng = np.random.default_rng(6)
+        lists += [rng.standard_normal(k).tolist() for k in range(1, 5)]
+        lists += [rng.integers(-10**6, 10**6, k).tolist() for k in range(1, 5)]
+        few = [core._block_text(items, 1) for items in lists]
+        monkeypatch.setattr(core, "_FEW_LEAVES", 0)
+        assert [core._block_text(items, 1) for items in lists] == few
+        assert all(len(core._regular_leaves(items)[1]) <= 4 for items in lists)
+
     def test_sequence_documents_match_reference(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((3000, 3)) + 1j * rng.standard_normal((3000, 3))
@@ -377,7 +393,7 @@ _json_docs = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_json_docs)
 def test_violated_scan_matches_reference(doc):
-    parsed, violated = cli._read_report(json.dumps(doc))
+    parsed, violated = cli._read_report(json.dumps(doc).encode())
     assert parsed == doc
     assert violated == _violated_reference(doc)
 
@@ -1109,11 +1125,13 @@ class TestSerializeOnce:
     def counted(self, monkeypatch) -> list:
         calls = []
 
-        def counting(doc):
-            calls.append(1)
-            return core.canonical_json(doc)
+        # `--out` takes the bytes and `--json` alone the text
+        for name in ("canonical_bytes", "canonical_json"):
+            def counting(doc, real=getattr(core, name)):
+                calls.append(1)
+                return real(doc)
 
-        monkeypatch.setattr(cli, "canonical_json", counting)
+            monkeypatch.setattr(cli, name, counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -1195,9 +1213,9 @@ class TestDocumentsCarryArrays:
         self._refuse_lists(monkeypatch)
         out = tmp_path / "out.json"
         assert run(*[inputs.get(a, a) for a in argv], "--out", str(out)) == 0
-        text = out.read_text(encoding="utf-8")
-        doc, _ = cli._read_report(text)  # keeps "-0" tokens as -0.0
-        assert text == _canonical_reference(doc)
+        data = out.read_bytes()
+        doc, _ = cli._read_report(data)  # keeps "-0" tokens as -0.0
+        assert data.decode() == _canonical_reference(doc)
 
     def test_save_sequence_writes_the_list_bytes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(9)
@@ -1321,6 +1339,60 @@ def test_fit_weights_last_one_command(tmp_path, monkeypatch):
         written.append(read_bytes(out))
     assert written[0] == written[1]
     assert nodes == []
+
+
+def _pairs(values) -> list:
+    return [[float(complex(z).real), float(complex(z).imag)] for z in values]
+
+
+class TestValidationNamesThePoint:
+    """A point that fails validation on load is named by its index in the
+    error, which exits 1 without a traceback."""
+
+    _EYE = [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "criterion, ambient, n, points, message",
+        [
+            ("rr-series", "cn", 2, [[1, 0], [2, 0], [float("nan"), 0]],
+             "point 2: point contains non-finite entries"),
+            ("rr-series", "cn", 2, [[1, 0], [2, 0, 0], [3, 0]],
+             "point 1: expected a vector of length 2"),
+            ("punctured", "punctured-cn", 2, [[1, 0], [0, 0], [2, 0]],
+             "point 1: the puncture (origin) is not a point of this space"),
+            ("dp-classify", "disc-plane", 2, [[0.1, 0], [0.2, 1], [0.5, 0], [1.5, 0]],
+             "point 3: |z| = 1.5 is not inside the unit disc"),
+            ("wellplaced", "sln", 2, [_EYE, [[2, 0], [0, 1]], [[1, 1], [0, 1]]],
+             "point 1: determinant 2+0j differs from 1 by 1 (allowed 2e-09)"),
+            ("wellplaced", "sln", 2, [_EYE, [[1, 1], [0, 1]], [[1, float("inf")], [0, 1]]],
+             "point 2: matrix contains non-finite entries"),
+        ],
+        ids=["non-finite", "vector-length", "puncture", "disc", "determinant",
+             "non-finite-matrix"],
+    )
+    def test_exit_1_naming_the_point(self, tmp_path, capsys, criterion, ambient, n,
+                                     points, message):
+        pairs = [[_pairs(row) for row in p] if ambient == "sln" else _pairs(p)
+                 for p in points]
+        path = tmp_path / "bad.json"
+        # json.dumps writes nan and inf as the NaN and Infinity that json reads
+        path.write_text(json.dumps({"ambient": ambient, "n": n, "points": pairs}),
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert run("check", criterion, str(path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+
+    def test_non_finite_entries_are_typed_value_errors(self):
+        with pytest.raises(NonFiniteEntries, match="^point 1: point contains") as info:
+            DiscreteSequence(cn(1), [[1.0], [float("nan")]])
+        assert isinstance(info.value, TamelabError) and isinstance(info.value, ValueError)
+        # a lone value is not named by an index
+        with pytest.raises(NonFiniteEntries, match="^matrix contains non-finite entries$"):
+            core.sl_matrix([[1.0, float("nan")], [0.0, 1.0]])
+        with pytest.raises(NonFiniteEntries, match="^point contains non-finite entries$"):
+            core.as_point(cn(1), [float("inf")])
 
 
 class TestMalformedDocuments:
@@ -1612,7 +1684,7 @@ class TestWitnesses:
 
     @pytest.mark.parametrize(
         "case, message",
-        [("nan", "error: matrix contains non-finite entries\n"),
+        [("nan", "error: point 3: matrix contains non-finite entries\n"),
          ("repeat", "error: points 2 and 3 coincide; prefixes must be pairwise distinct\n")],
         ids=["nan", "repeat"],
     )

@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 
 from tamelab import cli, core
 from tamelab.errors import (
+    BadParams,
     DeterminantError,
     DimensionMismatch,
     DuplicatePoints,
     MalformedDocument,
+    NonFiniteEntries,
     PointOutsideAmbient,
+    TamelabError,
     UnsupportedPair,
 )
 from tamelab.rng import stream
@@ -158,6 +161,49 @@ class TestFirstClosePair:
             tol = [0.0, 1e-7, 1e-6][trial % 3]
             with np.errstate(invalid="ignore"):  # inf - inf
                 assert core.first_close_pair(rows, tol) == _first_close_pair_loop(rows, tol)
+
+
+def _first_close_pair_mask(rows, tol):
+    """Reference: the small-table search as the upper-triangle mask and
+    `argwhere` took it."""
+    m = len(rows)
+    if m < 2:
+        return None
+    flats = np.asarray(rows).reshape(m, -1)
+    near = np.max(np.abs(flats[:, None, :] - flats[None, :, :]), axis=2) <= tol
+    near &= np.arange(m)[None, :] > np.arange(m)[:, None]
+    hits = np.argwhere(near)
+    return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
+
+
+def test_the_small_table_takes_the_first_hit_of_the_symmetric_table():
+    # ties (repeated rows, rows a tolerance apart) and nan rows, whose
+    # distances to every row are nan and so never within the tolerance
+    rng = stream(12, "small-table")
+    hits = 0
+    for trial in range(2000):
+        m, k = int(rng.integers(0, 12)), int(rng.integers(1, 5))
+        if m * m * k > core._PAIR_TABLE_ENTRIES >> 5:
+            continue
+        rows = rng.integers(-1, 2, (m, k)) + 1j * rng.integers(-1, 2, (m, k))
+        rows = rows + [0.0, 1e-7][trial % 2] * rng.standard_normal((m, k))
+        for _ in range(int(rng.integers(0, 3)) if m else 0):
+            rows[rng.integers(m)] = [np.nan, complex(0.0, np.nan)][trial % 2]
+        tol = [0.0, 1e-7, 1.0][trial % 3]
+        with np.errstate(invalid="ignore"):
+            got = core.first_close_pair(rows, tol)
+            assert got == _first_close_pair_mask(rows, tol)
+        assert got is None or all(type(i) is int for i in got)
+        hits += got is not None
+    assert 0 < hits < 2000
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_heights_must_be_finite_and_positive(bad):
+    with pytest.raises(BadParams, match="heights must be finite and positive"):
+        core.HeightAssignment((1.0, bad))
+    with pytest.raises(BadParams, match="heights must be finite and positive"):
+        core.HeightAssignment.constant(bad, 3)
 
 
 def _window_pairs_loop(x, half):
@@ -445,8 +491,14 @@ def _as_point_reference(ambient, value, det_tol=core.DET_TOL):
 
 
 def _sequence_reference(ambient, points):
-    """Point-by-point validation and duplicate scan, as sequences did it."""
-    validated = tuple(_as_point_reference(ambient, p) for p in points)
+    """Point-by-point validation and duplicate scan, as sequences did it;
+    an error of the package names the point's index."""
+    validated = []
+    for i, p in enumerate(points):
+        try:
+            validated.append(_as_point_reference(ambient, p))
+        except TamelabError as exc:
+            raise type(exc)(f"point {i}: {exc}") from None
     seen = {}
     for i, p in enumerate(validated):
         key = (p.reshape(-1) + 0.0).tobytes()
@@ -519,7 +571,7 @@ _DEFECTS = {
     [
         ([2 * np.eye(2), [[1, 0], [0]]], DeterminantError),
         ([[[1, 0], [0]], np.eye(2)], ValueError),
-        ([np.diag([np.nan, 1.0]), np.eye(3)], ValueError),
+        ([np.diag([np.nan, 1.0]), np.eye(3)], NonFiniteEntries),
         ([np.eye(2), 2 * np.eye(3)], DeterminantError),
     ],
     ids=["det-before-ragged", "ragged-first", "non-finite-before-3x3", "wrong-size-bad-det"],
@@ -561,7 +613,7 @@ class TestBatchedValidation:
             else:
                 assert got[1] == expected[1]
         # every error class this ambient can raise, and clean prefixes;
-        # duplicates have their own class, non-finite entries raise ValueError
+        # duplicates and non-finite entries have their own classes
         assert len(seen) == 4 + (ambient.kind != "cn")
 
     def test_determinant_tolerance_scales_with_the_column_norms(self):
@@ -623,16 +675,21 @@ def _check_rows_reference(kind, arr, det_tol):
             allowed = core.det_tolerance(ok[near], det_tol)
             off = np.flatnonzero(dev[near] > allowed)
             if off.size:
-                core._require_unit_det(complex(dets[near[off[0]]]), float(allowed[off[0]]))
+                try:
+                    core._require_unit_det(complex(dets[near[off[0]]]), float(allowed[off[0]]))
+                except DeterminantError as exc:
+                    raise DeterminantError(f"point {near[off[0]]}: {exc}") from None
     elif kind == "disc-plane":
         radii = np.abs(ok[:, 0])
         outside = np.flatnonzero(radii >= 1.0)
         if outside.size:
             raise PointOutsideAmbient(
-                f"|z| = {radii[outside[0]]:.6g} is not inside the unit disc"
+                f"point {outside[0]}: |z| = {radii[outside[0]]:.6g} is not inside the unit disc"
             )
     if stop < m:
-        raise ValueError(f"{'matrix' if kind == 'sln' else 'point'} contains non-finite entries")
+        raise NonFiniteEntries(
+            f"point {stop}: {'matrix' if kind == 'sln' else 'point'} contains non-finite entries"
+        )
 
 
 def _rows_outcome(check, kind, rows):
@@ -659,17 +716,17 @@ class TestCheckRowsEdges:
         "rows, expected",
         [
             ([_EYE, _BAD_DET, _NAN, _EYE], (DeterminantError, "differs from 1 by 3")),
-            ([_EYE, _NAN, _BAD_DET], (ValueError, "matrix contains non-finite entries")),
+            ([_EYE, _NAN, _BAD_DET], (NonFiniteEntries, "matrix contains non-finite entries")),
             ([_EYE], "ok"),
             ([_BAD_DET], (DeterminantError, "differs from 1 by 3")),
-            ([_NAN], (ValueError, "matrix contains non-finite entries")),
+            ([_NAN], (NonFiniteEntries, "matrix contains non-finite entries")),
             (np.zeros((0, 2, 2)), "ok"),
             ([_INF_DET], "ok"),
             ([_EYE, _INF_DET, _EYE], "ok"),
             ([_NAN_DET], "ok"),
             ([_NAN_DET, _EYE, _BAD_DET], (DeterminantError, "differs from 1 by 3")),
             ([_INF_DET, _BAD_DET, _NAN_DET], (DeterminantError, "differs from 1 by 3")),
-            ([_NAN_DET, _NAN], (ValueError, "matrix contains non-finite entries")),
+            ([_NAN_DET, _NAN], (NonFiniteEntries, "matrix contains non-finite entries")),
         ],
         ids=["det-then-nan", "nan-then-det", "one", "one-bad-det", "one-nan", "empty",
              "inf-det", "inf-det-inside", "nan-det", "nan-det-then-bad-det",

@@ -161,11 +161,11 @@ class TestApplyBatch:
             ps[k, 0] = z
         aut = _aut(theta=0.3, alpha=0.1j, logf=(0.2,), g=(1.0,))
         with pytest.raises((PointOutsideAmbient, ValueError)) as want:
-            for p in ps:
+            for k, p in enumerate(ps):
                 _old_apply(aut, p)
         with pytest.raises(type(want.value)) as got:
             aut.apply_batch(ps)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"point {k}: {want.value}"
 
     def test_an_empty_stack_maps_to_an_empty_stack(self):
         out = _aut(logf=(0.5,)).apply_batch(np.zeros((0, 2), dtype=np.complex128))

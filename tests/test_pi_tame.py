@@ -35,6 +35,7 @@ from tamelab.errors import (
     DeterminantError,
     FiberCollision,
     InterpolationIllConditioned,
+    NonFiniteEntries,
     NotSameFiber,
     SearchExhausted,
 )
@@ -625,9 +626,9 @@ class TestOneByOneFactor:
         bad = pi_tame.BundlePushAut(pi_tame.QPolyMap(
             2, fmap.u, (fmap.r_fns[0].with_values(values),), fmap.logl_fns))
         checked = []
-        monkeypatch.setattr(pi_tame, "_check_rows", lambda kind, arr, tol:
-                            checked.append(len(arr)) or _check_rows(kind, arr, tol))
-        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        monkeypatch.setattr(pi_tame, "_check_rows", lambda kind, arr, *rest:
+                            checked.append(len(arr)) or _check_rows(kind, arr, *rest))
+        with pytest.raises(NonFiniteEntries, match="^point 4: matrix contains non-finite entries$"):
             bad.apply_batch(d.array)
         assert checked == [10]
 
@@ -651,12 +652,13 @@ class TestOneByOneFactor:
             got = _bits_or_error(phi.apply_batch, ps)
             assert got == _bits_or_error(_push_reference, fmap, ps), name
             if not name.startswith("zero-fit"):  # its fits are constants, finite everywhere
-                assert got == (ValueError, "matrix contains non-finite entries"), name
+                assert got == (NonFiniteEntries, "point 2: matrix contains non-finite entries"), name
 
 
-def _q_factor_per_pair(a, b) -> np.ndarray:
+def _q_factor_per_pair(a, b, k: int = 0) -> np.ndarray:
     """One fiber factor as `q_factor` took it before factors were taken
-    as a stack: the reference `fiber_factors` must reproduce."""
+    as a stack, the pair's index k named in a factor's error: the
+    reference `fiber_factors` must reproduce."""
     am, bm = sl_matrix(a), sl_matrix(b)
     drift = float(np.max(np.abs(am[:, 0] - bm[:, 0])))
     if drift > pi_tame.FIBER_MATCH_TOL:
@@ -665,7 +667,7 @@ def _q_factor_per_pair(a, b) -> np.ndarray:
     q = np.eye(len(g), dtype=np.complex128)
     q[0, 1:] = g[0, 1:]
     q[1:, 1:] = g[1:, 1:]
-    _check_rows("sln", q[None], DET_TOL)
+    _check_rows("sln", q[None], DET_TOL, k)
     return q
 
 
@@ -689,7 +691,7 @@ def _equivalence_per_pair(cs: np.ndarray, ds: np.ndarray, seed: int = 0):
     """The factors, logarithms, fit and moved stack of `equivalence_move`,
     one pair and one block at a time, in its stage order: each pair's
     first columns then its factor, the separator, the logarithms."""
-    factors = np.stack([_q_factor_per_pair(c, d) for c, d in zip(cs, ds)])
+    factors = np.stack([_q_factor_per_pair(c, d, k) for k, (c, d) in enumerate(zip(cs, ds))])
     u, ss = pi_tame._separate(np.stack(list(cs[:, :, 0])), seed)
     logs = np.stack([_principal_log_per_block(q[1:, 1:]).reshape(-1) for q in factors])
     fmap = pi_tame._interpolate_blocks(u, ss, factors[:, 0, 1:], logs)

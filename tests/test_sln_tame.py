@@ -32,9 +32,11 @@ from tamelab.errors import (
     FiberCollision,
     InconclusivePrefix,
     LambdaVanishes,
+    NonFiniteEntries,
     NotDiagonal,
     NotOnSubgroup,
     ProductNotOne,
+    TamelabError,
 )
 from tamelab.pi_tame import BundlePushAut, QPolyMap
 from tamelab.rng import stream
@@ -332,7 +334,12 @@ class TestOneParam:
 def _torus_per_point(mats, min_gap: float = core.MIN_GAP):
     """`torus_embed` validating and testing one matrix at a time: the
     reference the stack path must reproduce."""
-    points = [core.sl_matrix(p) for p in mats]
+    points = []
+    for i, p in enumerate(mats):
+        try:
+            points.append(core.sl_matrix(p))
+        except TamelabError as exc:  # the stack names the bad matrix
+            raise type(exc)(f"point {i}: {exc}") from None
     if not points:
         raise ValueError("need at least one diagonal matrix")
     n = points[0].shape[0]
@@ -433,7 +440,7 @@ class TestTorusStack:
             ({2: "near", 5: "off"}, NotDiagonal, "matrix 2 has"),
             ({4: "off", 6: "near"}, NotDiagonal, "matrix 4 has"),
             ({1: "det", 3: "nan"}, DeterminantError, "determinant 2"),
-            ({1: "nan", 3: "det"}, ValueError, "non-finite"),
+            ({1: "nan", 3: "det"}, NonFiniteEntries, "non-finite"),
         ],
     )
     def test_the_first_bad_matrix_raises_the_per_point_error(self, bad, error, message):

@@ -233,6 +233,72 @@ def test_only_core_parses_json():
     assert _callers(trees, "load") == set()
 
 
+def _opens(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(`module.function`, mode) of each call of `open`: its second
+    argument or `mode` keyword, "r" when it has neither, and "?" when that
+    is not a literal."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "open":
+                mode = child.args[1] if len(child.args) > 1 else next(
+                    (k.value for k in child.keywords if k.arg == "mode"), ast.Constant("r"))
+                found.add((owner, mode.value if isinstance(mode, ast.Constant) else "?"))
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and "." not in owner:
+                inner = f"{owner}.{child.name}"
+            visit(child, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return found
+
+
+def test_documents_are_read_and_written_as_bytes():
+    # `load_sequence` and `report` read a document through one core
+    # function, which opens it in binary; documents are written in binary.
+    # Only the config file, which is not a document, is read as text.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _callers(trees, "_document_bytes") == {"core.load_sequence", "cli._cmd_report"}
+    assert _opens(trees) == {
+        ("core._document_bytes", "rb"),
+        ("core.save_sequence", "wb"),
+        ("cli._finish", "wb"),
+        ("cli._load_config_file", "r"),
+    }
+
+
+def test_the_open_scan_sees_positional_keyword_and_default_modes():
+    tree = ast.parse("def a(p):\n    open(p, 'rb')\n\ndef b(p):\n    open(p, mode='w')\n\n"
+                     "def c(p):\n    open(p)\n\ndef d(p, m):\n    open(p, m)\n")
+    assert _opens({"m": tree}) == {("m.a", "rb"), ("m.b", "w"), ("m.c", "r"), ("m.d", "?")}
+
+
+def _loads_sources(tree: ast.Module) -> list[ast.AST]:
+    """In `_read_json`, the first argument of each call of its nested
+    `parse`, after checking that `parse` hands json.loads its own first
+    parameter."""
+    reader = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_read_json")
+    parse = next(n for n in reader.body if isinstance(n, ast.FunctionDef) and n.name == "parse")
+    loads = [n for n in ast.walk(parse) if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", None) == "loads"]
+    assert [ast.unparse(n.args[0]) for n in loads] == [parse.args.args[0].arg]
+    return [n.args[0] for n in ast.walk(reader) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", None) == "parse"]
+
+
+def test_json_parses_only_strictly_decoded_text():
+    # json.loads given bytes would accept a BOM or UTF-16, so the reader
+    # decodes them itself: every text it parses is `<bytes>.decode("utf-8")`
+    tree = ast.parse(next(p for p in SOURCES if p.stem == "core").read_text(encoding="utf-8"))
+    sources = _loads_sources(tree)
+    assert len(sources) == 2
+    assert all(isinstance(s, ast.Call) and getattr(s.func, "attr", None) == "decode"
+               and [ast.unparse(a) for a in s.args] == ["'utf-8'"] and not s.keywords
+               for s in sources)
+
+
 def test_only_the_determinant_rule_scales_the_tolerance():
     # `core.det_drift` is the one rule by which a matrix is a point of SL(n),
     # on load and on a move's output alike
@@ -362,7 +428,6 @@ def test_only_one_matrix_entry_points_validate_one_matrix():
     # validated when they were loaded, and does not validate them again
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert _callers(trees, "sl_matrix") == {
-        "core.validate_points",
         "pi_tame.__post_init__",
         "pi_tame.q_factor",
         "sl2_special.overshear_apply",
