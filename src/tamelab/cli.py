@@ -178,8 +178,9 @@ def _finish(
 ) -> None:
     """Writes `file_text`, or else the document's canonical JSON, to --out
     in binary, then prints the JSON under --json and the human lines
-    otherwise. The document is serialized at most once, and not at all
-    when the caller holds its canonical JSON as `data`."""
+    otherwise. The document is serialized at most once, as bytes for a
+    file and as text for stdout alone, and not at all when the caller
+    holds its canonical bytes as `data`."""
     if data is None and cfg.out is not None and file_text is None:
         data = canonical_bytes(doc)
     if cfg.out is not None:
