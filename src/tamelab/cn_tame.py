@@ -61,10 +61,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
     def __call__(self, z):
         """Horner's rule at a scalar, in Python complex arithmetic, or at
         each entry of an array in `_Parts`, which rounds as the scalar does.

@@ -32,6 +32,7 @@ from .errors import (
     DeterminantError,
     DimensionMismatch,
     DuplicatePoints,
+    InconclusivePrefix,
     MalformedDocument,
     NonFiniteEntries,
     PointOutsideAmbient,
@@ -384,7 +385,7 @@ class GeneratorInfo:
         params = obj.get("params", {}) if isinstance(obj, dict) else None
         if not isinstance(params, dict) or not isinstance(obj.get("family"), str):
             raise MalformedDocument("field 'generator' of the sequence document is malformed")
-        return cls.of(obj["family"], **params)
+        return cls(obj["family"], tuple(sorted(params.items())))
 
 
 def max_norm_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -772,7 +773,7 @@ def exhaust_eval(kind: str, p, ambient: AmbientSpace) -> float:
 def discreteness_check(d: DiscreteSequence, min_gap: float = MIN_GAP) -> Verdict:
     """Violated if two prefix points sit within min_gap of each other."""
     if len(d) == 0:
-        raise ValueError("discreteness needs a nonempty prefix")
+        raise InconclusivePrefix("discreteness needs a nonempty prefix")
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
     hit = first_close_pair(d.array, float(min_gap))
@@ -805,7 +806,7 @@ def properness_check(
     under any keys); when omitted, images are grouped by exact equality.
     """
     if len(images) == 0:
-        raise ValueError("properness needs a nonempty image list")
+        raise InconclusivePrefix("properness needs a nonempty image list")
     arrays = np.asarray(images, dtype=np.complex128)
     fibers = fiber_keys if fiber_keys is not None else group_fibers(arrays)
     for members in fibers.values():

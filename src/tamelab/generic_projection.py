@@ -60,6 +60,7 @@ from .errors import (
     AmbientMismatch,
     BadParams,
     DimensionMismatch,
+    InconclusivePrefix,
     SearchExhausted,
     ZeroVector,
 )
@@ -68,6 +69,7 @@ from .rng import stream
 UNITARY_TOL = 1e-10
 CENTRAL_RATIO_TOL = 1e-8
 RADIUS_CAP = 1e12
+MAX_PROBES = 1 << 20
 SEARCH_REL_TOL = 1e-2
 
 ACTIONS = ("conjugation", "translation")
@@ -213,12 +215,6 @@ class InvariantEmbedding:
             raise AmbientMismatch(
                 "the invariant tuple chart exists for 2 by 2 matrices only"
             )
-
-    def embed(self, m) -> np.ndarray:
-        m = np.asarray(m, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise DimensionMismatch(f"expected a 2 by 2 matrix, got {m.shape}")
-        return self.embed_batch(m[None, :, :])[0]
 
     def embed_batch(self, ms: np.ndarray) -> np.ndarray:
         ms = np.asarray(ms, dtype=np.complex128)
@@ -421,14 +417,15 @@ def mc_report_row(action: str, v, r: float, est: MCEstimate) -> dict:
 
 
 def _unit_probes(seed: int, count: int) -> np.ndarray:
-    """Seeded unit-norm probe matrices, stacked (count, 2, 2)."""
+    """Seeded unit-norm probe matrices, stacked (count, 2, 2). They are
+    drawn at once, so a count above `MAX_PROBES` (64 MiB of probes) is
+    refused before any draw."""
     if count < 1:
         raise BadParams("need at least one probe")
+    if count > MAX_PROBES:
+        raise BadParams(f"{count} probes exceed the cap of {MAX_PROBES}")
     rng = stream(seed, "unit-probes")
-    try:
-        flat = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
-    except (ValueError, MemoryError):  # numpy cannot shape or hold them
-        raise BadParams(f"{count} probes do not fit in memory") from None
+    flat = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
     flat /= np.linalg.norm(flat, axis=1, keepdims=True)
     return flat.reshape(count, 2, 2)
 
@@ -670,7 +667,7 @@ def omega_check(
     if d.ambient != sln(2):
         raise AmbientMismatch("the omega fraction runs over SL2 prefixes")
     if len(d) == 0:
-        raise ValueError("the omega fraction needs a nonempty prefix")
+        raise InconclusivePrefix("the omega fraction needs a nonempty prefix")
     if k_samples < 1:
         raise ValueError("need at least one sampled twist")
     points = d.array

@@ -33,7 +33,6 @@ from .core import (
     falls_short,
     first_close_pair,
     properness_check,
-    sl_matrix,
     sln,
 )
 from .errors import (
@@ -73,43 +72,6 @@ def first_column(n: int) -> BundleSpec:
     return BundleSpec(sln(n))
 
 
-@dataclass(frozen=True)
-class QElement:
-    """Unimodular matrix stabilizing e1: first column exactly e1, top row
-    free, lower-right block in the smaller unimodular group."""
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = sl_matrix(self.entries)
-        if a.shape[0] != self.n:
-            raise AmbientMismatch(f"expected {self.n}x{self.n} entries")
-        if np.max(np.abs(a[:, 0] - np.eye(self.n)[0])) > Q_COLUMN_TOL:
-            raise NotSameFiber("first column must be e1")
-        object.__setattr__(self, "entries", a)
-
-    @classmethod
-    def from_blocks(cls, r: np.ndarray, lower: np.ndarray) -> "QElement":
-        """[[1, r], [0, lower]], checked as `_q_stack` checks one."""
-        return cls._of(_q_stack(np.atleast_1d(r)[None], np.asarray(lower)[None], None)[0])
-
-    @classmethod
-    def _of(cls, entries: np.ndarray) -> "QElement":
-        """The element of entries that `_q_stack` checked."""
-        q = object.__new__(cls)
-        vars(q).update(n=len(entries), entries=entries)
-        return q
-
-    @property
-    def r_block(self) -> np.ndarray:
-        return np.array(self.entries[0, 1:])
-
-    @property
-    def l_block(self) -> np.ndarray:
-        return np.array(self.entries[1:, 1:])
-
-
 def pi_tame_check(
     d: DiscreteSequence,
     b: BundleSpec,
@@ -122,20 +84,20 @@ def pi_tame_check(
     return properness_check(d.array[:, :, 0], min_gap=min_gap, max_fiber=max_fiber)
 
 
-def _q_stack(r: np.ndarray, lower: np.ndarray, first: int | None = 0) -> np.ndarray:
+def _q_stack(r: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """The fiber-group elements [[1, r_k], [0, lower_k]] of top rows (m, n-1)
-    and lower blocks (m, n-1, n-1), checked by `_check_rows` (which names a
-    bad one counting from `first`, or not at all for None): their first
-    columns are e1 by construction. For n = 2 a finite element with lower
-    entry exactly 1 has LU determinant exactly 1 (pivot 1, multiplier 0,
-    last pivot 1 - 0 * r), so a stack of such elements skips the check."""
+    and lower blocks (m, n-1, n-1), checked by `_check_rows`, which names a
+    bad one by its index. Their first columns are e1 by construction. For
+    n = 2 a finite element with lower entry exactly 1 has LU determinant
+    exactly 1 (pivot 1, multiplier 0, last pivot 1 - 0 * r), so a stack of
+    such elements skips the check."""
     m, k = r.shape
     q = np.zeros((m, k + 1, k + 1), dtype=np.complex128)
     q[:, 0, 0] = 1.0
     q[:, 0, 1:] = r
     q[:, 1:, 1:] = lower
     if k > 1 or not ((lower == 1).all() and np.isfinite(r).all()):
-        _check_rows("sln", q, DET_TOL, first)
+        _check_rows("sln", q, DET_TOL)
     return q
 
 
@@ -152,16 +114,6 @@ def fiber_factors(cs: np.ndarray, ds: np.ndarray) -> np.ndarray:
     if far.size:
         raise NotSameFiber(f"first columns differ by {drift[stop]:.3g} at point {stop}")
     return factors
-
-
-def q_factor(a, b) -> QElement:
-    """The fiber-group element carrying b to a when both sit over the same
-    projected point: the one-pair case of `fiber_factors`."""
-    am = sl_matrix(a)
-    bm = sl_matrix(b)
-    if am.shape != bm.shape:
-        raise AmbientMismatch("q_factor needs matrices of equal size")
-    return QElement._of(fiber_factors(am[None], bm[None])[0])
 
 
 def _principal_log(lower: np.ndarray) -> np.ndarray:
@@ -260,13 +212,13 @@ def _zero_fit(count: int):
     return tuple(Polynomial() for _ in range(count))
 
 
-def fit_q_map(images, elements, seed: int = 0) -> QPolyMap:
-    """Interpolates fiber-group elements over their projected positions,
-    as `fit_factors` fits their stack."""
-    ys = [np.asarray(y, dtype=np.complex128) for y in images]
-    if not ys:
+# the name the benchmark traces; it goes once the benchmark traces `fit_factors`
+def fit_q_map(images, factors, seed: int = 0) -> QPolyMap:
+    """`fit_factors` over lists of projected points and (n, n) factors."""
+    if not len(images):
         raise ValueError("need at least one node")
-    return fit_factors(np.stack(ys), np.stack([el.entries for el in elements]), seed)
+    ys, qs = (np.asarray(xs, dtype=np.complex128) for xs in (images, factors))
+    return fit_factors(ys, qs, seed)
 
 
 def fit_factors(images: np.ndarray, factors: np.ndarray, seed: int = 0) -> QPolyMap:

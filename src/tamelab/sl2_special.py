@@ -549,37 +549,6 @@ def _ring_mul(p, q, d: int, half: bool):
     return (x * u - d * y * v, x * v + y * u)
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """2x2 matrix with exact quadratic-integer entries.
-
-    Each entry is an integer pair (x, y) meaning x + y*w; the layout is
-    [[a, c], [b, d]] so (a, b) is the first column.
-    """
-
-    a: tuple[int, int]
-    b: tuple[int, int]
-    c: tuple[int, int]
-    d: tuple[int, int]
-
-    def to_complex(self, omega: complex) -> np.ndarray:
-        def emb(p):
-            return p[0] + p[1] * omega
-
-        return np.array(
-            [[emb(self.a), emb(self.c)], [emb(self.b), emb(self.d)]],
-            dtype=np.complex128,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "a": [self.a[0], self.a[1]],
-            "b": [self.b[0], self.b[1]],
-            "c": [self.c[0], self.c[1]],
-            "d": [self.d[0], self.d[1]],
-        }
-
-
 def _omega_complex(field) -> complex:
     if field is None:
         return 0j
@@ -591,8 +560,10 @@ def _omega_complex(field) -> complex:
 
 def _exact_quadruples(p: GaussianIntegerParams):
     """The entry table (xs, ys) and the index arrays (a, b, c, d) into it
-    of every determinant-one matrix within the height bound, in
-    lexicographic entry order.
+    of every determinant-one matrix [[a, c], [b, d]] within the height
+    bound, in lexicographic entry order, computed exactly. Entry i is the
+    ring element xs[i] + ys[i] * w, which embeds in C as xs[i] + ys[i] *
+    omega, with omega = `_omega_complex` of the field.
 
     The (2h+1)^4 products of two entries are formed once and joined on
     ad - bc = 1: the products, keyed so that adding one to the real part
@@ -625,17 +596,6 @@ def _exact_quadruples(p: GaussianIntegerParams):
     return xs, ys, a[rank], b[rank], c[rank], d[rank]
 
 
-def gaussian_sl2_exact(p: GaussianIntegerParams) -> tuple[ExactMatrix, ...]:
-    """Every determinant-one matrix with coordinate height within the
-    bound, in lexicographic entry order, with exact integer arithmetic."""
-    xs, ys, *quad = _exact_quadruples(p)
-    entries = list(zip(xs.tolist(), ys.tolist()))
-    return tuple(
-        ExactMatrix(entries[a], entries[b], entries[c], entries[d])
-        for a, b, c, d in zip(*(q.tolist() for q in quad))
-    )
-
-
 def _lattice_min_modulus(field, h: int) -> float:
     """Smallest modulus of a nonzero ring element reachable as a
     coordinate difference at the given height."""
@@ -661,7 +621,7 @@ def gaussian_sl2_generate(p: GaussianIntegerParams) -> DiscreteSequence:
         raise UnsupportedField(
             f"field {p.field!r} packs lattice points closer than one"
         )
-    # x + y * omega as `ExactMatrix.to_complex` forms each entry
+    # the embedding x + y * omega of each entry
     embedded = xs + ys * _omega_complex(field)
     points = embedded[np.stack([a, c, b, d], axis=1).reshape(-1, 2, 2)]
     gen = GeneratorInfo.of("sl2-gauss", field=p.field, height_bound=p.height_bound)

@@ -531,6 +531,21 @@ class TestCheck:
         assert run("check", "rr-series", path) == 1
         assert "'norm_growth_c' must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["family", "cls"])
+    def test_a_generator_parameter_named_as_a_builder_argument_loads(self, tmp_path, capsys, key):
+        # such a key once ended `check` in a bare TypeError while `report` read it
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"ambient": "cn", "n": 1, "points": [[[1.0, 0.0]]],
+                                    "generator": {"family": "x", "params": {key: 1}}}),
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert run("check", "rr-series", str(path), "--json") == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["verdict"]["state"] == "consistent-up-to-prefix"
+        assert run("report", str(path), "--out", str(tmp_path / "r.json")) == 0
+        assert load(str(tmp_path / "r.json"))["generator"]["params"] == {key: 1}
+
     @pytest.mark.parametrize(
         "family, flags, criterion, key",
         [
@@ -1875,6 +1890,38 @@ class TestFlagFuzz:
         capsys.readouterr()
 
 
+class TestProbeCap:
+    """`--probes` are drawn at once, so a count past the cap is refused
+    before any draw; an uncapped draw of 10^8 probes would take 6.4 GB."""
+
+    @pytest.mark.parametrize("count", [generic_projection.MAX_PROBES + 1, 10**8])
+    @pytest.mark.parametrize("argv", [
+        ("mc", "g", "--r", "1", "--samples", "16", "--seed", "0"),
+        ("mc", "threshold", "--levels", "2", "--samples", "16", "--seed", "0"),
+    ], ids=["g", "threshold"])
+    def test_a_count_past_the_cap_exits_before_any_draw(self, tmp_path, monkeypatch, capsys,
+                                                        argv, count):
+        def no_draw(*args):
+            raise AssertionError("probes were drawn")
+
+        monkeypatch.setattr(generic_projection, "stream", no_draw)
+        code, raised, err = _typed_run(monkeypatch, capsys, *argv, "--probes", str(count),
+                                       "--out", str(tmp_path / "o.json"))
+        assert code == 1 and raised is BadParams, err
+        assert f"error: {count} probes exceed the cap of 1048576" in err
+
+    def test_a_count_at_the_cap_reaches_the_draw(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def draw(*args):
+            raise Drawn
+
+        monkeypatch.setattr(generic_projection, "stream", draw)
+        with pytest.raises(Drawn):
+            generic_projection._unit_probes(0, generic_projection.MAX_PROBES)
+
+
 def _typed_run(monkeypatch, capsys, *argv: str):
     """The exit code of a command, the type of the error it ended in (None
     if it ended in none) and what it wrote to stderr."""
@@ -1922,6 +1969,18 @@ class TestTypedMoveFailures:
         path.write_text('{"ambient": "sln", "n": 2, "points": []}', encoding="utf-8")
         self._fails(monkeypatch, capsys, (*argv, str(path), "--out", str(tmp_path / "o")),
                     InconclusivePrefix, "need at least one diagonal matrix")
+
+    @pytest.mark.parametrize("argv, named", [
+        (("check", "pi-tame"), "properness needs a nonempty image list"),
+        (("mc", "omega", "--samples", "4", "--seed", "0", "--seq"),
+         "the omega fraction needs a nonempty prefix"),
+    ], ids=["pi-tame", "omega"])
+    def test_an_empty_prefix_has_no_properness_verdict(self, tmp_path, monkeypatch, capsys,
+                                                        argv, named):
+        path = tmp_path / "empty.json"
+        path.write_text('{"ambient": "sln", "n": 2, "points": []}', encoding="utf-8")
+        self._fails(monkeypatch, capsys, (*argv, str(path), "--out", str(tmp_path / "o")),
+                    InconclusivePrefix, named)
 
     def test_an_equivalence_of_empty_prefixes_is_inconclusive(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "empty.json"

@@ -18,6 +18,7 @@ from tamelab.errors import (
     DeterminantError,
     DimensionMismatch,
     DuplicatePoints,
+    InconclusivePrefix,
     MalformedDocument,
     NonFiniteEntries,
     PointOutsideAmbient,
@@ -107,6 +108,10 @@ class TestDiscreteness:
             core.discreteness_check(d1, g).state == core.discreteness_check(d2, g).state
         )
 
+    def test_an_empty_prefix_is_inconclusive(self):
+        with pytest.raises(InconclusivePrefix, match="^discreteness needs a nonempty prefix$"):
+            core.discreteness_check(core.DiscreteSequence(core.cn(2), ()))
+
 
 class TestProperness:
     def test_distinct_images(self):
@@ -123,6 +128,10 @@ class TestProperness:
         imgs = [np.array([1.0 / k]) for k in range(1, 101)]
         v = core.properness_check(imgs, 1e-3, 1)
         assert v.is_violated
+
+    def test_no_images_is_inconclusive(self):
+        with pytest.raises(InconclusivePrefix, match="^properness needs a nonempty image list$"):
+            core.properness_check(np.zeros((0, 2), dtype=complex))
 
 
 def _first_close_pair_loop(rows, tol):
@@ -412,6 +421,18 @@ class TestSequences:
         assert back.generator == d.generator
         for p, q in zip(back.points, d.points):
             assert np.array_equal(p, q)
+
+    @pytest.mark.parametrize("key", ["family", "cls"])
+    def test_a_generator_parameter_may_share_a_name_with_its_builder(self, tmp_path, key):
+        # a params key once collided with `GeneratorInfo.of`'s own arguments
+        doc = {"family": "x", "params": {key: 1, "k": 2}}
+        info = core.GeneratorInfo.from_json(doc)
+        assert info == core.GeneratorInfo("x", tuple(sorted({key: 1, "k": 2}.items())))
+        assert info.to_json() == doc
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"ambient": "cn", "n": 1, "points": [[[1.0, 0.0]]],
+                                    "generator": doc}), encoding="utf-8")
+        assert core.load_sequence(path).generator == info
 
     def test_json_round_trip_matrices(self, tmp_path):
         amb = core.sln(2)

@@ -28,7 +28,7 @@ from tamelab.core import (
 )
 from tamelab.disc_plane import DiscPlaneAut, MoebiusDisc, disc_plane_space
 from tamelab.errors import DeterminantError
-from tamelab.pi_tame import BundlePushAut, QElement, QPolyMap
+from tamelab.pi_tame import BundlePushAut, QPolyMap
 from tamelab.sl2_special import BivariatePoly, OvershearAut, OvershearSpec, overshear_apply
 
 
@@ -62,7 +62,7 @@ def _old_push(aut: BundlePushAut, p: np.ndarray) -> np.ndarray:
     logl = np.stack([_old_eval_each(fn, ss) for fn in fmap.logl_fns], axis=1)
     logl = logl.reshape(1, k, k)
     logl -= np.eye(k) * (np.trace(logl, axis1=1, axis2=2) / k)[:, None, None]
-    return m @ QElement.from_blocks(r[0], pi_tame._matrix_exp(logl)[0]).entries
+    return m @ pi_tame._q_stack(r, pi_tame._matrix_exp(logl))[0]
 
 
 def _reference(aut: Automorphism, p: np.ndarray) -> np.ndarray:
@@ -129,11 +129,11 @@ def _push(pts: np.ndarray, height: float) -> BundlePushAut:
 def _push_with_lower_blocks(rng, pts: np.ndarray) -> BundlePushAut:
     """A push on SL(3) whose lower blocks are not the identity."""
     x = np.array([[0.3, 0.1], [0.2, -0.3]])
-    elements = [
-        QElement.from_blocks(_complex(rng, 2), pi_tame._matrix_exp(s * x))
+    factors = np.concatenate([
+        pi_tame._q_stack(_complex(rng, 2)[None], pi_tame._matrix_exp(s * x)[None])
         for s in np.linspace(-0.5, 0.5, 6)
-    ]
-    return BundlePushAut(pi_tame.fit_q_map(list(pts[:6, :, 0]), elements, seed=2))
+    ])
+    return BundlePushAut(pi_tame.fit_factors(pts[:6, :, 0], factors, seed=2))
 
 
 def _case(name: str):

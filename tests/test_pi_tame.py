@@ -54,9 +54,21 @@ def _random_sl2(rng) -> np.ndarray:
             return np.array([[a, c], [b, (1.0 + b * c) / a]])
 
 
-def _random_q2(rng) -> pi_tame.QElement:
+def _q(r, lower) -> np.ndarray:
+    """One fiber-group element [[1, r], [0, lower]], assembled and checked
+    by `_q_stack` as a stack of one."""
+    return pi_tame._q_stack(np.atleast_1d(r)[None], np.asarray(lower)[None])[0]
+
+
+def _factor(a, b) -> np.ndarray:
+    """The fiber factor carrying b to a, by `fiber_factors` on one pair."""
+    as_stack = [np.asarray(x, dtype=np.complex128)[None] for x in (a, b)]
+    return pi_tame.fiber_factors(*as_stack)[0]
+
+
+def _random_q2(rng) -> np.ndarray:
     r = complex(rng.standard_normal() + 1j * rng.standard_normal())
-    return pi_tame.QElement.from_blocks(np.array([r]), np.eye(1))
+    return _q(np.array([r]), np.eye(1))
 
 
 def _random_sln(rng, n: int) -> np.ndarray:
@@ -90,32 +102,31 @@ class TestBundleSpec:
 
 
 class TestQElement:
-    def test_from_blocks_is_block_triangular(self):
-        q = pi_tame.QElement.from_blocks(np.array([2.0 + 1j]), np.eye(1))
-        assert q.entries[1, 0] == 0.0
-        assert q.entries[0, 0] == 1.0
-        assert q.entries[0, 1] == 2.0 + 1j
-        assert np.allclose(q.l_block, np.eye(1))
+    """One fiber-group element [[1, r], [0, L]] from its blocks, as
+    `_q_stack` assembles and checks it; its first column is e1 by
+    construction."""
 
-    def test_rejects_moved_first_column(self):
-        m = np.array([[1.0, 0.0], [1e-6, 1.0]])
-        with pytest.raises(NotSameFiber):
-            pi_tame.QElement(2, m)
+    def test_from_blocks_is_block_triangular(self):
+        q = _q(np.array([2.0 + 1j]), np.eye(1))
+        assert q[1, 0] == 0.0
+        assert q[0, 0] == 1.0
+        assert q[0, 1] == 2.0 + 1j
+        assert np.allclose(q[1:, 1:], np.eye(1))
 
     def test_rejects_wrong_determinant(self):
         with pytest.raises(DeterminantError):
-            pi_tame.QElement.from_blocks(np.array([0.0]), 2.0 * np.eye(1))
+            _q(np.array([0.0]), 2.0 * np.eye(1))
 
     def test_from_blocks_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            pi_tame.QElement.from_blocks(np.array([np.nan]), np.eye(1))
+            _q(np.array([np.nan]), np.eye(1))
         with pytest.raises(ValueError):
-            pi_tame.QElement.from_blocks(np.array([0.0]), np.array([[np.inf]]))
+            _q(np.array([0.0]), np.array([[np.inf]]))
 
     def test_from_blocks_checks_the_assembled_block(self):
         # a 1x1 lower block broadcasts to a singular 2x2 block
         with pytest.raises(DeterminantError):
-            pi_tame.QElement.from_blocks(np.zeros(2), np.eye(1))
+            _q(np.zeros(2), np.eye(1))
 
 
 class TestProject:
@@ -125,7 +136,7 @@ class TestProject:
         for _ in range(1000):
             m = _random_sl2(rng)
             q = _random_q2(rng)
-            moved = m @ q.entries
+            moved = m @ q
             worst = max(worst, max_norm_distance(moved[:, 0], m[:, 0]))
         assert worst <= 1e-12
 
@@ -155,23 +166,26 @@ class TestPiTameCheck:
 
 
 class TestQFactor:
+    """The fiber factor carrying one matrix to another, by `fiber_factors`
+    on a stack of one pair."""
+
     def test_worked_example(self):
         b = np.array([[1.0, 0.0], [1.0, 1.0]])
         a = np.array([[1.0, 1.0], [1.0, 2.0]])
-        g = pi_tame.q_factor(a, b)
-        assert np.allclose(g.entries, np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert max_norm_distance(b @ g.entries, a) <= 1e-9
+        g = _factor(a, b)
+        assert np.allclose(g, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert max_norm_distance(b @ g, a) <= 1e-9
 
     def test_different_fibers_rejected(self):
         with pytest.raises(NotSameFiber):
-            pi_tame.q_factor(np.diag([2.0, 0.5]), np.eye(2))
+            _factor(np.diag([2.0, 0.5]), np.eye(2))
 
     def test_snaps_small_fiber_drift(self):
         b = np.array([[1.0, 0.0], [1.0, 1.0]])
         a = np.array([[1.0, 1.0], [1.0 + 5e-10, 2.0]])
-        g = pi_tame.q_factor(a, b)
-        assert g.entries[1, 0] == 0.0
-        assert max_norm_distance(b @ g.entries, a) <= 1e-9
+        g = _factor(a, b)
+        assert g[1, 0] == 0.0
+        assert max_norm_distance(b @ g, a) <= 1e-9
 
     @given(
         re=st.floats(-4.0, 4.0),
@@ -182,28 +196,23 @@ class TestQFactor:
     def test_recovers_fiber_element(self, re, im, seed):
         rng = stream(seed, "q-factor")
         b = _random_sl2(rng)
-        q = pi_tame.QElement.from_blocks(np.array([re + 1j * im]), np.eye(1))
-        a = b @ q.entries
-        g = pi_tame.q_factor(a, b)
+        q = _q(np.array([re + 1j * im]), np.eye(1))
+        a = b @ q
+        g = _factor(a, b)
         scale = 1.0 + max(abs(re), abs(im))
-        assert max_norm_distance(g.entries, q.entries) <= 1e-7 * scale
+        assert max_norm_distance(g, q) <= 1e-7 * scale
 
 
 class TestFitQMap:
     def test_reproduces_elements_at_nodes(self):
-        images = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+        images = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
         x = np.array([[0.3, 0.1], [0.2, -0.3]])
-        elements = [
-            pi_tame.QElement.from_blocks(
-                np.array([1.0, 2.0]), pi_tame._matrix_exp(s * x)
-            )
-            for s in (0.5, -0.25)
-        ]
-        fmap = pi_tame.fit_q_map(images, elements, seed=3)
-        r, lower = fmap.blocks(np.stack(images))
-        for k, el in enumerate(elements):
-            q = pi_tame.QElement.from_blocks(r[k], lower[k])
-            assert max_norm_distance(q.entries, el.entries) <= 1e-8
+        factors = np.stack([_q(np.array([1.0, 2.0]), pi_tame._matrix_exp(s * x))
+                            for s in (0.5, -0.25)])
+        fmap = pi_tame.fit_factors(images, factors, seed=3)
+        r, lower = fmap.blocks(images)
+        for k, factor in enumerate(factors):
+            assert max_norm_distance(_q(r[k], lower[k]), factor) <= 1e-8
 
     def test_a_short_factor_stack_is_refused(self):
         # 3 images and 2 factors once fitted a map whose apply ended in a
@@ -213,15 +222,14 @@ class TestFitQMap:
                             for k in (1, 2)])
         with pytest.raises(BadParams, match=r"^2 fiber factors for 3 images"):
             pi_tame.fit_factors(images, factors)
-        els = [pi_tame.QElement.from_blocks(np.array([float(k)]), np.eye(1)) for k in (1, 2)]
         with pytest.raises(BadParams, match=r"^2 fiber factors for 3 images"):
-            pi_tame.fit_q_map(list(images), els)
+            pi_tame.fit_q_map(list(images), list(factors))
 
     def test_coincident_images_rejected(self):
-        images = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
-        els = [pi_tame.QElement.from_blocks(np.array([float(k)]), np.eye(1)) for k in (1, 2)]
+        images = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+        factors = np.stack([_q(np.array([float(k)]), np.eye(1)) for k in (1, 2)])
         with pytest.raises(FiberCollision):
-            pi_tame.fit_q_map(images, els)
+            pi_tame.fit_factors(images, factors)
 
     def test_push_names_points_sharing_a_first_column(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -232,11 +240,11 @@ class TestFitQMap:
             pi_tame.bundle_push(d, HeightAssignment.constant(10.0, 3), seed=0)
 
     def test_collision_names_first_pair(self):
-        a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        a, b = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
         with pytest.raises(FiberCollision, match="images 0 and 1 coincide"):
-            pi_tame.fit_q_map([a, a, a], [_random_q2(stream(0, "q"))] * 3)
+            pi_tame.fit_factors(np.stack([a, a, a]), np.stack([_random_q2(stream(0, "q"))] * 3))
         with pytest.raises(FiberCollision, match="images 0 and 3 coincide"):
-            pi_tame.fit_q_map([a, b, b, a], [_random_q2(stream(1, "q"))] * 4)
+            pi_tame.fit_factors(np.stack([a, b, b, a]), np.stack([_random_q2(stream(1, "q"))] * 4))
 
     def test_separating_many_images_holds_no_pair_table(self):
         # a dense table of 2000 separators' gaps alone would take 61 MiB
@@ -252,38 +260,32 @@ class TestFitQMap:
 
     def test_batched_blocks_match_single_points(self):
         rng = stream(8, "q-blocks")
-        images = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(6)]
+        images = np.stack([rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(6)])
         x = np.array([[0.3, 0.1], [0.2, -0.3]])
-        elements = [
-            pi_tame.QElement.from_blocks(
-                rng.standard_normal(2) + 0j, pi_tame._matrix_exp(s * x)
-            )
-            for s in np.linspace(-0.5, 0.5, 6)
-        ]
-        fmap = pi_tame.fit_q_map(images, elements, seed=2)
+        factors = np.stack([_q(rng.standard_normal(2) + 0j, pi_tame._matrix_exp(s * x))
+                            for s in np.linspace(-0.5, 0.5, 6)])
+        fmap = pi_tame.fit_factors(images, factors, seed=2)
         probes = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         r, lower = fmap.blocks(probes)
         for k, y in enumerate(probes):
-            q = pi_tame.QElement.from_blocks(*(b[0] for b in fmap.blocks(y[None])))
-            assert np.array_equal(q.r_block, r[k])
-            assert np.array_equal(q.l_block, lower[k])
+            q = _q(*(b[0] for b in fmap.blocks(y[None])))
+            assert np.array_equal(q[0, 1:], r[k])
+            assert np.array_equal(q[1:, 1:], lower[k])
 
     def test_nonzero_block_columns_share_one_set_of_weights(self, monkeypatch):
         # SL(3) factors with a nonzero top row and a diagonalizable lower
         # block other than the identity, so all six block columns are nonzero
         rng = stream(11, "q-shared")
-        images = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(8)]
+        images = np.stack([rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(8)])
         x = np.array([[0.3, 0.1], [0.2, -0.3]])
-        elements = [
-            pi_tame.QElement.from_blocks(
-                rng.standard_normal(2) + 1j * rng.standard_normal(2), pi_tame._matrix_exp(s * x)
-            )
+        factors = np.stack([
+            _q(rng.standard_normal(2) + 1j * rng.standard_normal(2), pi_tame._matrix_exp(s * x))
             for s in np.linspace(-0.5, 0.5, 8)
-        ]
+        ])
         real = cn_tame._log_weights
         nodes = []
         monkeypatch.setattr(cn_tame, "_log_weights", lambda xs: nodes.append(len(xs)) or real(xs))
-        fmap = pi_tame.fit_q_map(images, elements, seed=2)
+        fmap = pi_tame.fit_factors(images, factors, seed=2)
         fns = fmap.r_fns + fmap.logl_fns
         assert len(fns) == 6 and all(isinstance(fn, LagrangePoly) for fn in fns)
         # evaluation at the nodes needs no weights, and the first point off
@@ -318,20 +320,16 @@ class TestFitQMap:
             assert np.array_equal(fmap.r_fns[0](ss), rs[:, 0])
 
     def test_nonprincipal_branch_rejected(self):
-        images = [np.array([1.0, 0.0, 0.0])]
-        els = [pi_tame.QElement.from_blocks(np.array([0.0, 0.0]), -np.eye(2))]
+        images = np.array([[1.0, 0.0, 0.0]], dtype=complex)
+        factors = _q(np.array([0.0, 0.0]), -np.eye(2))[None]
         with pytest.raises(DegenerateConfiguration):
-            pi_tame.fit_q_map(images, els)
+            pi_tame.fit_factors(images, factors)
 
     def test_defective_lower_block_rejected(self):
-        images = [np.array([1.0, 0.0, 0.0])]
-        els = [
-            pi_tame.QElement.from_blocks(
-                np.array([0.0, 0.0]), np.array([[1.0, 1.0], [0.0, 1.0]])
-            )
-        ]
+        images = np.array([[1.0, 0.0, 0.0]], dtype=complex)
+        factors = _q(np.array([0.0, 0.0]), np.array([[1.0, 1.0], [0.0, 1.0]]))[None]
         with pytest.raises(DegenerateConfiguration):
-            pi_tame.fit_q_map(images, els)
+            pi_tame.fit_factors(images, factors)
 
 
 class TestBundlePush:
@@ -575,9 +573,9 @@ class TestOneByOneFactor:
             # logarithm keeps a -0.0 imaginary part
             lowers = [complex(1.0, -0.0) if k % 4 == 0 else 1.0 + 1e-12 * (k % 3)
                       for k in range(m)]
-            els = [pi_tame.QElement.from_blocks(np.array([k - 0.5j]), np.array([[low]]))
-                   for k, low in enumerate(lowers)]
-            maps.append(("fit", pi_tame.fit_q_map(list(pts[:, :, 0]), els, seed=1), pts))
+            factors = np.stack([_q(np.array([k - 0.5j]), np.array([[low]]))
+                                for k, low in enumerate(lowers)])
+            maps.append(("fit", pi_tame.fit_factors(pts[:, :, 0], factors, seed=1), pts))
         for m in (8, 48):
             # log fits with nonzero values, so that the traceless step
             # cancels nonzero numbers, some of them with -0.0 parts
@@ -656,9 +654,9 @@ class TestOneByOneFactor:
 
 
 def _q_factor_per_pair(a, b, k: int = 0) -> np.ndarray:
-    """One fiber factor as `q_factor` took it before factors were taken
-    as a stack, the pair's index k named in a factor's error: the
-    reference `fiber_factors` must reproduce."""
+    """One fiber factor as it was taken one pair at a time, before factors
+    were taken as a stack, the pair's index k named in a factor's error:
+    the reference `fiber_factors` must reproduce."""
     am, bm = sl_matrix(a), sl_matrix(b)
     drift = float(np.max(np.abs(am[:, 0] - bm[:, 0])))
     if drift > pi_tame.FIBER_MATCH_TOL:
@@ -786,8 +784,8 @@ class TestFactorStack:
             cs, ds = _fiber_pairs(stream(m + n, "factor-stack"), n, m)
         factors, logs, fmap, moved = _equivalence_per_pair(cs, ds)
         assert _same_bits(pi_tame.fiber_factors(cs, ds), factors)
-        elements = [pi_tame.q_factor(c, d) for c, d in zip(cs, ds)]
-        assert _same_bits(np.stack([q.entries for q in elements]), factors)
+        elements = [_factor(c, d) for c, d in zip(cs, ds)]
+        assert _same_bits(np.stack(elements), factors)
         got_logs = pi_tame._principal_log(factors[:, 1:, 1:]).reshape(len(cs), -1)
         assert _same_bits(got_logs, logs)
         fit = pi_tame.fit_q_map(list(cs[:, :, 0]), elements)

@@ -345,14 +345,13 @@ class TestGaussianEnumeration:
 
     def test_gaussian_integers_contain_diag_i(self):
         params = sl2.GaussianIntegerParams("Q(i)", 1)
-        exact = sl2.gaussian_sl2_exact(params)
-        assert sl2.ExactMatrix((0, 1), (0, 0), (0, 0), (0, -1)) in exact
+        assert ((0, 1), (0, 0), (0, 0), (0, -1)) in _exact_matrices(params)
 
     def test_exact_determinants(self):
         params = sl2.GaussianIntegerParams("Q(sqrt-3)", 1)
-        for m in sl2.gaussian_sl2_exact(params):
-            ad = sl2._ring_mul(m.a, m.d, 3, True)
-            cb = sl2._ring_mul(m.c, m.b, 3, True)
+        for a, b, c, d in _exact_matrices(params):
+            ad = sl2._ring_mul(a, d, 3, True)
+            cb = sl2._ring_mul(c, b, 3, True)
             assert (ad[0] - cb[0], ad[1] - cb[1]) == (1, 0)
 
     def test_first_column_lattice_gap(self):
@@ -375,10 +374,6 @@ class TestGaussianEnumeration:
         assert seq.generator.family == "sl2-gauss"
         assert seq.generator.get("height_bound") == 1
 
-    def test_serialization_shape(self):
-        m = sl2.ExactMatrix((1, 0), (0, 0), (2, -1), (1, 0))
-        assert m.to_json() == {"a": [1, 0], "b": [0, 0], "c": [2, -1], "d": [1, 0]}
-
     def test_unsupported_field(self):
         with pytest.raises(UnsupportedField):
             sl2.GaussianIntegerParams("Q(sqrt-5)", 1)
@@ -399,9 +394,17 @@ class TestGaussianEnumeration:
         assert found
 
 
-def _exact_reference(params: sl2.GaussianIntegerParams) -> list[sl2.ExactMatrix]:
-    """Reference: every entry quadruple tested one at a time, in
-    lexicographic entry order."""
+def _exact_matrices(params: sl2.GaussianIntegerParams) -> list[tuple]:
+    """The matrices [[a, c], [b, d]] of `_exact_quadruples` as entry
+    quadruples (a, b, c, d), each entry an integer pair (x, y) for x + y*w."""
+    xs, ys, *quad = sl2._exact_quadruples(params)
+    entries = list(zip(xs.tolist(), ys.tolist()))
+    return [tuple(entries[i] for i in idx) for idx in zip(*(q.tolist() for q in quad))]
+
+
+def _exact_reference(params: sl2.GaussianIntegerParams) -> list[tuple]:
+    """Reference: every entry quadruple (a, b, c, d) tested one at a time,
+    in lexicographic entry order."""
     field = sl2._field_params(params.field)
     span = range(-params.height_bound, params.height_bound + 1)
     if field is None:
@@ -413,7 +416,7 @@ def _exact_reference(params: sl2.GaussianIntegerParams) -> list[sl2.ExactMatrix]
         ad = sl2._ring_mul(ea, ed, d_val, half)
         cb = sl2._ring_mul(ec, eb, d_val, half)
         if (ad[0] - cb[0], ad[1] - cb[1]) == (1, 0):
-            out.append(sl2.ExactMatrix(ea, eb, ec, ed))
+            out.append((ea, eb, ec, ed))
     return out
 
 
@@ -426,13 +429,19 @@ class TestSortJoinEnumeration:
     )
     def test_matches_the_quadruple_loop(self, field, height):
         params = sl2.GaussianIntegerParams(field, height)
-        assert list(sl2.gaussian_sl2_exact(params)) == _exact_reference(params)
+        assert _exact_matrices(params) == _exact_reference(params)
 
     @pytest.mark.parametrize("field", ["Q", "Q(i)", "Q(sqrt-3)", "Q(sqrt-7)"])
     def test_prefix_embeds_each_matrix_as_to_complex(self, field):
         params = sl2.GaussianIntegerParams(field, 2)
         omega = sl2._omega_complex(sl2._field_params(field))
-        want = np.stack([m.to_complex(omega) for m in sl2.gaussian_sl2_exact(params)])
+
+        def emb(p):
+            # the embedding x + y * omega of each entry, in Python complex arithmetic
+            return p[0] + p[1] * omega
+
+        want = np.array([[[emb(a), emb(c)], [emb(b), emb(d)]]
+                         for a, b, c, d in _exact_reference(params)], dtype=np.complex128)
         got = sl2.gaussian_sl2_generate(params).array
         assert got.tobytes() == want.tobytes()
 

@@ -8,8 +8,12 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "tamelab").glob("*.py"))
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "tamelab").glob("*.py"))
+TRACER = ROOT / "bench" / "tracer.py"
+# the code outside the package that uses it: what only tests reach is not needed
+USERS = [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
+         ROOT / "tests" / "test_acceptance.py"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -416,21 +420,105 @@ def test_the_traced_name_check_sees_functions_methods_and_misses():
     ]
 
 
-def test_no_move_takes_its_fiber_factors_one_pair_at_a_time():
-    # `sln_tame.equivalence_move` takes them as one stack (`fiber_factors`);
-    # `q_factor` is the one-pair case for callers holding two raw matrices
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
-    assert not {owner for owner in _callers(trees, "q_factor") if owner.startswith("sln_tame")}
-
-
 def test_only_one_matrix_entry_points_validate_one_matrix():
     # each takes a raw matrix from its caller; a move reads arrays that were
     # validated when they were loaded, and does not validate them again
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert _callers(trees, "sl_matrix") == {
-        "pi_tame.__post_init__",
-        "pi_tame.q_factor",
         "sl2_special.overshear_apply",
         "sl2_special.right_translate",
         "sl2_special.fiber_distance",
     }
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# public names that only tests reach, with the reason each is kept
+_TEST_ONLY_NAMES = {
+    "pi_tame.fit_q_map": "the benchmark traces it by name until it traces `fit_factors`; "
+                         "then it is deleted",
+    "sl2_special.fiber_distance": "a one-matrix entry point: the fiber distance of two raw "
+                                  "matrices, which tests compare with the stacked one",
+    "cn_tame.ShearAut.inverse": "the inverse shear, for inverse round trips",
+    "disc_plane.MoebiusDisc.inverse": "the inverse disc automorphism, for inverse round trips",
+    "cn_tame.Polynomial.is_zero": "how a caller tells the zero fit of an unneeded push",
+    "sl2_special.BivariatePoly.is_zero": "how a caller tells the zero shift of the identity "
+                                         "overshear",
+}
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Every name the tree reads: names and attribute names. Docstrings and
+    other strings are not read, and neither are imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def _unreached_public_names(package: dict[str, ast.Module], users: list[ast.Module]) -> list[str]:
+    """`module.name` of each public top-level function or class of the
+    package, and `module.Class.method` of each public method, that nothing
+    reaches. The users, every `__all__` and the package's module-level code
+    outside its definitions reach what they name; a reached top-level
+    definition reaches what its body names, a class through all its
+    methods. Names match by identifier, in any module."""
+    reached = set().union(*map(_references, users))
+    definitions = {}
+    for tree in package.values():
+        for node in tree.body:
+            if isinstance(node, _DEFINITIONS):
+                definitions.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__":
+                reached.update(ast.literal_eval(node.value))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= _references(node)
+    todo = list(reached)
+    while todo:
+        for node in definitions.pop(todo.pop(), ()):
+            new = _references(node) - reached
+            reached |= new
+            todo += new
+    missing = []
+    for module, tree in package.items():
+        for node in tree.body:
+            if not isinstance(node, _DEFINITIONS) or node.name.startswith("_"):
+                continue
+            if node.name not in reached:
+                missing.append(f"{module}.{node.name}")
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            missing += [f"{module}.{node.name}.{m.name}" for m in methods
+                        if isinstance(m, _DEFINITIONS[:2]) and not m.name.startswith("_")
+                        and m.name not in reached]
+    return missing
+
+
+def test_every_public_name_is_reached_from_outside_the_tests():
+    # the command line, the demos, the benchmark and the acceptance battery
+    # use the package; a name that only its own tests reach is not needed
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    users = [ast.parse(path.read_text(encoding="utf-8")) for path in USERS]
+    assert sorted(_unreached_public_names(package, users)) == sorted(_TEST_ONLY_NAMES)
+
+
+def test_the_reach_scan_follows_reached_definitions_only():
+    package = {
+        "a": ast.parse(
+            "def root():\n    return helper()\n\n"
+            "def helper():\n    \"not dead\"\n    return 1\n\n"
+            "def dead():\n    return only_from_dead()\n\n"
+            "def only_from_dead():\n    pass\n\n"
+            "class K:\n    def used(self):\n        pass\n\n"
+            "    def unused(self):\n        return self._private()\n\n"
+            "TABLE = {'k': K}\n"
+        ),
+        "b": ast.parse("from .a import dead\n\n__all__ = ['exported']\n\n"
+                       "def exported():\n    pass\n\nclass Unused:\n    pass\n"),
+    }
+    users = [ast.parse("import a\na.root()\nx.used()\n")]
+    assert _unreached_public_names(package, users) == [
+        "a.dead", "a.only_from_dead", "a.K.unused", "b.Unused"
+    ]
