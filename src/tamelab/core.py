@@ -1188,16 +1188,21 @@ def _item_shape(item: bytes) -> tuple[int, ...] | None:
 
 def _block_leaves(data: bytes, start: int, end: int) -> np.ndarray | None:
     """The numbers of data[start:end] in order, read `_CHUNK` bytes at a
-    time with brackets and white space dropped; None where numpy cannot
-    read a chunk to its end."""
+    time with brackets and white space dropped, each chunk as one ASCII
+    row of numpy's C text reader; None where a chunk holds no token, is
+    not ASCII, or does not read to its end."""
     parts = []
     lo = start
     while lo < end:
         hi = data.find(b",", min(lo + _CHUNK, end), end)
         hi = end if hi < 0 else hi
         try:
-            parts.append(np.fromstring(data[lo:hi].translate(None, _NOT_LEAVES), sep=","))
-        except ValueError:
+            row = data[lo:hi].translate(None, _NOT_LEAVES).decode("ascii")
+            # loadtxt warns on a row of no data: "" or a lone "\r"
+            if not row or row.isspace():
+                return None
+            parts.append(np.loadtxt([row], delimiter=",", comments=None, ndmin=1))
+        except ValueError:  # a UnicodeDecodeError too
             return None
         lo = hi + 1
     return np.concatenate(parts)

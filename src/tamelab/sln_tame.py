@@ -19,6 +19,7 @@ import numpy as np
 
 from .cn_tame import Polynomial
 from .core import (
+    CONSISTENT,
     MIN_GAP,
     DiscreteSequence,
     IdentityAut,
@@ -511,9 +512,12 @@ def center_separate(
     n = d.ambient.n
     pairs = _central_pairs(d.array, n)
     if not pairs:
-        return IdentityAut(), Verdict.certified(
-            "no-central-pairs",
-            "no prefix pair differs by a unimodular scalar",
+        # no generator declares anything about central pairs, so this
+        # holds only up to the prefix
+        return IdentityAut(), Verdict(
+            CONSISTENT,
+            reason="no-central-pairs",
+            detail="no prefix pair differs by a unimodular scalar",
         )
     rng = stream(seed, "center-separate")
     zero_logs = tuple(Polynomial() for _ in range((n - 1) ** 2))

@@ -914,6 +914,15 @@ class TestTransform:
         code = run("transform", "center-separate", path, "--seed", "4", "--out", out)
         assert code == 0
 
+    def test_center_separate_without_central_pairs_is_not_certified(self, tmp_path):
+        # no generator declares anything about central pairs
+        path = gen(tmp_path, "wellplaced2", "--k", "4")
+        out = str(tmp_path / "separated.json")
+        assert run("transform", "center-separate", path, "--seed", "1", "--out", out) == 0
+        verdict = load(out)["postcondition"]
+        assert verdict["state"] == "consistent-up-to-prefix"
+        assert verdict["reason"] == "no-central-pairs"
+
 
 @pytest.fixture
 def no_draws(monkeypatch):

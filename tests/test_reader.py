@@ -20,6 +20,7 @@ import json
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,49 @@ class TestFailures:
         deep = text.replace('"seed": null', '"seed": ' + "[" * 100_000 + "]" * 100_000)
         with pytest.raises(core.MalformedDocument, match=core.TOO_DEEP):
             core._read_json(deep.encode())
+
+
+def _block_span(data: bytes) -> tuple[int, int]:
+    """The (start, end) that the reader hands `_block_leaves` for the
+    points block of a `_text` document: its "[" and the newline before
+    its "]"."""
+    start = data.index(b'"points": [') + len(b'"points": ')
+    return start, data.rindex(b"\n    ]")
+
+
+class TestKernel:
+    """numpy's C text reader converts each chunk of a block. It reads more
+    than JSON does, so the byte check, not the converter, decides."""
+
+    @pytest.mark.parametrize("tail", [",", ",\r"], ids=["comma", "comma-cr"])
+    def test_a_last_chunk_with_no_token(self, tmp_path, rng, tail):
+        # padding with no comma in it makes the trailing comma the last
+        # split, so the last chunk holds only brackets and white space,
+        # which loadtxt warns about as a row of no data
+        tokens = _tokens(rng.standard_normal((20, 2, 2)))
+        tokens[-1][-1][-1] = " " * core._CHUNK + tokens[-1][-1][-1] + tail
+        data = _text(tokens).encode()
+        start, end = _block_span(data)
+        last = data.rindex(b",", start, end)
+        assert last >= start + core._CHUNK > data.rindex(b",", start, last)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core._block_leaves(data, start, end) is None
+            assert _agree(tmp_path, data) == 0
+        assert _agree_bytes(data)[0] == "raised"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "infinity", "+1", "01", ".5",
+                                       "0.5#", "#0.5"])
+    def test_a_token_json_refuses_keeps_json_s_error(self, tmp_path, rng, token):
+        tokens = _tokens(rng.standard_normal((2000, 2, 2)))
+        tokens[1500][1][0] = token
+        data = _text(tokens).encode()
+        # loadtxt reads each of these but a "#", which it is told is no comment
+        read = core._block_leaves(data, *_block_span(data))
+        assert (read is None) == ("#" in token)
+        # `_agree` compares the error's message, line, column and offset
+        assert _agree(tmp_path, data) == 0
+        assert _agree_bytes(data)[0] == "raised"
 
 
 def test_random_edits_of_a_canonical_document():

@@ -505,9 +505,10 @@ class TestCenterSeparate:
         assert verdict.state == CONSISTENT
 
     def test_no_central_pairs_certified(self):
+        # no generator declaration covers central pairs: consistent, not certified
         d = _mseq([np.eye(2), np.diag([2.0, 0.5])])
         phi, verdict = sln_tame.center_separate(d)
-        assert verdict.state == CERTIFIED
+        assert verdict.state == CONSISTENT
         assert verdict.reason == "no-central-pairs"
         assert isinstance(phi, IdentityAut)
 

@@ -237,6 +237,14 @@ def test_only_core_parses_json():
     assert _callers(trees, "load") == set()
 
 
+def test_only_the_block_reader_converts_text_with_numpy():
+    # np.loadtxt reads tokens JSON refuses (nan, +1, 01, .5), so it runs
+    # only where the byte check decides, and it is the one text converter
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _callers(trees, "loadtxt") == {"core._block_leaves"}
+    assert _callers(trees, "fromstring") == set()
+
+
 def _opens(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
     """(`module.function`, mode) of each call of `open`: its second
     argument or `mode` keyword, "r" when it has neither, and "?" when that
