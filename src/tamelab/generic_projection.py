@@ -96,9 +96,9 @@ class HaarSampler:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("dimension must be at least 1")
+            raise BadParams("dimension must be at least 1")
         if self.counter < 0:
-            raise ValueError("draw index must be nonnegative")
+            raise BadParams("draw index must be nonnegative")
 
     @property
     def _blocks_per_draw(self) -> int:
@@ -130,7 +130,7 @@ def haar_su_batch(sampler: HaarSampler, count: int) -> np.ndarray:
     factor has a closed form, evaluated entrywise without LAPACK.
     """
     if count < 1:
-        raise ValueError("batch needs at least one draw")
+        raise BadParams("batch needs at least one draw")
     n = sampler.n
     u = sampler.raw_uniforms(count)
     ginibre = np.sqrt(-np.log1p(-u[:, : n * n])) * np.exp(2j * math.pi * u[:, n * n :])
@@ -326,36 +326,48 @@ def measure_estimates(
     The window streams in blocks of at most `_DRAW_BLOCK` draws, and
     every input is counted against each block before the next is drawn:
     memory stays flat in `samples`, and each estimate equals its
-    single-input call and the count over the whole window at once. A 2
-    by 2 input under conjugation is counted on the first columns of the
-    draws (`_column_blocks`), any other on the twists themselves.
+    single-input call and the count over the whole window at once.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if action not in ACTIONS:
-        raise ValueError(f"unknown action {action!r}; choose from {ACTIONS}")
+    _check_tail_params(samples, action)
     if sampler.n != 2:
         raise AmbientMismatch("tail estimates run over SU(2) twists")
-    probes = [_probe(v) for v in vs]
-    r = float(r)
-    hits = [0] * len(probes)
-    # a 2 by 2 probe under conjugation reads first columns, the rest twists
+    hits = [0] * len(vs)
+    for block in _block_hits([_probe(v) for v in vs], float(r), samples, sampler, action):
+        hits = [h + b for h, b in zip(hits, block)]
+    return [MCEstimate.from_hits(h, samples, sampler.seed) for h in hits]
+
+
+def _check_tail_params(samples: int, action: str) -> None:
+    """The sample count and action a tail estimate is given."""
+    if samples < 1:
+        raise BadParams("need at least one sample")
+    if action not in ACTIONS:
+        raise BadParams(f"unknown action {action!r}; choose from {ACTIONS}")
+
+
+def _block_hits(probes: list, r: float, samples: int, sampler: HaarSampler, action: str):
+    """Per-probe hit counts (norm below r) of each window block of at most
+    `_DRAW_BLOCK` draws, one list per block, each block drawn only when
+    asked for. A 2 by 2 probe under conjugation is counted on the first
+    columns of the draws (`_column_blocks`), any other on the twists
+    themselves."""
     columns = [i for i, v in enumerate(probes) if v.shape == (2, 2) and action == "conjugation"]
     twisted = [i for i in range(len(probes)) if i not in columns]
     scaled = {i: _scaled_probe(probes[i], r) for i in columns}
     column_blocks = _column_blocks(sampler, samples)
     twist_blocks = _draw_blocks(sampler, samples)
     for _ in range(0, samples, _DRAW_BLOCK):
+        hits = [0] * len(probes)
         if columns:
             g = next(column_blocks)
             for i in columns:
                 w, radius = scaled[i]
-                hits[i] += int(np.count_nonzero(_conjugation_norms(w, g) < radius))
+                hits[i] = int(np.count_nonzero(_conjugation_norms(w, g) < radius))
         if twisted:
             ks = next(twist_blocks)
             for i in twisted:
-                hits[i] += int(np.count_nonzero(_tail_norms(probes[i], ks, action) < r))
-    return [MCEstimate.from_hits(h, samples, sampler.seed) for h in hits]
+                hits[i] = int(np.count_nonzero(_tail_norms(probes[i], ks, action) < r))
+        yield hits
 
 
 def _scaled_probe(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
@@ -401,7 +413,7 @@ MC_CSV_COLUMNS = ("action", "v_norm", "r", "samples", "seed", "estimate", "stder
 def mc_report_row(action: str, v, r: float, est: MCEstimate) -> dict:
     """One report row per estimate, keyed exactly by MC_CSV_COLUMNS."""
     if action not in ACTIONS:
-        raise ValueError(f"unknown action {action!r}; choose from {ACTIONS}")
+        raise BadParams(f"unknown action {action!r}; choose from {ACTIONS}")
     flat = np.asarray(v, dtype=np.complex128).reshape(-1)
     with np.errstate(under="ignore"):  # the square of 1/R for R near 1e154
         v_norm = float(np.linalg.norm(flat))
@@ -442,16 +454,35 @@ def g_estimate(
     Every probe owns a disjoint draw window of the sampler, so repeat
     calls with the same seed share both the probes and the twists;
     the envelope is therefore exactly nondecreasing in r.
+
+    The envelope is a branch and bound over the probes. Probe 0 is
+    counted in full; every later probe is counted block by block, and
+    stops before a block once even all its undrawn twists hitting,
+    (hits + samples - drawn) / samples, would not exceed the best
+    estimate so far. The probe's own estimate is at most that bound,
+    as rounded division is monotone in the numerator, so it could not
+    have replaced the best (ties keep the first best): the result is
+    bit for bit the full count's. A unit probe's tail norm is at most
+    1/2, so for r above 1/2 probe 0 hits every draw and the later
+    probes draw nothing.
     """
     if r <= 0.0:
         raise BadParams("the ball radius must be positive")
+    _check_tail_params(samples_per_probe, action)
     probes = _unit_probes(sampler.seed, sphere_probes)
-    best: MCEstimate | None = None
-    for j in range(sphere_probes):
+    best = measure_estimate(probes[0], r, samples_per_probe, sampler, action)
+    for j in range(1, sphere_probes):
         window = sampler.advanced(j * samples_per_probe)
-        est = measure_estimate(probes[j], r, samples_per_probe, window, action)
-        if best is None or est.estimate > best.estimate:
-            best = est
+        blocks = _block_hits([probes[j]], float(r), samples_per_probe, window, action)
+        hits = 0
+        for drawn in range(0, samples_per_probe, _DRAW_BLOCK):
+            if (hits + samples_per_probe - drawn) / samples_per_probe <= best.estimate:
+                break
+            hits += next(blocks)[0]
+        else:
+            est = MCEstimate.from_hits(hits, samples_per_probe, sampler.seed)
+            if est.estimate > best.estimate:
+                best = est
     return best
 
 
@@ -528,11 +559,8 @@ def threshold_estimate(
         budget = 2.0 ** -(level + 1)
 
         def clears(radius: float) -> bool:
-            worst = 0.0
-            for norms in unit_norms:
-                p = np.count_nonzero(radius * radius * norms < level) / m
-                worst = max(worst, p + 3.0 * math.sqrt(p * (1.0 - p) / m))
-            return worst < budget
+            ps = (np.count_nonzero(radius * radius * norms < level) / m for norms in unit_norms)
+            return all(p + 3.0 * math.sqrt(p * (1.0 - p) / m) < budget for p in ps)
 
         lo, hi = 0.0, 1.0
         while not clears(hi):
@@ -669,7 +697,7 @@ def omega_check(
     if len(d) == 0:
         raise InconclusivePrefix("the omega fraction needs a nonempty prefix")
     if k_samples < 1:
-        raise ValueError("need at least one sampled twist")
+        raise BadParams("need at least one sampled twist")
     points = d.array
     m = len(points)
     chart = InvariantEmbedding()

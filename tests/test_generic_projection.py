@@ -15,6 +15,7 @@ from tamelab import generic_projection as gp
 from tamelab.core import DiscreteSequence, GeneratorInfo, cn, properness_check, sln
 from tamelab.errors import (
     AmbientMismatch,
+    BadParams,
     DimensionMismatch,
     InconclusivePrefix,
     SearchExhausted,
@@ -100,6 +101,32 @@ class TestHaarSampler:
             gp.HaarSampler(2, 1, -1)
         with pytest.raises(ValueError):
             gp.haar_su_batch(_sampler(1), 0)
+
+
+_UNKNOWN_SPIN = "^unknown action 'spin'; choose from \\('conjugation', 'translation'\\)$"
+_ONE_POINT = DiscreteSequence(sln(2), (np.array([[2.0, 1.0], [1.0, 1.0]], dtype=np.complex128),))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gp.HaarSampler(0, 1), "^dimension must be at least 1$"),
+        (lambda: gp.HaarSampler(2, 1, -1), "^draw index must be nonnegative$"),
+        (lambda: gp.haar_su_batch(_sampler(1), 0), "^batch needs at least one draw$"),
+        (lambda: gp.measure_estimates([_diag(2.0)], 1.0, 0, _sampler(1)),
+         "^need at least one sample$"),
+        (lambda: gp.measure_estimates([_diag(2.0)], 1.0, 10, _sampler(1), "spin"),
+         _UNKNOWN_SPIN),
+        (lambda: gp.mc_report_row("spin", _diag(2.0), 1.0, gp.MCEstimate(0.5, 0.1, 10, 0)),
+         _UNKNOWN_SPIN),
+        (lambda: gp.omega_check(_ONE_POINT, 0, _sampler(1)),
+         "^need at least one sampled twist$"),
+    ],
+    ids=["dimension", "counter", "batch", "samples", "action", "row-action", "omega-samples"],
+)
+def test_parameter_errors_are_typed(call, message):
+    with pytest.raises(BadParams, match=message):
+        call()
 
 
 def _haar_su_qr(sampler: gp.HaarSampler, count: int) -> np.ndarray:
@@ -427,6 +454,51 @@ class TestGEstimate:
         with pytest.raises(ValueError):
             gp.g_estimate(1.0, 0, 100, _sampler(0))
 
+    def test_saturated_envelope_draws_one_window(self, monkeypatch):
+        drawn = _count_draws(monkeypatch)
+        est = gp.g_estimate(1.0, 8, 2000, _sampler(0))
+        assert est == gp.MCEstimate(1.0, 0.0, 2000, 0)
+        assert drawn == [2000]
+
+    def test_a_probe_stops_mid_window(self, monkeypatch):
+        # 10000 draws are blocks of 4096, 4096 and 1808; one later probe
+        # cannot beat the best with its last block undrawn
+        drawn = _count_draws(monkeypatch)
+        est = gp.g_estimate(0.4, 8, 10_000, _sampler(1))
+        assert sum(drawn) == 8 * 10_000 - 1808
+        assert est == _full_envelope(0.4, 8, 10_000, _sampler(1), "conjugation")
+
+    def test_parameters_are_checked_before_any_draw(self, monkeypatch):
+        drawn = _count_draws(monkeypatch)
+        with pytest.raises(BadParams, match="^need at least one sample$"):
+            gp.g_estimate(1.0, 4, 0, _sampler(0))
+        with pytest.raises(BadParams, match="^unknown action 'spin'"):
+            gp.g_estimate(1.0, 4, 100, _sampler(0), "spin")
+        assert drawn == []
+
+
+def _count_draws(monkeypatch) -> list[int]:
+    """The row counts of every `raw_uniforms` call from here on."""
+    drawn: list[int] = []
+    raw_uniforms = gp.HaarSampler.raw_uniforms
+
+    def counting(self, count):
+        drawn.append(count)
+        return raw_uniforms(self, count)
+
+    monkeypatch.setattr(gp.HaarSampler, "raw_uniforms", counting)
+    return drawn
+
+
+def _full_envelope(r, probes, samples, sampler, action) -> gp.MCEstimate:
+    """Reference: every probe counted over its whole window, the first
+    best kept on ties."""
+    ests = [
+        gp.measure_estimate(v, r, samples, sampler.advanced(j * samples), action)
+        for j, v in enumerate(gp._unit_probes(sampler.seed, probes))
+    ]
+    return max(ests, key=lambda est: est.estimate)
+
 
 @pytest.fixture(params=[1, 7, 1 << 20], ids=lambda b: f"block{b}")
 def draw_block(request, monkeypatch):
@@ -483,6 +555,13 @@ class TestDrawBlocks:
 
     def test_g_envelope(self, draw_block):
         TestGEstimate().test_envelope_nonincreasing_under_halving()
+
+    @pytest.mark.parametrize("r", [0.25, 0.6, 1.0, 4.0])
+    @pytest.mark.parametrize("action", gp.ACTIONS)
+    def test_g_bound_matches_the_full_envelope(self, draw_block, r, action):
+        for seed in (0, 1):
+            est = gp.g_estimate(r, 6, 300, _sampler(seed), action)
+            assert est == _full_envelope(r, 6, 300, _sampler(seed), action)
 
     def test_threshold_radii(self, draw_block):
         th = gp.threshold_estimate(2, samples_per_level=1500, sphere_probes=3, seed=4)
