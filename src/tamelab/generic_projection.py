@@ -331,8 +331,9 @@ def measure_estimates(
     _check_tail_params(samples, action)
     if sampler.n != 2:
         raise AmbientMismatch("tail estimates run over SU(2) twists")
-    hits = [0] * len(vs)
-    for block in _block_hits([_probe(v) for v in vs], float(r), samples, sampler, action):
+    probes = [_probe(v) for v in vs]
+    hits = [0] * len(probes)
+    for block in _block_hits(probes, float(r), samples, sampler, action):
         hits = [h + b for h, b in zip(hits, block)]
     return [MCEstimate.from_hits(h, samples, sampler.seed) for h in hits]
 

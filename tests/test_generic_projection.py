@@ -468,6 +468,14 @@ class TestGEstimate:
         assert sum(drawn) == 8 * 10_000 - 1808
         assert est == _full_envelope(0.4, 8, 10_000, _sampler(1), "conjugation")
 
+    def test_a_probe_can_win_on_its_last_draw(self, monkeypatch):
+        # ten draws a probe: probe 7 beats the best of 3 hits by one, the
+        # hit of its last draw, so a bound one hit tighter would lose it
+        monkeypatch.setattr(gp, "_DRAW_BLOCK", 1)
+        est = gp.g_estimate(0.4, 8, 10, _sampler(0))
+        assert est.estimate == 0.4
+        assert est == _full_envelope(0.4, 8, 10, _sampler(0), "conjugation")
+
     def test_parameters_are_checked_before_any_draw(self, monkeypatch):
         drawn = _count_draws(monkeypatch)
         with pytest.raises(BadParams, match="^need at least one sample$"):
