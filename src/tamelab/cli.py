@@ -131,7 +131,11 @@ def _load_config_file(path: str) -> dict:
                     f"{path}:{lineno}: unknown key {key!r}; known: "
                     + ", ".join(_CONFIG_KEYS)
                 )
-            values[key] = int(text) if key in ("seed", "samples") else float(text)
+            kind, what = (int, "an integer") if key in ("seed", "samples") else (float, "a number")
+            try:
+                values[key] = kind(text)
+            except ValueError:
+                raise BadParams(f"{path}:{lineno}: {key} must be {what}, got {text!r}") from None
     return values
 
 
@@ -226,23 +230,22 @@ def _parse_lambda(text: str) -> BivariatePoly:
     return BivariatePoly.constant(sign * coeff)
 
 
+# each `gen` flag: the family parameter it sets, its type and its help
+_GEN_FLAGS = {
+    "k": ("count", int, "number of points"),
+    "n": ("n", int, "ambient dimension"),
+    "alpha": ("alpha", float, "norm growth exponent"),
+    "p": ("exponent", int, "symmetric entry exponent"),
+    "ratio": ("ratio", float, "diagonal ratio base"),
+    "field": ("field", str, "quadratic field tag"),
+    "height": ("height", int, "enumeration height bound"),
+    "mode": ("mode", str, "disc base behavior"),
+}
+
+
 def _family_params(args: argparse.Namespace) -> dict:
-    mapping = (
-        ("k", "count"),
-        ("n", "n"),
-        ("alpha", "alpha"),
-        ("p", "exponent"),
-        ("ratio", "ratio"),
-        ("field", "field"),
-        ("height", "height"),
-        ("mode", "mode"),
-    )
-    params = {}
-    for flag, name in mapping:
-        value = getattr(args, flag, None)
-        if value is not None:
-            params[name] = value
-    return params
+    given = {name: getattr(args, flag) for flag, (name, _, _) in _GEN_FLAGS.items()}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -658,14 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", parents=[common], help="write a family file")
     gen.add_argument("family")
-    gen.add_argument("--k", type=int, help="number of points")
-    gen.add_argument("--n", type=int, help="ambient dimension")
-    gen.add_argument("--alpha", type=float, help="norm growth exponent")
-    gen.add_argument("--p", type=int, help="symmetric entry exponent")
-    gen.add_argument("--ratio", type=float, help="diagonal ratio base")
-    gen.add_argument("--field", help="quadratic field tag")
-    gen.add_argument("--height", type=int, help="enumeration height bound")
-    gen.add_argument("--mode", help="disc base behavior")
+    for flag, (_, kind, text) in _GEN_FLAGS.items():
+        gen.add_argument(f"--{flag}", type=kind, help=text)
 
     chk = sub.add_parser("check", parents=[common], help="run a tameness criterion")
     chk.add_argument("criterion", choices=_choices(_CHECKS))

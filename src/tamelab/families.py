@@ -22,30 +22,13 @@ from .core import (
     sln,
 )
 from .errors import BadParams, UnknownFamily
-from .sl2_special import GaussianIntegerParams, gaussian_sl2_generate
+from .sl2_special import GaussianIntegerParams, _ring, gaussian_sl2_generate
 
 # Largest index before the computed corner entry (1 + k^(2p)) / k^4 drifts
 # the determinant past the ambient tolerance of 1e-9.
 _WELLPLACED_CAP = {1: 40, 2: 40, 3: 12}
 
-_FIELD_ALIASES = {
-    "q": "Q",
-    "qi": "Q(i)",
-    "q2": "Q(sqrt-2)",
-    "q3": "Q(sqrt-3)",
-    "q7": "Q(sqrt-7)",
-    "q11": "Q(sqrt-11)",
-}
-
 _DISC_MODES = ("boundary", "constant", "interior")
-
-# Largest sl2-gauss height per ring, set by the size of the output; the
-# entry products stay far inside int64 at any height that fits in memory.
-# At the cap, Q(sqrt-3) gives 137,844 matrices (47 MB of JSON, 0.29 GB peak
-# for `gen`) and Q gives 140,340 (39 MB, 0.25 GB); Q(sqrt-3) at height 7
-# gives 254,628 (87 MB, 0.54 GB).
-_GAUSS_HEIGHT_CAP = {"Q": 120}
-_QUADRATIC_HEIGHT_CAP = 6
 
 # Largest k with 1 - 2^-k < 1.0 in double precision (53-bit significand).
 _BOUNDARY_CAP = 53
@@ -96,10 +79,11 @@ def diagtorus(count: int = 8, ratio: float = 2.0) -> DiscreteSequence:
 
 
 def sl2_gauss(field: str = "qi", height: int = 1) -> DiscreteSequence:
-    """Exact enumeration of small-height matrices over a quadratic ring."""
-    tag = _FIELD_ALIASES.get(str(field).lower(), str(field))
-    params = GaussianIntegerParams(tag, int(height))  # the ring, then a height of at least 1
-    _count(height, 1, _GAUSS_HEIGHT_CAP.get(tag, _QUADRATIC_HEIGHT_CAP), "height")
+    """Exact enumeration of small-height matrices over a quadratic ring,
+    named by its tag or its alias (`sl2_special._RINGS`)."""
+    ring = _ring(str(field), aliases=True)
+    params = GaussianIntegerParams(ring.tag, int(height))  # a height of at least 1
+    _count(height, 1, ring.cap, "height")
     return gaussian_sl2_generate(params)
 
 

@@ -430,6 +430,19 @@ class TestConfig:
         cfg.write_text("seed 7\n")
         assert run("mc", "threshold", "--config", str(cfg)) == 1
 
+    @pytest.mark.parametrize("text, want", [("seed = x", "seed must be an integer, got 'x'"),
+                                            ("samples = 1e3",
+                                             "samples must be an integer, got '1e3'"),
+                                            ("min_gap = 1e-3x",
+                                             "min_gap must be a number, got '1e-3x'")])
+    def test_unreadable_value_names_file_line_and_key(self, tmp_path, capsys, text, want):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# comment\n{text}\n")
+        with pytest.raises(BadParams, match=f"^{re.escape(f'{cfg}:2: {want}')}$"):
+            cli._load_config_file(str(cfg))
+        assert run("mc", "threshold", "--seed", "0", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: {want}\n"
+
     def test_bad_tolerance_fails(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("min_gap=-1.0\n")
@@ -1585,6 +1598,28 @@ class TestGaussHeightCap:
         err = capsys.readouterr().err
         assert err == f"error: height must be an integer in [1, {cap}], got {cap + 1}\n"
         assert not out.exists()
+
+
+class TestGaussFieldSpelling:
+    @pytest.mark.parametrize("field", ["Q(sqrt-1)", "Q(sqrt-02)", "Q(sqrt-+3)", "Q(sqrt-5)",
+                                       "q(i)", "Q(sqrt-x)"])
+    def test_other_spellings_are_unsupported(self, tmp_path, capsys, field):
+        out = tmp_path / "g.json"
+        assert run("gen", "sl2-gauss", "--field", field, "--height", "1",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: field {field!r} is not in the supported list\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tag, alias", [("Q", "q"), ("Q(i)", "qi"), ("Q(sqrt-2)", "q2"),
+                                            ("Q(sqrt-3)", "q3"), ("Q(sqrt-7)", "q7"),
+                                            ("Q(sqrt-11)", "q11")])
+    def test_each_ring_writes_one_record(self, tmp_path, tag, alias):
+        paths = [gen(tmp_path, "sl2-gauss", "--field", name, "--height", "1")
+                 for name in (tag, alias, alias.upper())]
+        docs = [load(path)["sequence"] for path in paths]
+        assert docs[0]["generator"] == {"family": "sl2-gauss",
+                                        "params": {"field": tag, "height_bound": 1}}
+        assert docs[1] == docs[0] and docs[2] == docs[0]
 
 
 class TestDiscBoundaryCap:

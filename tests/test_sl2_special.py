@@ -3,6 +3,7 @@ quadratic-integer enumeration."""
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -350,8 +351,8 @@ class TestGaussianEnumeration:
     def test_exact_determinants(self):
         params = sl2.GaussianIntegerParams("Q(sqrt-3)", 1)
         for a, b, c, d in _exact_matrices(params):
-            ad = sl2._ring_mul(a, d, 3, True)
-            cb = sl2._ring_mul(c, b, 3, True)
+            ad = _reference_mul(a, d, 3, True)
+            cb = _reference_mul(c, b, 3, True)
             assert (ad[0] - cb[0], ad[1] - cb[1]) == (1, 0)
 
     def test_first_column_lattice_gap(self):
@@ -378,6 +379,12 @@ class TestGaussianEnumeration:
         with pytest.raises(UnsupportedField):
             sl2.GaussianIntegerParams("Q(sqrt-5)", 1)
 
+    @pytest.mark.parametrize("field", ["Q(sqrt-1)", "Q(sqrt-02)", "Q(sqrt-+3)", "qi", "q(i)"])
+    def test_one_spelling_per_ring(self, field):
+        # a ring is named by its tag alone; aliases are the command line's
+        with pytest.raises(UnsupportedField):
+            sl2.GaussianIntegerParams(field, 1)
+
     def test_zero_height_is_empty(self):
         with pytest.raises(EmptyResult):
             sl2.GaussianIntegerParams("Q", 0)
@@ -402,10 +409,44 @@ def _exact_matrices(params: sl2.GaussianIntegerParams) -> list[tuple]:
     return [tuple(entries[i] for i in idx) for idx in zip(*(q.tolist() for q in quad))]
 
 
+# Reference rings, kept apart from the package's table: (d, half) for
+# Q(sqrt-d), with w = sqrt(-d), or w = (1 + sqrt(-d)) / 2 when `half`;
+# None for Q, which has no w.
+_REFERENCE_RINGS = {
+    "Q": None,
+    "Q(i)": (1, False),
+    "Q(sqrt-2)": (2, False),
+    "Q(sqrt-3)": (3, True),
+    "Q(sqrt-7)": (7, True),
+    "Q(sqrt-11)": (11, True),
+}
+
+
+def _reference_mul(p, q, d: int, half: bool):
+    """Multiply x + y*w coordinates exactly; w*w = -d, or w - (1+d)/4 in
+    the half-integer rings."""
+    x, y = p
+    u, v = q
+    if half:
+        c = (1 + d) // 4
+        return (x * u - c * y * v, x * v + y * u + y * v)
+    return (x * u - d * y * v, x * v + y * u)
+
+
+def _reference_omega(field: str) -> complex:
+    """w in C: i sqrt(d), or (1 + i sqrt(d)) / 2 in the half-integer rings."""
+    if _REFERENCE_RINGS[field] is None:
+        return 0j
+    d, half = _REFERENCE_RINGS[field]
+    if half:
+        return complex(0.5, math.sqrt(d) / 2.0)
+    return complex(0.0, math.sqrt(d))
+
+
 def _exact_reference(params: sl2.GaussianIntegerParams) -> list[tuple]:
     """Reference: every entry quadruple (a, b, c, d) tested one at a time,
     in lexicographic entry order."""
-    field = sl2._field_params(params.field)
+    field = _REFERENCE_RINGS[params.field]
     span = range(-params.height_bound, params.height_bound + 1)
     if field is None:
         entries, d_val, half = [(x, 0) for x in span], 0, False
@@ -413,14 +454,14 @@ def _exact_reference(params: sl2.GaussianIntegerParams) -> list[tuple]:
         (d_val, half), entries = field, [(x, y) for x in span for y in span]
     out = []
     for ea, eb, ec, ed in product(entries, repeat=4):
-        ad = sl2._ring_mul(ea, ed, d_val, half)
-        cb = sl2._ring_mul(ec, eb, d_val, half)
+        ad = _reference_mul(ea, ed, d_val, half)
+        cb = _reference_mul(ec, eb, d_val, half)
         if (ad[0] - cb[0], ad[1] - cb[1]) == (1, 0):
             out.append((ea, eb, ec, ed))
     return out
 
 
-_FIELDS = ("Q", "Q(i)", "Q(sqrt-2)", "Q(sqrt-3)", "Q(sqrt-7)", "Q(sqrt-11)")
+_FIELDS = tuple(_REFERENCE_RINGS)
 
 
 class TestSortJoinEnumeration:
@@ -434,7 +475,7 @@ class TestSortJoinEnumeration:
     @pytest.mark.parametrize("field", ["Q", "Q(i)", "Q(sqrt-3)", "Q(sqrt-7)"])
     def test_prefix_embeds_each_matrix_as_to_complex(self, field):
         params = sl2.GaussianIntegerParams(field, 2)
-        omega = sl2._omega_complex(sl2._field_params(field))
+        omega = _reference_omega(field)
 
         def emb(p):
             # the embedding x + y * omega of each entry, in Python complex arithmetic
@@ -444,6 +485,30 @@ class TestSortJoinEnumeration:
                          for a, b, c, d in _exact_reference(params)], dtype=np.complex128)
         got = sl2.gaussian_sl2_generate(params).array
         assert got.tobytes() == want.tobytes()
+
+
+class TestRingTable:
+    def test_the_table_is_the_reference_list(self):
+        assert [row.tag for row in sl2._RINGS] == list(_REFERENCE_RINGS)
+        assert [row.alias for row in sl2._RINGS] == ["q", "qi", "q2", "q3", "q7", "q11"]
+
+    @pytest.mark.parametrize("row", sl2._RINGS, ids=lambda row: row.tag)
+    def test_omega_is_the_reference_root(self, row):
+        assert row.omega == _reference_omega(row.tag)
+        if row.c:
+            w = row.omega
+            assert abs(w * w - (row.s * w - row.c)) < 1e-12
+
+    @pytest.mark.parametrize("row", sl2._RINGS, ids=lambda row: row.tag)
+    def test_nonzero_elements_have_modulus_at_least_one(self, row):
+        # every coordinate difference at the cap h is a pair in [-2h, 2h]^2
+        # (y = 0 over Q); its norm x^2 + sxy + cy^2 = |x + y w|^2 is an
+        # integer, so a nonzero element has modulus at least one
+        h = row.cap
+        span = range(-2 * h, 2 * h + 1)
+        pairs = [(x, y) for x in span for y in (span if row.c else (0,)) if (x, y) != (0, 0)]
+        assert min(x * x + row.s * x * y + row.c * y * y for x, y in pairs) >= 1
+        assert min(abs(x + y * row.omega) for x, y in pairs) >= 1.0 - 1e-12
 
 
 def _fiber_distance_reference(first: np.ndarray, second: np.ndarray) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -530,3 +531,42 @@ def test_the_reach_scan_follows_reached_definitions_only():
     assert _unreached_public_names(package, users) == [
         "a.dead", "a.only_from_dead", "a.K.unused", "b.Unused"
     ]
+
+
+# a string constant that names a ring of `gen sl2-gauss` by its tag, or
+# starts with the prefix the tags of Q(sqrt-d) share
+_RING_NAME = re.compile(r"Q|Q\(i\)|Q\(sqrt-.*", re.DOTALL)
+
+
+def _ring_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, text) of each string constant that `_RING_NAME` matches,
+    outside a top-level assignment to `_RINGS`."""
+    table = {
+        id(sub)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_RINGS" for t in node.targets)
+        for sub in ast.walk(node)
+    }
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and _RING_NAME.fullmatch(node.value) and id(node) not in table
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_rings_are_named_only_in_the_ring_table(path):
+    # `sl2_special._RINGS` holds each ring's tag, alias, arithmetic and
+    # height cap; a second list of tags, or a parser of them, drifts from it
+    assert _ring_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_ring_name_scan_sees_plain_and_formatted_constants_outside_the_table():
+    tree = ast.parse(
+        '_RINGS = (Ring("Q", "q"), Ring("Q(sqrt-2)", "q2"))\n'
+        'a = "Q(i)"\nb = s.startswith("Q(sqrt-")\nc = f"Q(sqrt-{d})"\n'
+        'd = "Q(i) has units"\ne = {"q": "Q"}\n'
+    )
+    assert _ring_names(tree) == [(2, "Q(i)"), (3, "Q(sqrt-"), (4, "Q(sqrt-"), (6, "Q")]
