@@ -201,17 +201,23 @@ def _verdict_exit(v: Verdict) -> int:
     return 2 if v.is_violated else 0
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_number(text: str, flag: str, kind: type = complex):
+    """text as a finite number of `kind` (complex or float), or BadParams
+    naming the flag and the text."""
     try:
-        return complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise BadParams(f"cannot parse {text!r} as a complex number") from exc
+        value = kind(text.replace(" ", ""))
+    except ValueError:
+        value = kind("nan")
+    if not np.isfinite(value):
+        what = "real" if kind is float else "complex"
+        raise BadParams(f"{flag} needs finite {what} numbers, got {text!r}")
+    return value
 
 
 def _parse_shift_grid(text: str) -> BivariatePoly:
     rows = []
     for row_text in text.split(";"):
-        rows.append(tuple(_parse_complex(entry) for entry in row_text.split(",")))
+        rows.append(tuple(_parse_number(entry, "--shift") for entry in row_text.split(",")))
     return BivariatePoly(tuple(rows))
 
 
@@ -226,7 +232,7 @@ def _parse_lambda(text: str) -> BivariatePoly:
             f"cannot parse factor {text!r}; use 1, 1+a, 1+<coeff>*a, or --shift"
         )
     sign = -1.0 if match.group(1) == "-" else 1.0
-    coeff = _parse_complex(match.group(2)) if match.group(2) else 1.0 + 0j
+    coeff = _parse_number(match.group(2), "--factor") if match.group(2) else 1.0 + 0j
     return BivariatePoly.constant(sign * coeff)
 
 
@@ -360,7 +366,7 @@ def _overshears(args, cfg: RunConfig, d: DiscreteSequence):
 
 
 def _lambda_rescale(args, cfg: RunConfig, d: DiscreteSequence):
-    factor = float(args.factor) if args.factor else 2.0
+    factor = _parse_number(args.factor, "--factor", float) if args.factor else 2.0
     if factor < 1.0:
         raise BadParams("the row factor must be at least 1")
     row = [factor] + [1.0] * (d.ambient.n - 2) + [1.0 / factor]

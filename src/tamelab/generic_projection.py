@@ -14,10 +14,12 @@ twisted torus projection of a matrix stays inside a small ball:
     quotient by diag(t, 1/t).
   * `measure_estimate` samples the tail event "the embedded image of
     the moved matrix has norm below r". The shipped way of moving a
-    matrix is conjugation, which twists the torus being quotiented by;
-    left translation is kept as a configuration value but its tuple
-    norm is unitarily invariant, so translation estimates are exact
-    indicator functions of the input alone.
+    matrix is conjugation, which twists the torus being quotiented by.
+    Left translation is kept as a configuration value, but it moves both
+    columns by one unitary and so keeps the tuple norm |col1| |col2|, and
+    either action moves a length-4 tuple, as a 2 by 2 array, by an
+    isometry. Those estimates are exact indicators of the input alone,
+    answered from it without a draw.
   * `g_estimate` takes the upper envelope over seeded unit-sphere
     probes, `threshold_estimate` binary-searches the radii at which
     the tail mass drops below the budget 2^-(n+1), and `omega_check`
@@ -170,20 +172,19 @@ def haar_su(sampler: HaarSampler) -> np.ndarray:
     return haar_su_batch(sampler, 1)[0]
 
 
-def _draw_blocks(sampler: HaarSampler, count: int, block: int | None = None):
+def _draw_blocks(sampler: HaarSampler, count: int, block: int):
     """The draws of `haar_su_batch(sampler, count)`, as the stacks of its
-    consecutive windows of at most `block` draws (`_DRAW_BLOCK` by default).
+    consecutive windows of at most `block` draws.
 
     Every draw is addressed by its counter, so the stacks joined are the
     whole window bit for bit.
     """
-    block = block or _DRAW_BLOCK
     for start in range(0, count, block):
         yield haar_su_batch(sampler.advanced(start), min(block, count - start))
 
 
 def _column_blocks(sampler: HaarSampler, count: int):
-    """(k, 2) stacks g, one per window of `_draw_blocks(sampler, count)`,
+    """(k, 2) stacks g, one per window of at most `_DRAW_BLOCK` draws,
     each row the first Ginibre column (g00, g10) of that draw times
     exp(-i arg g00): g00 real, g10 carrying the relative phase.
 
@@ -295,25 +296,6 @@ def _conjugation_norms(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.sqrt(n1) * np.sqrt(n2) / (g0.real**2 + g0.imag**2 + g1.real**2 + g1.imag**2)
 
 
-def _tail_norms(v: np.ndarray, ks: np.ndarray, action: str) -> np.ndarray:
-    """Embedded-image norms of the moved probe, one per twist in ks, for a
-    2 by 2 probe under translation or a tuple under either action (a 2 by
-    2 probe under conjugation goes through `_conjugation_norms`)."""
-    if v.shape == (2, 2):
-        return np.linalg.norm(InvariantEmbedding().embed_batch(ks @ v), axis=-1)
-    # A tuple-space point carries no matrix to conjugate, so the twist
-    # acts linearly on the tuple arranged as a 2 by 2 array. Both
-    # arrangements are isometries; the estimate degenerates to an
-    # indicator of the input norm, which is exactly what makes the
-    # event-inclusion inequality sharp here.
-    w = v.reshape(2, 2)
-    if action == "conjugation":
-        moved = _conjugate(ks, w)
-    else:
-        moved = np.einsum("kij,jl,kml->kim", ks, w, ks)
-    return np.linalg.norm(moved.reshape(len(ks), 4), axis=-1)
-
-
 def measure_estimates(
     vs,
     r: float,
@@ -328,7 +310,7 @@ def measure_estimates(
     memory stays flat in `samples`, and each estimate equals its
     single-input call and the count over the whole window at once.
     """
-    _check_tail_params(samples, action)
+    _check_tail_params(r, samples, action)
     if sampler.n != 2:
         raise AmbientMismatch("tail estimates run over SU(2) twists")
     probes = [_probe(v) for v in vs]
@@ -338,8 +320,10 @@ def measure_estimates(
     return [MCEstimate.from_hits(h, samples, sampler.seed) for h in hits]
 
 
-def _check_tail_params(samples: int, action: str) -> None:
-    """The sample count and action a tail estimate is given."""
+def _check_tail_params(r: float, samples: int, action: str) -> None:
+    """The radius, sample count and action a tail estimate is given."""
+    if not r > 0.0:
+        raise BadParams("the ball radius must be positive")
     if samples < 1:
         raise BadParams("need at least one sample")
     if action not in ACTIONS:
@@ -350,25 +334,24 @@ def _block_hits(probes: list, r: float, samples: int, sampler: HaarSampler, acti
     """Per-probe hit counts (norm below r) of each window block of at most
     `_DRAW_BLOCK` draws, one list per block, each block drawn only when
     asked for. A 2 by 2 probe under conjugation is counted on the first
-    columns of the draws (`_column_blocks`), any other on the twists
-    themselves."""
-    columns = [i for i, v in enumerate(probes) if v.shape == (2, 2) and action == "conjugation"]
-    twisted = [i for i in range(len(probes)) if i not in columns]
-    scaled = {i: _scaled_probe(probes[i], r) for i in columns}
-    column_blocks = _column_blocks(sampler, samples)
-    twist_blocks = _draw_blocks(sampler, samples)
-    for _ in range(0, samples, _DRAW_BLOCK):
-        hits = [0] * len(probes)
-        if columns:
-            g = next(column_blocks)
-            for i in columns:
-                w, radius = scaled[i]
-                hits[i] = int(np.count_nonzero(_conjugation_norms(w, g) < radius))
-        if twisted:
-            ks = next(twist_blocks)
-            for i in twisted:
-                hits[i] = int(np.count_nonzero(_tail_norms(probes[i], ks, action) < r))
-        yield hits
+    columns of the draws (`_column_blocks`). No twist moves the norm of any
+    other probe (module docstring): it hits on all draws or on none, by its
+    norm at the identity twist, and nothing is drawn for it."""
+    fixed = {
+        i: bool(np.linalg.norm(InvariantEmbedding().embed_batch(v) if v.shape == (2, 2) else v) < r)
+        for i, v in enumerate(probes)
+        if v.shape == (4,) or action == "translation"
+    }
+    scaled = {i: _scaled_probe(v, r) for i, v in enumerate(probes) if i not in fixed}
+    columns = _column_blocks(sampler, samples)
+    for start in range(0, samples, _DRAW_BLOCK):
+        g = next(columns) if scaled else None
+        yield [
+            int(np.count_nonzero(_conjugation_norms(scaled[i][0], g) < scaled[i][1]))
+            if i in scaled
+            else min(_DRAW_BLOCK, samples - start) * fixed[i]
+            for i in range(len(probes))
+        ]
 
 
 def _scaled_probe(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
@@ -467,9 +450,7 @@ def g_estimate(
     1/2, so for r above 1/2 probe 0 hits every draw and the later
     probes draw nothing.
     """
-    if r <= 0.0:
-        raise BadParams("the ball radius must be positive")
-    _check_tail_params(samples_per_probe, action)
+    _check_tail_params(r, samples_per_probe, action)
     probes = _unit_probes(sampler.seed, sphere_probes)
     best = measure_estimate(probes[0], r, samples_per_probe, sampler, action)
     for j in range(1, sphere_probes):

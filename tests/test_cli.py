@@ -709,6 +709,29 @@ class TestTransform:
         path = gen(tmp_path, "wellplaced2", "--k", "6")
         assert run("transform", "lambda-rescale", path, "--factor", "0.5") == 1
 
+    @pytest.mark.parametrize(
+        "name, flag, value, refused",
+        [
+            ("lambda-rescale", "--factor", "abc", "abc"),
+            ("lambda-rescale", "--factor", "nan", "nan"),
+            ("lambda-rescale", "--factor", "inf", "inf"),
+            ("lambda-rescale", "--factor", "1e400", "1e400"),
+            ("lambda-rescale", "--factor", "2j", "2j"),
+            ("overshears", "--shift", "nan", "nan"),
+            ("overshears", "--shift", "0.05,abc;0,0", "abc"),
+            ("overshears", "--factor", "1+1e400*a", "1e400"),
+        ],
+    )
+    def test_a_number_flag_names_what_it_refuses(
+        self, tmp_path, capsys, name, flag, value, refused
+    ):
+        path = gen(tmp_path, "wellplaced2", "--k", "6")
+        capsys.readouterr()
+        assert run("transform", name, path, flag, value) == 1
+        what = "real" if name == "lambda-rescale" else "complex"
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} needs finite {what} numbers, got {refused!r}\n"
+
     def test_align_pair(self, tmp_path):
         a = gen(tmp_path, "wellplaced2", "--k", "12")
         b = gen(tmp_path, "wellplaced2", "--k", "12", "--p", "1")
@@ -992,6 +1015,16 @@ class TestMc:
                    "--seed", "0", "--json") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["estimate"]["estimate"] == 1.0
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    @pytest.mark.parametrize("action", ["measure", "g"])
+    def test_a_radius_not_above_zero_exits_1(self, monkeypatch, capsys, action, r):
+        def refuse(sampler, count):
+            raise AssertionError("drew for a refused radius")
+
+        monkeypatch.setattr(generic_projection.HaarSampler, "raw_uniforms", refuse)
+        assert run("mc", action, "--r", r, "--samples", "10", "--seed", "0") == 1
+        assert capsys.readouterr().err == "error: the ball radius must be positive\n"
 
     def test_translation_twist_selectable(self, capsys):
         assert run("mc", "measure", "--R", "2", "--r", "1.0001",

@@ -104,6 +104,7 @@ class TestHaarSampler:
 
 
 _UNKNOWN_SPIN = "^unknown action 'spin'; choose from \\('conjugation', 'translation'\\)$"
+_NOT_POSITIVE = "^the ball radius must be positive$"
 _ONE_POINT = DiscreteSequence(sln(2), (np.array([[2.0, 1.0], [1.0, 1.0]], dtype=np.complex128),))
 
 
@@ -117,12 +118,20 @@ _ONE_POINT = DiscreteSequence(sln(2), (np.array([[2.0, 1.0], [1.0, 1.0]], dtype=
          "^need at least one sample$"),
         (lambda: gp.measure_estimates([_diag(2.0)], 1.0, 10, _sampler(1), "spin"),
          _UNKNOWN_SPIN),
+        (lambda: gp.measure_estimates([_diag(2.0)], 0.0, 10, _sampler(1)), _NOT_POSITIVE),
+        (lambda: gp.measure_estimates([_diag(2.0)], -1.0, 10, _sampler(1)), _NOT_POSITIVE),
+        (lambda: gp.measure_estimates([_diag(2.0)], math.nan, 10, _sampler(1)), _NOT_POSITIVE),
+        (lambda: gp.g_estimate(-1.0, 4, 10, _sampler(1)), _NOT_POSITIVE),
         (lambda: gp.mc_report_row("spin", _diag(2.0), 1.0, gp.MCEstimate(0.5, 0.1, 10, 0)),
          _UNKNOWN_SPIN),
         (lambda: gp.omega_check(_ONE_POINT, 0, _sampler(1)),
          "^need at least one sampled twist$"),
     ],
-    ids=["dimension", "counter", "batch", "samples", "action", "row-action", "omega-samples"],
+    ids=[
+        "dimension", "counter", "batch", "samples", "action",
+        "radius-zero", "radius-negative", "radius-nan", "g-radius",
+        "row-action", "omega-samples",
+    ],
 )
 def test_parameter_errors_are_typed(call, message):
     with pytest.raises(BadParams, match=message):
@@ -246,8 +255,24 @@ class TestColumnStream:
 
         monkeypatch.setattr(gp, "haar_su_batch", refuse)
         assert estimates() == want
+        # the patch bites where twists are still built
         with pytest.raises(AssertionError, match="twist matrix"):
-            gp.measure_estimate(_diag(3.0), 2.5, 10, _sampler(4), action="translation")
+            next(gp._draw_blocks(_sampler(4), 10, 4))
+
+    def test_the_column_stream_follows_the_haar_law(self):
+        # t = g00^2 / |g|^2 is uniform on [0, 1], and the relative phase
+        # arg g10 is uniform and independent of t: the law of the first
+        # column of a Haar SU(2) draw, which the conjugation norms read
+        m = 200_000
+        g = np.concatenate(list(gp._column_blocks(_sampler(34), m)))
+        assert np.all(g[:, 0].imag == 0.0) and np.all(g[:, 0].real >= 0.0)
+        t = g[:, 0].real ** 2 / (g[:, 0].real ** 2 + np.abs(g[:, 1]) ** 2)
+        phi = np.angle(g[:, 1])
+        for x in (t, (phi + math.pi) / (2.0 * math.pi)):
+            assert _ks_uniform(x) < 1.628 / math.sqrt(m)
+        low, high = phi[t < 0.5], phi[t >= 0.5]
+        bound = 1.628 * math.sqrt((len(low) + len(high)) / (len(low) * len(high)))
+        assert _ks_two_sample(low, high) < bound
 
     def test_a_scaled_probe_counts_as_the_unscaled_one(self):
         # norms of 2^p v are 4^p times those of v; at p = 500 the chart's
@@ -264,6 +289,104 @@ class TestColumnStream:
                         got = gp.measure_estimate(v * 2.0**power, r * 4.0**power, 4000, _sampler(6))
                     assert got == want
         assert any(0.0 < e < 1.0 for e in estimates)
+
+
+def _ks_uniform(x: np.ndarray) -> float:
+    """The one-sample Kolmogorov-Smirnov distance of x from U[0, 1]."""
+    x = np.sort(x)
+    ranks = np.arange(1, len(x) + 1) / len(x)
+    return float(max(np.max(ranks - x), np.max(x - (ranks - 1.0 / len(x)))))
+
+
+def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
+    """The two-sample Kolmogorov-Smirnov distance of a and b."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / len(a)
+    cdf_b = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def _per_draw_norms(v: np.ndarray, ks: np.ndarray, action: str) -> np.ndarray:
+    """Reference: the tail norms of a probe that no twist moves, taken as
+    the estimators once did, moving the probe by each twist in ks. A 2 by
+    2 probe is left-translated; a tuple acts as a 2 by 2 array."""
+    if v.shape == (2, 2):
+        return np.linalg.norm(gp.InvariantEmbedding().embed_batch(ks @ v), axis=-1)
+    w = v.reshape(2, 2)
+    if action == "conjugation":
+        moved = gp._conjugate(ks, w)
+    else:
+        moved = np.einsum("kij,jl,kml->kim", ks, w, ks)
+    return np.linalg.norm(moved.reshape(len(ks), 4), axis=-1)
+
+
+def _fixed_norm(v: np.ndarray) -> float:
+    """The norm no twist moves: of the embedded 2 by 2 probe, or of the tuple."""
+    return float(np.linalg.norm(gp.InvariantEmbedding().embed_batch(v) if v.shape == (2, 2) else v))
+
+
+def _refuse_draws(monkeypatch) -> None:
+    def refuse(self, count):
+        raise AssertionError("a tail of fixed norm drew")
+
+    monkeypatch.setattr(gp.HaarSampler, "raw_uniforms", refuse)
+
+
+# (probe shape, action) of the tail events whose norm no twist moves
+_FIXED_CASES = [((2, 2), "translation"), ((4,), "conjugation"), ((4,), "translation")]
+
+
+def _fixed_probes(seed: int, count: int):
+    """(probe, action) pairs cycling through `_FIXED_CASES`, at entry
+    scales from 1e-3 to 1e3."""
+    rng = stream(seed, "fixed-norm-probes")
+    for j in range(count):
+        shape, action = _FIXED_CASES[j % len(_FIXED_CASES)]
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        yield scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)), action
+
+
+class TestFixedNormTails:
+    """A 2 by 2 probe under translation, and a tuple under either action,
+    answered from the probe without a draw."""
+
+    @pytest.mark.parametrize("shape, action", _FIXED_CASES)
+    def test_estimates_draw_nothing(self, monkeypatch, shape, action):
+        v = np.arange(1, 5).reshape(shape) * (1.0 + 0.5j)
+        _refuse_draws(monkeypatch)
+        r = 2.0 * _fixed_norm(v)
+        ests = gp.measure_estimates([v, 3.0 * v], r, 200_000, _sampler(3), action)
+        assert ests == [gp.MCEstimate(1.0, 0.0, 200_000, 3), gp.MCEstimate(0.0, 0.0, 200_000, 3)]
+        if shape == (2, 2):
+            hit = any(_fixed_norm(u) < 0.3 for u in gp._unit_probes(0, 16))
+            est = gp.g_estimate(0.3, 16, 50_000, _sampler(0), action)
+            assert est == gp.MCEstimate(float(hit), 0.0, 50_000, 0)
+
+    def test_the_fixed_norm_is_the_boundary(self, monkeypatch):
+        # the ball is open: the estimate is 1 just above the norm and 0 at it
+        _refuse_draws(monkeypatch)
+        for v, action in _fixed_probes(35, 30):
+            norm = _fixed_norm(v)
+            above = gp.measure_estimate(v, math.nextafter(norm, math.inf), 500, _sampler(5), action)
+            assert above == gp.MCEstimate(1.0, 0.0, 500, 5)
+            at = gp.measure_estimate(v, norm, 500, _sampler(5), action)
+            assert at == gp.MCEstimate(0.0, 0.0, 500, 5)
+
+    def test_estimates_off_the_boundary_are_the_per_draw_counts(self, monkeypatch):
+        rng = stream(36, "fixed-norm-radii")
+        cases = []
+        for j, (v, action) in enumerate(_fixed_probes(36, 50)):
+            norm = _fixed_norm(v)
+            r = norm * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11.5, -0.3))
+            assert abs(r / norm - 1.0) > 1e-12
+            sampler = _sampler(37, 300 * j)
+            hits = np.count_nonzero(_per_draw_norms(v, gp.haar_su_batch(sampler, 300), action) < r)
+            cases.append((v, action, r, sampler, gp.MCEstimate.from_hits(int(hits), 300, 37)))
+        assert {est.estimate for *_, est in cases} == {0.0, 1.0}
+        _refuse_draws(monkeypatch)
+        for v, action, r, sampler, want in cases:
+            assert gp.measure_estimate(v, r, 300, sampler, action) == want
 
 
 class TestInvariantEmbedding:
@@ -330,8 +453,9 @@ class TestMeasureEstimate:
         est = gp.measure_estimate(_diag(1000.0), 1e9, 200, _sampler(0))
         assert est.estimate == 1.0
 
-    def test_zero_radius_catches_nothing(self):
-        est = gp.measure_estimate(_diag(10.0), 0.0, 200, _sampler(0))
+    def test_the_least_positive_radius_catches_nothing(self):
+        # a radius at or below zero is refused (test_parameter_errors_are_typed)
+        est = gp.measure_estimate(_diag(10.0), math.ulp(0.0), 200, _sampler(0))
         assert est.estimate == 0.0
 
     def test_zero_probe_rejected(self):
@@ -529,7 +653,7 @@ class TestDrawBlocks:
     draws than any window holds."""
 
     def test_blocks_join_to_the_window(self, draw_block):
-        blocks = list(gp._draw_blocks(_sampler(5, 3), 1000))
+        blocks = list(gp._draw_blocks(_sampler(5, 3), 1000, draw_block))
         assert max(len(ks) for ks in blocks) == min(draw_block, 1000)
         assert np.array_equal(np.concatenate(blocks), gp.haar_su_batch(_sampler(5, 3), 1000))
 

@@ -187,7 +187,7 @@ def _callers(trees: dict[str, ast.Module], name: str) -> set[str]:
 
 
 def test_only_the_draw_block_generator_and_the_single_draw_call_the_batch_sampler():
-    # estimators draw through `_draw_blocks`, which bounds the draws held at once
+    # `omega_check` draws through `_draw_blocks`, which bounds the draws held at once
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert _callers(trees, "haar_su_batch") == {
         "generic_projection._draw_blocks",
@@ -202,6 +202,33 @@ def test_only_the_batch_sampler_and_the_column_stream_read_raw_uniforms():
         "generic_projection.haar_su_batch",
         "generic_projection._column_blocks",
     }
+
+
+def _named(node: ast.AST) -> set[str]:
+    """Every name a tree refers to, plain or as an attribute."""
+    return {
+        getattr(child, "id", None) or getattr(child, "attr", None)
+        for child in ast.walk(node)
+        if isinstance(child, (ast.Name, ast.Attribute))
+    }
+
+
+def test_tail_estimators_build_no_twist():
+    # a tail estimate reads the first-column stream, or nothing for a norm
+    # no twist moves; only `omega_check` builds twist matrices
+    path = ROOT / "src" / "tamelab" / "generic_projection.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_tail_norms" not in defs
+    estimators = ("_block_hits", "measure_estimates", "measure_estimate", "g_estimate",
+                  "threshold_estimate")
+    for name in estimators:
+        assert _named(defs[name]) & {"_draw_blocks", "haar_su_batch"} == set(), name
+
+
+def test_the_name_scan_sees_plain_attribute_and_nested_names():
+    tree = ast.parse("def f():\n    x = m.a(b)\n    return [c for _ in d.e]\n")
+    assert _named(tree) == {"x", "m", "a", "b", "c", "_", "d", "e"}
 
 
 def test_the_caller_scan_sees_plain_attribute_nested_and_module_calls():
