@@ -21,8 +21,9 @@ twisted torus projection of a matrix stays inside a small ball:
     isometry. Those estimates are exact indicators of the input alone,
     answered from it without a draw.
   * `g_estimate` takes the upper envelope over seeded unit-sphere
-    probes, `threshold_estimate` binary-searches the radii at which
-    the tail mass drops below the budget 2^-(n+1), and `omega_check`
+    probes, `threshold_estimate` reads off the least float radii at
+    which the guarded tail mass clears the budget 2^-(n+1), from one
+    draw window per probe shared by every level, and `omega_check`
     measures how often a sampled twist keeps a finite prefix proper
     and collision-free away from the center.
 
@@ -72,7 +73,6 @@ UNITARY_TOL = 1e-10
 CENTRAL_RATIO_TOL = 1e-8
 RADIUS_CAP = 1e12
 MAX_PROBES = 1 << 20
-SEARCH_REL_TOL = 1e-2
 
 ACTIONS = ("conjugation", "translation")
 
@@ -503,6 +503,13 @@ class ThresholdEstimate:
         }
 
 
+def _passing_counts(budget: float, m: int) -> int:
+    """How many counts k = 0, 1, ... in a row pass the guard of
+    `threshold_estimate`. Only p = k / m < budget can pass."""
+    p = np.arange(math.ceil(budget * m)) / m
+    return int(np.logical_and.accumulate(p + 3.0 * np.sqrt(p * (1.0 - p) / m) < budget).sum())
+
+
 def threshold_estimate(
     levels: int,
     *,
@@ -510,60 +517,50 @@ def threshold_estimate(
     sphere_probes: int = 8,
     seed: int = 0,
 ) -> ThresholdEstimate:
-    """Smallest radii whose guarded tail mass clears each level budget.
+    """Least float radii whose guarded tail mass clears each level budget.
 
     Level n targets the budget 2^-(n+1) for the event "the embedded
-    image of the conjugated sphere-R probe has norm below n". Scaling
-    the probe only rescales precomputed unit-probe norms by R^2, so
-    the per-probe estimate is exactly nonincreasing in R on the fixed
-    draw window and the accepted region is an up-set; bisection to 1%
-    relative width returns its accepting endpoint. The guard adds
-    three standard errors before comparing against the budget, and
-    the returned radii are cumulative maxima.
+    image of the conjugated sphere-R probe has norm below n". Probe j
+    reads draws j m to (j + 1) m - 1, m = `samples_per_level`, at every
+    level, so the levels are not independent estimates. A probe clears
+    at R when the share p of its unit norms u with R * R * u < n has
+    p + 3 sqrt(p (1 - p) / m) < 2^-(n+1): when R * R times its K-th
+    smallest norm is at least n, K the number of passing counts. The
+    level's radius is the least float at which every probe clears, and
+    the radii returned are cumulative maxima. `SearchExhausted` is raised
+    when a radius exceeds `RADIUS_CAP` or no count passes (level 1074).
     """
     if levels < 1:
         raise BadParams("need at least one level")
     if samples_per_level < 1:
         raise BadParams("need at least one sample per level")
-    probes = _unit_probes(seed, sphere_probes)
-    base = HaarSampler(2, seed)
+    m = samples_per_level
+    norms = np.stack([
+        np.concatenate([_conjugation_norms(v, g)
+                        for g in _column_blocks(HaarSampler(2, seed, j * m), m)])
+        for j, v in enumerate(_unit_probes(seed, sphere_probes))
+    ])
     radii: list[float] = []
     deltas: list[float] = []
-    m = samples_per_level
     for level in range(1, levels + 1):
-        unit_norms = []
-        for j in range(sphere_probes):
-            offset = ((level - 1) * sphere_probes + j) * m
-            unit_norms.append(np.concatenate([
-                _conjugation_norms(probes[j], g)
-                for g in _column_blocks(base.advanced(offset), m)
-            ]))
         budget = 2.0 ** -(level + 1)
-
-        def clears(radius: float) -> bool:
-            ps = (np.count_nonzero(radius * radius * norms < level) / m for norms in unit_norms)
-            return all(p + 3.0 * math.sqrt(p * (1.0 - p) / m) < budget for p in ps)
-
-        lo, hi = 0.0, 1.0
-        while not clears(hi):
-            lo = hi
-            hi *= 2.0
-            if hi > RADIUS_CAP:
-                raise SearchExhausted(
-                    f"no radius below {RADIUS_CAP:g} meets the level-{level} "
-                    "tail budget"
-                )
-        while hi - lo > SEARCH_REL_TOL * hi:
-            mid = 0.5 * (lo + hi)
-            if clears(mid):
-                hi = mid
-            else:
-                lo = mid
-        radii.append(hi if not radii else max(hi, radii[-1]))
         deltas.append(budget)
-    return ThresholdEstimate(
-        tuple(radii), tuple(deltas), samples_per_level, sphere_probes, seed
-    )
+        k = _passing_counts(budget, m)
+        # the probe with the least K-th smallest norm needs the largest radius;
+        # with no passing count no radius clears, as for a norm of zero
+        norm = float(np.partition(norms, k - 1, axis=1)[:, k - 1].min()) if k else 0.0
+        if RADIUS_CAP * RADIUS_CAP * norm < level:  # not even the cap clears
+            raise SearchExhausted(
+                f"no radius below {RADIUS_CAP:g} meets the level-{level} tail budget"
+            )
+        # R * R * norm is monotone in R: step from the root to the least clearing float
+        radius = math.sqrt(level / norm)
+        while radius * radius * norm < level:
+            radius = math.nextafter(radius, math.inf)
+        while (below := math.nextafter(radius, 0.0)) * below * norm >= level:
+            radius = below
+        radii.append(radius if not radii else max(radius, radii[-1]))
+    return ThresholdEstimate(tuple(radii), tuple(deltas), samples_per_level, sphere_probes, seed)
 
 
 @dataclass(frozen=True)

@@ -1034,6 +1034,13 @@ class TestMc:
         assert doc["rows"][0]["action"] == "translation"
         assert doc["rows"][0]["estimate"] == 1.0
 
+    def test_threshold_past_the_last_budget_exits_1(self, capsys):
+        # 2^-1075 rounds to zero, so at level 1074 no count passes the guard
+        assert run("mc", "threshold", "--levels", "1100", "--samples", "20", "--seed", "0") == 1
+        assert capsys.readouterr().err == (
+            "error: no radius below 1e+12 meets the level-1074 tail budget\n"
+        )
+
     def test_seed_required(self, capsys):
         assert run("mc", "threshold", "--levels", "2") == 1
         assert "seed is required" in capsys.readouterr().err

@@ -88,6 +88,18 @@ class TestHaarSampler:
         statistic = np.max(np.abs(cdf_a - cdf_b))
         assert statistic < 1.628 * math.sqrt(2.0 * m / (m * m))
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_su3_first_entry_follows_beta_1_2(self, seed):
+        # The first column is uniform on the unit sphere of C^3, so
+        # |u11|^2 has the Beta(1, 2) law, with CDF 1 - (1 - x)^2. One-sample
+        # Kolmogorov-Smirnov, below the 1 percent critical value.
+        m = 50_000
+        x = np.sort(np.abs(gp.haar_su_batch(gp.HaarSampler(3, seed), m)[:, 0, 0]) ** 2)
+        cdf = 1.0 - (1.0 - x) ** 2
+        steps = np.arange(1, m + 1) / m
+        statistic = max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / m)))
+        assert statistic < 1.628 / math.sqrt(m)
+
     def test_dimension_three_is_supported(self):
         us = gp.haar_su_batch(gp.HaarSampler(3, 5), 200)
         gram = np.einsum("kij,kil->kjl", us.conj(), us)
@@ -697,7 +709,7 @@ class TestDrawBlocks:
 
     def test_threshold_radii(self, draw_block):
         th = gp.threshold_estimate(2, samples_per_level=1500, sphere_probes=3, seed=4)
-        assert th.rhat == (1.765625, 2.921875)
+        assert th.rhat == (1.7514090955807742, 2.923050884052409)
 
     def test_measure_memory_does_not_grow_with_samples(self):
         # the whole 200k window at once peaked at 58.7 MiB
@@ -748,12 +760,54 @@ class TestThresholdSearch:
             th.rhat, (1.703125, 2.6875, 3.71875, 4.5, 5.21875), rtol=0.05
         )
 
-    def test_levels_use_disjoint_draw_windows(self):
+    def test_levels_share_one_window_per_probe(self):
         # The first level of a deep run reproduces a one-level run
-        # exactly: each level owns its own stretch of the stream.
+        # exactly: every level reads the same window per probe, and a
+        # level's radius depends only on its own budget.
         deep = gp.threshold_estimate(3, seed=0)
         shallow = gp.threshold_estimate(1, seed=0)
         assert deep.rhat[0] == shallow.rhat[0]
+
+    @pytest.mark.parametrize("levels", [1, 5])
+    def test_every_level_reads_the_same_draws(self, monkeypatch, levels):
+        drawn = _count_draws(monkeypatch)
+        gp.threshold_estimate(levels, samples_per_level=5000, sphere_probes=3, seed=0)
+        assert sum(drawn) == 3 * 5000
+
+    @pytest.mark.parametrize("m", [20, 1500, 2000, 8193, 10_000])
+    def test_passing_counts_form_a_prefix(self, m):
+        # the guard as a scalar expression, over every count of a window
+        for level in range(1, 21):
+            budget = 2.0 ** -(level + 1)
+            passing = [
+                k for k in range(m + 1)
+                if k / m + 3.0 * math.sqrt(k / m * (1.0 - k / m) / m) < budget
+            ]
+            assert passing == list(range(gp._passing_counts(budget, m)))
+
+    @pytest.mark.parametrize("levels, m, probes, seed", [
+        (5, 10_000, 8, 0), (5, 10_000, 8, 1), (5, 10_000, 8, 7),
+        (3, 2000, 8, 0), (2, 1500, 3, 4), (4, 8193, 3, 0),
+    ])
+    def test_each_radius_is_the_least_float_that_clears(self, levels, m, probes, seed):
+        th = gp.threshold_estimate(levels, samples_per_level=m, sphere_probes=probes, seed=seed)
+        clears = _clears(m, probes, seed)
+        own = 0
+        for level, radius in enumerate(th.rhat, start=1):
+            assert clears(radius, level)
+            # a radius above the last is the level's own, not the running maximum
+            if level == 1 or radius > th.rhat[level - 2]:
+                own += 1
+                assert not clears(math.nextafter(radius, 0.0), level)
+        assert own >= 2
+
+    def test_the_cap_is_compared_with_the_exact_radius(self, monkeypatch):
+        top = gp.threshold_estimate(3, samples_per_level=2000, seed=0).rhat[-1]
+        monkeypatch.setattr(gp, "RADIUS_CAP", top)
+        assert gp.threshold_estimate(3, samples_per_level=2000, seed=0).rhat[-1] == top
+        monkeypatch.setattr(gp, "RADIUS_CAP", math.nextafter(top, 0.0))
+        with pytest.raises(SearchExhausted, match="meets the level-3 tail budget$"):
+            gp.threshold_estimate(3, samples_per_level=2000, seed=0)
 
     def test_sanity_points_escape_simultaneously(self):
         # Points twice as far as the estimated radii: the budgets sum
@@ -783,6 +837,24 @@ class TestThresholdSearch:
             gp.threshold_estimate(0)
         with pytest.raises(ValueError):
             gp.threshold_estimate(1, samples_per_level=0)
+
+
+def _clears(m, probes, seed):
+    """Reference: the guarded predicate of level L at radius R, counted
+    over each probe's whole window of unit norms."""
+    base = gp.HaarSampler(2, seed)
+    norms = [
+        np.concatenate([gp._conjugation_norms(v, g)
+                        for g in gp._column_blocks(base.advanced(j * m), m)])
+        for j, v in enumerate(gp._unit_probes(seed, probes))
+    ]
+
+    def clears(radius, level):
+        budget = 2.0 ** -(level + 1)
+        ps = (np.count_nonzero(radius * radius * n < level) / m for n in norms)
+        return all(p + 3.0 * math.sqrt(p * (1.0 - p) / m) < budget for p in ps)
+
+    return clears
 
 
 def _omega_failures_loop(d, k_samples, sampler, min_gap, max_fiber=gp.MAX_FIBER):

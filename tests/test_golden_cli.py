@@ -318,13 +318,13 @@ GOLDEN = {
     'punctured': (2, 'e7bfa1bfa042f0d0fb6194ada82501f179f3597ce765ce01d8137c5ee8da70c9'),
     'omega': (0, '1cfbb49606a1f63e312f43fc4fc5f98f908502f1ef2996d7a112aeaaaac29a29'),
     'measure': (0, 'cc46083b29ea84e73128834150f0e89843a721a1ba3f6126a29f5388d6b05ba0'),
-    'threshold': (0, '195fc9309f20fe0038e269e868444e4a047f620d628bde262ca1c62d801f2a6b'),
+    'threshold': (0, '0f2084f33b5a6ba82fd04290c6344afc266d51aada0fc88aaee9ef9979a20ee4'),
     'mc-g': (0, 'bc6293bfbfab97de6bd5cab9d2e6771d8aa50828b16e8543f35326c9da15c921'),
     'measure-blocks': (0, 'd25dfb0c5027c43ab503ca2f7871a1b2ab2b0c7b906e718702b113b19eb87fd9'),
-    'threshold-blocks': (0, 'dadf107eb7aeffdb9674724e3994bcfa3f9e8a798ad003d64e5b6e352b332367'),
+    'threshold-blocks': (0, '87631a15d0fcf01bf64024495f8f362691261475c45693e2b3c746da989d40f3'),
     'mc-g-tail': (0, 'b7ef743ac512c17fcc6f255813e8fe5c5362b6d33e0aee6aab2cac3bba47af0a'),
     'measure-tail': (0, '6371d4d1d5808d90c55b76a5187899d332b4f6a74484d2d1b1c465d7ae337eeb'),
-    'threshold-tail': (0, '466fe1f78e2d7fbc257b3f2aa48e570de80d593459eae2ed500bcf23fbe53174'),
+    'threshold-tail': (0, '0044d77c5d81bbb25b186e74f861a14259e66fc3d808b7d9b3573929307b2ee9'),
     'omega-blocks': (0, 'cae9714d43c0c33a905bcd2a33c50e2ec259adb44f6bb2b3b10bfae7255553f5'),
     'pipeline': (0, '67e1861f4a17a73ce25c8ffeeffab63922321e9b654217de1081d99e9aa0ee32'),
     'bounds-report': (0, '4dbbe9f5ab890602dcb043d7aea17fae76ce0ca119dc960a03e6472dcaf09215'),

@@ -201,3 +201,12 @@ def test_every_threshold_probe_clears_its_budget(seed):
     budgets, masses = _threshold_masses(seed)
     for budget, row in zip(budgets, masses):
         assert row.max() < budget, (budget, row)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_each_threshold_level_is_tight(seed):
+    # the least clearing radius leaves the worst probe's mass within a
+    # few standard errors of the budget
+    budgets, masses = _threshold_masses(seed)
+    for budget, row in zip(budgets, masses):
+        assert row.max() >= budget - 6.0 * math.sqrt(budget / THRESHOLD_SAMPLES), (budget, row)
