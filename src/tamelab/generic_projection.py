@@ -535,20 +535,22 @@ def threshold_estimate(
     if samples_per_level < 1:
         raise BadParams("need at least one sample per level")
     m = samples_per_level
-    norms = np.stack([
-        np.concatenate([_conjugation_norms(v, g)
-                        for g in _column_blocks(HaarSampler(2, seed, j * m), m)])
-        for j, v in enumerate(_unit_probes(seed, sphere_probes))
-    ])
+    probes = _unit_probes(seed, sphere_probes)
+    norms = np.empty((len(probes), m))
+    for j, v in enumerate(probes):
+        blocks = _column_blocks(HaarSampler(2, seed, j * m), m)
+        np.concatenate([_conjugation_norms(v, g) for g in blocks], out=norms[j])
     radii: list[float] = []
     deltas: list[float] = []
     for level in range(1, levels + 1):
         budget = 2.0 ** -(level + 1)
         deltas.append(budget)
         k = _passing_counts(budget, m)
+        if k:  # in place: a reordering keeps every rank a later level reads
+            norms.partition(k - 1, axis=1)
         # the probe with the least K-th smallest norm needs the largest radius;
         # with no passing count no radius clears, as for a norm of zero
-        norm = float(np.partition(norms, k - 1, axis=1)[:, k - 1].min()) if k else 0.0
+        norm = float(norms[:, k - 1].min()) if k else 0.0
         if RADIUS_CAP * RADIUS_CAP * norm < level:  # not even the cap clears
             raise SearchExhausted(
                 f"no radius below {RADIUS_CAP:g} meets the level-{level} tail budget"

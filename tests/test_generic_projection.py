@@ -717,6 +717,15 @@ class TestDrawBlocks:
         _, peak = _traced_peak(gp.measure_estimates, vs, 150.0, 200_000, _sampler(3))
         assert peak < 8 * 2**20
 
+    def test_threshold_holds_one_norm_per_draw(self):
+        # 8 probes x 200k norms are 12.2 MiB; a stacked or partitioned
+        # copy of them peaked at 24.4 MiB
+        th, peak = _traced_peak(
+            lambda: gp.threshold_estimate(3, samples_per_level=200_000, seed=0)
+        )
+        assert len(th) == 3
+        assert peak < 18 * 2**20
+
     def test_omega_memory_does_not_grow_with_samples(self):
         # the whole 80k x 8 image table at once peaked at 62.9 MiB
         d = DiscreteSequence(sln(2), tuple(_diag(float(2**j)) for j in range(1, 9)))
