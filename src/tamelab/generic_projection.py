@@ -4,10 +4,10 @@ The compact group SU(n) is sampled through a counter-addressed Haar
 sampler: every draw is a pure function of (n, seed, draw index), so a
 batch partitioned across workers reproduces the single-worker stream
 bit for bit. The estimators read the stream in blocks of at most
-`_DRAW_BLOCK` draws, so their memory does not grow with the sample
-count and their results are those of one whole window. On top of the
-sampler sit estimators for how often a
-twisted torus projection of a matrix stays inside a small ball:
+`_DRAW_BLOCK` draws, so their results are those of one whole window;
+only `threshold_estimate`, one norm per probe and draw, grows in memory
+with the sample count. On top of the sampler sit estimators for how
+often a twisted torus projection of a matrix stays inside a small ball:
 
   * `InvariantEmbedding` maps g = [[a, c], [b, d]] to the right-torus
     invariant tuple (ac, ad, bc, bd), the coordinate chart of the
