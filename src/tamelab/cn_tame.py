@@ -28,6 +28,7 @@ from .core import (
     first_close_pair,
 )
 from .errors import (
+    BadParams,
     DegenerateConfiguration,
     DimensionMismatch,
     DuplicateNodes,
@@ -349,7 +350,7 @@ def push_prefix_cn(
     if n < 2:
         raise DimensionMismatch("height pushing needs dimension at least 2")
     if len(zeta) != len(d):
-        raise ValueError("one height per point is required")
+        raise BadParams("one height per point is required")
     pts = d.array
     heights = np.linalg.norm(pts, axis=1)
     targets = np.array(zeta.values)

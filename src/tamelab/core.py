@@ -119,10 +119,16 @@ def det_tolerance(a: np.ndarray, det_tol: float = DET_TOL):
 
 def sl_matrix(entries, det_tol: float = DET_TOL) -> np.ndarray:
     """Validate a square complex matrix as unimodular and return it,
-    within `det_tolerance`."""
+    within `det_tolerance`.
+
+    A finite matrix whose drift |det - 1| is at most `det_tol` passes on
+    one determinant read; any other goes through `_check_rows`. Both read
+    the same determinant gufunc, and CPython's abs(complex) rounds as
+    `det_drift`'s hypot, so the two decide alike."""
     a = np.array(entries, dtype=np.complex128)
     _require_square(a, None)
-    _check_rows("sln", a[None], det_tol, None)
+    if not (np.isfinite(a).all() and abs(complex(np.linalg.det(a)) - 1.0) <= det_tol):
+        _check_rows("sln", a[None], det_tol, None)
     return a
 
 
@@ -140,6 +146,12 @@ def _require_unit_det(det: complex, allowed: float, first: int | None = None, k=
         ))
 
 
+# det_drift's empty results when every matrix passes, shared and read-only
+_NO_INDICES = np.zeros(0, dtype=np.intp)
+_NO_DRIFTS = np.zeros(0)
+_NO_INDICES.flags.writeable = _NO_DRIFTS.flags.writeable = False
+
+
 def det_drift(mats: np.ndarray, det_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The determinant rule of SL(n) on a stack of finite matrices: each
     drift |det - 1|, and the indices and `det_tolerance`s of the matrices
@@ -148,7 +160,7 @@ def det_drift(mats: np.ndarray, det_tol: float) -> tuple[np.ndarray, np.ndarray,
     # hypot rounds as Python's abs(complex); numpy's complex abs may not
     drifts = np.hypot(dev.real, dev.imag)
     if drifts.max(initial=0.0) <= det_tol:  # a nan drift fails this and takes the scan
-        return drifts, np.zeros(0, dtype=np.intp), drifts[:0]
+        return drifts, _NO_INDICES, _NO_DRIFTS
     near = np.flatnonzero(drifts > det_tol)
     allowed = det_tolerance(mats[near], det_tol)
     off = drifts[near] > allowed
@@ -450,8 +462,8 @@ def first_close_pair(rows: np.ndarray, tol: float) -> tuple[int, int] | None:
         return None
     flats = np.asarray(rows).reshape(m, -1)
     if m * flats.size <= _PAIR_TABLE_ENTRIES >> 5:
-        near = np.max(np.abs(flats[:, None, :] - flats[None, :, :]), axis=2) <= tol
-        np.fill_diagonal(near, False)
+        near = np.maximum.reduce(np.abs(flats[:, None, :] - flats[None, :, :]), axis=2) <= tol
+        near.reshape(-1)[:: m + 1] = False  # the diagonal
         k = int(near.argmax())
         return divmod(k, m) if near.flat[k] else None
     reals = np.ascontiguousarray(flats, dtype=np.complex128).view(np.float64)

@@ -51,6 +51,7 @@ FIRST_COLUMN = "first-column"
 Q_COLUMN_TOL = 1e-10
 FIBER_MATCH_TOL = 1e-9
 _CAP_LOG2 = 60  # the largest shear parameter tried is 2^60
+_ZERO = Polynomial()
 
 
 @dataclass(frozen=True)
@@ -84,19 +85,25 @@ def pi_tame_check(
     return properness_check(d.array[:, :, 0], min_gap=min_gap, max_fiber=max_fiber)
 
 
-def _q_stack(r: np.ndarray, lower: np.ndarray) -> np.ndarray:
+def _q_stack(r: np.ndarray, lower: np.ndarray | None = None) -> np.ndarray:
     """The fiber-group elements [[1, r_k], [0, lower_k]] of top rows (m, n-1)
-    and lower blocks (m, n-1, n-1), checked by `_check_rows`, which names a
-    bad one by its index. Their first columns are e1 by construction. For
-    n = 2 a finite element with lower entry exactly 1 has LU determinant
-    exactly 1 (pivot 1, multiplier 0, last pivot 1 - 0 * r), so a stack of
-    such elements skips the check."""
+    and lower blocks (m, n-1, n-1), or identity lower blocks where `lower`
+    is None, checked by `_check_rows`, which names a bad one by its index.
+    Their first columns are e1 by construction.
+
+    A finite element whose lower block is the identity has LU determinant
+    exactly 1: its first column e1 is the first pivot, every multiplier is
+    0, so each later pivot is 1 - 0 * r = 1. A stack of such elements
+    skips the check, and one with a non-finite top row takes it, which
+    names that row. For n = 2 a lower entry exactly 1 is that identity."""
     m, k = r.shape
     q = np.zeros((m, k + 1, k + 1), dtype=np.complex128)
-    q[:, 0, 0] = 1.0
+    q.reshape(m, (k + 1) ** 2)[:, :: k + 2] = 1.0  # the identity, by a flat stride
     q[:, 0, 1:] = r
-    q[:, 1:, 1:] = lower
-    if k > 1 or not ((lower == 1).all() and np.isfinite(r).all()):
+    if lower is not None:
+        q[:, 1:, 1:] = lower
+    identity = lower is None or k == 1 and (lower == 1).all()
+    if not (identity and np.isfinite(r).all()):
         _check_rows("sln", q, DET_TOL)
     return q
 
@@ -172,12 +179,26 @@ class QPolyMap:
     r_fns: tuple
     logl_fns: tuple
 
+    def identity_lower(self) -> bool:
+        """Whether n = 2 and the lower-block fit is the zero polynomial, as
+        in every such map `bundle_push` builds, so that every lower block
+        is exactly 1+0j (see `blocks`)."""
+        return self.n == 2 and self.logl_fns[0] == _ZERO
+
+    def top_rows(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The separators <u, y> of the rows of an (m, n) array of
+        projected points, and the top-row blocks (m, n-1) of F there.
+
+        The separator is an elementwise product and a row sum, not a
+        matmul, so each row rounds as a single-point evaluation does."""
+        ss = np.add.reduce(self.u * ys, axis=1)
+        if len(self.r_fns) == 1:
+            return ss, self.r_fns[0](ss)[:, None]
+        return ss, np.stack([fn(ss) for fn in self.r_fns], axis=1)
+
     def blocks(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Top-row blocks (m, n-1) and lower blocks (m, n-1, n-1) of F at
         the rows of an (m, n) array of projected points, unchecked.
-
-        The separator is an elementwise product and a row sum, not a
-        matmul, so each row rounds as a single-point evaluation does.
 
         For n = 2 the general steps act on one scalar per row (the trace
         of a 1x1 block is its entry, the identity block is 1.0, and the
@@ -186,13 +207,18 @@ class QPolyMap:
         bits. The traceless log is 0 where the fit value is finite, with a
         -0.0 imaginary part where the fit's is -0.0 (which `lo - lo` would
         lose), and nan where it is not.
+
+        For n = 2 with the zero polynomial as lower fit (`identity_lower`),
+        every lower block is exactly 1+0j, whatever the points: the zero
+        fit is +0j everywhere, so is its traceless part, and exp(0+0j) is
+        1+0j. `BundlePushAut.apply_batch` relies on this and builds those
+        blocks itself; this method still returns them.
         """
-        ss = np.add.reduce(self.u * ys, axis=1)
+        ss, r = self.top_rows(ys)
         k = self.n - 1
         if k == 1:
             lo = self.logl_fns[0](ss)
-            return self.r_fns[0](ss)[:, None], np.exp(lo - 1.0 * (lo / k))[:, None, None]
-        r = np.stack([fn(ss) for fn in self.r_fns], axis=1)
+            return r, np.exp(lo - 1.0 * (lo / k))[:, None, None]
         logl = np.stack([fn(ss) for fn in self.logl_fns], axis=1)
         logl = logl.reshape(len(ss), k, k)
         logl -= np.eye(k) * (np.trace(logl, axis1=1, axis2=2) / k)[:, None, None]
@@ -209,14 +235,14 @@ class QPolyMap:
 
 
 def _zero_fit(count: int):
-    return tuple(Polynomial() for _ in range(count))
+    return (_ZERO,) * count
 
 
 # the name the benchmark traces; it goes once the benchmark traces `fit_factors`
 def fit_q_map(images, factors, seed: int = 0) -> QPolyMap:
     """`fit_factors` over lists of projected points and (n, n) factors."""
     if not len(images):
-        raise ValueError("need at least one node")
+        raise BadParams("need at least one node")
     ys, qs = (np.asarray(xs, dtype=np.complex128) for xs in (images, factors))
     return fit_factors(ys, qs, seed)
 
@@ -244,7 +270,8 @@ def _separate(
         raise FiberCollision(f"images {hit[0]} and {hit[1]} coincide{why}")
     rng = stream(seed, "q-map-separator")
     for _ in range(64):
-        u = rng.standard_normal(ys.shape[1]) + 1j * rng.standard_normal(ys.shape[1])
+        parts = rng.standard_normal((2, ys.shape[1]))  # as two draws of n, in one call
+        u = parts[0] + 1j * parts[1]
         ss = np.sum(u * ys, axis=1)
         scale = max(1.0, float(np.max(np.abs(ss))))
         if np.isfinite(ss).all() and first_close_pair(ss, DISTINCT_TOL * scale) is None:
@@ -275,8 +302,12 @@ class BundlePushAut(Automorphism):
 
     def apply_batch(self, ps: np.ndarray) -> np.ndarray:
         """The push over an (m, n, n) stack. The first fiber factor, in
-        row order, that `_q_stack` rejects raises."""
-        return ps @ _q_stack(*self.fmap.blocks(ps[:, :, 0]))
+        row order, that `_q_stack` rejects raises. Identity lower blocks
+        are not evaluated (see `QPolyMap.blocks`)."""
+        ys = ps[:, :, 0]
+        if self.fmap.identity_lower():
+            return ps @ _q_stack(self.fmap.top_rows(ys)[1])
+        return ps @ _q_stack(*self.fmap.blocks(ys))
 
     def to_json(self) -> dict:
         return self.fmap.to_json()
@@ -311,7 +342,7 @@ def _shear_parameters(xs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def _pushed_heights(images: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Max column norms of pushed points (m, n, n), each checked in index
     order as `sl_matrix` and then the height demand would check it: a
-    point with a non-finite entry raises `ValueError`, one off the
+    point with a non-finite entry raises `NonFiniteEntries`, one off the
     unimodular group `DeterminantError`, one that falls short
     `InterpolationIllConditioned`."""
     with np.errstate(invalid="ignore"):
@@ -344,7 +375,7 @@ def bundle_push(
     if d.ambient.kind != "sln":
         raise AmbientMismatch("bundle push needs the matrix ambient")
     if len(zeta) != len(d):
-        raise ValueError("need one height per prefix point")
+        raise BadParams("need one height per prefix point")
     n = d.ambient.n
     xs = d.array
     targets = np.array(zeta.values)

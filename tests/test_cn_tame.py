@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from tamelab import cn_tame, core
 from tamelab.core import DiscreteSequence, GeneratorInfo, HeightAssignment, cn
 from tamelab.errors import (
+    BadParams,
     DegenerateConfiguration,
     DuplicateNodes,
     ZeroPoint,
@@ -440,6 +441,11 @@ class TestPushPrefix:
         for p, t in zip(d.points, zeta.values):
             assert np.linalg.norm(phi(p)) >= t
         assert proof["stages"] == "unitary+shear"
+
+    def test_height_count_mismatch_is_bad_params(self):
+        d = DiscreteSequence(cn(2), (np.array([1.0, 0j]), np.array([2.0, 0j])))
+        with pytest.raises(BadParams, match="^one height per point is required$"):
+            cn_tame.push_prefix_cn(d, HeightAssignment((3.0,)), seed=1)
 
     def test_low_targets_accept_identity(self):
         d = DiscreteSequence(cn(2), (np.array([3.0, 0j]), np.array([0j, 4.0])))

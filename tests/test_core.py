@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -387,6 +388,65 @@ class TestSLMatrix:
         k = 30.0
         m = [[k**4, k**2], [k**2, (1 + k**4) / k**4]]
         core.sl_matrix(m)
+
+    def test_drift_at_the_tolerance_passes(self):
+        for a in (np.diag([1.0 + 3e-11, 1.0]), np.diag([(1.0 - 3e-11) * 1j, -1j])):
+            drift = abs(complex(np.linalg.det(a)) - 1.0)
+            assert drift > 0.0
+            assert core.sl_matrix(a, drift).tobytes() == a.astype(np.complex128).tobytes()
+
+    def test_drift_one_float_past_the_tolerance(self):
+        # det above 1: the column norms scale the tolerance past the drift
+        a = np.diag([1.0 + 3e-11, 1.0])
+        drift = abs(complex(np.linalg.det(a)) - 1.0)
+        tol = np.nextafter(drift, 0.0)
+        assert float(core.det_tolerance(a, tol)) >= drift
+        core.sl_matrix(a, tol)
+        # det below 1: no column norm above 1 scales it, so it raises
+        b = np.diag([1.0 - 3e-11, 1.0])
+        det = complex(np.linalg.det(b))
+        tol = np.nextafter(abs(det - 1.0), 0.0)
+        assert float(core.det_tolerance(b, tol)) == tol
+        message = (f"determinant {det:.6g} differs from 1 by {abs(det - 1.0):.3g} "
+                   f"(allowed {tol:.3g})")
+        with pytest.raises(DeterminantError, match=f"^{re.escape(message)}$"):
+            core.sl_matrix(b, tol)
+
+    def test_decides_as_the_stack_check(self):
+        rng = stream(7, "sl-matrix-boundary")
+        for n in (2, 3, 4):
+            for _ in range(40):
+                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                a[:, 0] /= np.linalg.det(a)
+                a *= 1.0 + 1e-9 * rng.standard_normal()
+                drift = abs(complex(np.linalg.det(a)) - 1.0)
+                for tol in (drift, np.nextafter(drift, 0.0), np.nextafter(drift, 1.0),
+                            drift / 2.0, drift / 100.0):
+                    try:
+                        core._check_rows("sln", a[None], tol, None)
+                        want = None
+                    except DeterminantError as exc:
+                        want = str(exc)
+                    try:
+                        assert core.sl_matrix(a, tol).tobytes() == a.tobytes()
+                        got = None
+                    except DeterminantError as exc:
+                        got = str(exc)
+                    assert got == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_non_finite_entries_come_first(self, bad):
+        # the other entries put the determinant far from 1
+        for at in ((0, 0), (0, 1), (1, 1)):
+            a = np.array([[5.0, 0.0], [0.0, 7.0]], dtype=np.complex128)
+            a[at] = bad
+            with pytest.raises(NonFiniteEntries, match="^matrix contains non-finite entries$"):
+                core.sl_matrix(a)
+
+    def test_non_square_input(self):
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape("expected a square matrix, got shape (2, 3)")):
+            core.sl_matrix(np.ones((2, 3)))
 
     def test_stacked_tolerance_matches_single(self):
         rng = stream(6, "det-tolerance")

@@ -480,6 +480,13 @@ class TestBundlePush:
         with pytest.raises(ValueError):
             pi_tame.bundle_push(d, HeightAssignment((2.0, 3.0)))
 
+    def test_caller_errors_are_typed(self):
+        d = _mseq([np.eye(2)])
+        with pytest.raises(BadParams, match="^need one height per prefix point$"):
+            pi_tame.bundle_push(d, HeightAssignment((2.0, 3.0)))
+        with pytest.raises(BadParams, match="^need at least one node$"):
+            pi_tame.fit_q_map([], [])
+
     def test_json_shape(self):
         d = _mseq([np.eye(2), np.array([[1.0, 0.0], [1.0, 1.0]])])
         phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(100.0, 2))
@@ -651,6 +658,68 @@ class TestOneByOneFactor:
             assert got == _bits_or_error(_push_reference, fmap, ps), name
             if not name.startswith("zero-fit"):  # its fits are constants, finite everywhere
                 assert got == (NonFiniteEntries, "point 2: matrix contains non-finite entries"), name
+
+
+class TestIdentityLower:
+    """An n = 2 map whose lower fit is the zero polynomial, as every such
+    `bundle_push` map is, pushes with lower blocks 1+0j that are never
+    evaluated; `blocks` still returns them. Other maps take `blocks`."""
+
+    def test_the_push_does_not_evaluate_the_lower_blocks(self, monkeypatch):
+        rng = stream(33, "identity-lower")
+        d = _mseq(_sl2_with_zero_parts(rng, 10))
+        phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(25.0, 10), seed=2)
+        assert phi.fmap.identity_lower()
+        ps = _signed_zero_probes(rng, d.array)
+        want = _push_reference(phi.fmap, ps)
+        _, lower = phi.fmap.blocks(ps[:, :, 0])
+        assert lower.shape == (len(ps), 1, 1)
+        assert lower.tobytes() == np.ones((len(ps), 1, 1), dtype=np.complex128).tobytes()
+        monkeypatch.setattr(pi_tame.QPolyMap, "blocks", lambda *args: pytest.fail("evaluated"))
+        monkeypatch.setattr(pi_tame, "_check_rows", lambda *args: pytest.fail("checked"))
+        assert phi.apply_batch(ps).tobytes() == want.tobytes()
+        assert phi.apply(ps[3]).tobytes() == want[3].tobytes()
+        assert phi.apply_batch(ps[:0]).shape == (0, 2, 2)
+
+    def test_other_maps_are_not_identity_lower(self):
+        rng = stream(34, "identity-lower")
+        d = _mseq([_random_sln(rng, 3) for _ in range(6)], 3)
+        phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(25.0, 6))
+        assert not phi.fmap.identity_lower()  # n = 3 keeps the general steps
+        # for n = 2 a traceless 1x1 logarithm is 0, so a fitted map's lower
+        # fit is the zero polynomial; one with nonzero log values is not
+        pts = _sl2_with_zero_parts(rng, 6)
+        factors = np.stack([_q(np.array([k + 1.0]), np.array([[1.0 + 1e-12 * k]]))
+                            for k in range(6)])
+        assert pi_tame.fit_factors(pts[:, :, 0], factors).identity_lower()
+        u, ss = pi_tame._separate(pts[:, :, 0], 1)
+        logs = 1e-12 * (np.arange(6.0) + 1j)[:, None]
+        fmap = pi_tame._interpolate_blocks(u, ss, np.ones((6, 1), dtype=np.complex128), logs)
+        assert not fmap.identity_lower()
+
+    def test_sl3_push_is_the_general_formulas_bits(self):
+        rng = stream(35, "sl3-push")
+        maps = []
+        for m, height in ((8, 40.0), (20, 25.0), (6, 0.5)):  # the last needs no push
+            mats = np.stack([_random_sln(rng, 3) for _ in range(m)])
+            mats[::3, 1, 0] = mats[::3, 1, 0].real
+            mats[1::3, 2, 0] = 1j * mats[1::3, 2, 0].imag
+            mats[:, :, 0] /= np.linalg.det(mats)[:, None]
+            d = _mseq(mats, 3)
+            phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(height, m), seed=m)
+            maps.append((phi.fmap, d.array))
+        assert [fmap.r_fns[0] == Polynomial() for fmap, _ in maps] == [False, False, True]
+        for fmap, points in maps:
+            ps = _signed_zero_probes(rng, points)
+            r, lower = fmap.blocks(ps[:, :, 0])
+            want_r, want_lower = _blocks_reference(fmap, ps[:, :, 0])
+            for got, want in ((r, want_r), (lower, want_lower)):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert lower.tobytes() == np.broadcast_to(np.eye(3 - 1, dtype=np.complex128),
+                                                      lower.shape).tobytes()
+            pushed = pi_tame.BundlePushAut(fmap).apply_batch(ps)
+            assert pushed.tobytes() == _push_reference(fmap, ps).tobytes()
 
 
 def _q_factor_per_pair(a, b, k: int = 0) -> np.ndarray:
