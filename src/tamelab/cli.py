@@ -646,6 +646,8 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         _finish(cfg, doc, human, data=data if same else None)
     except RecursionError:  # the emitter recurses once per level, as the parser does
         raise MalformedDocument(TOO_DEEP) from None
+    except ValueError as exc:  # a NaN or Infinity token, which JSON cannot write
+        raise MalformedDocument(str(exc)) from None
     return 2 if violated else 0
 
 

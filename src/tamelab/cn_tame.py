@@ -58,10 +58,6 @@ class Polynomial:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __call__(self, z):
         """Horner's rule at a scalar, in Python complex arithmetic, or at
         each entry of an array in `_Parts`, which rounds as the scalar does.

@@ -93,17 +93,16 @@ def _q_stack(r: np.ndarray, lower: np.ndarray | None = None) -> np.ndarray:
 
     A finite element whose lower block is the identity has LU determinant
     exactly 1: its first column e1 is the first pivot, every multiplier is
-    0, so each later pivot is 1 - 0 * r = 1. A stack of such elements
-    skips the check, and one with a non-finite top row takes it, which
-    names that row. For n = 2 a lower entry exactly 1 is that identity."""
+    0, so each later pivot is 1 - 0 * r = 1. A stack with `lower` None
+    and finite top rows skips the check. A stack with a given `lower`
+    takes it, and so does one with a non-finite top row, which it names."""
     m, k = r.shape
     q = np.zeros((m, k + 1, k + 1), dtype=np.complex128)
     q.reshape(m, (k + 1) ** 2)[:, :: k + 2] = 1.0  # the identity, by a flat stride
     q[:, 0, 1:] = r
     if lower is not None:
         q[:, 1:, 1:] = lower
-    identity = lower is None or k == 1 and (lower == 1).all()
-    if not (identity and np.isfinite(r).all()):
+    if lower is not None or not np.isfinite(r).all():
         _check_rows("sln", q, DET_TOL)
     return q
 
@@ -180,10 +179,10 @@ class QPolyMap:
     logl_fns: tuple
 
     def identity_lower(self) -> bool:
-        """Whether n = 2 and the lower-block fit is the zero polynomial, as
-        in every such map `bundle_push` builds, so that every lower block
-        is exactly 1+0j (see `blocks`)."""
-        return self.n == 2 and self.logl_fns[0] == _ZERO
+        """Whether every lower-block fit is the zero polynomial, as in every
+        map `bundle_push` and `center_separate` build, so that every lower
+        block is exactly the identity (see `blocks`)."""
+        return self.logl_fns.count(_ZERO) == len(self.logl_fns)
 
     def top_rows(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The separators <u, y> of the rows of an (m, n) array of
@@ -200,25 +199,15 @@ class QPolyMap:
         """Top-row blocks (m, n-1) and lower blocks (m, n-1, n-1) of F at
         the rows of an (m, n) array of projected points, unchecked.
 
-        For n = 2 the general steps act on one scalar per row (the trace
-        of a 1x1 block is its entry, the identity block is 1.0, and the
-        exponential is the scalar one), so they run on the evaluated
-        vectors, as the same operations in the same order, with the same
-        bits. The traceless log is 0 where the fit value is finite, with a
-        -0.0 imaginary part where the fit's is -0.0 (which `lo - lo` would
-        lose), and nan where it is not.
-
-        For n = 2 with the zero polynomial as lower fit (`identity_lower`),
-        every lower block is exactly 1+0j, whatever the points: the zero
-        fit is +0j everywhere, so is its traceless part, and exp(0+0j) is
-        1+0j. `BundlePushAut.apply_batch` relies on this and builds those
-        blocks itself; this method still returns them.
+        One path serves every n; for n = 2 a traceless log keeps a -0.0
+        imaginary part of the fit value, which `lo - lo` would lose. When
+        every lower fit is the zero polynomial (`identity_lower`), every
+        lower block is exactly I: the zero fit is +0j everywhere, so is
+        its traceless part, and `_matrix_exp` of zero is I.
+        `BundlePushAut.apply_batch` builds those blocks itself.
         """
         ss, r = self.top_rows(ys)
         k = self.n - 1
-        if k == 1:
-            lo = self.logl_fns[0](ss)
-            return r, np.exp(lo - 1.0 * (lo / k))[:, None, None]
         logl = np.stack([fn(ss) for fn in self.logl_fns], axis=1)
         logl = logl.reshape(len(ss), k, k)
         logl -= np.eye(k) * (np.trace(logl, axis1=1, axis2=2) / k)[:, None, None]
@@ -302,8 +291,9 @@ class BundlePushAut(Automorphism):
 
     def apply_batch(self, ps: np.ndarray) -> np.ndarray:
         """The push over an (m, n, n) stack. The first fiber factor, in
-        row order, that `_q_stack` rejects raises. Identity lower blocks
-        are not evaluated (see `QPolyMap.blocks`)."""
+        row order, that `_q_stack` rejects raises. A map whose lower fits
+        are all zero (`QPolyMap.identity_lower`) evaluates only its top
+        rows: its lower blocks are the identity, in any dimension."""
         ys = ps[:, :, 0]
         if self.fmap.identity_lower():
             return ps @ _q_stack(self.fmap.top_rows(ys)[1])

@@ -21,6 +21,7 @@ from .cn_tame import Polynomial
 from .core import (
     CONSISTENT,
     MIN_GAP,
+    Automorphism,
     DiscreteSequence,
     IdentityAut,
     Verdict,
@@ -504,7 +505,7 @@ def _central_pairs(points: np.ndarray, n: int) -> list[tuple[int, int]]:
 
 def center_separate(
     d: DiscreteSequence, tries: int = 8, seed: int = 0
-) -> tuple[object, Verdict]:
+) -> tuple[Automorphism, Verdict]:
     """Separates prefix pairs that differ by a unimodular scalar, using
     seeded random fiberwise shears of polynomial degree at most two."""
     if d.ambient.kind != "sln":

@@ -1194,6 +1194,34 @@ def test_report_of_a_nested_document_that_parses_is_a_typed_error(
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("flag", [["--json"], ["--out", "out.json"]], ids=["json", "out"])
+@pytest.mark.parametrize("token, value", [("NaN", "nan"), ("-Infinity", "-inf")])
+def test_report_of_a_non_finite_number_is_a_typed_error(
+    tmp_path, capsys, monkeypatch, flag, token, value
+):
+    # the parser reads NaN and Infinity tokens, which no report writes back;
+    # without a flag the document is summarized, never serialized
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.json").write_text(f'{{"command": "x", "v": {token}}}', encoding="utf-8")
+    assert run("report", "nan.json") == 0
+    assert capsys.readouterr().out == "command: x\n"
+    raised = []
+
+    def recording(args, cfg):
+        try:
+            return cli._cmd_report(args, cfg)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setitem(cli._HANDLERS, "report", recording)
+    assert run("report", "nan.json", *flag) == 1
+    assert [type(exc) for exc in raised] == [MalformedDocument]
+    captured = capsys.readouterr()
+    assert captured.err == f"error: non-finite value {value} in a report\n"
+    assert captured.out == "" and not (tmp_path / "out.json").exists()
+
+
 class TestSerializeOnce:
     """Each command serializes its document only when a flag asks for the
     text, once, and writes that one text to stdout and --out."""

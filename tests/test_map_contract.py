@@ -238,17 +238,24 @@ def _trivial_push(n: int, r_fn=None) -> BundlePushAut:
 
 
 def test_push_rejects_a_factor_off_the_group(monkeypatch):
-    phi = _trivial_push(3)
-    assert np.array_equal(phi.apply(np.eye(3)), np.eye(3))
+    rng = np.random.default_rng(99)
+    pts = _sln(rng, 6, 3)
+    phi = _push_with_lower_blocks(rng, pts)
+    assert not phi.fmap.identity_lower()
+    assert np.isfinite(phi.apply(pts[0])).all()
     doubled = lambda m: 2.0 * np.broadcast_to(np.eye(m.shape[-1]), m.shape)  # noqa: E731
     monkeypatch.setattr(pi_tame, "_matrix_exp", doubled)
     with pytest.raises(DeterminantError, match=r"determinant 4\+0j differs from 1 by 3"):
-        phi.apply(np.eye(3))
+        phi.apply(pts[0])
+    # zero lower fits give identity lower blocks, which are not evaluated
+    assert np.array_equal(_trivial_push(3).apply(np.eye(3)), np.eye(3))
 
 
 def test_push_rejects_a_non_finite_factor_at_the_first_such_row():
-    phi = _trivial_push(2, Polynomial((0.0, 0.0, 1e-10)))
-    ps = np.stack([np.eye(2), np.diag([1e160, 1e-160])]).astype(np.complex128)
-    assert np.isfinite(phi.apply(ps[0])).all()
-    with pytest.raises(ValueError, match="non-finite"):
-        phi.apply_batch(ps)
+    for n in (2, 3):
+        phi = _trivial_push(n, Polynomial((0.0, 0.0, 1e-10)))
+        far = np.diag([1e160, 1e-160, *[1.0] * (n - 2)])
+        ps = np.stack([np.eye(n), far]).astype(np.complex128)
+        assert np.isfinite(phi.apply(ps[0])).all()
+        with pytest.raises(ValueError, match="^point 1: matrix contains non-finite entries$"):
+            phi.apply_batch(ps)

@@ -661,31 +661,61 @@ class TestOneByOneFactor:
 
 
 class TestIdentityLower:
-    """An n = 2 map whose lower fit is the zero polynomial, as every such
-    `bundle_push` map is, pushes with lower blocks 1+0j that are never
-    evaluated; `blocks` still returns them. Other maps take `blocks`."""
+    """A map whose lower fits are all the zero polynomial, as every map
+    `bundle_push` and `center_separate` build is in any dimension, pushes
+    with identity lower blocks that are never evaluated; `blocks` still
+    returns them. Other maps take `blocks`."""
+
+    def _maps(self, rng):
+        """(name, push, points): `bundle_push` at n = 2, 3 and 4, and
+        `center_separate` on SL(3)."""
+        maps = []
+        for n in (2, 3, 4):
+            if n == 2:
+                mats = _sl2_with_zero_parts(rng, 10)
+            else:
+                mats = np.stack([_random_sln(rng, n) for _ in range(10)])
+            d = _mseq(mats, n)
+            phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(25.0, 10), seed=2)
+            maps.append((f"push-n{n}", phi, d.array))
+        omega = np.exp(2j * np.pi / 3)
+        mats = np.stack([_random_sln(rng, 3) for _ in range(4)])
+        d = _mseq([*mats, omega * mats[0], omega**2 * mats[2]], 3)
+        phi, verdict = sln_tame.center_separate(d, seed=3)
+        assert verdict.state == CONSISTENT and isinstance(phi, pi_tame.BundlePushAut)
+        maps.append(("center-n3", phi, d.array))
+        return maps
 
     def test_the_push_does_not_evaluate_the_lower_blocks(self, monkeypatch):
         rng = stream(33, "identity-lower")
-        d = _mseq(_sl2_with_zero_parts(rng, 10))
-        phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(25.0, 10), seed=2)
-        assert phi.fmap.identity_lower()
-        ps = _signed_zero_probes(rng, d.array)
-        want = _push_reference(phi.fmap, ps)
-        _, lower = phi.fmap.blocks(ps[:, :, 0])
-        assert lower.shape == (len(ps), 1, 1)
-        assert lower.tobytes() == np.ones((len(ps), 1, 1), dtype=np.complex128).tobytes()
-        monkeypatch.setattr(pi_tame.QPolyMap, "blocks", lambda *args: pytest.fail("evaluated"))
-        monkeypatch.setattr(pi_tame, "_check_rows", lambda *args: pytest.fail("checked"))
-        assert phi.apply_batch(ps).tobytes() == want.tobytes()
-        assert phi.apply(ps[3]).tobytes() == want[3].tobytes()
-        assert phi.apply_batch(ps[:0]).shape == (0, 2, 2)
+        cases = []
+        for name, phi, points in self._maps(rng):
+            fmap = phi.fmap
+            assert fmap.identity_lower(), name
+            assert any(fn != Polynomial() for fn in fmap.r_fns), name
+            ps = _signed_zero_probes(rng, points)
+            _, lower = fmap.blocks(ps[:, :, 0])
+            eye = np.broadcast_to(np.eye(fmap.n - 1, dtype=np.complex128), lower.shape)
+            assert lower.shape == (len(ps), fmap.n - 1, fmap.n - 1), name
+            assert lower.tobytes() == eye.tobytes(), name
+            cases.append((name, phi, ps, _push_reference(fmap, ps)))
+        for target, attr in ((pi_tame.QPolyMap, "blocks"), (pi_tame, "_matrix_exp"),
+                             (pi_tame, "_check_rows")):
+            monkeypatch.setattr(target, attr, lambda *args, _attr=attr: pytest.fail(_attr))
+        for name, phi, ps, want in cases:
+            assert phi.apply_batch(ps).tobytes() == want.tobytes(), name
+            assert phi.apply(ps[3]).tobytes() == want[3].tobytes(), name
+            assert phi.apply_batch(ps[:0]).shape == (0, *ps.shape[1:]), name
 
     def test_other_maps_are_not_identity_lower(self):
         rng = stream(34, "identity-lower")
-        d = _mseq([_random_sln(rng, 3) for _ in range(6)], 3)
-        phi, _ = pi_tame.bundle_push(d, HeightAssignment.constant(25.0, 6))
-        assert not phi.fmap.identity_lower()  # n = 3 keeps the general steps
+        pts = np.stack([_random_sln(rng, 3) for _ in range(6)])
+        # lower blocks exp(s x) off the identity, as the map contract's
+        # `_push_with_lower_blocks` builds them
+        logs = np.linspace(-0.5, 0.5, 6)[:, None, None] * np.array([[0.3, 0.1], [0.2, -0.3]])
+        r = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        factors = pi_tame._q_stack(r, pi_tame._matrix_exp(logs))
+        assert not pi_tame.fit_factors(pts[:, :, 0], factors, seed=2).identity_lower()
         # for n = 2 a traceless 1x1 logarithm is 0, so a fitted map's lower
         # fit is the zero polynomial; one with nonzero log values is not
         pts = _sl2_with_zero_parts(rng, 6)

@@ -467,6 +467,44 @@ def test_only_one_matrix_entry_points_validate_one_matrix():
     }
 
 
+def _dimension_forks(tree: ast.AST) -> list[str]:
+    """The source of each comparison in the tree, in source order, that
+    compares the name or attribute `n` or `k` with a literal."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Constant) for x in sides) and any(
+                getattr(x, "id", getattr(x, "attr", None)) in ("n", "k") for x in sides
+            ):
+                found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [text for *_, text in sorted(found)]
+
+
+def test_the_push_factors_have_no_dimension_fork():
+    # one rule in every dimension: zero lower fits give identity lower
+    # blocks, and the general steps serve n = 2; a copy of them for one
+    # dimension drifts from the rest
+    tree = ast.parse((ROOT / "src" / "tamelab" / "pi_tame.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs.update({f"{node.name}.{m.name}": m for m in node.body
+                         if isinstance(m, ast.FunctionDef)})
+    for name in ("_q_stack", "QPolyMap.blocks", "QPolyMap.identity_lower"):
+        assert _dimension_forks(defs[name]) == [], name
+
+
+def test_the_dimension_fork_scan_sees_names_attributes_and_either_side():
+    tree = ast.parse(
+        "def f(self, k, n, m, r, x):\n"
+        "    if k == 1 and (x == 1).all():\n        pass\n"
+        "    a = self.n == 2\n    b = 3 <= n\n    c = k == m\n"
+        "    d = len(r) == 1\n    e = 1 < k < 4\n    f = self.k != n\n"
+    )
+    assert _dimension_forks(tree) == ["k == 1", "self.n == 2", "3 <= n", "1 < k < 4"]
+
+
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # public names that only tests reach, with the reason each is kept
@@ -477,7 +515,6 @@ _TEST_ONLY_NAMES = {
                                   "matrices, which tests compare with the stacked one",
     "cn_tame.ShearAut.inverse": "the inverse shear, for inverse round trips",
     "disc_plane.MoebiusDisc.inverse": "the inverse disc automorphism, for inverse round trips",
-    "cn_tame.Polynomial.is_zero": "how a caller tells the zero fit of an unneeded push",
     "sl2_special.BivariatePoly.is_zero": "how a caller tells the zero shift of the identity "
                                          "overshear",
 }
