@@ -42,6 +42,7 @@ from .core import (
     DiscreteSequence,
     GeneratorInfo,
     HeightAssignment,
+    Moved,
     Verdict,
     _document_bytes,
     _float_text,
@@ -197,10 +198,6 @@ def _finish(
             print(line)
 
 
-def _verdict_exit(v: Verdict) -> int:
-    return 2 if v.is_violated else 0
-
-
 def _parse_number(text: str, flag: str, kind: type = complex):
     """text as a finite number of `kind` (complex or float), or BadParams
     naming the flag and the text."""
@@ -334,24 +331,20 @@ def _output(ambient, arr: np.ndarray, d: DiscreteSequence, label: str, cfg: RunC
     return drift, violation, sequence_document(ambient, arr, gen)
 
 
-def _moved(aut, d: DiscreteSequence, label: str, cfg: RunConfig, moved=None):
-    """The prefix moved once by `aut` (or `moved`, the stack the move carried),
-    checked once by `_output`: its drift, violation or None, and fields."""
-    if moved is None:
-        moved = aut.apply_batch(d.array)
-    drift, violation, seq = _output(d.ambient, moved, d, label, cfg)
-    return drift, violation, {"sequence": seq, "automorphism": aut.to_json()}
+def _moved(m: Moved, d: DiscreteSequence, label: str, cfg: RunConfig):
+    """The report of a move's result `m` on `d`: its stack checked once by
+    `_output`, the move's verdict unless that check finds a violation, and
+    the fields of the map and of the move."""
+    _, violation, seq = _output(d.ambient, m.stack, d, label, cfg)
+    return violation or m.verdict, {"sequence": seq, "automorphism": m.aut.to_json(), **m.fields}
 
 
 def _shears(args, cfg: RunConfig, d: DiscreteSequence):
     if d.ambient.is_matrix:
         raise BadParams("shears act on flat sequences; use bundle-push or overshears")
     targets = HeightAssignment.constant(args.height, len(d))
-    aut, proof = push_prefix_cn(d, targets, seed=cfg.seed, distinct_tol=cfg.distinct_tol)
-    _, violation, fields = _moved(aut, d, "shears", cfg)
-    # push_prefix_cn raises before it returns a height that falls short
-    verdict = violation or Verdict.consistent("every image clears its demanded height")
-    return verdict, {**fields, "proof": proof}
+    moved = push_prefix_cn(d, targets, seed=cfg.seed, distinct_tol=cfg.distinct_tol)
+    return _moved(moved, d, "shears", cfg)
 
 
 def _overshears(args, cfg: RunConfig, d: DiscreteSequence):
@@ -360,9 +353,9 @@ def _overshears(args, cfg: RunConfig, d: DiscreteSequence):
     else:
         shift = _parse_lambda("1+a" if args.factor is None else args.factor)
     aut = OvershearAut(OvershearSpec(shift))
-    drift, violation, fields = _moved(aut, d, "overshears", cfg)
+    drift, violation, seq = _output(d.ambient, aut.apply_batch(d.array), d, "overshears", cfg)
     verdict = violation or Verdict.consistent(f"determinant drift {drift:.3g}")
-    return verdict, {**fields, "det_drift": drift}
+    return verdict, {"sequence": seq, "automorphism": aut.to_json(), "det_drift": drift}
 
 
 def _lambda_rescale(args, cfg: RunConfig, d: DiscreteSequence):
@@ -408,32 +401,21 @@ def _align(args, cfg: RunConfig, d: DiscreteSequence, other: DiscreteSequence):
 
 
 def _equivalence(args, cfg: RunConfig, d: DiscreteSequence, other: DiscreteSequence):
-    phi, moved = equivalence_move(d, other, seed=cfg.seed)
-    _, violation, fields = _moved(phi, other, "equivalence", cfg, moved)
-    # equivalence_move raises for any error above EQUIV_TOL
-    worst = float(np.max(np.abs(moved - d.array)))
-    return violation or Verdict.consistent(f"worst mapping error {worst:.3g}"), fields
+    return _moved(equivalence_move(d, other, seed=cfg.seed), other, "equivalence", cfg)
 
 
 def _sl2_pipeline(args, cfg: RunConfig, d: DiscreteSequence):
-    composite, verdict = sl2_column_pipeline(d, seed=cfg.seed, max_fiber=args.max_fiber)
-    _, violation, fields = _moved(composite, d, "sl2-pipeline", cfg)
-    return violation or verdict, fields
+    moved = sl2_column_pipeline(d, seed=cfg.seed, max_fiber=args.max_fiber)
+    return _moved(moved, d, "sl2-pipeline", cfg)
 
 
 def _center_separate(args, cfg: RunConfig, d: DiscreteSequence):
-    aut, verdict = center_separate(d, tries=args.tries, seed=cfg.seed)
-    _, violation, fields = _moved(aut, d, "center-separate", cfg)
-    return violation or verdict, fields
+    return _moved(center_separate(d, tries=args.tries, seed=cfg.seed), d, "center-separate", cfg)
 
 
 def _bundle_push(args, cfg: RunConfig, d: DiscreteSequence):
     targets = HeightAssignment.constant(args.height, len(d))
-    aut, achieved = bundle_push(d, targets, seed=cfg.seed)
-    _, violation, fields = _moved(aut, d, "bundle-push", cfg)
-    # bundle_push raises before it returns a height that falls short
-    verdict = violation or Verdict.consistent("every image clears its demanded height")
-    return verdict, {**fields, "achieved": list(achieved)}
+    return _moved(bundle_push(d, targets, seed=cfg.seed), d, "bundle-push", cfg)
 
 
 _TRANSFORMS = {
@@ -479,7 +461,7 @@ def _cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         "extra": extra,
     }
     _finish(cfg, doc, [f"check {criterion}: {verdict.state}  {verdict.detail}"])
-    return _verdict_exit(verdict)
+    return 2 if verdict.is_violated else 0
 
 
 def _cmd_transform(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -493,7 +475,7 @@ def _cmd_transform(args: argparse.Namespace, cfg: RunConfig) -> int:
         **fields,
     }
     _finish(cfg, doc, [f"transform {name}: {verdict.state}  {verdict.detail}"])
-    return _verdict_exit(verdict)
+    return 2 if verdict.is_violated else 0
 
 
 def _mc_radius(args) -> float:

@@ -12,12 +12,14 @@ import numpy as np
 
 from .core import (
     DISTINCT_TOL,
+    HEIGHTS_CLEARED,
     Automorphism,
     Composite,
     DiscreteSequence,
     HeightAssignment,
     IdentityAut,
     LinearAut,
+    Moved,
     Verdict,
     _PAIR_TABLE_ENTRIES,
     _Parts,
@@ -334,7 +336,7 @@ def push_prefix_cn(
     zeta: HeightAssignment,
     seed: int = 0,
     distinct_tol: float = DISTINCT_TOL,
-) -> tuple[Automorphism, dict]:
+) -> Moved:
     """Automorphism pushing every prefix point to at least its target height.
 
     A sampled unitary first makes the leading coordinates pairwise
@@ -356,7 +358,7 @@ def push_prefix_cn(
             "targets": list(targets),
             "stages": "identity",
         }
-        return IdentityAut(), proof
+        return Moved(IdentityAut(), pts, HEIGHTS_CLEARED, {"proof": proof}, proof)
 
     for attempt in range(UNITARY_TRIES):
         rotation = LinearAut(haar_unitary(stream(seed, "push-unitary", attempt), n))
@@ -376,7 +378,8 @@ def push_prefix_cn(
     phi = Composite((rotation, shear))
 
     with np.errstate(over="ignore"):  # an overflowing height is reported below
-        achieved = _row_norms(shear.apply_batch(rotated))
+        stack = shear.apply_batch(rotated)  # phi's image of pts, bit for bit
+        achieved = _row_norms(stack)
     overflow = np.flatnonzero(~np.isfinite(achieved))
     if overflow.size:
         raise InterpolationIllConditioned(
@@ -395,4 +398,4 @@ def push_prefix_cn(
         "stages": "unitary+shear",
         "interpolation_nodes": len(d),
     }
-    return phi, proof
+    return Moved(phi, stack, HEIGHTS_CLEARED, {"proof": proof}, proof)

@@ -733,6 +733,10 @@ def falls_short(achieved, targets) -> np.ndarray:
     return np.asarray(achieved, dtype=float) < targets - 1e-9 * (1.0 + targets)
 
 
+# the postcondition of a height push, which raises before it falls short
+HEIGHTS_CLEARED = Verdict.consistent("every image clears its demanded height")
+
+
 def check_moved(
     ambient: AmbientSpace, arr: np.ndarray, det_tol: float
 ) -> tuple[float, Verdict | None]:
@@ -947,6 +951,21 @@ class Composite(Automorphism):
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "stages": [s.to_json() for s in self.stages]}
+
+
+class Moved(tuple):
+    """A move's result: its map `aut`, the moved points it checked `stack`,
+    its postcondition `verdict` and the report fields it adds `fields`.
+    Like `os.stat_result`, it is also a tuple: the pair the move has always
+    returned, its map and `second` (a proof, the heights or the moved
+    points), or by default the verdict."""
+
+    aut = property(lambda self: self[0])
+
+    def __new__(cls, aut: Automorphism, stack, verdict: Verdict, fields=None, second=None):
+        moved = super().__new__(cls, (aut, verdict if second is None else second))
+        moved.stack, moved.verdict, moved.fields = stack, verdict, fields or {}
+        return moved
 
 
 def _float_text(value: float) -> str:

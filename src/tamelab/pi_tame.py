@@ -18,12 +18,14 @@ from .cn_tame import LagrangePoly, Polynomial
 from .core import (
     DET_TOL,
     DISTINCT_TOL,
+    HEIGHTS_CLEARED,
     MAX_FIBER,
     MIN_GAP,
     AmbientSpace,
     Automorphism,
     DiscreteSequence,
     HeightAssignment,
+    Moved,
     Verdict,
     _check_rows,
     _divide,
@@ -349,9 +351,7 @@ def _pushed_heights(images: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return heights
 
 
-def bundle_push(
-    d: DiscreteSequence, zeta: HeightAssignment, seed: int = 0
-) -> tuple[BundlePushAut, tuple[float, ...]]:
+def bundle_push(d: DiscreteSequence, zeta: HeightAssignment, seed: int = 0) -> Moved:
     """Raises every prefix point at least to its demanded height by a push
     along the first-column fibers, leaving projections untouched.
 
@@ -387,5 +387,6 @@ def bundle_push(
         logs = np.zeros((len(d), (n - 1) ** 2), dtype=np.complex128)
         fmap = _interpolate_blocks(u, ss, rs, logs)
     phi = BundlePushAut(fmap)
-    achieved = _pushed_heights(phi.apply_batch(xs), targets)
-    return phi, tuple(float(h) for h in achieved)
+    stack = phi.apply_batch(xs)
+    achieved = tuple(float(h) for h in _pushed_heights(stack, targets))
+    return Moved(phi, stack, HEIGHTS_CLEARED, {"achieved": list(achieved)}, achieved)

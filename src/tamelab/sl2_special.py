@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .core import (
     DiscreteSequence,
     GeneratorInfo,
     LinearAut,
+    Moved,
     Verdict,
     _ONE,
     _Parts,
@@ -386,22 +388,19 @@ def _left_move(columns, rng):
 
 def _fiber_radii(points, fibers: dict) -> np.ndarray:
     """Half the closest same-fiber gap per point, over the grouping
-    `fibers` of the first columns; singletons get 1. The gaps of every
-    ordered pair of fiber members are taken at once, in the order fiber
-    by fiber (by first member), then by member and partner."""
-    pairs = [
-        (i, j)
-        for members in fibers.values()
-        for i in members
-        for j in members
-        if j != i
-    ]
+    `fibers` of the first columns; singletons get 1. Each pair of fiber
+    members is taken once, all at once, fiber by fiber (by first member),
+    then by member and later partner, and its gap folded into both ends:
+    swapping a pair of one first column negates its difference alone."""
+    pairs = [pair for members in fibers.values() for pair in combinations(members, 2)]
     radii = np.ones(len(points))
     if pairs:
         i, j = np.array(pairs).T
+        moduli = _translation_moduli(points[i], points[j])
         gaps = np.full(len(points), np.inf)
-        np.minimum.at(gaps, i, _translation_moduli(points[i], points[j]))
-        radii[i] = 0.5 * gaps[i]
+        np.minimum.at(gaps, i, moduli)
+        np.minimum.at(gaps, j, moduli)
+        radii[i], radii[j] = 0.5 * gaps[i], 0.5 * gaps[j]
     return radii
 
 
@@ -444,7 +443,7 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
     if d.ambient.kind != "sln" or d.ambient.n != 2:
         raise AmbientMismatch("the pipeline runs over 2x2 matrices")
     if len(d) == 0:
-        return Composite(()), Verdict.consistent("empty prefix; nothing to move")
+        return Moved(Composite(()), d.array, Verdict.consistent("empty prefix; nothing to move"))
     gate = pi_tame_check(d, first_column(2), max_fiber=max_fiber)
     if gate.is_violated:
         raise StageFailed("input-gate", f"first-column projection fails: {gate.detail}")
@@ -503,7 +502,8 @@ def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX
     push = BundlePushAut(QPolyMap(2, spec.shift.u, top, (Polynomial(),)))
     composite = Composite((LinearAut(left), OvershearAut(spec), push))
     final_verdict = Verdict.consistent(f"{verdict.detail}; translation seed {seed}")
-    return composite, final_verdict
+    # the push of the stages' own stacks: the composite's image of the prefix, bit for bit
+    return Moved(composite, push.apply_batch(sheared), final_verdict)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from .cn_tame import Polynomial
 from .core import (
     CONSISTENT,
     MIN_GAP,
-    Automorphism,
     DiscreteSequence,
     IdentityAut,
+    Moved,
     Verdict,
     _row_norms,
     _window_pairs,
@@ -354,14 +354,12 @@ def equivalence_automorphism(
     c_seq: DiscreteSequence, d_seq: DiscreteSequence, seed: int = 0
 ) -> BundlePushAut:
     """The fiberwise push of `equivalence_move`."""
-    return equivalence_move(c_seq, d_seq, seed)[0]
+    return equivalence_move(c_seq, d_seq, seed).aut
 
 
-def equivalence_move(
-    c_seq: DiscreteSequence, d_seq: DiscreteSequence, seed: int = 0
-) -> tuple[BundlePushAut, np.ndarray]:
+def equivalence_move(c_seq: DiscreteSequence, d_seq: DiscreteSequence, seed: int = 0) -> Moved:
     """The fiberwise push carrying the second aligned prefix onto the
-    first, and the second prefix's points moved by it.
+    first, and the second prefix's points moved by it (its `stack`).
 
     Each step's fiber factor is interpolated over the shared first
     columns, so the resulting map sends d_seq's k-th point to c_seq's
@@ -383,7 +381,8 @@ def equivalence_move(
         raise InterpolationIllConditioned(
             f"node {i} maps with error {errors[i]:.3g}, beyond {EQUIV_TOL:g}"
         )
-    return phi, moved
+    verdict = Verdict.consistent(f"worst mapping error {float(errors.max()):.3g}")
+    return Moved(phi, moved, verdict, second=moved)
 
 
 def union_owners(d: DiscreteSequence) -> np.ndarray:
@@ -503,9 +502,7 @@ def _central_pairs(points: np.ndarray, n: int) -> list[tuple[int, int]]:
     return hits
 
 
-def center_separate(
-    d: DiscreteSequence, tries: int = 8, seed: int = 0
-) -> tuple[Automorphism, Verdict]:
+def center_separate(d: DiscreteSequence, tries: int = 8, seed: int = 0) -> Moved:
     """Separates prefix pairs that differ by a unimodular scalar, using
     seeded random fiberwise shears of polynomial degree at most two."""
     if d.ambient.kind != "sln":
@@ -515,11 +512,9 @@ def center_separate(
     if not pairs:
         # no generator declares anything about central pairs, so this
         # holds only up to the prefix
-        return IdentityAut(), Verdict(
-            CONSISTENT,
-            reason="no-central-pairs",
-            detail="no prefix pair differs by a unimodular scalar",
-        )
+        verdict = Verdict(CONSISTENT, reason="no-central-pairs",
+                          detail="no prefix pair differs by a unimodular scalar")
+        return Moved(IdentityAut(), d.array, verdict)
     rng = stream(seed, "center-separate")
     zero_logs = tuple(Polynomial() for _ in range((n - 1) ** 2))
     stuck = pairs
@@ -530,11 +525,10 @@ def center_separate(
             for _ in range(n - 1)
         )
         phi = BundlePushAut(QPolyMap(n, u, r_fns, zero_logs))
-        stuck = _central_pairs(phi.apply_batch(d.array), n)
+        stack = phi.apply_batch(d.array)
+        stuck = _central_pairs(stack, n)
         if not stuck:
-            return phi, Verdict.consistent(
-                f"central pairs separated after {attempt} attempt(s)"
-            )
-    return IdentityAut(), Verdict.violated(
-        stuck[0], f"pair still central after {tries} shear attempts"
-    )
+            verdict = Verdict.consistent(f"central pairs separated after {attempt} attempt(s)")
+            return Moved(phi, stack, verdict)
+    verdict = Verdict.violated(stuck[0], f"pair still central after {tries} shear attempts")
+    return Moved(IdentityAut(), d.array, verdict)

@@ -544,6 +544,28 @@ class TestCheck:
         assert run("check", "rr-series", path) == 1
         assert "'norm_growth_c' must be a finite number" in capsys.readouterr().err
 
+    def test_rr_series_declared_growth_that_fails_on_the_prefix(self, tmp_path, capsys):
+        path = gen(tmp_path, "cn-powers", "--n", "2", "--k", "6", "--alpha", "1.1")
+        doc = load(path)
+        doc["sequence"]["generator"]["params"]["norm_growth_c"] = 1e6
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert run("check", "rr-series", path) == 0
+        assert capsys.readouterr().out == (
+            "check rr-series: consistent-up-to-prefix  declared growth fails on the prefix\n"
+        )
+
+    def test_rr_series_declared_rate_that_does_not_beat_one(self, tmp_path, capsys):
+        # alpha * (2n - 1) = 0.3 * 3, so the declared growth bounds no tail
+        path = gen(tmp_path, "cn-powers", "--n", "2", "--k", "6", "--alpha", "0.3")
+        capsys.readouterr()
+        assert run("check", "rr-series", path, "--json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"]["detail"] == "declared decay rate 0.9 does not beat 1"
+        assert doc["verdict"]["state"] == "consistent-up-to-prefix"
+        assert doc["extra"]["tail_bound"] is None
+
     @pytest.mark.parametrize("key", ["family", "cls"])
     def test_a_generator_parameter_named_as_a_builder_argument_loads(self, tmp_path, capsys, key):
         # such a key once ended `check` in a bare TypeError while `report` read it
@@ -731,6 +753,24 @@ class TestTransform:
         what = "real" if name == "lambda-rescale" else "complex"
         err = capsys.readouterr().err
         assert err == f"error: {flag} needs finite {what} numbers, got {refused!r}\n"
+
+    def test_overshears_factor_one_is_the_zero_shift(self, tmp_path):
+        path = gen(tmp_path, "wellplaced2", "--k", "6")
+        out = str(tmp_path / "same.json")
+        assert run("transform", "overshears", path, "--factor", "1", "--out", out) == 0
+        doc = load(out)
+        assert doc["automorphism"] == cli.OvershearAut(
+            cli.OvershearSpec(sl2_special.BivariatePoly.zero())).to_json()
+        assert doc["sequence"]["points"] == load(path)["sequence"]["points"]
+        assert doc["det_drift"] <= 1e-9
+
+    def test_an_unparsable_factor_exits_1(self, tmp_path, capsys):
+        path = gen(tmp_path, "wellplaced2", "--k", "6")
+        capsys.readouterr()
+        assert run("transform", "overshears", path, "--factor", "2*a") == 1
+        assert capsys.readouterr().err == (
+            "error: cannot parse factor '2*a'; use 1, 1+a, 1+<coeff>*a, or --shift\n"
+        )
 
     def test_align_pair(self, tmp_path):
         a = gen(tmp_path, "wellplaced2", "--k", "12")
@@ -1121,6 +1161,22 @@ class TestReport:
                    "--seed", "0", "--out", out) == 0
         assert run("report", out) == 0
         assert "csv report: 1 rows" in capsys.readouterr().out
+
+    def test_summarizes_mc_json_documents(self, tmp_path, capsys):
+        measure, omega = str(tmp_path / "measure.json"), str(tmp_path / "omega.json")
+        seq = gen(tmp_path, "wellplaced2", "--k", "6")
+        assert run("mc", "measure", "--R", "10,100", "--samples", "50", "--seed", "1",
+                   "--json", "--out", measure) == 0
+        assert run("mc", "omega", "--seq", seq, "--samples", "50", "--seed", "1",
+                   "--json", "--out", omega) == 0
+        capsys.readouterr()
+        assert run("report", measure) == 0
+        assert capsys.readouterr().out == "command: mc\naction: measure\nrows: 2\n"
+        assert run("report", omega) == 0
+        fraction = load(omega)["omega"]["fraction"]
+        assert capsys.readouterr().out == (
+            f"command: mc\naction: omega\nomega fraction: {fraction}\n"
+        )
 
     def test_json_mode_is_canonical_identity(self, tmp_path, capsys):
         path = gen(tmp_path, "diagtorus", "--k", "3")

@@ -13,23 +13,35 @@ import numpy as np
 import pytest
 
 import tamelab.cli  # noqa: F401  (imports every module that defines a map)
-from tamelab import pi_tame
-from tamelab.cn_tame import Polynomial, ShearAut
+from tamelab import pi_tame, sln_tame
+from tamelab.cn_tame import Polynomial, ShearAut, push_prefix_cn
 from tamelab.core import (
+    CONSISTENT,
+    HEIGHTS_CLEARED,
+    VIOLATED,
     Automorphism,
     Composite,
     DiscreteSequence,
     HeightAssignment,
     IdentityAut,
     LinearAut,
+    Moved,
     ScalarAut,
     as_point,
+    cn,
+    falls_short,
     sln,
 )
 from tamelab.disc_plane import DiscPlaneAut, MoebiusDisc, disc_plane_space
 from tamelab.errors import DeterminantError
 from tamelab.pi_tame import BundlePushAut, QPolyMap
-from tamelab.sl2_special import BivariatePoly, OvershearAut, OvershearSpec, overshear_apply
+from tamelab.sl2_special import (
+    BivariatePoly,
+    OvershearAut,
+    OvershearSpec,
+    overshear_apply,
+    sl2_column_pipeline,
+)
 
 
 def _old_scalar_poly(f: Polynomial, z) -> complex:
@@ -231,6 +243,18 @@ def test_empty_stack_maps_to_empty_stack(name):
     assert out.shape == ps[:0].shape
 
 
+def test_maps_write_their_kind_and_parameters():
+    assert ScalarAut(0.5 - 2j).to_json() == {"kind": "scalar", "factor": [0.5, -2.0]}
+    phi = MoebiusDisc(0.25, 0.5 + 0.125j)
+    assert phi.to_json() == {"theta": 0.25, "alpha": [0.5, 0.125]}
+    assert DiscPlaneAut(phi, Polynomial((1j,)), Polynomial((0.5, 2.0))).to_json() == {
+        "kind": "disc-plane",
+        "phi": {"theta": 0.25, "alpha": [0.5, 0.125]},
+        "logf": {"kind": "poly", "coeffs": [[0.0, 1.0]]},
+        "g": {"kind": "poly", "coeffs": [[0.5, 0.0], [2.0, 0.0]]},
+    }
+
+
 def _trivial_push(n: int, r_fn=None) -> BundlePushAut:
     zeros = lambda count: tuple(Polynomial() for _ in range(count))  # noqa: E731
     r_fns = zeros(n - 1) if r_fn is None else (r_fn,) + zeros(n - 2)
@@ -259,3 +283,98 @@ def test_push_rejects_a_non_finite_factor_at_the_first_such_row():
         assert np.isfinite(phi.apply(ps[0])).all()
         with pytest.raises(ValueError, match="^point 1: matrix contains non-finite entries$"):
             phi.apply_batch(ps)
+
+
+# The moves: each returns a `Moved` that unpacks as its old pair, (map,
+# second value), and carries the stack it checked, which is the map's own
+# image of the input, bit for bit.
+
+
+def _heights(rng, m: int, n: int, height: float):
+    d = DiscreteSequence(cn(n), tuple(_vectors(rng, m, n)))
+    return d, HeightAssignment.constant(height, m)
+
+
+def _equivalent_pair(rng, m: int):
+    """Two SL(2) prefixes over one set of first columns: d = c q with q in
+    the fiber group, so the push carries d onto c."""
+    cs = _sl2(rng, m)
+    qs = np.zeros((m, 2, 2), dtype=np.complex128)
+    qs[:, 0, 0] = qs[:, 1, 1] = 1.0
+    qs[:, 0, 1] = _complex(rng, m)
+    return DiscreteSequence(sln(2), tuple(cs)), DiscreteSequence(sln(2), tuple(cs @ qs))
+
+
+def _move(name: str):
+    """(move result, the input it moved, the second value as the move has
+    always computed it, whether the stack is the input itself) on a seeded
+    input."""
+    rng = np.random.default_rng(101 + MOVES.index(name))
+    if name.startswith("shears"):
+        d, zeta = _heights(rng, 20, 3, 30.0 if name == "shears" else 1e-3)
+        m = push_prefix_cn(d, zeta, seed=4)
+        proof = m[1]
+        assert proof["stages"] == ("unitary+shear" if name == "shears" else "identity")
+        assert not falls_short(proof["achieved"], proof["targets"]).any()
+        assert (m.verdict, m.fields) == (HEIGHTS_CLEARED, {"proof": proof})
+        return m, d.array, proof, name != "shears"
+    if name.startswith("bundle-push"):
+        n = 3 if name.endswith("sl3") else 2
+        pts = _sl2(rng, 15) if n == 2 else _sln(rng, 15, 3)
+        d = DiscreteSequence(sln(n), tuple(pts))
+        m = pi_tame.bundle_push(d, HeightAssignment.constant(
+            1e-3 if name.endswith("unmoved") else 40.0, len(d)), seed=2)
+        achieved = tuple(float(h) for h in np.max(np.linalg.norm(m.stack, axis=1), axis=1))
+        assert (m.verdict, m.fields) == (HEIGHTS_CLEARED, {"achieved": list(achieved)})
+        return m, d.array, achieved, False
+    if name.startswith("center-separate"):
+        stuck = np.array([[1.0, 1e-30], [0.0, 1.0]])
+        mats = {"center-separate": [np.eye(2), -np.eye(2), _sl2(rng, 1)[0]],
+                "center-separate-no-pairs": list(_sl2(rng, 4)),
+                "center-separate-stuck": [np.eye(2), stuck]}[name]
+        d = DiscreteSequence(sln(2), tuple(np.asarray(x, dtype=np.complex128) for x in mats))
+        m = sln_tame.center_separate(d, tries=3, seed=5)
+        want = {"center-separate": (CONSISTENT, "central pairs separated after 1 attempt(s)"),
+                "center-separate-no-pairs":
+                    (CONSISTENT, "no prefix pair differs by a unimodular scalar"),
+                "center-separate-stuck": (VIOLATED, "pair still central after 3 shear attempts")}
+        assert (m[1].state, m[1].detail) == want[name]
+        assert m.verdict is m[1] and m.fields == {}
+        return m, d.array, m.verdict, name != "center-separate"
+    if name.startswith("pipeline"):
+        mats = [] if name == "pipeline-empty" else [np.diag([k, 1.0 / k]) for k in range(1, 11)]
+        d = DiscreteSequence(sln(2), tuple(np.asarray(x, dtype=np.complex128) for x in mats))
+        m = sl2_column_pipeline(d, seed=3)
+        assert m[1].state == CONSISTENT
+        assert m[1].detail.endswith("; translation seed 3" if mats else "nothing to move")
+        assert m.verdict is m[1] and m.fields == {}
+        return m, d.array, m.verdict, not mats
+    if name == "equivalence":
+        c_seq, d_seq = _equivalent_pair(rng, 12)
+        m = sln_tame.equivalence_move(c_seq, d_seq, seed=1)
+        worst = float(np.max(np.abs(m[1] - c_seq.array)))
+        assert m.verdict.state == CONSISTENT and m.fields == {}
+        assert m.verdict.detail == f"worst mapping error {worst:.3g}"
+        return m, d_seq.array, m.stack, False
+    raise AssertionError(name)
+
+
+MOVES = (
+    "shears", "shears-unmoved", "bundle-push", "bundle-push-unmoved", "bundle-push-sl3",
+    "center-separate", "center-separate-no-pairs", "center-separate-stuck", "pipeline",
+    "pipeline-empty", "equivalence",
+)
+
+
+@pytest.mark.parametrize("name", MOVES)
+def test_a_move_returns_its_pair_and_the_stack_it_checked(name):
+    m, points, second, identity = _move(name)
+    assert isinstance(m, Moved) and len(m) == 2
+    aut, value = m
+    assert aut is m.aut and m[0] is m.aut and value is m[1]
+    assert value == second if isinstance(second, tuple) else value is second
+    want = m.aut.apply_batch(points)
+    assert m.stack.shape == want.shape
+    assert np.array_equal(m.stack.view(np.uint64), want.view(np.uint64))
+    # an identity result (`IdentityAut`, the empty composite) hands back its input
+    assert (m.stack is points) == identity

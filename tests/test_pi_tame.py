@@ -556,10 +556,10 @@ def _sl2_with_zero_parts(rng, m: int) -> np.ndarray:
 
 
 class TestOneByOneFactor:
-    """For n = 2, `QPolyMap.blocks` and `BundlePushAut.apply_batch` take
-    the 1x1 lower block without the general matrix steps and skip the
-    determinant of a finite factor; bits and errors stay the general
-    path's."""
+    """For n = 2, `QPolyMap.blocks` runs the general matrix steps on the
+    1x1 lower block, and `BundlePushAut.apply_batch` checks the
+    determinant of every factor unless its lower fits are all zero
+    (`QPolyMap.identity_lower`); bits and errors are the general path's."""
 
     def _maps(self):
         rng = stream(31, "one-by-one")

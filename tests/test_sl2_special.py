@@ -582,6 +582,23 @@ class TestFiberRadii:
             sl2._fiber_radii(pts, sl2.group_fibers(pts[:, :, 0]))
         assert str(err.value) == want[1]
 
+    def test_the_first_failing_pair_can_leave_out_the_first_member(self):
+        # (0, 1) and (0, 2) pass the cross-check at 0.6 of its bound, on
+        # opposite sides, so (1, 2), the third pair, misses it by 1.2 times
+        drift = 0.6 * sl2.CROSS_CHECK_TOL
+        pts = np.array([[[1.0, c], [1e-6, 1.0 + 1e-6 * c + e]]
+                        for c, e in ((1000.0, 0.0), (1001.0, drift), (1002.0, -drift))],
+                       dtype=np.complex128)
+        assert sl2.group_fibers(pts[:, :, 0]) == {0: [0, 1, 2]}
+        for j in (1, 2):
+            _fiber_distance_reference(pts[0], pts[j])
+        want = _outcome(_fiber_radii_reference, pts)
+        assert want == _outcome(_fiber_distance_reference, pts[1], pts[2])
+        assert want[0] is InconsistentFiber
+        with pytest.raises(InconsistentFiber) as err:
+            sl2._fiber_radii(pts, sl2.group_fibers(pts[:, :, 0]))
+        assert str(err.value) == want[1]
+
     def test_not_same_fiber_is_named_as_before(self, monkeypatch):
         pts = np.array([np.eye(2), np.diag([2.0, 0.5]), np.diag([3.0, 1 / 3])],
                        dtype=np.complex128)

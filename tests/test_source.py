@@ -364,8 +364,25 @@ def test_no_subgroup_declaration():
     assert "DiagonalGroup" not in defined
 
 
+def _map_appliers(tree: ast.Module) -> list[str]:
+    """Each function of the module, nested ones too, that calls a method
+    named `apply_batch` or `apply`."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("apply_batch", "apply")
+            for call in ast.walk(node)
+        )
+    ]
+
+
 def test_no_second_copy_of_the_output_check():
-    # a moved prefix is applied and checked once, by `cli._moved`
+    # a moved prefix is applied and checked once: each move hands `cli._moved`
+    # the stack it applied, and the CLI applies only the overshear it is given
     defined = {
         node.name
         for path in SOURCES
@@ -373,6 +390,17 @@ def test_no_second_copy_of_the_output_check():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     assert defined & {"apply_all", "drift_verdict"} == set()
+    cli_source = (ROOT / "src" / "tamelab" / "cli.py").read_text(encoding="utf-8")
+    assert _map_appliers(ast.parse(cli_source)) == ["_overshears"]
+
+
+def test_the_map_apply_scan_sees_either_method_in_nested_functions():
+    tree = ast.parse(
+        "def a(m, x):\n    return m.apply_batch(x)\n\n"
+        "def b(m, x):\n    def inner():\n        return m.apply(x)\n    return inner\n\n"
+        "def c(x):\n    return apply_batch(x), x.applied\n"
+    )
+    assert _map_appliers(tree) == ["a", "b", "inner"]
 
 
 def _memoized(trees: dict[str, ast.Module]) -> list[str]:
