@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .core import (
     _horner,
     _pair,
     _row_norms,
+    _window_pairs,
     group_fibers,
     properness_check,
     sl_matrix,
@@ -388,19 +388,24 @@ def _left_move(columns, rng):
 
 def _fiber_radii(points, fibers: dict) -> np.ndarray:
     """Half the closest same-fiber gap per point, over the grouping
-    `fibers` of the first columns; singletons get 1. Each pair of fiber
-    members is taken once, all at once, fiber by fiber (by first member),
-    then by member and later partner, and its gap folded into both ends:
-    swapping a pair of one first column negates its difference alone."""
-    pairs = [pair for members in fibers.values() for pair in combinations(members, 2)]
-    radii = np.ones(len(points))
-    if pairs:
-        i, j = np.array(pairs).T
+    `fibers` of the first columns; singletons get 1. The fibers are laid
+    end to end and each laid position is keyed by its fiber's rank, so
+    `_window_pairs` hands over each pair of fiber members once, in bounded
+    blocks: fiber by fiber (by first member), then by member and later
+    partner. Each gap is folded into both ends: swapping a pair of one
+    first column negates its difference alone."""
+    sizes = np.array([len(members) for members in fibers.values()], dtype=np.intp)
+    laid = np.array([k for members in fibers.values() for k in members], dtype=np.intp)
+    rank = np.repeat(np.arange(len(sizes), dtype=np.float64), sizes)
+    gaps = np.full(len(points), np.inf)
+    for rows, cols in _window_pairs(rank, 0.0, 4):  # 4 entries per 2x2 difference
+        i, j = laid[rows], laid[cols]
         moduli = _translation_moduli(points[i], points[j])
-        gaps = np.full(len(points), np.inf)
         np.minimum.at(gaps, i, moduli)
         np.minimum.at(gaps, j, moduli)
-        radii[i], radii[j] = 0.5 * gaps[i], 0.5 * gaps[j]
+    radii = np.ones(len(points))
+    shared = laid[np.repeat(sizes > 1, sizes)]
+    radii[shared] = 0.5 * gaps[shared]
     return radii
 
 
@@ -429,7 +434,8 @@ def _clearance_shear(points, radii, fibers: dict, seed: int):
 
 def sl2_column_pipeline(d: DiscreteSequence, seed: int = 0, max_fiber: int = MAX_FIBER):
     """Move a prefix with discrete first-column images until the second
-    column is proper; returns (composite map, verdict).
+    column is proper; returns a `core.Moved` holding the composite map,
+    the moved prefix and its verdict.
 
     Stage one left-multiplies by a seeded generic determinant-one matrix
     so no first column touches a coordinate axis.  Stage two overshears

@@ -4,6 +4,7 @@ quadratic-integer enumeration."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tamelab import cn_tame
+from tamelab import cn_tame, core
 from tamelab import sl2_special as sl2
 from tamelab.core import (
     CONSISTENT,
     Composite,
     DiscreteSequence,
+    LinearAut,
     sln,
 )
 from tamelab.errors import (
@@ -30,6 +32,7 @@ from tamelab.errors import (
     UnsupportedField,
     ZeroVector,
 )
+from tamelab.rng import stream
 
 
 def _mseq(mats) -> DiscreteSequence:
@@ -552,6 +555,15 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFiberRadii:
     def test_match_the_pairwise_loop_bit_for_bit(self):
         rng = np.random.default_rng(8)
@@ -567,6 +579,46 @@ class TestFiberRadii:
             pts = np.unique(np.stack(pts), axis=0)
             got = sl2._fiber_radii(pts, sl2.group_fibers(pts[:, :, 0]))
             assert got.tobytes() == np.array(_fiber_radii_reference(pts)).tobytes()
+
+    # `_window_pairs` blocks of 1 and of 10 candidates: one fiber member a
+    # block, or blocks that end inside a fiber
+    @pytest.mark.parametrize("entries", [16, 160])
+    def test_blocks_that_split_fibers_give_the_same_radii(self, monkeypatch, entries):
+        monkeypatch.setattr(core, "_PAIR_TABLE_ENTRIES", entries)
+        self.test_match_the_pairwise_loop_bit_for_bit()
+
+    @pytest.mark.parametrize("entries", [16, 160, core._PAIR_TABLE_ENTRIES])
+    def test_a_failing_pair_in_a_later_block_raises_in_fiber_order(self, monkeypatch, entries):
+        # fiber {0, 3, 4} fails only at (3, 4), 1.2 times the cross-check's
+        # bound; fiber {1, 2} fails at (1, 2), 1.5 times it. (1, 2) comes
+        # first in plain (i, j) order, (3, 4) in fiber order
+        monkeypatch.setattr(core, "_PAIR_TABLE_ENTRIES", entries)
+        tol = sl2.CROSS_CHECK_TOL
+        pts = np.array([[[1.0, c], [b, 1.0 + b * c + e]]
+                        for b, c, e in ((1e-6, 1000.0, 0.0), (2e-6, 1000.0, 0.0),
+                                        (2e-6, 1001.0, 1.5 * tol), (1e-6, 1001.0, 0.6 * tol),
+                                        (1e-6, 1002.0, -0.6 * tol))],
+                       dtype=np.complex128)
+        assert sl2.group_fibers(pts[:, :, 0]) == {0: [0, 3, 4], 1: [1, 2]}
+        want = _outcome(_fiber_radii_reference, pts)
+        assert want == _outcome(_fiber_distance_reference, pts[3], pts[4])
+        assert want != _outcome(_fiber_distance_reference, pts[1], pts[2])
+        assert want[0] is InconsistentFiber
+        with pytest.raises(InconsistentFiber) as err:
+            sl2._fiber_radii(pts, sl2.group_fibers(pts[:, :, 0]))
+        assert str(err.value) == want[1]
+
+    def test_memory_does_not_grow_with_the_pairs(self):
+        # the qi height-4 lattice as the pipeline's first stage leaves it:
+        # 166,720 same-fiber pairs, whose list of every pair peaked at 55.1 MiB
+        d = sl2.gaussian_sl2_generate(sl2.GaussianIntegerParams("Q(i)", 4))
+        left = sl2._left_move(d.array[:, :, 0], stream(3, "sl2-pipeline"))
+        moved = LinearAut(left).apply_batch(d.array)
+        fibers = sl2.group_fibers(moved[:, :, 0])
+        assert sum(len(m) * (len(m) - 1) // 2 for m in fibers.values()) == 166_720
+        radii, peak = _traced_peak(sl2._fiber_radii, moved, fibers)
+        assert radii.shape == (len(d),) and (radii > 0).all()
+        assert peak < 8 * 2**20
 
     def test_inconsistent_fiber_is_named_as_before(self):
         # one first column; the large second column lets a drift of the

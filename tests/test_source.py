@@ -155,6 +155,45 @@ def test_the_extended_type_scan_sees_names_attributes_and_dtype_strings():
     assert _extended_type_names(tree) == ["longdouble", "clongdouble", "float128"]
 
 
+# enumerators that list every pair (or tuple) of an index set at once
+_PAIR_LISTS = {"combinations", "permutations", "product", "triu_indices", "tril_indices"}
+
+
+def _pair_lists(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each name, attribute or imported name of the module
+    that is one of `_PAIR_LISTS`, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.alias):
+            found.append((node.lineno, node.name))
+    return sorted(item for item in found if item[1] in _PAIR_LISTS)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_pair_lists(path):
+    # every pair scan takes bounded blocks from `core._window_pairs`: a list
+    # of all pairs grows with the square of its input, as the fiber radii's
+    # did, which set the SL(2) pipeline's peak memory
+    assert _pair_lists(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_pair_list_scan_sees_imported_aliased_attribute_and_plain_names():
+    tree = ast.parse(
+        "from itertools import combinations\nimport itertools as it\n"
+        "a = it.permutations(x, 2)\nb = np.triu_indices(n, 1)\n"
+        "from numpy import tril_indices as low\nc = product(x, y)\n"
+        "# combinations\nd = 'product'\nproducts_ok = np.prod(x)\n"
+    )
+    assert _pair_lists(tree) == [
+        (1, "combinations"), (3, "permutations"), (4, "triu_indices"),
+        (5, "tril_indices"), (6, "product"),
+    ]
+
+
 def test_the_attribute_scan_sees_reads_but_not_stores_keys_or_names():
     tree = ast.parse(
         "a = d.points\nfor p in s.points[1:]:\n    pass\n"
