@@ -699,13 +699,12 @@ def _twist_failures(images: np.ndarray, points: np.ndarray, min_gap: float, max_
     twist breaks properness or collides two points of non-central ratio."""
     m = len(points)
     for t in _maybe_close_samples(images, min_gap):
-        blocks = list(_close_pairs(images[t], min_gap))
-        if not any((gaps < min_gap).any() for _, _, gaps in blocks):
+        if not any((gaps < min_gap).any() for _, _, gaps in _close_pairs(images[t], min_gap)):
             continue
         reason = None
         # union-find: each merge files j's class under the root of i's
         parent = list(range(m))
-        for rows, cols, _ in blocks:
+        for rows, cols, _ in _close_pairs(images[t], min_gap):
             central = _central_ratios(points, rows, cols)
             if not central.all():
                 bad = np.argmin(central)

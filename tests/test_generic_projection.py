@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -651,15 +650,6 @@ def draw_block(request, monkeypatch):
     return request.param
 
 
-def _traced_peak(fn, *args):
-    """fn(*args) and the peak bytes tracemalloc traced while it ran."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestDrawBlocks:
     """The exact estimates, at blocks of one draw, of seven, and of more
     draws than any window holds."""
@@ -711,25 +701,25 @@ class TestDrawBlocks:
         th = gp.threshold_estimate(2, samples_per_level=1500, sphere_probes=3, seed=4)
         assert th.rhat == (1.7514090955807742, 2.923050884052409)
 
-    def test_measure_memory_does_not_grow_with_samples(self):
+    def test_measure_memory_does_not_grow_with_samples(self, traced_peak):
         # the whole 200k window at once peaked at 58.7 MiB
         vs = [_diag(10.0), _diag(100.0)]
-        _, peak = _traced_peak(gp.measure_estimates, vs, 150.0, 200_000, _sampler(3))
+        _, peak = traced_peak(gp.measure_estimates, vs, 150.0, 200_000, _sampler(3))
         assert peak < 8 * 2**20
 
-    def test_threshold_holds_one_norm_per_draw(self):
+    def test_threshold_holds_one_norm_per_draw(self, traced_peak):
         # 8 probes x 200k norms are 12.2 MiB; a stacked or partitioned
         # copy of them peaked at 24.4 MiB
-        th, peak = _traced_peak(
+        th, peak = traced_peak(
             lambda: gp.threshold_estimate(3, samples_per_level=200_000, seed=0)
         )
         assert len(th) == 3
         assert peak < 18 * 2**20
 
-    def test_omega_memory_does_not_grow_with_samples(self):
+    def test_omega_memory_does_not_grow_with_samples(self, traced_peak):
         # the whole 80k x 8 image table at once peaked at 62.9 MiB
         d = DiscreteSequence(sln(2), tuple(_diag(float(2**j)) for j in range(1, 9)))
-        report, peak = _traced_peak(gp.omega_check, d, 80_000, _sampler(5))
+        report, peak = traced_peak(gp.omega_check, d, 80_000, _sampler(5))
         assert report.fraction == 1.0
         assert peak < 24 * 2**20
 
@@ -1007,6 +997,17 @@ class TestOmegaCheck:
             want = _omega_failures_loop(d, 30, _sampler(3), gp.MIN_GAP, 2)
         assert quiet.fraction == 1.0
         assert loud.fraction == 0.0 and loud.failures == want
+
+    def test_overflowing_images_are_scanned_in_bounded_blocks(self, traced_peak):
+        # 1200 overflowing images give 719,400 NaN-gap pairs a sample; a
+        # list of them all would take about 16 MiB
+        x = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=np.complex128)
+        big = tuple(_diag(1e160 * (1.0 + j / 1200)) for j in range(1200))
+        d = DiscreteSequence(sln(2), big + (x,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report, peak = traced_peak(gp.omega_check, d, 4, _sampler(3))
+        assert report.fraction == 1.0
+        assert peak < 8 * 2**20
 
     def test_input_validation(self):
         with pytest.raises(AmbientMismatch):

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,16 +245,11 @@ class TestFitQMap:
         with pytest.raises(FiberCollision, match="images 0 and 3 coincide"):
             pi_tame.fit_factors(np.stack([a, b, b, a]), np.stack([_random_q2(stream(1, "q"))] * 4))
 
-    def test_separating_many_images_holds_no_pair_table(self):
+    def test_separating_many_images_holds_no_pair_table(self, traced_peak):
         # a dense table of 2000 separators' gaps alone would take 61 MiB
         rng = stream(4, "many-images")
         ys = rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
-        tracemalloc.start()
-        try:
-            pi_tame._separate(ys, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(pi_tame._separate, ys, 3)
         assert peak < 4 * 2**20
 
     def test_batched_blocks_match_single_points(self):

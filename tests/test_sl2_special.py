@@ -4,7 +4,6 @@ quadratic-integer enumeration."""
 from __future__ import annotations
 
 import math
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -555,15 +554,6 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _traced_peak(fn, *args):
-    """fn(*args) and the peak bytes tracemalloc traced while it ran."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestFiberRadii:
     def test_match_the_pairwise_loop_bit_for_bit(self):
         rng = np.random.default_rng(8)
@@ -608,15 +598,15 @@ class TestFiberRadii:
             sl2._fiber_radii(pts, sl2.group_fibers(pts[:, :, 0]))
         assert str(err.value) == want[1]
 
-    def test_memory_does_not_grow_with_the_pairs(self):
+    def test_memory_does_not_grow_with_the_pairs(self, traced_peak):
         # the qi height-4 lattice as the pipeline's first stage leaves it:
-        # 166,720 same-fiber pairs, whose list of every pair peaked at 55.1 MiB
+        # 166,720 same-fiber pairs
         d = sl2.gaussian_sl2_generate(sl2.GaussianIntegerParams("Q(i)", 4))
         left = sl2._left_move(d.array[:, :, 0], stream(3, "sl2-pipeline"))
         moved = LinearAut(left).apply_batch(d.array)
         fibers = sl2.group_fibers(moved[:, :, 0])
         assert sum(len(m) * (len(m) - 1) // 2 for m in fibers.values()) == 166_720
-        radii, peak = _traced_peak(sl2._fiber_radii, moved, fibers)
+        radii, peak = traced_peak(sl2._fiber_radii, moved, fibers)
         assert radii.shape == (len(d),) and (radii > 0).all()
         assert peak < 8 * 2**20
 

@@ -155,13 +155,13 @@ def test_the_extended_type_scan_sees_names_attributes_and_dtype_strings():
     assert _extended_type_names(tree) == ["longdouble", "clongdouble", "float128"]
 
 
-# enumerators that list every pair (or tuple) of an index set at once
-_PAIR_LISTS = {"combinations", "permutations", "product", "triu_indices", "tril_indices"}
+# enumerators of the pairs (or tuples) of an index set
+_PAIR_ENUMERATORS = {"combinations", "permutations", "product", "triu_indices", "tril_indices"}
 
 
-def _pair_lists(tree: ast.Module) -> list[tuple[int, str]]:
+def _pair_enumerators(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, name) of each name, attribute or imported name of the module
-    that is one of `_PAIR_LISTS`, in line order."""
+    that is one of `_PAIR_ENUMERATORS`, in line order."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -170,25 +170,24 @@ def _pair_lists(tree: ast.Module) -> list[tuple[int, str]]:
             found.append((node.lineno, node.attr))
         elif isinstance(node, ast.alias):
             found.append((node.lineno, node.name))
-    return sorted(item for item in found if item[1] in _PAIR_LISTS)
+    return sorted(item for item in found if item[1] in _PAIR_ENUMERATORS)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_pair_lists(path):
-    # every pair scan takes bounded blocks from `core._window_pairs`: a list
-    # of all pairs grows with the square of its input, as the fiber radii's
-    # did, which set the SL(2) pipeline's peak memory
-    assert _pair_lists(ast.parse(path.read_text(encoding="utf-8"))) == []
+def test_no_pair_enumerators(path):
+    # no module enumerates index pairs or tuples with these; the memory of
+    # the pair scans is bounded by the tracemalloc tests, not here
+    assert _pair_enumerators(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def test_the_pair_list_scan_sees_imported_aliased_attribute_and_plain_names():
+def test_the_pair_enumerator_scan_sees_imported_aliased_attribute_and_plain_names():
     tree = ast.parse(
         "from itertools import combinations\nimport itertools as it\n"
         "a = it.permutations(x, 2)\nb = np.triu_indices(n, 1)\n"
         "from numpy import tril_indices as low\nc = product(x, y)\n"
         "# combinations\nd = 'product'\nproducts_ok = np.prod(x)\n"
     )
-    assert _pair_lists(tree) == [
+    assert _pair_enumerators(tree) == [
         (1, "combinations"), (3, "permutations"), (4, "triu_indices"),
         (5, "tril_indices"), (6, "product"),
     ]
